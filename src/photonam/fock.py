@@ -2,10 +2,16 @@
 
 Basis order
 -----------
-A space over channels (c_0, ..., c_{C-1}) with per-channel cap n_max uses the
-product occupation basis of dimension (n_max + 1)^C, enumerated channel-major:
-basis index i encodes occupations n_j(i) = (i // (n_max+1)^(C-1-j)) % (n_max+1),
-so channel 0 is the most significant digit and index 0 is the vacuum.  The
+A space over channels (c_0, ..., c_{C-1}) with per-channel cap n_max and an
+optional total-occupation cap max_total keeps the occupation tuples with
+n_j <= n_max for every channel and n_0 + ... + n_{C-1} <= max_total.  Each
+tuple is identified by its product-index code
+sum_j n_j * (n_max+1)^(C-1-j), so channel 0 is the most significant digit,
+and the space carries the sorted table of its codes: basis index i is the
+i-th smallest code and index 0 is the vacuum.  Without a total cap the table
+is 0 .. (n_max+1)^C - 1, the full product basis.  Occupations, ladder
+matrices, basis states and the metric diagonal are all read off the code
+table, with `searchsorted` mapping a shifted code back to its index.  The
 order is fixed so reports are byte-stable across runs.
 
 Metric realization
@@ -22,13 +28,19 @@ Truncation policy
 -----------------
 Commutator identities for normal-ordered bilinears are exact on the subspace
 of total occupation <= n_max - 1 (in fact <= n_max); the residual outside it
-is reported by the suites, never asserted.
+is reported by the suites, never asserted.  A total cap is a second
+truncation edge.  Every operator on a capped space is the product-space
+operator restricted to the kept codes: lowering and number-conserving lifts
+never leave the space, and a creator drops the states it would push past the
+cap.  So a product of two operators that each change the total occupation by
+at most one is exact on the block of total occupation <= max_total - 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 from scipy import sparse
@@ -42,16 +54,27 @@ from .errors import (
 from .modes import channel_sign
 
 DEFAULT_DIM_CAP = 1 << 20
+_CODE_LIMIT = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
 class FockSpace:
-    """Product occupation basis over labeled channels with metric signs."""
+    """Occupation basis over labeled channels with metric signs.
+
+    `codes` is the sorted table of product-index codes of the kept
+    occupation tuples; `max_total` is the total-occupation cap, equal to
+    n_max * #channels for the full product basis.
+    """
 
     channels: tuple
     n_max: int
     signs: tuple
-    dim: int
+    max_total: int
+    codes: np.ndarray = field(compare=False, repr=False)
+
+    @property
+    def dim(self) -> int:
+        return int(self.codes.size)
 
     def index_of(self, channel) -> int:
         try:
@@ -62,10 +85,13 @@ class FockSpace:
     def weight(self, position: int) -> int:
         return (self.n_max + 1) ** (len(self.channels) - 1 - position)
 
+    def locate(self, codes: np.ndarray) -> np.ndarray:
+        """Basis indices of product-index codes that are in the table."""
+        return np.searchsorted(self.codes, codes)
+
     def occupations(self, position: int) -> np.ndarray:
         """Occupation of channel `position` for every basis index."""
-        idx = np.arange(self.dim)
-        return (idx // self.weight(position)) % (self.n_max + 1)
+        return (self.codes // self.weight(position)) % (self.n_max + 1)
 
     def total_occupation(self) -> np.ndarray:
         tot = np.zeros(self.dim, dtype=int)
@@ -83,21 +109,62 @@ class FockSpace:
 
     def basis_state(self, occupations: dict) -> np.ndarray:
         """Unit vector with the given channel -> occupation assignment."""
-        idx = 0
+        code = 0
         for ch, n in occupations.items():
             if not 0 <= n <= self.n_max:
                 raise DimensionMismatch(f"occupation {n} outside 0..{self.n_max}")
-            idx += n * self.weight(self.index_of(ch))
+            code += n * self.weight(self.index_of(ch))
+        total = sum(occupations.values())
+        if total > self.max_total:
+            raise DimensionMismatch(f"total occupation {total} exceeds cap {self.max_total}")
         psi = np.zeros(self.dim, dtype=complex)
-        psi[idx] = 1.0
+        psi[self.locate(code)] = 1.0
         return psi
 
 
-def build_fock(channels, n_max: int, dim_cap: int = DEFAULT_DIM_CAP) -> FockSpace:
+def _capped_dim(n_channels: int, n_max: int, max_total: int) -> int:
+    """Number of occupation tuples with every n_j <= n_max and sum <= max_total.
+
+    Inclusion-exclusion over the channels forced above n_max, with a slack
+    channel absorbing max_total - sum.
+    """
+    return sum(
+        (-1) ** k
+        * comb(n_channels, k)
+        * comb(max_total - k * (n_max + 1) + n_channels, n_channels)
+        for k in range(min(n_channels, max_total // (n_max + 1)) + 1)
+    )
+
+
+def _code_table(n_channels: int, n_max: int, max_total: int) -> np.ndarray:
+    """Sorted product-index codes of the tuples counted by `_capped_dim`.
+
+    Channels are prepended from the last to the first; each new channel is
+    the most significant digit so far, so concatenating by its occupation
+    keeps the table sorted.
+    """
+    codes = np.zeros(1, dtype=np.int64)
+    totals = np.zeros(1, dtype=np.int64)
+    weight = 1
+    for _ in range(n_channels):
+        keep = [totals <= max_total - n for n in range(n_max + 1)]
+        codes = np.concatenate([codes[k] + n * weight for n, k in enumerate(keep)])
+        totals = np.concatenate([totals[k] + n for n, k in enumerate(keep)])
+        weight *= n_max + 1
+    return codes
+
+
+def build_fock(
+    channels, n_max: int, dim_cap: int = DEFAULT_DIM_CAP, max_total: int | None = None
+) -> FockSpace:
     """Build a space over (mode_label, lam) channels.
 
-    Signs derive from the lam part of each channel label.  Raises
-    DimensionCapExceeded when (n_max+1)^#channels > dim_cap.
+    Signs derive from the lam part of each channel label.  Without
+    `max_total` the basis is the full product of per-channel occupations
+    0..n_max; with it, only tuples of total occupation <= max_total are kept.
+    The dimension is counted before anything is allocated, and
+    DimensionCapExceeded is raised when it exceeds dim_cap or when the
+    product-index codes do not fit in 64 bits.
     """
     channels = tuple(tuple(ch) if isinstance(ch, list) else ch for ch in channels)
     if len(channels) < 1:
@@ -106,13 +173,27 @@ def build_fock(channels, n_max: int, dim_cap: int = DEFAULT_DIM_CAP) -> FockSpac
         raise DimensionMismatch("channel labels must be unique")
     if n_max < 1:
         raise DimensionMismatch("n_max must be >= 1")
-    dim = (n_max + 1) ** len(channels)
+    if max_total is not None and max_total < 0:
+        raise DimensionMismatch("max_total must be >= 0")
+    n_ch = len(channels)
+    full = n_max * n_ch
+    cap = full if max_total is None else min(max_total, full)
+    if cap == full:
+        dim = (n_max + 1) ** n_ch
+        size = f"{n_max + 1}^{n_ch} = {dim}"
+    else:
+        dim = _capped_dim(n_ch, n_max, cap)
+        size = f"{dim} (total occupation <= {cap})"
     if dim > dim_cap:
+        raise DimensionCapExceeded(f"dim {size} exceeds cap {dim_cap}")
+    if (n_max + 1) ** n_ch - 1 > _CODE_LIMIT:
         raise DimensionCapExceeded(
-            f"dim {(n_max + 1)}^{len(channels)} = {dim} exceeds cap {dim_cap}"
+            f"product-index codes {(n_max + 1)}^{n_ch} exceed the 64-bit range"
         )
     signs = tuple(channel_sign(ch[1]) for ch in channels)
-    return FockSpace(channels=channels, n_max=n_max, signs=signs, dim=dim)
+    codes = _code_table(n_ch, n_max, cap)
+    codes.setflags(write=False)
+    return FockSpace(channels=channels, n_max=n_max, signs=signs, max_total=cap, codes=codes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,9 +235,6 @@ class OperatorMatrix:
         scaled = sparse.diags(eta) @ adj @ sparse.diags(eta)
         return OperatorMatrix(self.space, scaled.tocsr())
 
-    def norm_max(self) -> float:
-        return max_abs(self)
-
     def to_dense(self) -> np.ndarray:
         return self.mat.toarray()
 
@@ -171,13 +249,10 @@ def identity_operator(fs: FockSpace) -> OperatorMatrix:
 
 @lru_cache(maxsize=None)
 def _lowering(fs: FockSpace, position: int) -> sparse.csr_matrix:
-    base = fs.n_max + 1
-    w = fs.weight(position)
-    idx = np.arange(fs.dim)
-    n = (idx // w) % base
-    src = idx[n > 0]
-    data = np.sqrt(n[n > 0].astype(float)).astype(complex)
-    rows = src - w
+    n = fs.occupations(position)
+    src = np.nonzero(n)[0]
+    rows = fs.locate(fs.codes[src] - fs.weight(position))
+    data = np.sqrt(n[src].astype(float)).astype(complex)
     return sparse.csr_matrix((data, (rows, src)), shape=(fs.dim, fs.dim))
 
 
@@ -238,7 +313,14 @@ class QuadraticForm:
 
 
 def lift_bilinear(fs: FockSpace, form) -> OperatorMatrix:
-    """Normal-ordered lift sum_{ab} creator_a M[a,b] annihilator_b."""
+    """Normal-ordered lift sum_{ab} creator_a M[a,b] annihilator_b.
+
+    Assembled in one pass over the basis: each nonzero M[a,b] moves one
+    quantum from channel b to channel a in every state with n_b > 0 (and
+    n_a < n_max when a != b), with amplitude
+    sign_a * M[a,b] * sqrt(n_a + 1) * sqrt(n_b), n_a counted after the
+    lowering.
+    """
     m = form.matrix if isinstance(form, QuadraticForm) else np.asarray(form, dtype=complex)
     if m.shape != (len(fs.channels), len(fs.channels)):
         raise DimensionMismatch(
@@ -246,17 +328,31 @@ def lift_bilinear(fs: FockSpace, form) -> OperatorMatrix:
         )
     if isinstance(form, QuadraticForm) and form.signs != fs.signs:
         raise DimensionMismatch("form channel signs disagree with the space")
-    total = sparse.csr_matrix((fs.dim, fs.dim), dtype=complex)
-    for b in range(len(fs.channels)):
-        col = m[:, b]
-        rows = np.nonzero(col)[0]
-        if rows.size == 0:
+    occ = [fs.occupations(j) for j in range(len(fs.channels))]
+    rows, cols, vals = [], [], []
+    diag = np.zeros(fs.dim, dtype=complex)
+    for a, b in zip(*np.nonzero(m)):
+        src = np.nonzero(occ[b])[0]
+        root_b = np.sqrt(occ[b][src])
+        if a == b:
+            # sqrt(n) * sqrt(n), not n: the entry equals the ladder product's
+            diag[src] += (m[a, b] * fs.signs[a] * root_b) * root_b
             continue
-        left = sparse.csr_matrix((fs.dim, fs.dim), dtype=complex)
-        for a in rows:
-            left = left + col[a] * (fs.signs[a] * _lowering(fs, a).conj().T)
-        total = total + (left @ _lowering(fs, b)).tocsr()
-    return OperatorMatrix(fs, total.tocsr())
+        room = occ[a][src] < fs.n_max
+        src = src[room]
+        amp = (m[a, b] * fs.signs[a] * np.sqrt(occ[a][src] + 1)) * root_b[room]
+        rows.append(fs.locate(fs.codes[src] - fs.weight(b) + fs.weight(a)))
+        cols.append(src)
+        vals.append(amp)
+    on_diag = np.nonzero(diag)[0]
+    rows.append(on_diag)
+    cols.append(on_diag)
+    vals.append(diag[on_diag])
+    mat = sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(fs.dim, fs.dim),
+    )
+    return OperatorMatrix(fs, mat)
 
 
 def indefinite_inner(fs: FockSpace, phi: np.ndarray, psi: np.ndarray) -> complex:
@@ -295,8 +391,3 @@ def compress(op: OperatorMatrix, indices: np.ndarray) -> np.ndarray:
     sub = op.mat[indices][:, indices]
     return np.asarray(sub.todense())
 
-
-def bounded_residual(a: OperatorMatrix, b: OperatorMatrix, max_total: int) -> float:
-    """max-abs difference of two operators on the total-occupation-bounded block."""
-    idx = a.space.bounded_indices(max_total)
-    return max_abs(compress(a, idx) - compress(b, idx))

@@ -9,6 +9,7 @@ format to preserve byte stability.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import UnknownFormat
@@ -23,7 +24,7 @@ class CheckRecord:
 
     Equality checks pass when residual <= tolerance; violation checks pass
     when residual >= tolerance (the claim is that the algebra fails by at
-    least that much).
+    least that much).  A NaN or infinite residual fails either kind.
     """
 
     check_id: str
@@ -35,6 +36,8 @@ class CheckRecord:
 
     @property
     def passed(self) -> bool:
+        if not math.isfinite(self.residual):
+            return False
         if self.kind == KIND_VIOLATION:
             return self.residual >= self.tolerance
         return self.residual <= self.tolerance

@@ -24,6 +24,8 @@ from photonam.fock import (
     metric_diagonal,
     metric_operator,
 )
+from photonam.modes import SphericalShell
+from photonam.suites import SuiteConfig, _capped_grid_space, _default_grid, _shell_space
 
 
 def dense_ladders(n_channels, n_max, signs):
@@ -46,6 +48,70 @@ def test_dimensions_and_cap():
     assert build_fock([(i, 1) for i in range(8)], 2).dim == 6561
     with pytest.raises(DimensionCapExceeded):
         build_fock([(i, 1) for i in range(30)], 2)
+
+
+def test_capped_dimensions():
+    for n_max, dim in zip((1, 2, 3, 4), (37, 157, 487, 1279)):
+        fs = _capped_grid_space(_default_grid(), (0, 1, 2, 3), SuiteConfig(n_max=n_max))
+        assert (len(fs.channels), fs.max_total, fs.dim) == (8, n_max + 1, dim)
+    shell = _shell_space(SphericalShell(radius=1.0, l_max=1), (0, 1, 2, 3), 1 << 20)
+    assert (len(shell.channels), shell.dim) == (16, 137)
+    chans = [(i, lam) for i in range(9) for lam in (0, 1, 2, 3)]
+    assert build_fock(chans, 1, max_total=2).dim == 667
+    # uncapped is the special case: a cap at or above n_max * #channels
+    assert build_fock(chans[:8], 2, max_total=16) == build_fock(chans[:8], 2)
+
+
+def test_capped_dim_cap_raised_before_allocation():
+    chans = [(i, lam) for i in range(9) for lam in (0, 1, 2, 3)]
+    with pytest.raises(DimensionCapExceeded, match="dim 667 "):
+        build_fock(chans, 1, dim_cap=600, max_total=2)
+    # about 3.9e10 states: counted, never enumerated
+    with pytest.raises(DimensionCapExceeded):
+        build_fock(chans, 1, max_total=18)
+    with pytest.raises(DimensionCapExceeded, match="64-bit"):
+        build_fock([(i, 1) for i in range(64)], 1, max_total=2)
+    with pytest.raises(DimensionMismatch):
+        build_fock(chans, 1, max_total=-1)
+
+
+def test_capped_basis_state_outside_cap():
+    fs = build_fock([("a", 1), ("b", 1), ("c", 0)], 2, max_total=2)
+    assert fs.vacuum()[0] == 1.0 and np.all(np.diff(fs.codes) > 0)
+    psi = fs.basis_state({("a", 1): 1, ("c", 0): 1})
+    assert fs.codes[np.argmax(np.abs(psi))] == 1 * 9 + 1
+    with pytest.raises(DimensionMismatch):
+        fs.basis_state({("a", 1): 2, ("b", 1): 1})
+
+
+def test_capped_operators_restrict_product_space():
+    rng = np.random.default_rng(11)
+    for _ in range(25):
+        n_ch = int(rng.integers(1, 5))
+        chans = [(f"m{j}", int(rng.integers(0, 4))) for j in range(n_ch)]
+        n_max = int(rng.integers(1, 4))
+        cap = int(rng.integers(0, n_max * n_ch))
+        full = build_fock(chans, n_max)
+        keep = np.nonzero(full.total_occupation() <= cap)[0]
+        fs = build_fock(chans, n_max, dim_cap=keep.size, max_total=cap)
+        with pytest.raises(DimensionCapExceeded):
+            build_fock(chans, n_max, dim_cap=keep.size - 1, max_total=cap)
+        np.testing.assert_array_equal(fs.codes, full.codes[keep])
+        block = np.ix_(keep, keep)
+        np.testing.assert_array_equal(metric_diagonal(fs), metric_diagonal(full)[keep])
+        for ch in chans:
+            np.testing.assert_array_equal(
+                annihilator(fs, ch).to_dense(), annihilator(full, ch).to_dense()[block]
+            )
+            np.testing.assert_array_equal(
+                creator(fs, ch).to_dense(), creator(full, ch).to_dense()[block]
+            )
+        m = rng.normal(size=(n_ch, n_ch)) + 1j * rng.normal(size=(n_ch, n_ch))
+        m[rng.random(size=m.shape) < 0.3] = 0.0
+        np.testing.assert_array_equal(
+            lift_bilinear(fs, QuadraticForm(m, fs.signs)).to_dense(),
+            lift_bilinear(full, QuadraticForm(m, full.signs)).to_dense()[block],
+        )
 
 
 def test_build_fock_validates_inputs():

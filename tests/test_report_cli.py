@@ -1,9 +1,10 @@
 import json
+import math
 
 import pytest
 
 from photonam.cli import main
-from photonam.errors import InvalidConfig, UnknownFormat, UnknownSuite
+from photonam.errors import DimensionCapExceeded, InvalidConfig, UnknownFormat, UnknownSuite
 from photonam.report import (
     KIND_VIOLATION,
     CheckRecord,
@@ -33,6 +34,9 @@ def test_violation_semantics():
     assert not rec.passed
     rec = CheckRecord("v", "Table-III", 0.5, 0.1, kind=KIND_VIOLATION)
     assert rec.passed
+    for bad in (math.inf, -math.inf, math.nan):
+        assert not CheckRecord("v", "Table-III", bad, 0.1, kind=KIND_VIOLATION).passed
+        assert not CheckRecord("e", "MCR1", bad, 1e-10).passed
 
 
 def test_empty_report_renders():
@@ -151,6 +155,24 @@ def test_cli_inline_grid():
         ]
     )
     assert code == 0
+
+
+def test_cli_all_polarization_lmax2_shell(capsys):
+    # 36 channels: the product space is 2^36, the capped space 667 states
+    code = main(["--suite", "observable-commutators", "--shell", "1.0,2", "--format", "json"])
+    assert code == 0
+    parsed = json.loads(capsys.readouterr().out)
+    assert parsed["summary"] == {"total": 11, "passed": 11, "failed": 0}
+
+
+def test_cli_capped_space_over_dim_cap_exit_2(capsys):
+    argv = ["--suite", "observable-commutators", "--shell", "1.0,2", "--dim-cap", "600"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: dim 667 (total occupation <= 2) exceeds cap 600")
+    assert "Traceback" not in err
+    with pytest.raises(DimensionCapExceeded):
+        run_suite(SuiteConfig(suite="observable-commutators", shell=(1.0, 2), dim_cap=600))
 
 
 def test_all_suite_names_registered():

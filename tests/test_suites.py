@@ -1,7 +1,11 @@
+import numpy as np
 import pytest
+from scipy import sparse
 
+from photonam import suites
+from photonam.fock import OperatorMatrix, build_fock, identity_operator
 from photonam.modes import build_cartesian_modeset
-from photonam.report import render_report
+from photonam.report import KIND_VIOLATION, VerificationReport, render_report
 from photonam.suites import SUITES, SuiteConfig, run_suite
 
 KNOWN_ANCHORS = {
@@ -73,3 +77,22 @@ def test_canonical_respects_custom_shell():
     rep = run_suite(SuiteConfig(suite="canonical-commutators", shell=(2.0, 2)))
     assert rep.all_passed
     assert rep.config["shell"] == "2.0,2"
+
+
+def test_nan_operator_triple_fails():
+    fs = build_fock([("k", 1), ("q", 2)], 1)
+    nan = OperatorMatrix(fs, sparse.csr_matrix(np.diag([np.nan, 0, 0, 0]).astype(complex)))
+    ident = identity_operator(fs)
+    idx = fs.bounded_indices(1)
+    rep = VerificationReport("nan", {})
+    rep.add("su2", "MCR2", suites._su2_residual((ident, ident, nan), idx), 1e-10)
+    rep.add("mutual", "MCR3", suites._mutual_residual((ident,), (nan,), idx), 1e-10)
+    rep.add(
+        "violation",
+        "Table-III",
+        suites._su2_residual((nan, ident, ident), idx),
+        0.1,
+        kind=KIND_VIOLATION,
+    )
+    assert [r.passed for r in rep.checks] == [False, False, False]
+    assert not rep.all_passed

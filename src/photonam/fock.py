@@ -176,16 +176,12 @@ def build_fock(
     if max_total is not None and max_total < 0:
         raise DimensionMismatch("max_total must be >= 0")
     n_ch = len(channels)
-    full = n_max * n_ch
-    cap = full if max_total is None else min(max_total, full)
-    if cap == full:
-        dim = (n_max + 1) ** n_ch
-        size = f"{n_max + 1}^{n_ch} = {dim}"
-    else:
-        dim = _capped_dim(n_ch, n_max, cap)
-        size = f"{dim} (total occupation <= {cap})"
+    cap = n_max * n_ch if max_total is None else min(max_total, n_max * n_ch)
+    dim = _capped_dim(n_ch, n_max, cap)
     if dim > dim_cap:
-        raise DimensionCapExceeded(f"dim {size} exceeds cap {dim_cap}")
+        raise DimensionCapExceeded(
+            f"dim {dim} (total occupation <= {cap}) exceeds cap {dim_cap}"
+        )
     if (n_max + 1) ** n_ch - 1 > _CODE_LIMIT:
         raise DimensionCapExceeded(
             f"product-index codes {(n_max + 1)}^{n_ch} exceed the 64-bit range"

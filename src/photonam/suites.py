@@ -4,17 +4,19 @@ Each suite builds small Fock spaces, constructs the operators under test,
 and emits CheckRecords.  Identities are asserted on the occupation block
 where they are exact: commutators of number-conserving bilinear lifts up to
 total occupation n_max, edge-sensitive ladder identities up to n_max - 1.
-Full-space residuals at the truncation edge go into the notes, never into
-assertions.  Orbital (shell) spaces always use single occupation, which is
+Residuals over the whole space, truncation edge included, go into the
+notes, never into assertions.  Orbital (shell) spaces always use single occupation, which is
 where the acceptance bounds are stated.
 
 Spaces whose checks only read the asserted block of number-conserving
-operators keep total occupation <= asserted block + 1 (see `fock`): a
-product of two operators that each change the total by at most one then
-sees exactly the product space's intermediate states, so the asserted
-residuals are those of the full product space at a fraction of its size.
-Spaces whose checks read the whole space through raw ladders, or build
-states in Kronecker order, keep the full product basis.
+operators keep total occupation <= asserted block + 1 (see `fock`).  Every
+operator those checks multiply conserves the total occupation, so the
+asserted residuals are those of the full product space at a fraction of its
+size; the asserted block alone would give the same residuals.  The extra
+level keeps a truncation edge above the asserted block, and the edge
+residuals in the notes are taken there.  Spaces whose checks read the whole
+space through raw ladders, or build states in Kronecker order, keep the full
+product basis.
 """
 
 from __future__ import annotations
@@ -106,12 +108,19 @@ def _grid_space(
 
 
 def _capped_grid_space(ms: CartesianGrid, lams, config: SuiteConfig) -> FockSpace:
-    """Grid space for checks asserted on total occupation <= n_max."""
+    """Grid space for checks asserted on total occupation <= n_max.
+
+    Capped at n_max + 1 so that the edge residuals in the notes have an edge
+    above the asserted block to be taken at.
+    """
     return _grid_space(ms, lams, config.n_max, config.dim_cap, max_total=config.n_max + 1)
 
 
 def _shell_space(ms: SphericalShell, lams, dim_cap: int) -> FockSpace:
-    """Single-occupation shell space; its checks assert on total occupation <= 1."""
+    """Single-occupation shell space; its checks assert on total occupation <= 1.
+
+    Capped at 2, one level above the asserted block, like `_capped_grid_space`.
+    """
     chans = [(c, lam) for c in ms.mode_labels() for lam in lams]
     return build_fock(chans, 1, dim_cap=dim_cap, max_total=2)
 
@@ -168,8 +177,8 @@ def suite_canonical(config: SuiteConfig) -> VerificationReport:
         diff = commutator(spin[i], spin[j]) - 1j * spin[k]
         rep.add(f"spin-su2-{'xyz'[i]}{'xyz'[j]}", "MCR1", _eq_bounded(diff, idx), config.tol)
         rep.note(
-            f"spin-su2-{'xyz'[i]}{'xyz'[j]} full-space residual "
-            f"{max_abs(diff):.3e} (truncation edge, reported only)"
+            f"spin-su2-{'xyz'[i]}{'xyz'[j]} capped-space residual "
+            f"{max_abs(diff):.3e} (edge at total occupation {fs.max_total}, reported only)"
         )
 
     ham = ops.hamiltonian(ms, fs)

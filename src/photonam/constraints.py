@@ -37,7 +37,9 @@ from .fock import (
     expectation,
     identity_operator,
     indefinite_inner,
+    max_residual,
     metric_diagonal,
+    zero_operator,
 )
 from .modes import CartesianGrid, ModeSet, SphericalShell, orbital_matrices
 
@@ -138,17 +140,15 @@ def xi0_from_charge(source: ChargeSource, ms: ModeSet) -> dict:
 
 def xi_conjugate_residual(ms: ModeSet, xi: dict) -> float:
     """Deviation from the reality condition of the underlying charge density."""
-    worst = 0.0
     if isinstance(ms, CartesianGrid):
-        for i in ms.mode_labels():
-            j = ms.negation[i]
-            worst = max(worst, abs(xi.get(j, 0.0) - np.conj(xi.get(i, 0.0))))
-        return worst
-    for (l, m) in ms.mode_labels():
-        lhs = xi.get((l, -m), 0.0)
-        rhs = (-1.0) ** (l + m) * np.conj(xi.get((l, m), 0.0))
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+        return max_residual(
+            abs(xi.get(ms.negation[i], 0.0) - np.conj(xi.get(i, 0.0)))
+            for i in ms.mode_labels()
+        )
+    return max_residual(
+        abs(xi.get((l, -m), 0.0) - (-1.0) ** (l + m) * np.conj(xi.get((l, m), 0.0)))
+        for (l, m) in ms.mode_labels()
+    )
 
 
 def gb_constraints(ms: ModeSet, fs: FockSpace, xi: dict | None = None) -> list[OperatorMatrix]:
@@ -222,11 +222,10 @@ def physical_subspace(
 
 def kernel_certificate(constraints: list[OperatorMatrix], subspace: PhysicalSubspace) -> float:
     """max_v max_C ||C v|| over the kernel basis."""
-    worst = 0.0
-    for c in constraints:
-        res = c.mat @ subspace.basis
-        worst = max(worst, float(np.max(np.linalg.norm(res, axis=0), initial=0.0)))
-    return worst
+    return max_residual(
+        np.max(np.linalg.norm(c.mat @ subspace.basis, axis=0), initial=0.0)
+        for c in constraints
+    )
 
 
 def quotient_representatives(
@@ -412,8 +411,6 @@ def xi_oam_bilinear(
             if term is not None:
                 total = term if total is None else total + term
         if total is None:
-            from .fock import zero_operator
-
             out.append(zero_operator(fs))
         else:
             out.append(OperatorMatrix(fs, total.tocsr()))

@@ -1,20 +1,28 @@
-"""Minimal fermionic companion: spinor matrices and truncated fermion spaces.
+"""Minimal fermionic companion: spinor matrices and Dirac-sector lifts.
 
-Fermionic channels are ordered tuples; ladder operators follow the
+Fermion spaces are `fock.FockSpace`s built with `fermionic=True`: one
+quantum per channel, every sign +1, and ladders and lifts in the
 Jordan-Wigner convention with channel 0 leftmost in the tensor product, so a
 creator on channel j carries the parity string of channels 0..j-1.  This
-fixes every matrix uniquely and keeps anticommutators exact.
+fixes every matrix uniquely and keeps anticommutators exact.  The lift is
+`fock.lift_bilinear`, the same as for photons.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
 
-from .errors import DimensionCapExceeded, DimensionMismatch, UnknownChannel
+from .fock import (
+    DEFAULT_DIM_CAP,
+    FockSpace,
+    annihilator,
+    build_fock,
+    creator,
+    lift_bilinear,
+)
 from .modes import orbital_matrices, shell_channels
 
 _PAULI = {
@@ -48,68 +56,19 @@ def spinor_matrices() -> SpinorBasis:
     return SpinorBasis(beta=beta, alpha=alpha, gamma=gamma, sigma=sigma)
 
 
-@dataclass(frozen=True)
-class FermionFockSpace:
-    """Occupation-number space over fermionic channels, dim = 2^#channels."""
-
-    channels: tuple
-    dim: int
-
-    def index_of(self, channel) -> int:
-        try:
-            return self.channels.index(channel)
-        except ValueError:
-            raise UnknownChannel(f"channel {channel!r} not in space") from None
-
-    def vacuum(self) -> np.ndarray:
-        psi = np.zeros(self.dim, dtype=complex)
-        psi[0] = 1.0
-        return psi
+def build_fermion_fock(channels, dim_cap: int = DEFAULT_DIM_CAP) -> FockSpace:
+    """Fermionic space over the channels: one quantum each, 2^#channels states."""
+    return build_fock(channels, 1, dim_cap=dim_cap, fermionic=True)
 
 
-def build_fermion_fock(channels, dim_cap: int = 1 << 20) -> FermionFockSpace:
-    channels = tuple(tuple(ch) if isinstance(ch, list) else ch for ch in channels)
-    if len(set(channels)) != len(channels):
-        raise DimensionMismatch("channel labels must be unique")
-    dim = 2 ** len(channels)
-    if dim > dim_cap:
-        raise DimensionCapExceeded(f"2^{len(channels)} = {dim} exceeds cap {dim_cap}")
-    return FermionFockSpace(channels=channels, dim=dim)
-
-
-@lru_cache(maxsize=None)
-def _jw_lowering(ffs: FermionFockSpace, position: int) -> sparse.csr_matrix:
-    z = sparse.csr_matrix(np.diag([1.0, -1.0]).astype(complex))
-    lower = sparse.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-    eye = sparse.identity(2, dtype=complex, format="csr")
-    op = sparse.identity(1, dtype=complex, format="csr")
-    for j in range(len(ffs.channels)):
-        factor = z if j < position else lower if j == position else eye
-        op = sparse.kron(op, factor, format="csr")
-    return op
-
-
-def fermion_ladder(ffs: FermionFockSpace, channel):
+def fermion_ladder(ffs: FockSpace, channel):
     """(annihilator, creator) with exact anticommutation relations."""
-    c = _jw_lowering(ffs, ffs.index_of(channel))
-    return c, c.conj().T.tocsr()
+    return annihilator(ffs, channel).mat, creator(ffs, channel).mat
 
 
-def fermionic_lift(ffs: FermionFockSpace, matrix: np.ndarray) -> sparse.csr_matrix:
+def fermionic_lift(ffs: FockSpace, matrix: np.ndarray) -> sparse.csr_matrix:
     """sum_{ab} c_a^dag M[a, b] c_b; commutators lift without metric factors."""
-    m = np.asarray(matrix, dtype=complex)
-    if m.shape != (len(ffs.channels), len(ffs.channels)):
-        raise DimensionMismatch("matrix size does not match channel count")
-    total = sparse.csr_matrix((ffs.dim, ffs.dim), dtype=complex)
-    for b in range(len(ffs.channels)):
-        rows = np.nonzero(m[:, b])[0]
-        if rows.size == 0:
-            continue
-        left = sparse.csr_matrix((ffs.dim, ffs.dim), dtype=complex)
-        for a in rows:
-            left = left + m[a, b] * _jw_lowering(ffs, a).conj().T
-        total = total + left @ _jw_lowering(ffs, b)
-    return total.tocsr()
+    return lift_bilinear(ffs, matrix).mat
 
 
 def spinor_orbital_channels(l_max: int) -> tuple:
@@ -117,7 +76,7 @@ def spinor_orbital_channels(l_max: int) -> tuple:
     return tuple((c, s) for c in shell_channels(l_max) for s in range(4))
 
 
-def _channel_matrix(ffs: FermionFockSpace, entry) -> np.ndarray:
+def _channel_matrix(ffs: FockSpace, entry) -> np.ndarray:
     n = len(ffs.channels)
     m = np.zeros((n, n), dtype=complex)
     for (ca, cb), val in entry.items():
@@ -125,7 +84,7 @@ def _channel_matrix(ffs: FermionFockSpace, entry) -> np.ndarray:
     return m
 
 
-def dirac_sam(ffs: FermionFockSpace) -> tuple[sparse.csr_matrix, ...]:
+def dirac_sam(ffs: FockSpace) -> tuple[sparse.csr_matrix, ...]:
     """Half the spinor rotation generators lifted over (orbital, spinor)
     channels."""
     basis = spinor_matrices()
@@ -140,7 +99,7 @@ def dirac_sam(ffs: FermionFockSpace) -> tuple[sparse.csr_matrix, ...]:
     return tuple(out)
 
 
-def dirac_oam(ffs: FermionFockSpace, l_max: int) -> tuple[sparse.csr_matrix, ...]:
+def dirac_oam(ffs: FockSpace, l_max: int) -> tuple[sparse.csr_matrix, ...]:
     """Orbital generators lifted with the identity on the spinor index."""
     gens = orbital_matrices(l_max)
     chans = shell_channels(l_max)

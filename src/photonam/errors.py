@@ -6,7 +6,10 @@ class WorkbenchError(Exception):
 
 
 class ZeroWaveVector(WorkbenchError):
-    """A wave vector with |k| = 0 was supplied where omega = |k| must be positive."""
+    """A wave vector or shell radius has omega = |k| zero, NaN or infinite.
+
+    omega must be positive and finite.
+    """
 
 
 class DuplicateMode(WorkbenchError):

@@ -24,6 +24,18 @@ sign -1 scalar channel (lam = 0).  With eta = (-1)^(total scalar occupation)
 this equals eta a^H eta for every channel, and the single-channel commutator
 is [a, creator] = channel_sign * identity away from the truncation edge.
 
+Statistics
+----------
+A fermionic space (`build_fock(..., fermionic=True)`) has n_max = 1 and every
+sign +1, so its codes are bitmasks with channel 0 as the most significant
+bit, the order of a Kronecker product with channel 0 leftmost.  Its ladders
+and lifts follow the Jordan-Wigner convention (Jordan & Wigner, Z. Phys. 47,
+631 (1928)): the lowering matrix of channel j carries the parity of channels
+0..j-1, and each off-diagonal entry of a lift carries the parity of the
+channels strictly between the two it connects.  That parity is the only rule
+that differs from the bosonic case, so both share one basis, one ladder and
+one lift.
+
 Truncation policy
 -----------------
 Commutator identities for normal-ordered bilinears are exact on the subspace
@@ -63,7 +75,9 @@ class FockSpace:
 
     `codes` is the sorted table of product-index codes of the kept
     occupation tuples; `max_total` is the total-occupation cap, equal to
-    n_max * #channels for the full product basis.
+    n_max * #channels for the full product basis.  `fermionic` selects
+    Jordan-Wigner statistics and is part of the equality (and so of the
+    `_lowering` cache key).
     """
 
     channels: tuple
@@ -71,6 +85,7 @@ class FockSpace:
     signs: tuple
     max_total: int
     codes: np.ndarray = field(compare=False, repr=False)
+    fermionic: bool
 
     @property
     def dim(self) -> int:
@@ -155,11 +170,16 @@ def _code_table(n_channels: int, n_max: int, max_total: int) -> np.ndarray:
 
 
 def build_fock(
-    channels, n_max: int, dim_cap: int = DEFAULT_DIM_CAP, max_total: int | None = None
+    channels,
+    n_max: int,
+    dim_cap: int = DEFAULT_DIM_CAP,
+    max_total: int | None = None,
+    fermionic: bool = False,
 ) -> FockSpace:
     """Build a space over (mode_label, lam) channels.
 
-    Signs derive from the lam part of each channel label.  Without
+    Signs derive from the lam part of each channel label; a fermionic space
+    needs n_max = 1 and has every sign +1 (its labels carry no lam).  Without
     `max_total` the basis is the full product of per-channel occupations
     0..n_max; with it, only tuples of total occupation <= max_total are kept.
     The dimension is counted before anything is allocated, and
@@ -173,6 +193,8 @@ def build_fock(
         raise DimensionMismatch("channel labels must be unique")
     if n_max < 1:
         raise DimensionMismatch("n_max must be >= 1")
+    if fermionic and n_max != 1:
+        raise DimensionMismatch("fermionic spaces have n_max = 1")
     if max_total is not None and max_total < 0:
         raise DimensionMismatch("max_total must be >= 0")
     n_ch = len(channels)
@@ -186,10 +208,17 @@ def build_fock(
         raise DimensionCapExceeded(
             f"product-index codes {(n_max + 1)}^{n_ch} exceed the 64-bit range"
         )
-    signs = tuple(channel_sign(ch[1]) for ch in channels)
+    signs = (1,) * n_ch if fermionic else tuple(channel_sign(ch[1]) for ch in channels)
     codes = _code_table(n_ch, n_max, cap)
     codes.setflags(write=False)
-    return FockSpace(channels=channels, n_max=n_max, signs=signs, max_total=cap, codes=codes)
+    return FockSpace(
+        channels=channels,
+        n_max=n_max,
+        signs=signs,
+        max_total=cap,
+        codes=codes,
+        fermionic=fermionic,
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,12 +272,24 @@ def identity_operator(fs: FockSpace) -> OperatorMatrix:
     return OperatorMatrix(fs, sparse.identity(fs.dim, dtype=complex, format="csr"))
 
 
+def _jw_parity(fs: FockSpace, codes: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """(-1)^(occupied channels strictly between positions lo < hi) per code.
+
+    Fermionic codes are bitmasks and weight(-1) = 2^#channels, so the mask
+    of the channels between lo and hi is weight(lo) - 2 * weight(hi).
+    """
+    odd = np.bitwise_count(codes & (fs.weight(lo) - 2 * fs.weight(hi))) & 1
+    return np.where(odd, -1.0, 1.0)
+
+
 @lru_cache(maxsize=None)
 def _lowering(fs: FockSpace, position: int) -> sparse.csr_matrix:
     n = fs.occupations(position)
     src = np.nonzero(n)[0]
     rows = fs.locate(fs.codes[src] - fs.weight(position))
     data = np.sqrt(n[src].astype(float)).astype(complex)
+    if fs.fermionic:
+        data *= _jw_parity(fs, fs.codes[src], -1, position)
     return sparse.csr_matrix((data, (rows, src)), shape=(fs.dim, fs.dim))
 
 
@@ -315,7 +356,8 @@ def lift_bilinear(fs: FockSpace, form) -> OperatorMatrix:
     quantum from channel b to channel a in every state with n_b > 0 (and
     n_a < n_max when a != b), with amplitude
     sign_a * M[a,b] * sqrt(n_a + 1) * sqrt(n_b), n_a counted after the
-    lowering.
+    lowering.  On a fermionic space each off-diagonal entry also carries the
+    parity of the channels strictly between a and b.
     """
     m = form.matrix if isinstance(form, QuadraticForm) else np.asarray(form, dtype=complex)
     if m.shape != (len(fs.channels), len(fs.channels)):
@@ -337,6 +379,8 @@ def lift_bilinear(fs: FockSpace, form) -> OperatorMatrix:
         room = occ[a][src] < fs.n_max
         src = src[room]
         amp = (m[a, b] * fs.signs[a] * np.sqrt(occ[a][src] + 1)) * root_b[room]
+        if fs.fermionic:
+            amp *= _jw_parity(fs, fs.codes[src], min(a, b), max(a, b))
         rows.append(fs.locate(fs.codes[src] - fs.weight(b) + fs.weight(a)))
         cols.append(src)
         vals.append(amp)
@@ -380,6 +424,14 @@ def max_abs(op: OperatorMatrix | sparse.spmatrix | np.ndarray) -> float:
         return float(np.max(np.abs(data))) if data.size else 0.0
     arr = np.asarray(op)
     return float(np.max(np.abs(arr))) if arr.size else 0.0
+
+
+def max_residual(residuals) -> float:
+    """Largest of the residuals, NaN if any is NaN, 0.0 for none.
+
+    Used in place of a running max(worst, x), which drops a NaN x.
+    """
+    return float(np.max(np.fromiter(residuals, dtype=float), initial=0.0))
 
 
 def compress(op: OperatorMatrix, indices: np.ndarray) -> np.ndarray:

@@ -56,15 +56,15 @@ def spin_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class WaveVector:
-    """A nonzero wave vector; omega = |k| in natural units."""
+    """A nonzero, finite wave vector; omega = |k| in natural units."""
 
     components: tuple[float, float, float]
 
     def __post_init__(self) -> None:
         comps = tuple(float(c) for c in self.components)
         object.__setattr__(self, "components", comps)
-        if self.omega == 0.0:
-            raise ZeroWaveVector("wave vector must be nonzero (omega = |k| > 0)")
+        if not 0.0 < self.omega < math.inf:
+            raise ZeroWaveVector("wave vector must be nonzero and finite (omega = |k|)")
 
     @property
     def omega(self) -> float:
@@ -190,8 +190,8 @@ class SphericalShell:
     channels: tuple[tuple[int, int], ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if self.radius <= 0.0:
-            raise ZeroWaveVector("shell radius must be positive")
+        if not 0.0 < self.radius < math.inf:
+            raise ZeroWaveVector("shell radius must be positive and finite")
         if self.l_max < 0:
             raise NegativeLmax("l_max must be >= 0")
         chans = shell_channels(self.l_max)

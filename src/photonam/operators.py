@@ -30,7 +30,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AsymmetricGrid, ChannelMismatch, UnknownDecomposition
-from .fock import FockSpace, OperatorMatrix, QuadraticForm, annihilator, creator, lift_bilinear
+from .fock import (
+    FockSpace,
+    OperatorMatrix,
+    QuadraticForm,
+    annihilator,
+    creator,
+    lift_bilinear,
+    zero_operator,
+)
 from .modes import (
     CartesianGrid,
     ModeSet,
@@ -343,8 +351,6 @@ def counter_rotating_part(
                         continue
                     term = w[comp] * pair
                     mats[comp] = term if mats[comp] is None else mats[comp] + term
-    from .fock import zero_operator
-
     return tuple(
         OperatorMatrix(fs, m.tocsr()) if m is not None else zero_operator(fs)
         for m in mats
@@ -414,7 +420,6 @@ class OperatorFamily:
     labels: tuple[str, ...]
     forms: tuple[QuadraticForm, ...]
     expected_algebra: str
-    algebra_note: str = ""
 
     def lift(self, fs: FockSpace) -> tuple[OperatorMatrix, ...]:
         return tuple(lift_bilinear(fs, f) for f in self.forms)
@@ -426,38 +431,21 @@ class DecompositionSpec:
 
     name: str
     family_algebras: tuple[tuple[str, str], ...]
-    fully_quantized: bool
-    independent_observables: bool
 
 
 DECOMPOSITIONS: dict[str, DecompositionSpec] = {
-    "canonical": DecompositionSpec(
-        "canonical", (("spin", ALG_SU2), ("oam", ALG_SU2)), True, True
-    ),
+    "canonical": DecompositionSpec("canonical", (("spin", ALG_SU2), ("oam", ALG_SU2))),
     "gauge_invariant": DecompositionSpec(
-        "gauge_invariant",
-        (("spin_obs", ALG_COMMUTING), ("oam_obs", ALG_SU2)),
-        True,
-        True,
+        "gauge_invariant", (("spin_obs", ALG_COMMUTING), ("oam_obs", ALG_SU2))
     ),
     "jaffe_manohar": DecompositionSpec(
-        "jaffe_manohar",
-        (("spin_jm", ALG_NONSTANDARD), ("oam_jm", ALG_NONSTANDARD)),
-        False,
-        False,
+        "jaffe_manohar", (("spin_jm", ALG_NONSTANDARD), ("oam_jm", ALG_NONSTANDARD))
     ),
-    "chen": DecompositionSpec(
-        "chen", (("spin_chen", ALG_NONSTANDARD), ("oam_chen", ALG_SU2)), False, False
-    ),
+    "chen": DecompositionSpec("chen", (("spin_chen", ALG_NONSTANDARD), ("oam_chen", ALG_SU2))),
     "wakamatsu": DecompositionSpec(
-        "wakamatsu",
-        (("spin_wak", ALG_NONSTANDARD), ("oam_wak", ALG_NONSTANDARD)),
-        False,
-        False,
+        "wakamatsu", (("spin_wak", ALG_NONSTANDARD), ("oam_wak", ALG_NONSTANDARD))
     ),
-    "belinfante_ji": DecompositionSpec(
-        "belinfante_ji", (("j_total", ALG_NONSTANDARD),), False, False
-    ),
+    "belinfante_ji": DecompositionSpec("belinfante_ji", (("j_total", ALG_NONSTANDARD),)),
 }
 
 
@@ -540,13 +528,13 @@ def build_decomposition(
     eye_orb = np.eye(len(ms.channels))
     comps = ("x", "y", "z")
 
-    def lam_family(fname, mats, algebra, note=""):
+    def lam_family(fname, mats, algebra):
         forms = tuple(combined_form(ms, fs, eye_orb, m) for m in mats)
-        return OperatorFamily(fname, comps, forms, algebra, note)
+        return OperatorFamily(fname, comps, forms, algebra)
 
-    def orb_family(fname, weight, algebra, note=""):
+    def orb_family(fname, weight, algebra):
         forms = tuple(combined_form(ms, fs, g, weight) for g in gens)
-        return OperatorFamily(fname, comps, forms, algebra, note)
+        return OperatorFamily(fname, comps, forms, algebra)
 
     if name == "canonical":
         return (
@@ -571,14 +559,11 @@ def build_decomposition(
     if name == "wakamatsu":
         return (
             lam_family("spin_wak", _lambda_chen(), ALG_NONSTANDARD),
-            orb_family(
-                "oam_wak",
-                _diag_weight(OAM_OBS_WEIGHTS),
-                ALG_NONSTANDARD,
-                "prescribed-source extra term attaches via the constraints pathway",
-            ),
+            # the prescribed-source extra term attaches via the constraints pathway
+            orb_family("oam_wak", _diag_weight(OAM_OBS_WEIGHTS), ALG_NONSTANDARD),
         )
     if name == "belinfante_ji":
+        # spin and orbital parts are not separated: one j_total family
         weight = _diag_weight(OAM_OBS_WEIGHTS) + _bj_coupling()
         hel = _lambda_spin_obs()
         forms = tuple(
@@ -589,15 +574,7 @@ def build_decomposition(
             )
             for c in range(3)
         )
-        return (
-            OperatorFamily(
-                "j_total",
-                comps,
-                forms,
-                ALG_NONSTANDARD,
-                "spin and orbital parts not separated",
-            ),
-        )
+        return (OperatorFamily("j_total", comps, forms, ALG_NONSTANDARD),)
     raise UnknownDecomposition(name)
 
 

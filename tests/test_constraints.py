@@ -235,3 +235,18 @@ def test_random_xi_tables_satisfy_reality():
     ms = build_cartesian_modeset([(1.0, 2.0, 0.0)])
     xi_grid = cons.random_conjugate_symmetric_xi(ms, rng)
     assert cons.xi_conjugate_residual(ms, xi_grid) <= 1e-15
+
+
+def test_nan_residual_propagates_through_reductions():
+    fs = build_fock([("k", 3), ("k", 0)], 1)
+    constraint = [annihilator(fs, ("k", 3)) - annihilator(fs, ("k", 0))]
+    sub = cons.physical_subspace(fs, constraint, tol=1e-10)
+    poisoned = OperatorMatrix(fs, sparse.csr_matrix(np.full((fs.dim, fs.dim), np.nan + 0j)))
+    assert math.isnan(cons.kernel_certificate(constraint + [poisoned], sub))
+
+    ms = build_cartesian_modeset([(0.0, 0.0, 1.0)])
+    assert math.isnan(cons.xi_conjugate_residual(ms, {0: 0.1, 1: np.nan}))
+    shell = SphericalShell(radius=1.0, l_max=1)
+    xi = cons.random_conjugate_symmetric_xi(shell, np.random.default_rng(2))
+    xi[(1, 1)] = complex(np.nan)
+    assert math.isnan(cons.xi_conjugate_residual(shell, xi))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from photonam.dirac import build_fermion_fock, fermion_ladder, fermionic_lift
 from photonam.errors import (
     DimensionCapExceeded,
     DimensionMismatch,
@@ -11,6 +12,7 @@ from photonam.fock import (
     FockSpace,
     OperatorMatrix,
     QuadraticForm,
+    _lowering,
     annihilator,
     build_fock,
     commutator,
@@ -41,6 +43,21 @@ def dense_ladders(n_channels, n_max, signs):
         lowers.append(mat)
         raisers.append(signs[j] * mat.conj().T)
     return lowers, raisers
+
+
+def dense_jw_lowerings(n_channels):
+    """Independent Jordan-Wigner construction: Z on the channels before j,
+    [[0, 1], [0, 0]] on channel j, identity after it."""
+    z = np.diag([1.0, -1.0]).astype(complex)
+    low = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    eye = np.eye(2, dtype=complex)
+    lowers = []
+    for j in range(n_channels):
+        mat = np.ones((1, 1), dtype=complex)
+        for pos in range(n_channels):
+            mat = np.kron(mat, z if pos < j else low if pos == j else eye)
+        lowers.append(mat)
+    return lowers
 
 
 def test_dimensions_and_cap():
@@ -121,6 +138,8 @@ def test_build_fock_validates_inputs():
         build_fock([("k", 1)], 0)
     with pytest.raises(DimensionMismatch):
         build_fock([("k", 1), ("k", 1)], 1)
+    with pytest.raises(DimensionMismatch):
+        build_fock([("k", 1)], 2, fermionic=True)
 
 
 def test_basis_order_is_channel_major():
@@ -284,3 +303,33 @@ def test_quadratic_form_validation():
     fs = build_fock([("k", 1)], 1)
     with pytest.raises(DimensionMismatch):
         lift_bilinear(fs, QuadraticForm(np.zeros((2, 2)), (1, 1)))
+
+
+@pytest.mark.parametrize("n_ch", range(1, 7))
+def test_fermion_ladders_and_lift_match_jordan_wigner_reference(n_ch):
+    # second label entries are spinor-like indices, not polarizations
+    ffs = build_fermion_fock([("f", j) for j in range(n_ch)])
+    assert (ffs.dim, ffs.signs) == (2**n_ch, (1,) * n_ch)
+    lowers = dense_jw_lowerings(n_ch)
+    for ch, low in zip(ffs.channels, lowers):
+        c, c_dag = fermion_ladder(ffs, ch)
+        np.testing.assert_array_equal(c.toarray(), low)
+        np.testing.assert_array_equal(c_dag.toarray(), low.conj().T)
+    rng = np.random.default_rng(n_ch)
+    for _ in range(3):
+        m = rng.normal(size=(n_ch, n_ch)) + 1j * rng.normal(size=(n_ch, n_ch))
+        expected = sum(
+            m[a, b] * (lowers[a].conj().T @ lowers[b])
+            for a in range(n_ch)
+            for b in range(n_ch)
+        )
+        np.testing.assert_array_equal(fermionic_lift(ffs, m).toarray(), expected)
+
+
+def test_statistics_keep_lowering_cache_entries_apart():
+    chans = [("a", 1), ("b", 2), ("c", 3)]
+    bosonic = build_fock(chans, 1)
+    fermionic = build_fermion_fock(chans)
+    assert bosonic.signs == fermionic.signs and bosonic != fermionic
+    for j in (1, 2):
+        assert (_lowering(bosonic, j) != _lowering(fermionic, j)).nnz > 0

@@ -122,6 +122,24 @@ def test_cli_bad_tolerance_exit_2(capsys):
     assert main(["--suite", "dirac", "--tol", "-2"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--tol", "1e300"],
+        ["--tol", "inf"],
+        ["--tol", "nan"],
+        ["--tol", "0.1"],
+        ["--shell", "inf,1"],
+        ["--grid", "inf,0,1;-inf,0,-1"],
+    ],
+)
+def test_cli_vacuous_or_non_finite_input_exit_2(argv, capsys):
+    assert main(["--suite", "canonical-commutators", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_cli_config_file_and_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("suite = dirac\nseed = 7\nformat = csv\n")
@@ -173,6 +191,12 @@ def test_cli_capped_space_over_dim_cap_exit_2(capsys):
     assert "Traceback" not in err
     with pytest.raises(DimensionCapExceeded):
         run_suite(SuiteConfig(suite="observable-commutators", shell=(1.0, 2), dim_cap=600))
+
+
+def test_cli_dirac_honours_dim_cap(capsys):
+    assert main(["--suite", "dirac", "--dim-cap", "1000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: dim 65536 (total occupation <= 16) exceeds cap 1000")
 
 
 def test_all_suite_names_registered():

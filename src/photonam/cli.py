@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import WorkbenchError
+from .errors import InvalidConfig, WorkbenchError
 from .fock import DEFAULT_DIM_CAP
 from .modes import parse_modeset
 from .report import render_report
@@ -52,8 +52,15 @@ def _parse_shell(spec: str) -> tuple[float, int]:
     return float(parts[0]), int(parts[1])
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors take the exit-2 path of `main`."""
+
+    def error(self, message):
+        raise InvalidConfig(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="photonam",
         description="Verify operator identities of covariantly quantized light"
         " on truncated indefinite-metric Fock spaces.",
@@ -110,21 +117,16 @@ def _merge(args: argparse.Namespace) -> SuiteConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = _merge(args)
+        config = _merge(build_parser().parse_args(argv))
         report = run_suite(config)
         payload = render_report(report, config.fmt)
-    except WorkbenchError as exc:
+        if config.out:
+            Path(config.out).write_bytes(payload)
+    except (WorkbenchError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if config.out:
-        Path(config.out).write_bytes(payload)
-    else:
+    if not config.out:
         sys.stdout.buffer.write(payload)
     return 0 if report.all_passed else 1
 

@@ -24,12 +24,14 @@ import numpy as np
 
 from .errors import (
     ChannelMismatch,
+    DimensionCapExceeded,
     EmptySubspace,
     IncommensurateGrid,
     NoKernel,
     ToleranceAmbiguous,
 )
 from .fock import (
+    DEFAULT_DIM_CAP,
     FockSpace,
     OperatorMatrix,
     annihilator,
@@ -187,16 +189,25 @@ def physical_subspace(
     constraints: list[OperatorMatrix],
     tol: float = 1e-10,
     gap_factor: float = 1e3,
+    dim_cap: int = DEFAULT_DIM_CAP,
 ) -> PhysicalSubspace:
     """Numerical kernel of the stacked constraints.
 
     Singular values below `tol` define the kernel; a gap of at least
     `gap_factor` between the largest kernel value and the smallest excluded
-    value is required unless the kernel values are exact zeros.
+    value is required unless the kernel values are exact zeros.  The SVD
+    runs on the dense stack, so DimensionCapExceeded is raised before it is
+    allocated when its rows x dim elements exceed dim_cap.
     """
     if not constraints:
         basis = np.eye(fs.dim, dtype=complex)
         return PhysicalSubspace(basis, tol, np.zeros(0))
+    rows = len(constraints) * fs.dim
+    if rows * fs.dim > dim_cap:
+        raise DimensionCapExceeded(
+            f"dense constraint stack {rows} x {fs.dim} = {rows * fs.dim}"
+            f" elements exceeds cap {dim_cap}"
+        )
     stack = np.vstack([c.mat.toarray() for c in constraints])
     _, sigma, vh = np.linalg.svd(stack, full_matrices=True)
     sigma = np.concatenate([sigma, np.zeros(fs.dim - sigma.size)])

@@ -6,6 +6,14 @@ Jordan-Wigner convention with channel 0 leftmost in the tensor product, so a
 creator on channel j carries the parity string of channels 0..j-1.  This
 fixes every matrix uniquely and keeps anticommutators exact.  The lift is
 `fock.lift_bilinear`, the same as for photons.
+
+A fermion-number cap (`build_fermion_fock(..., max_total=N)`) keeps the
+states with at most N fermions.  Every lift conserves fermion number, so the
+capped space is an invariant block with no truncation edge: lifts, their
+products and commutators are the full-space matrices restricted to the kept
+states.  A check that multiplies only lifts, or reads states reached from the
+vacuum by at most N creators, is exact there.  Ladder anticommutators are
+not: a creator at the cap drops the states it would push past it.
 """
 
 from __future__ import annotations
@@ -56,9 +64,12 @@ def spinor_matrices() -> SpinorBasis:
     return SpinorBasis(beta=beta, alpha=alpha, gamma=gamma, sigma=sigma)
 
 
-def build_fermion_fock(channels, dim_cap: int = DEFAULT_DIM_CAP) -> FockSpace:
-    """Fermionic space over the channels: one quantum each, 2^#channels states."""
-    return build_fock(channels, 1, dim_cap=dim_cap, fermionic=True)
+def build_fermion_fock(
+    channels, dim_cap: int = DEFAULT_DIM_CAP, max_total: int | None = None
+) -> FockSpace:
+    """Fermionic space over the channels: one quantum each, 2^#channels states,
+    or only those with fermion number <= max_total."""
+    return build_fock(channels, 1, dim_cap=dim_cap, max_total=max_total, fermionic=True)
 
 
 def fermion_ladder(ffs: FockSpace, channel):

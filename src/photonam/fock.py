@@ -45,7 +45,10 @@ truncation edge.  Every operator on a capped space is the product-space
 operator restricted to the kept codes: lowering and number-conserving lifts
 never leave the space, and a creator drops the states it would push past the
 cap.  So a product of two operators that each change the total occupation by
-at most one is exact on the block of total occupation <= max_total - 1.
+at most one is exact on the block of total occupation <= max_total - 1, and a
+product of number-conserving lifts is exact on the whole capped space.  On a
+fermionic space the total cap is a fermion-number cap, and checks built from
+lifts alone are exact at any cap.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DuplicateMode, NegativeLmax, ZeroWaveVector
+from .errors import DimensionMismatch, DuplicateMode, NegativeLmax, ZeroWaveVector
 
 METRIC_DIAG = (1.0, -1.0, -1.0, -1.0)
 
@@ -56,12 +56,15 @@ def spin_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class WaveVector:
-    """A nonzero, finite wave vector; omega = |k| in natural units."""
+    """A nonzero, finite three-component wave vector; omega = |k| in natural
+    units."""
 
     components: tuple[float, float, float]
 
     def __post_init__(self) -> None:
         comps = tuple(float(c) for c in self.components)
+        if len(comps) != 3:
+            raise DimensionMismatch(f"wave vector needs 3 components, got {len(comps)}")
         object.__setattr__(self, "components", comps)
         if not 0.0 < self.omega < math.inf:
             raise ZeroWaveVector("wave vector must be nonzero and finite (omega = |k|)")

@@ -8,6 +8,7 @@ from photonam import constraints as cons
 from photonam import operators as ops
 from photonam.errors import (
     ChannelMismatch,
+    DimensionCapExceeded,
     EmptySubspace,
     IncommensurateGrid,
     NoKernel,
@@ -119,6 +120,15 @@ def test_free_kernel_matches_hand_construction():
     assert sub.gap == math.inf or sub.gap >= 1e3
 
 
+def test_dense_constraint_stack_over_dim_cap_raises():
+    fs = build_fock([("k", 3), ("k", 0)], 1)
+    constraint = [annihilator(fs, ("k", 3)) - annihilator(fs, ("k", 0))]
+    # one 4 x 4 constraint: 16 dense elements
+    assert cons.physical_subspace(fs, constraint, dim_cap=16).dimension == 2
+    with pytest.raises(DimensionCapExceeded, match="4 x 4 = 16 elements exceeds cap 15"):
+        cons.physical_subspace(fs, constraint, dim_cap=15)
+
+
 def test_empty_constraints_whole_space_physical():
     fs = build_fock([("k", 1), ("k", 2)], 1)
     sub = cons.physical_subspace(fs, [], tol=1e-10)
@@ -217,7 +227,7 @@ def test_xi_bilinear_is_metric_hermitian_and_identity_holds():
     from photonam.suites import _approximate_displaced_kernel
     from photonam.modes import orbital_matrices
 
-    (psi, res), = _approximate_displaced_kernel(shell, fs, xi, 2)
+    psi, res = _approximate_displaced_kernel(shell, xi, 2)
     lpure = ops.l_pure(shell, fs)
     vec = np.array([xi[c] for c in shell.mode_labels()])
     gens = orbital_matrices(1)

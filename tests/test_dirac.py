@@ -14,6 +14,7 @@ from photonam.dirac import (
 )
 from photonam.errors import DimensionMismatch, UnknownChannel
 from photonam.fock import build_fock, creator, max_abs
+from photonam.suites import DIRAC_FERMION_CAP, _dirac_algebra_residuals
 
 EPS_PAIRS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
@@ -132,3 +133,14 @@ def test_helicity_integer_eigenvalues_alongside_dirac_halves():
     np.testing.assert_allclose(hel @ plus, plus, atol=1e-15)
     eigs = np.linalg.eigvalsh(hel.to_dense())
     assert {round(v, 12) for v in eigs} == {-1.0, 0.0, 1.0}
+
+
+def test_dirac_suite_cap_keeps_full_space_residuals():
+    chans = spinor_orbital_channels(1)
+
+    def residuals(ffs):
+        return _dirac_algebra_residuals(dirac_sam(ffs), dirac_oam(ffs, 1))
+
+    capped = build_fermion_fock(chans, max_total=DIRAC_FERMION_CAP)
+    assert capped.dim == 697
+    assert residuals(capped) == residuals(build_fermion_fock(chans))

@@ -326,6 +326,29 @@ def test_fermion_ladders_and_lift_match_jordan_wigner_reference(n_ch):
         np.testing.assert_array_equal(fermionic_lift(ffs, m).toarray(), expected)
 
 
+@pytest.mark.parametrize("n_ch", range(3, 9))
+def test_capped_fermion_operators_restrict_full_space(n_ch):
+    chans = [("f", j) for j in range(n_ch)]
+    full = build_fermion_fock(chans)
+    rng = np.random.default_rng(100 + n_ch)
+    forms = [
+        rng.normal(size=(n_ch, n_ch)) + 1j * rng.normal(size=(n_ch, n_ch)) for _ in range(2)
+    ]
+    full_lifts = [fermionic_lift(full, m).toarray() for m in forms]
+    for cap in range(n_ch + 1):
+        keep = np.nonzero(full.total_occupation() <= cap)[0]
+        ffs = build_fermion_fock(chans, max_total=cap)
+        np.testing.assert_array_equal(ffs.codes, full.codes[keep])
+        block = np.ix_(keep, keep)
+        for ch in chans:
+            np.testing.assert_array_equal(
+                fermion_ladder(ffs, ch)[0].toarray(),
+                fermion_ladder(full, ch)[0].toarray()[block],
+            )
+        for m, lifted in zip(forms, full_lifts):
+            np.testing.assert_array_equal(fermionic_lift(ffs, m).toarray(), lifted[block])
+
+
 def test_statistics_keep_lowering_cache_entries_apart():
     chans = [("a", 1), ("b", 2), ("c", 3)]
     bosonic = build_fock(chans, 1)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from photonam.errors import DuplicateMode, NegativeLmax, ZeroWaveVector
+from photonam.errors import DimensionMismatch, DuplicateMode, NegativeLmax, ZeroWaveVector
 from photonam.modes import (
     CartesianGrid,
     METRIC_DIAG,
@@ -29,6 +29,12 @@ def test_wave_vector_omega_is_euclidean_norm():
 def test_zero_wave_vector_rejected():
     with pytest.raises(ZeroWaveVector):
         WaveVector((0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("components", [(1.0, 2.0), (1.0, 2.0, 3.0, 4.0), ()])
+def test_wave_vector_needs_three_components(components):
+    with pytest.raises(DimensionMismatch):
+        WaveVector(components)
 
 
 def test_frame_at_z_axis_matches_rule():

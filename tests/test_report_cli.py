@@ -2,6 +2,7 @@ import json
 import math
 
 import pytest
+from scipy import sparse
 
 from photonam.cli import main
 from photonam.errors import DimensionCapExceeded, InvalidConfig, UnknownFormat, UnknownSuite
@@ -131,6 +132,8 @@ def test_cli_bad_tolerance_exit_2(capsys):
         ["--tol", "0.1"],
         ["--shell", "inf,1"],
         ["--grid", "inf,0,1;-inf,0,-1"],
+        ["--grid", "1,2;-1,-2"],
+        ["--grid", "1,2,3,4;-1,-2,-3,-4"],
     ],
 )
 def test_cli_vacuous_or_non_finite_input_exit_2(argv, capsys):
@@ -194,9 +197,50 @@ def test_cli_capped_space_over_dim_cap_exit_2(capsys):
 
 
 def test_cli_dirac_honours_dim_cap(capsys):
-    assert main(["--suite", "dirac", "--dim-cap", "1000"]) == 2
+    assert main(["--suite", "dirac", "--dim-cap", "600"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: dim 65536 (total occupation <= 16) exceeds cap 1000")
+    assert err.startswith("error: dim 697 (total occupation <= 3) exceeds cap 600")
+
+
+def test_cli_dense_constraint_stack_over_dim_cap_exit_2(capsys, monkeypatch):
+    # 4 modes x 4 polarizations: dim 2^16, a 2^18 x 2^16 dense stack
+    toarray = sparse.csr_matrix.toarray
+
+    def small_dense_only(self, *args, **kwargs):
+        assert self.shape[0] * self.shape[1] <= 1 << 20, "large dense array allocated"
+        return toarray(self, *args, **kwargs)
+
+    monkeypatch.setattr(sparse.csr_matrix, "toarray", small_dense_only)
+    argv = ["--suite", "gauge-hiding", "--grid", "0,0,1;0,0,-1;1,0,0;-1,0,0"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "error: dense constraint stack 262144 x 65536 = 17179869184 elements exceeds cap 1048576"
+    )
+    assert "Traceback" not in err
+
+
+def test_cli_unwritable_output_exit_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.txt"
+    assert main(["--suite", "dirac", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "dirac", "--grid", "shell,1,2"],
+        ["--suite", "dirac", "--tol", "abc"],
+        ["--suite", "dirac", "--bogus"],
+        ["--suite"],
+    ],
+)
+def test_cli_usage_errors_exit_2(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_all_suite_names_registered():

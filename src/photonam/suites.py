@@ -18,6 +18,9 @@ residuals in the notes are taken there.  Spaces whose checks read the whole
 space through raw ladders, or build states in Kronecker order, keep the full
 product basis.  The dirac suite's spinor x orbital space is capped at
 fermion number `DIRAC_FERMION_CAP`, an invariant block without an edge.
+
+decomposition-compare generates its family checks from the claims table
+`operators.DECOMPOSITIONS`, one check per claimed algebra or mutual relation.
 """
 
 from __future__ import annotations
@@ -63,9 +66,13 @@ from .modes import (
     build_cartesian_modeset,
     orbital_matrices,
 )
-from .report import KIND_VIOLATION, VerificationReport, merge_reports
+from .report import KIND_EQUALITY, KIND_VIOLATION, VerificationReport, merge_reports
 
 EPS_PAIRS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+# One-mode set for constraints on a single (lam = 0, lam = 3) pair.
+_ONE_MODE = SphericalShell(radius=1.0, l_max=0)
+(_ONE_LABEL,) = _ONE_MODE.mode_labels()
 
 TIGHT_TOL = 1e-12
 VIOLATION_THRESHOLD = 0.1
@@ -428,122 +435,58 @@ def suite_observable(config: SuiteConfig) -> VerificationReport:
 # decomposition-compare
 
 
+def _claimed_algebra_check(algebra: str, triple, idx, config: SuiteConfig):
+    """ID suffix, residual, tolerance and kind of the check of one claimed
+    family algebra."""
+    if algebra == ops.ALG_SU2:
+        return "su2", _su2_residual(triple, idx), config.tol, KIND_EQUALITY
+    if algebra == ops.ALG_COMMUTING:
+        res = max_residual(
+            _eq_bounded(commutator(triple[i], triple[j]), idx) for i, j, _ in EPS_PAIRS
+        )
+        return "commuting", res, TIGHT_TOL, KIND_EQUALITY
+    if algebra == ops.ALG_NONSTANDARD:
+        return "violation", _su2_residual(triple, idx), VIOLATION_THRESHOLD, KIND_VIOLATION
+    raise ValueError(f"unknown claimed algebra {algebra!r}")
+
+
 def suite_decomposition(config: SuiteConfig) -> VerificationReport:
     rep = VerificationReport("decomposition-compare", _config_echo(config))
     rng = np.random.default_rng(config.seed)
     shell = SphericalShell(radius=1.0, l_max=1)
     fs = _shell_space(shell, (0, 1, 2, 3), config.dim_cap)
     idx = _bounded_nc(fs)
-
-    def family_ops(family):
-        return family.lift(fs)
-
-    families = {}
-    for name in ops.DECOMPOSITIONS:
-        families[name] = {
-            f.name: (f, family_ops(f)) for f in ops.build_decomposition(name, shell, fs)
-        }
-
-    def su2(triple):
-        return _su2_residual(triple, idx)
-
-    def commuting(triple):
-        return max_residual(
-            _eq_bounded(commutator(triple[i], triple[j]), idx) for i, j, _ in EPS_PAIRS
-        )
-
-    rep.add("canonical-spin-su2", "Table-III", su2(families["canonical"]["spin"][1]), config.tol)
-    rep.add("canonical-oam-su2", "Table-III", su2(families["canonical"]["oam"][1]), config.tol)
-    rep.add(
-        "canonical-mutual-commute",
-        "Table-III",
-        _mutual_residual(
-            families["canonical"]["spin"][1], families["canonical"]["oam"][1], idx
-        ),
-        config.tol,
-    )
-
-    rep.add(
-        "gauge-invariant-spin-obs-commuting",
-        "Table-II",
-        commuting(families["gauge_invariant"]["spin_obs"][1]),
-        TIGHT_TOL,
-    )
-    rep.add(
-        "gauge-invariant-oam-obs-su2",
-        "Table-II",
-        su2(families["gauge_invariant"]["oam_obs"][1]),
-        config.tol,
-    )
-
-    rep.add(
-        "jaffe-manohar-spin-violation",
-        "Table-III",
-        su2(families["jaffe_manohar"]["spin_jm"][1]),
-        VIOLATION_THRESHOLD,
-        kind=KIND_VIOLATION,
-    )
-    rep.add(
-        "jaffe-manohar-oam-violation",
-        "Table-III",
-        su2(families["jaffe_manohar"]["oam_jm"][1]),
-        VIOLATION_THRESHOLD,
-        kind=KIND_VIOLATION,
-    )
-
-    rep.add(
-        "chen-spin-violation",
-        "Table-III",
-        su2(families["chen"]["spin_chen"][1]),
-        VIOLATION_THRESHOLD,
-        kind=KIND_VIOLATION,
-    )
-    rep.add("chen-oam-su2", "Table-III", su2(families["chen"]["oam_chen"][1]), config.tol)
-    rep.add(
-        "chen-mutual-noncommuting",
-        "Table-III",
-        _mutual_residual(
-            families["chen"]["spin_chen"][1], families["chen"]["oam_chen"][1], idx
-        ),
-        VIOLATION_THRESHOLD,
-        kind=KIND_VIOLATION,
-    )
+    lifted = {
+        name: {f.name: f.lift(fs) for f in ops.build_decomposition(name, shell, fs)}
+        for name in ops.DECOMPOSITIONS
+    }
 
     xi = cons.random_conjugate_symmetric_xi(shell, rng, scale=0.4)
-    extra = [
-        cons.xi_oam_bilinear(shell, fs, xi, 1),
-        cons.xi_oam_bilinear(shell, fs, xi, 2),
-    ]
-    wak_oam = tuple(
-        families["wakamatsu"]["oam_wak"][1][c] + extra[0][c] + extra[1][c]
-        for c in range(3)
-    )
-    rep.add(
-        "wakamatsu-spin-violation",
-        "Table-III",
-        su2(families["wakamatsu"]["spin_wak"][1]),
-        VIOLATION_THRESHOLD,
-        kind=KIND_VIOLATION,
-    )
-    rep.add(
-        "wakamatsu-mutual-noncommuting",
-        "Table-III",
-        _mutual_residual(families["wakamatsu"]["spin_wak"][1], wak_oam, idx),
-        VIOLATION_THRESHOLD,
-        kind=KIND_VIOLATION,
+    extra = [cons.xi_oam_bilinear(shell, fs, xi, lam) for lam in (1, 2)]
+    lifted["wakamatsu"]["oam_wak"] = tuple(
+        a + b + c for a, b, c in zip(lifted["wakamatsu"]["oam_wak"], *extra)
     )
     rep.note(
         "wakamatsu orbital extra term realized through the prescribed-source"
         f" pathway; seeded source norm {max(abs(v) for v in xi.values()):.3e}"
     )
 
-    rep.add(
-        "belinfante-ji-j-violation",
-        "JM-BJ",
-        su2(families["belinfante_ji"]["j_total"][1]),
-        VIOLATION_THRESHOLD,
-        kind=KIND_VIOLATION,
-    )
+    for name, spec in ops.DECOMPOSITIONS.items():
+        prefix = name.replace("_", "-")
+        triples = [lifted[name][family.name] for family in spec.families]
+        for family, triple in zip(spec.families, triples):
+            if family.algebra is not None:
+                suffix, res, tol, kind = _claimed_algebra_check(
+                    family.algebra, triple, idx, config
+                )
+                rep.add(f"{prefix}-{family.tag}-{suffix}", spec.anchor, res, tol, kind=kind)
+        if spec.mutual is not None:
+            res = _mutual_residual(triples[0], triples[1], idx)
+            check_id = f"{prefix}-mutual-{spec.mutual}"
+            if spec.mutual == ops.MUTUAL_COMMUTE:
+                rep.add(check_id, spec.anchor, res, config.tol)
+            else:
+                rep.add(check_id, spec.anchor, res, VIOLATION_THRESHOLD, kind=KIND_VIOLATION)
 
     pair = build_fock([("k", 3), ("k", 0)], 3, dim_cap=config.dim_cap)
     gauge_combo_a = annihilator(pair, ("k", 3)) - annihilator(pair, ("k", 0))
@@ -565,11 +508,7 @@ def suite_decomposition(config: SuiteConfig) -> VerificationReport:
     )
     rep.add("stokes-factor-2", "Stokes", worst, TIGHT_TOL)
 
-    claimed = {
-        name: tuple(spec.family_algebras)
-        for name, spec in ops.DECOMPOSITIONS.items()
-    }
-    rep.note(f"claimed algebras checked against shipped table: {sorted(claimed)}")
+    rep.note(f"claimed algebras checked against shipped table: {sorted(ops.DECOMPOSITIONS)}")
     return rep.finalize()
 
 
@@ -581,13 +520,13 @@ def suite_gauge_hiding(config: SuiteConfig) -> VerificationReport:
     rep = VerificationReport("gauge-hiding", _config_echo(config))
     rng = np.random.default_rng(config.seed)
 
-    pair = build_fock([("k", 3), ("k", 0)], 1, dim_cap=config.dim_cap)
-    constraint = cons.gb_constraints(_PairModes(), pair, None)
+    pair = build_fock([(_ONE_LABEL, 3), (_ONE_LABEL, 0)], 1, dim_cap=config.dim_cap)
+    constraint = cons.gb_constraints(_ONE_MODE, pair, None)
     sub = cons.physical_subspace(pair, constraint, tol=1e-10, dim_cap=config.dim_cap)
     rep.add("gb-free-kernel-dimension", "Gupta1", abs(sub.dimension - 2), 0.0)
     expected = np.zeros((pair.dim, 2), dtype=complex)
     expected[:, 0] = pair.vacuum()
-    gauge_vec = (creator(pair, ("k", 3)) - creator(pair, ("k", 0))) @ pair.vacuum()
+    gauge_vec = (creator(pair, (_ONE_LABEL, 3)) - creator(pair, (_ONE_LABEL, 0))) @ pair.vacuum()
     expected[:, 1] = gauge_vec / np.linalg.norm(gauge_vec)
     proj_found = sub.basis @ sub.basis.conj().T
     proj_expected = expected @ expected.conj().T
@@ -601,7 +540,7 @@ def suite_gauge_hiding(config: SuiteConfig) -> VerificationReport:
         float(np.linalg.norm(constraint[0] @ gauge_vec)),
         TIGHT_TOL,
     )
-    longi_vec = creator(pair, ("k", 3)) @ pair.vacuum()
+    longi_vec = creator(pair, (_ONE_LABEL, 3)) @ pair.vacuum()
     rep.add(
         "gb-longitudinal-not-physical",
         "Gupta1",
@@ -665,13 +604,6 @@ def suite_gauge_hiding(config: SuiteConfig) -> VerificationReport:
     return rep.finalize()
 
 
-class _PairModes:
-    """Single abstract mode label for constraint assembly on pair spaces."""
-
-    def mode_labels(self):
-        return ("k",)
-
-
 def _xi_pathway_reports(rep: VerificationReport, config: SuiteConfig, rng) -> None:
     shell = SphericalShell(radius=1.0, l_max=1)
     xi_sym = cons.random_conjugate_symmetric_xi(shell, rng, scale=0.05)
@@ -711,26 +643,20 @@ def _approximate_displaced_kernel(shell, xi, n_max, dim_cap=DEFAULT_DIM_CAP):
     with the largest per-mode kernel residual.
 
     Per-mode factors use the same (lam = 0, lam = 3) channel order as the
-    caller's space so the Kronecker product lands on the right basis.
+    caller's space so the Kronecker product lands on the right basis.  The
+    per-mode constraint depends on the mode only through its xi, so every
+    factor is computed on one one-mode space.
     """
+    small = build_fock([(_ONE_LABEL, 0), (_ONE_LABEL, 3)], n_max, dim_cap=dim_cap)
     state = np.ones(1, dtype=complex)
     residuals = []
     for label in shell.mode_labels():
-        small = build_fock([(label, 0), (label, 3)], n_max, dim_cap=dim_cap)
-        constraint = cons.gb_constraints(_SingleMode(label), small, {label: xi.get(label, 0.0)})
+        constraint = cons.gb_constraints(_ONE_MODE, small, {_ONE_LABEL: xi.get(label, 0.0)})
         stack = constraint[0].mat.toarray()
         _, sigma, vh = np.linalg.svd(stack)
         state = np.kron(state, vh[-1].conj())
         residuals.append(sigma[-1])
     return state, max_residual(residuals)
-
-
-class _SingleMode:
-    def __init__(self, label):
-        self._label = label
-
-    def mode_labels(self):
-        return (self._label,)
 
 
 def _xi_fourier_checks(rep: VerificationReport, config: SuiteConfig, rng) -> None:

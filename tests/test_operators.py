@@ -236,9 +236,8 @@ def test_build_decomposition_names_and_metadata():
     fs = shell_space(shell)
     for name, spec in ops.DECOMPOSITIONS.items():
         families = ops.build_decomposition(name, shell, fs)
-        assert tuple(f.name for f in families) == tuple(n for n, _ in spec.family_algebras)
-        for fam, (_, algebra) in zip(families, spec.family_algebras):
-            assert fam.expected_algebra == algebra
+        assert tuple(f.name for f in families) == tuple(c.name for c in spec.families)
+        for fam in families:
             assert len(fam.forms) == 3
     with pytest.raises(UnknownDecomposition):
         ops.build_decomposition("nope", shell, fs)
@@ -270,6 +269,22 @@ def test_canonical_family_su2_and_rivals_violate():
 
     bj = {f.name: f.lift(fs) for f in ops.build_decomposition("belinfante_ji", shell, fs)}
     assert su2_residual(bj["j_total"]) >= 0.1
+
+
+def test_bare_wakamatsu_orbital_lift_closes_su2():
+    # the bare oam_wak family is Chen's orbital form, so its table row
+    # carries no claim of its own
+    shell = SphericalShell(radius=1.0, l_max=1)
+    fs = shell_space(shell)
+    idx = fs.bounded_indices(1)
+    wak = {f.name: f.lift(fs) for f in ops.build_decomposition("wakamatsu", shell, fs)}
+    oam = wak["oam_wak"]
+    worst = max(
+        max_abs(compress(commutator(oam[i], oam[j]) - 1j * oam[k], idx))
+        for i, j, k in EPS_PAIRS
+    )
+    assert worst <= 1e-13
+    assert ops.DECOMPOSITIONS["wakamatsu"].families[1].algebra is None
 
 
 def test_rival_violation_traces_to_gb_null_pair():

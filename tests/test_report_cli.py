@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from scipy import sparse
@@ -253,3 +257,17 @@ def test_all_suite_names_registered():
         "field-consistency",
         "dirac",
     }
+
+
+def test_python_dash_m_runs_decomposition_compare():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "photonam", "--suite", "decomposition-compare"],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "passed 15/15" in proc.stdout

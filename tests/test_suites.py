@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import sparse
 
+from photonam import operators as ops
 from photonam import suites
 from photonam.fock import OperatorMatrix, build_fock, identity_operator
 from photonam.modes import build_cartesian_modeset
-from photonam.report import KIND_VIOLATION, VerificationReport, render_report
+from photonam.report import KIND_EQUALITY, KIND_VIOLATION, VerificationReport, render_report
 from photonam.suites import SUITES, SuiteConfig, run_suite
 
 KNOWN_ANCHORS = {
@@ -96,3 +99,45 @@ def test_nan_operator_triple_fails():
     )
     assert [r.passed for r in rep.checks] == [False, False, False]
     assert not rep.all_passed
+
+
+DECOMPOSITION_INVENTORY = {
+    # check ID: (anchor, kind, tolerance) at the default tolerance 1e-10
+    "belinfante-ji-j-violation": ("JM-BJ", KIND_VIOLATION, 0.1),
+    "canonical-mutual-commute": ("Table-III", KIND_EQUALITY, 1e-10),
+    "canonical-oam-su2": ("Table-III", KIND_EQUALITY, 1e-10),
+    "canonical-spin-su2": ("Table-III", KIND_EQUALITY, 1e-10),
+    "chen-mutual-noncommuting": ("Table-III", KIND_VIOLATION, 0.1),
+    "chen-oam-su2": ("Table-III", KIND_EQUALITY, 1e-10),
+    "chen-spin-violation": ("Table-III", KIND_VIOLATION, 0.1),
+    "gauge-invariant-oam-obs-su2": ("Table-II", KIND_EQUALITY, 1e-10),
+    "gauge-invariant-spin-obs-commuting": ("Table-II", KIND_EQUALITY, 1e-12),
+    "gb-root-identity": ("JM-BJ", KIND_EQUALITY, 1e-14),
+    "jaffe-manohar-oam-violation": ("Table-III", KIND_VIOLATION, 0.1),
+    "jaffe-manohar-spin-violation": ("Table-III", KIND_VIOLATION, 0.1),
+    "stokes-factor-2": ("Stokes", KIND_EQUALITY, 1e-12),
+    "wakamatsu-mutual-noncommuting": ("Table-III", KIND_VIOLATION, 0.1),
+    "wakamatsu-spin-violation": ("Table-III", KIND_VIOLATION, 0.1),
+}
+
+
+def _inventory(rep):
+    return {r.check_id: (r.anchor, r.kind, r.tolerance) for r in rep.checks}
+
+
+def test_decomposition_check_inventory():
+    rep = run_suite(SuiteConfig(suite="decomposition-compare"))
+    assert _inventory(rep) == DECOMPOSITION_INVENTORY
+
+
+def test_decomposition_checks_follow_claims_table(monkeypatch):
+    chen = ops.DECOMPOSITIONS["chen"]
+    spin, oam = chen.families
+    oam = dataclasses.replace(oam, algebra=ops.ALG_NONSTANDARD)
+    flipped = dataclasses.replace(chen, families=(spin, oam))
+    monkeypatch.setitem(ops.DECOMPOSITIONS, "chen", flipped)
+    got = _inventory(run_suite(SuiteConfig(suite="decomposition-compare")))
+    expected = dict(DECOMPOSITION_INVENTORY)
+    del expected["chen-oam-su2"]
+    expected["chen-oam-violation"] = ("Table-III", KIND_VIOLATION, 0.1)
+    assert got == expected

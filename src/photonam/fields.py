@@ -9,6 +9,10 @@ Grid coordinates are centered, x_j = -L/2 + j L / N, which makes the
 position-weighted orbital integrand unbiased for negation-paired amplitude
 sets.  All fields are real; the electric field carries the (alpha_3 -
 alpha_0) longitudinal weight, and the magnetic field is purely transverse.
+
+Field maps are batched over modes: each is a sum over the distinct wave
+vectors of exp(i k.x) times a per-mode coefficient, so one (N^3 x K) phase
+matrix times one coefficient matrix gives them all.
 """
 
 from __future__ import annotations
@@ -18,7 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BandLimitViolation, ChannelMismatch, OffLatticeMode
+from .errors import (
+    BandLimitViolation,
+    ChannelMismatch,
+    DimensionMismatch,
+    OffLatticeMode,
+    ZeroWaveVector,
+)
 from .modes import WaveVector, polarization_frame
 
 _LATTICE_TOL = 1e-9
@@ -33,22 +43,34 @@ class ClassicalFieldState:
     amplitudes: tuple  # ((kx, ky, kz), lam, alpha) entries
 
     def __post_init__(self) -> None:
-        if self.box_length <= 0:
-            raise ChannelMismatch("box length must be positive")
-        if self.grid_n < 1:
-            raise ChannelMismatch("grid resolution must be at least 1")
+        # `not 0 < L < inf` also turns away NaN
+        if not 0.0 < self.box_length < math.inf:
+            raise ChannelMismatch("box length must be positive and finite")
+        if not isinstance(self.grid_n, (int, np.integer)) or self.grid_n < 1:
+            raise ChannelMismatch("grid resolution must be an integer >= 1")
         entries = []
-        max_index = 0
         for k, lam, alpha in self.amplitudes:
             if lam not in (0, 1, 2, 3):
                 raise ChannelMismatch(f"unknown polarization label {lam!r}")
-            kv = WaveVector(tuple(float(c) for c in k))
-            lattice = kv.as_array() * self.box_length / (2.0 * math.pi)
+            comps = tuple(float(c) for c in k)
+            if len(comps) != 3:
+                raise DimensionMismatch(
+                    f"wave vector needs 3 components, got {len(comps)}"
+                )
+            entries.append((comps, int(lam), complex(alpha)))
+        ks = np.array([e[0] for e in entries], dtype=float).reshape(-1, 3)
+        # an overflow to inf, or the NaN of inf - inf, fails the checks below
+        with np.errstate(over="ignore", invalid="ignore"):
+            omega = np.sqrt(np.sum(ks * ks, axis=1))
+            lattice = ks * self.box_length / (2.0 * math.pi)
             rounded = np.round(lattice)
-            if np.max(np.abs(lattice - rounded)) > _LATTICE_TOL:
-                raise OffLatticeMode(f"mode {kv.components} off the box lattice")
-            max_index = max(max_index, int(np.max(np.abs(rounded))))
-            entries.append((kv.components, int(lam), complex(alpha)))
+            off = ~np.all(np.abs(lattice - rounded) <= _LATTICE_TOL, axis=1)
+        if not np.all((omega > 0.0) & (omega < math.inf)):
+            raise ZeroWaveVector("wave vector must be nonzero and finite (omega = |k|)")
+        if off.any():
+            comps = entries[int(np.argmax(off))][0]
+            raise OffLatticeMode(f"mode {comps} off the box lattice")
+        max_index = int(np.max(np.abs(rounded), initial=0.0))
         if self.grid_n < 2 * max_index + 1:
             raise BandLimitViolation(
                 f"grid N = {self.grid_n} below band limit {2 * max_index + 1}"
@@ -87,38 +109,40 @@ class FieldMaps:
     pi0: np.ndarray
 
 
+def _mode_table(state: ClassicalFieldState):
+    """Per distinct wave vector (K of them): k (K, 3), omega (K,), spatial
+    frame rows lam = 0..3 (K, 4, 3) and the grouped amplitudes (K, 4)."""
+    grouped = state.grouped()
+    kvs = [WaveVector(k) for k in grouped]
+    ks = np.array([kv.components for kv in kvs], dtype=float).reshape(-1, 3)
+    omega = np.array([kv.omega for kv in kvs], dtype=float)
+    frames = np.array([polarization_frame(kv).eps[:, 1:] for kv in kvs])
+    amps = np.array(list(grouped.values()), dtype=complex).reshape(-1, 4)
+    return ks, omega, frames.reshape(-1, 4, 3), amps
+
+
 def eval_fields(state: ClassicalFieldState) -> FieldMaps:
-    """Evaluate E, B, A, pi (vectors) and A0, pi0 (scalars) on the grid."""
-    pos = grid_positions(state)
+    """Evaluate E, B, A, pi (vectors) and A0, pi0 (scalars) on the grid,
+    each as 2 Re or -2 Im of columns of one phase-matrix product."""
+    ks, omega, frames, amps = _mode_table(state)
     volume = state.box_length ** 3
-    m = pos.shape[0]
-    e = np.zeros((m, 3))
-    b = np.zeros((m, 3))
-    a = np.zeros((m, 3))
-    pi = np.zeros((m, 3))
-    a0 = np.zeros(m)
-    pi0 = np.zeros(m)
-    for k, amps in state.grouped().items():
-        kv = WaveVector(k)
-        omega = kv.omega
-        frame = polarization_frame(kv)
-        phase = np.exp(1j * (pos @ kv.as_array()))
-        low = 1.0 / math.sqrt(2.0 * omega * volume)
-        high = math.sqrt(omega / (2.0 * volume))
-        spatial = sum(amps[lam] * frame.spatial(lam) for lam in (1, 2, 3))
-        a += 2.0 * low * np.real(phase[:, None] * spatial[None, :])
-        pi += -2.0 * high * np.imag(phase[:, None] * spatial[None, :])
-        a0 += 2.0 * low * np.real(amps[0] * phase)
-        pi0 += -2.0 * high * np.imag(amps[0] * phase)
-        e_vec = (
-            amps[1] * frame.spatial(1)
-            + amps[2] * frame.spatial(2)
-            + (amps[3] - amps[0]) * frame.spatial(3)
-        )
-        e += -2.0 * high * np.imag(phase[:, None] * e_vec[None, :])
-        b_vec = amps[1] * frame.spatial(2) - amps[2] * frame.spatial(1)
-        b += -2.0 * high * np.imag(phase[:, None] * b_vec[None, :])
-    return FieldMaps(e=e, b=b, a=a, pi=pi, a0=a0, pi0=pi0)
+    low = 1.0 / np.sqrt(2.0 * omega[:, None] * volume)
+    high = np.sqrt(omega[:, None] / (2.0 * volume))
+    alpha0, alpha1, alpha2, alpha3 = (amps[:, lam, None] for lam in range(4))
+    eps1, eps2, eps3 = frames[:, 1], frames[:, 2], frames[:, 3]
+    spatial = alpha1 * eps1 + alpha2 * eps2 + alpha3 * eps3
+    e_vec = alpha1 * eps1 + alpha2 * eps2 + (alpha3 - alpha0) * eps3
+    b_vec = alpha1 * eps2 - alpha2 * eps1
+    # columns: A (3), A0 | pi (3), pi0, E (3), B (3)
+    coeffs = np.hstack(
+        [low * np.hstack([spatial, alpha0]), high * np.hstack([spatial, alpha0, e_vec, b_vec])]
+    )
+    sums = np.exp(1j * (grid_positions(state) @ ks.T)) @ coeffs
+    re = 2.0 * np.real(sums[:, :4])
+    im = -2.0 * np.imag(sums[:, 4:])
+    return FieldMaps(
+        e=im[:, 4:7], b=im[:, 7:10], a=re[:, :3], pi=im[:, :3], a0=re[:, 3], pi0=im[:, 3]
+    )
 
 
 def transverse_split(obj, box_length: float | None = None):
@@ -171,12 +195,10 @@ def spin_density_map(state: ClassicalFieldState) -> np.ndarray:
 
 def mode_spin_formula(state: ClassicalFieldState) -> np.ndarray:
     """Per-mode transverse spin sum i (conj(a2) a1 - conj(a1) a2) eps3."""
-    total = np.zeros(3)
-    for k, amps in state.grouped().items():
-        kv = WaveVector(k)
-        weight = 1j * (np.conj(amps[2]) * amps[1] - np.conj(amps[1]) * amps[2])
-        total = total + np.real(weight) * polarization_frame(kv).spatial(3)
-    return total
+    _, _, frames, amps = _mode_table(state)
+    a1, a2 = amps[:, 1], amps[:, 2]
+    weight = 1j * (np.conj(a2) * a1 - np.conj(a1) * a2)
+    return np.real(weight) @ frames[:, 3]
 
 
 def transverse_energy(state: ClassicalFieldState) -> float:
@@ -198,17 +220,14 @@ def spatial_oam_integral(state: ClassicalFieldState) -> np.ndarray:
     """
     tstate, _ = transverse_split(state)
     pos = grid_positions(state)
-    volume = state.box_length ** 3
     maps = eval_fields(tstate)
-    grad_a = np.zeros((pos.shape[0], 3, 3))  # (point, derivative axis, component)
-    for k, amps in tstate.grouped().items():
-        kv = WaveVector(k)
-        frame = polarization_frame(kv)
-        phase = np.exp(1j * (pos @ kv.as_array()))
-        low = 1.0 / math.sqrt(2.0 * kv.omega * volume)
-        spatial = amps[1] * frame.spatial(1) + amps[2] * frame.spatial(2)
-        deriv = 1j * kv.as_array()[None, :, None] * spatial[None, None, :]
-        grad_a += 2.0 * low * np.real(phase[:, None, None] * deriv)
+    ks, omega, frames, amps = _mode_table(tstate)
+    low = 1.0 / np.sqrt(2.0 * omega * state.box_length ** 3)
+    spatial = amps[:, 1, None] * frames[:, 1] + amps[:, 2, None] * frames[:, 2]
+    # d_i A^c = sum_k 2 low Re(exp(i k.x) i k_i spatial^c): (point, axis, component)
+    deriv = (1j * low[:, None, None]) * ks[:, :, None] * spatial[:, None, :]
+    grad_a = 2.0 * np.real(np.exp(1j * (pos @ ks.T)) @ deriv.reshape(-1, 9))
+    grad_a = grad_a.reshape(-1, 3, 3)
     x_cross_grad = np.cross(pos[:, :, None], grad_a, axis=1)
     integrand = np.einsum("pj,pij->pi", maps.e, np.swapaxes(x_cross_grad, 1, 2))
     return np.sum(integrand, axis=0) * cell_volume(state)
@@ -224,7 +243,8 @@ def state_from_csv(text: str, box_length: float, grid_n: int) -> ClassicalFieldS
         if len(parts) != 6:
             raise ChannelMismatch("state rows must be kx ky kz lambda re im")
         kx, ky, kz, lam, re, im = (float(p) for p in parts)
-        amps.append(((kx, ky, kz), int(lam), complex(re, im)))
+        # lam stays a float, so the state rejects 1.5 instead of truncating it
+        amps.append(((kx, ky, kz), lam, complex(re, im)))
     return ClassicalFieldState(box_length, grid_n, tuple(amps))
 
 

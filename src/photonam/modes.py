@@ -98,20 +98,29 @@ class PolarizationFrame:
         return self.eps[lam]
 
 
+def _cross(a, b) -> tuple[float, float, float]:
+    """a x b by np.cross's own formulas (same bits, signed zeros included),
+    without its per-call axis handling."""
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
 def polarization_frame(k: WaveVector) -> PolarizationFrame:
     """Deterministic frame for k following the module-level rule."""
     khat = k.as_array() / k.omega
-    zxk = np.cross(np.array([0.0, 0.0, 1.0]), khat)
+    zxk = np.array(_cross((0.0, 0.0, 1.0), khat.tolist()))
     norm = np.linalg.norm(zxk)
     if norm > _AXIS_TOL:
         e1 = zxk / norm
     else:
         e1 = np.array([1.0, 0.0, 0.0])
-    e2 = np.cross(khat, e1)
     eps = np.zeros((4, 4))
     eps[0, 0] = 1.0
     eps[1, 1:] = e1
-    eps[2, 1:] = e2
+    eps[2, 1:] = _cross(khat.tolist(), e1.tolist())
     eps[3, 1:] = khat
     return PolarizationFrame(eps)
 

@@ -34,6 +34,7 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .errors import AsymmetricGrid, ChannelMismatch, UnknownDecomposition
 from .fock import (
@@ -43,7 +44,6 @@ from .fock import (
     annihilator,
     creator,
     lift_bilinear,
-    zero_operator,
 )
 from .modes import (
     CartesianGrid,
@@ -321,6 +321,46 @@ def _require_closed(ms: CartesianGrid) -> None:
         raise AsymmetricGrid("operation requires a negation-closed Cartesian grid")
 
 
+def _pair_entries(fs: FockSpace, c1, c2, cc_sign: int):
+    """COO entries (rows, cols, data) of a_c1 a_c2 + cc_sign * creator_c1 creator_c2.
+
+    The creator pair is s_c1 s_c2 (a_c1 a_c2)^H (lowering matrices commute,
+    on capped spaces too), entry for entry: each entry is one product of two
+    sqrt(n) factors.  The terms move the total occupation by -2 and +2, so
+    their patterns are disjoint.
+    """
+    aa = (annihilator(fs, c1) @ annihilator(fs, c2)).mat.tocoo()
+    sign = cc_sign * fs.signs[fs.index_of(c1)] * fs.signs[fs.index_of(c2)]
+    return (
+        np.concatenate([aa.row, aa.col]),
+        np.concatenate([aa.col, aa.row]),
+        np.concatenate([aa.data, sign * aa.data.conj()]),
+    )
+
+
+def _ordered_sums(fs: FockSpace, terms) -> tuple[OperatorMatrix, ...]:
+    """sum_t scale_t * (w_t[comp] * M_t) for comp = 0, 1, 2, from `terms` of
+    (scale, w, COO entries of M_t with each position at most once).
+
+    Added in order on the union pattern: every entry is the same fold as a
+    chain of sparse scalings and additions, without a scipy matrix per step.
+    """
+    keys = [rows.astype(np.int64) * fs.dim + cols for _, _, (rows, cols, _) in terms]
+    keys = np.concatenate([np.zeros(0, np.int64), *keys])
+    union, where = np.unique(keys, return_inverse=True)
+    acc = np.zeros((3, union.size), dtype=complex)
+    start = 0
+    for scale, w, (_, _, data) in terms:
+        idx = where[start : start + data.size]
+        start += data.size
+        acc[:, idx] += scale * (w[:, None] * data)
+    rows, cols = np.divmod(union, fs.dim)
+    return tuple(
+        OperatorMatrix(fs, sparse.csr_matrix((v, (rows, cols)), shape=(fs.dim, fs.dim)))
+        for v in acc
+    )
+
+
 def counter_rotating_part(
     ms: CartesianGrid, fs: FockSpace, target: str
 ) -> tuple[OperatorMatrix, ...]:
@@ -335,7 +375,8 @@ def counter_rotating_part(
     if target not in ("spin", "momentum"):
         raise ChannelMismatch(f"unknown counter-rotating target {target!r}")
     lams = (1, 2, 3) if target == "spin" else (0, 1, 2, 3)
-    mats = [None, None, None]
+    cc_sign = -1 if target == "spin" else 1
+    terms = []
     for i in ms.mode_labels():
         j = ms.negation[i]
         for l1 in lams:
@@ -351,46 +392,36 @@ def counter_rotating_part(
                     w = 0.5 * dot * ms.modes[i].as_array()
                 if not np.any(w):
                     continue
-                aa = (annihilator(fs, (i, l1)) @ annihilator(fs, (j, l2))).mat
-                cc = (creator(fs, (i, l1)) @ creator(fs, (j, l2))).mat
-                pair = aa - cc if target == "spin" else aa + cc
-                for comp in range(3):
-                    if w[comp] == 0:
-                        continue
-                    term = w[comp] * pair
-                    mats[comp] = term if mats[comp] is None else mats[comp] + term
-    return tuple(
-        OperatorMatrix(fs, m.tocsr()) if m is not None else zero_operator(fs)
-        for m in mats
-    )
+                terms.append((1.0, w, _pair_entries(fs, (i, l1), (j, l2), cc_sign)))
+    return _ordered_sums(fs, terms)
 
 
-def _l_pure_s_bracket(ms: CartesianGrid, fs: FockSpace):
+def _l_pure_s_bracket(ms: CartesianGrid, fs: FockSpace) -> tuple[OperatorMatrix, ...]:
     """Shared mode-space bracket of the two pure-gauge spin pieces.
 
     Per mode k: |k| curl(eps)(k, lam) weighting creator_3 a_lam - a_3
-    creator_lam, plus the +-k cross terms weighted by the curl of the frame
-    field evaluated through -k.
+    creator_lam, plus the +-k cross terms creator_3 creator_lam(-k) -
+    a_3 a_lam(-k) weighted by the curl of the frame field evaluated through
+    -k, which is minus the curl at -k.
     """
-    brackets = [None, None, None]
+    terms = []
     for i in ms.mode_labels():
         j = ms.negation[i]
         omega = ms.modes[i].omega
         for lam in (1, 2):
-            curl_here = frame_curl(ms.modes[i], lam)
-            curl_neg = -frame_curl(ms.modes[j], lam)
+            # two explicit products: on a space capped in total occupation,
+            # a_3 creator_lam is not the adjoint of creator_3 a_lam (its
+            # creator acts first and can leave the space)
             rot = (
                 (creator(fs, (i, 3)) @ annihilator(fs, (i, lam))).mat
                 - (annihilator(fs, (i, 3)) @ creator(fs, (i, lam))).mat
-            )
-            cross = (
-                (creator(fs, (i, 3)) @ creator(fs, (j, lam))).mat
-                - (annihilator(fs, (i, 3)) @ annihilator(fs, (j, lam))).mat
-            )
-            for comp in range(3):
-                term = omega * (curl_here[comp] * rot + curl_neg[comp] * cross)
-                brackets[comp] = term if brackets[comp] is None else brackets[comp] + term
-    return brackets
+            ).tocoo()
+            rot_entries = (rot.row, rot.col, rot.data)
+            terms.append((omega, frame_curl(ms.modes[i], lam), rot_entries))
+            # (-curl at -k) (cc - aa) = (curl at -k) (aa - cc), bit for bit
+            cross = _pair_entries(fs, (i, 3), (j, lam), -1)
+            terms.append((omega, frame_curl(ms.modes[j], lam), cross))
+    return _ordered_sums(fs, terms)
 
 
 def l_pure_s_terms(ms: CartesianGrid, fs: FockSpace):
@@ -405,9 +436,7 @@ def l_pure_s_terms(ms: CartesianGrid, fs: FockSpace):
             if (i, lam) not in fs.channels:
                 raise ChannelMismatch("pure-gauge spin needs lam = 1, 2, 3 channels")
     brackets = _l_pure_s_bracket(ms, fs)
-    term1 = tuple(OperatorMatrix(fs, (0.5j * b).tocsr()) for b in brackets)
-    term2 = tuple(OperatorMatrix(fs, (-0.5j * b).tocsr()) for b in brackets)
-    return term1, term2
+    return tuple(0.5j * b for b in brackets), tuple(-0.5j * b for b in brackets)
 
 
 def l_pure_s_cancellation(ms: CartesianGrid, fs: FockSpace) -> tuple[OperatorMatrix, ...]:

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from photonam import fields as flds
-from photonam.errors import BandLimitViolation, ChannelMismatch, OffLatticeMode
+from photonam.errors import (
+    BandLimitViolation,
+    ChannelMismatch,
+    DimensionMismatch,
+    OffLatticeMode,
+    ZeroWaveVector,
+)
 from photonam.modes import WaveVector, polarization_frame
 
 LENGTH = 2.0 * math.pi
@@ -181,3 +187,123 @@ def test_density_csv_layout():
     assert len(lines) == 1 + 27
     first = [float(v) for v in lines[1].split(",")]
     np.testing.assert_allclose(first[:3], flds.grid_positions(state)[0], atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "length, grid_n",
+    [(LENGTH, 9.5), (LENGTH, 9.0), (float("nan"), 9), (float("inf"), 9), (-LENGTH, 9)],
+)
+def test_state_rejects_bad_box_or_grid(length, grid_n):
+    with pytest.raises(ChannelMismatch):
+        flds.ClassicalFieldState(length, grid_n, ((K1, 1, 1.0),))
+
+
+def test_state_rejects_bad_wave_vectors():
+    with pytest.raises(DimensionMismatch):
+        make_state([((0.0, 1.0), 1, 1.0)])
+    with pytest.raises(ZeroWaveVector):
+        make_state([((0.0, 0.0, 0.0), 1, 1.0)])
+    with pytest.raises(ZeroWaveVector):
+        make_state([((0.0, float("nan"), 1.0), 1, 1.0)])
+    with pytest.raises(ZeroWaveVector):
+        make_state([(K1, 1, 1.0), ((0.0, 1e300, 1e300), 1, 1.0)])
+    # k L / 2 pi overflows to inf: off the lattice, not an OverflowError
+    with pytest.raises(OffLatticeMode):
+        make_state([((0.0, 0.0, 1e10), 1, 1.0)], length=1e300)
+
+
+def test_state_csv_rejects_fractional_polarization():
+    with pytest.raises(ChannelMismatch):
+        flds.state_from_csv("0 0 1 1.5 1 0\n", LENGTH, 9)
+    state = flds.state_from_csv("0 0 1 2.0 1 0\n", LENGTH, 9)
+    assert state.amplitudes[0][1] == 2
+
+
+def reference_eval_fields(state):
+    """The per-mode loop: one wave vector at a time on (N^3, 3) arrays."""
+    pos = flds.grid_positions(state)
+    volume = state.box_length ** 3
+    m = pos.shape[0]
+    e, b, a, pi = (np.zeros((m, 3)) for _ in range(4))
+    a0, pi0 = np.zeros(m), np.zeros(m)
+    for k, amps in state.grouped().items():
+        kv = WaveVector(k)
+        frame = polarization_frame(kv)
+        phase = np.exp(1j * (pos @ kv.as_array()))
+        low = 1.0 / math.sqrt(2.0 * kv.omega * volume)
+        high = math.sqrt(kv.omega / (2.0 * volume))
+        spatial = sum(amps[lam] * frame.spatial(lam) for lam in (1, 2, 3))
+        e_vec = (
+            amps[1] * frame.spatial(1)
+            + amps[2] * frame.spatial(2)
+            + (amps[3] - amps[0]) * frame.spatial(3)
+        )
+        b_vec = amps[1] * frame.spatial(2) - amps[2] * frame.spatial(1)
+        a += 2.0 * low * np.real(phase[:, None] * spatial[None, :])
+        pi += -2.0 * high * np.imag(phase[:, None] * spatial[None, :])
+        a0 += 2.0 * low * np.real(amps[0] * phase)
+        pi0 += -2.0 * high * np.imag(amps[0] * phase)
+        e += -2.0 * high * np.imag(phase[:, None] * e_vec[None, :])
+        b += -2.0 * high * np.imag(phase[:, None] * b_vec[None, :])
+    return {"e": e, "b": b, "a": a, "pi": pi, "a0": a0, "pi0": pi0}
+
+
+def reference_oam_integral(state):
+    """Per-mode gradient of A_T, then the same centered-coordinate sum."""
+    tstate, _ = flds.transverse_split(state)
+    pos = flds.grid_positions(state)
+    volume = state.box_length ** 3
+    e = reference_eval_fields(tstate)["e"]
+    grad_a = np.zeros((pos.shape[0], 3, 3))
+    for k, amps in tstate.grouped().items():
+        kv = WaveVector(k)
+        frame = polarization_frame(kv)
+        phase = np.exp(1j * (pos @ kv.as_array()))
+        low = 1.0 / math.sqrt(2.0 * kv.omega * volume)
+        spatial = amps[1] * frame.spatial(1) + amps[2] * frame.spatial(2)
+        deriv = 1j * kv.as_array()[None, :, None] * spatial[None, None, :]
+        grad_a += 2.0 * low * np.real(phase[:, None, None] * deriv)
+    x_cross_grad = np.cross(pos[:, :, None], grad_a, axis=1)
+    integrand = np.einsum("pj,pij->pi", e, np.swapaxes(x_cross_grad, 1, 2))
+    return np.sum(integrand, axis=0) * flds.cell_volume(state)
+
+
+def random_state(rng, lattice, grid_n=7):
+    amps = []
+    for n_int in lattice:
+        k = tuple((2 * math.pi / LENGTH) * np.array(n_int, dtype=float))
+        for lam in (0, 1, 2, 3):
+            amps.append((k, lam, rng.normal() + 1j * rng.normal()))
+    # a repeated (k, lam) entry, which grouped() sums with the first
+    k = tuple((2 * math.pi / LENGTH) * np.array(lattice[0], dtype=float))
+    amps.append((k, 2, rng.normal() + 1j * rng.normal()))
+    return make_state(amps, grid_n=grid_n)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_eval_fields_matches_per_mode_reference(seed):
+    rng = np.random.default_rng(seed)
+    # (0, 0, +-1) sit on the z axis, where the frame rule falls back to x_hat
+    lattice = [(0, 0, 1), (1, -2, 0), (0, 0, -1), (3, 1, -2), (-1, 1, 1)]
+    state = random_state(rng, lattice)
+    assert len(state.grouped()) < len(state.amplitudes)
+    maps = flds.eval_fields(state)
+    ref = reference_eval_fields(state)
+    for name, expected in ref.items():
+        got = getattr(maps, name)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-13, name
+    oam = flds.spatial_oam_integral(state)
+    assert np.max(np.abs(oam - reference_oam_integral(state))) <= 1e-13
+
+
+def test_eval_fields_of_empty_state():
+    state = make_state([])
+    m = state.grid_n ** 3
+    maps = flds.eval_fields(state)
+    for arr, shape in ((maps.e, (m, 3)), (maps.b, (m, 3)), (maps.a, (m, 3)),
+                       (maps.pi, (m, 3)), (maps.a0, (m,)), (maps.pi0, (m,))):
+        assert arr.shape == shape
+        assert not np.any(arr)
+    assert flds.spatial_oam_integral(state).tolist() == [0.0, 0.0, 0.0]
+    assert flds.mode_spin_formula(state).tolist() == [0.0, 0.0, 0.0]

@@ -187,3 +187,32 @@ def test_frame_curl_matches_independent_jacobian():
     )
     np.testing.assert_allclose(got, expected, atol=1e-6)
     assert np.linalg.norm(got) > 1e-3
+
+
+def cross_reference_frame(k):
+    """The frame rule written with np.cross."""
+    khat = k.as_array() / k.omega
+    zxk = np.cross(np.array([0.0, 0.0, 1.0]), khat)
+    norm = np.linalg.norm(zxk)
+    e1 = zxk / norm if norm > 1e-8 else np.array([1.0, 0.0, 0.0])
+    eps = np.zeros((4, 4))
+    eps[0, 0] = 1.0
+    eps[1, 1:] = e1
+    eps[2, 1:] = np.cross(khat, e1)
+    eps[3, 1:] = khat
+    return eps
+
+
+def test_frame_equals_cross_reference_bit_for_bit():
+    rng = np.random.default_rng(5)
+    ks = [(0.0, 0.0, 1.0), (0.0, 0.0, -2.5), (0.0, -0.0, 3.0), (1e-12, 0.0, 1.0)]
+    for _ in range(500):
+        v = rng.normal(size=3) * rng.choice([1e-3, 1.0, 1e3])
+        v[rng.integers(3)] *= rng.choice([1.0, 0.0, -0.0])
+        ks.append(tuple(v))
+    for comps in ks:
+        k = WaveVector(comps)
+        got = polarization_frame(k).eps
+        expected = cross_reference_frame(k)
+        assert np.all(got == expected), comps
+        assert np.array_equal(np.signbit(got), np.signbit(expected)), comps

@@ -17,6 +17,8 @@ from photonam.modes import (
     CartesianGrid,
     SphericalShell,
     build_cartesian_modeset,
+    frame_curl,
+    minkowski_dot,
     polarization_frame,
     spin_matrices,
 )
@@ -339,3 +341,96 @@ def test_spin_total_respects_frames():
             [[np.vdot(a, spin[0] @ b) for b in singles] for a in singles]
         )
         np.testing.assert_allclose(got, block, atol=1e-14)
+
+
+def reference_counter_rotating(ms, fs, target):
+    """Counter-rotating terms with the creator pair as a product of two
+    creator matrices."""
+    lams = (1, 2, 3) if target == "spin" else (0, 1, 2, 3)
+    mats = [np.zeros((fs.dim, fs.dim), dtype=complex) for _ in range(3)]
+    for i in ms.mode_labels():
+        j = ms.negation[i]
+        for l1 in lams:
+            for l2 in lams:
+                if target == "spin":
+                    w = 0.5j * np.cross(ms.frames[i].spatial(l1), ms.frames[j].spatial(l2))
+                else:
+                    dot = minkowski_dot(ms.frames[i].four_vector(l1), ms.frames[j].four_vector(l2))
+                    w = 0.5 * dot * ms.modes[i].as_array()
+                aa = (annihilator(fs, (i, l1)) @ annihilator(fs, (j, l2))).mat
+                cc = (creator(fs, (i, l1)) @ creator(fs, (j, l2))).mat
+                pair = (aa - cc if target == "spin" else aa + cc).toarray()
+                for comp in range(3):
+                    if w[comp] != 0:
+                        mats[comp] += w[comp] * pair
+    return mats
+
+
+def reference_l_pure_s_bracket(ms, fs):
+    brackets = [np.zeros((fs.dim, fs.dim), dtype=complex) for _ in range(3)]
+    for i in ms.mode_labels():
+        j = ms.negation[i]
+        omega = ms.modes[i].omega
+        for lam in (1, 2):
+            curl_here = frame_curl(ms.modes[i], lam)
+            curl_neg = -frame_curl(ms.modes[j], lam)
+            rot = (creator(fs, (i, 3)) @ annihilator(fs, (i, lam))).mat - (
+                annihilator(fs, (i, 3)) @ creator(fs, (i, lam))
+            ).mat
+            cross = (creator(fs, (i, 3)) @ creator(fs, (j, lam))).mat - (
+                annihilator(fs, (i, 3)) @ annihilator(fs, (j, lam))
+            ).mat
+            for comp in range(3):
+                brackets[comp] += omega * (
+                    curl_here[comp] * rot.toarray() + curl_neg[comp] * cross.toarray()
+                )
+    return brackets
+
+
+PAIR_GRIDS = [
+    # the suites' default grid, full spaces
+    (((0.6, 0.2, 0.75),), 1, None),
+    # two pairs, one on the z axis; n_max 2 capped at total occupation 3
+    (((0.6, 0.2, 0.75), (0.0, 0.0, 1.0)), 2, 3),
+]
+
+
+@pytest.mark.parametrize("half, n_max, cap", PAIR_GRIDS)
+def test_counter_rotating_matches_creator_pair_construction(half, n_max, cap):
+    ms = build_cartesian_modeset(list(half))
+    for target, lams in (("spin", (1, 2, 3)), ("momentum", (0, 1, 2, 3))):
+        chans = [(i, lam) for i in ms.mode_labels() for lam in lams]
+        fs = build_fock(chans, n_max, max_total=cap)
+        got = ops.counter_rotating_part(ms, fs, target)
+        expected = reference_counter_rotating(ms, fs, target)
+        for comp in range(3):
+            assert np.array_equal(got[comp].mat.toarray(), expected[comp]), (target, comp)
+
+
+@pytest.mark.parametrize("half, n_max, cap", PAIR_GRIDS)
+def test_l_pure_s_terms_match_creator_pair_construction(half, n_max, cap):
+    ms = build_cartesian_modeset(list(half))
+    chans = [(i, lam) for i in ms.mode_labels() for lam in (1, 2, 3)]
+    fs = build_fock(chans, n_max, max_total=cap)
+    term1, term2 = ops.l_pure_s_terms(ms, fs)
+    for comp, bracket in enumerate(reference_l_pure_s_bracket(ms, fs)):
+        assert np.array_equal(term1[comp].mat.toarray(), 0.5j * bracket)
+        assert np.array_equal(term2[comp].mat.toarray(), -0.5j * bracket)
+
+
+@pytest.mark.parametrize("cap", [None, 3])
+def test_pair_entries_sign_on_the_scalar_channel(cap):
+    # counter_rotating_part never weights a (0, lam >= 1) pair (eps(k, 0) is
+    # orthogonal to every spatial polarization), so the sign s_c1 s_c2 is
+    # checked here directly
+    ms = build_cartesian_modeset([(0.6, 0.2, 0.75)])
+    chans = [(i, lam) for i in ms.mode_labels() for lam in (0, 1, 3)]
+    fs = build_fock(chans, 2, max_total=cap)
+    for c1, c2 in (((0, 0), (1, 1)), ((0, 3), (1, 0)), ((0, 0), (1, 0)), ((1, 0), (1, 0))):
+        for cc_sign in (1, -1):
+            rows, cols, data = ops._pair_entries(fs, c1, c2, cc_sign)
+            got = np.zeros((fs.dim, fs.dim), dtype=complex)
+            got[rows, cols] = data
+            aa = (annihilator(fs, c1) @ annihilator(fs, c2)).mat
+            cc = (creator(fs, c1) @ creator(fs, c2)).mat
+            assert np.array_equal(got, (aa + cc_sign * cc).toarray())

@@ -14,6 +14,11 @@ products and commutators are the full-space matrices restricted to the kept
 states.  A check that multiplies only lifts, or reads states reached from the
 vacuum by at most N creators, is exact there.  Ladder anticommutators are
 not: a creator at the cap drops the states it would push past it.
+
+The Dirac spin and orbital families are photon forms: `operators.combined_form`
+on ((l, m), spinor) channels, the spinor index in place of the polarization
+index, with Sigma/2 (x) 1 and L (x) 1_4.  Their claims are the Table-I row
+`operators.TABLE_I`.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ from .fock import (
     creator,
     lift_bilinear,
 )
-from .modes import orbital_matrices, shell_channels
+from .modes import SphericalShell, orbital_matrices, shell_channels
+from .operators import combined_form
 
 _PAULI = {
     "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -77,9 +83,10 @@ def fermion_ladder(ffs: FockSpace, channel):
     return annihilator(ffs, channel).mat, creator(ffs, channel).mat
 
 
-def fermionic_lift(ffs: FockSpace, matrix: np.ndarray) -> sparse.csr_matrix:
-    """sum_{ab} c_a^dag M[a, b] c_b; commutators lift without metric factors."""
-    return lift_bilinear(ffs, matrix).mat
+def fermionic_lift(ffs: FockSpace, form) -> sparse.csr_matrix:
+    """sum_{ab} c_a^dag M[a, b] c_b for a matrix or QuadraticForm M;
+    commutators lift without metric factors."""
+    return lift_bilinear(ffs, form).mat
 
 
 def spinor_orbital_channels(l_max: int) -> tuple:
@@ -87,41 +94,21 @@ def spinor_orbital_channels(l_max: int) -> tuple:
     return tuple((c, s) for c in shell_channels(l_max) for s in range(4))
 
 
-def _channel_matrix(ffs: FockSpace, entry) -> np.ndarray:
-    n = len(ffs.channels)
-    m = np.zeros((n, n), dtype=complex)
-    for (ca, cb), val in entry.items():
-        m[ffs.index_of(ca), ffs.index_of(cb)] = val
-    return m
-
-
 def dirac_sam(ffs: FockSpace) -> tuple[sparse.csr_matrix, ...]:
-    """Half the spinor rotation generators lifted over (orbital, spinor)
-    channels."""
-    basis = spinor_matrices()
-    out = []
-    for sig in basis.sigma:
-        entry = {}
-        for (c, s) in ffs.channels:
-            for s2 in range(4):
-                if sig[s, s2] != 0:
-                    entry[((c, s), (c, s2))] = 0.5 * sig[s, s2]
-        out.append(fermionic_lift(ffs, _channel_matrix(ffs, entry)))
-    return tuple(out)
+    """Sigma/2 (x) 1 lifted over (orbital, spinor) channels."""
+    shell = SphericalShell(radius=1.0, l_max=max(l for ((l, _), _) in ffs.channels))
+    eye = np.eye(len(shell.channels))
+    return tuple(
+        fermionic_lift(ffs, combined_form(shell, ffs, eye, 0.5 * s))
+        for s in spinor_matrices().sigma
+    )
 
 
 def dirac_oam(ffs: FockSpace, l_max: int) -> tuple[sparse.csr_matrix, ...]:
-    """Orbital generators lifted with the identity on the spinor index."""
-    gens = orbital_matrices(l_max)
-    chans = shell_channels(l_max)
-    cidx = {c: i for i, c in enumerate(chans)}
-    out = []
-    for gen in gens:
-        entry = {}
-        for (c, s) in ffs.channels:
-            for d in chans:
-                val = gen[cidx[c], cidx[d]]
-                if val != 0 and (d, s) in ffs.channels:
-                    entry[((c, s), (d, s))] = val
-        out.append(fermionic_lift(ffs, _channel_matrix(ffs, entry)))
-    return tuple(out)
+    """L (x) 1_4: the orbital generators up to l_max with the identity on the
+    spinor index; ChannelMismatch if the space lacks one of their channels."""
+    shell = SphericalShell(radius=1.0, l_max=l_max)
+    return tuple(
+        fermionic_lift(ffs, combined_form(shell, ffs, g, np.eye(4)))
+        for g in orbital_matrices(l_max)
+    )

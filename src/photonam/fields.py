@@ -145,7 +145,7 @@ def eval_fields(state: ClassicalFieldState) -> FieldMaps:
     )
 
 
-def transverse_split(obj, box_length: float | None = None):
+def transverse_split(obj):
     """Split a state or a gridded vector field into transverse and
     longitudinal parts; the two parts sum back to the input exactly.
 

@@ -24,8 +24,9 @@ photon and +omega per transverse or longitudinal photon.
 `DECOMPOSITIONS` is the one statement of the decomposition claims: per
 decomposition its anchor, its families in build order with their check-ID
 tags and claimed algebras, and the claimed relation between its spin and
-orbital families.  `build_decomposition` builds the families and states no
-claims.
+orbital families.  `TABLE_I` states the Dirac claims in the same form.
+`FAMILY_FORMS` gives the quadratic forms of every family named in the
+table; `build_decomposition` builds them and states no claims.
 """
 
 from __future__ import annotations
@@ -228,12 +229,10 @@ def oam_weighted(
     """Orbital generator lift with an explicit weight per polarization."""
     if not isinstance(ms, SphericalShell):
         raise ChannelMismatch("orbital operators need a spherical shell mode set")
-    gens = orbital_matrices(ms.l_max)
-    lam_matrix = np.zeros((4, 4), dtype=complex)
-    for lam, w in weights.items():
-        lam_matrix[lam, lam] = w
+    lam_matrix = _diag_weight(weights)
     return tuple(
-        lift_bilinear(fs, combined_form(ms, fs, g, lam_matrix)) for g in gens
+        lift_bilinear(fs, combined_form(ms, fs, g, lam_matrix))
+        for g in orbital_matrices(ms.l_max)
     )
 
 
@@ -476,12 +475,14 @@ class DecompositionSpec:
     """Claimed outcomes for one decomposition of the field angular momentum.
 
     `families` are listed in build order; `mutual` is the claimed relation
-    between the first two families, if any.
+    between the first two families, if any, and `mutual_tag` the tag its
+    check ID carries.
     """
 
     anchor: str
     families: tuple[FamilyClaim, ...]
     mutual: str | None = None
+    mutual_tag: str = "mutual"
 
 
 # The claims table of the decomposition comparison (Leader & Lorce, Phys. Rep.
@@ -531,6 +532,17 @@ DECOMPOSITIONS: dict[str, DecompositionSpec] = {
         "JM-BJ", (FamilyClaim("j_total", "j", ALG_NONSTANDARD),)
     ),
 }
+
+# Table I of the paper: the Dirac spin and orbital families each close su(2)
+# and commute mutually, the same claims as the canonical photon row.  The
+# dirac suite generates its Table-I checks from this row, under the prefix
+# "dirac", with the families built by `dirac.dirac_sam`/`dirac.dirac_oam`.
+TABLE_I = DecompositionSpec(
+    "Table-I",
+    (FamilyClaim("sam", "sam", ALG_SU2), FamilyClaim("oam", "oam", ALG_SU2)),
+    MUTUAL_COMMUTE,
+    mutual_tag="sam-oam",
+)
 
 
 def _lambda_canonical() -> list[np.ndarray]:
@@ -593,11 +605,45 @@ def _diag_weight(weights: dict[int, float]) -> np.ndarray:
     return w
 
 
+# Orbital factor of a family term: the orbital generator of the component, or
+# the identity on the (l, m) channels.
+_GEN, _ONE = "generator", "identity"
+
+
+def _orbital(weight: np.ndarray):
+    return ((_GEN, (weight,) * 3),)
+
+
+def _spin(lams: list[np.ndarray]):
+    return ((_ONE, lams),)
+
+
+# Quadratic forms of every family named in `DECOMPOSITIONS`: per family its
+# terms (orbital factor, polarization matrix per component), summed per
+# component.  Belinfante-Ji's j_total does not separate spin and orbital
+# parts, so it is one family with two terms.
+FAMILY_FORMS = {
+    "spin": _spin(_lambda_canonical()),
+    "oam": _orbital(_diag_weight(OAM_WEIGHTS)),
+    "spin_obs": _spin(_lambda_spin_obs()),
+    "oam_obs": _orbital(_diag_weight(OAM_OBS_WEIGHTS)),
+    "spin_jm": _spin(_lambda_jm()),
+    "oam_jm": _orbital(_oam_weight_jm()),
+    "spin_chen": _spin(_lambda_chen()),
+    "oam_chen": _orbital(_diag_weight(OAM_OBS_WEIGHTS)),
+    "spin_wak": _spin(_lambda_chen()),
+    # the prescribed-source extra term attaches via the constraints pathway
+    "oam_wak": _orbital(_diag_weight(OAM_OBS_WEIGHTS)),
+    "j_total": _orbital(_diag_weight(OAM_OBS_WEIGHTS) + _bj_coupling())
+    + _spin(_lambda_spin_obs()),
+}
+
+
 def build_decomposition(
     name: str, ms: SphericalShell, fs: FockSpace
 ) -> tuple[OperatorFamily, ...]:
     """Quadratic-form families of the named decomposition on ((l,m), lam)
-    channels.
+    channels, in the order of its `DECOMPOSITIONS` row, from `FAMILY_FORMS`.
 
     Pure-gauge source terms (the prescribed-charge pieces of the Chen and
     Wakamatsu Dirac-sector orbital operators, and the Wakamatsu orbital extra
@@ -608,58 +654,18 @@ def build_decomposition(
         raise UnknownDecomposition(f"no decomposition named {name!r}")
     if not isinstance(ms, SphericalShell):
         raise ChannelMismatch("decomposition families use the combined labeling")
-    gens = orbital_matrices(ms.l_max)
-    eye_orb = np.eye(len(ms.channels))
-    comps = ("x", "y", "z")
+    orbital = {_GEN: orbital_matrices(ms.l_max), _ONE: (np.eye(len(ms.channels)),) * 3}
 
-    def lam_family(fname, mats):
-        forms = tuple(combined_form(ms, fs, eye_orb, m) for m in mats)
-        return OperatorFamily(fname, comps, forms)
+    def component(terms, c):
+        parts = [combined_form(ms, fs, orbital[orb][c], lams[c]).matrix for orb, lams in terms]
+        return QuadraticForm(sum(parts[1:], parts[0]), fs.signs)
 
-    def orb_family(fname, weight):
-        forms = tuple(combined_form(ms, fs, g, weight) for g in gens)
-        return OperatorFamily(fname, comps, forms)
-
-    if name == "canonical":
-        return (
-            lam_family("spin", _lambda_canonical()),
-            orb_family("oam", _diag_weight(OAM_WEIGHTS)),
+    return tuple(
+        OperatorFamily(
+            f.name, ("x", "y", "z"), tuple(component(FAMILY_FORMS[f.name], c) for c in range(3))
         )
-    if name == "gauge_invariant":
-        return (
-            lam_family("spin_obs", _lambda_spin_obs()),
-            orb_family("oam_obs", _diag_weight(OAM_OBS_WEIGHTS)),
-        )
-    if name == "jaffe_manohar":
-        return (
-            lam_family("spin_jm", _lambda_jm()),
-            orb_family("oam_jm", _oam_weight_jm()),
-        )
-    if name == "chen":
-        return (
-            lam_family("spin_chen", _lambda_chen()),
-            orb_family("oam_chen", _diag_weight(OAM_OBS_WEIGHTS)),
-        )
-    if name == "wakamatsu":
-        return (
-            lam_family("spin_wak", _lambda_chen()),
-            # the prescribed-source extra term attaches via the constraints pathway
-            orb_family("oam_wak", _diag_weight(OAM_OBS_WEIGHTS)),
-        )
-    if name == "belinfante_ji":
-        # spin and orbital parts are not separated: one j_total family
-        weight = _diag_weight(OAM_OBS_WEIGHTS) + _bj_coupling()
-        hel = _lambda_spin_obs()
-        forms = tuple(
-            QuadraticForm(
-                combined_form(ms, fs, gens[c], weight).matrix
-                + combined_form(ms, fs, eye_orb, hel[c]).matrix,
-                fs.signs,
-            )
-            for c in range(3)
-        )
-        return (OperatorFamily("j_total", comps, forms),)
-    raise UnknownDecomposition(name)
+        for f in DECOMPOSITIONS[name].families
+    )
 
 
 # ---------------------------------------------------------------------------

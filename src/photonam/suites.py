@@ -4,23 +4,24 @@ Each suite builds small Fock spaces, constructs the operators under test,
 and emits CheckRecords.  Identities are asserted on the occupation block
 where they are exact: commutators of number-conserving bilinear lifts up to
 total occupation n_max, edge-sensitive ladder identities up to n_max - 1.
-Residuals over the whole space, truncation edge included, go into the
-notes, never into assertions.  Orbital (shell) spaces always use single occupation, which is
-where the acceptance bounds are stated.
+Orbital (shell) spaces always use single occupation, which is where the
+acceptance bounds are stated.
 
-Spaces whose checks only read the asserted block of number-conserving
-operators keep total occupation <= asserted block + 1 (see `fock`).  Every
-operator those checks multiply conserves the total occupation, so the
-asserted residuals are those of the full product space at a fraction of its
-size; the asserted block alone would give the same residuals.  The extra
-level keeps a truncation edge above the asserted block, and the edge
-residuals in the notes are taken there.  Spaces whose checks read the whole
-space through raw ladders, or build states in Kronecker order, keep the full
-product basis.  The dirac suite's spinor x orbital space is capped at
-fermion number `DIRAC_FERMION_CAP`, an invariant block without an edge.
+Spaces whose checks read only number-conserving operators are capped at the
+asserted block itself (see `fock`): total occupation <= n_max on grids, <= 1
+on shells.  The capped space is an invariant block of every operator those
+checks multiply, so its residuals, read with plain `max_abs`, are those of
+the full product space on the block.  The dirac suite's spinor x orbital
+space is capped at fermion number `DIRAC_FERMION_CAP`, an invariant block in
+the same sense.  Ladder identities keep the product basis and are read on
+the block below its edge (`_edge_safe`); whole-space residuals there go into
+the notes, never into assertions.  Spaces whose checks build states in
+Kronecker order keep the product basis too.
 
-decomposition-compare generates its family checks from the claims table
-`operators.DECOMPOSITIONS`, one check per claimed algebra or mutual relation.
+The angular-momentum claims of Maxwell and Dirac fields are generated by one
+emitter, `_claim_checks`, one check per claimed algebra or mutual relation:
+decomposition-compare from each row of `operators.DECOMPOSITIONS`, dirac from
+the Table-I row `operators.TABLE_I`.
 """
 
 from __future__ import annotations
@@ -100,6 +101,8 @@ class SuiteConfig:
             )
         if self.n_max < 1:
             raise InvalidConfig("n_max must be >= 1")
+        if self.seed < 0:
+            raise InvalidConfig("seed must be a non-negative integer")
         if self.grid is not None and not isinstance(self.grid, CartesianGrid):
             raise InvalidConfig("a grid lists wave vectors; give a shell with --shell")
         if self.suite not in SUITES and self.suite != "all":
@@ -122,46 +125,67 @@ def _grid_space(
 
 
 def _capped_grid_space(ms: CartesianGrid, lams, config: SuiteConfig) -> FockSpace:
-    """Grid space for checks asserted on total occupation <= n_max.
-
-    Capped at n_max + 1 so that the edge residuals in the notes have an edge
-    above the asserted block to be taken at.
-    """
-    return _grid_space(ms, lams, config.n_max, config.dim_cap, max_total=config.n_max + 1)
+    """Grid space capped at the asserted block, total occupation <= n_max."""
+    return _grid_space(ms, lams, config.n_max, config.dim_cap, max_total=config.n_max)
 
 
 def _shell_space(ms: SphericalShell, lams, dim_cap: int) -> FockSpace:
-    """Single-occupation shell space; its checks assert on total occupation <= 1.
-
-    Capped at 2, one level above the asserted block, like `_capped_grid_space`.
-    """
+    """Single-occupation shell space capped at its asserted block, total
+    occupation <= 1."""
     chans = [(c, lam) for c in ms.mode_labels() for lam in lams]
-    return build_fock(chans, 1, dim_cap=dim_cap, max_total=2)
+    return build_fock(chans, 1, dim_cap=dim_cap, max_total=1)
 
 
-def _bounded(fs: FockSpace) -> np.ndarray:
-    """Edge-safe block for identities with explicit edge corrections."""
-    return fs.bounded_indices(fs.n_max - 1)
+def _edge_safe(op: OperatorMatrix) -> float:
+    """Residual of a ladder identity on the block below its space's
+    truncation edge, total occupation <= n_max - 1."""
+    fs = op.space
+    return max_abs(compress(op, fs.bounded_indices(fs.n_max - 1)))
 
 
-def _bounded_nc(fs: FockSpace) -> np.ndarray:
-    """Block on which commutators of number-conserving bilinears are exact."""
-    return fs.bounded_indices(fs.n_max)
-
-
-def _eq_bounded(op: OperatorMatrix, idx: np.ndarray) -> float:
-    return max_abs(compress(op, idx))
-
-
-def _su2_residual(triple, idx) -> float:
+def _su2_residual(triple) -> float:
     return max_residual(
-        _eq_bounded(commutator(triple[i], triple[j]) - 1j * triple[k], idx)
-        for i, j, k in EPS_PAIRS
+        max_abs(commutator(triple[i], triple[j]) - 1j * triple[k]) for i, j, k in EPS_PAIRS
     )
 
 
-def _mutual_residual(triple_a, triple_b, idx) -> float:
-    return max_residual(_eq_bounded(commutator(a, b), idx) for a in triple_a for b in triple_b)
+def _mutual_residual(triple_a, triple_b) -> float:
+    return max_residual(max_abs(commutator(a, b)) for a in triple_a for b in triple_b)
+
+
+def _claimed_algebra_check(algebra: str, triple, tol: float):
+    """ID suffix, residual, tolerance and kind of the check of one claimed
+    family algebra; `tol` bounds an su(2) claim."""
+    if algebra == ops.ALG_SU2:
+        return "su2", _su2_residual(triple), tol, KIND_EQUALITY
+    if algebra == ops.ALG_COMMUTING:
+        res = max_residual(max_abs(commutator(triple[i], triple[j])) for i, j, _ in EPS_PAIRS)
+        return "commuting", res, TIGHT_TOL, KIND_EQUALITY
+    if algebra == ops.ALG_NONSTANDARD:
+        return "violation", _su2_residual(triple), VIOLATION_THRESHOLD, KIND_VIOLATION
+    raise ValueError(f"unknown claimed algebra {algebra!r}")
+
+
+def _claim_checks(
+    rep: VerificationReport, prefix: str, spec: ops.DecompositionSpec, triples, tol: float
+) -> None:
+    """Add the checks of one claims row: one per claimed family algebra, then
+    one for the claimed mutual relation of the first two families.
+
+    `triples` are the lifted families in the row's order, each read on an
+    invariant block; `tol` bounds the su(2) and mutual-commute equalities.
+    """
+    for family, triple in zip(spec.families, triples):
+        if family.algebra is not None:
+            suffix, res, ftol, kind = _claimed_algebra_check(family.algebra, triple, tol)
+            rep.add(f"{prefix}-{family.tag}-{suffix}", spec.anchor, res, ftol, kind=kind)
+    if spec.mutual is not None:
+        res = _mutual_residual(triples[0], triples[1])
+        check_id = f"{prefix}-{spec.mutual_tag}-{spec.mutual}"
+        if spec.mutual == ops.MUTUAL_COMMUTE:
+            rep.add(check_id, spec.anchor, res, tol)
+        else:
+            rep.add(check_id, spec.anchor, res, VIOLATION_THRESHOLD, kind=KIND_VIOLATION)
 
 
 def _shell_for(config: SuiteConfig, default_lmax: int) -> SphericalShell:
@@ -180,15 +204,10 @@ def suite_canonical(config: SuiteConfig) -> VerificationReport:
     ms = config.grid or _default_grid()
 
     fs = _capped_grid_space(ms, (0, 1, 2, 3), config)
-    idx = _bounded_nc(fs)
     spin = ops.spin_total(ms, fs)
     for i, j, k in EPS_PAIRS:
         diff = commutator(spin[i], spin[j]) - 1j * spin[k]
-        rep.add(f"spin-su2-{'xyz'[i]}{'xyz'[j]}", "MCR1", _eq_bounded(diff, idx), config.tol)
-        rep.note(
-            f"spin-su2-{'xyz'[i]}{'xyz'[j]} capped-space residual "
-            f"{max_abs(diff):.3e} (edge at total occupation {fs.max_total}, reported only)"
-        )
+        rep.add(f"spin-su2-{'xyz'[i]}{'xyz'[j]}", "MCR1", max_abs(diff), config.tol)
 
     ham = ops.hamiltonian(ms, fs)
     omegas = [ms.omega(i) for i in ms.mode_labels()]
@@ -196,7 +215,7 @@ def suite_canonical(config: SuiteConfig) -> VerificationReport:
         rep.add(
             "hamiltonian-spin-commute",
             "H-mode-form",
-            max_residual(_eq_bounded(commutator(ham, s), idx) for s in spin),
+            max_residual(max_abs(commutator(ham, s)) for s in spin),
             config.tol,
         )
     else:
@@ -242,12 +261,11 @@ def suite_canonical(config: SuiteConfig) -> VerificationReport:
 
 def _bcr_checks(rep: VerificationReport, config: SuiteConfig) -> None:
     fs = build_fock([("k", 1), ("k", 0), ("q", 2)], 2, dim_cap=config.dim_cap)
-    idx = _bounded(fs)
     ident = identity_operator(fs)
     comm_t = commutator(annihilator(fs, ("k", 1)), creator(fs, ("k", 1)))
-    rep.add("bcr-transverse", "BCR1", _eq_bounded(comm_t - ident, idx), TIGHT_TOL)
+    rep.add("bcr-transverse", "BCR1", _edge_safe(comm_t - ident), TIGHT_TOL)
     comm_s = commutator(annihilator(fs, ("k", 0)), creator(fs, ("k", 0)))
-    rep.add("bcr-scalar", "BCR1", _eq_bounded(comm_s + ident, idx), TIGHT_TOL)
+    rep.add("bcr-scalar", "BCR1", _edge_safe(comm_s + ident), TIGHT_TOL)
     cross = commutator(annihilator(fs, ("k", 1)), creator(fs, ("q", 2)))
     rep.add("bcr-cross-channel", "BCR1", max_abs(cross), TIGHT_TOL)
     aa = commutator(annihilator(fs, ("k", 1)), annihilator(fs, ("k", 0)))
@@ -288,7 +306,6 @@ def _lift_homomorphism_residual(rng: np.random.Generator, pairs: int, dim_cap: i
         chans = [(f"m{j}", lams[j]) for j in range(n_ch)]
         n_max = int(rng.integers(2, 4))
         fs = build_fock(chans, n_max, dim_cap=dim_cap)
-        idx = _bounded(fs)
         shape = (n_ch, n_ch)
         m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         n = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -296,7 +313,7 @@ def _lift_homomorphism_residual(rng: np.random.Generator, pairs: int, dim_cap: i
         qn = QuadraticForm(n, fs.signs)
         lhs = commutator(lift_bilinear(fs, qm), lift_bilinear(fs, qn))
         rhs = lift_bilinear(fs, qm.bracket(qn))
-        residuals.append(_eq_bounded(lhs - rhs, idx))
+        residuals.append(_edge_safe(lhs - rhs))
     return max_residual(residuals)
 
 
@@ -304,25 +321,21 @@ def _oam_sector_checks(rep: VerificationReport, config: SuiteConfig) -> None:
     shell2 = _shell_for(config, default_lmax=2)
     for lam, tag in ((1, "transverse"), (0, "scalar")):
         fs = _shell_space(shell2, (lam,), config.dim_cap)
-        idx = _bounded_nc(fs)
         weight = {lam: ops.OAM_WEIGHTS[lam]}
         triple = ops.oam_weighted(shell2, fs, weight)
-        rep.add(f"oam-su2-{tag}-sector", "MCR2", _su2_residual(triple, idx), config.tol)
+        rep.add(f"oam-su2-{tag}-sector", "MCR2", _su2_residual(triple), config.tol)
 
     shell1 = SphericalShell(radius=shell2.radius, l_max=1)
     fs4 = _shell_space(shell1, (0, 1, 2, 3), config.dim_cap)
-    idx4 = _bounded_nc(fs4)
     oam = ops.oam_total(shell1, fs4)
-    rep.add("oam-su2-all-polarizations", "MCR2", _su2_residual(oam, idx4), config.tol)
+    rep.add("oam-su2-all-polarizations", "MCR2", _su2_residual(oam), config.tol)
     spin_fixed = ops.spin_total_fixed_frame(fs4)
-    rep.add(
-        "oam-spin-commute", "MCR3", _mutual_residual(oam, spin_fixed, idx4), config.tol
-    )
+    rep.add("oam-spin-commute", "MCR3", _mutual_residual(oam, spin_fixed), config.tol)
     ham = ops.hamiltonian(shell1, fs4)
     rep.add(
         "hamiltonian-oam-commute",
         "H-mode-form",
-        max_residual(_eq_bounded(commutator(ham, L), idx4) for L in oam),
+        max_residual(max_abs(commutator(ham, L)) for L in oam),
         config.tol,
     )
     transverse = fs4.basis_state({((1, 1), 1): 1})
@@ -405,20 +418,14 @@ def suite_observable(config: SuiteConfig) -> VerificationReport:
     if shell1.l_max < 1:
         shell1 = SphericalShell(radius=shell1.radius, l_max=1)
     fs4 = _shell_space(shell1, (0, 1, 2, 3), config.dim_cap)
-    idx4 = _bounded_nc(fs4)
     lobs = ops.oam_obs(shell1, fs4)
-    rep.add("oam-obs-su2", "L-obs", _su2_residual(lobs, idx4), config.tol)
+    rep.add("oam-obs-su2", "L-obs", _su2_residual(lobs), config.tol)
     sofix = ops.spin_obs_fixed_frame(fs4)
-    rep.add(
-        "spin-obs-oam-obs-commute",
-        "Table-II",
-        _mutual_residual(lobs, sofix, idx4),
-        config.tol,
-    )
+    rep.add("spin-obs-oam-obs-commute", "Table-II", _mutual_residual(lobs, sofix), config.tol)
     jobs = tuple(lobs[c] + sofix[c] for c in range(3))
     comms = {k: commutator(jobs[i], jobs[j]) for i, j, k in EPS_PAIRS}
-    closure = max_residual(_eq_bounded(comms[k] - 1j * lobs[k], idx4) for k in comms)
-    breakage = max_residual(_eq_bounded(comms[k] - 1j * jobs[k], idx4) for k in comms)
+    closure = max_residual(max_abs(comms[k] - 1j * lobs[k]) for k in comms)
+    breakage = max_residual(max_abs(comms[k] - 1j * jobs[k]) for k in comms)
     rep.add("j-obs-closes-into-oam-obs", "J-obs", closure, config.tol)
     rep.add("j-obs-not-su2", "J-obs", breakage, VIOLATION_THRESHOLD, kind=KIND_VIOLATION)
     longi = fs4.basis_state({((1, 1), 3): 1})
@@ -435,27 +442,11 @@ def suite_observable(config: SuiteConfig) -> VerificationReport:
 # decomposition-compare
 
 
-def _claimed_algebra_check(algebra: str, triple, idx, config: SuiteConfig):
-    """ID suffix, residual, tolerance and kind of the check of one claimed
-    family algebra."""
-    if algebra == ops.ALG_SU2:
-        return "su2", _su2_residual(triple, idx), config.tol, KIND_EQUALITY
-    if algebra == ops.ALG_COMMUTING:
-        res = max_residual(
-            _eq_bounded(commutator(triple[i], triple[j]), idx) for i, j, _ in EPS_PAIRS
-        )
-        return "commuting", res, TIGHT_TOL, KIND_EQUALITY
-    if algebra == ops.ALG_NONSTANDARD:
-        return "violation", _su2_residual(triple, idx), VIOLATION_THRESHOLD, KIND_VIOLATION
-    raise ValueError(f"unknown claimed algebra {algebra!r}")
-
-
 def suite_decomposition(config: SuiteConfig) -> VerificationReport:
     rep = VerificationReport("decomposition-compare", _config_echo(config))
     rng = np.random.default_rng(config.seed)
     shell = SphericalShell(radius=1.0, l_max=1)
     fs = _shell_space(shell, (0, 1, 2, 3), config.dim_cap)
-    idx = _bounded_nc(fs)
     lifted = {
         name: {f.name: f.lift(fs) for f in ops.build_decomposition(name, shell, fs)}
         for name in ops.DECOMPOSITIONS
@@ -472,27 +463,14 @@ def suite_decomposition(config: SuiteConfig) -> VerificationReport:
     )
 
     for name, spec in ops.DECOMPOSITIONS.items():
-        prefix = name.replace("_", "-")
         triples = [lifted[name][family.name] for family in spec.families]
-        for family, triple in zip(spec.families, triples):
-            if family.algebra is not None:
-                suffix, res, tol, kind = _claimed_algebra_check(
-                    family.algebra, triple, idx, config
-                )
-                rep.add(f"{prefix}-{family.tag}-{suffix}", spec.anchor, res, tol, kind=kind)
-        if spec.mutual is not None:
-            res = _mutual_residual(triples[0], triples[1], idx)
-            check_id = f"{prefix}-mutual-{spec.mutual}"
-            if spec.mutual == ops.MUTUAL_COMMUTE:
-                rep.add(check_id, spec.anchor, res, config.tol)
-            else:
-                rep.add(check_id, spec.anchor, res, VIOLATION_THRESHOLD, kind=KIND_VIOLATION)
+        _claim_checks(rep, name.replace("_", "-"), spec, triples, config.tol)
 
     pair = build_fock([("k", 3), ("k", 0)], 3, dim_cap=config.dim_cap)
     gauge_combo_a = annihilator(pair, ("k", 3)) - annihilator(pair, ("k", 0))
     gauge_combo_c = creator(pair, ("k", 3)) - creator(pair, ("k", 0))
     root = commutator(gauge_combo_a, gauge_combo_c)
-    rep.add("gb-root-identity", "JM-BJ", _eq_bounded(root, _bounded(pair)), 1e-14)
+    rep.add("gb-root-identity", "JM-BJ", _edge_safe(root), 1e-14)
     rep.note(
         f"gb-root-identity full-space residual {max_abs(root):.3e}"
         " (truncation edge, reported only)"
@@ -501,9 +479,8 @@ def suite_decomposition(config: SuiteConfig) -> VerificationReport:
     gms = config.grid or _default_grid()
     gfs = _capped_grid_space(gms, (1, 2), config)
     sig = ops.stokes_operators(gms, gfs)
-    gidx = _bounded_nc(gfs)
     worst = max_residual(
-        _eq_bounded(commutator(sig[i], sig[j]) - 2j * sig[k], gidx)
+        max_abs(commutator(sig[i], sig[j]) - 2j * sig[k])
         for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2))
     )
     rep.add("stokes-factor-2", "Stokes", worst, TIGHT_TOL)
@@ -815,23 +792,6 @@ def suite_fields(config: SuiteConfig) -> VerificationReport:
 DIRAC_FERMION_CAP = 3
 
 
-def _dirac_algebra_residuals(sam, oam) -> dict[str, float]:
-    """Table-I residuals: S_D and L_D each close su(2) and commute mutually."""
-    return {
-        "dirac-sam-su2": max_residual(
-            max_abs((sam[i] @ sam[j] - sam[j] @ sam[i]) - 1j * sam[k])
-            for i, j, k in EPS_PAIRS
-        ),
-        "dirac-oam-su2": max_residual(
-            max_abs((oam[i] @ oam[j] - oam[j] @ oam[i]) - 1j * oam[k])
-            for i, j, k in EPS_PAIRS
-        ),
-        "dirac-sam-oam-commute": max_residual(
-            max_abs(s @ L - L @ s) for s in sam for L in oam
-        ),
-    }
-
-
 def suite_dirac(config: SuiteConfig) -> VerificationReport:
     rep = VerificationReport("dirac", _config_echo(config))
     basis = spinor_matrices()
@@ -863,8 +823,7 @@ def suite_dirac(config: SuiteConfig) -> VerificationReport:
         spinor_orbital_channels(1), config.dim_cap, max_total=DIRAC_FERMION_CAP
     )
     sam = dirac_sam(ffs)
-    for check_id, res in _dirac_algebra_residuals(sam, dirac_oam(ffs, 1)).items():
-        rep.add(check_id, "Table-I", res, TIGHT_TOL)
+    _claim_checks(rep, "dirac", ops.TABLE_I, (sam, dirac_oam(ffs, 1)), TIGHT_TOL)
 
     _, up = fermion_ladder(ffs, ((0, 0), 0))
     one = up @ ffs.vacuum()

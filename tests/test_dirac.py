@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import sparse
 
 from photonam import operators as ops
+from photonam import suites
 from photonam.dirac import (
     build_fermion_fock,
     dirac_oam,
@@ -12,9 +15,11 @@ from photonam.dirac import (
     spinor_matrices,
     spinor_orbital_channels,
 )
-from photonam.errors import DimensionMismatch, UnknownChannel
+from photonam.errors import ChannelMismatch, DimensionMismatch, UnknownChannel
 from photonam.fock import build_fock, creator, max_abs
-from photonam.suites import DIRAC_FERMION_CAP, _dirac_algebra_residuals
+from photonam.modes import orbital_matrices, shell_channels
+from photonam.report import KIND_EQUALITY, KIND_VIOLATION, VerificationReport
+from photonam.suites import DIRAC_FERMION_CAP, TIGHT_TOL, SuiteConfig, run_suite
 
 EPS_PAIRS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
@@ -139,8 +144,112 @@ def test_dirac_suite_cap_keeps_full_space_residuals():
     chans = spinor_orbital_channels(1)
 
     def residuals(ffs):
-        return _dirac_algebra_residuals(dirac_sam(ffs), dirac_oam(ffs, 1))
+        rep = VerificationReport("dirac", {})
+        families = (dirac_sam(ffs), dirac_oam(ffs, 1))
+        suites._claim_checks(rep, "dirac", ops.TABLE_I, families, TIGHT_TOL)
+        return {r.check_id: r.residual for r in rep.checks}
 
     capped = build_fermion_fock(chans, max_total=DIRAC_FERMION_CAP)
     assert capped.dim == 697
     assert residuals(capped) == residuals(build_fermion_fock(chans))
+
+
+# Reference construction of the Dirac lifts: per-entry channel matrices.
+def _channel_matrix(ffs, entry):
+    n = len(ffs.channels)
+    m = np.zeros((n, n), dtype=complex)
+    for (ca, cb), val in entry.items():
+        m[ffs.index_of(ca), ffs.index_of(cb)] = val
+    return m
+
+
+def _reference_sam(ffs):
+    out = []
+    for sig in spinor_matrices().sigma:
+        entry = {}
+        for (c, s) in ffs.channels:
+            for s2 in range(4):
+                if sig[s, s2] != 0:
+                    entry[((c, s), (c, s2))] = 0.5 * sig[s, s2]
+        out.append(fermionic_lift(ffs, _channel_matrix(ffs, entry)))
+    return tuple(out)
+
+
+def _reference_oam(ffs, l_max):
+    chans = shell_channels(l_max)
+    cidx = {c: i for i, c in enumerate(chans)}
+    out = []
+    for gen in orbital_matrices(l_max):
+        entry = {}
+        for (c, s) in ffs.channels:
+            for d in chans:
+                val = gen[cidx[c], cidx[d]]
+                if val != 0 and (d, s) in ffs.channels:
+                    entry[((c, s), (d, s))] = val
+        out.append(fermionic_lift(ffs, _channel_matrix(ffs, entry)))
+    return tuple(out)
+
+
+def _same_entries(a, b):
+    """Entry-for-entry equality of two csr matrices without densifying."""
+    a, b = a.copy(), b.copy()
+    a.sort_indices()
+    b.sort_indices()
+    return all(np.array_equal(getattr(a, k), getattr(b, k)) for k in ("indptr", "indices", "data"))
+
+
+@pytest.mark.parametrize("l_max", [0, 1])
+@pytest.mark.parametrize("cap", [None, DIRAC_FERMION_CAP])
+def test_dirac_lifts_match_per_entry_reference(l_max, cap):
+    ffs = build_fermion_fock(spinor_orbital_channels(l_max), max_total=cap)
+    got = dirac_sam(ffs) + dirac_oam(ffs, l_max)
+    want = _reference_sam(ffs) + _reference_oam(ffs, l_max)
+    for g, w in zip(got, want, strict=True):
+        assert isinstance(g, sparse.csr_matrix)
+        assert _same_entries(g, w)
+        if ffs.dim <= 1024:
+            assert np.array_equal(g.toarray(), w.toarray())
+
+
+def test_dirac_oam_beyond_space_lmax_raises():
+    ffs = build_fermion_fock(spinor_orbital_channels(1), max_total=DIRAC_FERMION_CAP)
+    with pytest.raises(ChannelMismatch):
+        dirac_oam(ffs, 2)
+
+
+DIRAC_INVENTORY = {
+    # check ID: (anchor, kind, tolerance); the dirac suite ignores --tol
+    "dirac-oam-su2": ("Table-I", KIND_EQUALITY, 1e-12),
+    "dirac-sam-oam-commute": ("Table-I", KIND_EQUALITY, 1e-12),
+    "dirac-sam-su2": ("Table-I", KIND_EQUALITY, 1e-12),
+    "dirac-spin-half-eigenvalue": ("S_D", KIND_EQUALITY, 1e-14),
+    "fermion-anticommutators": ("ETCR-D1", KIND_EQUALITY, 1e-14),
+    "helicity-unit-eigenvalue": ("helicity", KIND_EQUALITY, 1e-14),
+    "photon-dirac-commute": ("Table-I", KIND_EQUALITY, 1e-14),
+    "spinor-invariants": ("Dirac-matrices", KIND_EQUALITY, 1e-14),
+    "spinor-sigma-z-eigenvalues": ("Dirac-matrices", KIND_EQUALITY, 1e-14),
+}
+
+
+def _inventory(rep):
+    return {r.check_id: (r.anchor, r.kind, r.tolerance) for r in rep.checks}
+
+
+def test_dirac_check_inventory():
+    rep = run_suite(SuiteConfig(suite="dirac", tol=1e-6))
+    assert _inventory(rep) == DIRAC_INVENTORY
+
+
+def test_dirac_checks_follow_table_i(monkeypatch):
+    sam, oam = ops.TABLE_I.families
+    flipped = dataclasses.replace(
+        ops.TABLE_I, families=(sam, dataclasses.replace(oam, algebra=ops.ALG_NONSTANDARD))
+    )
+    monkeypatch.setattr(ops, "TABLE_I", flipped)
+    rep = run_suite(SuiteConfig(suite="dirac"))
+    expected = dict(DIRAC_INVENTORY)
+    del expected["dirac-oam-su2"]
+    expected["dirac-oam-violation"] = ("Table-I", KIND_VIOLATION, 0.1)
+    assert _inventory(rep) == expected
+    # L_D closes su(2), so the flipped claim fails
+    assert [r.check_id for r in rep.checks if not r.passed] == ["dirac-oam-violation"]

@@ -68,11 +68,11 @@ def test_dimensions_and_cap():
 
 
 def test_capped_dimensions():
-    for n_max, dim in zip((1, 2, 3, 4), (37, 157, 487, 1279)):
+    for n_max, dim in zip((1, 2, 3, 4), (9, 45, 165, 495)):
         fs = _capped_grid_space(_default_grid(), (0, 1, 2, 3), SuiteConfig(n_max=n_max))
-        assert (len(fs.channels), fs.max_total, fs.dim) == (8, n_max + 1, dim)
+        assert (len(fs.channels), fs.max_total, fs.dim) == (8, n_max, dim)
     shell = _shell_space(SphericalShell(radius=1.0, l_max=1), (0, 1, 2, 3), 1 << 20)
-    assert (len(shell.channels), shell.dim) == (16, 137)
+    assert (len(shell.channels), shell.dim) == (16, 17)
     chans = [(i, lam) for i in range(9) for lam in (0, 1, 2, 3)]
     assert build_fock(chans, 1, max_total=2).dim == 667
     # uncapped is the special case: a cap at or above n_max * #channels

@@ -434,3 +434,12 @@ def test_pair_entries_sign_on_the_scalar_channel(cap):
             aa = (annihilator(fs, c1) @ annihilator(fs, c2)).mat
             cc = (creator(fs, c1) @ creator(fs, c2)).mat
             assert np.array_equal(got, (aa + cc_sign * cc).toarray())
+
+
+def test_family_forms_cover_the_claims_table():
+    names = {f.name for spec in ops.DECOMPOSITIONS.values() for f in spec.families}
+    assert names == set(ops.FAMILY_FORMS)
+    for terms in ops.FAMILY_FORMS.values():
+        for _, lams in terms:
+            assert len(lams) == 3
+    assert len(ops.FAMILY_FORMS["j_total"]) == 2

@@ -127,6 +127,16 @@ def test_cli_bad_tolerance_exit_2(capsys):
     assert main(["--suite", "dirac", "--tol", "-2"]) == 2
 
 
+def test_cli_negative_seed_exit_2(capsys):
+    # dirac draws nothing from the seed; the seed is still refused up front
+    assert main(["--suite", "dirac", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be a non-negative integer\n"
+    assert captured.out == ""
+    with pytest.raises(InvalidConfig, match="seed must be a non-negative integer"):
+        run_suite(SuiteConfig(suite="all", seed=-1))
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -191,13 +201,13 @@ def test_cli_all_polarization_lmax2_shell(capsys):
 
 
 def test_cli_capped_space_over_dim_cap_exit_2(capsys):
-    argv = ["--suite", "observable-commutators", "--shell", "1.0,2", "--dim-cap", "600"]
+    argv = ["--suite", "observable-commutators", "--shell", "1.0,2", "--dim-cap", "40"]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: dim 667 (total occupation <= 2) exceeds cap 600")
+    assert err.startswith("error: dim 45 (total occupation <= 2) exceeds cap 40")
     assert "Traceback" not in err
     with pytest.raises(DimensionCapExceeded):
-        run_suite(SuiteConfig(suite="observable-commutators", shell=(1.0, 2), dim_cap=600))
+        run_suite(SuiteConfig(suite="observable-commutators", shell=(1.0, 2), dim_cap=40))
 
 
 def test_cli_dirac_honours_dim_cap(capsys):

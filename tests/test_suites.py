@@ -4,10 +4,19 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from photonam import constraints as cons
 from photonam import operators as ops
 from photonam import suites
-from photonam.fock import OperatorMatrix, build_fock, identity_operator
-from photonam.modes import build_cartesian_modeset
+from photonam.fock import (
+    OperatorMatrix,
+    build_fock,
+    commutator,
+    compress,
+    identity_operator,
+    max_abs,
+    max_residual,
+)
+from photonam.modes import SphericalShell, build_cartesian_modeset
 from photonam.report import KIND_EQUALITY, KIND_VIOLATION, VerificationReport, render_report
 from photonam.suites import SUITES, SuiteConfig, run_suite
 
@@ -86,14 +95,13 @@ def test_nan_operator_triple_fails():
     fs = build_fock([("k", 1), ("q", 2)], 1)
     nan = OperatorMatrix(fs, sparse.csr_matrix(np.diag([np.nan, 0, 0, 0]).astype(complex)))
     ident = identity_operator(fs)
-    idx = fs.bounded_indices(1)
     rep = VerificationReport("nan", {})
-    rep.add("su2", "MCR2", suites._su2_residual((ident, ident, nan), idx), 1e-10)
-    rep.add("mutual", "MCR3", suites._mutual_residual((ident,), (nan,), idx), 1e-10)
+    rep.add("su2", "MCR2", suites._su2_residual((ident, ident, nan)), 1e-10)
+    rep.add("mutual", "MCR3", suites._mutual_residual((ident,), (nan,)), 1e-10)
     rep.add(
         "violation",
         "Table-III",
-        suites._su2_residual((nan, ident, ident), idx),
+        suites._su2_residual((nan, ident, ident)),
         0.1,
         kind=KIND_VIOLATION,
     )
@@ -141,3 +149,84 @@ def test_decomposition_checks_follow_claims_table(monkeypatch):
     del expected["chen-oam-su2"]
     expected["chen-oam-violation"] = ("Table-III", KIND_VIOLATION, 0.1)
     assert got == expected
+
+
+# Asserted-block oracle: the suites read number-conserving claims with plain
+# max_abs on spaces capped at the asserted block.  The reference reads them on
+# a space capped one level higher, densified on the asserted block.
+
+
+def _block_plus_one(chans, n_max):
+    fs = build_fock(chans, n_max, max_total=n_max + 1)
+    idx = fs.bounded_indices(n_max)
+    return fs, lambda op: max_abs(compress(op, idx))
+
+
+def _su2_read(triple, read):
+    return max_residual(
+        read(commutator(triple[i], triple[j]) - 1j * triple[k])
+        for i, j, k in suites.EPS_PAIRS
+    )
+
+
+def _claim_residuals_read(spec, triples, read):
+    """Residuals of every claim of one row, in the emitter's order."""
+    out = []
+    for family, triple in zip(spec.families, triples):
+        if family.algebra == ops.ALG_COMMUTING:
+            out.append(
+                max_residual(
+                    read(commutator(triple[i], triple[j])) for i, j, _ in suites.EPS_PAIRS
+                )
+            )
+        elif family.algebra is not None:
+            out.append(_su2_read(triple, read))
+    if spec.mutual is not None:
+        out.append(
+            max_residual(read(commutator(a, b)) for a in triples[0] for b in triples[1])
+        )
+    return out
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+def test_spin_su2_block_capped_matches_block_plus_one(n_max):
+    ms = suites._default_grid()
+    new = suites._capped_grid_space(ms, (0, 1, 2, 3), SuiteConfig(n_max=n_max))
+    old, read = _block_plus_one(new.channels, n_max)
+    assert new.max_total == n_max and new.dim < old.dim
+    assert suites._su2_residual(ops.spin_total(ms, new)) == _su2_read(
+        ops.spin_total(ms, old), read
+    )
+
+
+@pytest.mark.parametrize("lam", [1, 0])
+def test_oam_sector_block_capped_matches_block_plus_one(lam):
+    shell = SphericalShell(radius=1.0, l_max=2)
+    new = suites._shell_space(shell, (lam,), 1 << 20)
+    old, read = _block_plus_one(new.channels, 1)
+    weight = {lam: ops.OAM_WEIGHTS[lam]}
+    assert suites._su2_residual(ops.oam_weighted(shell, new, weight)) == _su2_read(
+        ops.oam_weighted(shell, old, weight), read
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_decomposition_claims_block_capped_match_block_plus_one(seed):
+    shell = SphericalShell(radius=1.0, l_max=1)
+    new = suites._shell_space(shell, (0, 1, 2, 3), 1 << 20)
+    old, read = _block_plus_one(new.channels, 1)
+    xi = cons.random_conjugate_symmetric_xi(shell, np.random.default_rng(seed), scale=0.4)
+
+    def lifted(fs, name):
+        triples = [f.lift(fs) for f in ops.build_decomposition(name, shell, fs)]
+        if name == "wakamatsu":
+            # the xi extra term moves the total occupation by one
+            extra = [cons.xi_oam_bilinear(shell, fs, xi, lam) for lam in (1, 2)]
+            triples[1] = tuple(a + b + c for a, b, c in zip(triples[1], *extra))
+        return triples
+
+    for name, spec in ops.DECOMPOSITIONS.items():
+        rep = VerificationReport(name, {})
+        suites._claim_checks(rep, name, spec, lifted(new, name), 1e-10)
+        expected = _claim_residuals_read(spec, lifted(old, name), read)
+        assert [r.residual for r in rep.checks] == expected, name

@@ -7,6 +7,13 @@ rank-revealing SVD; zero-norm kernel vectors (pure gauge excitations) are
 first-class citizens: they are reported with norm 0 and excluded from
 expectation checks.
 
+A free constraint (xi0 = 0) lowers the total occupation by exactly one, so
+the stack is block-diagonal by occupation sector: the columns of total N
+map only into the rows of total N - 1.  The SVD therefore runs once per
+sector, on a small dense block, and the kernel is the direct sum of the
+per-sector kernels.  A stack that does not lower the occupation uniformly,
+such as a xi-shifted one, is factored as a single block by the same loop.
+
 Expectation-level statements about gauge-variant operators are asserted on
 quotient representatives: kernel vectors orthogonal to the zero-norm
 directions of the kernel's indefinite Gram matrix.  On states that mix in
@@ -184,6 +191,39 @@ class PhysicalSubspace:
         return self.basis.shape[1]
 
 
+def _sector_blocks(fs: FockSpace, constraints: list[OperatorMatrix]):
+    """Dense blocks of the stacked constraints, one per occupation sector.
+
+    Yields (columns, block): the basis indices of sector N and the rows of
+    every constraint, constraint-major, that those columns map into.  When
+    every stored entry maps total occupation N to N - 1, those are the rows
+    of sector N - 1; otherwise the whole space is one sector and its block
+    is the dense stack itself, in the order of `np.vstack`.
+    """
+    coo = [c.mat.tocoo() for c in constraints]
+    which = np.repeat(np.arange(len(coo)), [m.nnz for m in coo])
+    row = np.concatenate([m.row for m in coo])
+    col = np.concatenate([m.col for m in coo])
+    val = np.concatenate([m.data for m in coo])
+    total = fs.total_occupation()
+    drop = 1 if np.array_equal(total[row], total[col] - 1) else 0
+    sector = total if drop else np.zeros(fs.dim, dtype=int)
+    sizes = np.bincount(sector)
+    order = np.argsort(sector, kind="stable")
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    # position of each basis index within its sector
+    pos = np.empty(fs.dim, dtype=int)
+    pos[order] = np.arange(fs.dim) - starts[sector[order]]
+    entries = np.argsort(sector[col], kind="stable")
+    bounds = np.searchsorted(sector[col][entries], np.arange(sizes.size + 1))
+    for n in range(sizes.size):
+        height = sizes[n - drop] if n >= drop else 0
+        block = np.zeros((len(constraints) * height, sizes[n]), dtype=val.dtype)
+        e = entries[bounds[n]:bounds[n + 1]]
+        np.add.at(block, (which[e] * height + pos[row[e]], pos[col[e]]), val[e])
+        yield order[starts[n]:starts[n + 1]], block
+
+
 def physical_subspace(
     fs: FockSpace,
     constraints: list[OperatorMatrix],
@@ -193,11 +233,16 @@ def physical_subspace(
 ) -> PhysicalSubspace:
     """Numerical kernel of the stacked constraints.
 
+    The SVD runs per occupation sector (`_sector_blocks`), or on one block
+    holding the whole stack when the constraints do not lower the total
+    occupation by exactly one; the kernel basis is the direct sum of the
+    per-block kernels and `singular_values` their union, sorted descending.
     Singular values below `tol` define the kernel; a gap of at least
     `gap_factor` between the largest kernel value and the smallest excluded
-    value is required unless the kernel values are exact zeros.  The SVD
-    runs on the dense stack, so DimensionCapExceeded is raised before it is
-    allocated when its rows x dim elements exceed dim_cap.
+    value over all blocks is required unless the kernel values are exact
+    zeros.  The guard counts the whole dense stack: DimensionCapExceeded is
+    raised before any block is allocated when its rows x dim elements
+    exceed dim_cap.
     """
     if not constraints:
         basis = np.eye(fs.dim, dtype=complex)
@@ -208,9 +253,14 @@ def physical_subspace(
             f"dense constraint stack {rows} x {fs.dim} = {rows * fs.dim}"
             f" elements exceeds cap {dim_cap}"
         )
-    stack = np.vstack([c.mat.toarray() for c in constraints])
-    _, sigma, vh = np.linalg.svd(stack, full_matrices=True)
-    sigma = np.concatenate([sigma, np.zeros(fs.dim - sigma.size)])
+    kernels = []
+    sigmas = []
+    for columns, block in _sector_blocks(fs, constraints):
+        _, sigma, vh = np.linalg.svd(block, full_matrices=True)
+        sigma = np.concatenate([sigma, np.zeros(columns.size - sigma.size)])
+        kernels.append((columns, vh[sigma < tol].conj().T))
+        sigmas.append(sigma)
+    sigma = np.sort(np.concatenate(sigmas))[::-1]
     mask = sigma < tol
     if not np.any(mask):
         raise NoKernel(
@@ -227,8 +277,12 @@ def physical_subspace(
             raise ToleranceAmbiguous(
                 f"kernel cut ambiguous: gap {gap:.2e} below required {gap_factor:.0e}"
             )
-    basis = vh[mask].conj().T
-    return PhysicalSubspace(np.ascontiguousarray(basis), tol, sigma, gap)
+    basis = np.zeros((fs.dim, included.size), dtype=kernels[0][1].dtype)
+    start = 0
+    for columns, kernel in kernels:
+        basis[columns, start:start + kernel.shape[1]] = kernel
+        start += kernel.shape[1]
+    return PhysicalSubspace(basis, tol, sigma, gap)
 
 
 def kernel_certificate(constraints: list[OperatorMatrix], subspace: PhysicalSubspace) -> float:

@@ -177,11 +177,18 @@ def transverse_split(obj):
     return field - longi, longi
 
 
-def spatial_spin_integral(state: ClassicalFieldState) -> np.ndarray:
+def spatial_spin_integral(
+    state: ClassicalFieldState, transverse_maps: FieldMaps | None = None
+) -> np.ndarray:
     """Riemann sum of E_T x A_T over the box; equals the per-mode helicity
-    formula for band-limited states."""
-    tstate, _ = transverse_split(state)
-    maps = eval_fields(tstate)
+    formula for band-limited states.
+
+    `transverse_maps`, when given, must be `eval_fields` of the transverse
+    part of `state`; it saves evaluating that part again.
+    """
+    maps = transverse_maps
+    if maps is None:
+        maps = eval_fields(transverse_split(state)[0])
     density = np.cross(maps.e, maps.a)
     return np.sum(density, axis=0) * cell_volume(state)
 

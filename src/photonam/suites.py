@@ -593,14 +593,16 @@ def _xi_pathway_reports(rep: VerificationReport, config: SuiteConfig, rng) -> No
         c: 0.05 * (rng.normal() + 1j * rng.normal()) for c in shell.mode_labels()
     }
     gens = orbital_matrices(shell.l_max)
+    chans = [(c, lam) for c in shell.mode_labels() for lam in (0, 3)]
+    spaces = []
+    for n_max in (1, 2):
+        fs = build_fock(chans, n_max, dim_cap=config.dim_cap)
+        spaces.append((n_max, fs, ops.l_pure(shell, fs)))
     for tag, xi in (("symmetric", xi_sym), ("probe", xi_probe)):
         vec = np.array([xi[c] for c in shell.mode_labels()])
         counter = np.array([-np.real(vec.conj() @ g @ vec) for g in gens])
-        for n_max in (1, 2):
-            chans = [(c, lam) for c in shell.mode_labels() for lam in (0, 3)]
-            fs = build_fock(chans, n_max, dim_cap=config.dim_cap)
+        for n_max, fs, lpure in spaces:
             psi, kernel_res = _approximate_displaced_kernel(shell, xi, n_max, config.dim_cap)
-            lpure = ops.l_pure(shell, fs)
             source = tuple(-1.0 * x for x in cons.xi_oam_bilinear(shell, fs, xi, 3))
             lhs = [expectation(fs, lpure[c], psi) for c in range(3)]
             rhs = [expectation(fs, source[c], psi) + counter[c] for c in range(3)]
@@ -716,10 +718,11 @@ def suite_fields(config: SuiteConfig) -> VerificationReport:
     parseval_res = []
     for _ in range(20):
         state = _random_field_state(rng, length, grid_n, lattice)
-        integral = flds.spatial_spin_integral(state)
+        # the state is transverse, so its maps are those of its transverse part
+        maps = flds.eval_fields(state)
+        integral = flds.spatial_spin_integral(state, maps)
         formula = flds.mode_spin_formula(state)
         spin_res.append(max_abs(integral - formula))
-        maps = flds.eval_fields(state)
         energy = 0.5 * float(
             np.sum(maps.e ** 2) + np.sum(maps.b ** 2)
         ) * flds.cell_volume(state)

@@ -23,7 +23,7 @@ from photonam.fock import (
     indefinite_inner,
     max_abs,
 )
-from photonam.modes import SphericalShell, build_cartesian_modeset
+from photonam.modes import SphericalShell, build_cartesian_modeset, parse_modeset
 
 
 def box_samples(length, n, values):
@@ -127,6 +127,63 @@ def test_dense_constraint_stack_over_dim_cap_raises():
     assert cons.physical_subspace(fs, constraint, dim_cap=16).dimension == 2
     with pytest.raises(DimensionCapExceeded, match="4 x 4 = 16 elements exceeds cap 15"):
         cons.physical_subspace(fs, constraint, dim_cap=15)
+
+
+def _whole_stack_kernel(constraints, tol=1e-10):
+    """Reference: kernel and singular values of the dense stacked constraints."""
+    stack = np.vstack([c.mat.toarray() for c in constraints])
+    _, sigma, vh = np.linalg.svd(stack, full_matrices=True)
+    sigma = np.concatenate([sigma, np.zeros(stack.shape[1] - sigma.size)])
+    return vh[sigma < tol].conj().T, sigma
+
+
+@pytest.mark.parametrize(
+    "grid, n_max, max_total, kernel_dim",
+    [
+        ("0 0 1\n0 0 -1", 1, None, 64),
+        ("0.5 0.25 -0.7\n-0.5 -0.25 0.7", 1, None, 64),
+        ("0 0 1\n0 0 -1", 2, 2, 28),
+    ],
+)
+def test_sector_kernel_matches_whole_stack(grid, n_max, max_total, kernel_dim):
+    ms = parse_modeset(grid)
+    chans = [(i, lam) for i in ms.mode_labels() for lam in (0, 1, 2, 3)]
+    fs = build_fock(chans, n_max, max_total=max_total)
+    constraints = cons.gb_constraints(ms, fs, None)
+    sub = cons.physical_subspace(fs, constraints, tol=1e-10)
+    ref, ref_sigma = _whole_stack_kernel(constraints)
+    assert sub.dimension == ref.shape[1] == kernel_dim
+    proj = sub.basis @ sub.basis.conj().T
+    assert np.max(np.abs(proj - ref @ ref.conj().T)) <= 1e-12
+    assert np.max(np.abs(np.sort(sub.singular_values) - np.sort(ref_sigma))) <= 1e-12
+    assert cons.kernel_certificate(constraints, sub) <= 1e-12
+
+
+def test_free_stack_splits_by_occupation_sector():
+    ms = build_cartesian_modeset([(0.0, 0.0, 1.0)])
+    fs = build_fock([(i, lam) for i in ms.mode_labels() for lam in (0, 1, 2, 3)], 1)
+    blocks = list(cons._sector_blocks(fs, cons.gb_constraints(ms, fs, None)))
+    # sector N of the 8 channels: C(8, N) columns against 2 C(8, N - 1) rows
+    assert [b.shape for _, b in blocks] == [
+        (0, 1), (2, 8), (16, 28), (56, 56), (112, 70), (140, 56), (112, 28), (56, 8), (16, 1)
+    ]
+    totals = fs.total_occupation()
+    for n, (columns, _) in enumerate(blocks):
+        assert np.all(totals[columns] == n)
+
+
+def test_non_graded_constraints_are_one_block():
+    # the number operator of channel ("k", 1) keeps the occupation, so the
+    # stack is not graded and is factored whole, as the reference does
+    fs = build_fock([("k", 0), ("k", 3), ("k", 1)], 1)
+    number = creator(fs, ("k", 1)) @ annihilator(fs, ("k", 1))
+    constraints = [annihilator(fs, ("k", 3)) - annihilator(fs, ("k", 0)), number]
+    sub = cons.physical_subspace(fs, constraints, tol=1e-10)
+    ref, ref_sigma = _whole_stack_kernel(constraints)
+    assert [b.shape for _, b in cons._sector_blocks(fs, constraints)] == [(16, 8)]
+    assert sub.dimension == 2
+    assert np.array_equal(sub.basis, ref)
+    assert np.array_equal(sub.singular_values, ref_sigma)
 
 
 def test_empty_constraints_whole_space_physical():

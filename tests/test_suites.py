@@ -85,6 +85,30 @@ def test_suite_determinism_same_seed():
     assert a == b
 
 
+GAUGE_HIDING_CHECKS = [
+    "free-energy-cancellation",
+    "gauge-hiding-spin-representatives",
+    "gb-free-kernel-contents",
+    "gb-free-kernel-dimension",
+    "gb-gauge-pair-annihilated",
+    "gb-kernel-certificate",
+    "gb-longitudinal-not-physical",
+    "oam-identity-matrix",
+    "xi-conjugate-symmetry",
+    "xi-fourier-reality",
+]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gauge_hiding_report_shape(seed):
+    # the kernel basis may rotate inside the physical subspace: residual
+    # digits may move, the checks, verdicts and probe counts may not
+    rep = run_suite(SuiteConfig(suite="gauge-hiding", seed=seed))
+    assert [r.check_id for r in rep.checks] == GAUGE_HIDING_CHECKS
+    assert all(r.passed for r in rep.checks)
+    assert "zero-norm physical probes skipped and counted: 48" in rep.notes
+
+
 def test_canonical_respects_custom_shell():
     rep = run_suite(SuiteConfig(suite="canonical-commutators", shell=(2.0, 2)))
     assert rep.all_passed

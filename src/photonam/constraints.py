@@ -41,6 +41,7 @@ from .fock import (
     DEFAULT_DIM_CAP,
     FockSpace,
     OperatorMatrix,
+    _CSR,
     annihilator,
     creator,
     expectation,
@@ -200,11 +201,8 @@ def _sector_blocks(fs: FockSpace, constraints: list[OperatorMatrix]):
     of sector N - 1; otherwise the whole space is one sector and its block
     is the dense stack itself, in the order of `np.vstack`.
     """
-    coo = [c.mat.tocoo() for c in constraints]
-    which = np.repeat(np.arange(len(coo)), [m.nnz for m in coo])
-    row = np.concatenate([m.row for m in coo])
-    col = np.concatenate([m.col for m in coo])
-    val = np.concatenate([m.data for m in coo])
+    row, col, val = (np.concatenate(p) for p in zip(*(c.mat.entries() for c in constraints)))
+    which = np.repeat(np.arange(len(constraints)), [c.mat.nnz for c in constraints])
     total = fs.total_occupation()
     drop = 1 if np.array_equal(total[row], total[col] - 1) else 0
     sector = total if drop else np.zeros(fs.dim, dtype=int)
@@ -218,10 +216,10 @@ def _sector_blocks(fs: FockSpace, constraints: list[OperatorMatrix]):
     bounds = np.searchsorted(sector[col][entries], np.arange(sizes.size + 1))
     for n in range(sizes.size):
         height = sizes[n - drop] if n >= drop else 0
-        block = np.zeros((len(constraints) * height, sizes[n]), dtype=val.dtype)
         e = entries[bounds[n]:bounds[n + 1]]
-        np.add.at(block, (which[e] * height + pos[row[e]], pos[col[e]]), val[e])
-        yield order[starts[n]:starts[n + 1]], block
+        shape = (len(constraints) * height, sizes[n])
+        block = _CSR.from_entries(val[e], which[e] * height + pos[row[e]], pos[col[e]], shape)
+        yield order[starts[n]:starts[n + 1]], block.toarray()
 
 
 def physical_subspace(
@@ -478,5 +476,5 @@ def xi_oam_bilinear(
         if total is None:
             out.append(zero_operator(fs))
         else:
-            out.append(OperatorMatrix(fs, total.tocsr()))
+            out.append(OperatorMatrix(fs, total))
     return tuple(out)

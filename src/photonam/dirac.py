@@ -26,11 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .fock import (
     DEFAULT_DIM_CAP,
     FockSpace,
+    _CSR,
     annihilator,
     build_fock,
     creator,
@@ -83,7 +83,7 @@ def fermion_ladder(ffs: FockSpace, channel):
     return annihilator(ffs, channel).mat, creator(ffs, channel).mat
 
 
-def fermionic_lift(ffs: FockSpace, form) -> sparse.csr_matrix:
+def fermionic_lift(ffs: FockSpace, form) -> _CSR:
     """sum_{ab} c_a^dag M[a, b] c_b for a matrix or QuadraticForm M;
     commutators lift without metric factors."""
     return lift_bilinear(ffs, form).mat
@@ -94,7 +94,7 @@ def spinor_orbital_channels(l_max: int) -> tuple:
     return tuple((c, s) for c in shell_channels(l_max) for s in range(4))
 
 
-def dirac_sam(ffs: FockSpace) -> tuple[sparse.csr_matrix, ...]:
+def dirac_sam(ffs: FockSpace) -> tuple[_CSR, ...]:
     """Sigma/2 (x) 1 lifted over (orbital, spinor) channels."""
     shell = SphericalShell(radius=1.0, l_max=max(l for ((l, _), _) in ffs.channels))
     eye = np.eye(len(shell.channels))
@@ -104,7 +104,7 @@ def dirac_sam(ffs: FockSpace) -> tuple[sparse.csr_matrix, ...]:
     )
 
 
-def dirac_oam(ffs: FockSpace, l_max: int) -> tuple[sparse.csr_matrix, ...]:
+def dirac_oam(ffs: FockSpace, l_max: int) -> tuple[_CSR, ...]:
     """L (x) 1_4: the orbital generators up to l_max with the identity on the
     spinor index; ChannelMismatch if the space lacks one of their channels."""
     shell = SphericalShell(radius=1.0, l_max=l_max)

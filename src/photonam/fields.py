@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -84,6 +85,21 @@ class ClassicalFieldState:
             out.setdefault(k, np.zeros(4, dtype=complex))[lam] += alpha
         return out
 
+    @cached_property
+    def _mode_table(self):
+        """Per distinct wave vector (K of them): k (K, 3), omega (K,), spatial
+        frame rows lam = 0..3 (K, 4, 3) and the grouped amplitudes (K, 4).
+
+        Built once per state and shared by every evaluation of it.
+        """
+        grouped = self.grouped()
+        kvs = [WaveVector(k) for k in grouped]
+        ks = np.array([kv.components for kv in kvs], dtype=float).reshape(-1, 3)
+        omega = np.array([kv.omega for kv in kvs], dtype=float)
+        frames = np.array([polarization_frame(kv).eps[:, 1:] for kv in kvs])
+        amps = np.array(list(grouped.values()), dtype=complex).reshape(-1, 4)
+        return ks, omega, frames.reshape(-1, 4, 3), amps
+
 
 def grid_positions(state: ClassicalFieldState) -> np.ndarray:
     """Centered sample positions, shape (N^3, 3)."""
@@ -109,22 +125,10 @@ class FieldMaps:
     pi0: np.ndarray
 
 
-def _mode_table(state: ClassicalFieldState):
-    """Per distinct wave vector (K of them): k (K, 3), omega (K,), spatial
-    frame rows lam = 0..3 (K, 4, 3) and the grouped amplitudes (K, 4)."""
-    grouped = state.grouped()
-    kvs = [WaveVector(k) for k in grouped]
-    ks = np.array([kv.components for kv in kvs], dtype=float).reshape(-1, 3)
-    omega = np.array([kv.omega for kv in kvs], dtype=float)
-    frames = np.array([polarization_frame(kv).eps[:, 1:] for kv in kvs])
-    amps = np.array(list(grouped.values()), dtype=complex).reshape(-1, 4)
-    return ks, omega, frames.reshape(-1, 4, 3), amps
-
-
 def eval_fields(state: ClassicalFieldState) -> FieldMaps:
     """Evaluate E, B, A, pi (vectors) and A0, pi0 (scalars) on the grid,
     each as 2 Re or -2 Im of columns of one phase-matrix product."""
-    ks, omega, frames, amps = _mode_table(state)
+    ks, omega, frames, amps = state._mode_table
     volume = state.box_length ** 3
     low = 1.0 / np.sqrt(2.0 * omega[:, None] * volume)
     high = np.sqrt(omega[:, None] / (2.0 * volume))
@@ -186,23 +190,23 @@ def spatial_spin_integral(
     `transverse_maps`, when given, must be `eval_fields` of the transverse
     part of `state`; it saves evaluating that part again.
     """
+    return np.sum(spin_density_map(state, transverse_maps), axis=0) * cell_volume(state)
+
+
+def spin_density_map(
+    state: ClassicalFieldState, transverse_maps: FieldMaps | None = None
+) -> np.ndarray:
+    """Pointwise E_T x A_T on the grid, shape (N^3, 3); `transverse_maps` as
+    in `spatial_spin_integral`."""
     maps = transverse_maps
     if maps is None:
         maps = eval_fields(transverse_split(state)[0])
-    density = np.cross(maps.e, maps.a)
-    return np.sum(density, axis=0) * cell_volume(state)
-
-
-def spin_density_map(state: ClassicalFieldState) -> np.ndarray:
-    """Pointwise E_T x A_T on the grid, shape (N^3, 3)."""
-    tstate, _ = transverse_split(state)
-    maps = eval_fields(tstate)
     return np.cross(maps.e, maps.a)
 
 
 def mode_spin_formula(state: ClassicalFieldState) -> np.ndarray:
     """Per-mode transverse spin sum i (conj(a2) a1 - conj(a1) a2) eps3."""
-    _, _, frames, amps = _mode_table(state)
+    _, _, frames, amps = state._mode_table
     a1, a2 = amps[:, 1], amps[:, 2]
     weight = 1j * (np.conj(a2) * a1 - np.conj(a1) * a2)
     return np.real(weight) @ frames[:, 3]
@@ -228,7 +232,7 @@ def spatial_oam_integral(state: ClassicalFieldState) -> np.ndarray:
     tstate, _ = transverse_split(state)
     pos = grid_positions(state)
     maps = eval_fields(tstate)
-    ks, omega, frames, amps = _mode_table(tstate)
+    ks, omega, frames, amps = tstate._mode_table
     low = 1.0 / np.sqrt(2.0 * omega * state.box_length ** 3)
     spatial = amps[:, 1, None] * frames[:, 1] + amps[:, 2, None] * frames[:, 2]
     # d_i A^c = sum_k 2 low Re(exp(i k.x) i k_i spatial^c): (point, axis, component)

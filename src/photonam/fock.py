@@ -49,6 +49,24 @@ at most one is exact on the block of total occupation <= max_total - 1, and a
 product of number-conserving lifts is exact on the whole capped space.  On a
 fermionic space the total cap is a fermion-number cap, and checks built from
 lifts alone are exact at any cap.
+
+Sparse storage
+--------------
+`OperatorMatrix.mat` is a `_CSR`: a complex matrix in compressed-sparse-row
+order, its entries sorted by (row, col) without duplicates.  Each entry keeps
+its row and column beside its value; the row pointers are built the first
+time the matrix is the right factor of a product.  Sums and differences keep
+an entry only where the result is nonzero, as do products; negation and
+scalar multiples keep the pattern.
+
+Every entry of a product adds its terms in increasing inner index k,
+starting from 0: the row-wise order of SMMP (Bank & Douglas, Adv. Comput.
+Math. 1, 127 (1993)), which is also the order of scipy's csr_matmat and
+csr_matvec.  Each term is one complex multiply with every real product and
+sum rounded on its own, and the fold is `np.bincount` on the real and
+imaginary parts, which adds in input order (`np.sum` and `np.add.reduceat`
+switch to pairwise summation above 8 terms).  So residuals agree with a
+scipy.sparse evaluation bit for bit.
 """
 
 from __future__ import annotations
@@ -58,7 +76,6 @@ from functools import lru_cache
 from math import comb
 
 import numpy as np
-from scipy import sparse
 
 from .errors import (
     DimensionCapExceeded,
@@ -224,33 +241,203 @@ def build_fock(
     )
 
 
+def _products(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of a * b for complex a, b, each rounded once
+    per operation as in scipy.sparse's complex type (numpy's own complex
+    multiply may fuse a multiply and an add)."""
+    re = a.real * b.real
+    re -= a.imag * b.imag
+    im = a.real * b.imag
+    im += a.imag * b.real
+    return re, im
+
+
+def _fold(labels: np.ndarray, re: np.ndarray, im: np.ndarray, n: int) -> np.ndarray:
+    """Per label 0..n-1, 0 + the terms with that label, in input order."""
+    out = np.empty(n, dtype=complex)
+    out.real = np.bincount(labels, re, n)
+    out.imag = np.bincount(labels, im, n)
+    return out
+
+
+def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct keys, and for each input key the index of its own."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    labels = np.empty(keys.size, dtype=np.intp)
+    labels[order] = np.cumsum(first) - 1
+    return ordered[first], labels
+
+
+class _CSR:
+    """Complex sparse matrix; see "Sparse storage" in the module docstring.
+
+    Callers read `nnz`, `data`, `shape`, `toarray()` and `entries()`; the
+    stored arrays are shared between matrices and never written.
+    """
+
+    __slots__ = ("shape", "data", "_rows", "_cols", "_ptr")
+    # numpy scalars and arrays defer to the reflected operators below
+    __array_ufunc__ = None
+
+    def __init__(self, data: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape: tuple):
+        self.shape = shape
+        self.data = data
+        self._rows = rows
+        self._cols = cols
+        self._ptr = None
+
+    @classmethod
+    def from_entries(cls, data, rows, cols, shape: tuple) -> "_CSR":
+        """Matrix with the given entries; duplicates add in input order."""
+        data = np.asarray(data, dtype=complex)
+        keys = np.asarray(rows, dtype=np.intp) * shape[1] + np.asarray(cols, dtype=np.intp)
+        if np.all(keys[1:] > keys[:-1]):
+            return cls._from_keys(shape, keys, data, drop_zeros=False)
+        keys, labels = _group(keys)
+        sums = np.zeros(keys.size, dtype=complex)
+        np.add.at(sums, labels, data)
+        return cls._from_keys(shape, keys, sums, drop_zeros=False)
+
+    @classmethod
+    def diagonal(cls, values: np.ndarray) -> "_CSR":
+        idx = np.arange(values.size)
+        return cls(np.asarray(values, dtype=complex), idx, idx, (values.size, values.size))
+
+    @classmethod
+    def _from_keys(cls, shape, keys, data, drop_zeros=True) -> "_CSR":
+        """From sorted distinct keys row * shape[1] + col."""
+        if drop_zeros and not data.all():
+            keep = data != 0
+            keys, data = keys[keep], data[keep]
+        rows = keys // shape[1]
+        return cls(data, rows, keys - rows * shape[1], shape)
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=complex)
+        out[self._rows, self._cols] += self.data
+        return out
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, data) of the stored entries in row-major order."""
+        return self._rows, self._cols, self.data
+
+    def conj_transpose(self) -> "_CSR":
+        order = np.argsort(self._cols, kind="stable")
+        return _CSR(
+            self.data[order].conj(), self._cols[order], self._rows[order], self.shape[::-1]
+        )
+
+    def restrict(self, indices: np.ndarray) -> "_CSR":
+        """Block of a square matrix on the rows and columns `indices`, in
+        their order."""
+        pos = np.full(self.shape[0], -1, dtype=np.intp)
+        pos[indices] = np.arange(len(indices))
+        rows, cols = pos[self._rows], pos[self._cols]
+        keep = (rows >= 0) & (cols >= 0)
+        n = len(indices)
+        return _CSR.from_entries(self.data[keep], rows[keep], cols[keep], (n, n))
+
+    def _keys(self) -> np.ndarray:
+        return self._rows * self.shape[1] + self._cols
+
+    def _combine(self, other: "_CSR", op) -> "_CSR":
+        """op(self, other) on the union pattern, a missing entry read as 0."""
+        if self.shape != other.shape:
+            raise DimensionMismatch(f"shapes {self.shape} and {other.shape} differ")
+        keys, labels = _group(np.concatenate([self._keys(), other._keys()]))
+        left = np.zeros(keys.size, dtype=complex)
+        right = np.zeros(keys.size, dtype=complex)
+        left[labels[: self.nnz]] = self.data
+        right[labels[self.nnz :]] = other.data
+        return _CSR._from_keys(self.shape, keys, op(left, right))
+
+    def __add__(self, other: "_CSR") -> "_CSR":
+        return self._combine(other, np.add)
+
+    def __sub__(self, other: "_CSR") -> "_CSR":
+        return self._combine(other, np.subtract)
+
+    def __neg__(self) -> "_CSR":
+        return _CSR(-self.data, self._rows, self._cols, self.shape)
+
+    def __mul__(self, scalar) -> "_CSR":
+        if np.ndim(scalar) != 0:
+            return NotImplemented
+        return _CSR(self.data * scalar, self._rows, self._cols, self.shape)
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, other):
+        """Product with a `_CSR`, giving a `_CSR`, or with a vector or a
+        (dim x r) array, giving an array."""
+        if not isinstance(other, _CSR):
+            return self._apply(np.asarray(other))
+        if self.shape[1] != other.shape[0]:
+            raise DimensionMismatch(f"cannot multiply {self.shape} by {other.shape}")
+        if other._ptr is None:
+            other._ptr = np.searchsorted(other._rows, np.arange(other.shape[0] + 1))
+        n_cols = other.shape[1]
+        # one term per (entry (i, j) of self, entry (j, k) of other row j),
+        # in the order of self's entries: per (i, k), increasing j
+        start = other._ptr[self._cols]
+        count = other._ptr[self._cols + 1] - start
+        ends = np.cumsum(count)
+        total = int(ends[-1]) if ends.size else 0
+        right = np.repeat(start - ends + count, count)
+        right += np.arange(total)
+        keys, labels = _group(np.repeat(self._rows * n_cols, count) + other._cols[right])
+        re, im = _products(np.repeat(self.data, count), other.data[right])
+        sums = _fold(labels, re, im, keys.size)
+        return _CSR._from_keys((self.shape[0], n_cols), keys, sums)
+
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        if x.ndim not in (1, 2) or x.shape[0] != self.shape[1]:
+            raise DimensionMismatch(f"cannot multiply {self.shape} by {x.shape}")
+        x = x.astype(complex, copy=False)
+        if x.ndim == 1:
+            return _fold(self._rows, *_products(self.data, x[self._cols]), self.shape[0])
+        width = x.shape[1]
+        labels = (self._rows[:, None] * width + np.arange(width)).ravel()
+        re, im = _products(self.data[:, None], x[self._cols])
+        out = _fold(labels, re.ravel(), im.ravel(), self.shape[0] * width)
+        return out.reshape(self.shape[0], width)
+
+
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     """Sparse operator bound to its Fock space (for metric-adjoint bookkeeping)."""
 
     space: FockSpace
-    mat: sparse.csr_matrix
+    mat: _CSR
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         self._check(other)
-        return OperatorMatrix(self.space, (self.mat + other.mat).tocsr())
+        return OperatorMatrix(self.space, self.mat + other.mat)
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         self._check(other)
-        return OperatorMatrix(self.space, (self.mat - other.mat).tocsr())
+        return OperatorMatrix(self.space, self.mat - other.mat)
 
     def __neg__(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.space, (-self.mat).tocsr())
+        return OperatorMatrix(self.space, -self.mat)
 
     def __mul__(self, scalar) -> "OperatorMatrix":
-        return OperatorMatrix(self.space, (self.mat * scalar).tocsr())
+        return OperatorMatrix(self.space, self.mat * scalar)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
         if isinstance(other, OperatorMatrix):
             self._check(other)
-            return OperatorMatrix(self.space, (self.mat @ other.mat).tocsr())
+            return OperatorMatrix(self.space, self.mat @ other.mat)
         return self.mat @ other
 
     def _check(self, other: "OperatorMatrix") -> None:
@@ -259,20 +446,21 @@ class OperatorMatrix:
 
     def metric_adjoint(self) -> "OperatorMatrix":
         eta = metric_diagonal(self.space)
-        adj = self.mat.conj().T.tocsr()
-        scaled = sparse.diags(eta) @ adj @ sparse.diags(eta)
-        return OperatorMatrix(self.space, scaled.tocsr())
+        adj = self.mat.conj_transpose()
+        rows, cols, data = adj.entries()
+        scaled = _CSR(data * eta[rows] * eta[cols], rows, cols, adj.shape)
+        return OperatorMatrix(self.space, scaled)
 
     def to_dense(self) -> np.ndarray:
         return self.mat.toarray()
 
 
 def zero_operator(fs: FockSpace) -> OperatorMatrix:
-    return OperatorMatrix(fs, sparse.csr_matrix((fs.dim, fs.dim), dtype=complex))
+    return OperatorMatrix(fs, _CSR.from_entries([], [], [], (fs.dim, fs.dim)))
 
 
 def identity_operator(fs: FockSpace) -> OperatorMatrix:
-    return OperatorMatrix(fs, sparse.identity(fs.dim, dtype=complex, format="csr"))
+    return OperatorMatrix(fs, _CSR.diagonal(np.ones(fs.dim)))
 
 
 def _jw_parity(fs: FockSpace, codes: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -286,14 +474,14 @@ def _jw_parity(fs: FockSpace, codes: np.ndarray, lo: int, hi: int) -> np.ndarray
 
 
 @lru_cache(maxsize=None)
-def _lowering(fs: FockSpace, position: int) -> sparse.csr_matrix:
+def _lowering(fs: FockSpace, position: int) -> _CSR:
     n = fs.occupations(position)
     src = np.nonzero(n)[0]
     rows = fs.locate(fs.codes[src] - fs.weight(position))
     data = np.sqrt(n[src].astype(float)).astype(complex)
     if fs.fermionic:
         data *= _jw_parity(fs, fs.codes[src], -1, position)
-    return sparse.csr_matrix((data, (rows, src)), shape=(fs.dim, fs.dim))
+    return _CSR.from_entries(data, rows, src, (fs.dim, fs.dim))
 
 
 def annihilator(fs: FockSpace, channel) -> OperatorMatrix:
@@ -304,8 +492,7 @@ def annihilator(fs: FockSpace, channel) -> OperatorMatrix:
 def creator(fs: FockSpace, channel) -> OperatorMatrix:
     """Metric-adjoint creation operator (sign-flipped on the scalar channel)."""
     j = fs.index_of(channel)
-    raised = _lowering(fs, j).conj().T.tocsr()
-    return OperatorMatrix(fs, (fs.signs[j] * raised).tocsr())
+    return OperatorMatrix(fs, fs.signs[j] * _lowering(fs, j).conj_transpose())
 
 
 @lru_cache(maxsize=None)
@@ -321,7 +508,7 @@ def metric_diagonal(fs: FockSpace) -> np.ndarray:
 
 
 def metric_operator(fs: FockSpace) -> OperatorMatrix:
-    return OperatorMatrix(fs, sparse.diags(metric_diagonal(fs)).tocsr())
+    return OperatorMatrix(fs, _CSR.diagonal(metric_diagonal(fs)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -391,9 +578,8 @@ def lift_bilinear(fs: FockSpace, form) -> OperatorMatrix:
     rows.append(on_diag)
     cols.append(on_diag)
     vals.append(diag[on_diag])
-    mat = sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(fs.dim, fs.dim),
+    mat = _CSR.from_entries(
+        np.concatenate(vals), np.concatenate(rows), np.concatenate(cols), (fs.dim, fs.dim)
     )
     return OperatorMatrix(fs, mat)
 
@@ -418,14 +604,12 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     return a @ b - b @ a
 
 
-def max_abs(op: OperatorMatrix | sparse.spmatrix | np.ndarray) -> float:
-    """Largest absolute entry; the residual norm used throughout the suites."""
+def max_abs(op: OperatorMatrix | _CSR | np.ndarray) -> float:
+    """Largest absolute entry; the residual norm used throughout the suites.
+    NaN if any entry is NaN."""
     if isinstance(op, OperatorMatrix):
         op = op.mat
-    if sparse.issparse(op):
-        data = op.tocsr().data
-        return float(np.max(np.abs(data))) if data.size else 0.0
-    arr = np.asarray(op)
+    arr = op.data if isinstance(op, _CSR) else np.asarray(op)
     return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 
@@ -439,6 +623,5 @@ def max_residual(residuals) -> float:
 
 def compress(op: OperatorMatrix, indices: np.ndarray) -> np.ndarray:
     """Dense restriction of the operator to the given basis indices."""
-    sub = op.mat[indices][:, indices]
-    return np.asarray(sub.todense())
+    return op.mat.restrict(indices).toarray()
 

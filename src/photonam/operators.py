@@ -35,13 +35,13 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import AsymmetricGrid, ChannelMismatch, UnknownDecomposition
 from .fock import (
     FockSpace,
     OperatorMatrix,
     QuadraticForm,
+    _CSR,
     annihilator,
     creator,
     lift_bilinear,
@@ -328,12 +328,12 @@ def _pair_entries(fs: FockSpace, c1, c2, cc_sign: int):
     sqrt(n) factors.  The terms move the total occupation by -2 and +2, so
     their patterns are disjoint.
     """
-    aa = (annihilator(fs, c1) @ annihilator(fs, c2)).mat.tocoo()
+    rows, cols, data = (annihilator(fs, c1) @ annihilator(fs, c2)).mat.entries()
     sign = cc_sign * fs.signs[fs.index_of(c1)] * fs.signs[fs.index_of(c2)]
     return (
-        np.concatenate([aa.row, aa.col]),
-        np.concatenate([aa.col, aa.row]),
-        np.concatenate([aa.data, sign * aa.data.conj()]),
+        np.concatenate([rows, cols]),
+        np.concatenate([cols, rows]),
+        np.concatenate([data, sign * data.conj()]),
     )
 
 
@@ -342,7 +342,7 @@ def _ordered_sums(fs: FockSpace, terms) -> tuple[OperatorMatrix, ...]:
     (scale, w, COO entries of M_t with each position at most once).
 
     Added in order on the union pattern: every entry is the same fold as a
-    chain of sparse scalings and additions, without a scipy matrix per step.
+    chain of sparse scalings and additions, without a sparse matrix per step.
     """
     keys = [rows.astype(np.int64) * fs.dim + cols for _, _, (rows, cols, _) in terms]
     keys = np.concatenate([np.zeros(0, np.int64), *keys])
@@ -355,8 +355,7 @@ def _ordered_sums(fs: FockSpace, terms) -> tuple[OperatorMatrix, ...]:
         acc[:, idx] += scale * (w[:, None] * data)
     rows, cols = np.divmod(union, fs.dim)
     return tuple(
-        OperatorMatrix(fs, sparse.csr_matrix((v, (rows, cols)), shape=(fs.dim, fs.dim)))
-        for v in acc
+        OperatorMatrix(fs, _CSR.from_entries(v, rows, cols, (fs.dim, fs.dim))) for v in acc
     )
 
 
@@ -411,12 +410,10 @@ def _l_pure_s_bracket(ms: CartesianGrid, fs: FockSpace) -> tuple[OperatorMatrix,
             # two explicit products: on a space capped in total occupation,
             # a_3 creator_lam is not the adjoint of creator_3 a_lam (its
             # creator acts first and can leave the space)
-            rot = (
-                (creator(fs, (i, 3)) @ annihilator(fs, (i, lam))).mat
-                - (annihilator(fs, (i, 3)) @ creator(fs, (i, lam))).mat
-            ).tocoo()
-            rot_entries = (rot.row, rot.col, rot.data)
-            terms.append((omega, frame_curl(ms.modes[i], lam), rot_entries))
+            rot = (creator(fs, (i, 3)) @ annihilator(fs, (i, lam))).mat - (
+                annihilator(fs, (i, 3)) @ creator(fs, (i, lam))
+            ).mat
+            terms.append((omega, frame_curl(ms.modes[i], lam), rot.entries()))
             # (-curl at -k) (cc - aa) = (curl at -k) (aa - cc), bit for bit
             cross = _pair_entries(fs, (i, 3), (j, lam), -1)
             terms.append((omega, frame_curl(ms.modes[j], lam), cross))
@@ -674,13 +671,10 @@ def build_decomposition(
 
 def operator_csv(op: OperatorMatrix) -> bytes:
     """Nonzero entries as `row,col,re,im` lines, row-major, with header."""
-    coo = op.mat.tocoo()
-    order = np.lexsort((coo.col, coo.row))
     buf = io.StringIO()
     buf.write("row,col,re,im\n")
-    for i in order:
-        v = coo.data[i]
-        buf.write(f"{coo.row[i]},{coo.col[i]},{float(v.real)!r},{float(v.imag)!r}\n")
+    for r, c, v in zip(*op.mat.entries()):
+        buf.write(f"{r},{c},{float(v.real)!r},{float(v.imag)!r}\n")
     return buf.getvalue().encode()
 
 

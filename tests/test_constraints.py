@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from photonam import constraints as cons
 from photonam import operators as ops
@@ -16,6 +15,7 @@ from photonam.errors import (
 )
 from photonam.fock import (
     OperatorMatrix,
+    _CSR,
     annihilator,
     build_fock,
     creator,
@@ -206,7 +206,7 @@ class _OneMode:
 
 def test_tolerance_gap_guard():
     fs = build_fock([("k", 1), ("k", 2)], 1)
-    diag = sparse.diags([1e-8, 1e-6, 1.0, 1.0]).tocsr().astype(complex)
+    diag = _CSR.diagonal(np.array([1e-8, 1e-6, 1.0, 1.0]))
     fake = [OperatorMatrix(fs, diag)]
     with pytest.raises(ToleranceAmbiguous):
         cons.physical_subspace(fs, fake, tol=1e-7)
@@ -308,7 +308,9 @@ def test_nan_residual_propagates_through_reductions():
     fs = build_fock([("k", 3), ("k", 0)], 1)
     constraint = [annihilator(fs, ("k", 3)) - annihilator(fs, ("k", 0))]
     sub = cons.physical_subspace(fs, constraint, tol=1e-10)
-    poisoned = OperatorMatrix(fs, sparse.csr_matrix(np.full((fs.dim, fs.dim), np.nan + 0j)))
+    rows, cols = np.indices((fs.dim, fs.dim)).reshape(2, -1)
+    nans = np.full(rows.size, np.nan + 0j)
+    poisoned = OperatorMatrix(fs, _CSR.from_entries(nans, rows, cols, (fs.dim, fs.dim)))
     assert math.isnan(cons.kernel_certificate(constraint + [poisoned], sub))
 
     ms = build_cartesian_modeset([(0.0, 0.0, 1.0)])

@@ -1,0 +1,200 @@
+"""The private CSR kernel against scipy.sparse as an oracle.
+
+Every operation must give the same dense result and the same stored pattern
+as scipy.sparse, bit for bit: products add their terms in the same order.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
+
+from photonam.errors import DimensionMismatch
+from photonam.fock import _CSR, OperatorMatrix, build_fock, identity_operator, max_abs
+from photonam.suites import _su2_residual
+
+
+def random_pair(rng, shape, density):
+    """(kernel matrix, scipy csr matrix) with the same random complex entries."""
+    mask = rng.random(shape) < density
+    dense = np.where(mask, rng.normal(size=shape) + 1j * rng.normal(size=shape), 0)
+    rows, cols = np.nonzero(dense)
+    return (
+        _CSR.from_entries(dense[rows, cols], rows, cols, shape),
+        sparse.csr_matrix((dense[rows, cols], (rows, cols)), shape=shape),
+    )
+
+
+def assert_same(got: _CSR, want) -> None:
+    """Same shape, same stored (row, col) pattern and bit-equal values."""
+    want = sparse.csr_matrix(want)
+    want.sort_indices()
+    coo = want.tocoo()
+    assert got.shape == want.shape
+    assert got.nnz == want.nnz
+    rows, cols, data = got.entries()
+    np.testing.assert_array_equal(rows, coo.row)
+    np.testing.assert_array_equal(cols, coo.col)
+    np.testing.assert_array_equal(data, coo.data)
+    np.testing.assert_array_equal(got.toarray(), want.toarray())
+
+
+SHAPES = [(1, 1), (5, 5), (7, 4), (4, 9), (30, 30)]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("density", [0.0, 0.2, 0.7])
+def test_elementwise_ops_match_scipy(shape, density):
+    rng = np.random.default_rng(hash((shape, density)) % 2**32)
+    a, sa = random_pair(rng, shape, density)
+    b, sb = random_pair(rng, shape, density)
+    assert_same(a, sa)
+    assert_same(a + b, sa + sb)
+    assert_same(a - b, sa - sb)
+    assert_same(a - a, sa - sa)
+    assert_same(-a, -sa)
+    assert_same(a * (0.3 - 1.7j), sa * (0.3 - 1.7j))
+    assert_same(np.complex128(2.5j) * a, np.complex128(2.5j) * sa)
+    assert_same(-1 * a, -1 * sa)
+    assert_same(a.conj_transpose(), sa.conj().T)
+
+
+@pytest.mark.parametrize("inner", [1, 6, 25])
+@pytest.mark.parametrize("density", [0.0, 0.3, 0.9])
+def test_products_match_scipy(inner, density):
+    rng = np.random.default_rng(inner * 10 + int(10 * density))
+    a, sa = random_pair(rng, (8, inner), density)
+    b, sb = random_pair(rng, (inner, 5), density)
+    assert_same(a @ b, sa @ sb)
+    for x in (
+        rng.normal(size=inner) + 1j * rng.normal(size=inner),
+        rng.normal(size=inner),
+        rng.normal(size=(inner, 3)) + 1j * rng.normal(size=(inner, 3)),
+        rng.normal(size=(inner, 3)),
+    ):
+        got = a @ x
+        assert got.shape == (sa @ x).shape
+        np.testing.assert_array_equal(got, sa @ x)
+
+
+def test_long_rows_fold_in_scipy_order():
+    # rows of 40 terms: pairwise summation (used by np.sum above 8 terms)
+    # would round differently from the sequential fold
+    rng = np.random.default_rng(7)
+    a, sa = random_pair(rng, (6, 40), 1.0)
+    b, sb = random_pair(rng, (40, 6), 1.0)
+    scale = 10.0 ** rng.integers(-8, 8, size=40)
+    b = _CSR.diagonal(scale.astype(complex)) @ b
+    sb = sparse.diags(scale.astype(complex)).tocsr() @ sb
+    assert_same(a @ b, sa @ sb)
+    x = rng.normal(size=40) * scale
+    np.testing.assert_array_equal(a @ x, sa @ x)
+
+
+def test_empty_and_zero_rows():
+    empty = _CSR.from_entries([], [], [], (4, 4))
+    sempty = sparse.csr_matrix((4, 4), dtype=complex)
+    rng = np.random.default_rng(3)
+    a, sa = random_pair(rng, (4, 4), 0.8)
+    keep = np.array([0, 2])  # rows 1 and 3 all zero
+    rows, cols, data = a.entries()
+    sel = np.isin(rows, keep)
+    z = _CSR.from_entries(data[sel], rows[sel], cols[sel], (4, 4))
+    sz = sparse.csr_matrix((data[sel], (rows[sel], cols[sel])), shape=(4, 4))
+    for x, sx in ((empty, sempty), (z, sz)):
+        assert_same(x @ a, sx @ sa)
+        assert_same(a @ x, sa @ sx)
+        assert_same(x + a, sx + sa)
+        assert_same(x.conj_transpose(), sx.conj().T)
+        np.testing.assert_array_equal(x @ np.ones(4), sx @ np.ones(4))
+    assert empty.nnz == 0 and max_abs(empty) == 0.0
+
+
+def test_exact_cancellation_drops_entries_like_scipy():
+    a = _CSR.from_entries([1.0, 1.0], [0, 0], [0, 1], (1, 2))
+    b = _CSR.from_entries([1.0, -1.0], [0, 1], [0, 0], (2, 1))
+    sa = sparse.csr_matrix(a.toarray())
+    sb = sparse.csr_matrix(b.toarray())
+    assert (a @ b).nnz == (sa @ sb).nnz == 0
+    assert (a - a).nnz == (sa - sa).nnz == 0
+
+
+def test_from_entries_sums_duplicates_and_keeps_explicit_zeros():
+    data = np.array([1.0 + 2j, 0.0, 3.0, -1.0 - 2j, 0.5j])
+    rows = np.array([2, 0, 1, 2, 0])
+    cols = np.array([1, 0, 2, 1, 2])
+    got = _CSR.from_entries(data, rows, cols, (3, 3))
+    want = sparse.csr_matrix((data, (rows, cols)), shape=(3, 3))
+    assert_same(got, want)
+
+
+def test_restrict_matches_fancy_indexing():
+    rng = np.random.default_rng(11)
+    a, sa = random_pair(rng, (9, 9), 0.5)
+    for idx in (np.array([0, 3, 4, 8]), np.array([7, 2, 5]), np.arange(9), np.array([], int)):
+        np.testing.assert_array_equal(a.restrict(idx).toarray(), sa[idx][:, idx].toarray())
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_nan_and_inf_reach_max_abs():
+    fs = build_fock([("k", 1), ("q", 2)], 1)
+    shape = (fs.dim, fs.dim)
+    ident = identity_operator(fs)
+    nan = OperatorMatrix(fs, _CSR.from_entries([np.nan], [1], [2], shape))
+    inf = OperatorMatrix(fs, _CSR.from_entries([np.inf], [1], [2], shape))
+    assert math.isnan(max_abs(nan))
+    assert math.isnan(max_abs(ident @ nan))
+    assert math.isnan(max_abs(nan - nan))
+    assert math.isinf(max_abs(inf))
+    assert math.isinf(max_abs(ident @ inf))
+    assert math.isnan(max_abs(inf - inf))
+    # a poisoned operator triple is never a small su(2) residual
+    assert math.isnan(_su2_residual((ident, ident, nan)))
+
+
+def test_array_operands_are_refused():
+    a = _CSR.diagonal(np.ones(3))
+    with pytest.raises(TypeError):
+        a * np.ones(3)
+    with pytest.raises(DimensionMismatch):
+        a @ np.ones(4)
+    with pytest.raises(DimensionMismatch):
+        a @ _CSR.diagonal(np.ones(4))
+
+
+entries = st.lists(
+    st.tuples(
+        st.integers(0, 4),
+        st.integers(0, 4),
+        st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+    ),
+    max_size=20,
+)
+
+
+def _pair_from(items):
+    # the last duplicate wins, so every position is stored once
+    table = {(r, c): v for r, c, v in items}
+    rows = np.array([k[0] for k in table], dtype=int)
+    cols = np.array([k[1] for k in table], dtype=int)
+    data = np.array(list(table.values()), dtype=complex)
+    return (
+        _CSR.from_entries(data, rows, cols, (5, 5)),
+        sparse.csr_matrix((data, (rows, cols)), shape=(5, 5)),
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(entries, entries)
+def test_kernel_matches_scipy_on_random_entries(left, right):
+    a, sa = _pair_from(left)
+    b, sb = _pair_from(right)
+    assert_same(a @ b, sa @ sb)
+    assert_same(a + b, sa + sb)
+    assert_same(a - b, sa - sb)
+    assert_same(a.conj_transpose() @ b, sa.conj().T @ sb)
+    x = np.arange(5) - 2.5j
+    np.testing.assert_array_equal(a @ x, sa @ x)

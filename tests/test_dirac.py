@@ -2,7 +2,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from photonam import operators as ops
 from photonam import suites
@@ -16,7 +15,7 @@ from photonam.dirac import (
     spinor_orbital_channels,
 )
 from photonam.errors import ChannelMismatch, DimensionMismatch, UnknownChannel
-from photonam.fock import build_fock, creator, max_abs
+from photonam.fock import _CSR, build_fock, creator, max_abs
 from photonam.modes import orbital_matrices, shell_channels
 from photonam.report import KIND_EQUALITY, KIND_VIOLATION, VerificationReport
 from photonam.suites import DIRAC_FERMION_CAP, TIGHT_TOL, SuiteConfig, run_suite
@@ -25,7 +24,7 @@ EPS_PAIRS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
 def dense(mat):
-    return mat.toarray() if sparse.issparse(mat) else np.asarray(mat)
+    return mat.toarray() if isinstance(mat, _CSR) else np.asarray(mat)
 
 
 def test_spinor_matrices_block_structure():
@@ -125,9 +124,9 @@ def test_photon_and_dirac_sectors_commute_on_tensor_space():
     hel = ops.helicity_fixed_frame(photon)
     ffs = build_fermion_fock(spinor_orbital_channels(0))
     for fop in dirac_sam(ffs):
-        big_b = sparse.kron(hel.mat, sparse.identity(ffs.dim, dtype=complex))
-        big_f = sparse.kron(sparse.identity(photon.dim, dtype=complex), fop)
-        assert max_abs(dense(big_b @ big_f - big_f @ big_b)) == 0.0
+        big_b = np.kron(hel.to_dense(), np.eye(ffs.dim))
+        big_f = np.kron(np.eye(photon.dim), fop.toarray())
+        assert max_abs(big_b @ big_f - big_f @ big_b) == 0.0
 
 
 def test_helicity_integer_eigenvalues_alongside_dirac_halves():
@@ -191,11 +190,10 @@ def _reference_oam(ffs, l_max):
 
 
 def _same_entries(a, b):
-    """Entry-for-entry equality of two csr matrices without densifying."""
-    a, b = a.copy(), b.copy()
-    a.sort_indices()
-    b.sort_indices()
-    return all(np.array_equal(getattr(a, k), getattr(b, k)) for k in ("indptr", "indices", "data"))
+    """Entry-for-entry equality of two sparse matrices without densifying."""
+    return a.shape == b.shape and all(
+        np.array_equal(x, y) for x, y in zip(a.entries(), b.entries(), strict=True)
+    )
 
 
 @pytest.mark.parametrize("l_max", [0, 1])
@@ -205,7 +203,7 @@ def test_dirac_lifts_match_per_entry_reference(l_max, cap):
     got = dirac_sam(ffs) + dirac_oam(ffs, l_max)
     want = _reference_sam(ffs) + _reference_oam(ffs, l_max)
     for g, w in zip(got, want, strict=True):
-        assert isinstance(g, sparse.csr_matrix)
+        assert isinstance(g, _CSR)
         assert _same_entries(g, w)
         if ffs.dim <= 1024:
             assert np.array_equal(g.toarray(), w.toarray())

@@ -6,10 +6,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from scipy import sparse
 
 from photonam.cli import main
 from photonam.errors import DimensionCapExceeded, InvalidConfig, UnknownFormat, UnknownSuite
+from photonam.fock import _CSR
 from photonam.report import (
     KIND_VIOLATION,
     CheckRecord,
@@ -218,15 +218,19 @@ def test_cli_dirac_honours_dim_cap(capsys):
 
 def test_cli_dense_constraint_stack_over_dim_cap_exit_2(capsys, monkeypatch):
     # 4 modes x 4 polarizations: dim 2^16, a 2^18 x 2^16 dense stack
-    toarray = sparse.csr_matrix.toarray
+    toarray = _CSR.toarray
+    densified = []
 
-    def small_dense_only(self, *args, **kwargs):
+    def small_dense_only(self):
         assert self.shape[0] * self.shape[1] <= 1 << 20, "large dense array allocated"
-        return toarray(self, *args, **kwargs)
+        densified.append(self.shape)
+        return toarray(self)
 
-    monkeypatch.setattr(sparse.csr_matrix, "toarray", small_dense_only)
+    monkeypatch.setattr(_CSR, "toarray", small_dense_only)
     argv = ["--suite", "gauge-hiding", "--grid", "0,0,1;0,0,-1;1,0,0;-1,0,0"]
     assert main(argv) == 2
+    # the suite densified its small blocks through the patched method
+    assert densified
     err = capsys.readouterr().err
     assert err.startswith(
         "error: dense constraint stack 262144 x 65536 = 17179869184 elements exceeds cap 1048576"
@@ -281,3 +285,26 @@ def test_python_dash_m_runs_decomposition_compare():
     )
     assert proc.returncode == 0, proc.stderr
     assert "passed 15/15" in proc.stdout
+
+
+# Run in a fresh interpreter: the CLI's import and a full run load no scipy.
+# .github/workflows/tier1.yml runs the same check on the installed package.
+NO_SCIPY_CHECK = """
+import sys
+import photonam.cli
+assert photonam.cli.main(["--suite", "all", "--out", sys.argv[1]]) == 0
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+
+
+def test_cli_run_imports_no_scipy(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_CHECK, str(tmp_path / "report.txt")],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

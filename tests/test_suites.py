@@ -2,13 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from photonam import constraints as cons
 from photonam import operators as ops
 from photonam import suites
 from photonam.fock import (
     OperatorMatrix,
+    _CSR,
     build_fock,
     commutator,
     compress,
@@ -117,7 +117,7 @@ def test_canonical_respects_custom_shell():
 
 def test_nan_operator_triple_fails():
     fs = build_fock([("k", 1), ("q", 2)], 1)
-    nan = OperatorMatrix(fs, sparse.csr_matrix(np.diag([np.nan, 0, 0, 0]).astype(complex)))
+    nan = OperatorMatrix(fs, _CSR.from_entries([np.nan], [0], [0], (fs.dim, fs.dim)))
     ident = identity_operator(fs)
     rep = VerificationReport("nan", {})
     rep.add("su2", "MCR2", suites._su2_residual((ident, ident, nan)), 1e-10)

@@ -15,9 +15,11 @@ states.  A check that multiplies only lifts, or reads states reached from the
 vacuum by at most N creators, is exact there.  Ladder anticommutators are
 not: a creator at the cap drops the states it would push past it.
 
-The Dirac spin and orbital families are photon forms: `operators.combined_form`
-on ((l, m), spinor) channels, the spinor index in place of the polarization
-index, with Sigma/2 (x) 1 and L (x) 1_4.  Their claims are the Table-I row
+Ladders are `fock.annihilator` and `fock.creator` on the fermionic space,
+and every operator is a `fock.OperatorMatrix`.  The Dirac spin and orbital
+families, Sigma/2 (x) 1 and L (x) 1_4 on ((l, m), spinor) channels, are
+built by the builder of the photon shell families, `operators.lift_family`,
+from `operators.TABLE_I_FORMS`; their claims are the Table-I row
 `operators.TABLE_I`.
 """
 
@@ -27,17 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (
-    DEFAULT_DIM_CAP,
-    FockSpace,
-    _CSR,
-    annihilator,
-    build_fock,
-    creator,
-    lift_bilinear,
-)
-from .modes import SphericalShell, orbital_matrices, shell_channels
-from .operators import combined_form
+from .fock import DEFAULT_DIM_CAP, FockSpace, OperatorMatrix, build_fock
+from .modes import SphericalShell, shell_channels
+from .operators import TABLE_I_FORMS, lift_family
 
 _PAULI = {
     "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -78,37 +72,17 @@ def build_fermion_fock(
     return build_fock(channels, 1, dim_cap=dim_cap, max_total=max_total, fermionic=True)
 
 
-def fermion_ladder(ffs: FockSpace, channel):
-    """(annihilator, creator) with exact anticommutation relations."""
-    return annihilator(ffs, channel).mat, creator(ffs, channel).mat
-
-
-def fermionic_lift(ffs: FockSpace, form) -> _CSR:
-    """sum_{ab} c_a^dag M[a, b] c_b for a matrix or QuadraticForm M;
-    commutators lift without metric factors."""
-    return lift_bilinear(ffs, form).mat
-
-
 def spinor_orbital_channels(l_max: int) -> tuple:
     """Channels (orbital (l, m), spinor index s), ordered orbital-major."""
     return tuple((c, s) for c in shell_channels(l_max) for s in range(4))
 
 
-def dirac_sam(ffs: FockSpace) -> tuple[_CSR, ...]:
-    """Sigma/2 (x) 1 lifted over (orbital, spinor) channels."""
-    shell = SphericalShell(radius=1.0, l_max=max(l for ((l, _), _) in ffs.channels))
-    eye = np.eye(len(shell.channels))
-    return tuple(
-        fermionic_lift(ffs, combined_form(shell, ffs, eye, 0.5 * s))
-        for s in spinor_matrices().sigma
-    )
+def dirac_sam(ffs: FockSpace) -> tuple[OperatorMatrix, ...]:
+    """Sigma/2 (x) 1 lifted over the space's (orbital, spinor) channels."""
+    return lift_family(ffs, TABLE_I_FORMS["sam"])
 
 
-def dirac_oam(ffs: FockSpace, l_max: int) -> tuple[_CSR, ...]:
+def dirac_oam(ffs: FockSpace, l_max: int) -> tuple[OperatorMatrix, ...]:
     """L (x) 1_4: the orbital generators up to l_max with the identity on the
     spinor index; ChannelMismatch if the space lacks one of their channels."""
-    shell = SphericalShell(radius=1.0, l_max=l_max)
-    return tuple(
-        fermionic_lift(ffs, combined_form(shell, ffs, g, np.eye(4)))
-        for g in orbital_matrices(l_max)
-    )
+    return lift_family(ffs, TABLE_I_FORMS["oam"], SphericalShell(radius=1.0, l_max=l_max))

@@ -539,7 +539,7 @@ class QuadraticForm:
         return QuadraticForm(m, self.signs)
 
 
-def lift_bilinear(fs: FockSpace, form) -> OperatorMatrix:
+def lift_bilinear(fs: FockSpace, form: QuadraticForm) -> OperatorMatrix:
     """Normal-ordered lift sum_{ab} creator_a M[a,b] annihilator_b.
 
     Assembled in one pass over the basis: each nonzero M[a,b] moves one
@@ -549,12 +549,12 @@ def lift_bilinear(fs: FockSpace, form) -> OperatorMatrix:
     lowering.  On a fermionic space each off-diagonal entry also carries the
     parity of the channels strictly between a and b.
     """
-    m = form.matrix if isinstance(form, QuadraticForm) else np.asarray(form, dtype=complex)
+    m = form.matrix
     if m.shape != (len(fs.channels), len(fs.channels)):
         raise DimensionMismatch(
             f"form is {m.shape}, space has {len(fs.channels)} channels"
         )
-    if isinstance(form, QuadraticForm) and form.signs != fs.signs:
+    if form.signs != fs.signs:
         raise DimensionMismatch("form channel signs disagree with the space")
     occ = [fs.occupations(j) for j in range(len(fs.channels))]
     rows, cols, vals = [], [], []
@@ -604,12 +604,10 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     return a @ b - b @ a
 
 
-def max_abs(op: OperatorMatrix | _CSR | np.ndarray) -> float:
+def max_abs(op: OperatorMatrix | np.ndarray) -> float:
     """Largest absolute entry; the residual norm used throughout the suites.
     NaN if any entry is NaN."""
-    if isinstance(op, OperatorMatrix):
-        op = op.mat
-    arr = op.data if isinstance(op, _CSR) else np.asarray(op)
+    arr = op.mat.data if isinstance(op, OperatorMatrix) else np.asarray(op)
     return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 

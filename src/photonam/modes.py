@@ -166,10 +166,6 @@ class CartesianGrid:
     frames: tuple[PolarizationFrame, ...]
     negation: tuple[int, ...]
 
-    @property
-    def kind(self) -> str:
-        return "cartesian"
-
     def __len__(self) -> int:
         return len(self.modes)
 
@@ -208,10 +204,6 @@ class SphericalShell:
             raise NegativeLmax("l_max must be >= 0")
         chans = shell_channels(self.l_max)
         object.__setattr__(self, "channels", chans)
-
-    @property
-    def kind(self) -> str:
-        return "shell"
 
     def __len__(self) -> int:
         return len(self.channels)

@@ -25,8 +25,11 @@ photon and +omega per transverse or longitudinal photon.
 decomposition its anchor, its families in build order with their check-ID
 tags and claimed algebras, and the claimed relation between its spin and
 orbital families.  `TABLE_I` states the Dirac claims in the same form.
-`FAMILY_FORMS` gives the quadratic forms of every family named in the
-table; `build_decomposition` builds them and states no claims.
+`FAMILY_FORMS` gives the terms of every family named in `DECOMPOSITIONS`,
+and `TABLE_I_FORMS` those of the Dirac families on ((l, m), spinor)
+channels.  One builder, `lift_family`, reads that term format for the
+photon shell families and the Dirac families alike; `build_decomposition`
+builds the forms of a row and states no claims.
 """
 
 from __future__ import annotations
@@ -84,12 +87,16 @@ def _form(fs: FockSpace, matrix: np.ndarray) -> QuadraticForm:
     return QuadraticForm(matrix, fs.signs)
 
 
-def _add_block(fs: FockSpace, out: np.ndarray, labels, block: np.ndarray) -> None:
-    """Accumulate a small block over the given channel labels into `out`."""
+def _indices(fs: FockSpace, channels) -> list[int]:
     try:
-        idx = [fs.index_of(ch) for ch in labels]
+        return [fs.index_of(ch) for ch in channels]
     except Exception as exc:
         raise ChannelMismatch(str(exc)) from None
+
+
+def _add_block(fs: FockSpace, out: np.ndarray, labels, block: np.ndarray) -> None:
+    """Accumulate a small block over the given channel labels into `out`."""
+    idx = _indices(fs, labels)
     out[np.ix_(idx, idx)] += block
 
 
@@ -193,47 +200,66 @@ def stokes_operators(ms: CartesianGrid, fs: FockSpace) -> tuple[OperatorMatrix, 
 # Shell / combined-labeling operators
 
 
-def _orbital_index(ms: SphericalShell) -> dict:
-    return {c: i for i, c in enumerate(ms.channels)}
-
-
-def combined_form(
-    ms: SphericalShell, fs: FockSpace, orbital: np.ndarray, lam_matrix: np.ndarray
-) -> QuadraticForm:
-    """Form for (orbital generator) x (polarization matrix) on ((l,m), lam)
-    channels."""
-    oidx = _orbital_index(ms)
-    m = _zero_form(fs)
+def _add_product(
+    fs: FockSpace, out: np.ndarray, labels, orbital: np.ndarray, lam_matrix: np.ndarray
+) -> None:
+    """Accumulate (orbital matrix over `labels`) x (matrix over lam) into `out`
+    on the ((label, lam)) channels."""
     orb = np.asarray(orbital, dtype=complex)
     lam = np.asarray(lam_matrix, dtype=complex)
-    for (c, ci) in oidx.items():
-        for (d, di) in oidx.items():
-            if orb[ci, di] == 0:
-                continue
-            for l1 in range(4):
-                for l2 in range(4):
-                    if lam[l1, l2] == 0:
-                        continue
-                    try:
-                        a = fs.index_of((c, l1))
-                        b = fs.index_of((d, l2))
-                    except Exception as exc:
-                        raise ChannelMismatch(str(exc)) from None
-                    m[a, b] += orb[ci, di] * lam[l1, l2]
-    return _form(fs, m)
+    for ci, di in np.argwhere(orb).tolist():
+        for l1, l2 in np.argwhere(lam).tolist():
+            a, b = _indices(fs, [(labels[ci], l1), (labels[di], l2)])
+            out[a, b] += orb[ci, di] * lam[l1, l2]
+
+
+def _family_forms(
+    fs: FockSpace, terms, shell: SphericalShell | None = None
+) -> tuple[QuadraticForm, ...]:
+    """Forms of one family in the `FAMILY_FORMS` format, per component x, y, z.
+
+    Each term is an orbital factor, the shell's orbital generator of the
+    component or the identity on the orbital labels, times that component's
+    matrix over the second channel index (the polarization, or the spinor
+    index on a Dirac space); the terms are summed.  Without a shell the
+    labels are those of the space and only identity factors occur.
+    """
+    if shell is None:
+        labels = tuple(dict.fromkeys(label for label, _ in fs.channels))
+    elif isinstance(shell, SphericalShell):
+        labels = shell.channels
+    else:
+        raise ChannelMismatch("orbital operators need a spherical shell mode set")
+    factors = {_ONE: (np.eye(len(labels)),) * 3}
+    if shell is not None:
+        factors[_GEN] = orbital_matrices(shell.l_max)
+    forms = []
+    for comp in range(3):
+        m = _zero_form(fs)
+        for orb, lams in terms:
+            _add_product(fs, m, labels, factors[orb][comp], lams[comp])
+        forms.append(_form(fs, m))
+    return tuple(forms)
+
+
+def lift_family(
+    fs: FockSpace, terms, shell: SphericalShell | None = None
+) -> tuple[OperatorMatrix, ...]:
+    """Lifted components of the family with the given terms, photon or Dirac;
+    ChannelMismatch if a grid is given as the shell or a channel is absent."""
+    return tuple(lift_bilinear(fs, f) for f in _family_forms(fs, terms, shell))
+
+
+def _require_channels(ms: SphericalShell, fs: FockSpace, lams, message: str) -> None:
+    if any((label, lam) not in fs.channels for label in ms.mode_labels() for lam in lams):
+        raise ChannelMismatch(message)
 
 
 def oam_weighted(
     ms: SphericalShell, fs: FockSpace, weights: dict[int, float]
 ) -> tuple[OperatorMatrix, ...]:
     """Orbital generator lift with an explicit weight per polarization."""
-    if not isinstance(ms, SphericalShell):
-        raise ChannelMismatch("orbital operators need a spherical shell mode set")
-    lam_matrix = _diag_weight(weights)
-    return tuple(
-        lift_bilinear(fs, combined_form(ms, fs, g, lam_matrix))
-        for g in orbital_matrices(ms.l_max)
-    )
+    return lift_family(fs, _orbital(_diag_weight(weights)), ms)
 
 
 def oam_total(ms: SphericalShell, fs: FockSpace) -> tuple[OperatorMatrix, ...]:
@@ -244,20 +270,14 @@ def oam_total(ms: SphericalShell, fs: FockSpace) -> tuple[OperatorMatrix, ...]:
     L_z eigenvalue m regardless of polarization, and the family satisfies
     the angular-momentum algebra exactly on the bounded subspace.
     """
-    for label in ms.mode_labels():
-        for lam in range(4):
-            if (label, lam) not in fs.channels:
-                raise ChannelMismatch("oam_total needs all four polarizations")
-    return oam_weighted(ms, fs, OAM_WEIGHTS)
+    _require_channels(ms, fs, range(4), "oam_total needs all four polarizations")
+    return lift_family(fs, FAMILY_FORMS["oam"], ms)
 
 
 def oam_obs(ms: SphericalShell, fs: FockSpace) -> tuple[OperatorMatrix, ...]:
     """Transverse-only orbital angular momentum."""
-    for label in ms.mode_labels():
-        for lam in (1, 2):
-            if (label, lam) not in fs.channels:
-                raise ChannelMismatch("oam_obs needs both transverse channels")
-    return oam_weighted(ms, fs, OAM_OBS_WEIGHTS)
+    _require_channels(ms, fs, (1, 2), "oam_obs needs both transverse channels")
+    return lift_family(fs, FAMILY_FORMS["oam_obs"], ms)
 
 
 def l_pure(ms: SphericalShell, fs: FockSpace) -> tuple[OperatorMatrix, ...]:
@@ -265,19 +285,8 @@ def l_pure(ms: SphericalShell, fs: FockSpace) -> tuple[OperatorMatrix, ...]:
 
     Satisfies oam_total = oam_obs + l_pure as an exact matrix identity.
     """
-    for label in ms.mode_labels():
-        for lam in (0, 3):
-            if (label, lam) not in fs.channels:
-                raise ChannelMismatch("l_pure needs the scalar and longitudinal channels")
+    _require_channels(ms, fs, (0, 3), "l_pure needs the scalar and longitudinal channels")
     return oam_weighted(ms, fs, L_PURE_WEIGHTS)
-
-
-def _fixed_frame_mode_labels(fs: FockSpace) -> list:
-    labels = []
-    for (label, lam) in fs.channels:
-        if label not in labels:
-            labels.append(label)
-    return labels
 
 
 def spin_total_fixed_frame(fs: FockSpace) -> tuple[OperatorMatrix, ...]:
@@ -286,29 +295,18 @@ def spin_total_fixed_frame(fs: FockSpace) -> tuple[OperatorMatrix, ...]:
     Used on the combined labeling, where the rotation generators act on the
     lam = 1, 2, 3 channels of every mode label identically.
     """
-    shat = spin_matrices()
-    out = []
-    for comp in range(3):
-        m = _zero_form(fs)
-        for label in _fixed_frame_mode_labels(fs):
-            _add_block(fs, m, [(label, 1), (label, 2), (label, 3)], shat[comp])
-        out.append(lift_bilinear(fs, _form(fs, m)))
-    return tuple(out)
+    return lift_family(fs, FAMILY_FORMS["spin"])
 
 
 def helicity_fixed_frame(fs: FockSpace) -> OperatorMatrix:
     """Helicity bilinear summed over every mode label present in the space."""
-    m = _zero_form(fs)
-    for label in _fixed_frame_mode_labels(fs):
-        _add_block(fs, m, [(label, 1), (label, 2)], _HEL2)
-    return lift_bilinear(fs, _form(fs, m))
+    return lift_bilinear(fs, _family_forms(fs, FAMILY_FORMS["spin_obs"])[2])
 
 
 def spin_obs_fixed_frame(fs: FockSpace) -> tuple[OperatorMatrix, ...]:
     """Fixed-frame transverse spin: only the z component survives, equal to
     the helicity bilinear."""
-    zero = lift_bilinear(fs, _form(fs, _zero_form(fs)))
-    return (zero, zero, helicity_fixed_frame(fs))
+    return lift_family(fs, FAMILY_FORMS["spin_obs"])
 
 
 # ---------------------------------------------------------------------------
@@ -341,22 +339,18 @@ def _ordered_sums(fs: FockSpace, terms) -> tuple[OperatorMatrix, ...]:
     """sum_t scale_t * (w_t[comp] * M_t) for comp = 0, 1, 2, from `terms` of
     (scale, w, COO entries of M_t with each position at most once).
 
-    Added in order on the union pattern: every entry is the same fold as a
-    chain of sparse scalings and additions, without a sparse matrix per step.
+    `_CSR.from_entries` adds the entries at one position in input order,
+    starting from 0: every entry is the same fold as a chain of sparse
+    scalings and additions, without a sparse matrix per step.
     """
-    keys = [rows.astype(np.int64) * fs.dim + cols for _, _, (rows, cols, _) in terms]
-    keys = np.concatenate([np.zeros(0, np.int64), *keys])
-    union, where = np.unique(keys, return_inverse=True)
-    acc = np.zeros((3, union.size), dtype=complex)
-    start = 0
-    for scale, w, (_, _, data) in terms:
-        idx = where[start : start + data.size]
-        start += data.size
-        acc[:, idx] += scale * (w[:, None] * data)
-    rows, cols = np.divmod(union, fs.dim)
-    return tuple(
-        OperatorMatrix(fs, _CSR.from_entries(v, rows, cols, (fs.dim, fs.dim))) for v in acc
-    )
+    rows = np.concatenate([rows for _, _, (rows, _, _) in terms])
+    cols = np.concatenate([cols for _, _, (_, cols, _) in terms])
+
+    def component(comp: int) -> OperatorMatrix:
+        data = np.concatenate([scale * (w[comp] * data) for scale, w, (_, _, data) in terms])
+        return OperatorMatrix(fs, _CSR.from_entries(data, rows, cols, (fs.dim, fs.dim)))
+
+    return tuple(component(comp) for comp in range(3))
 
 
 def counter_rotating_part(
@@ -530,18 +524,6 @@ DECOMPOSITIONS: dict[str, DecompositionSpec] = {
     ),
 }
 
-# Table I of the paper: the Dirac spin and orbital families each close su(2)
-# and commute mutually, the same claims as the canonical photon row.  The
-# dirac suite generates its Table-I checks from this row, under the prefix
-# "dirac", with the families built by `dirac.dirac_sam`/`dirac.dirac_oam`.
-TABLE_I = DecompositionSpec(
-    "Table-I",
-    (FamilyClaim("sam", "sam", ALG_SU2), FamilyClaim("oam", "oam", ALG_SU2)),
-    MUTUAL_COMMUTE,
-    mutual_tag="sam-oam",
-)
-
-
 def _lambda_canonical() -> list[np.ndarray]:
     shat = spin_matrices()
     out = []
@@ -636,6 +618,27 @@ FAMILY_FORMS = {
 }
 
 
+# Table I of the paper: the Dirac spin and orbital families each close su(2)
+# and commute mutually, the same claims as the canonical photon row.  The
+# dirac suite generates its Table-I checks from this row, under the prefix
+# "dirac", with the families of `TABLE_I_FORMS`.
+TABLE_I = DecompositionSpec(
+    "Table-I",
+    (FamilyClaim("sam", "sam", ALG_SU2), FamilyClaim("oam", "oam", ALG_SU2)),
+    MUTUAL_COMMUTE,
+    mutual_tag="sam-oam",
+)
+
+# Forms of the Table-I families on ((l, m), spinor) channels, in the format
+# of `FAMILY_FORMS` with the spinor index in place of the polarization index:
+# Sigma/2 (x) 1, with Sigma_i the Pauli matrix on both 2x2 blocks, and
+# L (x) 1_4.
+TABLE_I_FORMS = {
+    "sam": _spin([0.5 * np.kron(np.eye(2), _PAULI2[i]) for i in (1, 2, 3)]),
+    "oam": _orbital(np.eye(4)),
+}
+
+
 def build_decomposition(
     name: str, ms: SphericalShell, fs: FockSpace
 ) -> tuple[OperatorFamily, ...]:
@@ -649,18 +652,8 @@ def build_decomposition(
     """
     if name not in DECOMPOSITIONS:
         raise UnknownDecomposition(f"no decomposition named {name!r}")
-    if not isinstance(ms, SphericalShell):
-        raise ChannelMismatch("decomposition families use the combined labeling")
-    orbital = {_GEN: orbital_matrices(ms.l_max), _ONE: (np.eye(len(ms.channels)),) * 3}
-
-    def component(terms, c):
-        parts = [combined_form(ms, fs, orbital[orb][c], lams[c]).matrix for orb, lams in terms]
-        return QuadraticForm(sum(parts[1:], parts[0]), fs.signs)
-
     return tuple(
-        OperatorFamily(
-            f.name, ("x", "y", "z"), tuple(component(FAMILY_FORMS[f.name], c) for c in range(3))
-        )
+        OperatorFamily(f.name, ("x", "y", "z"), _family_forms(fs, FAMILY_FORMS[f.name], ms))
         for f in DECOMPOSITIONS[name].families
     )
 

@@ -21,7 +21,8 @@ Kronecker order keep the product basis too.
 The angular-momentum claims of Maxwell and Dirac fields are generated by one
 emitter, `_claim_checks`, one check per claimed algebra or mutual relation:
 decomposition-compare from each row of `operators.DECOMPOSITIONS`, dirac from
-the Table-I row `operators.TABLE_I`.
+the Table-I row `operators.TABLE_I`.  Both build the families they check from
+the row's family names, with the one family builder of `operators`.
 """
 
 from __future__ import annotations
@@ -35,9 +36,7 @@ from . import fields as flds
 from . import operators as ops
 from .dirac import (
     build_fermion_fock,
-    dirac_oam,
     dirac_sam,
-    fermion_ladder,
     spinor_matrices,
     spinor_orbital_channels,
 )
@@ -444,7 +443,7 @@ def suite_observable(config: SuiteConfig) -> VerificationReport:
 def suite_decomposition(config: SuiteConfig) -> VerificationReport:
     rep = VerificationReport("decomposition-compare", _config_echo(config))
     rng = np.random.default_rng(config.seed)
-    shell = SphericalShell(radius=1.0, l_max=1)
+    shell = _shell_for(config, default_lmax=1)
     fs = _shell_space(shell, (0, 1, 2, 3), config.dim_cap)
     lifted = {
         name: {f.name: f.lift(fs) for f in ops.build_decomposition(name, shell, fs)}
@@ -773,7 +772,7 @@ def suite_fields(config: SuiteConfig) -> VerificationReport:
     rep.add(
         "density-map-integral",
         "S-obs-form",
-        float(np.max(np.abs(total - flds.spatial_spin_integral(state, maps)))),
+        float(np.max(np.abs(total - flds.mode_spin_formula(state)))),
         TIGHT_TOL,
     )
     return rep.finalize()
@@ -814,8 +813,8 @@ def suite_dirac(config: SuiteConfig) -> VerificationReport:
     )
 
     small = build_fermion_fock([("a", 0), ("a", 1), ("b", 0)], config.dim_cap)
-    ladders = {ch: fermion_ladder(small, ch) for ch in small.channels}
-    eye = identity_operator(small).mat
+    ladders = {ch: (annihilator(small, ch), creator(small, ch)) for ch in small.channels}
+    eye = identity_operator(small)
     anticomm = [max_abs(c1 @ c1) for c1, _ in ladders.values()]
     for ch1, (c1, _) in ladders.items():
         for ch2, (_, d2) in ladders.items():
@@ -823,14 +822,18 @@ def suite_dirac(config: SuiteConfig) -> VerificationReport:
             anticomm.append(max_abs(anti - eye if ch1 == ch2 else anti))
     rep.add("fermion-anticommutators", "ETCR-D1", max_residual(anticomm), 1e-14)
 
+    shell = SphericalShell(radius=1.0, l_max=1)
     ffs = build_fermion_fock(
-        spinor_orbital_channels(1), config.dim_cap, max_total=DIRAC_FERMION_CAP
+        spinor_orbital_channels(shell.l_max), config.dim_cap, max_total=DIRAC_FERMION_CAP
     )
-    sam = dirac_sam(ffs)
-    _claim_checks(rep, "dirac", ops.TABLE_I, (sam, dirac_oam(ffs, 1)), TIGHT_TOL)
+    lifted = {
+        f.name: ops.lift_family(ffs, ops.TABLE_I_FORMS[f.name], shell)
+        for f in ops.TABLE_I.families
+    }
+    _claim_checks(rep, "dirac", ops.TABLE_I, list(lifted.values()), TIGHT_TOL)
 
-    _, up = fermion_ladder(ffs, ((0, 0), 0))
-    one = up @ ffs.vacuum()
+    sam = lifted["sam"]
+    one = creator(ffs, ((0, 0), 0)) @ ffs.vacuum()
     rep.add(
         "dirac-spin-half-eigenvalue",
         "S_D",
@@ -843,8 +846,8 @@ def suite_dirac(config: SuiteConfig) -> VerificationReport:
     s_small = dirac_sam(build_fermion_fock(spinor_orbital_channels(0), config.dim_cap))
     commute = []
     for fop in s_small:
-        combined_b = np.kron(hel.to_dense(), np.eye(fop.shape[0]))
-        combined_f = np.kron(np.eye(photon.dim), fop.toarray())
+        combined_b = np.kron(hel.to_dense(), np.eye(fop.space.dim))
+        combined_f = np.kron(np.eye(photon.dim), fop.to_dense())
         commute.append(max_abs(combined_b @ combined_f - combined_f @ combined_b))
     rep.add("photon-dirac-commute", "Table-I", max_residual(commute), 1e-14)
 

@@ -110,7 +110,8 @@ def test_empty_and_zero_rows():
         assert_same(x + a, sx + sa)
         assert_same(x.conj_transpose(), sx.conj().T)
         np.testing.assert_array_equal(x @ np.ones(4), sx @ np.ones(4))
-    assert empty.nnz == 0 and max_abs(empty) == 0.0
+    four = build_fock([("k", 1), ("q", 1)], 1)
+    assert empty.nnz == 0 and max_abs(OperatorMatrix(four, empty)) == 0.0
 
 
 def test_exact_cancellation_drops_entries_like_scipy():

@@ -9,13 +9,19 @@ from photonam.dirac import (
     build_fermion_fock,
     dirac_oam,
     dirac_sam,
-    fermion_ladder,
-    fermionic_lift,
     spinor_matrices,
     spinor_orbital_channels,
 )
 from photonam.errors import ChannelMismatch, DimensionMismatch, UnknownChannel
-from photonam.fock import _CSR, build_fock, creator, max_abs
+from photonam.fock import (
+    OperatorMatrix,
+    QuadraticForm,
+    annihilator,
+    build_fock,
+    creator,
+    lift_bilinear,
+    max_abs,
+)
 from photonam.modes import orbital_matrices, shell_channels
 from photonam.report import KIND_EQUALITY, KIND_VIOLATION, VerificationReport
 from photonam.suites import DIRAC_FERMION_CAP, TIGHT_TOL, SuiteConfig, run_suite
@@ -24,7 +30,11 @@ EPS_PAIRS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
 def dense(mat):
-    return mat.toarray() if isinstance(mat, _CSR) else np.asarray(mat)
+    return mat.to_dense() if isinstance(mat, OperatorMatrix) else np.asarray(mat)
+
+
+def lift(ffs, m):
+    return lift_bilinear(ffs, QuadraticForm(m, ffs.signs))
 
 
 def test_spinor_matrices_block_structure():
@@ -52,10 +62,10 @@ def test_fermion_ladder_anticommutators():
     ffs = build_fermion_fock([("a", 0), ("a", 1), ("b", 0)])
     eye = np.eye(ffs.dim)
     for ch1 in ffs.channels:
-        c1, d1 = fermion_ladder(ffs, ch1)
+        c1, d1 = annihilator(ffs, ch1), creator(ffs, ch1)
         assert max_abs(dense(c1 @ c1)) == 0.0
         for ch2 in ffs.channels:
-            c2, d2 = fermion_ladder(ffs, ch2)
+            c2, d2 = annihilator(ffs, ch2), creator(ffs, ch2)
             anti = dense(c1 @ d2 + d2 @ c1)
             expected = eye if ch1 == ch2 else 0.0
             assert np.max(np.abs(anti - expected)) == 0.0
@@ -66,7 +76,7 @@ def test_fermion_ladder_anticommutators():
 def test_fermion_unknown_channel():
     ffs = build_fermion_fock([("a", 0)])
     with pytest.raises(UnknownChannel):
-        fermion_ladder(ffs, ("b", 0))
+        annihilator(ffs, ("b", 0))
 
 
 def test_fermionic_lift_homomorphism_brute_force():
@@ -74,14 +84,14 @@ def test_fermionic_lift_homomorphism_brute_force():
     rng = np.random.default_rng(13)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     n = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    lifted_m = fermionic_lift(ffs, m)
-    lifted_n = fermionic_lift(ffs, n)
+    lifted_m = lift(ffs, m)
+    lifted_n = lift(ffs, n)
     lhs = dense(lifted_m @ lifted_n - lifted_n @ lifted_m)
-    rhs = dense(fermionic_lift(ffs, m @ n - n @ m))
+    rhs = dense(lift(ffs, m @ n - n @ m))
     assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     # independent reference for the lift itself
-    ladders = [fermion_ladder(ffs, ch) for ch in ffs.channels]
+    ladders = [(annihilator(ffs, ch), creator(ffs, ch)) for ch in ffs.channels]
     expected = sum(
         m[a, b] * dense(ladders[a][1] @ ladders[b][0])
         for a in range(4)
@@ -93,7 +103,7 @@ def test_fermionic_lift_homomorphism_brute_force():
 def test_fermionic_lift_shape_guard():
     ffs = build_fermion_fock([("a", 0)])
     with pytest.raises(DimensionMismatch):
-        fermionic_lift(ffs, np.zeros((2, 2)))
+        lift_bilinear(ffs, QuadraticForm(np.zeros((2, 2)), (1, 1)))
 
 
 def test_dirac_angular_momentum_algebra():
@@ -111,10 +121,10 @@ def test_dirac_angular_momentum_algebra():
 def test_dirac_sam_eigenvalue_half():
     ffs = build_fermion_fock(spinor_orbital_channels(0))
     sam = dirac_sam(ffs)
-    _, up = fermion_ladder(ffs, ((0, 0), 0))
+    up = creator(ffs, ((0, 0), 0))
     one = up @ ffs.vacuum()
     np.testing.assert_allclose(dense(sam[2] @ one), 0.5 * one, atol=1e-15)
-    _, down = fermion_ladder(ffs, ((0, 0), 1))
+    down = creator(ffs, ((0, 0), 1))
     one_down = down @ ffs.vacuum()
     np.testing.assert_allclose(dense(sam[2] @ one_down), -0.5 * one_down, atol=1e-15)
 
@@ -125,7 +135,7 @@ def test_photon_and_dirac_sectors_commute_on_tensor_space():
     ffs = build_fermion_fock(spinor_orbital_channels(0))
     for fop in dirac_sam(ffs):
         big_b = np.kron(hel.to_dense(), np.eye(ffs.dim))
-        big_f = np.kron(np.eye(photon.dim), fop.toarray())
+        big_f = np.kron(np.eye(photon.dim), fop.to_dense())
         assert max_abs(big_b @ big_f - big_f @ big_b) == 0.0
 
 
@@ -170,7 +180,7 @@ def _reference_sam(ffs):
             for s2 in range(4):
                 if sig[s, s2] != 0:
                     entry[((c, s), (c, s2))] = 0.5 * sig[s, s2]
-        out.append(fermionic_lift(ffs, _channel_matrix(ffs, entry)))
+        out.append(lift(ffs, _channel_matrix(ffs, entry)))
     return tuple(out)
 
 
@@ -185,14 +195,14 @@ def _reference_oam(ffs, l_max):
                 val = gen[cidx[c], cidx[d]]
                 if val != 0 and (d, s) in ffs.channels:
                     entry[((c, s), (d, s))] = val
-        out.append(fermionic_lift(ffs, _channel_matrix(ffs, entry)))
+        out.append(lift(ffs, _channel_matrix(ffs, entry)))
     return tuple(out)
 
 
 def _same_entries(a, b):
     """Entry-for-entry equality of two sparse matrices without densifying."""
-    return a.shape == b.shape and all(
-        np.array_equal(x, y) for x, y in zip(a.entries(), b.entries(), strict=True)
+    return a.mat.shape == b.mat.shape and all(
+        np.array_equal(x, y) for x, y in zip(a.mat.entries(), b.mat.entries(), strict=True)
     )
 
 
@@ -203,10 +213,10 @@ def test_dirac_lifts_match_per_entry_reference(l_max, cap):
     got = dirac_sam(ffs) + dirac_oam(ffs, l_max)
     want = _reference_sam(ffs) + _reference_oam(ffs, l_max)
     for g, w in zip(got, want, strict=True):
-        assert isinstance(g, _CSR)
+        assert isinstance(g, OperatorMatrix)
         assert _same_entries(g, w)
         if ffs.dim <= 1024:
-            assert np.array_equal(g.toarray(), w.toarray())
+            assert np.array_equal(g.to_dense(), w.to_dense())
 
 
 def test_dirac_oam_beyond_space_lmax_raises():

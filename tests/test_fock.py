@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from photonam.dirac import build_fermion_fock, fermion_ladder, fermionic_lift
+from photonam.dirac import build_fermion_fock
 from photonam.errors import (
     DimensionCapExceeded,
     DimensionMismatch,
@@ -312,9 +312,9 @@ def test_fermion_ladders_and_lift_match_jordan_wigner_reference(n_ch):
     assert (ffs.dim, ffs.signs) == (2**n_ch, (1,) * n_ch)
     lowers = dense_jw_lowerings(n_ch)
     for ch, low in zip(ffs.channels, lowers):
-        c, c_dag = fermion_ladder(ffs, ch)
-        np.testing.assert_array_equal(c.toarray(), low)
-        np.testing.assert_array_equal(c_dag.toarray(), low.conj().T)
+        c, c_dag = annihilator(ffs, ch), creator(ffs, ch)
+        np.testing.assert_array_equal(c.to_dense(), low)
+        np.testing.assert_array_equal(c_dag.to_dense(), low.conj().T)
     rng = np.random.default_rng(n_ch)
     for _ in range(3):
         m = rng.normal(size=(n_ch, n_ch)) + 1j * rng.normal(size=(n_ch, n_ch))
@@ -323,7 +323,8 @@ def test_fermion_ladders_and_lift_match_jordan_wigner_reference(n_ch):
             for a in range(n_ch)
             for b in range(n_ch)
         )
-        np.testing.assert_array_equal(fermionic_lift(ffs, m).toarray(), expected)
+        lifted = lift_bilinear(ffs, QuadraticForm(m, ffs.signs))
+        np.testing.assert_array_equal(lifted.to_dense(), expected)
 
 
 @pytest.mark.parametrize("n_ch", range(3, 9))
@@ -334,7 +335,7 @@ def test_capped_fermion_operators_restrict_full_space(n_ch):
     forms = [
         rng.normal(size=(n_ch, n_ch)) + 1j * rng.normal(size=(n_ch, n_ch)) for _ in range(2)
     ]
-    full_lifts = [fermionic_lift(full, m).toarray() for m in forms]
+    full_lifts = [lift_bilinear(full, QuadraticForm(m, full.signs)).to_dense() for m in forms]
     for cap in range(n_ch + 1):
         keep = np.nonzero(full.total_occupation() <= cap)[0]
         ffs = build_fermion_fock(chans, max_total=cap)
@@ -342,11 +343,13 @@ def test_capped_fermion_operators_restrict_full_space(n_ch):
         block = np.ix_(keep, keep)
         for ch in chans:
             np.testing.assert_array_equal(
-                fermion_ladder(ffs, ch)[0].toarray(),
-                fermion_ladder(full, ch)[0].toarray()[block],
+                annihilator(ffs, ch).to_dense(),
+                annihilator(full, ch).to_dense()[block],
             )
         for m, lifted in zip(forms, full_lifts):
-            np.testing.assert_array_equal(fermionic_lift(ffs, m).toarray(), lifted[block])
+            np.testing.assert_array_equal(
+                lift_bilinear(ffs, QuadraticForm(m, ffs.signs)).to_dense(), lifted[block]
+            )
 
 
 def test_statistics_keep_lowering_cache_entries_apart():

@@ -4,6 +4,8 @@ import pytest
 from photonam import operators as ops
 from photonam.errors import AsymmetricGrid, ChannelMismatch, UnknownDecomposition
 from photonam.fock import (
+    OperatorMatrix,
+    QuadraticForm,
     annihilator,
     build_fock,
     commutator,
@@ -19,6 +21,7 @@ from photonam.modes import (
     build_cartesian_modeset,
     frame_curl,
     minkowski_dot,
+    orbital_matrices,
     polarization_frame,
     spin_matrices,
 )
@@ -443,3 +446,87 @@ def test_family_forms_cover_the_claims_table():
         for _, lams in terms:
             assert len(lams) == 3
     assert len(ops.FAMILY_FORMS["j_total"]) == 2
+
+
+# Reference construction of the shell families: the channel matrix written
+# entry by entry, then lifted.
+def _per_entry_lift(fs, value):
+    m = np.array([[value(a, b) for b in fs.channels] for a in fs.channels], dtype=complex)
+    return lift_bilinear(fs, QuadraticForm(m, fs.signs))
+
+
+def _reference_orbital(fs, shell, weights):
+    """(L_i)[c, d] * weight[lam] on ((c, lam), (d, lam))."""
+    idx = {c: i for i, c in enumerate(shell.channels)}
+    return tuple(
+        _per_entry_lift(
+            fs,
+            lambda a, b: weights.get(a[1], 0.0) * gen[idx[a[0]], idx[b[0]]]
+            if a[1] == b[1]
+            else 0.0,
+        )
+        for gen in orbital_matrices(shell.l_max)
+    )
+
+
+def _reference_fixed_frame(fs, mats):
+    """mats[i][lam - 1, lam' - 1] on ((c, lam), (c, lam')), lam, lam' >= 1."""
+    return tuple(
+        _per_entry_lift(
+            fs,
+            lambda a, b: mat[a[1] - 1, b[1] - 1]
+            if a[0] == b[0] and min(a[1], b[1]) >= 1
+            else 0.0,
+        )
+        for mat in mats
+    )
+
+
+@pytest.mark.parametrize("l_max", [1, 2])
+@pytest.mark.parametrize("cap", [1, 2])
+def test_shell_families_match_per_entry_reference(l_max, cap):
+    shell = SphericalShell(radius=1.0, l_max=l_max)
+    fs = build_fock(
+        [(c, lam) for c in shell.mode_labels() for lam in (0, 1, 2, 3)], 2, max_total=cap
+    )
+    hel = np.zeros((3, 3), dtype=complex)
+    hel[0, 1], hel[1, 0] = -1j, 1j
+    cases = {
+        "oam_total": (
+            ops.oam_total(shell, fs),
+            _reference_orbital(fs, shell, {0: -1.0, 1: 1.0, 2: 1.0, 3: 1.0}),
+        ),
+        "oam_obs": (ops.oam_obs(shell, fs), _reference_orbital(fs, shell, {1: 1.0, 2: 1.0})),
+        "l_pure": (ops.l_pure(shell, fs), _reference_orbital(fs, shell, {0: -1.0, 3: 1.0})),
+        "spin_total_fixed_frame": (
+            ops.spin_total_fixed_frame(fs),
+            _reference_fixed_frame(fs, spin_matrices()),
+        ),
+        "spin_obs_fixed_frame": (
+            ops.spin_obs_fixed_frame(fs),
+            _reference_fixed_frame(fs, (0 * hel, 0 * hel, hel)),
+        ),
+        "helicity_fixed_frame": (
+            (ops.helicity_fixed_frame(fs),),
+            _reference_fixed_frame(fs, (hel,)),
+        ),
+    }
+    for name, (got, want) in cases.items():
+        for g, w in zip(got, want, strict=True):
+            assert isinstance(g, OperatorMatrix)
+            assert all(
+                np.array_equal(x, y)
+                for x, y in zip(g.mat.entries(), w.mat.entries(), strict=True)
+            ), name
+
+
+def test_shell_families_reject_a_grid():
+    ms = grid_z()
+    fs = full_space(ms, n_max=1)
+    for build in (ops.oam_total, ops.oam_obs, ops.l_pure):
+        with pytest.raises(ChannelMismatch):
+            build(ms, fs)
+    with pytest.raises(ChannelMismatch):
+        ops.oam_weighted(ms, fs, {1: 1.0})
+    with pytest.raises(ChannelMismatch):
+        ops.build_decomposition("canonical", ms, fs)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from photonam import operators as ops
 from photonam.cli import main
 from photonam.errors import DimensionCapExceeded, InvalidConfig, UnknownFormat, UnknownSuite
 from photonam.fock import _CSR
@@ -198,6 +199,30 @@ def test_cli_all_polarization_lmax2_shell(capsys):
     assert code == 0
     parsed = json.loads(capsys.readouterr().out)
     assert parsed["summary"] == {"total": 11, "passed": 11, "failed": 0}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_cli_decomposition_reads_shell(seed, capsys, monkeypatch):
+    built = []
+    build = ops.build_decomposition
+
+    def recording(name, ms, fs):
+        built.append((ms.l_max, fs.dim))
+        return build(name, ms, fs)
+
+    monkeypatch.setattr(ops, "build_decomposition", recording)
+    base = ["--suite", "decomposition-compare", "--seed", str(seed), "--format", "json"]
+    violation = {}
+    for shell, l_max in ((["--shell", "1.0,2"], 2), ([], 1)):
+        built.clear()
+        assert main(base + shell) == 0
+        parsed = json.loads(capsys.readouterr().out)
+        assert parsed["summary"] == {"total": 15, "passed": 15, "failed": 0}
+        # l_max 2: 36 channels capped at one photon, 37 states
+        assert set(built) == {(l_max, 37 if l_max == 2 else 17)}
+        checks = {c["id"]: c["residual"] for c in parsed["checks"]}
+        violation[l_max] = f"{checks['jaffe-manohar-oam-violation']:.6e}"
+    assert violation == {2: "5.000000e-01", 1: "2.500000e-01"}
 
 
 def test_cli_capped_space_over_dim_cap_exit_2(capsys):

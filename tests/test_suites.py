@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from photonam import constraints as cons
+from photonam import fields as flds
 from photonam import operators as ops
 from photonam import suites
 from photonam.fock import (
@@ -254,3 +255,18 @@ def test_decomposition_claims_block_capped_match_block_plus_one(seed):
         suites._claim_checks(rep, name, spec, lifted(new, name), 1e-10)
         expected = _claim_residuals_read(spec, lifted(old, name), read)
         assert [r.residual for r in rep.checks] == expected, name
+
+
+def test_density_map_integral_catches_a_perturbed_map(monkeypatch):
+    # the map's sum is checked against the per-mode formula, which does not
+    # read the map
+    density_map = flds.spin_density_map
+
+    def perturbed(state, transverse_maps=None):
+        out = density_map(state, transverse_maps)
+        out[0, 0] += 1e-9
+        return out
+
+    monkeypatch.setattr(flds, "spin_density_map", perturbed)
+    rep = run_suite(SuiteConfig(suite="field-consistency"))
+    assert "density-map-integral" in [r.check_id for r in rep.checks if not r.passed]

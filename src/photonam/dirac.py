@@ -31,13 +31,7 @@ import numpy as np
 
 from .fock import DEFAULT_DIM_CAP, FockSpace, OperatorMatrix, build_fock
 from .modes import SphericalShell, shell_channels
-from .operators import TABLE_I_FORMS, lift_family
-
-_PAULI = {
-    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
+from .operators import PAULI, TABLE_I_FORMS, lift_family
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,13 +48,9 @@ def spinor_matrices() -> SpinorBasis:
     eye2 = np.eye(2, dtype=complex)
     zero2 = np.zeros((2, 2), dtype=complex)
     beta = np.block([[eye2, zero2], [zero2, -eye2]])
-    alpha = tuple(
-        np.block([[zero2, _PAULI[ax]], [_PAULI[ax], zero2]]) for ax in "xyz"
-    )
+    alpha = tuple(np.block([[zero2, PAULI[i]], [PAULI[i], zero2]]) for i in (1, 2, 3))
     gamma = (beta,) + tuple(beta @ a for a in alpha)
-    sigma = tuple(
-        np.block([[_PAULI[ax], zero2], [zero2, _PAULI[ax]]]) for ax in "xyz"
-    )
+    sigma = tuple(np.block([[PAULI[i], zero2], [zero2, PAULI[i]]]) for i in (1, 2, 3))
     return SpinorBasis(beta=beta, alpha=alpha, gamma=gamma, sigma=sigma)
 
 

@@ -463,8 +463,9 @@ def identity_operator(fs: FockSpace) -> OperatorMatrix:
     return OperatorMatrix(fs, _CSR.diagonal(np.ones(fs.dim)))
 
 
-def _jw_parity(fs: FockSpace, codes: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """(-1)^(occupied channels strictly between positions lo < hi) per code.
+def _jw_parity(fs: FockSpace, codes: np.ndarray, lo, hi) -> np.ndarray:
+    """(-1)^(occupied channels strictly between positions lo < hi) per code;
+    lo and hi may be arrays aligned with the codes.
 
     Fermionic codes are bitmasks and weight(-1) = 2^#channels, so the mask
     of the channels between lo and hi is weight(lo) - 2 * weight(hi).
@@ -542,44 +543,51 @@ class QuadraticForm:
 def lift_bilinear(fs: FockSpace, form: QuadraticForm) -> OperatorMatrix:
     """Normal-ordered lift sum_{ab} creator_a M[a,b] annihilator_b.
 
-    Assembled in one pass over the basis: each nonzero M[a,b] moves one
-    quantum from channel b to channel a in every state with n_b > 0 (and
-    n_a < n_max when a != b), with amplitude
+    Each nonzero M[a,b] moves one quantum from channel b to channel a in
+    every state with n_b > 0 (and n_a < n_max when a != b), with amplitude
     sign_a * M[a,b] * sqrt(n_a + 1) * sqrt(n_b), n_a counted after the
     lowering.  On a fermionic space each off-diagonal entry also carries the
     parity of the channels strictly between a and b.
+
+    The off-diagonal entries are built in one vectorized pass: the nonzeros
+    of the (pairs x dim) mask of states that admit the move give every
+    (pair, source state), pair-major, and one `locate` finds all targets.
+    Two distinct pairs shift a source code by distinct amounts
+    w_a - w_b, and no shift is zero, so every off-diagonal entry has its own
+    (row, col), apart from the diagonal and from each other: no value is a
+    sum, and each equals the one the per-pair loop computed.  Diagonal terms
+    are summed per channel, in the order of M's nonzeros.
     """
     m = form.matrix
-    if m.shape != (len(fs.channels), len(fs.channels)):
-        raise DimensionMismatch(
-            f"form is {m.shape}, space has {len(fs.channels)} channels"
-        )
+    n_ch = len(fs.channels)
+    if m.shape != (n_ch, n_ch):
+        raise DimensionMismatch(f"form is {m.shape}, space has {n_ch} channels")
     if form.signs != fs.signs:
         raise DimensionMismatch("form channel signs disagree with the space")
-    occ = [fs.occupations(j) for j in range(len(fs.channels))]
-    rows, cols, vals = [], [], []
+    occ = np.stack([fs.occupations(j) for j in range(n_ch)])
+    a, b = np.nonzero(m)
+    on = a == b
     diag = np.zeros(fs.dim, dtype=complex)
-    for a, b in zip(*np.nonzero(m)):
-        src = np.nonzero(occ[b])[0]
-        root_b = np.sqrt(occ[b][src])
-        if a == b:
-            # sqrt(n) * sqrt(n), not n: the entry equals the ladder product's
-            diag[src] += (m[a, b] * fs.signs[a] * root_b) * root_b
-            continue
-        room = occ[a][src] < fs.n_max
-        src = src[room]
-        amp = (m[a, b] * fs.signs[a] * np.sqrt(occ[a][src] + 1)) * root_b[room]
-        if fs.fermionic:
-            amp *= _jw_parity(fs, fs.codes[src], min(a, b), max(a, b))
-        rows.append(fs.locate(fs.codes[src] - fs.weight(b) + fs.weight(a)))
-        cols.append(src)
-        vals.append(amp)
+    for j in a[on]:
+        src = np.nonzero(occ[j])[0]
+        root = np.sqrt(occ[j][src])
+        # sqrt(n) * sqrt(n), not n: the entry equals the ladder product's
+        diag[src] += (m[j, j] * fs.signs[j] * root) * root
+    a, b = a[~on], b[~on]
+    coef = m[a, b] * np.array(fs.signs)[a]
+    pair, src = np.nonzero((occ > 0)[b] & (occ < fs.n_max)[a])
+    a, b = a[pair], b[pair]
+    amp = (coef[pair] * np.sqrt(occ[a, src] + 1)) * np.sqrt(occ[b, src])
+    codes = fs.codes[src]
+    if fs.fermionic:
+        amp *= _jw_parity(fs, codes, np.minimum(a, b), np.maximum(a, b))
+    weights = fs.weight(np.arange(n_ch))
     on_diag = np.nonzero(diag)[0]
-    rows.append(on_diag)
-    cols.append(on_diag)
-    vals.append(diag[on_diag])
     mat = _CSR.from_entries(
-        np.concatenate(vals), np.concatenate(rows), np.concatenate(cols), (fs.dim, fs.dim)
+        np.concatenate([amp, diag[on_diag]]),
+        np.concatenate([fs.locate(codes - weights[b] + weights[a]), on_diag]),
+        np.concatenate([src, on_diag]),
+        (fs.dim, fs.dim),
     )
     return OperatorMatrix(fs, mat)
 

@@ -70,11 +70,12 @@ OAM_WEIGHTS = {0: -1.0, 1: 1.0, 2: 1.0, 3: 1.0}
 OAM_OBS_WEIGHTS = {1: 1.0, 2: 1.0}
 L_PURE_WEIGHTS = {0: -1.0, 3: 1.0}
 
-_HEL2 = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_PAULI2 = {
+# The identity and the Pauli matrices sigma_1..3: the Stokes forms on the
+# (lam = 1, lam = 2) block, and the blocks of the Dirac Sigma_i and alpha_i.
+PAULI = {
     0: np.eye(2, dtype=complex),
     1: np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    2: _HEL2,
+    2: np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     3: np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 }
 
@@ -164,7 +165,7 @@ def spin_obs(ms: CartesianGrid, fs: FockSpace) -> tuple[OperatorMatrix, ...]:
         m = _zero_form(fs)
         for i in ms.mode_labels():
             weight = ms.frames[i].spatial(3)[comp]
-            _add_block(fs, m, [(i, 1), (i, 2)], weight * _HEL2)
+            _add_block(fs, m, [(i, 1), (i, 2)], weight * PAULI[2])
         out.append(lift_bilinear(fs, _form(fs, m)))
     return tuple(out)
 
@@ -175,7 +176,7 @@ def helicity(ms: CartesianGrid, fs: FockSpace) -> OperatorMatrix:
         raise ChannelMismatch("helicity needs a Cartesian grid mode set")
     m = _zero_form(fs)
     for i in ms.mode_labels():
-        _add_block(fs, m, [(i, 1), (i, 2)], _HEL2)
+        _add_block(fs, m, [(i, 1), (i, 2)], PAULI[2])
     return lift_bilinear(fs, _form(fs, m))
 
 
@@ -191,7 +192,7 @@ def stokes_operators(ms: CartesianGrid, fs: FockSpace) -> tuple[OperatorMatrix, 
     for idx in range(4):
         m = _zero_form(fs)
         for i in ms.mode_labels():
-            _add_block(fs, m, [(i, 1), (i, 2)], _PAULI2[idx])
+            _add_block(fs, m, [(i, 1), (i, 2)], PAULI[idx])
         out.append(lift_bilinear(fs, _form(fs, m)))
     return tuple(out)
 
@@ -537,7 +538,7 @@ def _lambda_canonical() -> list[np.ndarray]:
 def _lambda_spin_obs() -> list[np.ndarray]:
     z = np.zeros((4, 4), dtype=complex)
     hz = np.zeros((4, 4), dtype=complex)
-    hz[1:3, 1:3] = _HEL2
+    hz[1:3, 1:3] = PAULI[2]
     return [z.copy(), z.copy(), hz]
 
 
@@ -634,7 +635,7 @@ TABLE_I = DecompositionSpec(
 # Sigma/2 (x) 1, with Sigma_i the Pauli matrix on both 2x2 blocks, and
 # L (x) 1_4.
 TABLE_I_FORMS = {
-    "sam": _spin([0.5 * np.kron(np.eye(2), _PAULI2[i]) for i in (1, 2, 3)]),
+    "sam": _spin([0.5 * np.kron(np.eye(2), PAULI[i]) for i in (1, 2, 3)]),
     "oam": _orbital(np.eye(4)),
 }
 

@@ -9,9 +9,10 @@ acceptance bounds are stated.
 
 Spaces whose checks read only number-conserving operators are capped at the
 asserted block itself (see `fock`): total occupation <= n_max on grids, <= 1
-on shells.  The capped space is an invariant block of every operator those
-checks multiply, so its residuals, read with plain `max_abs`, are those of
-the full product space on the block.  The dirac suite's spinor x orbital
+on shells, <= n_max - 1 on the random spaces of lift-homomorphism-random.
+The capped space is an invariant block of every operator those checks
+multiply, so its residuals, read with plain `max_abs`, are those of the full
+product space on the block.  The dirac suite's spinor x orbital
 space is capped at fermion number `DIRAC_FERMION_CAP`, an invariant block in
 the same sense.  Ladder identities keep the product basis and are read on
 the block below its edge (`_edge_safe`); whole-space residuals there go into
@@ -192,6 +193,15 @@ def _shell_for(config: SuiteConfig, default_lmax: int) -> SphericalShell:
     return SphericalShell(radius=1.0, l_max=default_lmax)
 
 
+def _orbital_shell(config: SuiteConfig) -> SphericalShell:
+    """The shell of the orbital checks, default l_max 1; InvalidConfig at
+    l_max 0, where every orbital generator vanishes."""
+    shell = _shell_for(config, default_lmax=1)
+    if shell.l_max < 1:
+        raise InvalidConfig("orbital checks need l_max >= 1")
+    return shell
+
+
 # ---------------------------------------------------------------------------
 # canonical-commutators
 
@@ -297,13 +307,20 @@ def _metric_checks(rep: VerificationReport, config: SuiteConfig, fs: FockSpace) 
 
 
 def _lift_homomorphism_residual(rng: np.random.Generator, pairs: int, dim_cap: int) -> float:
+    """L([M, N]_G) = [L(M), L(N)] on random forms over random channels.
+
+    Each space is capped at total occupation n_max - 1, the block below the
+    product space's truncation edge.  Lifts conserve total occupation, so the
+    block is invariant and each entry on it is the product-space entry: the
+    residual is the product space's on the block, bit for bit.
+    """
     residuals = []
     for _ in range(pairs):
         n_ch = int(rng.integers(2, 5))
         lams = [int(rng.integers(0, 4)) for _ in range(n_ch)]
         chans = [(f"m{j}", lams[j]) for j in range(n_ch)]
         n_max = int(rng.integers(2, 4))
-        fs = build_fock(chans, n_max, dim_cap=dim_cap)
+        fs = build_fock(chans, n_max, dim_cap=dim_cap, max_total=n_max - 1)
         shape = (n_ch, n_ch)
         m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         n = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -311,7 +328,7 @@ def _lift_homomorphism_residual(rng: np.random.Generator, pairs: int, dim_cap: i
         qn = QuadraticForm(n, fs.signs)
         lhs = commutator(lift_bilinear(fs, qm), lift_bilinear(fs, qn))
         rhs = lift_bilinear(fs, qm.bracket(qn))
-        residuals.append(_edge_safe(lhs - rhs))
+        residuals.append(max_abs(lhs - rhs))
     return max_residual(residuals)
 
 
@@ -412,9 +429,7 @@ def suite_observable(config: SuiteConfig) -> VerificationReport:
     )
     rep.add("spin-total-obs-agree-circular", "S-obs-form", agree, config.tol)
 
-    shell1 = _shell_for(config, default_lmax=1)
-    if shell1.l_max < 1:
-        shell1 = SphericalShell(radius=shell1.radius, l_max=1)
+    shell1 = _orbital_shell(config)
     fs4 = _shell_space(shell1, (0, 1, 2, 3), config.dim_cap)
     lobs = ops.oam_obs(shell1, fs4)
     rep.add("oam-obs-su2", "L-obs", _su2_residual(lobs), config.tol)
@@ -443,7 +458,7 @@ def suite_observable(config: SuiteConfig) -> VerificationReport:
 def suite_decomposition(config: SuiteConfig) -> VerificationReport:
     rep = VerificationReport("decomposition-compare", _config_echo(config))
     rng = np.random.default_rng(config.seed)
-    shell = _shell_for(config, default_lmax=1)
+    shell = _orbital_shell(config)
     fs = _shell_space(shell, (0, 1, 2, 3), config.dim_cap)
     lifted = {
         name: {f.name: f.lift(fs) for f in ops.build_decomposition(name, shell, fs)}

@@ -50,6 +50,13 @@ def test_spinor_matrices_block_structure():
     assert np.max(np.abs(basis.alpha[0] @ basis.alpha[1] + basis.alpha[1] @ basis.alpha[0])) == 0
 
 
+def test_spinor_sigma_is_twice_the_table_i_sam_block():
+    ((_, blocks),) = ops.TABLE_I_FORMS["sam"]
+    sigma = spinor_matrices().sigma
+    for i in range(3):
+        np.testing.assert_array_equal(sigma[i], 2.0 * blocks[i])
+
+
 def test_spinor_half_generators_close_su2():
     basis = spinor_matrices()
     half = [s / 2.0 for s in basis.sigma]

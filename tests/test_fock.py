@@ -12,6 +12,8 @@ from photonam.fock import (
     FockSpace,
     OperatorMatrix,
     QuadraticForm,
+    _CSR,
+    _jw_parity,
     _lowering,
     annihilator,
     build_fock,
@@ -253,6 +255,73 @@ def test_lift_commutator_homomorphism_random_pairs():
         lhs = commutator(lift_bilinear(fs, qm), lift_bilinear(fs, qn))
         rhs = lift_bilinear(fs, qm.bracket(qn))
         assert max_abs(compress(lhs - rhs, idx)) <= 1e-12
+
+
+def per_pair_lift(fs, form):
+    """The lift as one loop over the nonzeros of M, pair by pair."""
+    m = form.matrix
+    occ = [fs.occupations(j) for j in range(len(fs.channels))]
+    rows, cols, vals = [], [], []
+    diag = np.zeros(fs.dim, dtype=complex)
+    for a, b in zip(*np.nonzero(m)):
+        src = np.nonzero(occ[b])[0]
+        root_b = np.sqrt(occ[b][src])
+        if a == b:
+            diag[src] += (m[a, b] * fs.signs[a] * root_b) * root_b
+            continue
+        room = occ[a][src] < fs.n_max
+        src = src[room]
+        amp = (m[a, b] * fs.signs[a] * np.sqrt(occ[a][src] + 1)) * root_b[room]
+        if fs.fermionic:
+            amp *= _jw_parity(fs, fs.codes[src], min(a, b), max(a, b))
+        rows.append(fs.locate(fs.codes[src] - fs.weight(b) + fs.weight(a)))
+        cols.append(src)
+        vals.append(amp)
+    on_diag = np.nonzero(diag)[0]
+    rows.append(on_diag)
+    cols.append(on_diag)
+    vals.append(diag[on_diag])
+    return _CSR.from_entries(
+        np.concatenate(vals), np.concatenate(rows), np.concatenate(cols), (fs.dim, fs.dim)
+    )
+
+
+def _random_form(rng, n_ch, kind):
+    m = rng.normal(size=(n_ch, n_ch)) + 1j * rng.normal(size=(n_ch, n_ch))
+    m[rng.random(size=(n_ch, n_ch)) < 0.3] = 0.0
+    if kind == "diagonal":
+        m = np.diag(np.diag(m))
+    elif kind == "off-diagonal":
+        np.fill_diagonal(m, 0.0)
+    elif kind == "zero":
+        m[:] = 0.0
+    elif kind == "zero-rows":
+        m[rng.integers(0, n_ch, size=max(1, n_ch // 2))] = 0.0
+    return m
+
+
+def _lift_spaces(rng):
+    for _ in range(12):
+        n_ch = int(rng.integers(1, 5))
+        chans = [(f"m{j}", int(rng.integers(0, 4))) for j in range(n_ch)]
+        n_max = int(rng.integers(1, 4))
+        yield build_fock(chans, n_max)
+        yield build_fock(chans, n_max, max_total=int(rng.integers(0, n_max * n_ch + 1)))
+    for n_ch in range(2, 7):
+        chans = [(f"f{j}", j % 4) for j in range(n_ch)]
+        yield build_fermion_fock(chans)
+        yield build_fermion_fock(chans, max_total=int(rng.integers(0, n_ch + 1)))
+
+
+@pytest.mark.parametrize("kind", ["dense", "diagonal", "off-diagonal", "zero", "zero-rows"])
+def test_lift_bit_identical_to_per_pair_loop(kind):
+    rng = np.random.default_rng(11)
+    for fs in _lift_spaces(rng):
+        form = QuadraticForm(_random_form(rng, len(fs.channels), kind), fs.signs)
+        got = lift_bilinear(fs, form).mat.entries()
+        want = per_pair_lift(fs, form).entries()
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 def test_lift_disjoint_channels_commute():

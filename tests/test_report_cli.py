@@ -225,6 +225,16 @@ def test_cli_decomposition_reads_shell(seed, capsys, monkeypatch):
     assert violation == {2: "5.000000e-01", 1: "2.500000e-01"}
 
 
+@pytest.mark.parametrize("suite", ["observable-commutators", "decomposition-compare", "all"])
+def test_cli_orbital_lmax_zero_exit_2(suite, capsys):
+    assert main(["--suite", suite, "--shell", "1.0,0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: orbital checks need l_max >= 1")
+    assert "Traceback" not in err
+    with pytest.raises(InvalidConfig, match="orbital checks need l_max >= 1"):
+        run_suite(SuiteConfig(suite=suite, shell=(1.0, 0)))
+
+
 def test_cli_capped_space_over_dim_cap_exit_2(capsys):
     argv = ["--suite", "observable-commutators", "--shell", "1.0,2", "--dim-cap", "40"]
     assert main(argv) == 2

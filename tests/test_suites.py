@@ -8,12 +8,15 @@ from photonam import fields as flds
 from photonam import operators as ops
 from photonam import suites
 from photonam.fock import (
+    DEFAULT_DIM_CAP,
     OperatorMatrix,
+    QuadraticForm,
     _CSR,
     build_fock,
     commutator,
     compress,
     identity_operator,
+    lift_bilinear,
     max_abs,
     max_residual,
 )
@@ -255,6 +258,36 @@ def test_decomposition_claims_block_capped_match_block_plus_one(seed):
         suites._claim_checks(rep, name, spec, lifted(new, name), 1e-10)
         expected = _claim_residuals_read(spec, lifted(old, name), read)
         assert [r.residual for r in rep.checks] == expected, name
+
+
+def _full_space_lift_homomorphism(rng, pairs):
+    """lift-homomorphism-random on the uncapped product spaces, read on the
+    block below the truncation edge."""
+    residuals = []
+    for _ in range(pairs):
+        n_ch = int(rng.integers(2, 5))
+        lams = [int(rng.integers(0, 4)) for _ in range(n_ch)]
+        chans = [(f"m{j}", lams[j]) for j in range(n_ch)]
+        n_max = int(rng.integers(2, 4))
+        fs = build_fock(chans, n_max)
+        shape = (n_ch, n_ch)
+        m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        n = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        qm = QuadraticForm(m, fs.signs)
+        qn = QuadraticForm(n, fs.signs)
+        lhs = commutator(lift_bilinear(fs, qm), lift_bilinear(fs, qn))
+        rhs = lift_bilinear(fs, qm.bracket(qn))
+        residuals.append(max_abs(compress(lhs - rhs, fs.bounded_indices(n_max - 1))))
+    return max_residual(residuals)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_lift_homomorphism_capped_matches_full_space(seed):
+    capped = suites._lift_homomorphism_residual(
+        np.random.default_rng(seed), pairs=20, dim_cap=DEFAULT_DIM_CAP
+    )
+    full = _full_space_lift_homomorphism(np.random.default_rng(seed), pairs=20)
+    assert 0.0 < capped == full
 
 
 def test_density_map_integral_catches_a_perturbed_map(monkeypatch):

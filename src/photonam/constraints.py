@@ -426,6 +426,16 @@ def random_conjugate_symmetric_xi(
     return out
 
 
+def xi_source_coefficients(ms: SphericalShell, xi: dict) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per component x, y, z, the coefficients (conj(xi) . L, L . xi) of the
+    annihilators and creators, over the shell's labels, in the prescribed-source
+    bilinear `xi_oam_bilinear`."""
+    if not isinstance(ms, SphericalShell):
+        raise ChannelMismatch("prescribed-source bilinears use the shell labeling")
+    vec = np.array([complex(xi.get(c, 0.0)) for c in ms.mode_labels()])
+    return [(vec.conj() @ gen, gen @ vec) for gen in orbital_matrices(ms.l_max)]
+
+
 def xi_oam_bilinear(
     ms: SphericalShell, fs: FockSpace, xi: dict, lam: int
 ) -> tuple[OperatorMatrix, ...]:
@@ -439,15 +449,9 @@ def xi_oam_bilinear(
     states is -X(lam=3), and the transverse extra terms of the Wakamatsu
     decomposition are X(lam=1) + X(lam=2).
     """
-    if not isinstance(ms, SphericalShell):
-        raise ChannelMismatch("prescribed-source bilinears use the shell labeling")
-    gens = orbital_matrices(ms.l_max)
     labels = ms.mode_labels()
-    vec = np.array([complex(xi.get(c, 0.0)) for c in labels])
     out = []
-    for gen in gens:
-        row = vec.conj() @ gen
-        col = gen @ vec
+    for row, col in xi_source_coefficients(ms, xi):
         # the ladders of distinct channels and directions have disjoint
         # patterns, so every entry is one term added to 0
         total = zero_operator(fs)

@@ -16,8 +16,9 @@ product space on the block.  The dirac suite's spinor x orbital
 space is capped at fermion number `DIRAC_FERMION_CAP`, an invariant block in
 the same sense.  Ladder identities keep the product basis and are read on
 the block below its edge (`_edge_safe`); whole-space residuals there go into
-the notes, never into assertions.  Spaces whose checks build states in
-Kronecker order keep the product basis too.
+the notes, never into assertions.  The xi pathway of gauge-hiding builds no
+product space: its displaced state is a product of one-mode factors, so it
+reads one-mode moments.
 
 The angular-momentum claims of Maxwell and Dirac fields are generated by one
 emitter, `_claim_checks`, one check per claimed algebra or mutual relation:
@@ -193,10 +194,10 @@ def _shell_for(config: SuiteConfig, default_lmax: int) -> SphericalShell:
     return SphericalShell(radius=1.0, l_max=default_lmax)
 
 
-def _orbital_shell(config: SuiteConfig) -> SphericalShell:
-    """The shell of the orbital checks, default l_max 1; InvalidConfig at
-    l_max 0, where every orbital generator vanishes."""
-    shell = _shell_for(config, default_lmax=1)
+def _orbital_shell(config: SuiteConfig, default_lmax: int = 1) -> SphericalShell:
+    """The shell of the orbital checks; InvalidConfig at l_max 0, where every
+    orbital generator vanishes."""
+    shell = _shell_for(config, default_lmax)
     if shell.l_max < 1:
         raise InvalidConfig("orbital checks need l_max >= 1")
     return shell
@@ -333,7 +334,7 @@ def _lift_homomorphism_residual(rng: np.random.Generator, pairs: int, dim_cap: i
 
 
 def _oam_sector_checks(rep: VerificationReport, config: SuiteConfig) -> None:
-    shell2 = _shell_for(config, default_lmax=2)
+    shell2 = _orbital_shell(config, default_lmax=2)
     for lam, tag in ((1, "transverse"), (0, "scalar")):
         fs = _shell_space(shell2, (lam,), config.dim_cap)
         weight = {lam: ops.OAM_WEIGHTS[lam]}
@@ -508,6 +509,7 @@ def suite_decomposition(config: SuiteConfig) -> VerificationReport:
 
 def suite_gauge_hiding(config: SuiteConfig) -> VerificationReport:
     rep = VerificationReport("gauge-hiding", _config_echo(config))
+    shell = _orbital_shell(config)
     rng = np.random.default_rng(config.seed)
 
     pair = build_fock([(_ONE_LABEL, 3), (_ONE_LABEL, 0)], 1, dim_cap=config.dim_cap)
@@ -577,7 +579,6 @@ def suite_gauge_hiding(config: SuiteConfig) -> VerificationReport:
     )
     rep.add("free-energy-cancellation", "Gupta1", energy, config.tol)
 
-    shell = SphericalShell(radius=1.0, l_max=1)
     fs_sh = _shell_space(shell, (0, 1, 2, 3), config.dim_cap)
     oam = ops.oam_total(shell, fs_sh)
     lobs = ops.oam_obs(shell, fs_sh)
@@ -589,13 +590,12 @@ def suite_gauge_hiding(config: SuiteConfig) -> VerificationReport:
         1e-14,
     )
 
-    _xi_pathway_reports(rep, config, rng)
+    _xi_pathway_reports(rep, config, shell, rng)
     _xi_fourier_checks(rep, config, rng)
     return rep.finalize()
 
 
-def _xi_pathway_reports(rep: VerificationReport, config: SuiteConfig, rng) -> None:
-    shell = SphericalShell(radius=1.0, l_max=1)
+def _xi_pathway_reports(rep: VerificationReport, config: SuiteConfig, shell, rng) -> None:
     xi_sym = cons.random_conjugate_symmetric_xi(shell, rng, scale=0.05)
     rep.add(
         "xi-conjugate-symmetry", "xi", cons.xi_conjugate_residual(shell, xi_sym), 1e-13
@@ -606,19 +606,15 @@ def _xi_pathway_reports(rep: VerificationReport, config: SuiteConfig, rng) -> No
         c: 0.05 * (rng.normal() + 1j * rng.normal()) for c in shell.mode_labels()
     }
     gens = orbital_matrices(shell.l_max)
-    chans = [(c, lam) for c in shell.mode_labels() for lam in (0, 3)]
-    spaces = []
-    for n_max in (1, 2):
-        fs = build_fock(chans, n_max, dim_cap=config.dim_cap)
-        spaces.append((n_max, fs, ops.l_pure(shell, fs)))
     for tag, xi in (("symmetric", xi_sym), ("probe", xi_probe)):
         vec = np.array([xi[c] for c in shell.mode_labels()])
         counter = np.array([-np.real(vec.conj() @ g @ vec) for g in gens])
-        for n_max, fs, lpure in spaces:
-            psi, kernel_res = _approximate_displaced_kernel(shell, xi, n_max, config.dim_cap)
-            source = tuple(-1.0 * x for x in cons.xi_oam_bilinear(shell, fs, xi, 3))
-            lhs = [expectation(fs, lpure[c], psi) for c in range(3)]
-            rhs = [expectation(fs, source[c], psi) + counter[c] for c in range(3)]
+        for n_max in (1, 2):
+            small, factors, kernel_res = _approximate_displaced_kernel(
+                shell, xi, n_max, config.dim_cap
+            )
+            lhs, source = _xi_pathway_expectations(shell, xi, small, factors)
+            rhs = [source[c] + counter[c] for c in range(3)]
             worst = max_residual(abs(l - r) for l, r in zip(lhs, rhs))
             magnitude = max_residual(abs(l) for l in lhs)
             rep.note(
@@ -631,24 +627,51 @@ def _xi_pathway_reports(rep: VerificationReport, config: SuiteConfig, rng) -> No
 
 
 def _approximate_displaced_kernel(shell, xi, n_max, dim_cap=DEFAULT_DIM_CAP):
-    """Product state built from per-mode best approximate kernel vectors,
-    with the largest per-mode kernel residual.
+    """The one-mode (lam = 0, lam = 3) space, the best approximate kernel
+    vector on it per shell label, and the largest per-mode kernel residual.
 
-    Per-mode factors use the same (lam = 0, lam = 3) channel order as the
-    caller's space so the Kronecker product lands on the right basis.  The
-    per-mode constraint depends on the mode only through its xi, so every
-    factor is computed on one one-mode space.
+    The displaced state is the product of these factors over the labels.
+    The per-mode constraint depends on the mode only through its xi.
     """
     small = build_fock([(_ONE_LABEL, 0), (_ONE_LABEL, 3)], n_max, dim_cap=dim_cap)
-    state = np.ones(1, dtype=complex)
-    residuals = []
+    factors, residuals = [], []
     for label in shell.mode_labels():
         constraint = cons.gb_constraints(_ONE_MODE, small, {_ONE_LABEL: xi.get(label, 0.0)})
-        stack = constraint[0].to_dense()
-        _, sigma, vh = np.linalg.svd(stack)
-        state = np.kron(state, vh[-1].conj())
+        _, sigma, vh = np.linalg.svd(constraint[0].to_dense())
+        factors.append(vh[-1].conj())
         residuals.append(sigma[-1])
-    return state, max_residual(residuals)
+    return small, factors, max_residual(residuals)
+
+
+def _xi_pathway_expectations(shell, xi, small, factors):
+    """<l_pure> and <source> = -<xi_oam_bilinear(lam = 3)> per component on
+    the product of one-mode factors, without building the product space.
+
+    Both operators are at most bilinear in the ladders and eta factorizes
+    per mode, so <creator_a a_b> is <creator_a><a_b> across two modes and a
+    one-mode moment within one; <lift(M)> is then sum_ab M_ab <creator_a a_b>
+    over the label-major (label, lam = 0, 3) channels.  Each factor's
+    moments go through `expectation`, so a zero-norm factor raises
+    ZeroNormState.
+    """
+    lower = [annihilator(small, (_ONE_LABEL, lam)) for lam in (0, 3)]
+    upper = [creator(small, (_ONE_LABEL, lam)) for lam in (0, 3)]
+    first = np.array([[expectation(small, a, v) for a in lower] for v in factors])
+    first_up = np.array([[expectation(small, c, v) for c in upper] for v in factors])
+    moments = np.outer(first_up, first)
+    pairs = [[c @ a for a in lower] for c in upper]
+    for k, v in enumerate(factors):
+        moments[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = [
+            [expectation(small, p, v) for p in row] for row in pairs
+        ]
+    # the forms read only the channels' order and signs: a vacuum-only space
+    chans = [(c, lam) for c in shell.mode_labels() for lam in (0, 3)]
+    terms = ops._orbital(ops._diag_weight(ops.L_PURE_WEIGHTS))
+    forms = ops._family_forms(build_fock(chans, 1, max_total=0), terms, shell)
+    lpure = [np.sum(f.matrix * moments) for f in forms]
+    coefficients = cons.xi_source_coefficients(shell, xi)
+    source = [-(row @ first[:, 1] + col @ first_up[:, 1]) for row, col in coefficients]
+    return lpure, source
 
 
 def _xi_fourier_checks(rep: VerificationReport, config: SuiteConfig, rng) -> None:

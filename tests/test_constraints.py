@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -284,7 +285,8 @@ def test_xi_bilinear_is_metric_hermitian_and_identity_holds():
     from photonam.suites import _approximate_displaced_kernel
     from photonam.modes import orbital_matrices
 
-    psi, res = _approximate_displaced_kernel(shell, xi, 2)
+    _, factors, res = _approximate_displaced_kernel(shell, xi, 2)
+    psi = functools.reduce(np.kron, factors)
     lpure = ops.l_pure(shell, fs)
     vec = np.array([xi[c] for c in shell.mode_labels()])
     gens = orbital_matrices(1)

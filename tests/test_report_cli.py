@@ -225,7 +225,40 @@ def test_cli_decomposition_reads_shell(seed, capsys, monkeypatch):
     assert violation == {2: "5.000000e-01", 1: "2.500000e-01"}
 
 
-@pytest.mark.parametrize("suite", ["observable-commutators", "decomposition-compare", "all"])
+def test_cli_gauge_hiding_reads_shell(capsys, monkeypatch):
+    from photonam import suites
+
+    built = []
+    oam_total = ops.oam_total
+    per_mode = suites._xi_pathway_expectations
+
+    def recording_oam(ms, fs):
+        built.append(("oam-identity", ms.l_max, fs.dim))
+        return oam_total(ms, fs)
+
+    def recording_xi(shell, xi, small, factors):
+        built.append(("xi", shell.l_max, len(factors)))
+        return per_mode(shell, xi, small, factors)
+
+    monkeypatch.setattr(ops, "oam_total", recording_oam)
+    monkeypatch.setattr(suites, "_xi_pathway_expectations", recording_xi)
+    assert main(["--suite", "gauge-hiding", "--shell", "1.0,2", "--format", "json"]) == 0
+    parsed = json.loads(capsys.readouterr().out)
+    assert parsed["summary"] == {"total": 10, "passed": 10, "failed": 0}
+    # l_max 2: 36 channels capped at one photon, 37 states; 9 xi factors
+    assert set(built) == {("oam-identity", 2, 37), ("xi", 2, 9)}
+
+
+@pytest.mark.parametrize(
+    "suite",
+    [
+        "observable-commutators",
+        "decomposition-compare",
+        "canonical-commutators",
+        "gauge-hiding",
+        "all",
+    ],
+)
 def test_cli_orbital_lmax_zero_exit_2(suite, capsys):
     assert main(["--suite", suite, "--shell", "1.0,0"]) == 2
     err = capsys.readouterr().err

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from photonam import constraints as cons
 from photonam import fields as flds
 from photonam import operators as ops
 from photonam import suites
+from photonam.errors import ZeroNormState
 from photonam.fock import (
     DEFAULT_DIM_CAP,
     OperatorMatrix,
@@ -15,6 +17,7 @@ from photonam.fock import (
     build_fock,
     commutator,
     compress,
+    expectation,
     identity_operator,
     lift_bilinear,
     max_abs,
@@ -303,3 +306,51 @@ def test_density_map_integral_catches_a_perturbed_map(monkeypatch):
     monkeypatch.setattr(flds, "spin_density_map", perturbed)
     rep = run_suite(SuiteConfig(suite="field-consistency"))
     assert "density-map-integral" in [r.check_id for r in rep.checks if not r.passed]
+
+
+def _product_space_xi_pathway(shell, xi, small, factors):
+    """The xi pathway on the full product space: <l_pure> and <source> per
+    component on the Kronecker product of the one-mode factors."""
+    psi = functools.reduce(np.kron, factors)
+    chans = [(c, lam) for c in shell.mode_labels() for lam in (0, 3)]
+    fs = build_fock(chans, small.n_max)
+    lpure = ops.l_pure(shell, fs)
+    source = tuple(-1.0 * x for x in cons.xi_oam_bilinear(shell, fs, xi, 3))
+    return (
+        [expectation(fs, lpure[c], psi) for c in range(3)],
+        [expectation(fs, source[c], psi) for c in range(3)],
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_xi_pathway_per_mode_matches_product_space(seed, monkeypatch):
+    calls = []
+    per_mode = suites._xi_pathway_expectations
+
+    def recording(shell, xi, small, factors):
+        out = per_mode(shell, xi, small, factors)
+        calls.append((shell, xi, small, factors, out))
+        return out
+
+    monkeypatch.setattr(suites, "_xi_pathway_expectations", recording)
+    rep = run_suite(SuiteConfig(suite="gauge-hiding", seed=seed))
+    assert rep.all_passed
+    # symmetric and probe xi, each at n_max 1 and 2
+    assert [small.n_max for _, _, small, _, _ in calls] == [1, 2, 1, 2]
+    for shell, xi, small, factors, (lpure, source) in calls:
+        ref_lpure, ref_source = _product_space_xi_pathway(shell, xi, small, factors)
+        assert max(abs(a - b) for a, b in zip(lpure, ref_lpure)) <= 1e-15
+        assert max(abs(a - b) for a, b in zip(source, ref_source)) <= 1e-15
+    # the probe xi gives both sides nonzero values
+    _, _, _, _, (lpure, source) = calls[-1]
+    assert max(abs(a) for a in lpure) > 1e-6 and max(abs(a) for a in source) > 1e-3
+
+
+def test_xi_pathway_zero_norm_factor_raises():
+    shell = SphericalShell(radius=1.0, l_max=1)
+    xi = {c: 0.05 for c in shell.mode_labels()}
+    small, factors, _ = suites._approximate_displaced_kernel(shell, xi, 1)
+    # vacuum plus one scalar photon: indefinite norm 1 - 1 = 0
+    gauge = small.vacuum() + small.basis_state({(suites._ONE_LABEL, 0): 1})
+    with pytest.raises(ZeroNormState):
+        suites._xi_pathway_expectations(shell, xi, small, factors[:-1] + [gauge])

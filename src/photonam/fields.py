@@ -13,13 +13,19 @@ alpha_0) longitudinal weight, and the magnetic field is purely transverse.
 Field maps are batched over modes: each is a sum over the distinct wave
 vectors of exp(i k.x) times a per-mode coefficient, so one (N^3 x K) phase
 matrix times one coefficient matrix gives them all.
+
+Everything but the amplitudes is tabulated once per lattice, in a small
+cache keyed on (box length, grid size, distinct wave vectors in grouped
+order): the validation, omega, the frames and the phase matrix.  -0.0 and
+0.0 compare equal, so twins that differ only in the sign of a zero share an
+entry.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -59,24 +65,10 @@ class ClassicalFieldState:
                     f"wave vector needs 3 components, got {len(comps)}"
                 )
             entries.append((comps, int(lam), complex(alpha)))
-        ks = np.array([e[0] for e in entries], dtype=float).reshape(-1, 3)
-        # an overflow to inf, or the NaN of inf - inf, fails the checks below
-        with np.errstate(over="ignore", invalid="ignore"):
-            omega = np.sqrt(np.sum(ks * ks, axis=1))
-            lattice = ks * self.box_length / (2.0 * math.pi)
-            rounded = np.round(lattice)
-            off = ~np.all(np.abs(lattice - rounded) <= _LATTICE_TOL, axis=1)
-        if not np.all((omega > 0.0) & (omega < math.inf)):
-            raise ZeroWaveVector("wave vector must be nonzero and finite (omega = |k|)")
-        if off.any():
-            comps = entries[int(np.argmax(off))][0]
-            raise OffLatticeMode(f"mode {comps} off the box lattice")
-        max_index = int(np.max(np.abs(rounded), initial=0.0))
-        if self.grid_n < 2 * max_index + 1:
-            raise BandLimitViolation(
-                f"grid N = {self.grid_n} below band limit {2 * max_index + 1}"
-            )
+        wave_vectors = tuple(dict.fromkeys(e[0] for e in entries))
+        table = _lattice_table(float(self.box_length), int(self.grid_n), wave_vectors)
         object.__setattr__(self, "amplitudes", tuple(entries))
+        object.__setattr__(self, "_lattice", table)
 
     def grouped(self) -> dict:
         """Amplitudes per wave vector as length-4 complex arrays."""
@@ -88,25 +80,61 @@ class ClassicalFieldState:
     @cached_property
     def _mode_table(self):
         """Per distinct wave vector (K of them): k (K, 3), omega (K,), spatial
-        frame rows lam = 0..3 (K, 4, 3) and the grouped amplitudes (K, 4).
+        frame rows lam = 0..3 (K, 4, 3), all shared with every state on the
+        same lattice, and this state's grouped amplitudes (K, 4)."""
+        lat = self._lattice
+        amps = np.array(list(self.grouped().values()), dtype=complex).reshape(-1, 4)
+        return lat.ks, lat.omega, lat.frames, amps
 
-        Built once per state and shared by every evaluation of it.
-        """
-        grouped = self.grouped()
-        kvs = [WaveVector(k) for k in grouped]
-        ks = np.array([kv.components for kv in kvs], dtype=float).reshape(-1, 3)
-        omega = np.array([kv.omega for kv in kvs], dtype=float)
-        frames = np.array([polarization_frame(kv).eps[:, 1:] for kv in kvs])
-        amps = np.array(list(grouped.values()), dtype=complex).reshape(-1, 4)
-        return ks, omega, frames.reshape(-1, 4, 3), amps
+
+class _Lattice:
+    """The state-independent part of a field evaluation: the validated
+    distinct wave vectors ks (K, 3), their omega (K,) and spatial frame rows
+    lam = 0..3 (K, 4, 3), and the (N^3 x K) phase matrix exp(i x.k), built
+    on first use.  All read-only."""
+
+    def __init__(self, box_length: float, grid_n: int, wave_vectors: tuple) -> None:
+        ks = np.array(wave_vectors, dtype=float).reshape(-1, 3)
+        # an overflow to inf, or the NaN of inf - inf, fails the checks below
+        with np.errstate(over="ignore", invalid="ignore"):
+            omega = np.sqrt(np.sum(ks * ks, axis=1))
+            lattice = ks * box_length / (2.0 * math.pi)
+            rounded = np.round(lattice)
+            off = ~np.all(np.abs(lattice - rounded) <= _LATTICE_TOL, axis=1)
+        if not np.all((omega > 0.0) & (omega < math.inf)):
+            raise ZeroWaveVector("wave vector must be nonzero and finite (omega = |k|)")
+        if off.any():
+            raise OffLatticeMode(f"mode {wave_vectors[int(np.argmax(off))]} off the box lattice")
+        max_index = int(np.max(np.abs(rounded), initial=0.0))
+        if grid_n < 2 * max_index + 1:
+            raise BandLimitViolation(f"grid N = {grid_n} below band limit {2 * max_index + 1}")
+        frames = [polarization_frame(WaveVector(k)).eps[:, 1:] for k in wave_vectors]
+        self.ks, self.omega, self.frames = ks, omega, np.array(frames).reshape(-1, 4, 3)
+        for arr in (ks, omega, self.frames):
+            arr.setflags(write=False)
+        self._grid = (box_length, grid_n)
+
+    @cached_property
+    def phases(self) -> np.ndarray:
+        phases = np.exp(1j * (_positions(*self._grid) @ self.ks.T))
+        phases.setflags(write=False)
+        return phases
+
+
+# bounded, since an evaluated entry holds its phase matrix; lru_cache caches no
+# exception, so every state on a bad lattice raises anew
+_lattice_table = lru_cache(maxsize=8)(_Lattice)
+
+
+def _positions(length: float, n: int) -> np.ndarray:
+    axis = -length / 2.0 + np.arange(n) * (length / n)
+    xs, ys, zs = np.meshgrid(axis, axis, axis, indexing="ij")
+    return np.stack([xs.ravel(), ys.ravel(), zs.ravel()], axis=1)
 
 
 def grid_positions(state: ClassicalFieldState) -> np.ndarray:
     """Centered sample positions, shape (N^3, 3)."""
-    n, length = state.grid_n, state.box_length
-    axis = -length / 2.0 + np.arange(n) * (length / n)
-    xs, ys, zs = np.meshgrid(axis, axis, axis, indexing="ij")
-    return np.stack([xs.ravel(), ys.ravel(), zs.ravel()], axis=1)
+    return _positions(state.box_length, state.grid_n)
 
 
 def cell_volume(state: ClassicalFieldState) -> float:
@@ -127,7 +155,8 @@ class FieldMaps:
 
 def eval_fields(state: ClassicalFieldState) -> FieldMaps:
     """Evaluate E, B, A, pi (vectors) and A0, pi0 (scalars) on the grid,
-    each as 2 Re or -2 Im of columns of one phase-matrix product."""
+    each as 2 Re or -2 Im of columns of the lattice's phase matrix times
+    this state's coefficients."""
     ks, omega, frames, amps = state._mode_table
     volume = state.box_length ** 3
     low = 1.0 / np.sqrt(2.0 * omega[:, None] * volume)
@@ -141,7 +170,7 @@ def eval_fields(state: ClassicalFieldState) -> FieldMaps:
     coeffs = np.hstack(
         [low * np.hstack([spatial, alpha0]), high * np.hstack([spatial, alpha0, e_vec, b_vec])]
     )
-    sums = np.exp(1j * (grid_positions(state) @ ks.T)) @ coeffs
+    sums = state._lattice.phases @ coeffs
     re = 2.0 * np.real(sums[:, :4])
     im = -2.0 * np.imag(sums[:, 4:])
     return FieldMaps(
@@ -214,10 +243,10 @@ def mode_spin_formula(state: ClassicalFieldState) -> np.ndarray:
 
 def transverse_energy(state: ClassicalFieldState) -> float:
     """Mode-sum energy of the transverse amplitudes, sum omega |alpha|^2."""
+    _, omegas, _, amps = state._mode_table
     total = 0.0
-    for k, amps in state.grouped().items():
-        omega = WaveVector(k).omega
-        total += omega * (abs(amps[1]) ** 2 + abs(amps[2]) ** 2)
+    for omega, alpha in zip(omegas, amps):
+        total += omega * (abs(alpha[1]) ** 2 + abs(alpha[2]) ** 2)
     return total
 
 
@@ -237,7 +266,7 @@ def spatial_oam_integral(state: ClassicalFieldState) -> np.ndarray:
     spatial = amps[:, 1, None] * frames[:, 1] + amps[:, 2, None] * frames[:, 2]
     # d_i A^c = sum_k 2 low Re(exp(i k.x) i k_i spatial^c): (point, axis, component)
     deriv = (1j * low[:, None, None]) * ks[:, :, None] * spatial[:, None, :]
-    grad_a = 2.0 * np.real(np.exp(1j * (pos @ ks.T)) @ deriv.reshape(-1, 9))
+    grad_a = 2.0 * np.real(tstate._lattice.phases @ deriv.reshape(-1, 9))
     grad_a = grad_a.reshape(-1, 3, 3)
     x_cross_grad = np.cross(pos[:, :, None], grad_a, axis=1)
     integrand = np.einsum("pj,pij->pi", maps.e, np.swapaxes(x_cross_grad, 1, 2))

@@ -107,6 +107,22 @@ class SuiteConfig:
             raise InvalidConfig("a grid lists wave vectors; give a shell with --shell")
         if self.suite not in SUITES and self.suite != "all":
             raise UnknownSuite(f"no suite named {self.suite!r}")
+        unread = self.unread_flags(self.suite)
+        if unread:
+            raise InvalidConfig(f"{self.suite} does not read {' or '.join(unread)}")
+
+    def unread_flags(self, suite: str) -> list[str]:
+        """The set flags among those `suite` never reads."""
+        knobs = _UNREAD_KNOBS.get(suite, ())
+        return [f"--{knob}" for knob in knobs if getattr(self, knob) is not None]
+
+
+# Run alone, a suite refuses a knob it never reads; under `all` it notes it.
+_UNREAD_KNOBS = {
+    "counter-rotating": ("shell",),
+    "dirac": ("grid", "shell"),
+    "field-consistency": ("grid", "shell"),
+}
 
 
 def _default_grid() -> CartesianGrid:
@@ -937,5 +953,8 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     config.validate()
     if config.suite == "all":
         parts = [SUITES[name](config) for name in sorted(SUITES)]
+        for part in parts:
+            for flag in config.unread_flags(part.suite):
+                part.note(f"{flag} ignored: this suite does not read it")
         return merge_reports("all", _config_echo(config), parts)
     return SUITES[config.suite](config)

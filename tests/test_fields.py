@@ -307,3 +307,77 @@ def test_eval_fields_of_empty_state():
         assert not np.any(arr)
     assert flds.spatial_oam_integral(state).tolist() == [0.0, 0.0, 0.0]
     assert flds.mode_spin_formula(state).tolist() == [0.0, 0.0, 0.0]
+
+
+# ---------------------------------------------------------------------------
+# the per-lattice table
+
+CACHE_LATTICE = [(0, 0, 1), (1, -2, 0), (0, 0, -1), (-1, 1, 1)]
+
+
+def _field_arrays(state):
+    maps = flds.eval_fields(state)
+    return [maps.e, maps.b, maps.a, maps.pi, maps.a0, maps.pi0, *state._mode_table]
+
+
+def test_warm_lattice_table_is_bit_identical_to_cold():
+    flds._lattice_table.cache_clear()
+    cold = _field_arrays(random_state(np.random.default_rng(5), CACHE_LATTICE))
+    assert flds._lattice_table.cache_info().misses == 1
+    warm = _field_arrays(random_state(np.random.default_rng(5), CACHE_LATTICE))
+    assert flds._lattice_table.cache_info().hits == 1
+    for got, expected in zip(warm, cold):
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_lattice_table_arrays_are_read_only():
+    state = random_state(np.random.default_rng(0), CACHE_LATTICE)
+    flds.eval_fields(state)
+    ks, omega, frames, _ = state._mode_table
+    for arr in (ks, omega, frames, state._lattice.phases):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "amps, grid_n, error, message",
+    [
+        ([((0.5, 0.0, 0.0), 1, 1.0)], 9, OffLatticeMode, r"mode \(0.5, 0.0, 0.0\) off"),
+        ([(K1, 1, 1.0), ((0.0, 0.0, 0.0), 2, 1.0)], 9, ZeroWaveVector, "nonzero"),
+        ([((0.0, 0.0, 3.0), 1, 1.0)], 5, BandLimitViolation, "below band limit 7"),
+    ],
+    ids=["off-lattice", "zero", "band-limit"],
+)
+def test_bad_lattice_raises_on_every_construction(amps, grid_n, error, message):
+    for _ in range(2):
+        with pytest.raises(error, match=message):
+            make_state(amps, grid_n=grid_n)
+
+
+def test_lattice_table_keyed_on_box_and_grid():
+    amps = [(K1, 1, 1.0), ((0.0, 1.0, 0.0), 2, 0.5j)]
+    base = make_state(amps)
+    assert make_state(amps)._lattice is base._lattice
+    other_grid = make_state(amps, grid_n=7)
+    # k = 1 sits on the lattice of a box of length 4 pi as well
+    other_box = make_state(amps, length=2.0 * LENGTH)
+    assert other_grid._lattice is not base._lattice
+    assert other_box._lattice is not base._lattice
+    assert flds.eval_fields(other_grid).e.shape == (7 ** 3, 3)
+    assert other_box._lattice.phases.shape == base._lattice.phases.shape
+    assert not np.array_equal(other_box._lattice.phases, base._lattice.phases)
+
+
+def test_negative_zero_twin_gives_the_same_maps():
+    amps = [((0.0, 1.0, 0.0), 1, 0.3 + 0.4j), ((0.0, 1.0, 0.0), 2, -0.2j)]
+    twin = [((-0.0, 1.0, 0.0), lam, alpha) for _, lam, alpha in amps]
+    runs = []
+    for first, second in ((amps, twin), (twin, amps)):
+        flds._lattice_table.cache_clear()
+        runs.append(flds.eval_fields(make_state(first)))  # cold
+        runs.append(flds.eval_fields(make_state(second)))  # warm, from the twin's entry
+        assert flds._lattice_table.cache_info().hits == 1
+    for name in ("e", "b", "a", "pi", "a0", "pi0"):
+        # == treats -0.0 and 0.0 as equal: the maps agree up to the sign of zeros
+        for other in runs[1:]:
+            assert np.array_equal(getattr(runs[0], name), getattr(other, name)), name

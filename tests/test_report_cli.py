@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from photonam import fields as flds
 from photonam import operators as ops
 from photonam.cli import main
 from photonam.errors import DimensionCapExceeded, InvalidConfig, UnknownFormat, UnknownSuite
@@ -87,11 +88,20 @@ def test_wall_time_excluded_from_bytes():
         assert render_report(rep1, fmt) == render_report(rep2, fmt)
 
 
-@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
-def test_reports_byte_stable_across_runs(fmt):
-    cfg = SuiteConfig(suite="counter-rotating", seed=3)
-    first = render_report(run_suite(cfg), fmt)
-    second = render_report(run_suite(SuiteConfig(suite="counter-rotating", seed=3)), fmt)
+# counter-rotating keeps its original bare-format ids
+BYTE_STABLE_CASES = [
+    pytest.param(suite, fmt, id=fmt if suite == "counter-rotating" else f"{suite}-{fmt}")
+    for suite in ("counter-rotating", "field-consistency", "dirac")
+    for fmt in ("text", "json", "csv")
+]
+
+
+@pytest.mark.parametrize("suite, fmt", BYTE_STABLE_CASES)
+def test_reports_byte_stable_across_runs(suite, fmt):
+    # the first run starts from an empty lattice table, the second reuses it
+    flds._lattice_table.cache_clear()
+    first = render_report(run_suite(SuiteConfig(suite=suite, seed=3)), fmt)
+    second = render_report(run_suite(SuiteConfig(suite=suite, seed=3)), fmt)
     assert first == second
 
 
@@ -266,6 +276,34 @@ def test_cli_orbital_lmax_zero_exit_2(suite, capsys):
     assert "Traceback" not in err
     with pytest.raises(InvalidConfig, match="orbital checks need l_max >= 1"):
         run_suite(SuiteConfig(suite=suite, shell=(1.0, 0)))
+
+
+@pytest.mark.parametrize(
+    "suite, argv, unread",
+    [
+        ("dirac", ["--shell", "1.0,2"], "--shell"),
+        ("dirac", ["--grid", "0,0,1;0,0,-1"], "--grid"),
+        ("field-consistency", ["--shell", "1.0,2"], "--shell"),
+        ("field-consistency", ["--grid", "0,0,1;0,0,-1", "--shell", "1.0,1"], "--grid or --shell"),
+        ("counter-rotating", ["--shell", "1.0,2"], "--shell"),
+    ],
+)
+def test_cli_suite_alone_refuses_unread_knob(suite, argv, unread, capsys):
+    assert main(["--suite", suite, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {suite} does not read {unread}\n"
+    assert captured.out == ""
+
+
+def test_all_notes_unread_knob_only_when_set():
+    default = run_suite(SuiteConfig(suite="all"))
+    assert not any("ignored" in note for note in default.notes)
+    shell = run_suite(SuiteConfig(suite="all", shell=(1.0, 2)))
+    assert [note for note in shell.notes if "ignored" in note] == [
+        f"{suite}: --shell ignored: this suite does not read it"
+        for suite in ("counter-rotating", "dirac", "field-consistency")
+    ]
+    assert shell.all_passed
 
 
 def test_cli_capped_space_over_dim_cap_exit_2(capsys):

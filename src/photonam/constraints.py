@@ -56,48 +56,18 @@ from .modes import CartesianGrid, ModeSet, SphericalShell, orbital_matrices
 
 @dataclass(frozen=True, eq=False)
 class ChargeSource:
-    """Classical charge density: spatial samples on a periodic box, or a
-    direct table of per-mode coupling values."""
+    """Classical charge density: spatial samples on a periodic box."""
 
     box_length: float | None = None
     samples: np.ndarray | None = None  # rows (x, y, z, rho)
-    table: dict | None = None
 
     def __post_init__(self) -> None:
-        if (self.samples is None) == (self.table is None):
-            raise ChannelMismatch("provide either samples or a table, not both")
-        if self.samples is not None:
-            arr = np.asarray(self.samples, dtype=float)
-            if arr.ndim != 2 or arr.shape[1] != 4:
-                raise ChannelMismatch("samples must be rows of (x, y, z, rho)")
-            if self.box_length is None or self.box_length <= 0:
-                raise ChannelMismatch("sampled sources need a positive box length")
-            object.__setattr__(self, "samples", arr)
-
-
-def charge_source_from_csv(text: str, box_length: float | None = None) -> ChargeSource:
-    """Parse `x y z rho` sample lines or `kx ky kz re im` table lines.
-
-    Separators may be commas or whitespace; four columns mean samples on the
-    declared box, five mean a direct coupling table keyed by wave vector.
-    """
-    rows = []
-    for ln in text.strip().splitlines():
-        parts = ln.replace(",", " ").split()
-        if not parts or parts[0].startswith("#"):
-            continue
-        rows.append([float(p) for p in parts])
-    if not rows:
-        raise ChannelMismatch("empty charge-source text")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ChannelMismatch("inconsistent column count in charge-source text")
-    if width == 4:
-        return ChargeSource(box_length=box_length, samples=np.array(rows))
-    if width == 5:
-        table = {(r[0], r[1], r[2]): complex(r[3], r[4]) for r in rows}
-        return ChargeSource(table=table)
-    raise ChannelMismatch("expected 4 (samples) or 5 (table) columns")
+        arr = np.asarray(self.samples, dtype=float)
+        if arr.ndim != 2 or arr.shape[1] != 4:
+            raise ChannelMismatch("samples must be rows of (x, y, z, rho)")
+        if self.box_length is None or self.box_length <= 0:
+            raise ChannelMismatch("sampled sources need a positive box length")
+        object.__setattr__(self, "samples", arr)
 
 
 def _xi_prefactor(omega: float) -> float:
@@ -106,29 +76,11 @@ def _xi_prefactor(omega: float) -> float:
 
 
 def xi0_from_charge(source: ChargeSource, ms: ModeSet) -> dict:
-    """Per-mode scalar coupling values from the charge source.
-
-    For sampled sources on a grid mode set this is the discrete Fourier sum
-    with the free-space normalization prefactor; every mode must sit on the
-    box's reciprocal lattice.  Table sources are matched to the mode labels
-    (grid: by wave vector; shell: by (l, m) channel) with absent entries
-    treated as zero.
+    """Per-mode scalar coupling values from the charge source: the discrete
+    Fourier sum of its samples with the free-space normalization prefactor.
+    The mode set must be a grid whose every mode sits on the box's
+    reciprocal lattice.
     """
-    if source.table is not None:
-        out = {}
-        if isinstance(ms, SphericalShell):
-            for label in ms.mode_labels():
-                out[label] = complex(source.table.get(label, 0.0))
-            return out
-        for i in ms.mode_labels():
-            k = ms.modes[i].components
-            val = 0.0 + 0.0j
-            for key, xi in source.table.items():
-                if np.allclose(k, key, atol=1e-9):
-                    val = complex(xi)
-                    break
-            out[i] = val
-        return out
     if not isinstance(ms, CartesianGrid):
         raise IncommensurateGrid("sampled sources require a grid mode set")
     length = float(source.box_length)

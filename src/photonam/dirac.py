@@ -18,8 +18,9 @@ not: a creator at the cap drops the states it would push past it.
 Ladders are `fock.annihilator` and `fock.creator` on the fermionic space,
 and every operator is a `fock.OperatorMatrix`.  The Dirac spin and orbital
 families, Sigma/2 (x) 1 and L (x) 1_4 on ((l, m), spinor) channels, are
-built by the builder of the photon shell families, `operators.lift_family`,
-from `operators.TABLE_I_FORMS`; their claims are the Table-I row
+built by the one family builder of `operators`, which builds every photon
+family too, from `operators.TABLE_I_FORMS` (lifted by
+`operators.lift_family`); their claims are the Table-I row
 `operators.TABLE_I`.
 """
 

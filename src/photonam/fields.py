@@ -5,20 +5,24 @@ cubic box of side L; wave vectors must sit on the reciprocal lattice
 2 pi n / L and the sampling grid must satisfy N >= 2 max|n| + 1 so that
 Riemann sums of quadratic field products are exact trigonometric quadratures.
 
-Grid coordinates are centered, x_j = -L/2 + j L / N, which makes the
-position-weighted orbital integrand unbiased for negation-paired amplitude
-sets.  All fields are real; the electric field carries the (alpha_3 -
-alpha_0) longitudinal weight, and the magnetic field is purely transverse.
+Grid coordinates are centered, x_j = -L/2 + j L / N.  All fields are real;
+the electric field carries the (alpha_3 - alpha_0) longitudinal weight, and
+the magnetic field is purely transverse.
 
 Field maps are batched over modes: each is a sum over the distinct wave
 vectors of exp(i k.x) times a per-mode coefficient, so one (N^3 x K) phase
 matrix times one coefficient matrix gives them all.
 
+The mode side of a quadrature check is not a formula of its own:
+`form_value` evaluates a grid family of `operators.GRID_FORMS` on the
+amplitudes, sum_k alpha_k^dag G B_k alpha_k, the expectation of the lift
+that the suites check in the coherent state with these amplitudes.
+
 Everything but the amplitudes is tabulated once per lattice, in a small
 cache keyed on (box length, grid size, distinct wave vectors in grouped
-order): the validation, omega, the frames and the phase matrix.  -0.0 and
-0.0 compare equal, so twins that differ only in the sign of a zero share an
-entry.
+order): the validation, omega, the frames, the phase matrix and the
+per-mode blocks B_k.  -0.0 and 0.0 compare equal, so twins that differ only
+in the sign of a zero share an entry.
 """
 
 from __future__ import annotations
@@ -36,9 +40,12 @@ from .errors import (
     OffLatticeMode,
     ZeroWaveVector,
 )
-from .modes import WaveVector, polarization_frame
+from .modes import WaveVector, channel_sign, polarization_frame
+from .operators import GRID_FORMS, mode_blocks
 
 _LATTICE_TOL = 1e-9
+# G, the channel signs of lam = 0..3
+_SIGNS = np.array([float(channel_sign(lam)) for lam in range(4)])
 
 
 @dataclass(frozen=True)
@@ -90,8 +97,9 @@ class ClassicalFieldState:
 class _Lattice:
     """The state-independent part of a field evaluation: the validated
     distinct wave vectors ks (K, 3), their omega (K,) and spatial frame rows
-    lam = 0..3 (K, 4, 3), and the (N^3 x K) phase matrix exp(i x.k), built
-    on first use.  All read-only."""
+    lam = 0..3 (K, 4, 3), and, built on first use, the (N^3 x K) phase
+    matrix exp(i x.k) and the per-mode blocks of each grid family read.  All
+    read-only."""
 
     def __init__(self, box_length: float, grid_n: int, wave_vectors: tuple) -> None:
         ks = np.array(wave_vectors, dtype=float).reshape(-1, 3)
@@ -113,6 +121,20 @@ class _Lattice:
         for arr in (ks, omega, self.frames):
             arr.setflags(write=False)
         self._grid = (box_length, grid_n)
+        self._blocks: dict = {}
+
+    def blocks(self, name: str, lams: tuple) -> np.ndarray:
+        """G B_k per component of the `operators.GRID_FORMS` family `name`,
+        zero outside the polarizations `lams`, each component flattened
+        over (k, lam, lam'): shape (components, 16 K)."""
+        key = (name, lams)
+        if key not in self._blocks:
+            keep = np.isin(np.arange(4), lams)
+            blocks = mode_blocks(GRID_FORMS[name], self.omega, self.ks, self.frames)
+            blocks = ((_SIGNS * keep)[:, None] * keep * blocks).reshape(len(blocks), -1)
+            blocks.setflags(write=False)
+            self._blocks[key] = blocks
+        return self._blocks[key]
 
     @cached_property
     def phases(self) -> np.ndarray:
@@ -233,67 +255,23 @@ def spin_density_map(
     return np.cross(maps.e, maps.a)
 
 
+def form_value(state: ClassicalFieldState, name: str, lams: tuple = (0, 1, 2, 3)) -> np.ndarray:
+    """The `operators.GRID_FORMS` family `name` evaluated on the amplitudes of
+    the polarizations `lams`, per component: sum_k alpha_k^dag G B_k alpha_k
+    with B_k its per-mode block, the expectation of its lift in the coherent
+    state with these amplitudes."""
+    amps = state._mode_table[3]
+    pairs = (amps.conj()[:, :, None] * amps[:, None, :]).ravel()
+    return np.real(state._lattice.blocks(name, lams) @ pairs)
+
+
 def mode_spin_formula(state: ClassicalFieldState) -> np.ndarray:
-    """Per-mode transverse spin sum i (conj(a2) a1 - conj(a1) a2) eps3."""
-    _, _, frames, amps = state._mode_table
-    a1, a2 = amps[:, 1], amps[:, 2]
-    weight = 1j * (np.conj(a2) * a1 - np.conj(a1) * a2)
-    return np.real(weight) @ frames[:, 3]
+    """Per-mode transverse spin: the `spin_obs` form on the amplitudes,
+    sum_k i (conj(a2) a1 - conj(a1) a2) eps3."""
+    return form_value(state, "spin_obs")
 
 
 def transverse_energy(state: ClassicalFieldState) -> float:
-    """Mode-sum energy of the transverse amplitudes, sum omega |alpha|^2."""
-    _, omegas, _, amps = state._mode_table
-    total = 0.0
-    for omega, alpha in zip(omegas, amps):
-        total += omega * (abs(alpha[1]) ** 2 + abs(alpha[2]) ** 2)
-    return total
-
-
-def spatial_oam_integral(state: ClassicalFieldState) -> np.ndarray:
-    """Riemann sum of E_T^j (x cross grad) A_T^j with centered coordinates.
-
-    The position weight is not box-periodic, so this equals the mode-space
-    orbital value only for amplitude sets arranged to cancel the boundary
-    terms (negation-paired amplitudes with alpha(-k) = conj(alpha(k)));
-    otherwise treat the result as a diagnostic.
-    """
-    tstate, _ = transverse_split(state)
-    pos = grid_positions(state)
-    maps = eval_fields(tstate)
-    ks, omega, frames, amps = tstate._mode_table
-    low = 1.0 / np.sqrt(2.0 * omega * state.box_length ** 3)
-    spatial = amps[:, 1, None] * frames[:, 1] + amps[:, 2, None] * frames[:, 2]
-    # d_i A^c = sum_k 2 low Re(exp(i k.x) i k_i spatial^c): (point, axis, component)
-    deriv = (1j * low[:, None, None]) * ks[:, :, None] * spatial[:, None, :]
-    grad_a = 2.0 * np.real(tstate._lattice.phases @ deriv.reshape(-1, 9))
-    grad_a = grad_a.reshape(-1, 3, 3)
-    x_cross_grad = np.cross(pos[:, :, None], grad_a, axis=1)
-    integrand = np.einsum("pj,pij->pi", maps.e, np.swapaxes(x_cross_grad, 1, 2))
-    return np.sum(integrand, axis=0) * cell_volume(state)
-
-
-def state_from_csv(text: str, box_length: float, grid_n: int) -> ClassicalFieldState:
-    """Parse `kx ky kz lambda re im` lines (comma or whitespace separated)."""
-    amps = []
-    for ln in text.strip().splitlines():
-        parts = ln.replace(",", " ").split()
-        if not parts or parts[0].startswith("#"):
-            continue
-        if len(parts) != 6:
-            raise ChannelMismatch("state rows must be kx ky kz lambda re im")
-        kx, ky, kz, lam, re, im = (float(p) for p in parts)
-        # lam stays a float, so the state rejects 1.5 instead of truncating it
-        amps.append(((kx, ky, kz), lam, complex(re, im)))
-    return ClassicalFieldState(box_length, grid_n, tuple(amps))
-
-
-def density_csv(state: ClassicalFieldState, density: np.ndarray) -> bytes:
-    """Density map as `x,y,z,sx,sy,sz` rows in grid order, with header."""
-    pos = grid_positions(state)
-    if density.shape != pos.shape:
-        raise ChannelMismatch("density map shape does not match the grid")
-    lines = ["x,y,z,sx,sy,sz"]
-    for p, s in zip(pos, density):
-        lines.append(",".join(repr(float(v)) for v in (*p, *s)))
-    return ("\n".join(lines) + "\n").encode()
+    """Mode-sum energy of the transverse amplitudes, sum omega |alpha|^2: the
+    `hamiltonian` form on them."""
+    return float(form_value(state, "hamiltonian", (1, 2))[0])

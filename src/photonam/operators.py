@@ -21,20 +21,30 @@ action.  The Hamiltonian and momentum lift the identity weight across all
 four polarizations, which yields eigenvalue -omega (resp. -k) per scalar
 photon and +omega per transverse or longitudinal photon.
 
+Every family is stated once, as a table entry in one term format: per term
+a label factor and, per component, a matrix over the second channel index
+(the polarization, or the spinor index on a Dirac space); the terms are
+summed.  The label factor is the shell's orbital generator of the
+component, the identity on the labels, or a per-mode diagonal weight: omega,
+the wave-vector component k_c, or the frame component eps_lam[c].
+`GRID_FORMS` holds the six grid families, `FAMILY_FORMS` every family named
+in `DECOMPOSITIONS`, `TABLE_I_FORMS` the Dirac families on ((l, m), spinor)
+channels, and `L_PURE_TERMS` the pure-gauge orbital part.  One builder,
+`family_matrices`, reads them all; its factor lookup refuses a factor the
+mode set cannot supply (an orbital generator on a grid, a wave vector or a
+frame on a shell) with ChannelMismatch.  `lift_family` lifts its matrices,
+and `mode_blocks` gives the per-mode blocks of a family whose factors are
+all diagonal, which `fields` evaluates on classical amplitudes.
+
 `DECOMPOSITIONS` is the one statement of the decomposition claims: per
 decomposition its anchor, its families in build order with their check-ID
 tags and claimed algebras, and the claimed relation between its spin and
 orbital families.  `TABLE_I` states the Dirac claims in the same form.
-`FAMILY_FORMS` gives the terms of every family named in `DECOMPOSITIONS`,
-and `TABLE_I_FORMS` those of the Dirac families on ((l, m), spinor)
-channels.  One builder, `lift_family`, reads that term format for the
-photon shell families and the Dirac families alike; `build_decomposition`
-builds the forms of a row and states no claims.
+`build_decomposition` builds the forms of a row and states no claims.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,25 +90,104 @@ PAULI = {
 }
 
 
-def _zero_form(fs: FockSpace) -> np.ndarray:
-    return np.zeros((len(fs.channels), len(fs.channels)), dtype=complex)
+# ---------------------------------------------------------------------------
+# The term format and its one builder
+
+# Label factor of a family term: the orbital generator of the component, the
+# identity on the labels, or a per-mode diagonal weight: omega, k_c, or
+# eps_lam[c] under the key (_EPS, lam).
+_GEN, _ONE, _OMEGA, _K, _EPS = "generator", "identity", "omega", "k", "eps"
 
 
-def _form(fs: FockSpace, matrix: np.ndarray) -> QuadraticForm:
-    return QuadraticForm(matrix, fs.signs)
+def _mode_arrays(ms: ModeSet):
+    """Per mode label: omega (K,), and on a grid the wave vectors (K, 3) and
+    spatial frame rows lam = 0..3 (K, 4, 3), the layout of `fields`."""
+    if isinstance(ms, SphericalShell):
+        return np.full(len(ms), ms.radius), None, None
+    return (
+        np.array([k.omega for k in ms.modes]),
+        np.array([k.components for k in ms.modes]),
+        np.array([f.eps[:, 1:] for f in ms.frames]),
+    )
 
 
-def _indices(fs: FockSpace, channels) -> list[int]:
-    try:
-        return [fs.index_of(ch) for ch in channels]
-    except Exception as exc:
-        raise ChannelMismatch(str(exc)) from None
+def _mode_weight(key, comp: int, omega, ks, frames) -> np.ndarray:
+    """Per-mode weight of a diagonal label factor, from `_mode_arrays`."""
+    if key == _ONE:
+        return np.ones_like(omega)
+    if key == _OMEGA:
+        return omega
+    if ks is None:
+        raise ChannelMismatch(f"{key} weights need a Cartesian grid mode set")
+    return ks[:, comp] if key == _K else frames[:, key[1], comp]
 
 
-def _add_block(fs: FockSpace, out: np.ndarray, labels, block: np.ndarray) -> None:
-    """Accumulate a small block over the given channel labels into `out`."""
-    idx = _indices(fs, labels)
-    out[np.ix_(idx, idx)] += block
+def _label_factors(key, ms: ModeSet | None, n_labels: int, n_comp: int):
+    """The label factor of a term per component, as (labels x labels) matrices."""
+    if key == _ONE:
+        return (np.eye(n_labels),) * n_comp
+    if key == _GEN:
+        if not isinstance(ms, SphericalShell):
+            raise ChannelMismatch("orbital operators need a spherical shell mode set")
+        return orbital_matrices(ms.l_max)
+    arrays = _mode_arrays(ms)
+    return tuple(np.diag(_mode_weight(key, comp, *arrays)) for comp in range(n_comp))
+
+
+def family_matrices(channels, terms, ms: ModeSet | None = None) -> tuple[np.ndarray, ...]:
+    """Channel matrices of the family with the given terms, one per component.
+
+    `channels` are (label, index) pairs.  Each term adds its label factor
+    times its matrix over the second index, entry by entry in term order.
+    The labels are the mode set's, or without one those of the channels,
+    where only identity factors occur.  ChannelMismatch if a factor needs a
+    mode set of another kind or a needed channel is absent.
+    """
+    index = {ch: i for i, ch in enumerate(channels)}
+    if ms is None:
+        labels = tuple(dict.fromkeys(label for label, _ in channels))
+    else:
+        labels = ms.mode_labels()
+    n_comp = len(terms[0][1])
+    out = [np.zeros((len(channels), len(channels)), dtype=complex) for _ in range(n_comp)]
+    for key, lams in terms:
+        for m, factor, lam in zip(out, _label_factors(key, ms, len(labels), n_comp), lams):
+            orb = np.asarray(factor, dtype=complex)
+            lam = np.asarray(lam, dtype=complex)
+            for ci, di in np.argwhere(orb).tolist():
+                for l1, l2 in np.argwhere(lam).tolist():
+                    try:
+                        a, b = index[(labels[ci], l1)], index[(labels[di], l2)]
+                    except KeyError as exc:
+                        raise ChannelMismatch(f"channel {exc.args[0]!r} not in space") from None
+                    m[a, b] += orb[ci, di] * lam[l1, l2]
+    return tuple(out)
+
+
+def lift_family(fs: FockSpace, terms, ms: ModeSet | None = None) -> tuple[OperatorMatrix, ...]:
+    """Lifted components of the family with the given terms: grid, shell or
+    Dirac, on the space's channels (`family_matrices`)."""
+    return tuple(
+        lift_bilinear(fs, QuadraticForm(m, fs.signs))
+        for m in family_matrices(fs.channels, terms, ms)
+    )
+
+
+def mode_blocks(terms, omega, ks, frames) -> np.ndarray:
+    """Per-mode blocks (components, K, 4, 4) of a family whose label factors
+    are all diagonal: B_k is the sum over terms of the term's weight at mode
+    k times its matrix over lam = 0..3, so the family's channel matrix is
+    block-diagonal with blocks B_k on the (k, lam) channels.  `omega`, `ks`
+    and `frames` are per-mode arrays laid out as `_mode_arrays` gives them."""
+    return np.array([
+        sum(_mode_weight(key, comp, omega, ks, frames)[:, None, None] * lams[comp]
+            for key, lams in terms)
+        for comp in range(len(terms[0][1]))
+    ])
+
+
+# ---------------------------------------------------------------------------
+# Grid-labeling operators
 
 
 def _require_full_polarizations(ms: ModeSet, fs: FockSpace) -> None:
@@ -112,25 +201,15 @@ def _require_full_polarizations(ms: ModeSet, fs: FockSpace) -> None:
 
 def hamiltonian(ms: ModeSet, fs: FockSpace) -> OperatorMatrix:
     """Free-field energy: +omega per transverse/longitudinal photon, -omega per
-    scalar photon, 0 on the vacuum."""
+    scalar photon, 0 on the vacuum; on a grid or a shell."""
     _require_full_polarizations(ms, fs)
-    diag = np.array([ms.omega(label) for (label, lam) in fs.channels], dtype=complex)
-    return lift_bilinear(fs, _form(fs, np.diag(diag)))
+    return lift_family(fs, GRID_FORMS["hamiltonian"], ms)[0]
 
 
 def momentum(ms: CartesianGrid, fs: FockSpace) -> tuple[OperatorMatrix, ...]:
     """Field momentum; k per photon, -k per scalar photon, componentwise."""
-    if not isinstance(ms, CartesianGrid):
-        raise ChannelMismatch("momentum needs a Cartesian grid mode set")
     _require_full_polarizations(ms, fs)
-    out = []
-    for comp in range(3):
-        diag = np.array(
-            [ms.modes[label].components[comp] for (label, lam) in fs.channels],
-            dtype=complex,
-        )
-        out.append(lift_bilinear(fs, _form(fs, np.diag(diag))))
-    return tuple(out)
+    return lift_family(fs, GRID_FORMS["momentum"], ms)
 
 
 def spin_total(ms: CartesianGrid, fs: FockSpace) -> tuple[OperatorMatrix, ...]:
@@ -139,45 +218,18 @@ def spin_total(ms: CartesianGrid, fs: FockSpace) -> tuple[OperatorMatrix, ...]:
     Acts on the lam = 1, 2, 3 channels of each mode; scalar channels are
     absent from the sum.
     """
-    if not isinstance(ms, CartesianGrid):
-        raise ChannelMismatch("spin_total needs a Cartesian grid mode set")
-    shat = spin_matrices()
-    out = []
-    for comp in range(3):
-        m = _zero_form(fs)
-        for i in ms.mode_labels():
-            frame = ms.frames[i]
-            block = sum(
-                shat[lam - 1] * frame.spatial(lam)[comp] for lam in (1, 2, 3)
-            )
-            _add_block(fs, m, [(i, 1), (i, 2), (i, 3)], block)
-        out.append(lift_bilinear(fs, _form(fs, m)))
-    return tuple(out)
+    return lift_family(fs, GRID_FORMS["spin_total"], ms)
 
 
 def spin_obs(ms: CartesianGrid, fs: FockSpace) -> tuple[OperatorMatrix, ...]:
     """Transverse-sector spin: helicity density weighted by the propagation
     direction, componentwise."""
-    if not isinstance(ms, CartesianGrid):
-        raise ChannelMismatch("spin_obs needs a Cartesian grid mode set")
-    out = []
-    for comp in range(3):
-        m = _zero_form(fs)
-        for i in ms.mode_labels():
-            weight = ms.frames[i].spatial(3)[comp]
-            _add_block(fs, m, [(i, 1), (i, 2)], weight * PAULI[2])
-        out.append(lift_bilinear(fs, _form(fs, m)))
-    return tuple(out)
+    return lift_family(fs, GRID_FORMS["spin_obs"], ms)
 
 
 def helicity(ms: CartesianGrid, fs: FockSpace) -> OperatorMatrix:
     """Spin projection on the propagation direction; +-1 per circular photon."""
-    if not isinstance(ms, CartesianGrid):
-        raise ChannelMismatch("helicity needs a Cartesian grid mode set")
-    m = _zero_form(fs)
-    for i in ms.mode_labels():
-        _add_block(fs, m, [(i, 1), (i, 2)], PAULI[2])
-    return lift_bilinear(fs, _form(fs, m))
+    return lift_family(fs, GRID_FORMS["helicity"], ms)[0]
 
 
 def stokes_operators(ms: CartesianGrid, fs: FockSpace) -> tuple[OperatorMatrix, ...]:
@@ -186,69 +238,11 @@ def stokes_operators(ms: CartesianGrid, fs: FockSpace) -> tuple[OperatorMatrix, 
     Their commutators close with an extra factor 2 relative to a spin-1
     family; Sigma_2 coincides with the helicity operator as a matrix.
     """
-    if not isinstance(ms, CartesianGrid):
-        raise ChannelMismatch("stokes_operators need a Cartesian grid mode set")
-    out = []
-    for idx in range(4):
-        m = _zero_form(fs)
-        for i in ms.mode_labels():
-            _add_block(fs, m, [(i, 1), (i, 2)], PAULI[idx])
-        out.append(lift_bilinear(fs, _form(fs, m)))
-    return tuple(out)
+    return lift_family(fs, GRID_FORMS["stokes_operators"], ms)
 
 
 # ---------------------------------------------------------------------------
 # Shell / combined-labeling operators
-
-
-def _add_product(
-    fs: FockSpace, out: np.ndarray, labels, orbital: np.ndarray, lam_matrix: np.ndarray
-) -> None:
-    """Accumulate (orbital matrix over `labels`) x (matrix over lam) into `out`
-    on the ((label, lam)) channels."""
-    orb = np.asarray(orbital, dtype=complex)
-    lam = np.asarray(lam_matrix, dtype=complex)
-    for ci, di in np.argwhere(orb).tolist():
-        for l1, l2 in np.argwhere(lam).tolist():
-            a, b = _indices(fs, [(labels[ci], l1), (labels[di], l2)])
-            out[a, b] += orb[ci, di] * lam[l1, l2]
-
-
-def _family_forms(
-    fs: FockSpace, terms, shell: SphericalShell | None = None
-) -> tuple[QuadraticForm, ...]:
-    """Forms of one family in the `FAMILY_FORMS` format, per component x, y, z.
-
-    Each term is an orbital factor, the shell's orbital generator of the
-    component or the identity on the orbital labels, times that component's
-    matrix over the second channel index (the polarization, or the spinor
-    index on a Dirac space); the terms are summed.  Without a shell the
-    labels are those of the space and only identity factors occur.
-    """
-    if shell is None:
-        labels = tuple(dict.fromkeys(label for label, _ in fs.channels))
-    elif isinstance(shell, SphericalShell):
-        labels = shell.channels
-    else:
-        raise ChannelMismatch("orbital operators need a spherical shell mode set")
-    factors = {_ONE: (np.eye(len(labels)),) * 3}
-    if shell is not None:
-        factors[_GEN] = orbital_matrices(shell.l_max)
-    forms = []
-    for comp in range(3):
-        m = _zero_form(fs)
-        for orb, lams in terms:
-            _add_product(fs, m, labels, factors[orb][comp], lams[comp])
-        forms.append(_form(fs, m))
-    return tuple(forms)
-
-
-def lift_family(
-    fs: FockSpace, terms, shell: SphericalShell | None = None
-) -> tuple[OperatorMatrix, ...]:
-    """Lifted components of the family with the given terms, photon or Dirac;
-    ChannelMismatch if a grid is given as the shell or a channel is absent."""
-    return tuple(lift_bilinear(fs, f) for f in _family_forms(fs, terms, shell))
 
 
 def _require_channels(ms: SphericalShell, fs: FockSpace, lams, message: str) -> None:
@@ -287,7 +281,7 @@ def l_pure(ms: SphericalShell, fs: FockSpace) -> tuple[OperatorMatrix, ...]:
     Satisfies oam_total = oam_obs + l_pure as an exact matrix identity.
     """
     _require_channels(ms, fs, (0, 3), "l_pure needs the scalar and longitudinal channels")
-    return oam_weighted(ms, fs, L_PURE_WEIGHTS)
+    return lift_family(fs, L_PURE_TERMS, ms)
 
 
 def spin_total_fixed_frame(fs: FockSpace) -> tuple[OperatorMatrix, ...]:
@@ -301,7 +295,7 @@ def spin_total_fixed_frame(fs: FockSpace) -> tuple[OperatorMatrix, ...]:
 
 def helicity_fixed_frame(fs: FockSpace) -> OperatorMatrix:
     """Helicity bilinear summed over every mode label present in the space."""
-    return lift_bilinear(fs, _family_forms(fs, FAMILY_FORMS["spin_obs"])[2])
+    return lift_family(fs, GRID_FORMS["helicity"])[0]
 
 
 def spin_obs_fixed_frame(fs: FockSpace) -> tuple[OperatorMatrix, ...]:
@@ -442,10 +436,9 @@ def l_pure_s_cancellation(ms: CartesianGrid, fs: FockSpace) -> tuple[OperatorMat
 
 @dataclass(frozen=True)
 class OperatorFamily:
-    """A named list of labeled quadratic forms."""
+    """A named list of quadratic forms, one per component x, y, z."""
 
     name: str
-    labels: tuple[str, ...]
     forms: tuple[QuadraticForm, ...]
 
     def lift(self, fs: FockSpace) -> tuple[OperatorMatrix, ...]:
@@ -525,21 +518,23 @@ DECOMPOSITIONS: dict[str, DecompositionSpec] = {
     ),
 }
 
-def _lambda_canonical() -> list[np.ndarray]:
-    shat = spin_matrices()
-    out = []
-    for comp in range(3):
-        m = np.zeros((4, 4), dtype=complex)
-        m[1:, 1:] = shat[comp]
-        out.append(m)
+def _on(lams, mat: np.ndarray) -> np.ndarray:
+    """`mat` over the polarizations `lams`, zero elsewhere on lam = 0..3."""
+    out = np.zeros((4, 4), dtype=complex)
+    out[np.ix_(lams, lams)] = mat
     return out
 
 
+_TRANSVERSE, _SPATIAL = (1, 2), (1, 2, 3)
+
+
+def _lambda_canonical() -> list[np.ndarray]:
+    return [_on(_SPATIAL, s) for s in spin_matrices()]
+
+
 def _lambda_spin_obs() -> list[np.ndarray]:
-    z = np.zeros((4, 4), dtype=complex)
-    hz = np.zeros((4, 4), dtype=complex)
-    hz[1:3, 1:3] = PAULI[2]
-    return [z.copy(), z.copy(), hz]
+    zero = np.zeros((4, 4), dtype=complex)
+    return [zero, zero, _on(_TRANSVERSE, PAULI[2])]
 
 
 def _lambda_jm() -> list[np.ndarray]:
@@ -585,11 +580,6 @@ def _diag_weight(weights: dict[int, float]) -> np.ndarray:
     return w
 
 
-# Orbital factor of a family term: the orbital generator of the component, or
-# the identity on the (l, m) channels.
-_GEN, _ONE = "generator", "identity"
-
-
 def _orbital(weight: np.ndarray):
     return ((_GEN, (weight,) * 3),)
 
@@ -616,6 +606,28 @@ FAMILY_FORMS = {
     "oam_wak": _orbital(_diag_weight(OAM_OBS_WEIGHTS)),
     "j_total": _orbital(_diag_weight(OAM_OBS_WEIGHTS) + _bj_coupling())
     + _spin(_lambda_spin_obs()),
+}
+
+# The pure-gauge orbital part over the scalar and longitudinal channels:
+# FAMILY_FORMS["oam"] = FAMILY_FORMS["oam_obs"] + L_PURE_TERMS entry by entry.
+L_PURE_TERMS = _orbital(_diag_weight(L_PURE_WEIGHTS))
+
+# The grid families in the same term format, on (mode_index, lam) channels:
+# the Hamiltonian and momentum weight the identity on lam = 0..3 by omega and
+# k_c; the spin sums the rotation generators on lam = 1, 2, 3 weighted by the
+# frame components eps_lam[c]; spin_obs weights the transverse helicity
+# matrix by the propagation direction eps_3[c].  The helicity and Stokes
+# forms carry identity factors, so on a space without a mode set they are
+# summed over the space's labels (`helicity_fixed_frame`).
+GRID_FORMS = {
+    "hamiltonian": ((_OMEGA, (np.eye(4),)),),
+    "momentum": ((_K, (np.eye(4),) * 3),),
+    "spin_total": tuple(
+        ((_EPS, lam), (_on(_SPATIAL, shat),) * 3) for lam, shat in zip(_SPATIAL, spin_matrices())
+    ),
+    "spin_obs": (((_EPS, 3), (_on(_TRANSVERSE, PAULI[2]),) * 3),),
+    "helicity": ((_ONE, (_on(_TRANSVERSE, PAULI[2]),)),),
+    "stokes_operators": ((_ONE, tuple(_on(_TRANSVERSE, PAULI[i]) for i in range(4))),),
 }
 
 
@@ -654,27 +666,12 @@ def build_decomposition(
     if name not in DECOMPOSITIONS:
         raise UnknownDecomposition(f"no decomposition named {name!r}")
     return tuple(
-        OperatorFamily(f.name, ("x", "y", "z"), _family_forms(fs, FAMILY_FORMS[f.name], ms))
+        OperatorFamily(
+            f.name,
+            tuple(
+                QuadraticForm(m, fs.signs)
+                for m in family_matrices(fs.channels, FAMILY_FORMS[f.name], ms)
+            ),
+        )
         for f in DECOMPOSITIONS[name].families
     )
-
-
-# ---------------------------------------------------------------------------
-# Dense CSV export
-
-
-def operator_csv(op: OperatorMatrix) -> bytes:
-    """Nonzero entries as `row,col,re,im` lines, row-major, with header."""
-    buf = io.StringIO()
-    buf.write("row,col,re,im\n")
-    for r, c, v in zip(*op.mat.entries()):
-        buf.write(f"{r},{c},{float(v.real)!r},{float(v.imag)!r}\n")
-    return buf.getvalue().encode()
-
-
-def family_csv(fs: FockSpace, family: OperatorFamily) -> dict[str, bytes]:
-    """CSV export of every lifted component, keyed `<family>_<label>`."""
-    out = {}
-    for label, op in zip(family.labels, family.lift(fs)):
-        out[f"{family.name}_{label}"] = operator_csv(op)
-    return out

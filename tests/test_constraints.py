@@ -72,15 +72,15 @@ def test_xi_off_lattice_mode_rejected():
         cons.xi0_from_charge(source, ms)
 
 
-def test_charge_source_csv_forms():
-    table = cons.charge_source_from_csv("1.0 0.0 0.0 0.5 -0.25\n")
-    assert table.table == {(1.0, 0.0, 0.0): complex(0.5, -0.25)}
-    sampled = cons.charge_source_from_csv("0,0,0,2.0\n1,0,0,3.0\n", box_length=2 * math.pi)
-    assert sampled.samples.shape == (2, 4)
-    with pytest.raises(ChannelMismatch):
-        cons.charge_source_from_csv("1 2 3\n")
+def test_charge_source_needs_sample_rows():
     with pytest.raises(ChannelMismatch):
         cons.ChargeSource()
+    with pytest.raises(ChannelMismatch):
+        cons.ChargeSource(box_length=2 * math.pi, samples=np.zeros((2, 3)))
+    with pytest.raises(ChannelMismatch):
+        cons.ChargeSource(samples=np.zeros((2, 4)))
+    source = cons.ChargeSource(box_length=2 * math.pi, samples=[[0, 0, 0, 2.0], [1, 0, 0, 3.0]])
+    assert source.samples.shape == (2, 4)
 
 
 def test_gb_constraint_actions():

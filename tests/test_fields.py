@@ -156,39 +156,6 @@ def test_density_map_counterpropagating_varies_but_integrates():
     np.testing.assert_allclose(total, flds.mode_spin_formula(state), atol=1e-12)
 
 
-def test_oam_integral_paired_recipe():
-    # negation-paired amplitudes with alpha(-k) = conj(alpha(k)); a single
-    # circular pair along z carries no net orbital angular momentum
-    k2 = (0.0, 0.0, -1.0)
-    alpha = 0.6 + 0.3j
-    state = make_state(
-        [(K1, 1, alpha), (k2, 1, np.conj(alpha)), (K1, 2, 1.0j * alpha), (k2, 2, np.conj(1.0j * alpha))]
-    )
-    oam = flds.spatial_oam_integral(state)
-    assert np.max(np.abs(oam)) <= 1e-10
-    assert np.max(np.abs(flds.spatial_oam_integral(make_state([(K1, 1, 0.0)])))) == 0.0
-
-
-def test_state_csv_round_trip():
-    text = "0.0 0.0 1.0 1 0.5 -0.5\n0.0,0.0,1.0,2,0.0,1.0\n"
-    state = flds.state_from_csv(text, LENGTH, 9)
-    assert len(state.amplitudes) == 2
-    assert state.amplitudes[0][2] == complex(0.5, -0.5)
-    with pytest.raises(ChannelMismatch):
-        flds.state_from_csv("1 2 3 4 5\n", LENGTH, 9)
-
-
-def test_density_csv_layout():
-    state = make_state([(K1, 1, 1.0), (K1, 2, 1.0j)], grid_n=3)
-    density = flds.spin_density_map(state)
-    text = flds.density_csv(state, density).decode()
-    lines = text.strip().splitlines()
-    assert lines[0] == "x,y,z,sx,sy,sz"
-    assert len(lines) == 1 + 27
-    first = [float(v) for v in lines[1].split(",")]
-    np.testing.assert_allclose(first[:3], flds.grid_positions(state)[0], atol=1e-15)
-
-
 @pytest.mark.parametrize(
     "length, grid_n",
     [(LENGTH, 9.5), (LENGTH, 9.0), (float("nan"), 9), (float("inf"), 9), (-LENGTH, 9)],
@@ -212,11 +179,10 @@ def test_state_rejects_bad_wave_vectors():
         make_state([((0.0, 0.0, 1e10), 1, 1.0)], length=1e300)
 
 
-def test_state_csv_rejects_fractional_polarization():
+def test_state_rejects_fractional_polarization():
     with pytest.raises(ChannelMismatch):
-        flds.state_from_csv("0 0 1 1.5 1 0\n", LENGTH, 9)
-    state = flds.state_from_csv("0 0 1 2.0 1 0\n", LENGTH, 9)
-    assert state.amplitudes[0][1] == 2
+        make_state([(K1, 1.5, 1.0)])
+    assert make_state([(K1, 2.0, 1.0)]).amplitudes[0][1] == 2
 
 
 def reference_eval_fields(state):
@@ -248,26 +214,6 @@ def reference_eval_fields(state):
     return {"e": e, "b": b, "a": a, "pi": pi, "a0": a0, "pi0": pi0}
 
 
-def reference_oam_integral(state):
-    """Per-mode gradient of A_T, then the same centered-coordinate sum."""
-    tstate, _ = flds.transverse_split(state)
-    pos = flds.grid_positions(state)
-    volume = state.box_length ** 3
-    e = reference_eval_fields(tstate)["e"]
-    grad_a = np.zeros((pos.shape[0], 3, 3))
-    for k, amps in tstate.grouped().items():
-        kv = WaveVector(k)
-        frame = polarization_frame(kv)
-        phase = np.exp(1j * (pos @ kv.as_array()))
-        low = 1.0 / math.sqrt(2.0 * kv.omega * volume)
-        spatial = amps[1] * frame.spatial(1) + amps[2] * frame.spatial(2)
-        deriv = 1j * kv.as_array()[None, :, None] * spatial[None, None, :]
-        grad_a += 2.0 * low * np.real(phase[:, None, None] * deriv)
-    x_cross_grad = np.cross(pos[:, :, None], grad_a, axis=1)
-    integrand = np.einsum("pj,pij->pi", e, np.swapaxes(x_cross_grad, 1, 2))
-    return np.sum(integrand, axis=0) * flds.cell_volume(state)
-
-
 def random_state(rng, lattice, grid_n=7):
     amps = []
     for n_int in lattice:
@@ -293,8 +239,6 @@ def test_eval_fields_matches_per_mode_reference(seed):
         got = getattr(maps, name)
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) <= 1e-13, name
-    oam = flds.spatial_oam_integral(state)
-    assert np.max(np.abs(oam - reference_oam_integral(state))) <= 1e-13
 
 
 def test_eval_fields_of_empty_state():
@@ -305,8 +249,35 @@ def test_eval_fields_of_empty_state():
                        (maps.pi, (m, 3)), (maps.a0, (m,)), (maps.pi0, (m,))):
         assert arr.shape == shape
         assert not np.any(arr)
-    assert flds.spatial_oam_integral(state).tolist() == [0.0, 0.0, 0.0]
     assert flds.mode_spin_formula(state).tolist() == [0.0, 0.0, 0.0]
+    assert flds.transverse_energy(state) == 0.0
+
+
+# The paper's S_M = (1/c) int pi x A over all four polarizations, against the
+# grid spin form that the suites lift; (1, -2, 0) and (3, 1, -2) are generic,
+# (0, 0, 1) sits on the frame rule's z-axis branch.
+FOUR_MODES = [(0, 0, 1), (1, -2, 0), (3, 1, -2), (-1, 1, 1)]
+EIGHT_CLOSED = [
+    k for half in [(0, 0, 1), (1, -2, 0), (0, 1, 1), (2, 1, -1)]
+    for k in (half, tuple(-c for c in half))
+]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("lattice", [FOUR_MODES, EIGHT_CLOSED], ids=["4-modes", "8-closed"])
+def test_canonical_spin_integral_is_the_spin_form(lattice, seed):
+    rng = np.random.default_rng(seed)
+    amps = [(tuple(map(float, k)), lam, rng.normal() + 1j * rng.normal())
+            for k in lattice for lam in range(4)]
+    state = make_state(amps, grid_n=7)
+    maps = flds.eval_fields(state)
+    form = flds.form_value(state, "spin_total")
+    # on the closed lattice the alpha(k) alpha(-k) terms of the integral cancel
+    integral = np.sum(np.cross(maps.pi, maps.a), axis=0) * flds.cell_volume(state)
+    assert np.max(np.abs(integral - form)) <= 1e-12
+    # E carries alpha_3 - alpha_0 where pi carries alpha_3
+    with_e = np.sum(np.cross(maps.e, maps.a), axis=0) * flds.cell_volume(state)
+    assert np.max(np.abs(with_e - form)) > 0.1
 
 
 # ---------------------------------------------------------------------------

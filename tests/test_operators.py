@@ -308,28 +308,6 @@ def test_lambda_matrices_are_hermitian():
             assert np.max(np.abs(m - m.conj().T)) == 0.0
 
 
-def test_operator_csv_round_trip():
-    ms = grid_z()
-    fs = full_space(ms, n_max=1, lams=(1, 2))
-    hel = ops.helicity(ms, fs)
-    text = ops.operator_csv(hel).decode()
-    lines = text.strip().splitlines()
-    assert lines[0] == "row,col,re,im"
-    rebuilt = np.zeros((fs.dim, fs.dim), dtype=complex)
-    for ln in lines[1:]:
-        r, c, re, im = ln.split(",")
-        rebuilt[int(r), int(c)] = complex(float(re), float(im))
-    np.testing.assert_array_equal(rebuilt, hel.to_dense())
-
-
-def test_family_csv_labels():
-    shell = SphericalShell(radius=1.0, l_max=1)
-    fs = shell_space(shell)
-    family = ops.build_decomposition("canonical", shell, fs)[0]
-    exported = ops.family_csv(fs, family)
-    assert set(exported) == {"spin_x", "spin_y", "spin_z"}
-
-
 def test_spin_total_respects_frames():
     # oracle: rotate the generators with the frame triad by hand per mode
     ms = build_cartesian_modeset([(0.2, 0.9, -0.1)])
@@ -518,6 +496,76 @@ def test_shell_families_match_per_entry_reference(l_max, cap):
                 np.array_equal(x, y)
                 for x, y in zip(g.mat.entries(), w.mat.entries(), strict=True)
             ), name
+
+
+def _reference_grid(ms):
+    """The six grid families entry by entry: per-mode weights times matrices
+    over lam on the channels of one mode."""
+    shat = spin_matrices()
+    eps = lambda a, lam: ms.frames[a[0]].spatial(lam)
+
+    def on_mode(lams, block):
+        # block(a, b) on ((i, lam), (i, lam')) with lam, lam' in `lams`
+        def value(a, b):
+            inside = a[0] == b[0] and a[1] in lams and b[1] in lams
+            return block(a, b) if inside else 0.0
+        return value
+
+    def transverse(mat, weight=lambda a: 1.0):
+        return on_mode((1, 2), lambda a, b: weight(a) * mat[a[1] - 1, b[1] - 1])
+
+    return {
+        "hamiltonian": [on_mode(range(4), lambda a, b: ms.omega(a[0]) * (a == b))],
+        "momentum": [
+            on_mode(range(4), lambda a, b, c=c: ms.modes[a[0]].components[c] * (a == b))
+            for c in range(3)
+        ],
+        "spin_total": [
+            on_mode(
+                (1, 2, 3),
+                lambda a, b, c=c: sum(
+                    shat[lam - 1][a[1] - 1, b[1] - 1] * eps(a, lam)[c] for lam in (1, 2, 3)
+                ),
+            )
+            for c in range(3)
+        ],
+        "spin_obs": [
+            transverse(ops.PAULI[2], lambda a, c=c: eps(a, 3)[c]) for c in range(3)
+        ],
+        "helicity": [transverse(ops.PAULI[2])],
+        "stokes_operators": [transverse(ops.PAULI[i]) for i in range(4)],
+    }
+
+
+@pytest.mark.parametrize("lams", [(0, 1, 2, 3), (1, 2, 3)])
+def test_grid_families_match_per_entry_reference(lams):
+    ms = build_cartesian_modeset([(0.6, 0.2, 0.75)])
+    fs = build_fock([(i, lam) for i in ms.mode_labels() for lam in lams], 2, max_total=2)
+    for name, values in _reference_grid(ms).items():
+        build = getattr(ops, name)
+        if name in ("hamiltonian", "momentum") and 0 not in lams:
+            with pytest.raises(ChannelMismatch):
+                build(ms, fs)
+            continue
+        got = build(ms, fs)
+        got = (got,) if isinstance(got, OperatorMatrix) else got
+        for g, value in zip(got, values, strict=True):
+            w = _per_entry_lift(fs, value)
+            assert all(
+                np.array_equal(x, y)
+                for x, y in zip(g.mat.entries(), w.mat.entries(), strict=True)
+            ), name
+
+
+def test_grid_families_reject_a_shell():
+    shell = SphericalShell(radius=1.5, l_max=1)
+    fs = build_fock([(c, lam) for c in shell.mode_labels() for lam in range(4)], 1, max_total=1)
+    for build in (ops.momentum, ops.spin_total, ops.spin_obs):
+        with pytest.raises(ChannelMismatch):
+            build(shell, fs)
+    # omega is a per-mode weight on a shell too
+    one = fs.basis_state({((1, 0), 2): 1})
+    assert max_abs(ops.hamiltonian(shell, fs) @ one - 1.5 * one) == 0.0
 
 
 def test_shell_families_reject_a_grid():

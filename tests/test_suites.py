@@ -335,8 +335,8 @@ def test_xi_pathway_per_mode_matches_product_space(seed, monkeypatch):
     monkeypatch.setattr(suites, "_xi_pathway_expectations", recording)
     rep = run_suite(SuiteConfig(suite="gauge-hiding", seed=seed))
     assert rep.all_passed
-    # symmetric and probe xi, each at n_max 1 and 2
-    assert [small.n_max for _, _, small, _, _ in calls] == [1, 2, 1, 2]
+    # the probe xi at n_max 1 and 2; a conjugate-symmetric xi is not reported
+    assert [small.n_max for _, _, small, _, _ in calls] == [1, 2]
     for shell, xi, small, factors, (lpure, source) in calls:
         ref_lpure, ref_source = _product_space_xi_pathway(shell, xi, small, factors)
         assert max(abs(a - b) for a, b in zip(lpure, ref_lpure)) <= 1e-15

@@ -52,6 +52,7 @@ from .fock import (
     zero_operator,
 )
 from .modes import CartesianGrid, ModeSet, SphericalShell, orbital_matrices
+from .sampling import SeededRng
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,7 +282,7 @@ def verify_gauge_hiding(
     fs: FockSpace,
     subspace: PhysicalSubspace,
     operators: dict,
-    rng: np.random.Generator | None = None,
+    rng: SeededRng,
     n_random: int = 6,
 ) -> list[GaugeHidingEntry]:
     """Expectation-value gauge hiding on the physical subspace.
@@ -297,7 +298,6 @@ def verify_gauge_hiding(
     """
     if subspace.dimension == 0:
         raise EmptySubspace("physical subspace is empty")
-    rng = rng or np.random.default_rng(0)
     reps, nulls = quotient_representatives(fs, subspace)
 
     probes: list[tuple[str, np.ndarray]] = []
@@ -348,7 +348,7 @@ def euclidean_occupancy(fs: FockSpace, lam: int, psi: np.ndarray) -> float:
 
 
 def random_conjugate_symmetric_xi(
-    ms: ModeSet, rng: np.random.Generator, scale: float = 0.1
+    ms: ModeSet, rng: SeededRng, scale: float = 0.1
 ) -> dict:
     """Seeded coupling table satisfying the reality condition of the source.
 

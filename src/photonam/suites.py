@@ -68,6 +68,7 @@ from .modes import (
     orbital_matrices,
 )
 from .report import KIND_EQUALITY, KIND_VIOLATION, VerificationReport, merge_reports
+from .sampling import SeededRng
 
 EPS_PAIRS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
@@ -225,7 +226,7 @@ def _orbital_shell(config: SuiteConfig, default_lmax: int = 1) -> SphericalShell
 
 def suite_canonical(config: SuiteConfig) -> VerificationReport:
     rep = VerificationReport("canonical-commutators", _config_echo(config))
-    rng = np.random.default_rng(config.seed)
+    rng = SeededRng(config.seed)
     ms = config.grid or _default_grid()
 
     fs = _capped_grid_space(ms, (0, 1, 2, 3), config)
@@ -323,7 +324,7 @@ def _metric_checks(rep: VerificationReport, config: SuiteConfig, fs: FockSpace) 
     )
 
 
-def _lift_homomorphism_residual(rng: np.random.Generator, pairs: int, dim_cap: int) -> float:
+def _lift_homomorphism_residual(rng: SeededRng, pairs: int, dim_cap: int) -> float:
     """L([M, N]_G) = [L(M), L(N)] on random forms over random channels.
 
     Each space is capped at total occupation n_max - 1, the block below the
@@ -474,7 +475,7 @@ def suite_observable(config: SuiteConfig) -> VerificationReport:
 
 def suite_decomposition(config: SuiteConfig) -> VerificationReport:
     rep = VerificationReport("decomposition-compare", _config_echo(config))
-    rng = np.random.default_rng(config.seed)
+    rng = SeededRng(config.seed)
     shell = _orbital_shell(config)
     fs = _shell_space(shell, (0, 1, 2, 3), config.dim_cap)
     lifted = {
@@ -526,7 +527,7 @@ def suite_decomposition(config: SuiteConfig) -> VerificationReport:
 def suite_gauge_hiding(config: SuiteConfig) -> VerificationReport:
     rep = VerificationReport("gauge-hiding", _config_echo(config))
     shell = _orbital_shell(config)
-    rng = np.random.default_rng(config.seed)
+    rng = SeededRng(config.seed)
 
     pair = build_fock([(_ONE_LABEL, 3), (_ONE_LABEL, 0)], 1, dim_cap=config.dim_cap)
     constraint = cons.gb_constraints(_ONE_MODE, pair, None)
@@ -757,7 +758,7 @@ def _random_field_state(rng, length, grid_n, lattice, transverse_only=True):
 
 def suite_fields(config: SuiteConfig) -> VerificationReport:
     rep = VerificationReport("field-consistency", _config_echo(config))
-    rng = np.random.default_rng(config.seed)
+    rng = SeededRng(config.seed)
     length = 2.0 * np.pi
     grid_n = 9
     lattice = [(0, 0, 1), (1, 0, 0), (0, 1, 1), (0, 0, -1), (-1, 0, 0), (0, -1, -1)]

@@ -31,6 +31,7 @@ from photonam.fock import (
     QuadraticForm,
 )
 from photonam.modes import SphericalShell, build_cartesian_modeset
+from photonam.sampling import SeededRng
 
 EPS_PAIRS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 EXACT = 1e-14
@@ -179,9 +180,7 @@ def test_criterion_6_gupta_bleuler():
     constraints = cons.gb_constraints(ms, fs, None)
     subspace = cons.physical_subspace(fs, constraints, tol=1e-10)
     operators = {"spin": ops.spin_total(ms, fs), "spin_obs": ops.spin_obs(ms, fs)}
-    entries = cons.verify_gauge_hiding(
-        fs, subspace, operators, rng=np.random.default_rng(6)
-    )
+    entries = cons.verify_gauge_hiding(fs, subspace, operators, rng=SeededRng(6))
     hiding = max(
         (
             e.diffs.get("spin_hiding", 0.0)

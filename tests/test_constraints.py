@@ -25,6 +25,7 @@ from photonam.fock import (
     max_abs,
 )
 from photonam.modes import SphericalShell, build_cartesian_modeset, parse_modeset
+from photonam.sampling import SeededRng
 
 
 def box_samples(length, n, values):
@@ -230,7 +231,7 @@ def test_gauge_hiding_entries_and_class_dependence():
     sub = cons.physical_subspace(fs, constraints, tol=1e-10)
     operators = {"spin": ops.spin_total(ms, fs), "spin_obs": ops.spin_obs(ms, fs)}
     entries = cons.verify_gauge_hiding(
-        fs, sub, operators, rng=np.random.default_rng(1), n_random=4
+        fs, sub, operators, rng=SeededRng(1), n_random=4
     )
     asserted = [e for e in entries if not e.skipped and not e.state.startswith("mixed")]
     assert asserted
@@ -255,7 +256,7 @@ def test_verify_gauge_hiding_empty_subspace():
     fs = build_fock([("k", 3), ("k", 0)], 1)
     sub = cons.PhysicalSubspace(np.zeros((fs.dim, 0)), 1e-10, np.zeros(0))
     with pytest.raises(EmptySubspace):
-        cons.verify_gauge_hiding(fs, sub, {})
+        cons.verify_gauge_hiding(fs, sub, {}, SeededRng(0))
 
 
 def test_euclidean_occupancy_balance_on_kernel():
@@ -297,7 +298,7 @@ def test_xi_bilinear_is_metric_hermitian_and_identity_holds():
 
 
 def test_random_xi_tables_satisfy_reality():
-    rng = np.random.default_rng(4)
+    rng = SeededRng(4)
     shell = SphericalShell(radius=1.0, l_max=2)
     xi = cons.random_conjugate_symmetric_xi(shell, rng)
     assert cons.xi_conjugate_residual(shell, xi) <= 1e-15
@@ -318,6 +319,6 @@ def test_nan_residual_propagates_through_reductions():
     ms = build_cartesian_modeset([(0.0, 0.0, 1.0)])
     assert math.isnan(cons.xi_conjugate_residual(ms, {0: 0.1, 1: np.nan}))
     shell = SphericalShell(radius=1.0, l_max=1)
-    xi = cons.random_conjugate_symmetric_xi(shell, np.random.default_rng(2))
+    xi = cons.random_conjugate_symmetric_xi(shell, SeededRng(2))
     xi[(1, 1)] = complex(np.nan)
     assert math.isnan(cons.xi_conjugate_residual(shell, xi))

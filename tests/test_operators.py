@@ -38,7 +38,8 @@ def full_space(ms, n_max=2, lams=(0, 1, 2, 3)):
 
 
 def shell_space(shell, lams=(0, 1, 2, 3)):
-    return build_fock([(c, lam) for c in shell.mode_labels() for lam in lams], 1)
+    # capped at the one-photon block the assertions read, as suites._shell_space
+    return build_fock([(c, lam) for c in shell.mode_labels() for lam in lams], 1, max_total=1)
 
 
 def test_hamiltonian_eigenvalues():

@@ -25,6 +25,7 @@ from photonam.fock import (
 )
 from photonam.modes import SphericalShell, build_cartesian_modeset
 from photonam.report import KIND_EQUALITY, KIND_VIOLATION, VerificationReport, render_report
+from photonam.sampling import SeededRng
 from photonam.suites import SUITES, SuiteConfig, run_suite
 
 KNOWN_ANCHORS = {
@@ -246,7 +247,7 @@ def test_decomposition_claims_block_capped_match_block_plus_one(seed):
     shell = SphericalShell(radius=1.0, l_max=1)
     new = suites._shell_space(shell, (0, 1, 2, 3), 1 << 20)
     old, read = _block_plus_one(new.channels, 1)
-    xi = cons.random_conjugate_symmetric_xi(shell, np.random.default_rng(seed), scale=0.4)
+    xi = cons.random_conjugate_symmetric_xi(shell, SeededRng(seed), scale=0.4)
 
     def lifted(fs, name):
         triples = [f.lift(fs) for f in ops.build_decomposition(name, shell, fs)]
@@ -286,10 +287,8 @@ def _full_space_lift_homomorphism(rng, pairs):
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_lift_homomorphism_capped_matches_full_space(seed):
-    capped = suites._lift_homomorphism_residual(
-        np.random.default_rng(seed), pairs=20, dim_cap=DEFAULT_DIM_CAP
-    )
-    full = _full_space_lift_homomorphism(np.random.default_rng(seed), pairs=20)
+    capped = suites._lift_homomorphism_residual(SeededRng(seed), pairs=20, dim_cap=DEFAULT_DIM_CAP)
+    full = _full_space_lift_homomorphism(SeededRng(seed), pairs=20)
     assert 0.0 < capped == full
 
 

@@ -75,7 +75,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="mode-set file, or inline `kx,ky,kz;...` listing every mode",
     )
     parser.add_argument("--shell", help="spherical shell as `|k|,lmax`")
-    parser.add_argument("--nmax", type=int, help="per-channel occupation cap")
+    parser.add_argument(
+        "--nmax",
+        type=int,
+        help="occupation cap of the grid spaces, per channel and total (default 2)",
+    )
     parser.add_argument(
         "--tol", type=float, help="tolerance for the standard equality checks"
     )
@@ -107,7 +111,7 @@ def _merge(args: argparse.Namespace) -> SuiteConfig:
         suite=suite,
         grid=_parse_grid(grid_spec) if grid_spec else None,
         shell=_parse_shell(shell_spec) if shell_spec else None,
-        n_max=pick(args.nmax, "nmax", int, 2),
+        n_max=pick(args.nmax, "nmax", int),
         tol=pick(args.tol, "tol", float, 1e-10),
         seed=pick(args.seed, "seed", int, 0),
         fmt=pick(args.format, "format", str, "text"),

@@ -507,8 +507,8 @@ DECOMPOSITIONS: dict[str, DecompositionSpec] = {
             # No claim of its own: the bare lift is Chen's orbital form and
             # closes su(2), and the seeded prescribed-source extra term breaks
             # su(2) by a seed-dependent amount that can fall below the
-            # violation threshold (0.030 at seed 0).  Its claim is asserted
-            # through the mutual relation.
+            # violation threshold (0.069 at seed 4, 0.491 at seed 0).  Its
+            # claim is asserted through the mutual relation.
             FamilyClaim("oam_wak", "oam", None),
         ),
         MUTUAL_NONCOMMUTING,

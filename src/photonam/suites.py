@@ -8,11 +8,16 @@ Orbital (shell) spaces always use single occupation, which is where the
 acceptance bounds are stated.
 
 Spaces whose checks read only number-conserving operators are capped at the
-asserted block itself (see `fock`): total occupation <= n_max on grids, <= 1
-on shells, <= n_max - 1 on the random spaces of lift-homomorphism-random.
-The capped space is an invariant block of every operator those checks
-multiply, so its residuals, read with plain `max_abs`, are those of the full
-product space on the block.  The dirac suite's spinor x orbital
+asserted block itself (see `fock`): total occupation <= n_max on the grids
+of canonical-commutators, observable-commutators and decomposition-compare,
+<= 1 on shells, <= n_max - 1 on the random spaces of
+lift-homomorphism-random.  The capped space is an invariant block of every
+operator those checks multiply, so its residuals, read with plain
+`max_abs`, are those of the full product space on the block.  The
+gauge-hiding grid is capped at total occupation <= n_max too: its free
+constraints a_3 - a_0 only lower the occupation, so the capped kernel is the
+full kernel on the block, and its spin lifts and occupancy checks conserve
+the occupation.  The dirac suite's spinor x orbital
 space is capped at fermion number `DIRAC_FERMION_CAP`, an invariant block in
 the same sense.  Ladder identities keep the product basis and are read on
 the block below its edge (`_edge_safe`); whole-space residuals there go into
@@ -80,6 +85,9 @@ TIGHT_TOL = 1e-12
 VIOLATION_THRESHOLD = 0.1
 FIELD_TOL = 1e-9
 
+# Occupation cap of the grid spaces when --nmax is not set.
+DEFAULT_N_MAX = 2
+
 
 @dataclass
 class SuiteConfig:
@@ -88,7 +96,7 @@ class SuiteConfig:
     suite: str = "all"
     grid: CartesianGrid | None = None
     shell: tuple[float, int] | None = None
-    n_max: int = 2
+    n_max: int | None = None
     tol: float = 1e-10
     seed: int = 0
     fmt: str = "text"
@@ -100,7 +108,7 @@ class SuiteConfig:
             raise InvalidConfig(
                 f"tolerance must be finite, positive and below {VIOLATION_THRESHOLD}"
             )
-        if self.n_max < 1:
+        if self.n_max is not None and self.n_max < 1:
             raise InvalidConfig("n_max must be >= 1")
         if self.seed < 0:
             raise InvalidConfig("seed must be a non-negative integer")
@@ -115,15 +123,21 @@ class SuiteConfig:
     def unread_flags(self, suite: str) -> list[str]:
         """The set flags among those `suite` never reads."""
         knobs = _UNREAD_KNOBS.get(suite, ())
-        return [f"--{knob}" for knob in knobs if getattr(self, knob) is not None]
+        return [_KNOB_FLAGS[knob] for knob in knobs if getattr(self, knob) is not None]
+
+    @property
+    def occupation_cap(self) -> int:
+        """`n_max` where a suite reads it: the set value, else `DEFAULT_N_MAX`."""
+        return DEFAULT_N_MAX if self.n_max is None else self.n_max
 
 
 # Run alone, a suite refuses a knob it never reads; under `all` it notes it.
 _UNREAD_KNOBS = {
-    "counter-rotating": ("shell",),
-    "dirac": ("grid", "shell"),
-    "field-consistency": ("grid", "shell"),
+    "counter-rotating": ("shell", "n_max"),
+    "dirac": ("grid", "shell", "n_max"),
+    "field-consistency": ("grid", "shell", "n_max"),
 }
+_KNOB_FLAGS = {"grid": "--grid", "shell": "--shell", "n_max": "--nmax"}
 
 
 def _default_grid() -> CartesianGrid:
@@ -143,7 +157,8 @@ def _grid_space(
 
 def _capped_grid_space(ms: CartesianGrid, lams, config: SuiteConfig) -> FockSpace:
     """Grid space capped at the asserted block, total occupation <= n_max."""
-    return _grid_space(ms, lams, config.n_max, config.dim_cap, max_total=config.n_max)
+    n_max = config.occupation_cap
+    return _grid_space(ms, lams, n_max, config.dim_cap, max_total=n_max)
 
 
 def _shell_space(ms: SphericalShell, lams, dim_cap: int) -> FockSpace:
@@ -410,7 +425,7 @@ def suite_observable(config: SuiteConfig) -> VerificationReport:
     minus = (creator(fs, (mode0, 1)) @ fs.vacuum() - 1j * (creator(fs, (mode0, 2)) @ fs.vacuum())) / np.sqrt(2)
     res = max_residual((max_abs((hel @ plus) - plus), max_abs((hel @ minus) + minus)))
     rep.add("helicity-circular-single", "helicity", res, TIGHT_TOL)
-    if config.n_max >= 2:
+    if config.occupation_cap >= 2:
         cre = lambda lam: creator(fs, (mode0, lam))
         double = (cre(1) @ (cre(1) @ fs.vacuum())
                   + 2j * (cre(2) @ (cre(1) @ fs.vacuum()))
@@ -559,7 +574,7 @@ def suite_gauge_hiding(config: SuiteConfig) -> VerificationReport:
     )
 
     ms = config.grid or _default_grid()
-    fs = _grid_space(ms, (0, 1, 2, 3), 1, config.dim_cap)
+    fs = _capped_grid_space(ms, (0, 1, 2, 3), config)
     constraints = cons.gb_constraints(ms, fs, None)
     subspace = cons.physical_subspace(fs, constraints, tol=1e-10, dim_cap=config.dim_cap)
     operators = {
@@ -938,7 +953,7 @@ def _config_echo(config: SuiteConfig) -> dict:
         "suite": config.suite,
         "grid": grid_desc,
         "shell": shell_desc,
-        "n_max": config.n_max,
+        "n_max": config.occupation_cap,
         "tol": config.tol,
         "seed": config.seed,
         "dim_cap": config.dim_cap,

@@ -161,6 +161,26 @@ def test_sector_kernel_matches_whole_stack(grid, n_max, max_total, kernel_dim):
     assert cons.kernel_certificate(constraints, sub) <= 1e-12
 
 
+@pytest.mark.parametrize("max_total", [1, 2])
+def test_capped_kernel_is_full_kernel_on_the_block(max_total):
+    # a_3 - a_0 only lowers the occupation, so the block of total occupation
+    # <= T is invariant and the capped space's kernel is the full kernel there
+    ms = build_cartesian_modeset([(0.0, 0.0, 1.0)])
+    chans = [(i, lam) for i in ms.mode_labels() for lam in (0, 1, 2, 3)]
+    full = build_fock(chans, 1)
+    capped = build_fock(chans, 1, max_total=max_total)
+
+    def projector(fs):
+        sub = cons.physical_subspace(fs, cons.gb_constraints(ms, fs, None), tol=1e-10)
+        return sub.basis @ sub.basis.conj().T
+
+    block = full.locate(capped.codes)
+    assert full.dim == 256
+    assert np.array_equal(block, full.bounded_indices(max_total))
+    restricted = projector(full)[np.ix_(block, block)]
+    assert np.max(np.abs(projector(capped) - restricted)) <= 1e-12
+
+
 def test_free_stack_splits_by_occupation_sector():
     ms = build_cartesian_modeset([(0.0, 0.0, 1.0)])
     fs = build_fock([(i, lam) for i in ms.mode_labels() for lam in (0, 1, 2, 3)], 1)

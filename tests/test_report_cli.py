@@ -306,6 +306,29 @@ def test_all_notes_unread_knob_only_when_set():
     assert shell.all_passed
 
 
+@pytest.mark.parametrize("suite", ["counter-rotating", "dirac", "field-consistency"])
+def test_cli_suite_alone_refuses_nmax(suite, capsys):
+    assert main(["--suite", suite, "--nmax", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {suite} does not read --nmax\n"
+    assert captured.out == ""
+    # a set flag is refused even at its default value
+    with pytest.raises(InvalidConfig, match=f"^{suite} does not read --nmax$"):
+        run_suite(SuiteConfig(suite=suite, n_max=2))
+
+
+def test_all_notes_unread_nmax_only_when_set():
+    default = run_suite(SuiteConfig(suite="all"))
+    assert default.config["n_max"] == 2
+    assert not any("ignored" in note for note in default.notes)
+    nmax = run_suite(SuiteConfig(suite="all", n_max=3))
+    assert [note for note in nmax.notes if "ignored" in note] == [
+        f"{suite}: --nmax ignored: this suite does not read it"
+        for suite in ("counter-rotating", "dirac", "field-consistency")
+    ]
+    assert nmax.all_passed
+
+
 def test_cli_capped_space_over_dim_cap_exit_2(capsys):
     argv = ["--suite", "observable-commutators", "--shell", "1.0,2", "--dim-cap", "40"]
     assert main(argv) == 2
@@ -322,8 +345,11 @@ def test_cli_dirac_honours_dim_cap(capsys):
     assert err.startswith("error: dim 697 (total occupation <= 3) exceeds cap 600")
 
 
+FOUR_MODE_GRID = "0,0,1;0,0,-1;1,0,0;-1,0,0"
+
+
 def test_cli_dense_constraint_stack_over_dim_cap_exit_2(capsys, monkeypatch):
-    # 4 modes x 4 polarizations: dim 2^16, a 2^18 x 2^16 dense stack
+    # 4 modes x 4 polarizations at --nmax 3: 969 states, a 3876 x 969 dense stack
     toarray = _CSR.toarray
     densified = []
 
@@ -333,15 +359,22 @@ def test_cli_dense_constraint_stack_over_dim_cap_exit_2(capsys, monkeypatch):
         return toarray(self)
 
     monkeypatch.setattr(_CSR, "toarray", small_dense_only)
-    argv = ["--suite", "gauge-hiding", "--grid", "0,0,1;0,0,-1;1,0,0;-1,0,0"]
+    argv = ["--suite", "gauge-hiding", "--grid", FOUR_MODE_GRID, "--nmax", "3"]
     assert main(argv) == 2
     # the suite densified its small blocks through the patched method
     assert densified
     err = capsys.readouterr().err
     assert err.startswith(
-        "error: dense constraint stack 262144 x 65536 = 17179869184 elements exceeds cap 1048576"
+        "error: dense constraint stack 3876 x 969 = 3755844 elements exceeds cap 1048576"
     )
     assert "Traceback" not in err
+
+
+def test_cli_gauge_hiding_four_mode_grid_passes(capsys):
+    # capped at total occupation 2: 153 states, a 612 x 153 constraint stack
+    assert main(["--suite", "gauge-hiding", "--grid", FOUR_MODE_GRID, "--format", "json"]) == 0
+    parsed = json.loads(capsys.readouterr().out)
+    assert parsed["summary"] == {"total": 10, "passed": 10, "failed": 0}
 
 
 def test_cli_unwritable_output_exit_2(tmp_path, capsys):
@@ -402,6 +435,21 @@ assert photonam.cli.main(["--suite", "all", "--out", sys.argv[1]]) == 0
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded
 """
+
+
+def test_all_json_bytes_do_not_depend_on_blas_threads():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "photonam", "--suite", "all", "--seed", "0", "--format", "json"],
+            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
+            capture_output=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_run_imports_no_scipy(tmp_path):

@@ -114,7 +114,7 @@ def test_gauge_hiding_report_shape(seed):
     rep = run_suite(SuiteConfig(suite="gauge-hiding", seed=seed))
     assert [r.check_id for r in rep.checks] == GAUGE_HIDING_CHECKS
     assert all(r.passed for r in rep.checks)
-    assert "zero-norm physical probes skipped and counted: 48" in rep.notes
+    assert "zero-norm physical probes skipped and counted: 13" in rep.notes
 
 
 def test_canonical_respects_custom_shell():

@@ -20,8 +20,8 @@ and every operator is a `fock.OperatorMatrix`.  The Dirac spin and orbital
 families, Sigma/2 (x) 1 and L (x) 1_4 on ((l, m), spinor) channels, are
 built by the one family builder of `operators`, which builds every photon
 family too, from `operators.TABLE_I_FORMS` (lifted by
-`operators.lift_family`); their claims are the Table-I row
-`operators.TABLE_I`.
+`operators.lift_family`); their claims are the Table-I row of
+`operators.CLAIMS`.
 """
 
 from __future__ import annotations

@@ -47,10 +47,6 @@ class AsymmetricGrid(WorkbenchError):
     """A grid operation requiring closure under k -> -k was given an open grid."""
 
 
-class UnknownDecomposition(WorkbenchError):
-    """No builder exists for the requested decomposition name."""
-
-
 class IncommensurateGrid(WorkbenchError):
     """A mode does not sit on the reciprocal lattice of the given periodic box."""
 

@@ -27,29 +27,30 @@ a label factor and, per component, a matrix over the second channel index
 summed.  The label factor is the shell's orbital generator of the
 component, the identity on the labels, or a per-mode diagonal weight: omega,
 the wave-vector component k_c, or the frame component eps_lam[c].
-`GRID_FORMS` holds the six grid families, `FAMILY_FORMS` every family named
-in `DECOMPOSITIONS`, `TABLE_I_FORMS` the Dirac families on ((l, m), spinor)
-channels, and `L_PURE_TERMS` the pure-gauge orbital part.  One builder,
-`family_matrices`, reads them all; its factor lookup refuses a factor the
-mode set cannot supply (an orbital generator on a grid, a wave vector or a
-frame on a shell) with ChannelMismatch.  `lift_family` lifts its matrices,
-and `mode_blocks` gives the per-mode blocks of a family whose factors are
-all diagonal, which `fields` evaluates on classical amplitudes.
+`GRID_FORMS` holds the six grid families, `FAMILY_FORMS` every family of
+the decomposition rows of `CLAIMS`, `TABLE_I_FORMS` the Dirac families on
+((l, m), spinor) channels, and `L_PURE_TERMS` the pure-gauge orbital part.
+One builder, `family_matrices`, reads them all; its factor lookup refuses a
+factor the mode set cannot supply (an orbital generator on a grid, a wave
+vector or a frame on a shell) with ChannelMismatch.  `lift_family` lifts its
+matrices, and `mode_blocks` gives the per-mode blocks of a family whose
+factors are all diagonal, which `fields` evaluates on classical amplitudes.
 
-`DECOMPOSITIONS` is the one statement of the decomposition claims: per
-decomposition its anchor, its families in build order with their check-ID
-tags and claimed algebras, and the claimed relation between its spin and
-orbital families.  `TABLE_I` states the Dirac claims in the same form.
-`build_decomposition` builds the forms of a row and states no claims.
+`CLAIMS` is the one statement of every algebra claim the suites check: per
+suite its rows (`ClaimsRow`), each an anchor, families with their check-ID
+tags and claimed algebras (su(2), commuting, or su(2)-violating), and the
+claimed relation of its first two families (mutually commuting,
+noncommuting, or closing into the second).  The suites lift the named
+families and `suites._claim_checks` emits one check per claim.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AsymmetricGrid, ChannelMismatch, UnknownDecomposition
+from .errors import AsymmetricGrid, ChannelMismatch
 from .fock import (
     FockSpace,
     OperatorMatrix,
@@ -74,6 +75,7 @@ ALG_COMMUTING = "commuting"
 ALG_NONSTANDARD = "nonstandard"
 MUTUAL_COMMUTE = "commute"
 MUTUAL_NONCOMMUTING = "noncommuting"
+CLOSES_INTO = "closes-into"
 
 # Orbital weight per polarization channel, lam = 0..3.
 OAM_WEIGHTS = {0: -1.0, 1: 1.0, 2: 1.0, 3: 1.0}
@@ -431,92 +433,8 @@ def l_pure_s_cancellation(ms: CartesianGrid, fs: FockSpace) -> tuple[OperatorMat
 
 
 # ---------------------------------------------------------------------------
-# Decomposition families
+# Family forms
 
-
-@dataclass(frozen=True)
-class OperatorFamily:
-    """A named list of quadratic forms, one per component x, y, z."""
-
-    name: str
-    forms: tuple[QuadraticForm, ...]
-
-    def lift(self, fs: FockSpace) -> tuple[OperatorMatrix, ...]:
-        return tuple(lift_bilinear(fs, f) for f in self.forms)
-
-
-@dataclass(frozen=True)
-class FamilyClaim:
-    """One family of a decomposition: its name as built, the tag its check
-    IDs carry, and its claimed algebra (None: not asserted on its own)."""
-
-    name: str
-    tag: str
-    algebra: str | None
-
-
-@dataclass(frozen=True)
-class DecompositionSpec:
-    """Claimed outcomes for one decomposition of the field angular momentum.
-
-    `families` are listed in build order; `mutual` is the claimed relation
-    between the first two families, if any, and `mutual_tag` the tag its
-    check ID carries.
-    """
-
-    anchor: str
-    families: tuple[FamilyClaim, ...]
-    mutual: str | None = None
-    mutual_tag: str = "mutual"
-
-
-# The claims table of the decomposition comparison (Leader & Lorce, Phys. Rep.
-# 541, 163 (2014)); decomposition-compare generates its family checks from it.
-DECOMPOSITIONS: dict[str, DecompositionSpec] = {
-    "canonical": DecompositionSpec(
-        "Table-III",
-        (FamilyClaim("spin", "spin", ALG_SU2), FamilyClaim("oam", "oam", ALG_SU2)),
-        MUTUAL_COMMUTE,
-    ),
-    "gauge_invariant": DecompositionSpec(
-        "Table-II",
-        (
-            FamilyClaim("spin_obs", "spin-obs", ALG_COMMUTING),
-            FamilyClaim("oam_obs", "oam-obs", ALG_SU2),
-        ),
-    ),
-    "jaffe_manohar": DecompositionSpec(
-        "Table-III",
-        (
-            FamilyClaim("spin_jm", "spin", ALG_NONSTANDARD),
-            FamilyClaim("oam_jm", "oam", ALG_NONSTANDARD),
-        ),
-    ),
-    "chen": DecompositionSpec(
-        "Table-III",
-        (
-            FamilyClaim("spin_chen", "spin", ALG_NONSTANDARD),
-            FamilyClaim("oam_chen", "oam", ALG_SU2),
-        ),
-        MUTUAL_NONCOMMUTING,
-    ),
-    "wakamatsu": DecompositionSpec(
-        "Table-III",
-        (
-            FamilyClaim("spin_wak", "spin", ALG_NONSTANDARD),
-            # No claim of its own: the bare lift is Chen's orbital form and
-            # closes su(2), and the seeded prescribed-source extra term breaks
-            # su(2) by a seed-dependent amount that can fall below the
-            # violation threshold (0.069 at seed 4, 0.491 at seed 0).  Its
-            # claim is asserted through the mutual relation.
-            FamilyClaim("oam_wak", "oam", None),
-        ),
-        MUTUAL_NONCOMMUTING,
-    ),
-    "belinfante_ji": DecompositionSpec(
-        "JM-BJ", (FamilyClaim("j_total", "j", ALG_NONSTANDARD),)
-    ),
-}
 
 def _on(lams, mat: np.ndarray) -> np.ndarray:
     """`mat` over the polarizations `lams`, zero elsewhere on lam = 0..3."""
@@ -588,7 +506,7 @@ def _spin(lams: list[np.ndarray]):
     return ((_ONE, lams),)
 
 
-# Quadratic forms of every family named in `DECOMPOSITIONS`: per family its
+# Quadratic forms of every decomposition family of `CLAIMS`: per family its
 # terms (orbital factor, polarization matrix per component), summed per
 # component.  Belinfante-Ji's j_total does not separate spin and orbital
 # parts, so it is one family with two terms.
@@ -631,19 +549,9 @@ GRID_FORMS = {
 }
 
 
-# Table I of the paper: the Dirac spin and orbital families each close su(2)
-# and commute mutually, the same claims as the canonical photon row.  The
-# dirac suite generates its Table-I checks from this row, under the prefix
-# "dirac", with the families of `TABLE_I_FORMS`.
-TABLE_I = DecompositionSpec(
-    "Table-I",
-    (FamilyClaim("sam", "sam", ALG_SU2), FamilyClaim("oam", "oam", ALG_SU2)),
-    MUTUAL_COMMUTE,
-    mutual_tag="sam-oam",
-)
-
-# Forms of the Table-I families on ((l, m), spinor) channels, in the format
-# of `FAMILY_FORMS` with the spinor index in place of the polarization index:
+# Forms of the Dirac families of the paper's Table I on ((l, m), spinor)
+# channels, in the format of `FAMILY_FORMS` with the spinor index in place of
+# the polarization index:
 # Sigma/2 (x) 1, with Sigma_i the Pauli matrix on both 2x2 blocks, and
 # L (x) 1_4.
 TABLE_I_FORMS = {
@@ -652,26 +560,126 @@ TABLE_I_FORMS = {
 }
 
 
-def build_decomposition(
-    name: str, ms: SphericalShell, fs: FockSpace
-) -> tuple[OperatorFamily, ...]:
-    """Quadratic-form families of the named decomposition on ((l,m), lam)
-    channels, in the order of its `DECOMPOSITIONS` row, from `FAMILY_FORMS`.
 
-    Pure-gauge source terms (the prescribed-charge pieces of the Chen and
-    Wakamatsu Dirac-sector orbital operators, and the Wakamatsu orbital extra
-    term) are linear in the ladder operators and are built through the
-    constraints module's prescribed-source pathway, not here.
+# ---------------------------------------------------------------------------
+# The claims table
+
+
+@dataclass(frozen=True)
+class ClaimsRow:
+    """Families read together and what is claimed of them, under one anchor.
+
+    `families` lists (family, tag, algebra); algebra None claims nothing of
+    the family alone.  `relation` is the claimed relation of the first family
+    A to the second B: MUTUAL_COMMUTE or MUTUAL_NONCOMMUTING over every pair
+    of components, or CLOSES_INTO, [A_i, A_j] = i B_k.  A claim's check ID is
+    `{prefix}-{tag}-{suffix}`, with the row's `name` as prefix ("-" for "_";
+    none for an unnamed row) and `relation_tag` as the relation's tag, unless
+    `ids` maps the tag to an explicit ID, or to one ID per bracket (xy, yz,
+    zx).  `structure` is c in the claimed [A_i, A_j] = i c A_k; a `tight`
+    row bounds its equalities at the suites' tight tolerance, not the run's.
     """
-    if name not in DECOMPOSITIONS:
-        raise UnknownDecomposition(f"no decomposition named {name!r}")
-    return tuple(
-        OperatorFamily(
-            f.name,
-            tuple(
-                QuadraticForm(m, fs.signs)
-                for m in family_matrices(fs.channels, FAMILY_FORMS[f.name], ms)
+
+    name: str
+    anchor: str
+    families: tuple[tuple[str, str, str | None], ...]
+    relation: str | None = None
+    relation_tag: str = "mutual"
+    ids: dict = field(default_factory=dict)
+    structure: int = 1
+    tight: bool = False
+
+
+# Every algebra claim of the suites, keyed by suite; a suite lifts the
+# families its rows name and one emitter turns each claim into a check.
+# Family names are the suite's: in decomposition-compare those of
+# `FAMILY_FORMS` (the decompositions of Leader & Lorce, Phys. Rep. 541, 163
+# (2014)) plus "stokes", the Stokes forms Sigma_1..3; in dirac those of
+# `TABLE_I_FORMS`, whose row states the paper's Table I with the claims of
+# the canonical photon row.
+CLAIMS: dict[str, tuple[ClaimsRow, ...]] = {
+    "canonical-commutators": (
+        ClaimsRow(
+            "", "MCR1", (("spin_total", "spin", ALG_SU2),),
+            ids={"spin": ("spin-su2-xy", "spin-su2-yz", "spin-su2-zx")},
+        ),
+        ClaimsRow(
+            "", "MCR2",
+            (
+                ("oam_transverse", "transverse", ALG_SU2),
+                ("oam_scalar", "scalar", ALG_SU2),
+                ("oam_total", "total", ALG_SU2),
             ),
-        )
-        for f in DECOMPOSITIONS[name].families
-    )
+            ids={
+                "transverse": "oam-su2-transverse-sector",
+                "scalar": "oam-su2-scalar-sector",
+                "total": "oam-su2-all-polarizations",
+            },
+        ),
+        ClaimsRow(
+            "", "MCR3",
+            (("oam_total", "oam", None), ("spin_fixed_frame", "spin", None)),
+            MUTUAL_COMMUTE, "oam-spin",
+        ),
+    ),
+    "observable-commutators": (
+        ClaimsRow("", "Table-II", (("spin_obs", "spin-obs", ALG_COMMUTING),)),
+        ClaimsRow("", "L-obs", (("oam_obs", "oam-obs", ALG_SU2),)),
+        ClaimsRow(
+            "", "Table-II",
+            (("oam_obs", "oam-obs", None), ("spin_obs_fixed_frame", "spin-obs", None)),
+            MUTUAL_COMMUTE, "spin-obs-oam-obs",
+        ),
+        ClaimsRow(
+            "", "J-obs",
+            (("j_obs", "j-obs", ALG_NONSTANDARD), ("oam_obs", "oam-obs", None)),
+            CLOSES_INTO,
+            ids={"j-obs": "j-obs-not-su2", "mutual": "j-obs-closes-into-oam-obs"},
+        ),
+    ),
+    "decomposition-compare": (
+        ClaimsRow(
+            "canonical", "Table-III",
+            (("spin", "spin", ALG_SU2), ("oam", "oam", ALG_SU2)),
+            MUTUAL_COMMUTE,
+        ),
+        ClaimsRow(
+            "gauge_invariant", "Table-II",
+            (("spin_obs", "spin-obs", ALG_COMMUTING), ("oam_obs", "oam-obs", ALG_SU2)),
+        ),
+        ClaimsRow(
+            "jaffe_manohar", "Table-III",
+            (("spin_jm", "spin", ALG_NONSTANDARD), ("oam_jm", "oam", ALG_NONSTANDARD)),
+        ),
+        ClaimsRow(
+            "chen", "Table-III",
+            (("spin_chen", "spin", ALG_NONSTANDARD), ("oam_chen", "oam", ALG_SU2)),
+            MUTUAL_NONCOMMUTING,
+        ),
+        ClaimsRow(
+            "wakamatsu", "Table-III",
+            (
+                ("spin_wak", "spin", ALG_NONSTANDARD),
+                # No claim of its own: the bare lift is Chen's orbital form
+                # and closes su(2), and the seeded prescribed-source extra
+                # term breaks su(2) by a seed-dependent amount that can fall
+                # below the violation threshold (0.069 at seed 4, 0.491 at
+                # seed 0).  Its claim is asserted through the mutual relation.
+                ("oam_wak", "oam", None),
+            ),
+            MUTUAL_NONCOMMUTING,
+        ),
+        ClaimsRow("belinfante_ji", "JM-BJ", (("j_total", "j", ALG_NONSTANDARD),)),
+        ClaimsRow(
+            "", "Stokes", (("stokes", "stokes", ALG_SU2),),
+            ids={"stokes": "stokes-factor-2"}, structure=2, tight=True,
+        ),
+    ),
+    "dirac": (
+        ClaimsRow(
+            "dirac", "Table-I",
+            (("sam", "sam", ALG_SU2), ("oam", "oam", ALG_SU2)),
+            MUTUAL_COMMUTE, "sam-oam", tight=True,
+        ),
+    ),
+}

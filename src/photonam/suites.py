@@ -25,11 +25,14 @@ the notes, never into assertions.  The xi pathway of gauge-hiding builds no
 product space: its displaced state is a product of one-mode factors, so it
 reads one-mode moments.
 
-The angular-momentum claims of Maxwell and Dirac fields are generated by one
-emitter, `_claim_checks`, one check per claimed algebra or mutual relation:
-decomposition-compare from each row of `operators.DECOMPOSITIONS`, dirac from
-the Table-I row `operators.TABLE_I`.  Both build the families they check from
-the row's family names, with the one family builder of `operators`.
+Every algebra claim (su(2), commuting or su(2)-violating families, mutually
+commuting or noncommuting pairs, a family closing into another) is a row of
+`operators.CLAIMS`, keyed by suite.  A suite lifts the families its rows
+name and hands them to the one emitter, `_claim_checks`, which adds one
+check per claim: canonical-commutators' spin and orbital su(2) and their
+commutation, observable-commutators' transverse spin, orbital and total
+claims, decomposition-compare's rival decompositions and Stokes closure, and
+dirac's Table-I row.  The Hamiltonian commutators stay in suite code.
 """
 
 from __future__ import annotations
@@ -175,49 +178,56 @@ def _edge_safe(op: OperatorMatrix) -> float:
     return max_abs(compress(op, fs.bounded_indices(fs.n_max - 1)))
 
 
-def _su2_residual(triple) -> float:
-    return max_residual(
-        max_abs(commutator(triple[i], triple[j]) - 1j * triple[k]) for i, j, k in EPS_PAIRS
-    )
+# Per claimed algebra or relation: check-ID suffix, kind and bound (None:
+# the run's tolerance, or TIGHT_TOL on a tight row).
+_CLAIM_VERDICTS = {
+    ops.ALG_SU2: ("su2", KIND_EQUALITY, None),
+    ops.ALG_COMMUTING: ("commuting", KIND_EQUALITY, TIGHT_TOL),
+    ops.ALG_NONSTANDARD: ("violation", KIND_VIOLATION, VIOLATION_THRESHOLD),
+    ops.MUTUAL_COMMUTE: ("commute", KIND_EQUALITY, None),
+    ops.MUTUAL_NONCOMMUTING: ("noncommuting", KIND_VIOLATION, VIOLATION_THRESHOLD),
+    ops.CLOSES_INTO: ("closes-into", KIND_EQUALITY, None),
+}
 
 
-def _mutual_residual(triple_a, triple_b) -> float:
-    return max_residual(max_abs(commutator(a, b)) for a in triple_a for b in triple_b)
+def _claim_residuals(claim: str, a, b, structure: int = 1) -> list[float]:
+    """Residuals of one claim of triple `a` (with `b` for a relation; `a`
+    itself for a family algebra): max_abs([a_i, a_j]) per bracket for a
+    commuting claim, max_abs([a_x, b_y]) per pair for a mutual one, and
+    max_abs([a_i, a_j] - i c b_k) per bracket, c = `structure`, otherwise."""
+    if claim == ops.ALG_COMMUTING:
+        return [max_abs(commutator(a[i], a[j])) for i, j, _ in EPS_PAIRS]
+    if claim in (ops.MUTUAL_COMMUTE, ops.MUTUAL_NONCOMMUTING):
+        return [max_abs(commutator(x, y)) for x in a for y in b]
+    return [max_abs(commutator(a[i], a[j]) - structure * 1j * b[k]) for i, j, k in EPS_PAIRS]
 
 
-def _claimed_algebra_check(algebra: str, triple, tol: float):
-    """ID suffix, residual, tolerance and kind of the check of one claimed
-    family algebra; `tol` bounds an su(2) claim."""
-    if algebra == ops.ALG_SU2:
-        return "su2", _su2_residual(triple), tol, KIND_EQUALITY
-    if algebra == ops.ALG_COMMUTING:
-        res = max_residual(max_abs(commutator(triple[i], triple[j])) for i, j, _ in EPS_PAIRS)
-        return "commuting", res, TIGHT_TOL, KIND_EQUALITY
-    if algebra == ops.ALG_NONSTANDARD:
-        return "violation", _su2_residual(triple), VIOLATION_THRESHOLD, KIND_VIOLATION
-    raise ValueError(f"unknown claimed algebra {algebra!r}")
+def _claim_checks(rep: VerificationReport, rows, lifted: dict, tol: float) -> None:
+    """Add the checks of claims rows (`operators.CLAIMS`): per row one per
+    claimed family algebra, then one for the claimed relation of its first
+    two families; an explicit ID per bracket gives one check per bracket.
 
-
-def _claim_checks(
-    rep: VerificationReport, prefix: str, spec: ops.DecompositionSpec, triples, tol: float
-) -> None:
-    """Add the checks of one claims row: one per claimed family algebra, then
-    one for the claimed mutual relation of the first two families.
-
-    `triples` are the lifted families in the row's order, each read on an
-    invariant block; `tol` bounds the su(2) and mutual-commute equalities.
+    `lifted` maps each family the rows name to its lifted components, read on
+    an invariant block; `tol` bounds the su(2), mutual-commute and
+    closes-into equalities of a row that is not tight.
     """
-    for family, triple in zip(spec.families, triples):
-        if family.algebra is not None:
-            suffix, res, ftol, kind = _claimed_algebra_check(family.algebra, triple, tol)
-            rep.add(f"{prefix}-{family.tag}-{suffix}", spec.anchor, res, ftol, kind=kind)
-    if spec.mutual is not None:
-        res = _mutual_residual(triples[0], triples[1])
-        check_id = f"{prefix}-{spec.mutual_tag}-{spec.mutual}"
-        if spec.mutual == ops.MUTUAL_COMMUTE:
-            rep.add(check_id, spec.anchor, res, tol)
-        else:
-            rep.add(check_id, spec.anchor, res, VIOLATION_THRESHOLD, kind=KIND_VIOLATION)
+    for row in rows:
+        claims = [(tag, alg, lifted[name], lifted[name]) for name, tag, alg in row.families if alg]
+        if row.relation is not None:
+            (first, _, _), (second, _, _) = row.families[:2]
+            claims.append((row.relation_tag, row.relation, lifted[first], lifted[second]))
+        prefix = row.name.replace("_", "-")
+        for tag, claim, a, b in claims:
+            suffix, kind, bound = _CLAIM_VERDICTS[claim]
+            if bound is None:
+                bound = TIGHT_TOL if row.tight else tol
+            residuals = _claim_residuals(claim, a, b, row.structure)
+            check_id = row.ids.get(tag, "-".join(p for p in (prefix, tag, suffix) if p))
+            if isinstance(check_id, str):
+                rep.add(check_id, row.anchor, max_residual(residuals), bound, kind=kind)
+            else:
+                for one, res in zip(check_id, residuals):
+                    rep.add(one, row.anchor, res, bound, kind=kind)
 
 
 def _shell_for(config: SuiteConfig, default_lmax: int) -> SphericalShell:
@@ -246,10 +256,6 @@ def suite_canonical(config: SuiteConfig) -> VerificationReport:
 
     fs = _capped_grid_space(ms, (0, 1, 2, 3), config)
     spin = ops.spin_total(ms, fs)
-    for i, j, k in EPS_PAIRS:
-        diff = commutator(spin[i], spin[j]) - 1j * spin[k]
-        rep.add(f"spin-su2-{'xyz'[i]}{'xyz'[j]}", "MCR1", max_abs(diff), config.tol)
-
     ham = ops.hamiltonian(ms, fs)
     omegas = [ms.omega(i) for i in ms.mode_labels()]
     if max(omegas) - min(omegas) < 1e-12:
@@ -296,7 +302,8 @@ def suite_canonical(config: SuiteConfig) -> VerificationReport:
         TIGHT_TOL,
     )
 
-    _oam_sector_checks(rep, config)
+    lifted = {"spin_total": spin, **_orbital_families(rep, config)}
+    _claim_checks(rep, ops.CLAIMS[rep.suite], lifted, config.tol)
     return rep.finalize()
 
 
@@ -365,20 +372,21 @@ def _lift_homomorphism_residual(rng: SeededRng, pairs: int, dim_cap: int) -> flo
     return max_residual(residuals)
 
 
-def _oam_sector_checks(rep: VerificationReport, config: SuiteConfig) -> None:
+def _orbital_families(rep: VerificationReport, config: SuiteConfig) -> dict:
+    """The orbital families of canonical-commutators' claims, lifted: per
+    polarization sector on the `--shell` l_max (default 2), and with all four
+    polarizations, next to the fixed-frame spin, on the `--shell` l_max
+    (default 1).  Adds the orbital checks that are not claims."""
     shell2 = _orbital_shell(config, default_lmax=2)
+    lifted = {}
     for lam, tag in ((1, "transverse"), (0, "scalar")):
         fs = _shell_space(shell2, (lam,), config.dim_cap)
-        weight = {lam: ops.OAM_WEIGHTS[lam]}
-        triple = ops.oam_weighted(shell2, fs, weight)
-        rep.add(f"oam-su2-{tag}-sector", "MCR2", _su2_residual(triple), config.tol)
+        lifted[f"oam_{tag}"] = ops.oam_weighted(shell2, fs, {lam: ops.OAM_WEIGHTS[lam]})
 
-    shell1 = SphericalShell(radius=shell2.radius, l_max=1)
+    shell1 = _orbital_shell(config)
     fs4 = _shell_space(shell1, (0, 1, 2, 3), config.dim_cap)
-    oam = ops.oam_total(shell1, fs4)
-    rep.add("oam-su2-all-polarizations", "MCR2", _su2_residual(oam), config.tol)
-    spin_fixed = ops.spin_total_fixed_frame(fs4)
-    rep.add("oam-spin-commute", "MCR3", _mutual_residual(oam, spin_fixed), config.tol)
+    oam = lifted["oam_total"] = ops.oam_total(shell1, fs4)
+    lifted["spin_fixed_frame"] = ops.spin_total_fixed_frame(fs4)
     ham = ops.hamiltonian(shell1, fs4)
     rep.add(
         "hamiltonian-oam-commute",
@@ -404,6 +412,7 @@ def _oam_sector_checks(rep: VerificationReport, config: SuiteConfig) -> None:
         "oam scalar sector: weight -1 with the flipped scalar commutator gives"
         " L_z = +m on every one-photon sector; required by MCR2"
     )
+    return lifted
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +425,6 @@ def suite_observable(config: SuiteConfig) -> VerificationReport:
 
     fs = _capped_grid_space(ms, (1, 2), config)
     sobs = ops.spin_obs(ms, fs)
-    worst = max_residual(max_abs(commutator(sobs[i], sobs[j])) for i, j, _ in EPS_PAIRS)
-    rep.add("spin-obs-commuting", "Table-II", worst, TIGHT_TOL)
-
     hel = ops.helicity(ms, fs)
     mode0 = ms.mode_labels()[0]
     plus = (creator(fs, (mode0, 1)) @ fs.vacuum() + 1j * (creator(fs, (mode0, 2)) @ fs.vacuum())) / np.sqrt(2)
@@ -465,15 +471,14 @@ def suite_observable(config: SuiteConfig) -> VerificationReport:
     shell1 = _orbital_shell(config)
     fs4 = _shell_space(shell1, (0, 1, 2, 3), config.dim_cap)
     lobs = ops.oam_obs(shell1, fs4)
-    rep.add("oam-obs-su2", "L-obs", _su2_residual(lobs), config.tol)
     sofix = ops.spin_obs_fixed_frame(fs4)
-    rep.add("spin-obs-oam-obs-commute", "Table-II", _mutual_residual(lobs, sofix), config.tol)
-    jobs = tuple(lobs[c] + sofix[c] for c in range(3))
-    comms = {k: commutator(jobs[i], jobs[j]) for i, j, k in EPS_PAIRS}
-    closure = max_residual(max_abs(comms[k] - 1j * lobs[k]) for k in comms)
-    breakage = max_residual(max_abs(comms[k] - 1j * jobs[k]) for k in comms)
-    rep.add("j-obs-closes-into-oam-obs", "J-obs", closure, config.tol)
-    rep.add("j-obs-not-su2", "J-obs", breakage, VIOLATION_THRESHOLD, kind=KIND_VIOLATION)
+    lifted = {
+        "spin_obs": sobs,
+        "oam_obs": lobs,
+        "spin_obs_fixed_frame": sofix,
+        "j_obs": tuple(lobs[c] + sofix[c] for c in range(3)),
+    }
+    _claim_checks(rep, ops.CLAIMS[rep.suite], lifted, config.tol)
     longi = fs4.basis_state({((1, 1), 3): 1})
     rep.add(
         "oam-obs-longitudinal-zero",
@@ -493,24 +498,15 @@ def suite_decomposition(config: SuiteConfig) -> VerificationReport:
     rng = SeededRng(config.seed)
     shell = _orbital_shell(config)
     fs = _shell_space(shell, (0, 1, 2, 3), config.dim_cap)
-    lifted = {
-        name: {f.name: f.lift(fs) for f in ops.build_decomposition(name, shell, fs)}
-        for name in ops.DECOMPOSITIONS
-    }
+    lifted = {name: ops.lift_family(fs, terms, shell) for name, terms in ops.FAMILY_FORMS.items()}
 
     xi = cons.random_conjugate_symmetric_xi(shell, rng, scale=0.4)
     extra = [cons.xi_oam_bilinear(shell, fs, xi, lam) for lam in (1, 2)]
-    lifted["wakamatsu"]["oam_wak"] = tuple(
-        a + b + c for a, b, c in zip(lifted["wakamatsu"]["oam_wak"], *extra)
-    )
+    lifted["oam_wak"] = tuple(a + b + c for a, b, c in zip(lifted["oam_wak"], *extra))
     rep.note(
         "wakamatsu orbital extra term realized through the prescribed-source"
         f" pathway; seeded source norm {max(abs(v) for v in xi.values()):.3e}"
     )
-
-    for name, spec in ops.DECOMPOSITIONS.items():
-        triples = [lifted[name][family.name] for family in spec.families]
-        _claim_checks(rep, name.replace("_", "-"), spec, triples, config.tol)
 
     pair = build_fock([("k", 3), ("k", 0)], 3, dim_cap=config.dim_cap)
     gauge_combo_a = annihilator(pair, ("k", 3)) - annihilator(pair, ("k", 0))
@@ -524,14 +520,14 @@ def suite_decomposition(config: SuiteConfig) -> VerificationReport:
 
     gms = config.grid or _default_grid()
     gfs = _capped_grid_space(gms, (1, 2), config)
-    sig = ops.stokes_operators(gms, gfs)
-    worst = max_residual(
-        max_abs(commutator(sig[i], sig[j]) - 2j * sig[k])
-        for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2))
-    )
-    rep.add("stokes-factor-2", "Stokes", worst, TIGHT_TOL)
+    # Sigma_0 commutes with every Stokes form; the claim is on Sigma_1..3
+    lifted["stokes"] = ops.stokes_operators(gms, gfs)[1:]
 
-    rep.note(f"claimed algebras checked against shipped table: {sorted(ops.DECOMPOSITIONS)}")
+    rows = ops.CLAIMS[rep.suite]
+    _claim_checks(rep, rows, lifted, config.tol)
+    # the named rows are the decompositions
+    names = sorted(row.name for row in rows if row.name)
+    rep.note(f"claimed algebras checked against shipped table: {names}")
     return rep.finalize()
 
 
@@ -892,11 +888,8 @@ def suite_dirac(config: SuiteConfig) -> VerificationReport:
     ffs = build_fermion_fock(
         spinor_orbital_channels(shell.l_max), config.dim_cap, max_total=DIRAC_FERMION_CAP
     )
-    lifted = {
-        f.name: ops.lift_family(ffs, ops.TABLE_I_FORMS[f.name], shell)
-        for f in ops.TABLE_I.families
-    }
-    _claim_checks(rep, "dirac", ops.TABLE_I, list(lifted.values()), TIGHT_TOL)
+    lifted = {name: ops.lift_family(ffs, terms, shell) for name, terms in ops.TABLE_I_FORMS.items()}
+    _claim_checks(rep, ops.CLAIMS[rep.suite], lifted, config.tol)
 
     sam = lifted["sam"]
     one = creator(ffs, ((0, 0), 0)) @ ffs.vacuum()

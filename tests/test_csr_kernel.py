@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from photonam.errors import DimensionMismatch
-from photonam.fock import _CSR, OperatorMatrix, build_fock, identity_operator, max_abs
-from photonam.suites import _su2_residual
+from photonam.fock import _CSR, OperatorMatrix, build_fock, identity_operator, max_abs, max_residual
+from photonam.operators import ALG_SU2
+from photonam.suites import _claim_residuals
 
 
 def random_pair(rng, shape, density):
@@ -153,7 +154,8 @@ def test_nan_and_inf_reach_max_abs():
     assert math.isinf(max_abs(ident @ inf))
     assert math.isnan(max_abs(inf - inf))
     # a poisoned operator triple is never a small su(2) residual
-    assert math.isnan(_su2_residual((ident, ident, nan)))
+    triple = (ident, ident, nan)
+    assert math.isnan(max_residual(_claim_residuals(ALG_SU2, triple, triple)))
 
 
 def test_array_operands_are_refused():

@@ -161,8 +161,8 @@ def test_dirac_suite_cap_keeps_full_space_residuals():
 
     def residuals(ffs):
         rep = VerificationReport("dirac", {})
-        families = (dirac_sam(ffs), dirac_oam(ffs, 1))
-        suites._claim_checks(rep, "dirac", ops.TABLE_I, families, TIGHT_TOL)
+        families = {"sam": dirac_sam(ffs), "oam": dirac_oam(ffs, 1)}
+        suites._claim_checks(rep, ops.CLAIMS["dirac"], families, TIGHT_TOL)
         return {r.check_id: r.residual for r in rep.checks}
 
     capped = build_fermion_fock(chans, max_total=DIRAC_FERMION_CAP)
@@ -256,11 +256,10 @@ def test_dirac_check_inventory():
 
 
 def test_dirac_checks_follow_table_i(monkeypatch):
-    sam, oam = ops.TABLE_I.families
-    flipped = dataclasses.replace(
-        ops.TABLE_I, families=(sam, dataclasses.replace(oam, algebra=ops.ALG_NONSTANDARD))
-    )
-    monkeypatch.setattr(ops, "TABLE_I", flipped)
+    (row,) = ops.CLAIMS["dirac"]
+    sam, (name, tag, _) = row.families
+    flipped = dataclasses.replace(row, families=(sam, (name, tag, ops.ALG_NONSTANDARD)))
+    monkeypatch.setitem(ops.CLAIMS, "dirac", (flipped,))
     rep = run_suite(SuiteConfig(suite="dirac"))
     expected = dict(DIRAC_INVENTORY)
     del expected["dirac-oam-su2"]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from photonam import operators as ops
-from photonam.errors import AsymmetricGrid, ChannelMismatch, UnknownDecomposition
+from photonam.errors import AsymmetricGrid, ChannelMismatch
 from photonam.fock import (
     OperatorMatrix,
     QuadraticForm,
@@ -237,16 +237,21 @@ def test_pure_gauge_spin_pieces_cancel():
         ops.l_pure_s_terms(ms, fs_no_longitudinal)
 
 
-def test_build_decomposition_names_and_metadata():
+def _decomposition_rows():
+    # the named rows of decomposition-compare; the unnamed one is Stokes
+    return [row for row in ops.CLAIMS["decomposition-compare"] if row.name]
+
+
+def _lift(fs, shell, name):
+    return ops.lift_family(fs, ops.FAMILY_FORMS[name], shell)
+
+
+def test_decomposition_rows_lift_three_components():
     shell = SphericalShell(radius=1.0, l_max=1)
     fs = shell_space(shell)
-    for name, spec in ops.DECOMPOSITIONS.items():
-        families = ops.build_decomposition(name, shell, fs)
-        assert tuple(f.name for f in families) == tuple(c.name for c in spec.families)
-        for fam in families:
-            assert len(fam.forms) == 3
-    with pytest.raises(UnknownDecomposition):
-        ops.build_decomposition("nope", shell, fs)
+    for row in _decomposition_rows():
+        for name, _, _ in row.families:
+            assert len(_lift(fs, shell, name)) == 3
 
 
 def test_canonical_family_su2_and_rivals_violate():
@@ -261,20 +266,10 @@ def test_canonical_family_su2_and_rivals_violate():
             worst = max(worst, max_abs(compress(diff, idx)))
         return worst
 
-    canonical = {f.name: f.lift(fs) for f in ops.build_decomposition("canonical", shell, fs)}
-    assert su2_residual(canonical["spin"]) <= 1e-13
-    assert su2_residual(canonical["oam"]) <= 1e-13
-
-    jm = {f.name: f.lift(fs) for f in ops.build_decomposition("jaffe_manohar", shell, fs)}
-    assert su2_residual(jm["spin_jm"]) >= 0.1
-    assert su2_residual(jm["oam_jm"]) >= 0.1
-
-    chen = {f.name: f.lift(fs) for f in ops.build_decomposition("chen", shell, fs)}
-    assert su2_residual(chen["spin_chen"]) >= 0.1
-    assert su2_residual(chen["oam_chen"]) <= 1e-13
-
-    bj = {f.name: f.lift(fs) for f in ops.build_decomposition("belinfante_ji", shell, fs)}
-    assert su2_residual(bj["j_total"]) >= 0.1
+    for name in ("spin", "oam", "oam_chen"):
+        assert su2_residual(_lift(fs, shell, name)) <= 1e-13
+    for name in ("spin_jm", "oam_jm", "spin_chen", "j_total"):
+        assert su2_residual(_lift(fs, shell, name)) >= 0.1
 
 
 def test_bare_wakamatsu_orbital_lift_closes_su2():
@@ -283,14 +278,14 @@ def test_bare_wakamatsu_orbital_lift_closes_su2():
     shell = SphericalShell(radius=1.0, l_max=1)
     fs = shell_space(shell)
     idx = fs.bounded_indices(1)
-    wak = {f.name: f.lift(fs) for f in ops.build_decomposition("wakamatsu", shell, fs)}
-    oam = wak["oam_wak"]
+    oam = _lift(fs, shell, "oam_wak")
     worst = max(
         max_abs(compress(commutator(oam[i], oam[j]) - 1j * oam[k], idx))
         for i, j, k in EPS_PAIRS
     )
     assert worst <= 1e-13
-    assert ops.DECOMPOSITIONS["wakamatsu"].families[1].algebra is None
+    (wakamatsu,) = [row for row in _decomposition_rows() if row.name == "wakamatsu"]
+    assert wakamatsu.families[1] == ("oam_wak", "oam", None)
 
 
 def test_rival_violation_traces_to_gb_null_pair():
@@ -419,7 +414,7 @@ def test_pair_entries_sign_on_the_scalar_channel(cap):
 
 
 def test_family_forms_cover_the_claims_table():
-    names = {f.name for spec in ops.DECOMPOSITIONS.values() for f in spec.families}
+    names = {name for row in _decomposition_rows() for name, _, _ in row.families}
     assert names == set(ops.FAMILY_FORMS)
     for terms in ops.FAMILY_FORMS.values():
         for _, lams in terms:
@@ -578,4 +573,4 @@ def test_shell_families_reject_a_grid():
     with pytest.raises(ChannelMismatch):
         ops.oam_weighted(ms, fs, {1: 1.0})
     with pytest.raises(ChannelMismatch):
-        ops.build_decomposition("canonical", ms, fs)
+        ops.lift_family(fs, ops.FAMILY_FORMS["oam"], ms)

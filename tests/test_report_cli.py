@@ -12,6 +12,7 @@ from photonam import operators as ops
 from photonam.cli import main
 from photonam.errors import DimensionCapExceeded, InvalidConfig, UnknownFormat, UnknownSuite
 from photonam.fock import _CSR
+from photonam.modes import SphericalShell
 from photonam.report import (
     KIND_VIOLATION,
     CheckRecord,
@@ -214,13 +215,14 @@ def test_cli_all_polarization_lmax2_shell(capsys):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_cli_decomposition_reads_shell(seed, capsys, monkeypatch):
     built = []
-    build = ops.build_decomposition
+    lift = ops.lift_family
 
-    def recording(name, ms, fs):
-        built.append((ms.l_max, fs.dim))
-        return build(name, ms, fs)
+    def recording(fs, terms, ms=None):
+        if isinstance(ms, SphericalShell):
+            built.append((ms.l_max, fs.dim))
+        return lift(fs, terms, ms)
 
-    monkeypatch.setattr(ops, "build_decomposition", recording)
+    monkeypatch.setattr(ops, "lift_family", recording)
     base = ["--suite", "decomposition-compare", "--seed", str(seed), "--format", "json"]
     violation = {}
     for shell, l_max in ((["--shell", "1.0,2"], 2), ([], 1)):
@@ -233,6 +235,26 @@ def test_cli_decomposition_reads_shell(seed, capsys, monkeypatch):
         checks = {c["id"]: c["residual"] for c in parsed["checks"]}
         violation[l_max] = f"{checks['jaffe-manohar-oam-violation']:.6e}"
     assert violation == {2: "5.000000e-01", 1: "2.500000e-01"}
+
+
+def test_cli_canonical_reads_shell(capsys, monkeypatch):
+    built = []
+    oam_total = ops.oam_total
+
+    def recording(ms, fs):
+        built.append((ms.l_max, fs.dim))
+        return oam_total(ms, fs)
+
+    monkeypatch.setattr(ops, "oam_total", recording)
+    base = ["--suite", "canonical-commutators", "--format", "json", "--shell"]
+    assert main(base + ["1.0,2"]) == 0
+    parsed = json.loads(capsys.readouterr().out)
+    assert parsed["summary"] == {"total": 23, "passed": 23, "failed": 0}
+    # the all-polarization block at l_max 2: 36 channels capped at one photon
+    assert built == [(2, 37)]
+    # 64 channels: the product-index codes overflow until spaces are rank-indexed
+    assert main(base + ["1.0,3"]) == 2
+    assert "product-index codes 2^64 exceed the 64-bit range" in capsys.readouterr().err
 
 
 def test_cli_gauge_hiding_reads_shell(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -127,19 +128,74 @@ def test_nan_operator_triple_fails():
     fs = build_fock([("k", 1), ("q", 2)], 1)
     nan = OperatorMatrix(fs, _CSR.from_entries([np.nan], [0], [0], (fs.dim, fs.dim)))
     ident = identity_operator(fs)
-    rep = VerificationReport("nan", {})
-    rep.add("su2", "MCR2", suites._su2_residual((ident, ident, nan)), 1e-10)
-    rep.add("mutual", "MCR3", suites._mutual_residual((ident,), (nan,)), 1e-10)
-    rep.add(
-        "violation",
-        "Table-III",
-        suites._su2_residual((nan, ident, ident)),
-        0.1,
-        kind=KIND_VIOLATION,
+    lifted = {"one": (ident,) * 3, "nan": (ident, ident, nan), "nan0": (nan, ident, ident)}
+    rows = (
+        ops.ClaimsRow("", "MCR2", (("nan", "su2", ops.ALG_SU2),)),
+        ops.ClaimsRow("", "Table-II", (("nan0", "comm", ops.ALG_COMMUTING),)),
+        ops.ClaimsRow("", "Table-III", (("nan0", "nonstd", ops.ALG_NONSTANDARD),)),
+        ops.ClaimsRow("", "MCR3", (("one", "a", None), ("nan", "b", None)), ops.MUTUAL_COMMUTE),
+        ops.ClaimsRow(
+            "", "Table-III", (("one", "a", None), ("nan", "b", None)),
+            ops.MUTUAL_NONCOMMUTING, "non",
+        ),
+        ops.ClaimsRow("", "J-obs", (("one", "a", None), ("nan", "b", None)), ops.CLOSES_INTO, "into"),
+        ops.ClaimsRow("", "Stokes", (("nan", "c2", ops.ALG_SU2),), structure=2, tight=True),
     )
-    assert [r.passed for r in rep.checks] == [False, False, False]
+    rep = VerificationReport("nan", {})
+    suites._claim_checks(rep, rows, lifted, 1e-10)
+    assert [r.check_id for r in rep.checks] == [
+        "su2-su2",
+        "comm-commuting",
+        "nonstd-violation",
+        "mutual-commute",
+        "non-noncommuting",
+        "into-closes-into",
+        "c2-su2",
+    ]
+    assert all(math.isnan(r.residual) and not r.passed for r in rep.checks)
     assert not rep.all_passed
 
+
+CANONICAL_INVENTORY = {
+    # check ID: (anchor, kind, tolerance) at the default tolerance 1e-10
+    "bcr-annihilators-commute": ("BCR2", KIND_EQUALITY, 1e-12),
+    "bcr-cross-channel": ("BCR1", KIND_EQUALITY, 1e-12),
+    "bcr-scalar": ("BCR1", KIND_EQUALITY, 1e-12),
+    "bcr-transverse": ("BCR1", KIND_EQUALITY, 1e-12),
+    "hamiltonian-oam-commute": ("H-mode-form", KIND_EQUALITY, 1e-10),
+    "hamiltonian-scalar-eigenvalue": ("H-mode-form", KIND_EQUALITY, 1e-12),
+    "hamiltonian-spin-commute": ("H-mode-form", KIND_EQUALITY, 1e-10),
+    "hamiltonian-transverse-eigenvalue": ("H-mode-form", KIND_EQUALITY, 1e-12),
+    "hamiltonian-vacuum": ("H-mode-form", KIND_EQUALITY, 1e-12),
+    "lift-homomorphism-random": ("BCR1", KIND_EQUALITY, 1e-12),
+    "metric-adjoint-consistency": ("indefinite-metric", KIND_EQUALITY, 1e-12),
+    "metric-squared-identity": ("indefinite-metric", KIND_EQUALITY, 1e-12),
+    "momentum-eigenvalues": ("PM-planewave", KIND_EQUALITY, 1e-12),
+    "oam-spin-commute": ("MCR3", KIND_EQUALITY, 1e-10),
+    "oam-su2-all-polarizations": ("MCR2", KIND_EQUALITY, 1e-10),
+    "oam-su2-scalar-sector": ("MCR2", KIND_EQUALITY, 1e-10),
+    "oam-su2-transverse-sector": ("MCR2", KIND_EQUALITY, 1e-10),
+    "oam-z-scalar-eigenvalue": ("PWE-LM", KIND_EQUALITY, 1e-12),
+    "oam-z-transverse-eigenvalue": ("PWE-LM", KIND_EQUALITY, 1e-12),
+    "scalar-photon-norm": ("negative-norm", KIND_EQUALITY, 1e-12),
+    "spin-su2-xy": ("MCR1", KIND_EQUALITY, 1e-10),
+    "spin-su2-yz": ("MCR1", KIND_EQUALITY, 1e-10),
+    "spin-su2-zx": ("MCR1", KIND_EQUALITY, 1e-10),
+}
+
+OBSERVABLE_INVENTORY = {
+    "helicity-circular-double": ("helicity", KIND_EQUALITY, 1e-12),
+    "helicity-circular-single": ("helicity", KIND_EQUALITY, 1e-12),
+    "helicity-linear-expectation": ("helicity", KIND_EQUALITY, 1e-12),
+    "j-obs-closes-into-oam-obs": ("J-obs", KIND_EQUALITY, 1e-10),
+    "j-obs-not-su2": ("J-obs", KIND_VIOLATION, 0.1),
+    "oam-obs-longitudinal-zero": ("L-obs-form", KIND_EQUALITY, 1e-12),
+    "oam-obs-su2": ("L-obs", KIND_EQUALITY, 1e-10),
+    "spin-obs-commuting": ("Table-II", KIND_EQUALITY, 1e-12),
+    "spin-obs-oam-obs-commute": ("Table-II", KIND_EQUALITY, 1e-10),
+    "spin-total-obs-agree-circular": ("S-obs-form", KIND_EQUALITY, 1e-10),
+    "stokes-helicity-match": ("Stokes", KIND_EQUALITY, 1e-12),
+}
 
 DECOMPOSITION_INVENTORY = {
     # check ID: (anchor, kind, tolerance) at the default tolerance 1e-10
@@ -165,22 +221,113 @@ def _inventory(rep):
     return {r.check_id: (r.anchor, r.kind, r.tolerance) for r in rep.checks}
 
 
+@pytest.mark.parametrize("suite", ["canonical-commutators", "observable-commutators"])
+def test_commutator_suite_check_inventory(suite):
+    inventory = {
+        "canonical-commutators": CANONICAL_INVENTORY,
+        "observable-commutators": OBSERVABLE_INVENTORY,
+    }[suite]
+    assert _inventory(run_suite(SuiteConfig(suite=suite))) == inventory
+
+
 def test_decomposition_check_inventory():
     rep = run_suite(SuiteConfig(suite="decomposition-compare"))
     assert _inventory(rep) == DECOMPOSITION_INVENTORY
 
 
+def _flipped(rows, family, algebra):
+    """The rows with the claimed algebra of `family` replaced by `algebra`."""
+    return tuple(
+        dataclasses.replace(
+            row,
+            families=tuple(
+                (name, tag, algebra if name == family and claimed else claimed)
+                for name, tag, claimed in row.families
+            ),
+        )
+        for row in rows
+    )
+
+
 def test_decomposition_checks_follow_claims_table(monkeypatch):
-    chen = ops.DECOMPOSITIONS["chen"]
-    spin, oam = chen.families
-    oam = dataclasses.replace(oam, algebra=ops.ALG_NONSTANDARD)
-    flipped = dataclasses.replace(chen, families=(spin, oam))
-    monkeypatch.setitem(ops.DECOMPOSITIONS, "chen", flipped)
-    got = _inventory(run_suite(SuiteConfig(suite="decomposition-compare")))
+    suite = "decomposition-compare"
+    monkeypatch.setitem(
+        ops.CLAIMS, suite, _flipped(ops.CLAIMS[suite], "oam_chen", ops.ALG_NONSTANDARD)
+    )
+    got = _inventory(run_suite(SuiteConfig(suite=suite)))
     expected = dict(DECOMPOSITION_INVENTORY)
     del expected["chen-oam-su2"]
     expected["chen-oam-violation"] = ("Table-III", KIND_VIOLATION, 0.1)
     assert got == expected
+
+    # an explicit check ID stays; kind and bound follow the flipped claim,
+    # which then fails: L closes su(2), J_obs does not
+    for suite, family, algebra, check_id, verdict, inventory in (
+        (
+            "canonical-commutators", "oam_total", ops.ALG_NONSTANDARD,
+            "oam-su2-all-polarizations", (KIND_VIOLATION, 0.1), CANONICAL_INVENTORY,
+        ),
+        (
+            "observable-commutators", "j_obs", ops.ALG_SU2,
+            "j-obs-not-su2", (KIND_EQUALITY, 1e-10), OBSERVABLE_INVENTORY,
+        ),
+    ):
+        monkeypatch.setitem(ops.CLAIMS, suite, _flipped(ops.CLAIMS[suite], family, algebra))
+        rep = run_suite(SuiteConfig(suite=suite))
+        expected = dict(inventory)
+        expected[check_id] = (inventory[check_id][0], *verdict)
+        assert _inventory(rep) == expected
+        assert [r.check_id for r in rep.checks if not r.passed] == [check_id]
+
+
+# Every check the claims table emits under `all`.
+CLAIMED_CHECKS = [
+    "canonical-commutators/oam-spin-commute",
+    "canonical-commutators/oam-su2-all-polarizations",
+    "canonical-commutators/oam-su2-scalar-sector",
+    "canonical-commutators/oam-su2-transverse-sector",
+    "canonical-commutators/spin-su2-xy",
+    "canonical-commutators/spin-su2-yz",
+    "canonical-commutators/spin-su2-zx",
+    "decomposition-compare/belinfante-ji-j-violation",
+    "decomposition-compare/canonical-mutual-commute",
+    "decomposition-compare/canonical-oam-su2",
+    "decomposition-compare/canonical-spin-su2",
+    "decomposition-compare/chen-mutual-noncommuting",
+    "decomposition-compare/chen-oam-su2",
+    "decomposition-compare/chen-spin-violation",
+    "decomposition-compare/gauge-invariant-oam-obs-su2",
+    "decomposition-compare/gauge-invariant-spin-obs-commuting",
+    "decomposition-compare/jaffe-manohar-oam-violation",
+    "decomposition-compare/jaffe-manohar-spin-violation",
+    "decomposition-compare/stokes-factor-2",
+    "decomposition-compare/wakamatsu-mutual-noncommuting",
+    "decomposition-compare/wakamatsu-spin-violation",
+    "dirac/dirac-oam-su2",
+    "dirac/dirac-sam-oam-commute",
+    "dirac/dirac-sam-su2",
+    "observable-commutators/j-obs-closes-into-oam-obs",
+    "observable-commutators/j-obs-not-su2",
+    "observable-commutators/oam-obs-su2",
+    "observable-commutators/spin-obs-commuting",
+    "observable-commutators/spin-obs-oam-obs-commute",
+]
+
+
+def test_claims_table_emits_every_algebra_check(monkeypatch):
+    emitted = []
+    emit = suites._claim_checks
+
+    def recording(rep, rows, lifted, tol):
+        before = len(rep.checks)
+        emit(rep, rows, lifted, tol)
+        emitted.extend(f"{rep.suite}/{r.check_id}" for r in rep.checks[before:])
+
+    monkeypatch.setattr(suites, "_claim_checks", recording)
+    rep = run_suite(SuiteConfig(suite="all"))
+    assert rep.all_passed
+    assert len(CLAIMED_CHECKS) == 29
+    assert sorted(emitted) == CLAIMED_CHECKS
 
 
 # Asserted-block oracle: the suites read number-conserving claims with plain
@@ -201,23 +348,27 @@ def _su2_read(triple, read):
     )
 
 
-def _claim_residuals_read(spec, triples, read):
+def _claim_residuals_read(row, lifted, read):
     """Residuals of every claim of one row, in the emitter's order."""
     out = []
-    for family, triple in zip(spec.families, triples):
-        if family.algebra == ops.ALG_COMMUTING:
+    for name, _, algebra in row.families:
+        triple = lifted[name]
+        if algebra == ops.ALG_COMMUTING:
             out.append(
                 max_residual(
                     read(commutator(triple[i], triple[j])) for i, j, _ in suites.EPS_PAIRS
                 )
             )
-        elif family.algebra is not None:
+        elif algebra is not None:
             out.append(_su2_read(triple, read))
-    if spec.mutual is not None:
-        out.append(
-            max_residual(read(commutator(a, b)) for a in triples[0] for b in triples[1])
-        )
+    if row.relation is not None:
+        a, b = (lifted[name] for name, _, _ in row.families[:2])
+        out.append(max_residual(read(commutator(x, y)) for x in a for y in b))
     return out
+
+
+def _su2(triple):
+    return max_residual(suites._claim_residuals(ops.ALG_SU2, triple, triple))
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 3, 4])
@@ -226,7 +377,7 @@ def test_spin_su2_block_capped_matches_block_plus_one(n_max):
     new = suites._capped_grid_space(ms, (0, 1, 2, 3), SuiteConfig(n_max=n_max))
     old, read = _block_plus_one(new.channels, n_max)
     assert new.max_total == n_max and new.dim < old.dim
-    assert suites._su2_residual(ops.spin_total(ms, new)) == _su2_read(
+    assert _su2(ops.spin_total(ms, new)) == _su2_read(
         ops.spin_total(ms, old), read
     )
 
@@ -237,7 +388,7 @@ def test_oam_sector_block_capped_matches_block_plus_one(lam):
     new = suites._shell_space(shell, (lam,), 1 << 20)
     old, read = _block_plus_one(new.channels, 1)
     weight = {lam: ops.OAM_WEIGHTS[lam]}
-    assert suites._su2_residual(ops.oam_weighted(shell, new, weight)) == _su2_read(
+    assert _su2(ops.oam_weighted(shell, new, weight)) == _su2_read(
         ops.oam_weighted(shell, old, weight), read
     )
 
@@ -249,19 +400,20 @@ def test_decomposition_claims_block_capped_match_block_plus_one(seed):
     old, read = _block_plus_one(new.channels, 1)
     xi = cons.random_conjugate_symmetric_xi(shell, SeededRng(seed), scale=0.4)
 
-    def lifted(fs, name):
-        triples = [f.lift(fs) for f in ops.build_decomposition(name, shell, fs)]
-        if name == "wakamatsu":
-            # the xi extra term moves the total occupation by one
-            extra = [cons.xi_oam_bilinear(shell, fs, xi, lam) for lam in (1, 2)]
-            triples[1] = tuple(a + b + c for a, b, c in zip(triples[1], *extra))
-        return triples
+    def lifted(fs):
+        out = {name: ops.lift_family(fs, terms, shell) for name, terms in ops.FAMILY_FORMS.items()}
+        # the xi extra term moves the total occupation by one
+        extra = [cons.xi_oam_bilinear(shell, fs, xi, lam) for lam in (1, 2)]
+        out["oam_wak"] = tuple(a + b + c for a, b, c in zip(out["oam_wak"], *extra))
+        return out
 
-    for name, spec in ops.DECOMPOSITIONS.items():
-        rep = VerificationReport(name, {})
-        suites._claim_checks(rep, name, spec, lifted(new, name), 1e-10)
-        expected = _claim_residuals_read(spec, lifted(old, name), read)
-        assert [r.residual for r in rep.checks] == expected, name
+    new_lifted, old_lifted = lifted(new), lifted(old)
+    # the named rows are the decompositions, on the shell space
+    for row in (row for row in ops.CLAIMS["decomposition-compare"] if row.name):
+        rep = VerificationReport(row.name, {})
+        suites._claim_checks(rep, (row,), new_lifted, 1e-10)
+        expected = _claim_residuals_read(row, old_lifted, read)
+        assert [r.residual for r in rep.checks] == expected, row.name
 
 
 def _full_space_lift_homomorphism(rng, pairs):

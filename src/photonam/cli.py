@@ -37,12 +37,12 @@ def _read_config_file(path: str) -> dict:
 
 
 def _parse_grid(spec: str):
-    path = Path(spec)
-    if path.exists():
-        return parse_modeset(path.read_text())
-    # inline form: semicolon-separated kx,ky,kz triples listing every mode
-    text = "\n".join(part.replace(",", " ") for part in spec.split(";") if part.strip())
-    return parse_modeset(text)
+    try:
+        return parse_modeset(Path(spec).read_text())
+    except OSError:
+        # inline form: semicolon-separated kx,ky,kz triples listing every mode
+        text = "\n".join(part.replace(",", " ") for part in spec.split(";") if part.strip())
+        return parse_modeset(text)
 
 
 def _parse_shell(spec: str) -> tuple[float, int]:

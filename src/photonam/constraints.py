@@ -331,20 +331,13 @@ def verify_gauge_hiding(
     return entries
 
 
-def occupancy_diagonal(fs: FockSpace, lam: int) -> np.ndarray:
-    """Diagonal of the plain occupation count summed over channels with the
-    given polarization."""
-    total = np.zeros(fs.dim)
-    for j, (label, channel_lam) in enumerate(fs.channels):
-        if channel_lam == lam:
-            total = total + fs.occupations(j)
-    return total
-
-
 def euclidean_occupancy(fs: FockSpace, lam: int, psi: np.ndarray) -> float:
-    """Euclidean expectation of the lam-channel occupation count."""
+    """Euclidean expectation of the plain occupation count summed over the
+    channels with polarization lam."""
+    lams = np.array([channel_lam for _, channel_lam in fs.channels])
+    count = fs.occ[:, lams == lam].sum(axis=1, dtype=float)
     weight = float(np.vdot(psi, psi).real)
-    return float(np.real(np.vdot(psi, occupancy_diagonal(fs, lam) * psi)) / weight)
+    return float(np.real(np.vdot(psi, count * psi)) / weight)
 
 
 def random_conjugate_symmetric_xi(

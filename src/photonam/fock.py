@@ -4,15 +4,15 @@ Basis order
 -----------
 A space over channels (c_0, ..., c_{C-1}) with per-channel cap n_max and an
 optional total-occupation cap max_total keeps the occupation tuples with
-n_j <= n_max for every channel and n_0 + ... + n_{C-1} <= max_total.  Each
-tuple is identified by its product-index code
-sum_j n_j * (n_max+1)^(C-1-j), so channel 0 is the most significant digit,
-and the space carries the sorted table of its codes: basis index i is the
-i-th smallest code and index 0 is the vacuum.  Without a total cap the table
-is 0 .. (n_max+1)^C - 1, the full product basis.  Occupations, ladder
-matrices, basis states and the metric diagonal are all read off the code
-table, with `searchsorted` mapping a shifted code back to its index.  The
-order is fixed so reports are byte-stable across runs.
+n_j <= n_max and n_0 + ... + n_{C-1} <= max_total (excitation-number-
+restricted, as in QuTiP's `enr_fock`; Johansson, Nation & Nori, Comput.
+Phys. Commun. 184, 1234 (2013)) as the rows of its read-only table `occ`, in
+channel-major lexicographic order: channel 0 most significant, index 0 the
+vacuum, and without a total cap the full product basis.  Basis index i is
+the rank of row i.  One table of bounded-composition counts builds `occ` and
+ranks any kept tuple (`locate`), so ladders and lifts find a shifted tuple
+by its rank, whatever (n_max+1)^C is.  Occupations are the columns of `occ`,
+and the metric diagonal and total occupation are column sums.
 
 Metric realization
 ------------------
@@ -27,12 +27,12 @@ is [a, creator] = channel_sign * identity away from the truncation edge.
 Statistics
 ----------
 A fermionic space (`build_fock(..., fermionic=True)`) has n_max = 1 and every
-sign +1, so its codes are bitmasks with channel 0 as the most significant
-bit, the order of a Kronecker product with channel 0 leftmost.  Its ladders
-and lifts follow the Jordan-Wigner convention (Jordan & Wigner, Z. Phys. 47,
-631 (1928)): the lowering matrix of channel j carries the parity of channels
-0..j-1, and each off-diagonal entry of a lift carries the parity of the
-channels strictly between the two it connects.  That parity is the only rule
+sign +1; its order is that of a Kronecker product with channel 0 leftmost.
+Its ladders and lifts follow the Jordan-Wigner convention (Jordan & Wigner,
+Z. Phys. 47, 631 (1928)): the lowering matrix of channel j carries the
+parity of the occupied channels among 0..j-1, and each off-diagonal entry of
+a lift the parity of the occupied channels strictly between the two it
+connects, both counted on the table's rows.  That parity is the only rule
 that differs from the bosonic case, so both share one basis, one ladder and
 one lift.
 
@@ -42,7 +42,7 @@ Commutator identities for normal-ordered bilinears are exact on the subspace
 of total occupation <= n_max - 1 (in fact <= n_max); the residual outside it
 is reported by the suites, never asserted.  A total cap is a second
 truncation edge.  Every operator on a capped space is the product-space
-operator restricted to the kept codes: lowering and number-conserving lifts
+operator restricted to the kept tuples: lowering and number-conserving lifts
 never leave the space, and a creator drops the states it would push past the
 cap.  So a product of two operators that each change the total occupation by
 at most one is exact on the block of total occupation <= max_total - 1, and a
@@ -86,15 +86,15 @@ from .errors import (
 from .modes import channel_sign
 
 DEFAULT_DIM_CAP = 1 << 20
-_CODE_LIMIT = np.iinfo(np.int64).max
+TABLE_CAP_FACTOR = 16  # occupation-table entries per unit of dim_cap (`space_dim`)
 
 
 @dataclass(frozen=True)
 class FockSpace:
     """Occupation basis over labeled channels with metric signs.
 
-    `codes` is the sorted table of product-index codes of the kept
-    occupation tuples; `max_total` is the total-occupation cap, equal to
+    `occ` is the read-only (dim x #channels) occupation table, `_ranks` the
+    table `locate` reads; `max_total` is the total-occupation cap, equal to
     n_max * #channels for the full product basis.  `fermionic` selects
     Jordan-Wigner statistics and is part of the equality (and so of the
     `_lowering` cache key).
@@ -104,12 +104,13 @@ class FockSpace:
     n_max: int
     signs: tuple
     max_total: int
-    codes: np.ndarray = field(compare=False, repr=False)
+    occ: np.ndarray = field(compare=False, repr=False)
     fermionic: bool
+    _ranks: np.ndarray = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
-        return int(self.codes.size)
+        return self.occ.shape[0]
 
     def index_of(self, channel) -> int:
         try:
@@ -117,22 +118,18 @@ class FockSpace:
         except ValueError:
             raise UnknownChannel(f"channel {channel!r} not in space") from None
 
-    def weight(self, position: int) -> int:
-        return (self.n_max + 1) ** (len(self.channels) - 1 - position)
-
-    def locate(self, codes: np.ndarray) -> np.ndarray:
-        """Basis indices of product-index codes that are in the table."""
-        return np.searchsorted(self.codes, codes)
-
-    def occupations(self, position: int) -> np.ndarray:
-        """Occupation of channel `position` for every basis index."""
-        return (self.codes // self.weight(position)) % (self.n_max + 1)
+    def locate(self, occ: np.ndarray) -> np.ndarray:
+        """Basis indices of occupation rows (last axis over the channels),
+        each a tuple the space keeps: sum_j _ranks[j, n_0 + ... + n_j]."""
+        index = np.zeros(occ.shape[:-1], dtype=np.intp)
+        prefix = np.zeros_like(index)
+        for j, ranks in enumerate(self._ranks):
+            prefix += occ[..., j]
+            index += ranks[prefix]
+        return index
 
     def total_occupation(self) -> np.ndarray:
-        tot = np.zeros(self.dim, dtype=int)
-        for j in range(len(self.channels)):
-            tot += self.occupations(j)
-        return tot
+        return self.occ.sum(axis=1, dtype=int)
 
     def bounded_indices(self, max_total: int) -> np.ndarray:
         return np.nonzero(self.total_occupation() <= max_total)[0]
@@ -144,49 +141,74 @@ class FockSpace:
 
     def basis_state(self, occupations: dict) -> np.ndarray:
         """Unit vector with the given channel -> occupation assignment."""
-        code = 0
+        row = np.zeros(len(self.channels), dtype=int)
         for ch, n in occupations.items():
-            if not 0 <= n <= self.n_max:
-                raise DimensionMismatch(f"occupation {n} outside 0..{self.n_max}")
-            code += n * self.weight(self.index_of(ch))
-        total = sum(occupations.values())
-        if total > self.max_total:
-            raise DimensionMismatch(f"total occupation {total} exceeds cap {self.max_total}")
+            row[self.index_of(ch)] = n
+        if row.min() < 0 or row.max() > self.n_max or row.sum() > self.max_total:
+            raise DimensionMismatch(f"occupations {occupations} are not a state of the space")
         psi = np.zeros(self.dim, dtype=complex)
-        psi[self.locate(code)] = 1.0
+        psi[self.locate(row)] = 1.0
         return psi
 
 
-def _capped_dim(n_channels: int, n_max: int, max_total: int) -> int:
-    """Number of occupation tuples with every n_j <= n_max and sum <= max_total.
-
-    Inclusion-exclusion over the channels forced above n_max, with a slack
-    channel absorbing max_total - sum.
-    """
-    return sum(
+def space_dim(n_channels: int, n_max: int, max_total: int, dim_cap: int) -> int:
+    """Number of tuples over n_channels with every n_j <= n_max and sum <=
+    max_total, counted without allocating anything: inclusion-exclusion over
+    the channels forced above n_max, with a slack channel absorbing
+    max_total - sum.  DimensionCapExceeded when it exceeds dim_cap, or when
+    the occupation table of dim x n_channels entries exceeds
+    TABLE_CAP_FACTOR * dim_cap: at one byte per entry (n_max < 256), the
+    size of one complex vector of dim_cap amplitudes."""
+    dim = sum(
         (-1) ** k
         * comb(n_channels, k)
         * comb(max_total - k * (n_max + 1) + n_channels, n_channels)
         for k in range(min(n_channels, max_total // (n_max + 1)) + 1)
     )
+    if dim > dim_cap:
+        raise DimensionCapExceeded(
+            f"dim {dim} (total occupation <= {max_total}) exceeds cap {dim_cap}"
+        )
+    if dim * n_channels > TABLE_CAP_FACTOR * dim_cap:
+        raise DimensionCapExceeded(
+            f"occupation table {dim} x {n_channels} exceeds cap"
+            f" {TABLE_CAP_FACTOR * dim_cap} entries"
+        )
+    return dim
 
 
-def _code_table(n_channels: int, n_max: int, max_total: int) -> np.ndarray:
-    """Sorted product-index codes of the tuples counted by `_capped_dim`.
+@lru_cache(maxsize=None)
+def _basis(n_channels: int, n_max: int, max_total: int, dim: int) -> tuple:
+    """The read-only occupation and rank tables of a space.
 
-    Channels are prepended from the last to the first; each new channel is
-    the most significant digit so far, so concatenating by its occupation
-    keeps the table sorted.
+    counts[r, n_max + t] counts the tuples over r channels with every
+    n_j <= n_max and sum <= t (0 for t < 0).  In column j, the rows sharing
+    channels 0..j-1 leave a budget b of T = max_total, and value v repeats
+    counts[C-1-j, n_max + b - v] times.  The tuples before n that first
+    differ from it at channel j number P_j(T - p_j) - P_j(T - p_j - n_j),
+    with p_j = n_0 + ... + n_{j-1} and P_j the running sum of counts[C-1-j];
+    regrouped by prefix sums, rank(n) = sum_j ranks[j, p_{j+1}].
     """
-    codes = np.zeros(1, dtype=np.int64)
-    totals = np.zeros(1, dtype=np.int64)
-    weight = 1
-    for _ in range(n_channels):
-        keep = [totals <= max_total - n for n in range(n_max + 1)]
-        codes = np.concatenate([codes[k] + n * weight for n, k in enumerate(keep)])
-        totals = np.concatenate([totals[k] + n for n, k in enumerate(keep)])
-        weight *= n_max + 1
-    return codes
+    counts = np.zeros((n_channels, n_max + max_total + 1), dtype=np.int64)
+    counts[0, n_max:] = 1
+    for r in range(1, n_channels):
+        np.cumsum(counts[r - 1], out=counts[r])
+        counts[r, n_max + 1 :] -= counts[r, : -n_max - 1]
+    occ = np.empty((dim, n_channels), dtype=np.min_scalar_type(n_max))
+    values = np.arange(n_max + 1)
+    budgets = np.array([n_max + max_total])  # offset by n_max, like counts
+    for j in range(n_channels):
+        left = budgets[:, None] - values
+        sizes = counts[n_channels - 1 - j, left].ravel()
+        occ[:, j] = np.repeat((budgets[:, None] - left).ravel(), sizes)
+        budgets = left.ravel()[sizes > 0]
+    prefix = np.cumsum(counts[::-1, n_max:], axis=1)
+    # gain[j, s] = P_j(T - s) - P_j(T); ranks[j] = gain[j + 1] - gain[j]
+    gain = prefix[:, ::-1] - prefix[:, -1:]
+    ranks = np.diff(gain, axis=0, append=0)
+    occ.setflags(write=False)
+    ranks.setflags(write=False)
+    return occ, ranks
 
 
 def build_fock(
@@ -202,9 +224,8 @@ def build_fock(
     needs n_max = 1 and has every sign +1 (its labels carry no lam).  Without
     `max_total` the basis is the full product of per-channel occupations
     0..n_max; with it, only tuples of total occupation <= max_total are kept.
-    The dimension is counted before anything is allocated, and
-    DimensionCapExceeded is raised when it exceeds dim_cap or when the
-    product-index codes do not fit in 64 bits.
+    The dimension and the table are counted before anything is allocated
+    (`space_dim`).
     """
     channels = tuple(tuple(ch) if isinstance(ch, list) else ch for ch in channels)
     if len(channels) < 1:
@@ -219,25 +240,17 @@ def build_fock(
         raise DimensionMismatch("max_total must be >= 0")
     n_ch = len(channels)
     cap = n_max * n_ch if max_total is None else min(max_total, n_max * n_ch)
-    dim = _capped_dim(n_ch, n_max, cap)
-    if dim > dim_cap:
-        raise DimensionCapExceeded(
-            f"dim {dim} (total occupation <= {cap}) exceeds cap {dim_cap}"
-        )
-    if (n_max + 1) ** n_ch - 1 > _CODE_LIMIT:
-        raise DimensionCapExceeded(
-            f"product-index codes {(n_max + 1)}^{n_ch} exceed the 64-bit range"
-        )
+    dim = space_dim(n_ch, n_max, cap, dim_cap)
     signs = (1,) * n_ch if fermionic else tuple(channel_sign(ch[1]) for ch in channels)
-    codes = _code_table(n_ch, n_max, cap)
-    codes.setflags(write=False)
+    occ, ranks = _basis(n_ch, n_max, cap, dim)
     return FockSpace(
         channels=channels,
         n_max=n_max,
         signs=signs,
         max_total=cap,
-        codes=codes,
+        occ=occ,
         fermionic=fermionic,
+        _ranks=ranks,
     )
 
 
@@ -463,26 +476,25 @@ def identity_operator(fs: FockSpace) -> OperatorMatrix:
     return OperatorMatrix(fs, _CSR.diagonal(np.ones(fs.dim)))
 
 
-def _jw_parity(fs: FockSpace, codes: np.ndarray, lo, hi) -> np.ndarray:
-    """(-1)^(occupied channels strictly between positions lo < hi) per code;
-    lo and hi may be arrays aligned with the codes.
-
-    Fermionic codes are bitmasks and weight(-1) = 2^#channels, so the mask
-    of the channels between lo and hi is weight(lo) - 2 * weight(hi).
-    """
-    odd = np.bitwise_count(codes & (fs.weight(lo) - 2 * fs.weight(hi))) & 1
-    return np.where(odd, -1.0, 1.0)
+def _jw_parity(fs: FockSpace, src: np.ndarray, lo, hi) -> np.ndarray:
+    """(-1)^(occupied channels strictly between positions lo < hi) in the
+    states `src`, lo = -1 counting from channel 0; lo and hi may be arrays
+    aligned with `src`.  odd[:, k] is the parity of the channels before k."""
+    odd = np.zeros((fs.dim, len(fs.channels) + 1), dtype=fs.occ.dtype)
+    np.bitwise_xor.accumulate(fs.occ, axis=1, out=odd[:, 1:])
+    return np.where(odd[src, hi] ^ odd[src, lo + 1], -1.0, 1.0)
 
 
 @lru_cache(maxsize=None)
 def _lowering(fs: FockSpace, position: int) -> _CSR:
-    n = fs.occupations(position)
+    n = fs.occ[:, position]
     src = np.nonzero(n)[0]
-    rows = fs.locate(fs.codes[src] - fs.weight(position))
-    data = np.sqrt(n[src].astype(float)).astype(complex)
+    lowered = fs.occ[src].astype(int)
+    lowered[:, position] -= 1
+    data = np.sqrt(n[src], dtype=float).astype(complex)
     if fs.fermionic:
-        data *= _jw_parity(fs, fs.codes[src], -1, position)
-    return _CSR.from_entries(data, rows, src, (fs.dim, fs.dim))
+        data *= _jw_parity(fs, src, -1, position)
+    return _CSR.from_entries(data, fs.locate(lowered), src, (fs.dim, fs.dim))
 
 
 def annihilator(fs: FockSpace, channel) -> OperatorMatrix:
@@ -499,11 +511,8 @@ def creator(fs: FockSpace, channel) -> OperatorMatrix:
 @lru_cache(maxsize=None)
 def metric_diagonal(fs: FockSpace) -> np.ndarray:
     """Diagonal of eta = (-1)^(total occupation of sign -1 channels)."""
-    parity = np.zeros(fs.dim, dtype=int)
-    for j, s in enumerate(fs.signs):
-        if s < 0:
-            parity += fs.occupations(j)
-    eta = np.where(parity % 2 == 0, 1.0, -1.0)
+    scalar = fs.occ[:, np.array(fs.signs) < 0]
+    eta = np.where(scalar.sum(axis=1) % 2, -1.0, 1.0)
     eta.setflags(write=False)
     return eta
 
@@ -551,12 +560,11 @@ def lift_bilinear(fs: FockSpace, form: QuadraticForm) -> OperatorMatrix:
 
     The off-diagonal entries are built in one vectorized pass: the nonzeros
     of the (pairs x dim) mask of states that admit the move give every
-    (pair, source state), pair-major, and one `locate` finds all targets.
-    Two distinct pairs shift a source code by distinct amounts
-    w_a - w_b, and no shift is zero, so every off-diagonal entry has its own
-    (row, col), apart from the diagonal and from each other: no value is a
-    sum, and each equals the one the per-pair loop computed.  Diagonal terms
-    are summed per channel, in the order of M's nonzeros.
+    (pair, source state), pair-major, and one `locate` ranks all targets.
+    Distinct moves from one source reach distinct targets, none of them the
+    source, so every off-diagonal entry has its own (row, col): no value is
+    a sum, and each equals the one the per-pair loop computed.  Diagonal
+    terms are summed per channel, in the order of M's nonzeros.
     """
     m = form.matrix
     n_ch = len(fs.channels)
@@ -564,28 +572,29 @@ def lift_bilinear(fs: FockSpace, form: QuadraticForm) -> OperatorMatrix:
         raise DimensionMismatch(f"form is {m.shape}, space has {n_ch} channels")
     if form.signs != fs.signs:
         raise DimensionMismatch("form channel signs disagree with the space")
-    occ = np.stack([fs.occupations(j) for j in range(n_ch)])
+    occ = fs.occ.T
     a, b = np.nonzero(m)
     on = a == b
     diag = np.zeros(fs.dim, dtype=complex)
     for j in a[on]:
         src = np.nonzero(occ[j])[0]
-        root = np.sqrt(occ[j][src])
+        root = np.sqrt(occ[j, src], dtype=float)
         # sqrt(n) * sqrt(n), not n: the entry equals the ladder product's
         diag[src] += (m[j, j] * fs.signs[j] * root) * root
     a, b = a[~on], b[~on]
     coef = m[a, b] * np.array(fs.signs)[a]
     pair, src = np.nonzero((occ > 0)[b] & (occ < fs.n_max)[a])
     a, b = a[pair], b[pair]
-    amp = (coef[pair] * np.sqrt(occ[a, src] + 1)) * np.sqrt(occ[b, src])
-    codes = fs.codes[src]
+    amp = (coef[pair] * np.sqrt(occ[a, src] + 1.0)) * np.sqrt(occ[b, src], dtype=float)
     if fs.fermionic:
-        amp *= _jw_parity(fs, codes, np.minimum(a, b), np.maximum(a, b))
-    weights = fs.weight(np.arange(n_ch))
+        amp *= _jw_parity(fs, src, np.minimum(a, b), np.maximum(a, b))
+    moved, rows = fs.occ[src].astype(int), np.arange(src.size)
+    moved[rows, a] += 1
+    moved[rows, b] -= 1
     on_diag = np.nonzero(diag)[0]
     mat = _CSR.from_entries(
         np.concatenate([amp, diag[on_diag]]),
-        np.concatenate([fs.locate(codes - weights[b] + weights[a]), on_diag]),
+        np.concatenate([fs.locate(moved), on_diag]),
         np.concatenate([src, on_diag]),
         (fs.dim, fs.dim),
     )

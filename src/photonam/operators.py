@@ -50,8 +50,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AsymmetricGrid, ChannelMismatch
+from .errors import AsymmetricGrid, ChannelMismatch, DimensionCapExceeded
 from .fock import (
+    DEFAULT_DIM_CAP,
     FockSpace,
     OperatorMatrix,
     QuadraticForm,
@@ -143,15 +144,19 @@ def family_matrices(channels, terms, ms: ModeSet | None = None) -> tuple[np.ndar
     times its matrix over the second index, entry by entry in term order.
     The labels are the mode set's, or without one those of the channels,
     where only identity factors occur.  ChannelMismatch if a factor needs a
-    mode set of another kind or a needed channel is absent.
+    mode set of another kind or a needed channel is absent, and
+    DimensionCapExceeded before allocating one of over DEFAULT_DIM_CAP entries.
     """
+    n_ch = len(channels)
+    if n_ch * n_ch > DEFAULT_DIM_CAP:
+        raise DimensionCapExceeded(f"{n_ch} x {n_ch} forms exceed cap {DEFAULT_DIM_CAP} entries")
     index = {ch: i for i, ch in enumerate(channels)}
     if ms is None:
         labels = tuple(dict.fromkeys(label for label, _ in channels))
     else:
         labels = ms.mode_labels()
     n_comp = len(terms[0][1])
-    out = [np.zeros((len(channels), len(channels)), dtype=complex) for _ in range(n_comp)]
+    out = [np.zeros((n_ch, n_ch), dtype=complex) for _ in range(n_comp)]
     for key, lams in terms:
         for m, factor, lam in zip(out, _label_factors(key, ms, len(labels), n_comp), lams):
             orb = np.asarray(factor, dtype=complex)
@@ -424,12 +429,6 @@ def l_pure_s_terms(ms: CartesianGrid, fs: FockSpace):
                 raise ChannelMismatch("pure-gauge spin needs lam = 1, 2, 3 channels")
     brackets = _l_pure_s_bracket(ms, fs)
     return tuple(0.5j * b for b in brackets), tuple(-0.5j * b for b in brackets)
-
-
-def l_pure_s_cancellation(ms: CartesianGrid, fs: FockSpace) -> tuple[OperatorMatrix, ...]:
-    """Sum of the two pure-gauge spin pieces; contract: the zero matrix."""
-    term1, term2 = l_pure_s_terms(ms, fs)
-    return tuple(a + b for a, b in zip(term1, term2))
 
 
 # ---------------------------------------------------------------------------

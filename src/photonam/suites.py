@@ -68,6 +68,7 @@ from .fock import (
     max_abs,
     max_residual,
     metric_operator,
+    space_dim,
 )
 from .modes import (
     CartesianGrid,
@@ -230,16 +231,14 @@ def _claim_checks(rep: VerificationReport, rows, lifted: dict, tol: float) -> No
                     rep.add(one, row.anchor, res, bound, kind=kind)
 
 
-def _shell_for(config: SuiteConfig, default_lmax: int) -> SphericalShell:
-    if config.shell is not None:
-        return SphericalShell(radius=config.shell[0], l_max=config.shell[1])
-    return SphericalShell(radius=1.0, l_max=default_lmax)
-
-
 def _orbital_shell(config: SuiteConfig, default_lmax: int = 1) -> SphericalShell:
-    """The shell of the orbital checks; InvalidConfig at l_max 0, where every
-    orbital generator vanishes."""
-    shell = _shell_for(config, default_lmax)
+    """The `--shell` shell, else the unit shell at default_lmax; InvalidConfig
+    at l_max 0, where every orbital generator vanishes.  Its largest space
+    (all four polarizations at total occupation <= 1) is counted against the
+    caps before the shell lists its labels."""
+    radius, l_max = config.shell or (1.0, default_lmax)
+    space_dim(4 * (max(l_max, 0) + 1) ** 2, 1, 1, config.dim_cap)
+    shell = SphericalShell(radius=radius, l_max=l_max)
     if shell.l_max < 1:
         raise InvalidConfig("orbital checks need l_max >= 1")
     return shell

@@ -266,7 +266,7 @@ def test_criterion_8_counter_rotating_cancellation():
     cr_spin = max(max_abs(m) for m in ops.counter_rotating_part(ms, fs3, "spin"))
     fs4 = build_fock([(i, lam) for i in ms.mode_labels() for lam in (0, 1, 2, 3)], 1)
     cr_mom = max(max_abs(m) for m in ops.counter_rotating_part(ms, fs4, "momentum"))
-    lps = max(max_abs(m) for m in ops.l_pure_s_cancellation(ms, fs3))
+    lps = max(max_abs(a + b) for a, b in zip(*ops.l_pure_s_terms(ms, fs3)))
     ok = cr_spin <= 1e-12 and cr_mom <= 1e-12 and lps <= 1e-12
     _line(8, ok, f"CR spin {cr_spin:.1e}, CR momentum {cr_mom:.1e}, pure-gauge spin {lps:.1e}")
 

@@ -174,7 +174,7 @@ def test_capped_kernel_is_full_kernel_on_the_block(max_total):
         sub = cons.physical_subspace(fs, cons.gb_constraints(ms, fs, None), tol=1e-10)
         return sub.basis @ sub.basis.conj().T
 
-    block = full.locate(capped.codes)
+    block = full.locate(capped.occ)
     assert full.dim == 256
     assert np.array_equal(block, full.bounded_indices(max_total))
     restricted = projector(full)[np.ix_(block, block)]

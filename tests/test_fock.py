@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -88,17 +90,48 @@ def test_capped_dim_cap_raised_before_allocation():
     # about 3.9e10 states: counted, never enumerated
     with pytest.raises(DimensionCapExceeded):
         build_fock(chans, 1, max_total=18)
-    with pytest.raises(DimensionCapExceeded, match="64-bit"):
-        build_fock([(i, 1) for i in range(64)], 1, max_total=2)
+    # 721,801 states over 1,200 channels: an 866 MB table, counted first
+    many = [(i, lam) for i in range(300) for lam in (0, 1, 2, 3)]
+    with pytest.raises(DimensionCapExceeded, match="occupation table 721801 x 1200 "):
+        build_fock(many, 2, max_total=2)
     with pytest.raises(DimensionMismatch):
         build_fock(chans, 1, max_total=-1)
 
 
+@pytest.mark.parametrize("fermionic", [False, True])
+def test_table_is_the_filtered_product_basis_and_locate_ranks_it(fermionic):
+    for n_ch in range(1, 6):
+        for n_max in (1,) if fermionic else (1, 2, 3):
+            for cap in range(n_max * n_ch + 1):
+                fs = build_fock([(j, 1) for j in range(n_ch)], n_max, max_total=cap, fermionic=fermionic)
+                kept = [t for t in itertools.product(range(n_max + 1), repeat=n_ch) if sum(t) <= cap]
+                np.testing.assert_array_equal(fs.occ, np.array(kept))
+                np.testing.assert_array_equal(fs.locate(fs.occ), np.arange(fs.dim))
+                assert not fs.occ.flags.writeable
+
+
+def test_space_beyond_the_64_bit_product_basis():
+    # 3^100 product states; the cap keeps 1 + 100 + 100 + C(100, 2) = 5,151
+    chans = [(i, 1) for i in range(100)]
+    fs = build_fock(chans, 2, max_total=2)
+    assert fs.dim == 5151
+    kept = sorted(
+        tuple(np.bincount(on, minlength=100))
+        for n in range(3)
+        for on in itertools.combinations_with_replacement(range(100), n)
+    )
+    np.testing.assert_array_equal(fs.occ, np.array(kept))
+    for rank, t in enumerate(kept):
+        psi = fs.basis_state({chans[j]: n for j, n in enumerate(t) if n})
+        assert np.argmax(np.abs(psi)) == rank and psi.sum() == 1.0
+
+
 def test_capped_basis_state_outside_cap():
     fs = build_fock([("a", 1), ("b", 1), ("c", 0)], 2, max_total=2)
-    assert fs.vacuum()[0] == 1.0 and np.all(np.diff(fs.codes) > 0)
+    rows = [tuple(r) for r in fs.occ.tolist()]
+    assert fs.vacuum()[0] == 1.0 and rows == sorted(set(rows))
     psi = fs.basis_state({("a", 1): 1, ("c", 0): 1})
-    assert fs.codes[np.argmax(np.abs(psi))] == 1 * 9 + 1
+    assert rows[np.argmax(np.abs(psi))] == (1, 0, 1)
     with pytest.raises(DimensionMismatch):
         fs.basis_state({("a", 1): 2, ("b", 1): 1})
 
@@ -115,7 +148,7 @@ def test_capped_operators_restrict_product_space():
         fs = build_fock(chans, n_max, dim_cap=keep.size, max_total=cap)
         with pytest.raises(DimensionCapExceeded):
             build_fock(chans, n_max, dim_cap=keep.size - 1, max_total=cap)
-        np.testing.assert_array_equal(fs.codes, full.codes[keep])
+        np.testing.assert_array_equal(fs.occ, full.occ[keep])
         block = np.ix_(keep, keep)
         np.testing.assert_array_equal(metric_diagonal(fs), metric_diagonal(full)[keep])
         for ch in chans:
@@ -148,8 +181,8 @@ def test_basis_order_is_channel_major():
     fs = build_fock([("a", 1), ("b", 1)], 2)
     psi = fs.basis_state({("a", 1): 1, ("b", 1): 2})
     assert np.argmax(np.abs(psi)) == 1 * 3 + 2
-    np.testing.assert_array_equal(fs.occupations(0), np.repeat([0, 1, 2], 3))
-    np.testing.assert_array_equal(fs.occupations(1), np.tile([0, 1, 2], 3))
+    np.testing.assert_array_equal(fs.occ[:, 0], np.repeat([0, 1, 2], 3))
+    np.testing.assert_array_equal(fs.occ[:, 1], np.tile([0, 1, 2], 3))
 
 
 def test_ladders_match_dense_kron_reference():
@@ -200,7 +233,7 @@ def test_metric_operator_properties():
     eta = metric_operator(fs)
     assert max_abs(eta @ eta - identity_operator(fs)) == 0.0
     diag = metric_diagonal(fs)
-    n0 = fs.occupations(1) + fs.occupations(2)
+    n0 = fs.occ[:, 1] + fs.occ[:, 2]
     np.testing.assert_array_equal(diag, np.where(n0 % 2 == 0, 1.0, -1.0))
     for ch in fs.channels:
         via = eta @ OperatorMatrix(fs, annihilator(fs, ch).mat.conj_transpose()) @ eta
@@ -235,7 +268,7 @@ def test_lift_matches_dense_reference():
 def test_lift_number_operator_eigenvalues():
     fs = build_fock([("k", 1), ("k", 2)], 2)
     number = lift_bilinear(fs, QuadraticForm(np.eye(2), fs.signs))
-    expected = fs.occupations(0) + fs.occupations(1)
+    expected = fs.occ[:, 0] + fs.occ[:, 1]
     np.testing.assert_allclose(
         np.sort(np.linalg.eigvalsh(number.to_dense())), np.sort(expected), atol=1e-13
     )
@@ -260,7 +293,7 @@ def test_lift_commutator_homomorphism_random_pairs():
 def per_pair_lift(fs, form):
     """The lift as one loop over the nonzeros of M, pair by pair."""
     m = form.matrix
-    occ = [fs.occupations(j) for j in range(len(fs.channels))]
+    occ = fs.occ.T.astype(int)
     rows, cols, vals = [], [], []
     diag = np.zeros(fs.dim, dtype=complex)
     for a, b in zip(*np.nonzero(m)):
@@ -273,8 +306,11 @@ def per_pair_lift(fs, form):
         src = src[room]
         amp = (m[a, b] * fs.signs[a] * np.sqrt(occ[a][src] + 1)) * root_b[room]
         if fs.fermionic:
-            amp *= _jw_parity(fs, fs.codes[src], min(a, b), max(a, b))
-        rows.append(fs.locate(fs.codes[src] - fs.weight(b) + fs.weight(a)))
+            amp *= _jw_parity(fs, src, min(a, b), max(a, b))
+        moved = fs.occ[src].astype(int)
+        moved[:, a] += 1
+        moved[:, b] -= 1
+        rows.append(fs.locate(moved))
         cols.append(src)
         vals.append(amp)
     on_diag = np.nonzero(diag)[0]
@@ -408,7 +444,7 @@ def test_capped_fermion_operators_restrict_full_space(n_ch):
     for cap in range(n_ch + 1):
         keep = np.nonzero(full.total_occupation() <= cap)[0]
         ffs = build_fermion_fock(chans, max_total=cap)
-        np.testing.assert_array_equal(ffs.codes, full.codes[keep])
+        np.testing.assert_array_equal(ffs.occ, full.occ[keep])
         block = np.ix_(keep, keep)
         for ch in chans:
             np.testing.assert_array_equal(

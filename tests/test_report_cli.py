@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -252,9 +253,33 @@ def test_cli_canonical_reads_shell(capsys, monkeypatch):
     assert parsed["summary"] == {"total": 23, "passed": 23, "failed": 0}
     # the all-polarization block at l_max 2: 36 channels capped at one photon
     assert built == [(2, 37)]
-    # 64 channels: the product-index codes overflow until spaces are rank-indexed
-    assert main(base + ["1.0,3"]) == 2
-    assert "product-index codes 2^64 exceed the 64-bit range" in capsys.readouterr().err
+    # 64 channels, beyond a 64-bit product index: 65 states, every check passes
+    assert main(base + ["1.0,3"]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["failed"] == 0
+    assert built[1:] == [(3, 65)]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--suite", "observable-commutators", "--shell", "1.0,100000"], "dim 40000800005 "),
+        (["--suite", "gauge-hiding", "--shell", "1.0,40"], "occupation table 6725 x 6724 "),
+        (["--suite", "decomposition-compare", "--shell", "1.0,16"], "1156 x 1156 forms exceed"),
+        (
+            ["--suite", "canonical-commutators", "--grid", ";".join(
+                f"{s * (i + 1)},0,{s}" for i in range(150) for s in (1, -1)
+            )],
+            "occupation table 721801 x 1200 ",
+        ),
+    ],
+)
+def test_cli_many_channels_refused_before_allocation(capsys, argv, message):
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
 
 
 def test_cli_gauge_hiding_reads_shell(capsys, monkeypatch):
@@ -452,6 +477,7 @@ def test_python_dash_m_runs_decomposition_compare():
 # .github/workflows/tier1.yml runs the same check on the installed package.
 NO_SCIPY_CHECK = """
 import sys
+import time
 import photonam.cli
 assert photonam.cli.main(["--suite", "all", "--out", sys.argv[1]]) == 0
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")

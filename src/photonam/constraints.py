@@ -266,30 +266,27 @@ def quotient_representatives(
 
 @dataclass(frozen=True)
 class GaugeHidingEntry:
-    """Per-state record produced by verify_gauge_hiding."""
+    """Per-state record produced by verify_gauge_hiding; a skipped probe
+    carries norm and spin_hiding 0."""
 
     state: str
     norm: float
-    diffs: dict
+    spin_hiding: float
     skipped: bool = False
-
-
-def _triple_expect(fs: FockSpace, ops, psi: np.ndarray) -> np.ndarray:
-    return np.array([expectation(fs, o, psi) for o in ops])
 
 
 def verify_gauge_hiding(
     fs: FockSpace,
     subspace: PhysicalSubspace,
-    operators: dict,
+    spin: tuple[OperatorMatrix, ...],
+    spin_obs: tuple[OperatorMatrix, ...],
     rng: SeededRng,
     n_random: int = 6,
 ) -> list[GaugeHidingEntry]:
     """Expectation-value gauge hiding on the physical subspace.
 
-    `operators` may contain triples under the keys "spin" and "spin_obs".
-    For every probed state with nonzero indefinite norm, if both are given,
-    the record carries spin_hiding = max_i |<spin_i> - <spin_obs_i>|.
+    For every probed state with nonzero indefinite norm, the record carries
+    spin_hiding = max_i |<spin_i> - <spin_obs_i>| of the two triples.
 
     States are representative kernel vectors plus seeded random combinations;
     zero-norm probes are skipped and counted.  Mixed probes (including
@@ -320,14 +317,10 @@ def verify_gauge_hiding(
     for label, psi in probes:
         norm = indefinite_inner(fs, psi, psi).real
         if abs(norm) <= 1e-12 * float(np.vdot(psi, psi).real):
-            entries.append(GaugeHidingEntry(label, 0.0, {}, skipped=True))
+            entries.append(GaugeHidingEntry(label, 0.0, 0.0, skipped=True))
             continue
-        diffs = {}
-        if "spin" in operators and "spin_obs" in operators:
-            s = _triple_expect(fs, operators["spin"], psi)
-            so = _triple_expect(fs, operators["spin_obs"], psi)
-            diffs["spin_hiding"] = float(np.max(np.abs(s - so)))
-        entries.append(GaugeHidingEntry(label, float(norm), diffs))
+        diffs = [expectation(fs, a, psi) - expectation(fs, b, psi) for a, b in zip(spin, spin_obs)]
+        entries.append(GaugeHidingEntry(label, float(norm), float(np.max(np.abs(diffs)))))
     return entries
 
 

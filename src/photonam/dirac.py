@@ -17,11 +17,10 @@ not: a creator at the cap drops the states it would push past it.
 
 Ladders are `fock.annihilator` and `fock.creator` on the fermionic space,
 and every operator is a `fock.OperatorMatrix`.  The Dirac spin and orbital
-families, Sigma/2 (x) 1 and L (x) 1_4 on ((l, m), spinor) channels, are
-built by the one family builder of `operators`, which builds every photon
-family too, from `operators.TABLE_I_FORMS` (lifted by
-`operators.lift_family`); their claims are the Table-I row of
-`operators.CLAIMS`.
+families, Sigma/2 (x) 1 and L (x) 1_4 on ((l, m), spinor) channels, are the
+`operators.FORMS` entries "dirac_sam" and "dirac_oam", lifted like every
+photon family by `operators.lift_family`; their claims are the Table-I row
+of `operators.CLAIMS`.
 """
 
 from __future__ import annotations
@@ -30,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DEFAULT_DIM_CAP, FockSpace, OperatorMatrix, build_fock
-from .modes import SphericalShell, shell_channels
-from .operators import PAULI, TABLE_I_FORMS, lift_family
+from .fock import DEFAULT_DIM_CAP, FockSpace, build_fock
+from .modes import shell_channels
+from .operators import PAULI
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,13 +66,3 @@ def spinor_orbital_channels(l_max: int) -> tuple:
     """Channels (orbital (l, m), spinor index s), ordered orbital-major."""
     return tuple((c, s) for c in shell_channels(l_max) for s in range(4))
 
-
-def dirac_sam(ffs: FockSpace) -> tuple[OperatorMatrix, ...]:
-    """Sigma/2 (x) 1 lifted over the space's (orbital, spinor) channels."""
-    return lift_family(ffs, TABLE_I_FORMS["sam"])
-
-
-def dirac_oam(ffs: FockSpace, l_max: int) -> tuple[OperatorMatrix, ...]:
-    """L (x) 1_4: the orbital generators up to l_max with the identity on the
-    spinor index; ChannelMismatch if the space lacks one of their channels."""
-    return lift_family(ffs, TABLE_I_FORMS["oam"], SphericalShell(radius=1.0, l_max=l_max))

@@ -14,7 +14,7 @@ vectors of exp(i k.x) times a per-mode coefficient, so one (N^3 x K) phase
 matrix times one coefficient matrix gives them all.
 
 The mode side of a quadrature check is not a formula of its own:
-`form_value` evaluates a grid family of `operators.GRID_FORMS` on the
+`form_value` evaluates a grid family of `operators.FORMS` on the
 amplitudes, sum_k alpha_k^dag G B_k alpha_k, the expectation of the lift
 that the suites check in the coherent state with these amplitudes.
 
@@ -41,7 +41,7 @@ from .errors import (
     ZeroWaveVector,
 )
 from .modes import WaveVector, channel_sign, polarization_frame
-from .operators import GRID_FORMS, mode_blocks
+from .operators import mode_blocks
 
 _LATTICE_TOL = 1e-9
 # G, the channel signs of lam = 0..3
@@ -124,13 +124,13 @@ class _Lattice:
         self._blocks: dict = {}
 
     def blocks(self, name: str, lams: tuple) -> np.ndarray:
-        """G B_k per component of the `operators.GRID_FORMS` family `name`,
+        """G B_k per component of the `operators.FORMS` grid family `name`,
         zero outside the polarizations `lams`, each component flattened
         over (k, lam, lam'): shape (components, 16 K)."""
         key = (name, lams)
         if key not in self._blocks:
             keep = np.isin(np.arange(4), lams)
-            blocks = mode_blocks(GRID_FORMS[name], self.omega, self.ks, self.frames)
+            blocks = mode_blocks(name, self.omega, self.ks, self.frames)
             blocks = ((_SIGNS * keep)[:, None] * keep * blocks).reshape(len(blocks), -1)
             blocks.setflags(write=False)
             self._blocks[key] = blocks
@@ -256,7 +256,7 @@ def spin_density_map(
 
 
 def form_value(state: ClassicalFieldState, name: str, lams: tuple = (0, 1, 2, 3)) -> np.ndarray:
-    """The `operators.GRID_FORMS` family `name` evaluated on the amplitudes of
+    """The `operators.FORMS` grid family `name` evaluated on the amplitudes of
     the polarizations `lams`, per component: sum_k alpha_k^dag G B_k alpha_k
     with B_k its per-mode block, the expectation of its lift in the coherent
     state with these amplitudes."""

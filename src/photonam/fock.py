@@ -120,13 +120,10 @@ class FockSpace:
 
     def locate(self, occ: np.ndarray) -> np.ndarray:
         """Basis indices of occupation rows (last axis over the channels),
-        each a tuple the space keeps: sum_j _ranks[j, n_0 + ... + n_j]."""
-        index = np.zeros(occ.shape[:-1], dtype=np.intp)
-        prefix = np.zeros_like(index)
-        for j, ranks in enumerate(self._ranks):
-            prefix += occ[..., j]
-            index += ranks[prefix]
-        return index
+        each a tuple the space keeps: sum_j _ranks[j, n_0 + ... + n_j], in one
+        gather; the prefix sums are intp, whatever the rows' dtype."""
+        prefix = np.cumsum(occ, axis=-1, dtype=np.intp)
+        return self._ranks[np.arange(len(self.channels)), prefix].sum(axis=-1)
 
     def total_occupation(self) -> np.ndarray:
         return self.occ.sum(axis=1, dtype=int)

@@ -21,27 +21,29 @@ action.  The Hamiltonian and momentum lift the identity weight across all
 four polarizations, which yields eigenvalue -omega (resp. -k) per scalar
 photon and +omega per transverse or longitudinal photon.
 
-Every family is stated once, as a table entry in one term format: per term
-a label factor and, per component, a matrix over the second channel index
-(the polarization, or the spinor index on a Dirac space); the terms are
-summed.  The label factor is the shell's orbital generator of the
-component, the identity on the labels, or a per-mode diagonal weight: omega,
-the wave-vector component k_c, or the frame component eps_lam[c].
-`GRID_FORMS` holds the six grid families, `FAMILY_FORMS` every family of
-the decomposition rows of `CLAIMS`, `TABLE_I_FORMS` the Dirac families on
-((l, m), spinor) channels, and `L_PURE_TERMS` the pure-gauge orbital part.
-One builder, `family_matrices`, reads them all; its factor lookup refuses a
-factor the mode set cannot supply (an orbital generator on a grid, a wave
-vector or a frame on a shell) with ChannelMismatch.  `lift_family` lifts its
-matrices, and `mode_blocks` gives the per-mode blocks of a family whose
-factors are all diagonal, which `fields` evaluates on classical amplitudes.
+Every family is stated once, under one name in the one table `FORMS`, in
+one term format: per term a label factor and, per component, a matrix over
+the second channel index (the polarization, or the spinor index on a Dirac
+space); the terms are summed.  The label factor is the shell's orbital
+generator of the component, the identity on the labels, or a per-mode
+diagonal weight: omega, the wave-vector component k_c, or the frame
+component eps_lam[c].  The table holds the grid families, the shell
+families (orbital, fixed-frame spin and the rival decompositions) and the
+Dirac families of Table I.  One builder, `family_matrices`, reads a family
+by name; it refuses a factor the mode set cannot supply (an orbital
+generator on a grid, a wave vector or a frame on a shell) and a channel the
+space lacks with ChannelMismatch.  `lift_family(fs, name, ms)` is the one
+way to lift a family, and `mode_blocks` gives the per-mode blocks of a
+family whose factors are all diagonal, which `fields` evaluates on
+classical amplitudes.
 
 `CLAIMS` is the one statement of every algebra claim the suites check: per
 suite its rows (`ClaimsRow`), each an anchor, families with their check-ID
 tags and claimed algebras (su(2), commuting, or su(2)-violating), and the
 claimed relation of its first two families (mutually commuting,
-noncommuting, or closing into the second).  The suites lift the named
-families and `suites._claim_checks` emits one check per claim.
+noncommuting, or closing into the second); the families are `FORMS` names.
+The suites lift the named families and `suites._claim_checks` emits one
+check per claim.
 """
 
 from __future__ import annotations
@@ -77,11 +79,6 @@ ALG_NONSTANDARD = "nonstandard"
 MUTUAL_COMMUTE = "commute"
 MUTUAL_NONCOMMUTING = "noncommuting"
 CLOSES_INTO = "closes-into"
-
-# Orbital weight per polarization channel, lam = 0..3.
-OAM_WEIGHTS = {0: -1.0, 1: 1.0, 2: 1.0, 3: 1.0}
-OAM_OBS_WEIGHTS = {1: 1.0, 2: 1.0}
-L_PURE_WEIGHTS = {0: -1.0, 3: 1.0}
 
 # The identity and the Pauli matrices sigma_1..3: the Stokes forms on the
 # (lam = 1, lam = 2) block, and the blocks of the Dirac Sigma_i and alpha_i.
@@ -137,8 +134,8 @@ def _label_factors(key, ms: ModeSet | None, n_labels: int, n_comp: int):
     return tuple(np.diag(_mode_weight(key, comp, *arrays)) for comp in range(n_comp))
 
 
-def family_matrices(channels, terms, ms: ModeSet | None = None) -> tuple[np.ndarray, ...]:
-    """Channel matrices of the family with the given terms, one per component.
+def family_matrices(channels, name: str, ms: ModeSet | None = None) -> tuple[np.ndarray, ...]:
+    """Channel matrices of the family `FORMS[name]`, one per component.
 
     `channels` are (label, index) pairs.  Each term adds its label factor
     times its matrix over the second index, entry by entry in term order.
@@ -147,6 +144,7 @@ def family_matrices(channels, terms, ms: ModeSet | None = None) -> tuple[np.ndar
     mode set of another kind or a needed channel is absent, and
     DimensionCapExceeded before allocating one of over DEFAULT_DIM_CAP entries.
     """
+    terms = FORMS[name]
     n_ch = len(channels)
     if n_ch * n_ch > DEFAULT_DIM_CAP:
         raise DimensionCapExceeded(f"{n_ch} x {n_ch} forms exceed cap {DEFAULT_DIM_CAP} entries")
@@ -171,144 +169,29 @@ def family_matrices(channels, terms, ms: ModeSet | None = None) -> tuple[np.ndar
     return tuple(out)
 
 
-def lift_family(fs: FockSpace, terms, ms: ModeSet | None = None) -> tuple[OperatorMatrix, ...]:
-    """Lifted components of the family with the given terms: grid, shell or
-    Dirac, on the space's channels (`family_matrices`)."""
+def lift_family(fs: FockSpace, name: str, ms: ModeSet | None = None) -> tuple[OperatorMatrix, ...]:
+    """Lifted components of the family `FORMS[name]`: grid, shell or Dirac,
+    on the space's channels (`family_matrices`).  A channel the space lacks
+    raises ChannelMismatch; one the family does not touch lifts as zero."""
     return tuple(
         lift_bilinear(fs, QuadraticForm(m, fs.signs))
-        for m in family_matrices(fs.channels, terms, ms)
+        for m in family_matrices(fs.channels, name, ms)
     )
 
 
-def mode_blocks(terms, omega, ks, frames) -> np.ndarray:
-    """Per-mode blocks (components, K, 4, 4) of a family whose label factors
-    are all diagonal: B_k is the sum over terms of the term's weight at mode
+def mode_blocks(name: str, omega, ks, frames) -> np.ndarray:
+    """Per-mode blocks (components, K, 4, 4) of the family `FORMS[name]`,
+    whose label factors are all diagonal: B_k is the sum over terms of the
+    term's weight at mode
     k times its matrix over lam = 0..3, so the family's channel matrix is
     block-diagonal with blocks B_k on the (k, lam) channels.  `omega`, `ks`
     and `frames` are per-mode arrays laid out as `_mode_arrays` gives them."""
+    terms = FORMS[name]
     return np.array([
         sum(_mode_weight(key, comp, omega, ks, frames)[:, None, None] * lams[comp]
             for key, lams in terms)
         for comp in range(len(terms[0][1]))
     ])
-
-
-# ---------------------------------------------------------------------------
-# Grid-labeling operators
-
-
-def _require_full_polarizations(ms: ModeSet, fs: FockSpace) -> None:
-    wanted = {(label, lam) for label in ms.mode_labels() for lam in range(4)}
-    if set(fs.channels) != wanted:
-        raise ChannelMismatch(
-            "space must carry exactly the mode set's channels for all four"
-            " polarizations"
-        )
-
-
-def hamiltonian(ms: ModeSet, fs: FockSpace) -> OperatorMatrix:
-    """Free-field energy: +omega per transverse/longitudinal photon, -omega per
-    scalar photon, 0 on the vacuum; on a grid or a shell."""
-    _require_full_polarizations(ms, fs)
-    return lift_family(fs, GRID_FORMS["hamiltonian"], ms)[0]
-
-
-def momentum(ms: CartesianGrid, fs: FockSpace) -> tuple[OperatorMatrix, ...]:
-    """Field momentum; k per photon, -k per scalar photon, componentwise."""
-    _require_full_polarizations(ms, fs)
-    return lift_family(fs, GRID_FORMS["momentum"], ms)
-
-
-def spin_total(ms: CartesianGrid, fs: FockSpace) -> tuple[OperatorMatrix, ...]:
-    """Full photon spin: per-mode rotation generators projected on the frame.
-
-    Acts on the lam = 1, 2, 3 channels of each mode; scalar channels are
-    absent from the sum.
-    """
-    return lift_family(fs, GRID_FORMS["spin_total"], ms)
-
-
-def spin_obs(ms: CartesianGrid, fs: FockSpace) -> tuple[OperatorMatrix, ...]:
-    """Transverse-sector spin: helicity density weighted by the propagation
-    direction, componentwise."""
-    return lift_family(fs, GRID_FORMS["spin_obs"], ms)
-
-
-def helicity(ms: CartesianGrid, fs: FockSpace) -> OperatorMatrix:
-    """Spin projection on the propagation direction; +-1 per circular photon."""
-    return lift_family(fs, GRID_FORMS["helicity"], ms)[0]
-
-
-def stokes_operators(ms: CartesianGrid, fs: FockSpace) -> tuple[OperatorMatrix, ...]:
-    """The four transverse-sector Stokes bilinears Sigma_0..Sigma_3.
-
-    Their commutators close with an extra factor 2 relative to a spin-1
-    family; Sigma_2 coincides with the helicity operator as a matrix.
-    """
-    return lift_family(fs, GRID_FORMS["stokes_operators"], ms)
-
-
-# ---------------------------------------------------------------------------
-# Shell / combined-labeling operators
-
-
-def _require_channels(ms: SphericalShell, fs: FockSpace, lams, message: str) -> None:
-    if any((label, lam) not in fs.channels for label in ms.mode_labels() for lam in lams):
-        raise ChannelMismatch(message)
-
-
-def oam_weighted(
-    ms: SphericalShell, fs: FockSpace, weights: dict[int, float]
-) -> tuple[OperatorMatrix, ...]:
-    """Orbital generator lift with an explicit weight per polarization."""
-    return lift_family(fs, _orbital(_diag_weight(weights)), ms)
-
-
-def oam_total(ms: SphericalShell, fs: FockSpace) -> tuple[OperatorMatrix, ...]:
-    """Full photon orbital angular momentum over all four polarizations.
-
-    The scalar channel carries opposite weight; combined with its flipped
-    commutator sign, every one-photon state in orbital channel (l, m) has
-    L_z eigenvalue m regardless of polarization, and the family satisfies
-    the angular-momentum algebra exactly on the bounded subspace.
-    """
-    _require_channels(ms, fs, range(4), "oam_total needs all four polarizations")
-    return lift_family(fs, FAMILY_FORMS["oam"], ms)
-
-
-def oam_obs(ms: SphericalShell, fs: FockSpace) -> tuple[OperatorMatrix, ...]:
-    """Transverse-only orbital angular momentum."""
-    _require_channels(ms, fs, (1, 2), "oam_obs needs both transverse channels")
-    return lift_family(fs, FAMILY_FORMS["oam_obs"], ms)
-
-
-def l_pure(ms: SphericalShell, fs: FockSpace) -> tuple[OperatorMatrix, ...]:
-    """Pure-gauge orbital part over the scalar and longitudinal channels.
-
-    Satisfies oam_total = oam_obs + l_pure as an exact matrix identity.
-    """
-    _require_channels(ms, fs, (0, 3), "l_pure needs the scalar and longitudinal channels")
-    return lift_family(fs, L_PURE_TERMS, ms)
-
-
-def spin_total_fixed_frame(fs: FockSpace) -> tuple[OperatorMatrix, ...]:
-    """Spin family with the frame replaced by the fixed Cartesian axes.
-
-    Used on the combined labeling, where the rotation generators act on the
-    lam = 1, 2, 3 channels of every mode label identically.
-    """
-    return lift_family(fs, FAMILY_FORMS["spin"])
-
-
-def helicity_fixed_frame(fs: FockSpace) -> OperatorMatrix:
-    """Helicity bilinear summed over every mode label present in the space."""
-    return lift_family(fs, GRID_FORMS["helicity"])[0]
-
-
-def spin_obs_fixed_frame(fs: FockSpace) -> tuple[OperatorMatrix, ...]:
-    """Fixed-frame transverse spin: only the z component survives, equal to
-    the helicity bilinear."""
-    return lift_family(fs, FAMILY_FORMS["spin_obs"])
 
 
 # ---------------------------------------------------------------------------
@@ -505,38 +388,31 @@ def _spin(lams: list[np.ndarray]):
     return ((_ONE, lams),)
 
 
-# Quadratic forms of every decomposition family of `CLAIMS`: per family its
-# terms (orbital factor, polarization matrix per component), summed per
-# component.  Belinfante-Ji's j_total does not separate spin and orbital
-# parts, so it is one family with two terms.
-FAMILY_FORMS = {
-    "spin": _spin(_lambda_canonical()),
-    "oam": _orbital(_diag_weight(OAM_WEIGHTS)),
-    "spin_obs": _spin(_lambda_spin_obs()),
-    "oam_obs": _orbital(_diag_weight(OAM_OBS_WEIGHTS)),
-    "spin_jm": _spin(_lambda_jm()),
-    "oam_jm": _orbital(_oam_weight_jm()),
-    "spin_chen": _spin(_lambda_chen()),
-    "oam_chen": _orbital(_diag_weight(OAM_OBS_WEIGHTS)),
-    "spin_wak": _spin(_lambda_chen()),
-    # the prescribed-source extra term attaches via the constraints pathway
-    "oam_wak": _orbital(_diag_weight(OAM_OBS_WEIGHTS)),
-    "j_total": _orbital(_diag_weight(OAM_OBS_WEIGHTS) + _bj_coupling())
-    + _spin(_lambda_spin_obs()),
-}
-
-# The pure-gauge orbital part over the scalar and longitudinal channels:
-# FAMILY_FORMS["oam"] = FAMILY_FORMS["oam_obs"] + L_PURE_TERMS entry by entry.
-L_PURE_TERMS = _orbital(_diag_weight(L_PURE_WEIGHTS))
-
-# The grid families in the same term format, on (mode_index, lam) channels:
-# the Hamiltonian and momentum weight the identity on lam = 0..3 by omega and
-# k_c; the spin sums the rotation generators on lam = 1, 2, 3 weighted by the
-# frame components eps_lam[c]; spin_obs weights the transverse helicity
-# matrix by the propagation direction eps_3[c].  The helicity and Stokes
-# forms carry identity factors, so on a space without a mode set they are
-# summed over the space's labels (`helicity_fixed_frame`).
-GRID_FORMS = {
+# Every family under its one name: its terms (label factor, matrix over the
+# second channel index per component), summed per component.
+#
+# Grid families, on (mode_index, lam) channels: the Hamiltonian and momentum
+# weight the identity on lam = 0..3 by omega and k_c; spin_total sums the
+# rotation generators on lam = 1, 2, 3 weighted by the frame components
+# eps_lam[c]; spin_obs weights the transverse helicity matrix by the
+# propagation direction eps_3[c].  helicity and the Stokes forms Sigma_1..3
+# carry identity factors, so on a space without a mode set they are summed
+# over the space's labels.  Sigma_0 commutes with every Stokes form and no
+# check reads it.
+#
+# Shell families, on ((l, m), lam) channels: the orbital generators weighted
+# per polarization (oam_total = oam_obs + l_pure entry by entry, and the one-
+# sector forms oam_transverse and oam_scalar), the fixed-frame spins, and the
+# decompositions of Leader & Lorce, Phys. Rep. 541, 163 (2014).  j_obs and
+# Belinfante-Ji's j_total do not separate spin and orbital parts, so each is
+# one family with two terms.
+#
+# Dirac families of the paper's Table I, on ((l, m), spinor) channels with
+# the spinor index in place of the polarization: Sigma/2 (x) 1, with Sigma_i
+# the Pauli matrix on both 2x2 blocks, and L (x) 1_4.
+_OAM_OBS = _orbital(_diag_weight({1: 1.0, 2: 1.0}))
+_SPIN_OBS_FIXED = _spin(_lambda_spin_obs())
+FORMS = {
     "hamiltonian": ((_OMEGA, (np.eye(4),)),),
     "momentum": ((_K, (np.eye(4),) * 3),),
     "spin_total": tuple(
@@ -544,20 +420,26 @@ GRID_FORMS = {
     ),
     "spin_obs": (((_EPS, 3), (_on(_TRANSVERSE, PAULI[2]),) * 3),),
     "helicity": ((_ONE, (_on(_TRANSVERSE, PAULI[2]),)),),
-    "stokes_operators": ((_ONE, tuple(_on(_TRANSVERSE, PAULI[i]) for i in range(4))),),
+    "stokes": ((_ONE, tuple(_on(_TRANSVERSE, PAULI[i]) for i in (1, 2, 3))),),
+    "oam_total": _orbital(_diag_weight({0: -1.0, 1: 1.0, 2: 1.0, 3: 1.0})),
+    "oam_transverse": _orbital(_diag_weight({1: 1.0})),
+    "oam_scalar": _orbital(_diag_weight({0: -1.0})),
+    "oam_obs": _OAM_OBS,
+    "l_pure": _orbital(_diag_weight({0: -1.0, 3: 1.0})),
+    "spin_fixed_frame": _spin(_lambda_canonical()),
+    "spin_obs_fixed_frame": _SPIN_OBS_FIXED,
+    "j_obs": _OAM_OBS + _SPIN_OBS_FIXED,
+    "spin_jm": _spin(_lambda_jm()),
+    "oam_jm": _orbital(_oam_weight_jm()),
+    "spin_chen": _spin(_lambda_chen()),
+    "oam_chen": _OAM_OBS,
+    "spin_wak": _spin(_lambda_chen()),
+    # the prescribed-source extra term attaches via the constraints pathway
+    "oam_wak": _OAM_OBS,
+    "j_total": _orbital(_diag_weight({1: 1.0, 2: 1.0}) + _bj_coupling()) + _SPIN_OBS_FIXED,
+    "dirac_sam": _spin([0.5 * np.kron(np.eye(2), PAULI[i]) for i in (1, 2, 3)]),
+    "dirac_oam": _orbital(np.eye(4)),
 }
-
-
-# Forms of the Dirac families of the paper's Table I on ((l, m), spinor)
-# channels, in the format of `FAMILY_FORMS` with the spinor index in place of
-# the polarization index:
-# Sigma/2 (x) 1, with Sigma_i the Pauli matrix on both 2x2 blocks, and
-# L (x) 1_4.
-TABLE_I_FORMS = {
-    "sam": _spin([0.5 * np.kron(np.eye(2), PAULI[i]) for i in (1, 2, 3)]),
-    "oam": _orbital(np.eye(4)),
-}
-
 
 
 # ---------------------------------------------------------------------------
@@ -590,12 +472,10 @@ class ClaimsRow:
 
 
 # Every algebra claim of the suites, keyed by suite; a suite lifts the
-# families its rows name and one emitter turns each claim into a check.
-# Family names are the suite's: in decomposition-compare those of
-# `FAMILY_FORMS` (the decompositions of Leader & Lorce, Phys. Rep. 541, 163
-# (2014)) plus "stokes", the Stokes forms Sigma_1..3; in dirac those of
-# `TABLE_I_FORMS`, whose row states the paper's Table I with the claims of
-# the canonical photon row.
+# `FORMS` families its rows name and one emitter turns each claim into a
+# check.  decomposition-compare's named rows are the decompositions of
+# Leader & Lorce, Phys. Rep. 541, 163 (2014); dirac's row states the paper's
+# Table I with the claims of the canonical photon row.
 CLAIMS: dict[str, tuple[ClaimsRow, ...]] = {
     "canonical-commutators": (
         ClaimsRow(
@@ -639,12 +519,15 @@ CLAIMS: dict[str, tuple[ClaimsRow, ...]] = {
     "decomposition-compare": (
         ClaimsRow(
             "canonical", "Table-III",
-            (("spin", "spin", ALG_SU2), ("oam", "oam", ALG_SU2)),
+            (("spin_fixed_frame", "spin", ALG_SU2), ("oam_total", "oam", ALG_SU2)),
             MUTUAL_COMMUTE,
         ),
         ClaimsRow(
             "gauge_invariant", "Table-II",
-            (("spin_obs", "spin-obs", ALG_COMMUTING), ("oam_obs", "oam-obs", ALG_SU2)),
+            (
+                ("spin_obs_fixed_frame", "spin-obs", ALG_COMMUTING),
+                ("oam_obs", "oam-obs", ALG_SU2),
+            ),
         ),
         ClaimsRow(
             "jaffe_manohar", "Table-III",
@@ -677,7 +560,7 @@ CLAIMS: dict[str, tuple[ClaimsRow, ...]] = {
     "dirac": (
         ClaimsRow(
             "dirac", "Table-I",
-            (("sam", "sam", ALG_SU2), ("oam", "oam", ALG_SU2)),
+            (("dirac_sam", "sam", ALG_SU2), ("dirac_oam", "oam", ALG_SU2)),
             MUTUAL_COMMUTE, "sam-oam", tight=True,
         ),
     ),

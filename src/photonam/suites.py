@@ -27,12 +27,14 @@ reads one-mode moments.
 
 Every algebra claim (su(2), commuting or su(2)-violating families, mutually
 commuting or noncommuting pairs, a family closing into another) is a row of
-`operators.CLAIMS`, keyed by suite.  A suite lifts the families its rows
-name and hands them to the one emitter, `_claim_checks`, which adds one
-check per claim: canonical-commutators' spin and orbital su(2) and their
-commutation, observable-commutators' transverse spin, orbital and total
-claims, decomposition-compare's rival decompositions and Stokes closure, and
-dirac's Table-I row.  The Hamiltonian commutators stay in suite code.
+`operators.CLAIMS`, keyed by suite.  A suite lifts the `operators.FORMS`
+families its rows name, each by name with `operators.lift_family`
+(`_lift_named` for the families on one space), and hands them to the one
+emitter, `_claim_checks`, which adds one check per claim:
+canonical-commutators' spin and orbital su(2) and their commutation,
+observable-commutators' transverse spin, orbital and total claims,
+decomposition-compare's rival decompositions and Stokes closure, and dirac's
+Table-I row.  The Hamiltonian commutators stay in suite code.
 """
 
 from __future__ import annotations
@@ -44,12 +46,7 @@ import numpy as np
 from . import constraints as cons
 from . import fields as flds
 from . import operators as ops
-from .dirac import (
-    build_fermion_fock,
-    dirac_sam,
-    spinor_matrices,
-    spinor_orbital_channels,
-)
+from .dirac import build_fermion_fock, spinor_matrices, spinor_orbital_channels
 from .errors import InvalidConfig, UnknownSuite
 from .fock import (
     DEFAULT_DIM_CAP,
@@ -231,6 +228,16 @@ def _claim_checks(rep: VerificationReport, rows, lifted: dict, tol: float) -> No
                     rep.add(one, row.anchor, res, bound, kind=kind)
 
 
+def _lift_named(rows, fs: FockSpace, ms, lifted: dict) -> dict:
+    """`lifted` completed by every family the claims rows name, each lifted
+    on `fs` over the mode set `ms` (`operators.lift_family`)."""
+    for row in rows:
+        for name, _, _ in row.families:
+            if name not in lifted:
+                lifted[name] = ops.lift_family(fs, name, ms)
+    return lifted
+
+
 def _orbital_shell(config: SuiteConfig, default_lmax: int = 1) -> SphericalShell:
     """The `--shell` shell, else the unit shell at default_lmax; InvalidConfig
     at l_max 0, where every orbital generator vanishes.  Its largest space
@@ -254,8 +261,8 @@ def suite_canonical(config: SuiteConfig) -> VerificationReport:
     ms = config.grid or _default_grid()
 
     fs = _capped_grid_space(ms, (0, 1, 2, 3), config)
-    spin = ops.spin_total(ms, fs)
-    ham = ops.hamiltonian(ms, fs)
+    spin = ops.lift_family(fs, "spin_total", ms)
+    (ham,) = ops.lift_family(fs, "hamiltonian", ms)
     omegas = [ms.omega(i) for i in ms.mode_labels()]
     if max(omegas) - min(omegas) < 1e-12:
         rep.add(
@@ -283,7 +290,7 @@ def suite_canonical(config: SuiteConfig) -> VerificationReport:
         max_abs((ham @ scalar) + ms.omega(mode0) * scalar),
         TIGHT_TOL,
     )
-    mom = ops.momentum(ms, fs)
+    mom = ops.lift_family(fs, "momentum", ms)
     kvec = ms.modes[mode0].as_array()
     res = max_residual(
         max_abs((mom[comp] @ psi) - sign * kvec[comp] * psi)
@@ -301,8 +308,9 @@ def suite_canonical(config: SuiteConfig) -> VerificationReport:
         TIGHT_TOL,
     )
 
-    lifted = {"spin_total": spin, **_orbital_families(rep, config)}
-    _claim_checks(rep, ops.CLAIMS[rep.suite], lifted, config.tol)
+    rows = ops.CLAIMS[rep.suite]
+    lifted = _orbital_families(rep, config, rows, {"spin_total": spin})
+    _claim_checks(rep, rows, lifted, config.tol)
     return rep.finalize()
 
 
@@ -371,22 +379,20 @@ def _lift_homomorphism_residual(rng: SeededRng, pairs: int, dim_cap: int) -> flo
     return max_residual(residuals)
 
 
-def _orbital_families(rep: VerificationReport, config: SuiteConfig) -> dict:
-    """The orbital families of canonical-commutators' claims, lifted: per
-    polarization sector on the `--shell` l_max (default 2), and with all four
-    polarizations, next to the fixed-frame spin, on the `--shell` l_max
-    (default 1).  Adds the orbital checks that are not claims."""
+def _orbital_families(rep: VerificationReport, config: SuiteConfig, rows, lifted: dict) -> dict:
+    """`lifted` completed by the orbital families of canonical-commutators'
+    claims `rows`: per polarization sector on the `--shell` l_max (default
+    2), and with all four polarizations, next to the fixed-frame spin, on the
+    `--shell` l_max (default 1).  Adds the orbital checks that are not
+    claims."""
     shell2 = _orbital_shell(config, default_lmax=2)
-    lifted = {}
-    for lam, tag in ((1, "transverse"), (0, "scalar")):
-        fs = _shell_space(shell2, (lam,), config.dim_cap)
-        lifted[f"oam_{tag}"] = ops.oam_weighted(shell2, fs, {lam: ops.OAM_WEIGHTS[lam]})
+    for lam, name in ((1, "oam_transverse"), (0, "oam_scalar")):
+        lifted[name] = ops.lift_family(_shell_space(shell2, (lam,), config.dim_cap), name, shell2)
 
     shell1 = _orbital_shell(config)
     fs4 = _shell_space(shell1, (0, 1, 2, 3), config.dim_cap)
-    oam = lifted["oam_total"] = ops.oam_total(shell1, fs4)
-    lifted["spin_fixed_frame"] = ops.spin_total_fixed_frame(fs4)
-    ham = ops.hamiltonian(shell1, fs4)
+    oam = _lift_named(rows, fs4, shell1, lifted)["oam_total"]
+    (ham,) = ops.lift_family(fs4, "hamiltonian", shell1)
     rep.add(
         "hamiltonian-oam-commute",
         "H-mode-form",
@@ -423,8 +429,8 @@ def suite_observable(config: SuiteConfig) -> VerificationReport:
     ms = config.grid or build_cartesian_modeset([(0.0, 0.0, 1.0), (1.0, 0.0, 0.0)])
 
     fs = _capped_grid_space(ms, (1, 2), config)
-    sobs = ops.spin_obs(ms, fs)
-    hel = ops.helicity(ms, fs)
+    sobs = ops.lift_family(fs, "spin_obs", ms)
+    (hel,) = ops.lift_family(fs, "helicity", ms)
     mode0 = ms.mode_labels()[0]
     plus = (creator(fs, (mode0, 1)) @ fs.vacuum() + 1j * (creator(fs, (mode0, 2)) @ fs.vacuum())) / np.sqrt(2)
     minus = (creator(fs, (mode0, 1)) @ fs.vacuum() - 1j * (creator(fs, (mode0, 2)) @ fs.vacuum())) / np.sqrt(2)
@@ -449,17 +455,16 @@ def suite_observable(config: SuiteConfig) -> VerificationReport:
         abs(expectation(fs, hel, linear)),
         TIGHT_TOL,
     )
-    sigma = ops.stokes_operators(ms, fs)
+    sigma = ops.lift_family(fs, "stokes", ms)
     rep.add(
         "stokes-helicity-match",
         "Stokes",
-        max_abs(sigma[2] - hel),
+        max_abs(sigma[1] - hel),
         TIGHT_TOL,
     )
 
-    stot = ops.spin_total(ms, _capped_grid_space(ms, (1, 2, 3), config))
-    fs3 = stot[0].space
-    sobs3 = ops.spin_obs(ms, fs3)
+    fs3 = _capped_grid_space(ms, (1, 2, 3), config)
+    stot, sobs3 = (ops.lift_family(fs3, name, ms) for name in ("spin_total", "spin_obs"))
     circ3 = (creator(fs3, (mode0, 1)) @ fs3.vacuum() + 1j * (creator(fs3, (mode0, 2)) @ fs3.vacuum())) / np.sqrt(2)
     agree = max_residual(
         abs(expectation(fs3, stot[c], circ3) - expectation(fs3, sobs3[c], circ3))
@@ -469,15 +474,10 @@ def suite_observable(config: SuiteConfig) -> VerificationReport:
 
     shell1 = _orbital_shell(config)
     fs4 = _shell_space(shell1, (0, 1, 2, 3), config.dim_cap)
-    lobs = ops.oam_obs(shell1, fs4)
-    sofix = ops.spin_obs_fixed_frame(fs4)
-    lifted = {
-        "spin_obs": sobs,
-        "oam_obs": lobs,
-        "spin_obs_fixed_frame": sofix,
-        "j_obs": tuple(lobs[c] + sofix[c] for c in range(3)),
-    }
-    _claim_checks(rep, ops.CLAIMS[rep.suite], lifted, config.tol)
+    rows = ops.CLAIMS[rep.suite]
+    lifted = _lift_named(rows, fs4, shell1, {"spin_obs": sobs})
+    _claim_checks(rep, rows, lifted, config.tol)
+    lobs = lifted["oam_obs"]
     longi = fs4.basis_state({((1, 1), 3): 1})
     rep.add(
         "oam-obs-longitudinal-zero",
@@ -497,7 +497,10 @@ def suite_decomposition(config: SuiteConfig) -> VerificationReport:
     rng = SeededRng(config.seed)
     shell = _orbital_shell(config)
     fs = _shell_space(shell, (0, 1, 2, 3), config.dim_cap)
-    lifted = {name: ops.lift_family(fs, terms, shell) for name, terms in ops.FAMILY_FORMS.items()}
+    gms = config.grid or _default_grid()
+    stokes = ops.lift_family(_capped_grid_space(gms, (1, 2), config), "stokes", gms)
+    rows = ops.CLAIMS[rep.suite]
+    lifted = _lift_named(rows, fs, shell, {"stokes": stokes})
 
     xi = cons.random_conjugate_symmetric_xi(shell, rng, scale=0.4)
     extra = [cons.xi_oam_bilinear(shell, fs, xi, lam) for lam in (1, 2)]
@@ -517,12 +520,6 @@ def suite_decomposition(config: SuiteConfig) -> VerificationReport:
         " (truncation edge, reported only)"
     )
 
-    gms = config.grid or _default_grid()
-    gfs = _capped_grid_space(gms, (1, 2), config)
-    # Sigma_0 commutes with every Stokes form; the claim is on Sigma_1..3
-    lifted["stokes"] = ops.stokes_operators(gms, gfs)[1:]
-
-    rows = ops.CLAIMS[rep.suite]
     _claim_checks(rep, rows, lifted, config.tol)
     # the named rows are the decompositions
     names = sorted(row.name for row in rows if row.name)
@@ -572,11 +569,8 @@ def suite_gauge_hiding(config: SuiteConfig) -> VerificationReport:
     fs = _capped_grid_space(ms, (0, 1, 2, 3), config)
     constraints = cons.gb_constraints(ms, fs, None)
     subspace = cons.physical_subspace(fs, constraints, tol=1e-10, dim_cap=config.dim_cap)
-    operators = {
-        "spin": ops.spin_total(ms, fs),
-        "spin_obs": ops.spin_obs(ms, fs),
-    }
-    entries = cons.verify_gauge_hiding(fs, subspace, operators, rng=rng)
+    spin, spin_obs = (ops.lift_family(fs, name, ms) for name in ("spin_total", "spin_obs"))
+    entries = cons.verify_gauge_hiding(fs, subspace, spin, spin_obs, rng=rng)
     asserted = [
         e for e in entries if not e.skipped and not e.state.startswith("mixed")
     ]
@@ -585,13 +579,13 @@ def suite_gauge_hiding(config: SuiteConfig) -> VerificationReport:
     rep.add(
         "gauge-hiding-spin-representatives",
         "gauge-hiding",
-        max_residual(e.diffs.get("spin_hiding", 0.0) for e in asserted),
+        max_residual(e.spin_hiding for e in asserted),
         config.tol,
     )
     if mixed:
         rep.note(
             "spin hiding on zero-norm-mixed states: max "
-            f"{max_residual(e.diffs.get('spin_hiding', 0.0) for e in mixed):.3e}"
+            f"{max_residual(e.spin_hiding for e in mixed):.3e}"
             " (class-dependent, reported only)"
         )
     rep.note(f"zero-norm physical probes skipped and counted: {len(skipped)}")
@@ -607,9 +601,9 @@ def suite_gauge_hiding(config: SuiteConfig) -> VerificationReport:
     rep.add("free-energy-cancellation", "Gupta1", energy, config.tol)
 
     fs_sh = _shell_space(shell, (0, 1, 2, 3), config.dim_cap)
-    oam = ops.oam_total(shell, fs_sh)
-    lobs = ops.oam_obs(shell, fs_sh)
-    lpure = ops.l_pure(shell, fs_sh)
+    oam, lobs, lpure = (
+        ops.lift_family(fs_sh, name, shell) for name in ("oam_total", "oam_obs", "l_pure")
+    )
     rep.add(
         "oam-identity-matrix",
         "gauge-hiding",
@@ -691,7 +685,7 @@ def _xi_pathway_expectations(shell, xi, small, factors):
             [expectation(small, p, v) for p in row] for row in pairs
         ]
     chans = [(c, lam) for c in shell.mode_labels() for lam in (0, 3)]
-    lpure = [np.sum(m * moments) for m in ops.family_matrices(chans, ops.L_PURE_TERMS, shell)]
+    lpure = [np.sum(m * moments) for m in ops.family_matrices(chans, "l_pure", shell)]
     coefficients = cons.xi_source_coefficients(shell, xi)
     source = [-(row @ first[:, 1] + col @ first_up[:, 1]) for row, col in coefficients]
     return lpure, source
@@ -887,10 +881,11 @@ def suite_dirac(config: SuiteConfig) -> VerificationReport:
     ffs = build_fermion_fock(
         spinor_orbital_channels(shell.l_max), config.dim_cap, max_total=DIRAC_FERMION_CAP
     )
-    lifted = {name: ops.lift_family(ffs, terms, shell) for name, terms in ops.TABLE_I_FORMS.items()}
-    _claim_checks(rep, ops.CLAIMS[rep.suite], lifted, config.tol)
+    rows = ops.CLAIMS[rep.suite]
+    lifted = _lift_named(rows, ffs, shell, {})
+    _claim_checks(rep, rows, lifted, config.tol)
 
-    sam = lifted["sam"]
+    sam = lifted["dirac_sam"]
     one = creator(ffs, ((0, 0), 0)) @ ffs.vacuum()
     rep.add(
         "dirac-spin-half-eigenvalue",
@@ -900,8 +895,10 @@ def suite_dirac(config: SuiteConfig) -> VerificationReport:
     )
 
     photon = build_fock([("k", 1), ("k", 2)], 1, dim_cap=config.dim_cap)
-    hel = ops.helicity_fixed_frame(photon)
-    s_small = dirac_sam(build_fermion_fock(spinor_orbital_channels(0), config.dim_cap))
+    (hel,) = ops.lift_family(photon, "helicity")
+    s_small = ops.lift_family(
+        build_fermion_fock(spinor_orbital_channels(0), config.dim_cap), "dirac_sam"
+    )
     commute = []
     for fop in s_small:
         combined_b = np.kron(hel.to_dense(), np.eye(fop.space.dim))

@@ -12,12 +12,7 @@ import numpy as np
 from photonam import constraints as cons
 from photonam import fields as flds
 from photonam import operators as ops
-from photonam.dirac import (
-    build_fermion_fock,
-    dirac_oam,
-    dirac_sam,
-    spinor_orbital_channels,
-)
+from photonam.dirac import build_fermion_fock, spinor_orbital_channels
 from photonam.fock import (
     annihilator,
     build_fock,
@@ -55,7 +50,7 @@ def test_criterion_1_canonical_spin_algebra():
     ms = build_cartesian_modeset([(0.0, 0.0, 1.0)])
     fs = build_fock([(i, lam) for i in ms.mode_labels() for lam in (0, 1, 2, 3)], 2)
     assert fs.dim == 6561
-    spin = ops.spin_total(ms, fs)
+    spin = ops.lift_family(fs, "spin_total", ms)
     residual = _su2_residual(spin, fs.bounded_indices(1))
     _line(1, residual <= 1e-10, f"spin algebra on dim 6561, residual {residual:.3e}")
 
@@ -63,18 +58,18 @@ def test_criterion_1_canonical_spin_algebra():
 def test_criterion_2_canonical_oam_algebra():
     shell2 = SphericalShell(radius=1.0, l_max=2)
     residuals = {}
-    for lam, weight in ((1, 1.0), (0, -1.0)):
+    for lam, name in ((1, "oam_transverse"), (0, "oam_scalar")):
         fs = build_fock([(c, lam) for c in shell2.mode_labels()], 1)
-        triple = ops.oam_weighted(shell2, fs, {lam: weight})
+        triple = ops.lift_family(fs, name, shell2)
         residuals[f"sector lam={lam}"] = _su2_residual(triple, fs.bounded_indices(1))
     shell1 = SphericalShell(radius=1.0, l_max=1)
     fs4 = build_fock(
         [(c, lam) for c in shell1.mode_labels() for lam in (0, 1, 2, 3)], 1
     )
     idx = fs4.bounded_indices(1)
-    oam = ops.oam_total(shell1, fs4)
+    oam = ops.lift_family(fs4, "oam_total", shell1)
     residuals["all polarizations"] = _su2_residual(oam, idx)
-    spin = ops.spin_total_fixed_frame(fs4)
+    spin = ops.lift_family(fs4, "spin_fixed_frame")
     residuals["oam-spin commute"] = max(
         max_abs(compress(commutator(L, S), idx)) for L in oam for S in spin
     )
@@ -86,7 +81,7 @@ def test_criterion_2_canonical_oam_algebra():
 def test_criterion_3_observable_sector():
     ms = build_cartesian_modeset([(0.0, 0.0, 1.0), (1.0, 0.0, 0.0)])
     fs = build_fock([(i, lam) for i in ms.mode_labels() for lam in (1, 2)], 2)
-    sobs = ops.spin_obs(ms, fs)
+    sobs = ops.lift_family(fs, "spin_obs", ms)
     commuting = max(
         max_abs(commutator(sobs[i], sobs[j])) for i, j, _ in EPS_PAIRS
     )
@@ -94,9 +89,9 @@ def test_criterion_3_observable_sector():
     shell = SphericalShell(radius=1.0, l_max=1)
     fs4 = build_fock([(c, lam) for c in shell.mode_labels() for lam in (0, 1, 2, 3)], 1)
     idx = fs4.bounded_indices(1)
-    lobs = ops.oam_obs(shell, fs4)
+    lobs = ops.lift_family(fs4, "oam_obs", shell)
     su2 = _su2_residual(lobs, idx)
-    sofix = ops.spin_obs_fixed_frame(fs4)
+    sofix = ops.lift_family(fs4, "spin_obs_fixed_frame")
     jobs = tuple(lobs[c] + sofix[c] for c in range(3))
     closure = 0.0
     breakage = 0.0
@@ -123,7 +118,7 @@ def test_criterion_4_indefinite_metric():
     fs = build_fock([(i, lam) for i in ms.mode_labels() for lam in (0, 1, 2, 3)], 2)
     scalar_one = creator(fs, (0, 0)) @ fs.vacuum()
     norm = indefinite_inner(fs, scalar_one, scalar_one)
-    ham = ops.hamiltonian(ms, fs)
+    (ham,) = ops.lift_family(fs, "hamiltonian", ms)
     vac_res = max_abs(ham @ fs.vacuum())
     transverse = fs.basis_state({(0, 1): 1})
     trans_res = max_abs((ham @ transverse) - transverse)
@@ -179,11 +174,11 @@ def test_criterion_6_gupta_bleuler():
     fs = build_fock([(i, lam) for i in ms.mode_labels() for lam in (0, 1, 2, 3)], 1)
     constraints = cons.gb_constraints(ms, fs, None)
     subspace = cons.physical_subspace(fs, constraints, tol=1e-10)
-    operators = {"spin": ops.spin_total(ms, fs), "spin_obs": ops.spin_obs(ms, fs)}
-    entries = cons.verify_gauge_hiding(fs, subspace, operators, rng=SeededRng(6))
+    spin, spin_obs = (ops.lift_family(fs, name, ms) for name in ("spin_total", "spin_obs"))
+    entries = cons.verify_gauge_hiding(fs, subspace, spin, spin_obs, rng=SeededRng(6))
     hiding = max(
         (
-            e.diffs.get("spin_hiding", 0.0)
+            e.spin_hiding
             for e in entries
             if not e.skipped and not e.state.startswith("mixed")
         ),
@@ -218,11 +213,19 @@ def test_criterion_7_decomposition_comparison():
         )
 
     fam = {
-        name: ops.lift_family(fs, ops.FAMILY_FORMS[name], shell)
-        for name in ("spin", "oam", "spin_obs", "oam_obs", "spin_jm", "oam_jm", "spin_chen")
+        name: ops.lift_family(fs, name, shell)
+        for name in (
+            "spin_fixed_frame",
+            "oam_total",
+            "spin_obs_fixed_frame",
+            "oam_obs",
+            "spin_jm",
+            "oam_jm",
+            "spin_chen",
+        )
     }
-    canonical_ok = su2(fam["spin"]) <= 1e-10 and su2(fam["oam"]) <= 1e-10
-    gauge_ok = commuting(fam["spin_obs"]) <= 1e-12 and su2(fam["oam_obs"]) <= 1e-10
+    canonical_ok = su2(fam["spin_fixed_frame"]) <= 1e-10 and su2(fam["oam_total"]) <= 1e-10
+    gauge_ok = commuting(fam["spin_obs_fixed_frame"]) <= 1e-12 and su2(fam["oam_obs"]) <= 1e-10
     jm_spin = su2(fam["spin_jm"])
     jm_oam = su2(fam["oam_jm"])
     chen_spin = su2(fam["spin_chen"])
@@ -236,11 +239,11 @@ def test_criterion_7_decomposition_comparison():
 
     gms = build_cartesian_modeset([(0.0, 0.0, 1.0)])
     gfs = build_fock([(i, lam) for i in gms.mode_labels() for lam in (1, 2)], 2)
-    sig = ops.stokes_operators(gms, gfs)
+    sig = ops.lift_family(gfs, "stokes", gms)  # Sigma_1..3
     gidx = gfs.bounded_indices(2)
     stokes = max(
         max_abs(compress(commutator(sig[i], sig[j]) - 2j * sig[k], gidx))
-        for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2))
+        for i, j, k in EPS_PAIRS
     )
 
     ok = (
@@ -297,8 +300,8 @@ def test_criterion_9_field_consistency():
 
 def test_criterion_10_dirac_and_helicity():
     ffs = build_fermion_fock(spinor_orbital_channels(1))
-    sam = dirac_sam(ffs)
-    oam = dirac_oam(ffs, 1)
+    shell = SphericalShell(radius=1.0, l_max=1)
+    sam, oam = (ops.lift_family(ffs, name, shell) for name in ("dirac_sam", "dirac_oam"))
     worst = 0.0
     for i, j, k in EPS_PAIRS:
         worst = max(worst, max_abs(sam[i] @ sam[j] - sam[j] @ sam[i] - 1j * sam[k]))
@@ -306,7 +309,7 @@ def test_criterion_10_dirac_and_helicity():
     cross = max(max_abs(s @ L - L @ s) for s in sam for L in oam)
 
     photon = build_fock([("k", 1), ("k", 2)], 1)
-    hel = ops.helicity_fixed_frame(photon)
+    (hel,) = ops.lift_family(photon, "helicity")
     plus = (creator(photon, ("k", 1)) + 1j * creator(photon, ("k", 2))) @ photon.vacuum()
     plus /= np.linalg.norm(plus)
     minus = (creator(photon, ("k", 1)) - 1j * creator(photon, ("k", 2))) @ photon.vacuum()

@@ -5,13 +5,7 @@ import pytest
 
 from photonam import operators as ops
 from photonam import suites
-from photonam.dirac import (
-    build_fermion_fock,
-    dirac_oam,
-    dirac_sam,
-    spinor_matrices,
-    spinor_orbital_channels,
-)
+from photonam.dirac import build_fermion_fock, spinor_matrices, spinor_orbital_channels
 from photonam.errors import ChannelMismatch, DimensionMismatch, UnknownChannel
 from photonam.fock import (
     OperatorMatrix,
@@ -22,7 +16,7 @@ from photonam.fock import (
     lift_bilinear,
     max_abs,
 )
-from photonam.modes import orbital_matrices, shell_channels
+from photonam.modes import SphericalShell, orbital_matrices, shell_channels
 from photonam.report import KIND_EQUALITY, KIND_VIOLATION, VerificationReport
 from photonam.suites import DIRAC_FERMION_CAP, TIGHT_TOL, SuiteConfig, run_suite
 
@@ -35,6 +29,12 @@ def dense(mat):
 
 def lift(ffs, m):
     return lift_bilinear(ffs, QuadraticForm(m, ffs.signs))
+
+
+def dirac_families(ffs, l_max):
+    """S_D and L_D, lifted with the orbital generators up to l_max."""
+    shell = SphericalShell(radius=1.0, l_max=l_max)
+    return tuple(ops.lift_family(ffs, name, shell) for name in ("dirac_sam", "dirac_oam"))
 
 
 def test_spinor_matrices_block_structure():
@@ -51,7 +51,7 @@ def test_spinor_matrices_block_structure():
 
 
 def test_spinor_sigma_is_twice_the_table_i_sam_block():
-    ((_, blocks),) = ops.TABLE_I_FORMS["sam"]
+    ((_, blocks),) = ops.FORMS["dirac_sam"]
     sigma = spinor_matrices().sigma
     for i in range(3):
         np.testing.assert_array_equal(sigma[i], 2.0 * blocks[i])
@@ -115,8 +115,7 @@ def test_fermionic_lift_shape_guard():
 
 def test_dirac_angular_momentum_algebra():
     ffs = build_fermion_fock(spinor_orbital_channels(1))
-    sam = dirac_sam(ffs)
-    oam = dirac_oam(ffs, 1)
+    sam, oam = dirac_families(ffs, 1)
     for i, j, k in EPS_PAIRS:
         assert max_abs(sam[i] @ sam[j] - sam[j] @ sam[i] - 1j * sam[k]) <= 1e-12
         assert max_abs(oam[i] @ oam[j] - oam[j] @ oam[i] - 1j * oam[k]) <= 1e-12
@@ -127,7 +126,7 @@ def test_dirac_angular_momentum_algebra():
 
 def test_dirac_sam_eigenvalue_half():
     ffs = build_fermion_fock(spinor_orbital_channels(0))
-    sam = dirac_sam(ffs)
+    sam = ops.lift_family(ffs, "dirac_sam")
     up = creator(ffs, ((0, 0), 0))
     one = up @ ffs.vacuum()
     np.testing.assert_allclose(dense(sam[2] @ one), 0.5 * one, atol=1e-15)
@@ -138,9 +137,9 @@ def test_dirac_sam_eigenvalue_half():
 
 def test_photon_and_dirac_sectors_commute_on_tensor_space():
     photon = build_fock([("k", 1), ("k", 2)], 1)
-    hel = ops.helicity_fixed_frame(photon)
+    (hel,) = ops.lift_family(photon, "helicity")
     ffs = build_fermion_fock(spinor_orbital_channels(0))
-    for fop in dirac_sam(ffs):
+    for fop in ops.lift_family(ffs, "dirac_sam"):
         big_b = np.kron(hel.to_dense(), np.eye(ffs.dim))
         big_f = np.kron(np.eye(photon.dim), fop.to_dense())
         assert max_abs(big_b @ big_f - big_f @ big_b) == 0.0
@@ -148,7 +147,7 @@ def test_photon_and_dirac_sectors_commute_on_tensor_space():
 
 def test_helicity_integer_eigenvalues_alongside_dirac_halves():
     photon = build_fock([("k", 1), ("k", 2)], 1)
-    hel = ops.helicity_fixed_frame(photon)
+    (hel,) = ops.lift_family(photon, "helicity")
     plus = (creator(photon, ("k", 1)) + 1j * creator(photon, ("k", 2))) @ photon.vacuum()
     plus = plus / np.linalg.norm(plus)
     np.testing.assert_allclose(hel @ plus, plus, atol=1e-15)
@@ -161,7 +160,7 @@ def test_dirac_suite_cap_keeps_full_space_residuals():
 
     def residuals(ffs):
         rep = VerificationReport("dirac", {})
-        families = {"sam": dirac_sam(ffs), "oam": dirac_oam(ffs, 1)}
+        families = dict(zip(("dirac_sam", "dirac_oam"), dirac_families(ffs, 1)))
         suites._claim_checks(rep, ops.CLAIMS["dirac"], families, TIGHT_TOL)
         return {r.check_id: r.residual for r in rep.checks}
 
@@ -217,7 +216,8 @@ def _same_entries(a, b):
 @pytest.mark.parametrize("cap", [None, DIRAC_FERMION_CAP])
 def test_dirac_lifts_match_per_entry_reference(l_max, cap):
     ffs = build_fermion_fock(spinor_orbital_channels(l_max), max_total=cap)
-    got = dirac_sam(ffs) + dirac_oam(ffs, l_max)
+    sam, oam = dirac_families(ffs, l_max)
+    got = sam + oam
     want = _reference_sam(ffs) + _reference_oam(ffs, l_max)
     for g, w in zip(got, want, strict=True):
         assert isinstance(g, OperatorMatrix)
@@ -229,7 +229,7 @@ def test_dirac_lifts_match_per_entry_reference(l_max, cap):
 def test_dirac_oam_beyond_space_lmax_raises():
     ffs = build_fermion_fock(spinor_orbital_channels(1), max_total=DIRAC_FERMION_CAP)
     with pytest.raises(ChannelMismatch):
-        dirac_oam(ffs, 2)
+        ops.lift_family(ffs, "dirac_oam", SphericalShell(radius=1.0, l_max=2))
 
 
 DIRAC_INVENTORY = {

@@ -126,6 +126,21 @@ def test_space_beyond_the_64_bit_product_basis():
         assert np.argmax(np.abs(psi)) == rank and psi.sum() == 1.0
 
 
+def test_locate_ranks_row_batches_of_any_shape():
+    # 100 channels, 5,151 states: a single row, a batch, and a batch of batches
+    fs = build_fock([(i, 1) for i in range(100)], 2, max_total=2)
+    assert fs.locate(fs.occ[4000]) == 4000
+    np.testing.assert_array_equal(fs.locate(fs.occ), np.arange(fs.dim))
+    picks = np.array([[0, 1, 100], [101, 5000, 5150]])
+    np.testing.assert_array_equal(fs.locate(fs.occ[picks]), picks)
+    np.testing.assert_array_equal(fs.locate(fs.occ[picks].astype(int)), picks)
+    assert fs.locate(fs.occ[:0]).shape == (0,)
+    # one-byte rows whose prefix sums pass 255
+    wide = build_fock([("a", 1), ("b", 1)], 200)
+    assert wide.occ.dtype == np.uint8
+    np.testing.assert_array_equal(wide.locate(wide.occ), np.arange(wide.dim))
+
+
 def test_capped_basis_state_outside_cap():
     fs = build_fock([("a", 1), ("b", 1), ("c", 0)], 2, max_total=2)
     rows = [tuple(r) for r in fs.occ.tolist()]

@@ -45,7 +45,7 @@ def shell_space(shell, lams=(0, 1, 2, 3)):
 def test_hamiltonian_eigenvalues():
     ms = grid_z()
     fs = full_space(ms)
-    ham = ops.hamiltonian(ms, fs)
+    (ham,) = ops.lift_family(fs, "hamiltonian", ms)
     vac = fs.vacuum()
     assert max_abs(ham @ vac) == 0.0
     transverse = fs.basis_state({(0, 1): 1})
@@ -60,13 +60,17 @@ def test_hamiltonian_channel_coverage_required():
     ms = grid_z()
     partial = build_fock([(i, lam) for i in ms.mode_labels() for lam in (1, 2)], 1)
     with pytest.raises(ChannelMismatch):
-        ops.hamiltonian(ms, partial)
+        ops.lift_family(partial, "hamiltonian", ms)
+    # a channel outside the mode set is not read: the family lifts as zero there
+    extra = build_fock([*full_space(ms, n_max=1).channels, ("x", 1)], 1)
+    one = extra.basis_state({("x", 1): 1})
+    assert max_abs(ops.lift_family(extra, "hamiltonian", ms)[0] @ one) == 0.0
 
 
 def test_momentum_eigenvalues():
     ms = grid_z()
     fs = full_space(ms)
-    mom = ops.momentum(ms, fs)
+    mom = ops.lift_family(fs, "momentum", ms)
     transverse = fs.basis_state({(0, 1): 1})
     scalar = fs.basis_state({(0, 0): 1})
     assert max_abs((mom[2] @ transverse) - transverse) <= 1e-14
@@ -78,7 +82,7 @@ def test_momentum_eigenvalues():
 def test_spin_total_su2_on_bounded_block():
     ms = build_cartesian_modeset([(0.3, -0.5, 0.8)])
     fs = full_space(ms, n_max=2)
-    spin = ops.spin_total(ms, fs)
+    spin = ops.lift_family(fs, "spin_total", ms)
     idx = fs.bounded_indices(2)
     for i, j, k in EPS_PAIRS:
         diff = commutator(spin[i], spin[j]) - 1j * spin[k]
@@ -92,7 +96,7 @@ def test_spin_z_circular_eigenvalues_from_matrix_oracle():
     vals, vecs = np.linalg.eigh(s3)
     ms = grid_z()
     fs = full_space(ms, n_max=1, lams=(1, 2, 3))
-    spin = ops.spin_total(ms, fs)
+    spin = ops.lift_family(fs, "spin_total", ms)
     for val, vec in zip(vals, vecs.T):
         state = vec[0] * fs.basis_state({(0, 1): 1}) + vec[1] * fs.basis_state({(0, 2): 1})
         assert max_abs((spin[2] @ state) - val * state) <= 1e-14
@@ -102,8 +106,8 @@ def test_spin_z_circular_eigenvalues_from_matrix_oracle():
 def test_spin_obs_matches_spin_total_on_circular_states():
     ms = grid_z()
     fs = full_space(ms, n_max=1, lams=(1, 2, 3))
-    spin = ops.spin_total(ms, fs)
-    sobs = ops.spin_obs(ms, fs)
+    spin = ops.lift_family(fs, "spin_total", ms)
+    sobs = ops.lift_family(fs, "spin_obs", ms)
     circ = (fs.basis_state({(0, 1): 1}) + 1j * fs.basis_state({(0, 2): 1})) / np.sqrt(2)
     for comp in range(3):
         lhs = expectation(fs, spin[comp], circ)
@@ -116,14 +120,14 @@ def test_spin_obs_matches_spin_total_on_circular_states():
 def test_spin_vacuum_zero():
     ms = grid_z()
     fs = full_space(ms, n_max=1, lams=(1, 2, 3))
-    for op in ops.spin_total(ms, fs):
+    for op in ops.lift_family(fs, "spin_total", ms):
         assert max_abs(op @ fs.vacuum()) == 0.0
 
 
 def test_helicity_spectrum():
     ms = grid_z()
     fs = full_space(ms, n_max=2, lams=(1, 2))
-    hel = ops.helicity(ms, fs)
+    (hel,) = ops.lift_family(fs, "helicity", ms)
     plus = (fs.basis_state({(0, 1): 1}) + 1j * fs.basis_state({(0, 2): 1})) / np.sqrt(2)
     minus = (fs.basis_state({(0, 1): 1}) - 1j * fs.basis_state({(0, 2): 1})) / np.sqrt(2)
     assert max_abs((hel @ plus) - plus) <= 1e-14
@@ -138,23 +142,25 @@ def test_helicity_spectrum():
 def test_stokes_algebra_and_identifications():
     ms = grid_z()
     fs = full_space(ms, n_max=2, lams=(1, 2))
-    sig = ops.stokes_operators(ms, fs)
+    sig = ops.lift_family(fs, "stokes", ms)  # Sigma_1..3
     idx = fs.bounded_indices(2)
-    for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+    for i, j, k in EPS_PAIRS:
         diff = commutator(sig[i], sig[j]) - 2j * sig[k]
         assert max_abs(compress(diff, idx)) <= 1e-13
-    assert max_abs(sig[2] - ops.helicity(ms, fs)) == 0.0
+    assert max_abs(sig[1] - ops.lift_family(fs, "helicity", ms)[0]) == 0.0
+    # Sigma_0 is the transverse photon number, the identity form on this space
+    sig0 = lift_bilinear(fs, QuadraticForm(np.eye(len(fs.channels)), fs.signs))
     two_photon = creator(fs, (0, 1)) @ (creator(fs, (0, 2)) @ fs.vacuum())
     two_photon = two_photon / np.linalg.norm(two_photon)
-    assert max_abs((sig[0] @ two_photon) - 2.0 * two_photon) <= 1e-14
+    assert max_abs((sig0 @ two_photon) - 2.0 * two_photon) <= 1e-14
 
 
 def test_oam_total_eigenvalues_and_identity():
     shell = SphericalShell(radius=1.0, l_max=1)
     fs = shell_space(shell)
-    oam = ops.oam_total(shell, fs)
-    lobs = ops.oam_obs(shell, fs)
-    lpure = ops.l_pure(shell, fs)
+    oam, lobs, lpure = (
+        ops.lift_family(fs, name, shell) for name in ("oam_total", "oam_obs", "l_pure")
+    )
     for comp in range(3):
         assert max_abs(oam[comp] - lobs[comp] - lpure[comp]) == 0.0
 
@@ -177,17 +183,18 @@ def test_oam_requires_all_polarizations():
     shell = SphericalShell(radius=1.0, l_max=1)
     fs = shell_space(shell, lams=(1, 2))
     with pytest.raises(ChannelMismatch):
-        ops.oam_total(shell, fs)
+        ops.lift_family(fs, "oam_total", shell)
     with pytest.raises(ChannelMismatch):
-        ops.l_pure(shell, fs)
-    assert len(ops.oam_obs(shell, fs)) == 3
+        ops.lift_family(fs, "l_pure", shell)
+    assert len(ops.lift_family(fs, "oam_obs", shell)) == 3
 
 
 def test_one_photon_block_equals_sign_weighted_form():
     # oracle: the one-photon action of a lifted form is (signs x form)
     shell = SphericalShell(radius=1.0, l_max=1)
     fs = shell_space(shell)
-    oam = ops.oam_total(shell, fs)
+    oam = ops.lift_family(fs, "oam_total", shell)
+    weights = {0: -1.0, 1: 1.0, 2: 1.0, 3: 1.0}
     gens_z = np.diag([m for (_, m) in shell.channels]).astype(complex)
     singles = [fs.basis_state({ch: 1}) for ch in fs.channels]
     block = np.zeros((len(singles), len(singles)), dtype=complex)
@@ -202,7 +209,7 @@ def test_one_photon_block_equals_sign_weighted_form():
                 ia = shell.channels.index(ca)
                 ib = shell.channels.index(cb)
                 sign = -1.0 if la == 0 else 1.0
-                expected[a, b] = sign * ops.OAM_WEIGHTS[la] * gens_z[ia, ib]
+                expected[a, b] = sign * weights[la] * gens_z[ia, ib]
     np.testing.assert_allclose(block, expected, atol=1e-14)
 
 
@@ -241,16 +248,12 @@ def _decomposition_rows():
     return [row for row in ops.CLAIMS["decomposition-compare"] if row.name]
 
 
-def _lift(fs, shell, name):
-    return ops.lift_family(fs, ops.FAMILY_FORMS[name], shell)
-
-
 def test_decomposition_rows_lift_three_components():
     shell = SphericalShell(radius=1.0, l_max=1)
     fs = shell_space(shell)
     for row in _decomposition_rows():
         for name, _, _ in row.families:
-            assert len(_lift(fs, shell, name)) == 3
+            assert len(ops.lift_family(fs, name, shell)) == 3
 
 
 def test_canonical_family_su2_and_rivals_violate():
@@ -265,10 +268,10 @@ def test_canonical_family_su2_and_rivals_violate():
             worst = max(worst, max_abs(compress(diff, idx)))
         return worst
 
-    for name in ("spin", "oam", "oam_chen"):
-        assert su2_residual(_lift(fs, shell, name)) <= 1e-13
+    for name in ("spin_fixed_frame", "oam_total", "oam_chen"):
+        assert su2_residual(ops.lift_family(fs, name, shell)) <= 1e-13
     for name in ("spin_jm", "oam_jm", "spin_chen", "j_total"):
-        assert su2_residual(_lift(fs, shell, name)) >= 0.1
+        assert su2_residual(ops.lift_family(fs, name, shell)) >= 0.1
 
 
 def test_bare_wakamatsu_orbital_lift_closes_su2():
@@ -277,7 +280,7 @@ def test_bare_wakamatsu_orbital_lift_closes_su2():
     shell = SphericalShell(radius=1.0, l_max=1)
     fs = shell_space(shell)
     idx = fs.bounded_indices(1)
-    oam = _lift(fs, shell, "oam_wak")
+    oam = ops.lift_family(fs, "oam_wak", shell)
     worst = max(
         max_abs(compress(commutator(oam[i], oam[j]) - 1j * oam[k], idx))
         for i, j, k in EPS_PAIRS
@@ -307,7 +310,7 @@ def test_spin_total_respects_frames():
     # oracle: rotate the generators with the frame triad by hand per mode
     ms = build_cartesian_modeset([(0.2, 0.9, -0.1)])
     fs = full_space(ms, n_max=1, lams=(1, 2, 3))
-    spin = ops.spin_total(ms, fs)
+    spin = ops.lift_family(fs, "spin_total", ms)
     shat = spin_matrices()
     for mode in ms.mode_labels():
         frame = ms.frames[mode]
@@ -413,12 +416,15 @@ def test_pair_entries_sign_on_the_scalar_channel(cap):
 
 
 def test_family_forms_cover_the_claims_table():
-    names = {name for row in _decomposition_rows() for name, _, _ in row.families}
-    assert names == set(ops.FAMILY_FORMS)
-    for terms in ops.FAMILY_FORMS.values():
-        for _, lams in terms:
-            assert len(lams) == 3
-    assert len(ops.FAMILY_FORMS["j_total"]) == 2
+    names = {name for rows in ops.CLAIMS.values() for row in rows for name, _, _ in row.families}
+    # the families no claim names, read by checks of their own
+    unclaimed = {"hamiltonian", "momentum", "helicity", "l_pure"}
+    assert names | unclaimed == set(ops.FORMS) and not names & unclaimed
+    for row in _decomposition_rows():
+        for name, _, _ in row.families:
+            for _, lams in ops.FORMS[name]:
+                assert len(lams) == 3
+    assert len(ops.FORMS["j_total"]) == 2
 
 
 # Reference construction of the shell families: the channel matrix written
@@ -464,27 +470,17 @@ def test_shell_families_match_per_entry_reference(l_max, cap):
     )
     hel = np.zeros((3, 3), dtype=complex)
     hel[0, 1], hel[1, 0] = -1j, 1j
+    # (name, mode set): reference; the fixed-frame families without a mode set
     cases = {
-        "oam_total": (
-            ops.oam_total(shell, fs),
-            _reference_orbital(fs, shell, {0: -1.0, 1: 1.0, 2: 1.0, 3: 1.0}),
-        ),
-        "oam_obs": (ops.oam_obs(shell, fs), _reference_orbital(fs, shell, {1: 1.0, 2: 1.0})),
-        "l_pure": (ops.l_pure(shell, fs), _reference_orbital(fs, shell, {0: -1.0, 3: 1.0})),
-        "spin_total_fixed_frame": (
-            ops.spin_total_fixed_frame(fs),
-            _reference_fixed_frame(fs, spin_matrices()),
-        ),
-        "spin_obs_fixed_frame": (
-            ops.spin_obs_fixed_frame(fs),
-            _reference_fixed_frame(fs, (0 * hel, 0 * hel, hel)),
-        ),
-        "helicity_fixed_frame": (
-            (ops.helicity_fixed_frame(fs),),
-            _reference_fixed_frame(fs, (hel,)),
-        ),
+        ("oam_total", shell): _reference_orbital(fs, shell, {0: -1.0, 1: 1.0, 2: 1.0, 3: 1.0}),
+        ("oam_obs", shell): _reference_orbital(fs, shell, {1: 1.0, 2: 1.0}),
+        ("l_pure", shell): _reference_orbital(fs, shell, {0: -1.0, 3: 1.0}),
+        ("spin_fixed_frame", None): _reference_fixed_frame(fs, spin_matrices()),
+        ("spin_obs_fixed_frame", None): _reference_fixed_frame(fs, (0 * hel, 0 * hel, hel)),
+        ("helicity", None): _reference_fixed_frame(fs, (hel,)),
     }
-    for name, (got, want) in cases.items():
+    for (name, ms), want in cases.items():
+        got = ops.lift_family(fs, name, ms)
         for g, w in zip(got, want, strict=True):
             assert isinstance(g, OperatorMatrix)
             assert all(
@@ -528,7 +524,7 @@ def _reference_grid(ms):
             transverse(ops.PAULI[2], lambda a, c=c: eps(a, 3)[c]) for c in range(3)
         ],
         "helicity": [transverse(ops.PAULI[2])],
-        "stokes_operators": [transverse(ops.PAULI[i]) for i in range(4)],
+        "stokes": [transverse(ops.PAULI[i]) for i in (1, 2, 3)],
     }
 
 
@@ -537,13 +533,11 @@ def test_grid_families_match_per_entry_reference(lams):
     ms = build_cartesian_modeset([(0.6, 0.2, 0.75)])
     fs = build_fock([(i, lam) for i in ms.mode_labels() for lam in lams], 2, max_total=2)
     for name, values in _reference_grid(ms).items():
-        build = getattr(ops, name)
         if name in ("hamiltonian", "momentum") and 0 not in lams:
             with pytest.raises(ChannelMismatch):
-                build(ms, fs)
+                ops.lift_family(fs, name, ms)
             continue
-        got = build(ms, fs)
-        got = (got,) if isinstance(got, OperatorMatrix) else got
+        got = ops.lift_family(fs, name, ms)
         for g, value in zip(got, values, strict=True):
             w = _per_entry_lift(fs, value)
             assert all(
@@ -555,21 +549,17 @@ def test_grid_families_match_per_entry_reference(lams):
 def test_grid_families_reject_a_shell():
     shell = SphericalShell(radius=1.5, l_max=1)
     fs = build_fock([(c, lam) for c in shell.mode_labels() for lam in range(4)], 1, max_total=1)
-    for build in (ops.momentum, ops.spin_total, ops.spin_obs):
+    for name in ("momentum", "spin_total", "spin_obs"):
         with pytest.raises(ChannelMismatch):
-            build(shell, fs)
+            ops.lift_family(fs, name, shell)
     # omega is a per-mode weight on a shell too
     one = fs.basis_state({((1, 0), 2): 1})
-    assert max_abs(ops.hamiltonian(shell, fs) @ one - 1.5 * one) == 0.0
+    assert max_abs(ops.lift_family(fs, "hamiltonian", shell)[0] @ one - 1.5 * one) == 0.0
 
 
 def test_shell_families_reject_a_grid():
     ms = grid_z()
     fs = full_space(ms, n_max=1)
-    for build in (ops.oam_total, ops.oam_obs, ops.l_pure):
+    for name in ("oam_total", "oam_obs", "l_pure", "oam_transverse", "oam_scalar", "dirac_oam"):
         with pytest.raises(ChannelMismatch):
-            build(ms, fs)
-    with pytest.raises(ChannelMismatch):
-        ops.oam_weighted(ms, fs, {1: 1.0})
-    with pytest.raises(ChannelMismatch):
-        ops.lift_family(fs, ops.FAMILY_FORMS["oam"], ms)
+            ops.lift_family(fs, name, ms)

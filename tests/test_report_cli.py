@@ -218,10 +218,10 @@ def test_cli_decomposition_reads_shell(seed, capsys, monkeypatch):
     built = []
     lift = ops.lift_family
 
-    def recording(fs, terms, ms=None):
+    def recording(fs, name, ms=None):
         if isinstance(ms, SphericalShell):
             built.append((ms.l_max, fs.dim))
-        return lift(fs, terms, ms)
+        return lift(fs, name, ms)
 
     monkeypatch.setattr(ops, "lift_family", recording)
     base = ["--suite", "decomposition-compare", "--seed", str(seed), "--format", "json"]
@@ -240,13 +240,14 @@ def test_cli_decomposition_reads_shell(seed, capsys, monkeypatch):
 
 def test_cli_canonical_reads_shell(capsys, monkeypatch):
     built = []
-    oam_total = ops.oam_total
+    lift = ops.lift_family
 
-    def recording(ms, fs):
-        built.append((ms.l_max, fs.dim))
-        return oam_total(ms, fs)
+    def recording(fs, name, ms=None):
+        if name == "oam_total":
+            built.append((ms.l_max, fs.dim))
+        return lift(fs, name, ms)
 
-    monkeypatch.setattr(ops, "oam_total", recording)
+    monkeypatch.setattr(ops, "lift_family", recording)
     base = ["--suite", "canonical-commutators", "--format", "json", "--shell"]
     assert main(base + ["1.0,2"]) == 0
     parsed = json.loads(capsys.readouterr().out)
@@ -286,18 +287,19 @@ def test_cli_gauge_hiding_reads_shell(capsys, monkeypatch):
     from photonam import suites
 
     built = []
-    oam_total = ops.oam_total
+    lift = ops.lift_family
     per_mode = suites._xi_pathway_expectations
 
-    def recording_oam(ms, fs):
-        built.append(("oam-identity", ms.l_max, fs.dim))
-        return oam_total(ms, fs)
+    def recording_oam(fs, name, ms=None):
+        if name == "oam_total":
+            built.append(("oam-identity", ms.l_max, fs.dim))
+        return lift(fs, name, ms)
 
     def recording_xi(shell, xi, small, factors):
         built.append(("xi", shell.l_max, len(factors)))
         return per_mode(shell, xi, small, factors)
 
-    monkeypatch.setattr(ops, "oam_total", recording_oam)
+    monkeypatch.setattr(ops, "lift_family", recording_oam)
     monkeypatch.setattr(suites, "_xi_pathway_expectations", recording_xi)
     assert main(["--suite", "gauge-hiding", "--shell", "1.0,2", "--format", "json"]) == 0
     parsed = json.loads(capsys.readouterr().out)
@@ -510,3 +512,30 @@ def test_cli_run_imports_no_scipy(tmp_path):
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# Each CLI invocation of the benchmark (perfbench/run.py) and the suite key of
+# its check IDs in perfbench/expected_checks.json, which the benchmark's
+# correctness gate compares every report against.
+BENCH_GRID = "0.5,0.25,-0.7;-0.5,-0.25,0.7"
+BENCH_INVOCATIONS = [
+    ("all", ["--suite", "all"]),
+    *(("canonical-commutators", ["--suite", "canonical-commutators", "--nmax", str(n)])
+      for n in (1, 2, 3, 4)),
+    ("dirac", ["--suite", "dirac"]),
+    ("field-consistency", ["--suite", "field-consistency"]),
+    ("counter-rotating", ["--suite", "counter-rotating", "--grid", BENCH_GRID]),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, argv", BENCH_INVOCATIONS, ids=[" ".join(argv[1:]) for _, argv in BENCH_INVOCATIONS]
+)
+def test_benchmark_invocations_carry_the_expected_check_ids(suite, argv, tmp_path):
+    expected = json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "expected_checks.json").read_text()
+    )
+    out = tmp_path / "report.json"
+    assert main(argv + ["--format", "json", "--out", str(out)]) == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert {c["id"] for c in checks} == set(expected[suite])

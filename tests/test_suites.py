@@ -377,8 +377,8 @@ def test_spin_su2_block_capped_matches_block_plus_one(n_max):
     new = suites._capped_grid_space(ms, (0, 1, 2, 3), SuiteConfig(n_max=n_max))
     old, read = _block_plus_one(new.channels, n_max)
     assert new.max_total == n_max and new.dim < old.dim
-    assert _su2(ops.spin_total(ms, new)) == _su2_read(
-        ops.spin_total(ms, old), read
+    assert _su2(ops.lift_family(new, "spin_total", ms)) == _su2_read(
+        ops.lift_family(old, "spin_total", ms), read
     )
 
 
@@ -387,9 +387,9 @@ def test_oam_sector_block_capped_matches_block_plus_one(lam):
     shell = SphericalShell(radius=1.0, l_max=2)
     new = suites._shell_space(shell, (lam,), 1 << 20)
     old, read = _block_plus_one(new.channels, 1)
-    weight = {lam: ops.OAM_WEIGHTS[lam]}
-    assert _su2(ops.oam_weighted(shell, new, weight)) == _su2_read(
-        ops.oam_weighted(shell, old, weight), read
+    name = {1: "oam_transverse", 0: "oam_scalar"}[lam]
+    assert _su2(ops.lift_family(new, name, shell)) == _su2_read(
+        ops.lift_family(old, name, shell), read
     )
 
 
@@ -399,17 +399,18 @@ def test_decomposition_claims_block_capped_match_block_plus_one(seed):
     new = suites._shell_space(shell, (0, 1, 2, 3), 1 << 20)
     old, read = _block_plus_one(new.channels, 1)
     xi = cons.random_conjugate_symmetric_xi(shell, SeededRng(seed), scale=0.4)
+    # the named rows are the decompositions, on the shell space
+    rows = [row for row in ops.CLAIMS["decomposition-compare"] if row.name]
 
     def lifted(fs):
-        out = {name: ops.lift_family(fs, terms, shell) for name, terms in ops.FAMILY_FORMS.items()}
+        out = {name: ops.lift_family(fs, name, shell) for row in rows for name, _, _ in row.families}
         # the xi extra term moves the total occupation by one
         extra = [cons.xi_oam_bilinear(shell, fs, xi, lam) for lam in (1, 2)]
         out["oam_wak"] = tuple(a + b + c for a, b, c in zip(out["oam_wak"], *extra))
         return out
 
     new_lifted, old_lifted = lifted(new), lifted(old)
-    # the named rows are the decompositions, on the shell space
-    for row in (row for row in ops.CLAIMS["decomposition-compare"] if row.name):
+    for row in rows:
         rep = VerificationReport(row.name, {})
         suites._claim_checks(rep, (row,), new_lifted, 1e-10)
         expected = _claim_residuals_read(row, old_lifted, read)
@@ -465,7 +466,7 @@ def _product_space_xi_pathway(shell, xi, small, factors):
     psi = functools.reduce(np.kron, factors)
     chans = [(c, lam) for c in shell.mode_labels() for lam in (0, 3)]
     fs = build_fock(chans, small.n_max)
-    lpure = ops.l_pure(shell, fs)
+    lpure = ops.lift_family(fs, "l_pure", shell)
     source = tuple(-1.0 * x for x in cons.xi_oam_bilinear(shell, fs, xi, 3))
     return (
         [expectation(fs, lpure[c], psi) for c in range(3)],

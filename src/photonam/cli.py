@@ -130,8 +130,10 @@ def main(argv=None) -> int:
     except (WorkbenchError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not config.out:
+    if not config.out and hasattr(sys.stdout, "buffer"):
         sys.stdout.buffer.write(payload)
+    elif not config.out:  # a redirected sys.stdout, an io.StringIO say
+        sys.stdout.write(payload.decode())
     return 0 if report.all_passed else 1
 
 

@@ -2,17 +2,17 @@
 
 The per-mode constraint is a_3 - a_0 + xi0 * 1, where xi0 is the prescribed
 coupling of the scalar channel to a classical charge density.  The physical
-subspace is the numerical kernel of the stacked constraints, computed by a
-rank-revealing SVD; zero-norm kernel vectors (pure gauge excitations) are
-first-class citizens: they are reported with norm 0 and excluded from
-expectation checks.
+subspace is the kernel of the stacked constraints; zero-norm kernel vectors
+(pure gauge excitations) are first-class citizens: they are reported with
+norm 0 and excluded from expectation checks.
 
-A free constraint (xi0 = 0) lowers the total occupation by exactly one, so
-the stack is block-diagonal by occupation sector: the columns of total N
-map only into the rows of total N - 1.  The SVD therefore runs once per
-sector, on a small dense block, and the kernel is the direct sum of the
-per-sector kernels.  A stack that does not lower the occupation uniformly,
-such as a xi-shifted one, is factored as a single block by the same loop.
+On a grid space capped at total occupation T <= n_max, the free kernel
+(xi0 = 0) has a closed form, `gb_physical_subspace`: the monomials in the
+transverse creators and the null creator a_3^+ - a_0^+ of each mode, read
+off the occupation table without LAPACK.  `physical_subspace` finds any
+kernel numerically, with one rank-revealing SVD of the dense stack; it
+serves the one-mode pair and is the oracle the closed form is tested
+against.
 
 Expectation-level statements about gauge-variant operators are asserted on
 quotient representatives: kernel vectors orthogonal to the zero-norm
@@ -25,23 +25,24 @@ asserted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     ChannelMismatch,
     DimensionCapExceeded,
+    DimensionMismatch,
     EmptySubspace,
     IncommensurateGrid,
     NoKernel,
     ToleranceAmbiguous,
+    UnknownChannel,
 )
 from .fock import (
     DEFAULT_DIM_CAP,
     FockSpace,
     OperatorMatrix,
-    _CSR,
     annihilator,
     creator,
     expectation,
@@ -49,6 +50,7 @@ from .fock import (
     indefinite_inner,
     max_residual,
     metric_diagonal,
+    space_dim,
     zero_operator,
 )
 from .modes import CartesianGrid, ModeSet, SphericalShell, orbital_matrices
@@ -114,16 +116,19 @@ def xi_conjugate_residual(ms: ModeSet, xi: dict) -> float:
     )
 
 
+def _gauge_positions(ms: ModeSet, fs: FockSpace) -> tuple[list[int], list[int]]:
+    """Channel positions of every mode's lam = 0 and of its lam = 3 channel."""
+    try:
+        return tuple([fs.index_of((label, lam)) for label in ms.mode_labels()] for lam in (0, 3))
+    except UnknownChannel as exc:
+        raise ChannelMismatch(f"constraints need lam = 0 and lam = 3 channels: {exc}") from None
+
+
 def gb_constraints(ms: ModeSet, fs: FockSpace, xi: dict | None = None) -> list[OperatorMatrix]:
     """One constraint matrix a_3 - a_0 + xi0 per mode label."""
     out = []
-    for label in ms.mode_labels():
-        for lam in (0, 3):
-            if (label, lam) not in fs.channels:
-                raise ChannelMismatch(
-                    f"constraint for mode {label!r} needs lam = 0 and lam = 3 channels"
-                )
-        c = annihilator(fs, (label, 3)) - annihilator(fs, (label, 0))
+    for label, p0, p3 in zip(ms.mode_labels(), *_gauge_positions(ms, fs)):
+        c = annihilator(fs, fs.channels[p3]) - annihilator(fs, fs.channels[p0])
         shift = complex(xi.get(label, 0.0)) if xi else 0.0
         if shift != 0.0:
             c = c + shift * identity_operator(fs)
@@ -133,46 +138,13 @@ def gb_constraints(ms: ModeSet, fs: FockSpace, xi: dict | None = None) -> list[O
 
 @dataclass(frozen=True, eq=False)
 class PhysicalSubspace:
-    """Euclidean-orthonormal kernel basis with its singular-value certificate."""
+    """Euclidean-orthonormal kernel basis."""
 
     basis: np.ndarray  # dim x r, columns orthonormal
-    tol: float
-    singular_values: np.ndarray
-    gap: float = field(default=math.inf)
 
     @property
     def dimension(self) -> int:
         return self.basis.shape[1]
-
-
-def _sector_blocks(fs: FockSpace, constraints: list[OperatorMatrix]):
-    """Dense blocks of the stacked constraints, one per occupation sector.
-
-    Yields (columns, block): the basis indices of sector N and the rows of
-    every constraint, constraint-major, that those columns map into.  When
-    every stored entry maps total occupation N to N - 1, those are the rows
-    of sector N - 1; otherwise the whole space is one sector and its block
-    is the dense stack itself, in the order of `np.vstack`.
-    """
-    row, col, val = (np.concatenate(p) for p in zip(*(c.mat.entries() for c in constraints)))
-    which = np.repeat(np.arange(len(constraints)), [c.mat.nnz for c in constraints])
-    total = fs.total_occupation()
-    drop = 1 if np.array_equal(total[row], total[col] - 1) else 0
-    sector = total if drop else np.zeros(fs.dim, dtype=int)
-    sizes = np.bincount(sector)
-    order = np.argsort(sector, kind="stable")
-    starts = np.concatenate([[0], np.cumsum(sizes)])
-    # position of each basis index within its sector
-    pos = np.empty(fs.dim, dtype=int)
-    pos[order] = np.arange(fs.dim) - starts[sector[order]]
-    entries = np.argsort(sector[col], kind="stable")
-    bounds = np.searchsorted(sector[col][entries], np.arange(sizes.size + 1))
-    for n in range(sizes.size):
-        height = sizes[n - drop] if n >= drop else 0
-        e = entries[bounds[n]:bounds[n + 1]]
-        shape = (len(constraints) * height, sizes[n])
-        block = _CSR.from_entries(val[e], which[e] * height + pos[row[e]], pos[col[e]], shape)
-        yield order[starts[n]:starts[n + 1]], block.toarray()
 
 
 def physical_subspace(
@@ -182,58 +154,79 @@ def physical_subspace(
     gap_factor: float = 1e3,
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> PhysicalSubspace:
-    """Numerical kernel of the stacked constraints.
+    """Numerical kernel of the stacked constraints, from one dense SVD.
 
-    The SVD runs per occupation sector (`_sector_blocks`), or on one block
-    holding the whole stack when the constraints do not lower the total
-    occupation by exactly one; the kernel basis is the direct sum of the
-    per-block kernels and `singular_values` their union, sorted descending.
     Singular values below `tol` define the kernel; a gap of at least
     `gap_factor` between the largest kernel value and the smallest excluded
-    value over all blocks is required unless the kernel values are exact
-    zeros.  The guard counts the whole dense stack: DimensionCapExceeded is
-    raised before any block is allocated when its rows x dim elements
-    exceed dim_cap.
+    value is required unless the kernel values are exact zeros.
+    DimensionCapExceeded is raised before the stack is allocated when its
+    rows x dim elements exceed dim_cap.
     """
     if not constraints:
-        basis = np.eye(fs.dim, dtype=complex)
-        return PhysicalSubspace(basis, tol, np.zeros(0))
+        return PhysicalSubspace(np.eye(fs.dim, dtype=complex))
     rows = len(constraints) * fs.dim
     if rows * fs.dim > dim_cap:
         raise DimensionCapExceeded(
             f"dense constraint stack {rows} x {fs.dim} = {rows * fs.dim}"
             f" elements exceeds cap {dim_cap}"
         )
-    kernels = []
-    sigmas = []
-    for columns, block in _sector_blocks(fs, constraints):
-        _, sigma, vh = np.linalg.svd(block, full_matrices=True)
-        sigma = np.concatenate([sigma, np.zeros(columns.size - sigma.size)])
-        kernels.append((columns, vh[sigma < tol].conj().T))
-        sigmas.append(sigma)
-    sigma = np.sort(np.concatenate(sigmas))[::-1]
+    stack = np.vstack([c.to_dense() for c in constraints])
+    # rows >= dim, so the reduced SVD still gives every right singular vector
+    _, sigma, vh = np.linalg.svd(stack, full_matrices=False)
     mask = sigma < tol
     if not np.any(mask):
         raise NoKernel(
             f"no singular value below {tol}; smallest is {sigma.min():.3e}"
         )
-    included = sigma[mask]
-    excluded = sigma[~mask]
-    gap = math.inf
-    if excluded.size:
-        top = float(included.max())
-        bottom = float(excluded.min())
-        gap = math.inf if top == 0.0 else bottom / top
-        if gap < gap_factor:
-            raise ToleranceAmbiguous(
-                f"kernel cut ambiguous: gap {gap:.2e} below required {gap_factor:.0e}"
-            )
-    basis = np.zeros((fs.dim, included.size), dtype=kernels[0][1].dtype)
-    start = 0
-    for columns, kernel in kernels:
-        basis[columns, start:start + kernel.shape[1]] = kernel
-        start += kernel.shape[1]
-    return PhysicalSubspace(basis, tol, sigma, gap)
+    top, bottom = float(sigma[mask].max()), float(sigma[~mask].min(initial=math.inf))
+    gap = math.inf if top == 0.0 else bottom / top
+    if gap < gap_factor:
+        raise ToleranceAmbiguous(
+            f"kernel cut ambiguous: gap {gap:.2e} below required {gap_factor:.0e}"
+        )
+    return PhysicalSubspace(vh[mask].conj().T)
+
+
+def gb_physical_subspace(
+    ms: ModeSet, fs: FockSpace, dim_cap: int = DEFAULT_DIM_CAP
+) -> PhysicalSubspace:
+    """Closed-form kernel of the free constraints a_3 - a_0 of every mode on
+    a space capped at total occupation T = fs.max_total <= fs.n_max.
+
+    Each constraint annihilates the null creator c^+ = a_3^+ - a_0^+ of its
+    mode, so the kernel is spanned by the monomials in every c^+ and the
+    other channels' creators on the vacuum (Gupta 1950; Bleuler 1950).  A row
+    belongs to the monomial keyed by the row with n_0 + n_3 moved to n_0,
+    with weight sqrt(C(n_0 + n_3, n_3)) per mode.  Distinct monomials have
+    disjoint rows, so the normalized columns, one per key in basis order,
+    are orthonormal.  DimensionCapExceeded is raised before the dim x r
+    basis is allocated when it exceeds dim_cap.
+    """
+    p0, p3 = _gauge_positions(ms, fs)
+    top = fs.max_total
+    if top > fs.n_max:
+        raise DimensionMismatch(
+            f"closed-form kernel needs total occupation cap {top} <= n_max {fs.n_max}"
+        )
+    r = space_dim(len(fs.channels) - len(p0), fs.n_max, top, dim_cap)
+    if fs.dim * r > dim_cap:
+        raise DimensionCapExceeded(
+            f"kernel basis {fs.dim} x {r} = {fs.dim * r} elements exceeds cap {dim_cap}"
+        )
+    n3 = fs.occ[:, p3]
+    merged = fs.occ[:, p0] + n3
+    keys = fs.occ.copy()
+    keys[:, p0] = merged
+    keys[:, p3] = 0
+    key_column = np.full(fs.dim, -1)
+    key_column[np.all(n3 == 0, axis=1)] = np.arange(r)
+    column = key_column[fs.locate(keys)]
+    root = np.sqrt([[math.comb(m, j) for j in range(top + 1)] for m in range(top + 1)])
+    weight = np.prod(root[merged, n3], axis=1)
+    norm = np.sqrt(np.bincount(column, weights=weight**2, minlength=r))
+    basis = np.zeros((fs.dim, r), dtype=complex)
+    basis[np.arange(fs.dim), column] = weight / norm[column]
+    return PhysicalSubspace(basis)
 
 
 def kernel_certificate(constraints: list[OperatorMatrix], subspace: PhysicalSubspace) -> float:

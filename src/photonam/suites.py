@@ -15,15 +15,20 @@ lift-homomorphism-random.  The capped space is an invariant block of every
 operator those checks multiply, so its residuals, read with plain
 `max_abs`, are those of the full product space on the block.  The
 gauge-hiding grid is capped at total occupation <= n_max too: its free
-constraints a_3 - a_0 only lower the occupation, so the capped kernel is the
-full kernel on the block, and its spin lifts and occupancy checks conserve
-the occupation.  The dirac suite's spinor x orbital
-space is capped at fermion number `DIRAC_FERMION_CAP`, an invariant block in
-the same sense.  Ladder identities keep the product basis and are read on
-the block below its edge (`_edge_safe`); whole-space residuals there go into
-the notes, never into assertions.  The xi pathway of gauge-hiding builds no
-product space: its displaced state is a product of one-mode factors, so it
-reads one-mode moments.
+constraints a_3 - a_0 only lower the occupation, so the capped kernel, read
+in closed form off the occupation table, is the full kernel on the block,
+and its spin lifts and occupancy checks conserve the occupation.
+counter-rotating's n_max 1 grid spaces are capped at total occupation 2:
+each entry of its operators is one channel pair's weight sum, which already
+appears between the vacuum and a two-photon state.  The dirac suite's
+spinor x orbital space is capped at fermion number `DIRAC_FERMION_CAP`, an
+invariant block in the same sense.  Ladder identities are read on the block
+below their space's edge (`_edge_safe`); whole-space residuals there go
+into the notes, never into assertions.  The xi pathway of gauge-hiding
+reads one-mode moments: its displaced state is a product of one-mode
+factors.  Product-basis spaces remain only at sizes no input sets: 27
+states in `_bcr_checks`, 16 in the gb-root pair, 4 in gauge-hiding's
+one-mode pair, 4 and 9 in its xi pathway, and dirac's 8, 4 and 16.
 
 Every algebra claim (su(2), commuting or su(2)-violating families, mutually
 commuting or noncommuting pairs, a family closing into another) is a row of
@@ -149,9 +154,7 @@ def _generic_grid() -> CartesianGrid:
     return build_cartesian_modeset([(0.6, 0.2, 0.75)])
 
 
-def _grid_space(
-    ms: CartesianGrid, lams, n_max: int, dim_cap: int, max_total: int | None = None
-) -> FockSpace:
+def _grid_space(ms: CartesianGrid, lams, n_max: int, dim_cap: int, max_total: int) -> FockSpace:
     chans = [(i, lam) for i in ms.mode_labels() for lam in lams]
     return build_fock(chans, n_max, dim_cap=dim_cap, max_total=max_total)
 
@@ -567,8 +570,7 @@ def suite_gauge_hiding(config: SuiteConfig) -> VerificationReport:
 
     ms = config.grid or _default_grid()
     fs = _capped_grid_space(ms, (0, 1, 2, 3), config)
-    constraints = cons.gb_constraints(ms, fs, None)
-    subspace = cons.physical_subspace(fs, constraints, tol=1e-10, dim_cap=config.dim_cap)
+    subspace = cons.gb_physical_subspace(ms, fs, config.dim_cap)
     spin, spin_obs = (ops.lift_family(fs, name, ms) for name in ("spin_total", "spin_obs"))
     entries = cons.verify_gauge_hiding(fs, subspace, spin, spin_obs, rng=rng)
     asserted = [
@@ -712,13 +714,13 @@ def suite_counter_rotating(config: SuiteConfig) -> VerificationReport:
     rep = VerificationReport("counter-rotating", _config_echo(config))
     ms = config.grid or _generic_grid()
 
-    fs_spin = _grid_space(ms, (1, 2, 3), 1, config.dim_cap)
+    fs_spin = _grid_space(ms, (1, 2, 3), 1, config.dim_cap, max_total=2)
     cr_spin = ops.counter_rotating_part(ms, fs_spin, "spin")
     rep.add(
         "cr-spin-vanishes", "CR-spin", max_residual(max_abs(m) for m in cr_spin), TIGHT_TOL
     )
 
-    fs_mom = _grid_space(ms, (0, 1, 2, 3), 1, config.dim_cap)
+    fs_mom = _grid_space(ms, (0, 1, 2, 3), 1, config.dim_cap, max_total=2)
     cr_mom = ops.counter_rotating_part(ms, fs_mom, "momentum")
     rep.add(
         "cr-momentum-vanishes",

@@ -2,9 +2,14 @@
 
 Random `--grid`, `--shell` and `--tol` text and random config-file bodies
 drive `--suite dirac`, the cheapest suite, through `photonam.cli.main`.  The
-exit code must be 0, 1 or 2 and no exception may escape.
+exit code must be 0, 1 or 2 and no exception may escape.  Random grids closed
+under negation drive the five grid-reading suites, which must pass every
+check or refuse the grid with exit code 2.
 """
 
+import contextlib
+import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -68,3 +73,45 @@ def test_cli_returns_exit_code_for_any_input(grid, shell, tol, config):
             cfg.write_text(config)
             argv += ["--config", str(cfg)]
         assert main(argv) in (0, 1, 2)
+
+
+GRID_SUITES = (
+    "canonical-commutators",
+    "observable-commutators",
+    "decomposition-compare",
+    "gauge-hiding",
+    "counter-rotating",
+)
+
+
+@st.composite
+def _closed_grid_text(draw):
+    """Inline grids of 1-4 wave vectors and their negations (2-8 modes)."""
+    half = draw(
+        st.lists(
+            st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3), min_size=1, max_size=4
+        )
+    )
+    vectors = half + [[-c for c in v] for v in half]
+    return ";".join(",".join(repr(c) for c in v) for v in vectors)
+
+
+@settings(max_examples=25, deadline=None)
+@given(grid=_closed_grid_text())
+def test_cli_every_accepted_grid_runs(grid):
+    # an accepted grid runs on every grid-reading suite with every check
+    # passing; a refused one exits 2 with one `error:` line
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report.json"
+        for suite in GRID_SUITES:
+            err = io.StringIO()
+            # `--grid=` keeps a grid that starts with "-" from parsing as a flag
+            argv = ["--suite", suite, f"--grid={grid}", "--format", "json", "--out", str(out)]
+            with contextlib.redirect_stderr(err):
+                code = main(argv)
+            if code == 2:
+                assert err.getvalue().startswith("error: ")
+                assert err.getvalue().count("\n") == 1
+                continue
+            assert code == 0, (suite, grid, out.read_text())
+            assert json.loads(out.read_text())["summary"]["failed"] == 0

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -395,10 +398,15 @@ def test_cli_dirac_honours_dim_cap(capsys):
 
 
 FOUR_MODE_GRID = "0,0,1;0,0,-1;1,0,0;-1,0,0"
+EIGHT_MODE_GRID = (
+    "0,0,1;0,0,-1;1,0,0;-1,0,0;0.6,0.8,0;-0.6,-0.8,0;0.3,-0.4,1.2;-0.3,0.4,-1.2"
+)
 
 
 def test_cli_dense_constraint_stack_over_dim_cap_exit_2(capsys, monkeypatch):
-    # 4 modes x 4 polarizations at --nmax 3: 969 states, a 3876 x 969 dense stack
+    # the grid kernel is read off the occupation table, so the only matrices
+    # densified are one-mode constraints: the pair's and the xi pathway's, at
+    # most 9 x 9
     toarray = _CSR.toarray
     densified = []
 
@@ -408,22 +416,58 @@ def test_cli_dense_constraint_stack_over_dim_cap_exit_2(capsys, monkeypatch):
         return toarray(self)
 
     monkeypatch.setattr(_CSR, "toarray", small_dense_only)
+    # 4 modes x 4 polarizations at --nmax 3: 969 states, a 969 x 455 kernel basis
     argv = ["--suite", "gauge-hiding", "--grid", FOUR_MODE_GRID, "--nmax", "3"]
-    assert main(argv) == 2
-    # the suite densified its small blocks through the patched method
-    assert densified
+    assert main(argv + ["--format", "json"]) == 0
+    parsed = json.loads(capsys.readouterr().out)
+    assert parsed["summary"] == {"total": 10, "passed": 10, "failed": 0}
+    assert densified and max(map(max, densified)) <= 9
+    # 8 modes at --nmax 3: 6545 states, so a 6545 x 2925 basis is refused
+    # before it is allocated; the whole run stays below one complex vector of
+    # dim_cap amplitudes
+    tracemalloc.start()
+    try:
+        code = main(["--suite", "gauge-hiding", "--grid", EIGHT_MODE_GRID, "--nmax", "3"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 16 << 20
     err = capsys.readouterr().err
-    assert err.startswith(
-        "error: dense constraint stack 3876 x 969 = 3755844 elements exceeds cap 1048576"
+    assert err == (
+        "error: kernel basis 6545 x 2925 = 19144125 elements exceeds cap 1048576\n"
     )
-    assert "Traceback" not in err
 
 
 def test_cli_gauge_hiding_four_mode_grid_passes(capsys):
-    # capped at total occupation 2: 153 states, a 612 x 153 constraint stack
+    # capped at total occupation 2: 153 states, a 153 x 91 kernel basis
     assert main(["--suite", "gauge-hiding", "--grid", FOUR_MODE_GRID, "--format", "json"]) == 0
     parsed = json.loads(capsys.readouterr().out)
     assert parsed["summary"] == {"total": 10, "passed": 10, "failed": 0}
+
+
+@pytest.mark.parametrize(
+    "suite",
+    [
+        "canonical-commutators",
+        "observable-commutators",
+        "decomposition-compare",
+        "gauge-hiding",
+        "counter-rotating",
+    ],
+)
+def test_cli_eight_mode_grid_passes(suite, tmp_path):
+    assert main(["--suite", suite, "--grid", EIGHT_MODE_GRID, "--out", str(tmp_path / "r")]) == 0
+
+
+def test_cli_report_to_redirected_stdout(tmp_path):
+    argv = ["--suite", "counter-rotating", "--format", "json"]
+    captured = io.StringIO()
+    with contextlib.redirect_stdout(captured):
+        assert main(argv) == 0
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert captured.getvalue().encode() == out.read_bytes()
 
 
 def test_cli_unwritable_output_exit_2(tmp_path, capsys):
@@ -490,16 +534,20 @@ assert not loaded, loaded
 def test_all_json_bytes_do_not_depend_on_blas_threads():
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    outputs = []
-    for threads in ("1", "2"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "photonam", "--suite", "all", "--seed", "0", "--format", "json"],
-            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
-            capture_output=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1]
+    for argv in (
+        ["--suite", "all"],
+        ["--suite", "gauge-hiding", "--grid", FOUR_MODE_GRID],
+    ):
+        outputs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "photonam", *argv, "--seed", "0", "--format", "json"],
+                env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
+                capture_output=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1], argv
 
 
 def test_cli_run_imports_no_scipy(tmp_path):

@@ -12,7 +12,7 @@ from .fock import (
     creator,
     expectation,
     indefinite_inner,
-    lift_bilinear,
+    lift_forms,
     metric_operator,
 )
 from .modes import (
@@ -50,7 +50,7 @@ __all__ = [
     "fields",
     "fock",
     "indefinite_inner",
-    "lift_bilinear",
+    "lift_forms",
     "metric_operator",
     "modes",
     "operators",

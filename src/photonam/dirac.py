@@ -5,7 +5,7 @@ quantum per channel, every sign +1, and ladders and lifts in the
 Jordan-Wigner convention with channel 0 leftmost in the tensor product, so a
 creator on channel j carries the parity string of channels 0..j-1.  This
 fixes every matrix uniquely and keeps anticommutators exact.  The lift is
-`fock.lift_bilinear`, the same as for photons.
+`fock.lift_forms`, the same as for photons.
 
 A fermion-number cap (`build_fermion_fock(..., max_total=N)`) keeps the
 states with at most N fermions.  Every lift conserves fermion number, so the

@@ -54,10 +54,10 @@ Sparse storage
 --------------
 `OperatorMatrix.mat` is a `_CSR`: a complex matrix in compressed-sparse-row
 order, its entries sorted by (row, col) without duplicates.  Each entry keeps
-its row and column beside its value; the row pointers are built the first
-time the matrix is the right factor of a product.  Sums and differences keep
-an entry only where the result is nonzero, as do products; negation and
-scalar multiples keep the pattern.
+its row and column beside its value; the start and length of each row are
+built the first time the matrix is the right factor of a product.  Sums and
+differences keep an entry only where the result is nonzero, as do products
+and commutators; negation and scalar multiples keep the pattern.
 
 Every entry of a product adds its terms in increasing inner index k,
 starting from 0: the row-wise order of SMMP (Bank & Douglas, Adv. Comput.
@@ -67,6 +67,19 @@ sum rounded on its own, and the fold is `np.bincount` on the real and
 imaginary parts, which adds in input order (`np.sum` and `np.add.reduceat`
 switch to pairwise summation above 8 terms).  So residuals agree with a
 scipy.sparse evaluation bit for bit.
+
+`commutator(a, b, c)` = [a, b] - c is one pass: the terms of A B and of B A
+(the generator `__matmul__` uses) and the entries of C are grouped by one
+sort onto their union pattern, each product is folded on its own there as
+above, and A B - B A - C is taken entry by entry.  So every entry equals
+the one a scipy.sparse `A @ B - B @ A - C` stores.
+
+`lift_forms` lifts a stack of forms on one space in one pass.  The forms
+share the union of their off-diagonal patterns, the (pair, source state)
+entries that admit each move, the ranks of the target states, the
+amplitude factors sqrt(n_a + 1) sqrt(n_b) and one sort of the (row, col)
+keys; per form only its amplitudes and the entries where M[a, b] != 0 are
+taken.
 """
 
 from __future__ import annotations
@@ -272,13 +285,15 @@ def _fold(labels: np.ndarray, re: np.ndarray, im: np.ndarray, n: int) -> np.ndar
 
 def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct keys, and for each input key the index of its own."""
-    order = np.argsort(keys, kind="stable")
+    order = keys.argsort(kind="stable")
     ordered = keys[order]
     first = np.empty(keys.size, dtype=bool)
     first[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    rank = first.cumsum()
+    rank -= 1
     labels = np.empty(keys.size, dtype=np.intp)
-    labels[order] = np.cumsum(first) - 1
+    labels[order] = rank
     return ordered[first], labels
 
 
@@ -323,8 +338,8 @@ class _CSR:
         if drop_zeros and not data.all():
             keep = data != 0
             keys, data = keys[keep], data[keep]
-        rows = keys // shape[1]
-        return cls(data, rows, keys - rows * shape[1], shape)
+        rows, cols = np.divmod(keys, shape[1])
+        return cls(data, rows, cols, shape)
 
     @property
     def nnz(self) -> int:
@@ -390,23 +405,51 @@ class _CSR:
         (dim x r) array, giving an array."""
         if not isinstance(other, _CSR):
             return self._apply(np.asarray(other))
+        keys, re, im = self._terms(other)
+        keys, labels = _group(keys)
+        sums = _fold(labels, re, im, keys.size)
+        return _CSR._from_keys((self.shape[0], other.shape[1]), keys, sums)
+
+    def commutator(self, other: "_CSR", minus: "_CSR | None" = None) -> "_CSR":
+        """self @ other - other @ self - minus (minus None: 0) of square
+        matrices of one shape, in one grouping of the terms of both products
+        and the entries of minus; each product is folded on its own."""
+        if self.shape != other.shape or self.shape[0] != self.shape[1]:
+            raise DimensionMismatch(f"no commutator of {self.shape} and {other.shape}")
+        keys_ab, *ab = self._terms(other)
+        keys_ba, *ba = other._terms(self)
+        parts = [keys_ab, keys_ba]
+        if minus is not None:
+            if minus.shape != self.shape:
+                raise DimensionMismatch(f"shapes {self.shape} and {minus.shape} differ")
+            parts.append(minus._keys())
+        keys, labels = _group(np.concatenate(parts))
+        n_ab, n_terms = keys_ab.size, keys_ab.size + keys_ba.size
+        out = _fold(labels[:n_ab], *ab, keys.size)
+        out -= _fold(labels[n_ab:n_terms], *ba, keys.size)
+        if minus is not None:
+            scattered = np.zeros(keys.size, dtype=complex)
+            scattered[labels[n_terms:]] = minus.data
+            out -= scattered
+        return _CSR._from_keys(self.shape, keys, out)
+
+    def _terms(self, other: "_CSR") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Keys row * n_cols + col and real and imaginary parts of the terms
+        of self @ other: one per (entry (i, j) of self, entry (j, k) of other
+        row j), in the order of self's entries, so per (i, k) increasing j."""
         if self.shape[1] != other.shape[0]:
             raise DimensionMismatch(f"cannot multiply {self.shape} by {other.shape}")
         if other._ptr is None:
-            other._ptr = np.searchsorted(other._rows, np.arange(other.shape[0] + 1))
-        n_cols = other.shape[1]
-        # one term per (entry (i, j) of self, entry (j, k) of other row j),
-        # in the order of self's entries: per (i, k), increasing j
-        start = other._ptr[self._cols]
-        count = other._ptr[self._cols + 1] - start
-        ends = np.cumsum(count)
+            ptr = np.searchsorted(other._rows, np.arange(other.shape[0] + 1))
+            other._ptr = (ptr[:-1], ptr[1:] - ptr[:-1])
+        start, count = (row[self._cols] for row in other._ptr)
+        ends = count.cumsum()
         total = int(ends[-1]) if ends.size else 0
-        right = np.repeat(start - ends + count, count)
+        right = (start - ends + count).repeat(count)
         right += np.arange(total)
-        keys, labels = _group(np.repeat(self._rows * n_cols, count) + other._cols[right])
-        re, im = _products(np.repeat(self.data, count), other.data[right])
-        sums = _fold(labels, re, im, keys.size)
-        return _CSR._from_keys((self.shape[0], n_cols), keys, sums)
+        keys = (self._rows * other.shape[1]).repeat(count) + other._cols[right]
+        re, im = _products(self.data.repeat(count), other.data[right])
+        return keys, re, im
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         if x.ndim not in (1, 2) or x.shape[0] != self.shape[1]:
@@ -546,8 +589,9 @@ class QuadraticForm:
         return QuadraticForm(m, self.signs)
 
 
-def lift_bilinear(fs: FockSpace, form: QuadraticForm) -> OperatorMatrix:
-    """Normal-ordered lift sum_{ab} creator_a M[a,b] annihilator_b.
+def lift_forms(fs: FockSpace, forms) -> tuple[OperatorMatrix, ...]:
+    """Normal-ordered lifts sum_{ab} creator_a M[a,b] annihilator_b of a
+    stack of forms M over the space's channels, in its channel signs.
 
     Each nonzero M[a,b] moves one quantum from channel b to channel a in
     every state with n_b > 0 (and n_a < n_max when a != b), with amplitude
@@ -555,47 +599,65 @@ def lift_bilinear(fs: FockSpace, form: QuadraticForm) -> OperatorMatrix:
     lowering.  On a fermionic space each off-diagonal entry also carries the
     parity of the channels strictly between a and b.
 
-    The off-diagonal entries are built in one vectorized pass: the nonzeros
-    of the (pairs x dim) mask of states that admit the move give every
-    (pair, source state), pair-major, and one `locate` ranks all targets.
-    Distinct moves from one source reach distinct targets, none of them the
-    source, so every off-diagonal entry has its own (row, col): no value is
-    a sum, and each equals the one the per-pair loop computed.  Diagonal
-    terms are summed per channel, in the order of M's nonzeros.
+    The off-diagonal entries of the whole stack come from one pass over the
+    union of its off-diagonal patterns: the nonzeros of the (pairs x dim)
+    mask of states that admit the move give every (pair, source state),
+    pair-major, and the targets are ranked column by column from the source
+    rows, the moved quantum added as a per-pair step.  Distinct moves from
+    one source reach distinct targets, none of them the source, so every
+    off-diagonal entry has its own (row, col), and one sort of the keys
+    orders every form's entries and diagonal.  Per form, the entries where
+    M[a,b] != 0 are kept, each the value the per-pair loop computes;
+    diagonal terms are summed per channel in increasing channel order.
     """
-    m = form.matrix
     n_ch = len(fs.channels)
-    if m.shape != (n_ch, n_ch):
-        raise DimensionMismatch(f"form is {m.shape}, space has {n_ch} channels")
-    if form.signs != fs.signs:
-        raise DimensionMismatch("form channel signs disagree with the space")
-    occ = fs.occ.T
-    a, b = np.nonzero(m)
-    on = a == b
-    diag = np.zeros(fs.dim, dtype=complex)
-    for j in a[on]:
-        src = np.nonzero(occ[j])[0]
-        root = np.sqrt(occ[j, src], dtype=float)
-        # sqrt(n) * sqrt(n), not n: the entry equals the ladder product's
-        diag[src] += (m[j, j] * fs.signs[j] * root) * root
-    a, b = a[~on], b[~on]
-    coef = m[a, b] * np.array(fs.signs)[a]
-    pair, src = np.nonzero((occ > 0)[b] & (occ < fs.n_max)[a])
-    a, b = a[pair], b[pair]
-    amp = (coef[pair] * np.sqrt(occ[a, src] + 1.0)) * np.sqrt(occ[b, src], dtype=float)
+    ms = np.asarray(forms, dtype=complex)
+    if ms.ndim != 3 or ms.shape[1:] != (n_ch, n_ch):
+        raise DimensionMismatch(f"forms are {ms.shape[1:]}, space has {n_ch} channels")
+    dim, occ = fs.dim, fs.occ.T
+    occupied, roots, signs = occ > 0, np.sqrt(occ, dtype=float), np.array(fs.signs)
+    nonzero = ms != 0
+    union = nonzero.any(axis=0)
+    on = union.diagonal().nonzero()[0]
+    diags = np.zeros((len(ms), dim), dtype=complex)
+    for j, weight in zip(on.tolist(), (ms[:, on, on] * signs[on]).T):
+        # sqrt(n) * sqrt(n), not n: the entry equals the ladder product's;
+        # added only where n > 0, so a non-finite M[j, j] touches no other state
+        term = (weight[:, None] * roots[j]) * roots[j]
+        np.add(diags, term, out=diags, where=occupied[j])
+    on_diag = diags.any(axis=0).nonzero()[0]
+    np.fill_diagonal(union, False)
+    a, b = union.nonzero()
+    pair, src = (occupied[b] & (occ < fs.n_max)[a]).nonzero()
+    root_a = np.sqrt(occ[a[pair], src] + 1.0)
+    root_b = roots[b[pair], src]
+    step = np.zeros((n_ch, a.size), dtype=np.intp)
+    step[a, np.arange(a.size)] = 1
+    step[b, np.arange(a.size)] = -1
+    # target ranks sum_j _ranks[j, p_j], p_j the target's running prefix sum
+    # over channels 0..j, taken column by column from the source rows
+    prefix = np.zeros(src.size, dtype=np.intp)
+    targets = np.zeros(src.size, dtype=np.intp)
+    for j in range(n_ch):
+        prefix += occ[j, src]
+        prefix += step[j, pair]
+        targets += fs._ranks[j, prefix]
+    rows, cols = np.concatenate([targets, on_diag]), np.concatenate([src, on_diag])
+    order = (rows * dim + cols).argsort(kind="stable")
+    keeps = np.concatenate([nonzero[:, a, b][:, pair], diags[:, on_diag] != 0], axis=1)[:, order]
+    coef = ms[:, a, b] * signs[a]
+    parity = None
     if fs.fermionic:
-        amp *= _jw_parity(fs, src, np.minimum(a, b), np.maximum(a, b))
-    moved, rows = fs.occ[src].astype(int), np.arange(src.size)
-    moved[rows, a] += 1
-    moved[rows, b] -= 1
-    on_diag = np.nonzero(diag)[0]
-    mat = _CSR.from_entries(
-        np.concatenate([amp, diag[on_diag]]),
-        np.concatenate([fs.locate(moved), on_diag]),
-        np.concatenate([src, on_diag]),
-        (fs.dim, fs.dim),
-    )
-    return OperatorMatrix(fs, mat)
+        parity = _jw_parity(fs, src, np.minimum(a, b)[pair], np.maximum(a, b)[pair])
+    lifted = []
+    for c, diag, keep in zip(coef, diags, keeps):
+        amp = (c[pair] * root_a) * root_b
+        if parity is not None:
+            amp *= parity
+        sel = order[keep]
+        data = np.concatenate([amp, diag[on_diag]])[sel]
+        lifted.append(OperatorMatrix(fs, _CSR(data, rows[sel], cols[sel], (dim, dim))))
+    return tuple(lifted)
 
 
 def indefinite_inner(fs: FockSpace, phi: np.ndarray, psi: np.ndarray) -> complex:
@@ -614,8 +676,14 @@ def expectation(fs: FockSpace, op: OperatorMatrix, psi: np.ndarray) -> complex:
     return indefinite_inner(fs, psi, op @ psi) / denom
 
 
-def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    return a @ b - b @ a
+def commutator(
+    a: OperatorMatrix, b: OperatorMatrix, c: OperatorMatrix | None = None
+) -> OperatorMatrix:
+    """[a, b] - c, or [a, b] without c, in one pass (`_CSR.commutator`)."""
+    a._check(b)
+    if c is not None:
+        a._check(c)
+    return OperatorMatrix(a.space, a.mat.commutator(b.mat, None if c is None else c.mat))
 
 
 def max_abs(op: OperatorMatrix | np.ndarray) -> float:

@@ -57,11 +57,11 @@ from .fock import (
     DEFAULT_DIM_CAP,
     FockSpace,
     OperatorMatrix,
-    QuadraticForm,
     _CSR,
+    _products,
     annihilator,
     creator,
-    lift_bilinear,
+    lift_forms,
 )
 from .modes import (
     CartesianGrid,
@@ -134,49 +134,62 @@ def _label_factors(key, ms: ModeSet | None, n_labels: int, n_comp: int):
     return tuple(np.diag(_mode_weight(key, comp, *arrays)) for comp in range(n_comp))
 
 
-def family_matrices(channels, name: str, ms: ModeSet | None = None) -> tuple[np.ndarray, ...]:
-    """Channel matrices of the family `FORMS[name]`, one per component.
+def family_matrices(channels, name: str, ms: ModeSet | None = None) -> np.ndarray:
+    """Channel matrices of the family `FORMS[name]`, one per component, as
+    one (components x channels x channels) array.
 
     `channels` are (label, index) pairs.  Each term adds its label factor
-    times its matrix over the second index, entry by entry in term order.
-    The labels are the mode set's, or without one those of the channels,
-    where only identity factors occur.  ChannelMismatch if a factor needs a
-    mode set of another kind or a needed channel is absent, and
-    DimensionCapExceeded before allocating one of over DEFAULT_DIM_CAP entries.
+    times its matrix over the second index, entry by entry in term order:
+    one lookup table maps (label, index) to a channel, and each term is
+    added to every component with one fancy-indexed `+=` (its entries are
+    distinct), every product formed as `fock._products` does.  The labels
+    are the mode set's, or without one those of the channels, where only
+    identity factors occur.  ChannelMismatch if a factor needs a mode set of
+    another kind or a needed channel is absent (the first one in term,
+    component and row-major entry order), and DimensionCapExceeded before
+    allocating one of over DEFAULT_DIM_CAP entries.
     """
     terms = FORMS[name]
     n_ch = len(channels)
     if n_ch * n_ch > DEFAULT_DIM_CAP:
         raise DimensionCapExceeded(f"{n_ch} x {n_ch} forms exceed cap {DEFAULT_DIM_CAP} entries")
-    index = {ch: i for i, ch in enumerate(channels)}
     if ms is None:
         labels = tuple(dict.fromkeys(label for label, _ in channels))
     else:
         labels = ms.mode_labels()
+    position = {label: i for i, label in enumerate(labels)}
+    width = max(len(lams[0]) for _, lams in terms)
+    table = np.full((len(labels), width), -1, dtype=np.intp)
+    for index, (label, second) in enumerate(channels):
+        if label in position and 0 <= second < width:
+            table[position[label], second] = index
     n_comp = len(terms[0][1])
-    out = [np.zeros((n_ch, n_ch), dtype=complex) for _ in range(n_comp)]
+    out = np.zeros((n_comp, n_ch, n_ch), dtype=complex)
     for key, lams in terms:
-        for m, factor, lam in zip(out, _label_factors(key, ms, len(labels), n_comp), lams):
-            orb = np.asarray(factor, dtype=complex)
-            lam = np.asarray(lam, dtype=complex)
-            for ci, di in np.argwhere(orb).tolist():
-                for l1, l2 in np.argwhere(lam).tolist():
-                    try:
-                        a, b = index[(labels[ci], l1)], index[(labels[di], l2)]
-                    except KeyError as exc:
-                        raise ChannelMismatch(f"channel {exc.args[0]!r} not in space") from None
-                    m[a, b] += orb[ci, di] * lam[l1, l2]
-    return tuple(out)
+        orb = np.asarray(_label_factors(key, ms, len(labels), n_comp), dtype=complex)
+        lam = np.asarray(lams, dtype=complex)
+        # every (component, label pair, index pair) with both factors nonzero,
+        # in component, row-major label and row-major index order
+        both = (orb != 0)[:, :, :, None, None] & (lam != 0)[:, None, None]
+        c, ci, di, l1, l2 = both.nonzero()
+        a, b = table[ci, l1], table[di, l2]
+        missing = np.minimum(a, b) < 0
+        if missing.any():
+            p = missing.argmax()
+            label, second = (ci[p], l1[p]) if a[p] < 0 else (di[p], l2[p])
+            raise ChannelMismatch(f"channel {(labels[label], int(second))!r} not in space")
+        values = np.empty(c.size, dtype=complex)
+        values.real, values.imag = _products(orb[c, ci, di], lam[c, l1, l2])
+        out[c, a, b] += values
+    return out
 
 
 def lift_family(fs: FockSpace, name: str, ms: ModeSet | None = None) -> tuple[OperatorMatrix, ...]:
     """Lifted components of the family `FORMS[name]`: grid, shell or Dirac,
     on the space's channels (`family_matrices`).  A channel the space lacks
-    raises ChannelMismatch; one the family does not touch lifts as zero."""
-    return tuple(
-        lift_bilinear(fs, QuadraticForm(m, fs.signs))
-        for m in family_matrices(fs.channels, name, ms)
-    )
+    raises ChannelMismatch; one the family does not touch lifts as zero.
+    The components are lifted as one stack (`fock.lift_forms`)."""
+    return lift_forms(fs, family_matrices(fs.channels, name, ms))
 
 
 def mode_blocks(name: str, omega, ks, frames) -> np.ndarray:

@@ -66,7 +66,7 @@ from .fock import (
     expectation,
     identity_operator,
     indefinite_inner,
-    lift_bilinear,
+    lift_forms,
     max_abs,
     max_residual,
     metric_operator,
@@ -200,7 +200,7 @@ def _claim_residuals(claim: str, a, b, structure: int = 1) -> list[float]:
         return [max_abs(commutator(a[i], a[j])) for i, j, _ in EPS_PAIRS]
     if claim in (ops.MUTUAL_COMMUTE, ops.MUTUAL_NONCOMMUTING):
         return [max_abs(commutator(x, y)) for x in a for y in b]
-    return [max_abs(commutator(a[i], a[j]) - structure * 1j * b[k]) for i, j, k in EPS_PAIRS]
+    return [max_abs(commutator(a[i], a[j], structure * 1j * b[k])) for i, j, k in EPS_PAIRS]
 
 
 def _claim_checks(rep: VerificationReport, rows, lifted: dict, tol: float) -> None:
@@ -320,10 +320,10 @@ def suite_canonical(config: SuiteConfig) -> VerificationReport:
 def _bcr_checks(rep: VerificationReport, config: SuiteConfig) -> None:
     fs = build_fock([("k", 1), ("k", 0), ("q", 2)], 2, dim_cap=config.dim_cap)
     ident = identity_operator(fs)
-    comm_t = commutator(annihilator(fs, ("k", 1)), creator(fs, ("k", 1)))
-    rep.add("bcr-transverse", "BCR1", _edge_safe(comm_t - ident), TIGHT_TOL)
-    comm_s = commutator(annihilator(fs, ("k", 0)), creator(fs, ("k", 0)))
-    rep.add("bcr-scalar", "BCR1", _edge_safe(comm_s + ident), TIGHT_TOL)
+    comm_t = commutator(annihilator(fs, ("k", 1)), creator(fs, ("k", 1)), ident)
+    rep.add("bcr-transverse", "BCR1", _edge_safe(comm_t), TIGHT_TOL)
+    comm_s = commutator(annihilator(fs, ("k", 0)), creator(fs, ("k", 0)), -ident)
+    rep.add("bcr-scalar", "BCR1", _edge_safe(comm_s), TIGHT_TOL)
     cross = commutator(annihilator(fs, ("k", 1)), creator(fs, ("q", 2)))
     rep.add("bcr-cross-channel", "BCR1", max_abs(cross), TIGHT_TOL)
     aa = commutator(annihilator(fs, ("k", 1)), annihilator(fs, ("k", 0)))
@@ -374,11 +374,9 @@ def _lift_homomorphism_residual(rng: SeededRng, pairs: int, dim_cap: int) -> flo
         shape = (n_ch, n_ch)
         m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         n = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        qm = QuadraticForm(m, fs.signs)
-        qn = QuadraticForm(n, fs.signs)
-        lhs = commutator(lift_bilinear(fs, qm), lift_bilinear(fs, qn))
-        rhs = lift_bilinear(fs, qm.bracket(qn))
-        residuals.append(max_abs(lhs - rhs))
+        bracket = QuadraticForm(m, fs.signs).bracket(QuadraticForm(n, fs.signs))
+        lm, ln, lmn = lift_forms(fs, (m, n, bracket.matrix))
+        residuals.append(max_abs(commutator(lm, ln, lmn)))
     return max_residual(residuals)
 
 

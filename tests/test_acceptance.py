@@ -21,7 +21,7 @@ from photonam.fock import (
     creator,
     expectation,
     indefinite_inner,
-    lift_bilinear,
+    lift_forms,
     max_abs,
     QuadraticForm,
 )
@@ -149,9 +149,8 @@ def test_criterion_5_bilinear_lift_oracle():
         idx = fs.bounded_indices(n_max - 1)
         m = rng.normal(size=(n_ch, n_ch)) + 1j * rng.normal(size=(n_ch, n_ch))
         n = rng.normal(size=(n_ch, n_ch)) + 1j * rng.normal(size=(n_ch, n_ch))
-        qm, qn = QuadraticForm(m, fs.signs), QuadraticForm(n, fs.signs)
-        lhs = commutator(lift_bilinear(fs, qm), lift_bilinear(fs, qn))
-        rhs = lift_bilinear(fs, qm.bracket(qn))
+        mn = QuadraticForm(m, fs.signs).bracket(QuadraticForm(n, fs.signs))
+        lhs, rhs = commutator(*lift_forms(fs, [m, n])), lift_forms(fs, [mn.matrix])[0]
         worst = max(worst, max_abs(compress(lhs - rhs, idx)))
     _line(5, worst <= 1e-12, f"20 random pairs, worst residual {worst:.3e}")
 

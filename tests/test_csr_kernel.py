@@ -1,7 +1,8 @@
 """The private CSR kernel against scipy.sparse as an oracle.
 
 Every operation must give the same dense result and the same stored pattern
-as scipy.sparse, bit for bit: products add their terms in the same order.
+as scipy.sparse, bit for bit: products add their terms in the same order,
+and the one-pass commutator [A, B] - C stores what `A @ B - B @ A - C` does.
 """
 
 import math
@@ -13,7 +14,15 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from photonam.errors import DimensionMismatch
-from photonam.fock import _CSR, OperatorMatrix, build_fock, identity_operator, max_abs, max_residual
+from photonam.fock import (
+    _CSR,
+    OperatorMatrix,
+    build_fock,
+    commutator,
+    identity_operator,
+    max_abs,
+    max_residual,
+)
 from photonam.operators import ALG_SU2
 from photonam.suites import _claim_residuals
 
@@ -81,6 +90,32 @@ def test_products_match_scipy(inner, density):
         np.testing.assert_array_equal(got, sa @ x)
 
 
+@pytest.mark.parametrize("n", [1, 5, 30])
+@pytest.mark.parametrize("density", [0.0, 0.2, 0.7])
+def test_commutator_kernel_matches_scipy(n, density):
+    rng = np.random.default_rng(n * 10 + int(10 * density))
+    a, sa = random_pair(rng, (n, n), density)
+    b, sb = random_pair(rng, (n, n), density)
+    c, sc = random_pair(rng, (n, n), density)
+    assert_same(a.commutator(b), sa @ sb - sb @ sa)
+    assert_same(a.commutator(b, c), sa @ sb - sb @ sa - sc)
+    assert_same(b.commutator(a, b), sb @ sa - sa @ sb - sb)
+    # exact cancellation: [A, A] and [A, B] - [A, B] store nothing
+    assert a.commutator(a).nnz == (sa @ sa - sa @ sa).nnz == 0
+    assert a.commutator(b, a.commutator(b)).nnz == 0
+
+
+def test_commutator_folds_long_rows_in_scipy_order():
+    rng = np.random.default_rng(8)
+    a, sa = random_pair(rng, (40, 40), 1.0)
+    scale = (10.0 ** rng.integers(-8, 8, size=40)).astype(complex)
+    b = _CSR.diagonal(scale) @ random_pair(rng, (40, 40), 1.0)[0]
+    sb = sparse.csr_matrix(b.toarray())
+    c, sc = random_pair(rng, (40, 40), 0.5)
+    assert_same(a.commutator(b), sa @ sb - sb @ sa)
+    assert_same(a.commutator(b, c), sa @ sb - sb @ sa - sc)
+
+
 def test_long_rows_fold_in_scipy_order():
     # rows of 40 terms: pairwise summation (used by np.sum above 8 terms)
     # would round differently from the sequential fold
@@ -111,8 +146,12 @@ def test_empty_and_zero_rows():
         assert_same(x + a, sx + sa)
         assert_same(x.conj_transpose(), sx.conj().T)
         np.testing.assert_array_equal(x @ np.ones(4), sx @ np.ones(4))
+        assert_same(x.commutator(a), sx @ sa - sa @ sx)
+        assert_same(a.commutator(x, x), sa @ sx - sx @ sa - sx)
+        assert_same(x.commutator(x, a), sx @ sx - sx @ sx - sa)
     four = build_fock([("k", 1), ("q", 1)], 1)
     assert empty.nnz == 0 and max_abs(OperatorMatrix(four, empty)) == 0.0
+    assert empty.commutator(empty, empty).nnz == 0
 
 
 def test_exact_cancellation_drops_entries_like_scipy():
@@ -153,6 +192,12 @@ def test_nan_and_inf_reach_max_abs():
     assert math.isinf(max_abs(inf))
     assert math.isinf(max_abs(ident @ inf))
     assert math.isnan(max_abs(inf - inf))
+    # the one-pass commutator carries a poisoned factor or subtrahend through
+    assert math.isnan(max_abs(commutator(ident, nan)))
+    assert math.isnan(max_abs(commutator(nan, ident, ident)))
+    assert math.isnan(max_abs(commutator(ident, ident, nan)))
+    assert math.isnan(max_abs(commutator(ident, inf)))
+    assert math.isinf(max_abs(commutator(ident, ident, inf)))
     # a poisoned operator triple is never a small su(2) residual
     triple = (ident, ident, nan)
     assert math.isnan(max_residual(_claim_residuals(ALG_SU2, triple, triple)))
@@ -166,6 +211,12 @@ def test_array_operands_are_refused():
         a @ np.ones(4)
     with pytest.raises(DimensionMismatch):
         a @ _CSR.diagonal(np.ones(4))
+    with pytest.raises(DimensionMismatch):
+        a.commutator(_CSR.diagonal(np.ones(4)))
+    with pytest.raises(DimensionMismatch):
+        a.commutator(a, _CSR.diagonal(np.ones(4)))
+    with pytest.raises(DimensionMismatch):
+        _CSR.from_entries([1.0], [0], [0], (3, 2)).commutator(_CSR.from_entries([], [], [], (3, 2)))
 
 
 entries = st.lists(
@@ -201,3 +252,15 @@ def test_kernel_matches_scipy_on_random_entries(left, right):
     assert_same(a.conj_transpose() @ b, sa.conj().T @ sb)
     x = np.arange(5) - 2.5j
     np.testing.assert_array_equal(a @ x, sa @ x)
+
+
+@settings(deadline=None, max_examples=60)
+@given(entries, entries, entries)
+def test_commutator_kernel_matches_scipy_on_random_entries(left, right, third):
+    a, sa = _pair_from(left)
+    b, sb = _pair_from(right)
+    c, sc = _pair_from(third)
+    assert_same(a.commutator(b), sa @ sb - sb @ sa)
+    assert_same(a.commutator(b, c), sa @ sb - sb @ sa - sc)
+    assert_same(a.commutator(b, a), sa @ sb - sb @ sa - sa)
+    assert a.commutator(b, a.commutator(b)).nnz == 0

@@ -9,11 +9,10 @@ from photonam.dirac import build_fermion_fock, spinor_matrices, spinor_orbital_c
 from photonam.errors import ChannelMismatch, DimensionMismatch, UnknownChannel
 from photonam.fock import (
     OperatorMatrix,
-    QuadraticForm,
     annihilator,
     build_fock,
     creator,
-    lift_bilinear,
+    lift_forms,
     max_abs,
 )
 from photonam.modes import SphericalShell, orbital_matrices, shell_channels
@@ -28,7 +27,7 @@ def dense(mat):
 
 
 def lift(ffs, m):
-    return lift_bilinear(ffs, QuadraticForm(m, ffs.signs))
+    return lift_forms(ffs, [m])[0]
 
 
 def dirac_families(ffs, l_max):
@@ -110,7 +109,7 @@ def test_fermionic_lift_homomorphism_brute_force():
 def test_fermionic_lift_shape_guard():
     ffs = build_fermion_fock([("a", 0)])
     with pytest.raises(DimensionMismatch):
-        lift_bilinear(ffs, QuadraticForm(np.zeros((2, 2)), (1, 1)))
+        lift_forms(ffs, [np.zeros((2, 2))])
 
 
 def test_dirac_angular_momentum_algebra():

@@ -25,7 +25,7 @@ from photonam.fock import (
     expectation,
     identity_operator,
     indefinite_inner,
-    lift_bilinear,
+    lift_forms,
     max_abs,
     metric_diagonal,
     metric_operator,
@@ -176,8 +176,8 @@ def test_capped_operators_restrict_product_space():
         m = rng.normal(size=(n_ch, n_ch)) + 1j * rng.normal(size=(n_ch, n_ch))
         m[rng.random(size=m.shape) < 0.3] = 0.0
         np.testing.assert_array_equal(
-            lift_bilinear(fs, QuadraticForm(m, fs.signs)).to_dense(),
-            lift_bilinear(full, QuadraticForm(m, full.signs)).to_dense()[block],
+            lift_forms(fs, [m])[0].to_dense(),
+            lift_forms(full, [m])[0].to_dense()[block],
         )
 
 
@@ -272,7 +272,7 @@ def test_lift_matches_dense_reference():
     fs = build_fock([("k", 1), ("k", 0)], 2)
     rng = np.random.default_rng(5)
     m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    lifted = lift_bilinear(fs, QuadraticForm(m, fs.signs)).to_dense()
+    lifted = lift_forms(fs, [m])[0].to_dense()
     lowers, raisers = dense_ladders(2, 2, fs.signs)
     expected = sum(
         m[a, b] * raisers[a] @ lowers[b] for a in range(2) for b in range(2)
@@ -282,7 +282,7 @@ def test_lift_matches_dense_reference():
 
 def test_lift_number_operator_eigenvalues():
     fs = build_fock([("k", 1), ("k", 2)], 2)
-    number = lift_bilinear(fs, QuadraticForm(np.eye(2), fs.signs))
+    number = lift_forms(fs, [np.eye(2)])[0]
     expected = fs.occ[:, 0] + fs.occ[:, 1]
     np.testing.assert_allclose(
         np.sort(np.linalg.eigvalsh(number.to_dense())), np.sort(expected), atol=1e-13
@@ -299,9 +299,8 @@ def test_lift_commutator_homomorphism_random_pairs():
         idx = fs.bounded_indices(n_max - 1)
         m = rng.normal(size=(n_ch, n_ch)) + 1j * rng.normal(size=(n_ch, n_ch))
         n = rng.normal(size=(n_ch, n_ch)) + 1j * rng.normal(size=(n_ch, n_ch))
-        qm, qn = QuadraticForm(m, fs.signs), QuadraticForm(n, fs.signs)
-        lhs = commutator(lift_bilinear(fs, qm), lift_bilinear(fs, qn))
-        rhs = lift_bilinear(fs, qm.bracket(qn))
+        mn = QuadraticForm(m, fs.signs).bracket(QuadraticForm(n, fs.signs))
+        lhs, rhs = commutator(*lift_forms(fs, [m, n])), lift_forms(fs, [mn.matrix])[0]
         assert max_abs(compress(lhs - rhs, idx)) <= 1e-12
 
 
@@ -369,10 +368,45 @@ def test_lift_bit_identical_to_per_pair_loop(kind):
     rng = np.random.default_rng(11)
     for fs in _lift_spaces(rng):
         form = QuadraticForm(_random_form(rng, len(fs.channels), kind), fs.signs)
-        got = lift_bilinear(fs, form).mat.entries()
+        got = lift_forms(fs, [form.matrix])[0].mat.entries()
         want = per_pair_lift(fs, form).entries()
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+
+def _form_stack(rng, n_ch, pattern):
+    """Three random complex forms whose nonzero patterns are disjoint,
+    overlapping, (pattern "zero") partly and wholly empty, or carry a NaN
+    and an inf."""
+    forms = [_random_form(rng, n_ch, "dense") for _ in range(3)]
+    if pattern == "non-finite":
+        forms[0][0, 0] = np.nan
+        forms[2][n_ch - 1, 0] = np.inf
+    elif pattern == "disjoint":
+        owner = rng.integers(0, 4, size=(n_ch, n_ch))  # 3: no form
+        for f, m in enumerate(forms):
+            m[owner != f] = 0.0
+    elif pattern == "zero":
+        forms[0][:] = 0.0
+        forms[2][:] = 0.0
+        return [forms, [np.zeros((n_ch, n_ch))] * 2]
+    return [forms]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("pattern", ["disjoint", "overlapping", "zero", "non-finite"])
+def test_stacked_lift_bit_identical_to_per_pair_loop(pattern):
+    # bosonic, capped and fermionic spaces; every form of a stack is lifted
+    # as if alone, down to the bytes of rows, columns and values
+    rng = np.random.default_rng(13)
+    for fs in _lift_spaces(rng):
+        for forms in _form_stack(rng, len(fs.channels), pattern):
+            lifted = lift_forms(fs, forms)
+            assert len(lifted) == len(forms)
+            for op, m in zip(lifted, forms):
+                want = per_pair_lift(fs, QuadraticForm(m, fs.signs)).entries()
+                for g, w in zip(op.mat.entries(), want):
+                    assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 def test_lift_disjoint_channels_commute():
@@ -383,8 +417,8 @@ def test_lift_disjoint_channels_commute():
     n = np.zeros((4, 4), dtype=complex)
     n[2:, 2:] = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     lhs = commutator(
-        lift_bilinear(fs, QuadraticForm(m, fs.signs)),
-        lift_bilinear(fs, QuadraticForm(n, fs.signs)),
+        lift_forms(fs, [m])[0],
+        lift_forms(fs, [n])[0],
     )
     assert max_abs(lhs) <= 1e-13
 
@@ -402,8 +436,8 @@ def test_truncation_edge_reported_not_clean():
 def test_commutator_antisymmetry_random_sparse():
     fs = build_fock([("k", 1), ("q", 0)], 2)
     rng = np.random.default_rng(3)
-    a = lift_bilinear(fs, QuadraticForm(rng.normal(size=(2, 2)), fs.signs))
-    b = lift_bilinear(fs, QuadraticForm(rng.normal(size=(2, 2)), fs.signs))
+    a = lift_forms(fs, [rng.normal(size=(2, 2))])[0]
+    b = lift_forms(fs, [rng.normal(size=(2, 2))])[0]
     assert max_abs(commutator(a, b) + commutator(b, a)) <= 1e-13
     assert max_abs(commutator(identity_operator(fs), b)) == 0.0
 
@@ -422,7 +456,7 @@ def test_quadratic_form_validation():
         QuadraticForm(np.zeros((2, 2)), (1, 1, 1))
     fs = build_fock([("k", 1)], 1)
     with pytest.raises(DimensionMismatch):
-        lift_bilinear(fs, QuadraticForm(np.zeros((2, 2)), (1, 1)))
+        lift_forms(fs, [np.zeros((2, 2))])
 
 
 @pytest.mark.parametrize("n_ch", range(1, 7))
@@ -443,7 +477,7 @@ def test_fermion_ladders_and_lift_match_jordan_wigner_reference(n_ch):
             for a in range(n_ch)
             for b in range(n_ch)
         )
-        lifted = lift_bilinear(ffs, QuadraticForm(m, ffs.signs))
+        lifted = lift_forms(ffs, [m])[0]
         np.testing.assert_array_equal(lifted.to_dense(), expected)
 
 
@@ -455,7 +489,7 @@ def test_capped_fermion_operators_restrict_full_space(n_ch):
     forms = [
         rng.normal(size=(n_ch, n_ch)) + 1j * rng.normal(size=(n_ch, n_ch)) for _ in range(2)
     ]
-    full_lifts = [lift_bilinear(full, QuadraticForm(m, full.signs)).to_dense() for m in forms]
+    full_lifts = [lift_forms(full, [m])[0].to_dense() for m in forms]
     for cap in range(n_ch + 1):
         keep = np.nonzero(full.total_occupation() <= cap)[0]
         ffs = build_fermion_fock(chans, max_total=cap)
@@ -468,7 +502,7 @@ def test_capped_fermion_operators_restrict_full_space(n_ch):
             )
         for m, lifted in zip(forms, full_lifts):
             np.testing.assert_array_equal(
-                lift_bilinear(ffs, QuadraticForm(m, ffs.signs)).to_dense(), lifted[block]
+                lift_forms(ffs, [m])[0].to_dense(), lifted[block]
             )
 
 

@@ -5,14 +5,13 @@ from photonam import operators as ops
 from photonam.errors import AsymmetricGrid, ChannelMismatch
 from photonam.fock import (
     OperatorMatrix,
-    QuadraticForm,
     annihilator,
     build_fock,
     commutator,
     compress,
     creator,
     expectation,
-    lift_bilinear,
+    lift_forms,
     max_abs,
 )
 from photonam.modes import (
@@ -149,7 +148,7 @@ def test_stokes_algebra_and_identifications():
         assert max_abs(compress(diff, idx)) <= 1e-13
     assert max_abs(sig[1] - ops.lift_family(fs, "helicity", ms)[0]) == 0.0
     # Sigma_0 is the transverse photon number, the identity form on this space
-    sig0 = lift_bilinear(fs, QuadraticForm(np.eye(len(fs.channels)), fs.signs))
+    sig0 = lift_forms(fs, [np.eye(len(fs.channels))])[0]
     two_photon = creator(fs, (0, 1)) @ (creator(fs, (0, 2)) @ fs.vacuum())
     two_photon = two_photon / np.linalg.norm(two_photon)
     assert max_abs((sig0 @ two_photon) - 2.0 * two_photon) <= 1e-14
@@ -431,7 +430,7 @@ def test_family_forms_cover_the_claims_table():
 # entry by entry, then lifted.
 def _per_entry_lift(fs, value):
     m = np.array([[value(a, b) for b in fs.channels] for a in fs.channels], dtype=complex)
-    return lift_bilinear(fs, QuadraticForm(m, fs.signs))
+    return lift_forms(fs, [m])[0]
 
 
 def _reference_orbital(fs, shell, weights):

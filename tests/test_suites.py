@@ -20,11 +20,11 @@ from photonam.fock import (
     compress,
     expectation,
     identity_operator,
-    lift_bilinear,
+    lift_forms,
     max_abs,
     max_residual,
 )
-from photonam.modes import SphericalShell, build_cartesian_modeset
+from photonam.modes import SphericalShell, build_cartesian_modeset, spin_matrices
 from photonam.report import KIND_EQUALITY, KIND_VIOLATION, VerificationReport, render_report
 from photonam.sampling import SeededRng
 from photonam.suites import SUITES, SuiteConfig, run_suite
@@ -155,6 +155,30 @@ def test_nan_operator_triple_fails():
     ]
     assert all(math.isnan(r.residual) and not r.passed for r in rep.checks)
     assert not rep.all_passed
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_nan_form_lifted_as_a_stack_fails_its_claims():
+    # a NaN in one form of a lifted stack reaches every claim that reads it,
+    # through the stacked lift and the one-pass commutator
+    fs = build_fock([("a", 1), ("b", 2), ("c", 3)], 2, max_total=2)
+    spin = spin_matrices()
+    poisoned = [m.copy() for m in spin]
+    poisoned[2][0, 1] = np.nan
+    lifted = {"s": lift_forms(fs, spin), "nan": lift_forms(fs, poisoned)}
+    rows = (
+        ops.ClaimsRow("", "MCR2", (("s", "clean", ops.ALG_SU2),)),
+        ops.ClaimsRow("", "MCR2", (("nan", "su2", ops.ALG_SU2),)),
+        ops.ClaimsRow("", "MCR3", (("s", "a", None), ("nan", "b", None)), ops.MUTUAL_COMMUTE),
+        ops.ClaimsRow("", "J-obs", (("s", "a", None), ("nan", "b", None)), ops.CLOSES_INTO, "into"),
+    )
+    rep = VerificationReport("nan", {})
+    suites._claim_checks(rep, rows, lifted, 1e-10)
+    clean, *poisoned_checks = rep.checks
+    assert clean.check_id == "clean-su2" and clean.passed and clean.residual <= 1e-15
+    assert [r.check_id for r in poisoned_checks] == ["su2-su2", "mutual-commute", "into-closes-into"]
+    assert all(math.isnan(r.residual) and not r.passed for r in poisoned_checks)
+    assert render_report(rep, "text").count(b"FAIL") >= 3
 
 
 CANONICAL_INVENTORY = {
@@ -433,8 +457,8 @@ def _full_space_lift_homomorphism(rng, pairs):
         n = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         qm = QuadraticForm(m, fs.signs)
         qn = QuadraticForm(n, fs.signs)
-        lhs = commutator(lift_bilinear(fs, qm), lift_bilinear(fs, qn))
-        rhs = lift_bilinear(fs, qm.bracket(qn))
+        lhs = commutator(lift_forms(fs, [qm.matrix])[0], lift_forms(fs, [qn.matrix])[0])
+        rhs = lift_forms(fs, [qm.bracket(qn).matrix])[0]
         residuals.append(max_abs(compress(lhs - rhs, fs.bounded_indices(n_max - 1))))
     return max_residual(residuals)
 

@@ -51,7 +51,6 @@ from .fock import (
     max_residual,
     metric_diagonal,
     space_dim,
-    zero_operator,
 )
 from .modes import CartesianGrid, ModeSet, SphericalShell, orbital_matrices
 from .sampling import SeededRng
@@ -232,7 +231,7 @@ def gb_physical_subspace(
 def kernel_certificate(constraints: list[OperatorMatrix], subspace: PhysicalSubspace) -> float:
     """max_v max_C ||C v|| over the kernel basis."""
     return max_residual(
-        np.max(np.linalg.norm(c.mat @ subspace.basis, axis=0), initial=0.0)
+        np.max(np.linalg.norm(c @ subspace.basis, axis=0), initial=0.0)
         for c in constraints
     )
 
@@ -381,17 +380,19 @@ def xi_oam_bilinear(
     decomposition are X(lam=1) + X(lam=2).
     """
     labels = ms.mode_labels()
+    none = np.empty(0, dtype=np.intp)
     out = []
     for row, col in xi_source_coefficients(ms, xi):
         # the ladders of distinct channels and directions have disjoint
-        # patterns, so every entry is one term added to 0
-        total = zero_operator(fs)
+        # patterns, so every entry is one term, a ladder entry times its weight
+        terms = [(none, none, none)]
         for pos, label in enumerate(labels):
             if (label, lam) not in fs.channels:
                 raise ChannelMismatch(f"channel ({label}, {lam}) absent")
-            if row[pos] != 0:
-                total = total + annihilator(fs, (label, lam)) * row[pos]
-            if col[pos] != 0:
-                total = total + creator(fs, (label, lam)) * col[pos]
-        out.append(total)
+            for ladder, weight in ((annihilator, row[pos]), (creator, col[pos])):
+                if weight != 0:
+                    rows, cols, data = ladder(fs, (label, lam)).entries()
+                    terms.append((rows, cols, data * weight))
+        rows, cols, data = (np.concatenate(part) for part in zip(*terms))
+        out.append(OperatorMatrix.from_entries(fs, data, rows, cols))
     return tuple(out)

@@ -52,12 +52,17 @@ lifts alone are exact at any cap.
 
 Sparse storage
 --------------
-`OperatorMatrix.mat` is a `_CSR`: a complex matrix in compressed-sparse-row
-order, its entries sorted by (row, col) without duplicates.  Each entry keeps
-its row and column beside its value; the start and length of each row are
-built the first time the matrix is the right factor of a product.  Sums and
-differences keep an entry only where the result is nonzero, as do products
-and commutators; negation and scalar multiples keep the pattern.
+There is one sparse type, `OperatorMatrix`: a complex (dim x dim) matrix
+bound to its `FockSpace` (as QuTiP's `Qobj` carries its dimensions beside its
+data), in compressed-sparse-row order, its entries sorted by (row, col)
+without duplicates.  Each entry keeps its row and column beside its value;
+the start and length of each row are built the first time the operator is
+the right factor of a product.  Sums and differences keep an entry only
+where the result is nonzero, as do products and commutators; negation and
+scalar multiples keep the pattern.  Every operation between operators makes
+one operand check, on the spaces (the same object, else equal), and raises
+DimensionMismatch otherwise; a vector or (dim x r) block operand of `@` is
+checked for its length.
 
 Every entry of a product adds its terms in increasing inner index k,
 starting from 0: the row-wise order of SMMP (Bank & Douglas, Adv. Comput.
@@ -297,55 +302,61 @@ def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[first], labels
 
 
-class _CSR:
-    """Complex sparse matrix; see "Sparse storage" in the module docstring.
+class OperatorMatrix:
+    """Complex sparse operator on a Fock space; see "Sparse storage" in the
+    module docstring.
 
-    Callers read `nnz`, `data`, `shape`, `toarray()` and `entries()`; the
-    stored arrays are shared between matrices and never written.
+    Callers read `space`, `shape`, `nnz`, `data`, `to_dense()` and
+    `entries()`; the stored arrays are shared between operators and never
+    written.
     """
 
-    __slots__ = ("shape", "data", "_rows", "_cols", "_ptr")
+    __slots__ = ("space", "data", "_rows", "_cols", "_ptr")
     # numpy scalars and arrays defer to the reflected operators below
     __array_ufunc__ = None
 
-    def __init__(self, data: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape: tuple):
-        self.shape = shape
+    def __init__(self, space: FockSpace, data: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+        self.space = space
         self.data = data
         self._rows = rows
         self._cols = cols
         self._ptr = None
 
     @classmethod
-    def from_entries(cls, data, rows, cols, shape: tuple) -> "_CSR":
-        """Matrix with the given entries; duplicates add in input order."""
+    def from_entries(cls, space: FockSpace, data, rows, cols) -> "OperatorMatrix":
+        """Operator with the given entries; duplicates add in input order."""
         data = np.asarray(data, dtype=complex)
-        keys = np.asarray(rows, dtype=np.intp) * shape[1] + np.asarray(cols, dtype=np.intp)
+        keys = np.asarray(rows, dtype=np.intp) * space.dim + np.asarray(cols, dtype=np.intp)
         if np.all(keys[1:] > keys[:-1]):
-            return cls._from_keys(shape, keys, data, drop_zeros=False)
+            return cls._from_keys(space, keys, data, drop_zeros=False)
         keys, labels = _group(keys)
         sums = np.zeros(keys.size, dtype=complex)
         np.add.at(sums, labels, data)
-        return cls._from_keys(shape, keys, sums, drop_zeros=False)
+        return cls._from_keys(space, keys, sums, drop_zeros=False)
 
     @classmethod
-    def diagonal(cls, values: np.ndarray) -> "_CSR":
-        idx = np.arange(values.size)
-        return cls(np.asarray(values, dtype=complex), idx, idx, (values.size, values.size))
+    def diagonal(cls, space: FockSpace, values: np.ndarray) -> "OperatorMatrix":
+        idx = np.arange(space.dim)
+        return cls(space, np.asarray(values, dtype=complex), idx, idx)
 
     @classmethod
-    def _from_keys(cls, shape, keys, data, drop_zeros=True) -> "_CSR":
-        """From sorted distinct keys row * shape[1] + col."""
+    def _from_keys(cls, space, keys, data, drop_zeros=True) -> "OperatorMatrix":
+        """From sorted distinct keys row * dim + col."""
         if drop_zeros and not data.all():
             keep = data != 0
             keys, data = keys[keep], data[keep]
-        rows, cols = np.divmod(keys, shape[1])
-        return cls(data, rows, cols, shape)
+        rows, cols = np.divmod(keys, space.dim)
+        return cls(space, data, rows, cols)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.space.dim, self.space.dim)
 
     @property
     def nnz(self) -> int:
         return self.data.size
 
-    def toarray(self) -> np.ndarray:
+    def to_dense(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=complex)
         out[self._rows, self._cols] += self.data
         return out
@@ -354,74 +365,75 @@ class _CSR:
         """(rows, cols, data) of the stored entries in row-major order."""
         return self._rows, self._cols, self.data
 
-    def conj_transpose(self) -> "_CSR":
+    def conj_transpose(self) -> "OperatorMatrix":
         order = np.argsort(self._cols, kind="stable")
-        return _CSR(
-            self.data[order].conj(), self._cols[order], self._rows[order], self.shape[::-1]
+        return OperatorMatrix(
+            self.space, self.data[order].conj(), self._cols[order], self._rows[order]
         )
 
-    def restrict(self, indices: np.ndarray) -> "_CSR":
-        """Block of a square matrix on the rows and columns `indices`, in
-        their order."""
-        pos = np.full(self.shape[0], -1, dtype=np.intp)
-        pos[indices] = np.arange(len(indices))
-        rows, cols = pos[self._rows], pos[self._cols]
-        keep = (rows >= 0) & (cols >= 0)
-        n = len(indices)
-        return _CSR.from_entries(self.data[keep], rows[keep], cols[keep], (n, n))
+    def metric_adjoint(self) -> "OperatorMatrix":
+        """eta O^H eta, entry for entry."""
+        eta = metric_diagonal(self.space)
+        rows, cols, data = self.conj_transpose().entries()
+        return OperatorMatrix(self.space, data * eta[rows] * eta[cols], rows, cols)
+
+    def _check(self, other: "OperatorMatrix") -> None:
+        """The one operand check of every operator-against-operator operation."""
+        if self.space is not other.space and self.space != other.space:
+            raise DimensionMismatch("operators live on different spaces")
 
     def _keys(self) -> np.ndarray:
-        return self._rows * self.shape[1] + self._cols
+        return self._rows * self.space.dim + self._cols
 
-    def _combine(self, other: "_CSR", op) -> "_CSR":
+    def _combine(self, other: "OperatorMatrix", op) -> "OperatorMatrix":
         """op(self, other) on the union pattern, a missing entry read as 0."""
-        if self.shape != other.shape:
-            raise DimensionMismatch(f"shapes {self.shape} and {other.shape} differ")
+        self._check(other)
         keys, labels = _group(np.concatenate([self._keys(), other._keys()]))
         left = np.zeros(keys.size, dtype=complex)
         right = np.zeros(keys.size, dtype=complex)
         left[labels[: self.nnz]] = self.data
         right[labels[self.nnz :]] = other.data
-        return _CSR._from_keys(self.shape, keys, op(left, right))
+        return OperatorMatrix._from_keys(self.space, keys, op(left, right))
 
-    def __add__(self, other: "_CSR") -> "_CSR":
+    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         return self._combine(other, np.add)
 
-    def __sub__(self, other: "_CSR") -> "_CSR":
+    def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         return self._combine(other, np.subtract)
 
-    def __neg__(self) -> "_CSR":
-        return _CSR(-self.data, self._rows, self._cols, self.shape)
+    def __neg__(self) -> "OperatorMatrix":
+        return OperatorMatrix(self.space, -self.data, self._rows, self._cols)
 
-    def __mul__(self, scalar) -> "_CSR":
+    def __mul__(self, scalar) -> "OperatorMatrix":
         if np.ndim(scalar) != 0:
             return NotImplemented
-        return _CSR(self.data * scalar, self._rows, self._cols, self.shape)
+        return OperatorMatrix(self.space, self.data * scalar, self._rows, self._cols)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
-        """Product with a `_CSR`, giving a `_CSR`, or with a vector or a
-        (dim x r) array, giving an array."""
-        if not isinstance(other, _CSR):
+        """Product with an operator, giving an operator, or with a vector or
+        a (dim x r) array, giving an array."""
+        if not isinstance(other, OperatorMatrix):
             return self._apply(np.asarray(other))
+        self._check(other)
         keys, re, im = self._terms(other)
         keys, labels = _group(keys)
         sums = _fold(labels, re, im, keys.size)
-        return _CSR._from_keys((self.shape[0], other.shape[1]), keys, sums)
+        return OperatorMatrix._from_keys(self.space, keys, sums)
 
-    def commutator(self, other: "_CSR", minus: "_CSR | None" = None) -> "_CSR":
-        """self @ other - other @ self - minus (minus None: 0) of square
-        matrices of one shape, in one grouping of the terms of both products
-        and the entries of minus; each product is folded on its own."""
-        if self.shape != other.shape or self.shape[0] != self.shape[1]:
-            raise DimensionMismatch(f"no commutator of {self.shape} and {other.shape}")
+    def commutator(
+        self, other: "OperatorMatrix", minus: "OperatorMatrix | None" = None
+    ) -> "OperatorMatrix":
+        """self @ other - other @ self - minus (minus None: 0), in one
+        grouping of the terms of both products and the entries of minus;
+        each product is folded on its own."""
+        self._check(other)
         keys_ab, *ab = self._terms(other)
         keys_ba, *ba = other._terms(self)
         parts = [keys_ab, keys_ba]
         if minus is not None:
-            if minus.shape != self.shape:
-                raise DimensionMismatch(f"shapes {self.shape} and {minus.shape} differ")
+            self._check(minus)
             parts.append(minus._keys())
         keys, labels = _group(np.concatenate(parts))
         n_ab, n_terms = keys_ab.size, keys_ab.size + keys_ba.size
@@ -431,89 +443,41 @@ class _CSR:
             scattered = np.zeros(keys.size, dtype=complex)
             scattered[labels[n_terms:]] = minus.data
             out -= scattered
-        return _CSR._from_keys(self.shape, keys, out)
+        return OperatorMatrix._from_keys(self.space, keys, out)
 
-    def _terms(self, other: "_CSR") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Keys row * n_cols + col and real and imaginary parts of the terms
-        of self @ other: one per (entry (i, j) of self, entry (j, k) of other
+    def _terms(self, other: "OperatorMatrix") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Keys row * dim + col and real and imaginary parts of the terms of
+        self @ other: one per (entry (i, j) of self, entry (j, k) of other
         row j), in the order of self's entries, so per (i, k) increasing j."""
-        if self.shape[1] != other.shape[0]:
-            raise DimensionMismatch(f"cannot multiply {self.shape} by {other.shape}")
+        dim = self.space.dim
         if other._ptr is None:
-            ptr = np.searchsorted(other._rows, np.arange(other.shape[0] + 1))
+            ptr = np.searchsorted(other._rows, np.arange(dim + 1))
             other._ptr = (ptr[:-1], ptr[1:] - ptr[:-1])
         start, count = (row[self._cols] for row in other._ptr)
         ends = count.cumsum()
         total = int(ends[-1]) if ends.size else 0
         right = (start - ends + count).repeat(count)
         right += np.arange(total)
-        keys = (self._rows * other.shape[1]).repeat(count) + other._cols[right]
+        keys = (self._rows * dim).repeat(count) + other._cols[right]
         re, im = _products(self.data.repeat(count), other.data[right])
         return keys, re, im
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim not in (1, 2) or x.shape[0] != self.shape[1]:
+        dim = self.space.dim
+        if x.ndim not in (1, 2) or x.shape[0] != dim:
             raise DimensionMismatch(f"cannot multiply {self.shape} by {x.shape}")
         x = x.astype(complex, copy=False)
         if x.ndim == 1:
-            return _fold(self._rows, *_products(self.data, x[self._cols]), self.shape[0])
+            return _fold(self._rows, *_products(self.data, x[self._cols]), dim)
         width = x.shape[1]
         labels = (self._rows[:, None] * width + np.arange(width)).ravel()
         re, im = _products(self.data[:, None], x[self._cols])
-        out = _fold(labels, re.ravel(), im.ravel(), self.shape[0] * width)
-        return out.reshape(self.shape[0], width)
-
-
-@dataclass(frozen=True, eq=False)
-class OperatorMatrix:
-    """Sparse operator bound to its Fock space (for metric-adjoint bookkeeping)."""
-
-    space: FockSpace
-    mat: _CSR
-
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._check(other)
-        return OperatorMatrix(self.space, self.mat + other.mat)
-
-    def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._check(other)
-        return OperatorMatrix(self.space, self.mat - other.mat)
-
-    def __neg__(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.space, -self.mat)
-
-    def __mul__(self, scalar) -> "OperatorMatrix":
-        return OperatorMatrix(self.space, self.mat * scalar)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        if isinstance(other, OperatorMatrix):
-            self._check(other)
-            return OperatorMatrix(self.space, self.mat @ other.mat)
-        return self.mat @ other
-
-    def _check(self, other: "OperatorMatrix") -> None:
-        if self.space is not other.space and self.space != other.space:
-            raise DimensionMismatch("operators live on different spaces")
-
-    def metric_adjoint(self) -> "OperatorMatrix":
-        eta = metric_diagonal(self.space)
-        adj = self.mat.conj_transpose()
-        rows, cols, data = adj.entries()
-        scaled = _CSR(data * eta[rows] * eta[cols], rows, cols, adj.shape)
-        return OperatorMatrix(self.space, scaled)
-
-    def to_dense(self) -> np.ndarray:
-        return self.mat.toarray()
-
-
-def zero_operator(fs: FockSpace) -> OperatorMatrix:
-    return OperatorMatrix(fs, _CSR.from_entries([], [], [], (fs.dim, fs.dim)))
+        out = _fold(labels, re.ravel(), im.ravel(), dim * width)
+        return out.reshape(dim, width)
 
 
 def identity_operator(fs: FockSpace) -> OperatorMatrix:
-    return OperatorMatrix(fs, _CSR.diagonal(np.ones(fs.dim)))
+    return OperatorMatrix.diagonal(fs, np.ones(fs.dim))
 
 
 def _jw_parity(fs: FockSpace, src: np.ndarray, lo, hi) -> np.ndarray:
@@ -526,7 +490,7 @@ def _jw_parity(fs: FockSpace, src: np.ndarray, lo, hi) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _lowering(fs: FockSpace, position: int) -> _CSR:
+def _lowering(fs: FockSpace, position: int) -> OperatorMatrix:
     n = fs.occ[:, position]
     src = np.nonzero(n)[0]
     lowered = fs.occ[src].astype(int)
@@ -534,18 +498,18 @@ def _lowering(fs: FockSpace, position: int) -> _CSR:
     data = np.sqrt(n[src], dtype=float).astype(complex)
     if fs.fermionic:
         data *= _jw_parity(fs, src, -1, position)
-    return _CSR.from_entries(data, fs.locate(lowered), src, (fs.dim, fs.dim))
+    return OperatorMatrix.from_entries(fs, data, fs.locate(lowered), src)
 
 
 def annihilator(fs: FockSpace, channel) -> OperatorMatrix:
     """Standard lowering matrix on the channel's factor."""
-    return OperatorMatrix(fs, _lowering(fs, fs.index_of(channel)))
+    return _lowering(fs, fs.index_of(channel))
 
 
 def creator(fs: FockSpace, channel) -> OperatorMatrix:
     """Metric-adjoint creation operator (sign-flipped on the scalar channel)."""
     j = fs.index_of(channel)
-    return OperatorMatrix(fs, fs.signs[j] * _lowering(fs, j).conj_transpose())
+    return fs.signs[j] * _lowering(fs, j).conj_transpose()
 
 
 @lru_cache(maxsize=None)
@@ -558,7 +522,7 @@ def metric_diagonal(fs: FockSpace) -> np.ndarray:
 
 
 def metric_operator(fs: FockSpace) -> OperatorMatrix:
-    return OperatorMatrix(fs, _CSR.diagonal(metric_diagonal(fs)))
+    return OperatorMatrix.diagonal(fs, metric_diagonal(fs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -649,6 +613,8 @@ def lift_forms(fs: FockSpace, forms) -> tuple[OperatorMatrix, ...]:
     parity = None
     if fs.fermionic:
         parity = _jw_parity(fs, src, np.minimum(a, b)[pair], np.maximum(a, b)[pair])
+    # free the per-entry scratch before the per-form loop allocates its arrays
+    del prefix, step, targets, occupied, roots, union
     lifted = []
     for c, diag, keep in zip(coef, diags, keeps):
         amp = (c[pair] * root_a) * root_b
@@ -656,7 +622,7 @@ def lift_forms(fs: FockSpace, forms) -> tuple[OperatorMatrix, ...]:
             amp *= parity
         sel = order[keep]
         data = np.concatenate([amp, diag[on_diag]])[sel]
-        lifted.append(OperatorMatrix(fs, _CSR(data, rows[sel], cols[sel], (dim, dim))))
+        lifted.append(OperatorMatrix(fs, data, rows[sel], cols[sel]))
     return tuple(lifted)
 
 
@@ -679,17 +645,14 @@ def expectation(fs: FockSpace, op: OperatorMatrix, psi: np.ndarray) -> complex:
 def commutator(
     a: OperatorMatrix, b: OperatorMatrix, c: OperatorMatrix | None = None
 ) -> OperatorMatrix:
-    """[a, b] - c, or [a, b] without c, in one pass (`_CSR.commutator`)."""
-    a._check(b)
-    if c is not None:
-        a._check(c)
-    return OperatorMatrix(a.space, a.mat.commutator(b.mat, None if c is None else c.mat))
+    """[a, b] - c, or [a, b] without c, in one pass (`OperatorMatrix.commutator`)."""
+    return a.commutator(b, c)
 
 
 def max_abs(op: OperatorMatrix | np.ndarray) -> float:
     """Largest absolute entry; the residual norm used throughout the suites.
     NaN if any entry is NaN."""
-    arr = op.mat.data if isinstance(op, OperatorMatrix) else np.asarray(op)
+    arr = op.data if isinstance(op, OperatorMatrix) else np.asarray(op)
     return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 
@@ -702,6 +665,14 @@ def max_residual(residuals) -> float:
 
 
 def compress(op: OperatorMatrix, indices: np.ndarray) -> np.ndarray:
-    """Dense restriction of the operator to the given basis indices."""
-    return op.mat.restrict(indices).toarray()
+    """Dense restriction of the operator to the given basis indices, in
+    their order: the kept entries scattered into the (n x n) block."""
+    n = len(indices)
+    pos = np.full(op.space.dim, -1, dtype=np.intp)
+    pos[indices] = np.arange(n)
+    rows, cols = pos[op._rows], pos[op._cols]
+    keep = (rows >= 0) & (cols >= 0)
+    out = np.zeros((n, n), dtype=complex)
+    out[rows[keep], cols[keep]] += op.data[keep]
+    return out
 

@@ -57,7 +57,6 @@ from .fock import (
     DEFAULT_DIM_CAP,
     FockSpace,
     OperatorMatrix,
-    _CSR,
     _products,
     annihilator,
     creator,
@@ -224,7 +223,7 @@ def _pair_entries(fs: FockSpace, c1, c2, cc_sign: int):
     sqrt(n) factors.  The terms move the total occupation by -2 and +2, so
     their patterns are disjoint.
     """
-    rows, cols, data = (annihilator(fs, c1) @ annihilator(fs, c2)).mat.entries()
+    rows, cols, data = (annihilator(fs, c1) @ annihilator(fs, c2)).entries()
     sign = cc_sign * fs.signs[fs.index_of(c1)] * fs.signs[fs.index_of(c2)]
     return (
         np.concatenate([rows, cols]),
@@ -237,16 +236,16 @@ def _ordered_sums(fs: FockSpace, terms) -> tuple[OperatorMatrix, ...]:
     """sum_t scale_t * (w_t[comp] * M_t) for comp = 0, 1, 2, from `terms` of
     (scale, w, COO entries of M_t with each position at most once).
 
-    `_CSR.from_entries` adds the entries at one position in input order,
-    starting from 0: every entry is the same fold as a chain of sparse
-    scalings and additions, without a sparse matrix per step.
+    `OperatorMatrix.from_entries` adds the entries at one position in input
+    order, starting from 0: every entry is the same fold as a chain of
+    sparse scalings and additions, without a sparse matrix per step.
     """
     rows = np.concatenate([rows for _, _, (rows, _, _) in terms])
     cols = np.concatenate([cols for _, _, (_, cols, _) in terms])
 
     def component(comp: int) -> OperatorMatrix:
         data = np.concatenate([scale * (w[comp] * data) for scale, w, (_, _, data) in terms])
-        return OperatorMatrix(fs, _CSR.from_entries(data, rows, cols, (fs.dim, fs.dim)))
+        return OperatorMatrix.from_entries(fs, data, rows, cols)
 
     return tuple(component(comp) for comp in range(3))
 
@@ -302,10 +301,9 @@ def _l_pure_s_bracket(ms: CartesianGrid, fs: FockSpace) -> tuple[OperatorMatrix,
             # two explicit products: on a space capped in total occupation,
             # a_3 creator_lam is not the adjoint of creator_3 a_lam (its
             # creator acts first and can leave the space)
-            rot = (creator(fs, (i, 3)) @ annihilator(fs, (i, lam))).mat - (
-                annihilator(fs, (i, 3)) @ creator(fs, (i, lam))
-            ).mat
-            terms.append((omega, frame_curl(ms.modes[i], lam), rot.entries()))
+            up = creator(fs, (i, 3)) @ annihilator(fs, (i, lam))
+            down = annihilator(fs, (i, 3)) @ creator(fs, (i, lam))
+            terms.append((omega, frame_curl(ms.modes[i], lam), (up - down).entries()))
             # (-curl at -k) (cc - aa) = (curl at -k) (aa - cc), bit for bit
             cross = _pair_entries(fs, (i, 3), (j, lam), -1)
             terms.append((omega, frame_curl(ms.modes[j], lam), cross))

@@ -17,7 +17,6 @@ from photonam.errors import (
 )
 from photonam.fock import (
     OperatorMatrix,
-    _CSR,
     annihilator,
     build_fock,
     creator,
@@ -133,7 +132,7 @@ def test_dense_constraint_stack_over_dim_cap_raises():
 
 def _whole_stack_kernel(constraints, tol=1e-10):
     """Reference: kernel of the dense stacked constraints."""
-    stack = np.vstack([c.mat.toarray() for c in constraints])
+    stack = np.vstack([c.to_dense() for c in constraints])
     _, sigma, vh = np.linalg.svd(stack, full_matrices=False)
     return vh[sigma < tol].conj().T
 
@@ -259,8 +258,7 @@ class _OneMode:
 
 def test_tolerance_gap_guard():
     fs = build_fock([("k", 1), ("k", 2)], 1)
-    diag = _CSR.diagonal(np.array([1e-8, 1e-6, 1.0, 1.0]))
-    fake = [OperatorMatrix(fs, diag)]
+    fake = [OperatorMatrix.diagonal(fs, np.array([1e-8, 1e-6, 1.0, 1.0]))]
     with pytest.raises(ToleranceAmbiguous):
         cons.physical_subspace(fs, fake, tol=1e-7)
 
@@ -362,7 +360,7 @@ def test_nan_residual_propagates_through_reductions():
     sub = cons.physical_subspace(fs, constraint, tol=1e-10)
     rows, cols = np.indices((fs.dim, fs.dim)).reshape(2, -1)
     nans = np.full(rows.size, np.nan + 0j)
-    poisoned = OperatorMatrix(fs, _CSR.from_entries(nans, rows, cols, (fs.dim, fs.dim)))
+    poisoned = OperatorMatrix.from_entries(fs, nans, rows, cols)
     assert math.isnan(cons.kernel_certificate(constraint + [poisoned], sub))
 
     ms = build_cartesian_modeset([(0.0, 0.0, 1.0)])

@@ -206,8 +206,8 @@ def _reference_oam(ffs, l_max):
 
 def _same_entries(a, b):
     """Entry-for-entry equality of two sparse matrices without densifying."""
-    return a.mat.shape == b.mat.shape and all(
-        np.array_equal(x, y) for x, y in zip(a.mat.entries(), b.mat.entries(), strict=True)
+    return a.shape == b.shape and all(
+        np.array_equal(x, y) for x, y in zip(a.entries(), b.entries(), strict=True)
     )
 
 

@@ -1,4 +1,5 @@
 import itertools
+import operator
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from photonam.fock import (
     FockSpace,
     OperatorMatrix,
     QuadraticForm,
-    _CSR,
     _jw_parity,
     _lowering,
     annihilator,
@@ -239,7 +239,7 @@ def test_scalar_norm_and_pairing():
     one = creator(fs, ("k", 0)) @ vac
     assert indefinite_inner(fs, vac, vac) == pytest.approx(1.0)
     assert indefinite_inner(fs, one, one) == pytest.approx(-1.0)
-    pairing = indefinite_inner(fs, vac, (annihilator(fs, ("k", 0)) @ creator(fs, ("k", 0))).mat @ vac)
+    pairing = indefinite_inner(fs, vac, annihilator(fs, ("k", 0)) @ creator(fs, ("k", 0)) @ vac)
     assert pairing == pytest.approx(-1.0)
 
 
@@ -251,8 +251,9 @@ def test_metric_operator_properties():
     n0 = fs.occ[:, 1] + fs.occ[:, 2]
     np.testing.assert_array_equal(diag, np.where(n0 % 2 == 0, 1.0, -1.0))
     for ch in fs.channels:
-        via = eta @ OperatorMatrix(fs, annihilator(fs, ch).mat.conj_transpose()) @ eta
+        via = eta @ annihilator(fs, ch).conj_transpose() @ eta
         assert max_abs(creator(fs, ch) - via) == 0.0
+        assert max_abs(annihilator(fs, ch).metric_adjoint() - via) == 0.0
 
 
 def test_pure_transverse_metric_is_identity():
@@ -331,8 +332,8 @@ def per_pair_lift(fs, form):
     rows.append(on_diag)
     cols.append(on_diag)
     vals.append(diag[on_diag])
-    return _CSR.from_entries(
-        np.concatenate(vals), np.concatenate(rows), np.concatenate(cols), (fs.dim, fs.dim)
+    return OperatorMatrix.from_entries(
+        fs, np.concatenate(vals), np.concatenate(rows), np.concatenate(cols)
     )
 
 
@@ -368,7 +369,7 @@ def test_lift_bit_identical_to_per_pair_loop(kind):
     rng = np.random.default_rng(11)
     for fs in _lift_spaces(rng):
         form = QuadraticForm(_random_form(rng, len(fs.channels), kind), fs.signs)
-        got = lift_forms(fs, [form.matrix])[0].mat.entries()
+        got = lift_forms(fs, [form.matrix])[0].entries()
         want = per_pair_lift(fs, form).entries()
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
@@ -405,7 +406,7 @@ def test_stacked_lift_bit_identical_to_per_pair_loop(pattern):
             assert len(lifted) == len(forms)
             for op, m in zip(lifted, forms):
                 want = per_pair_lift(fs, QuadraticForm(m, fs.signs)).entries()
-                for g, w in zip(op.mat.entries(), want):
+                for g, w in zip(op.entries(), want):
                     assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
@@ -447,6 +448,18 @@ def test_operator_space_mismatch():
     fs2 = build_fock([("k", 1)], 2)
     with pytest.raises(DimensionMismatch):
         commutator(identity_operator(fs1), identity_operator(fs2))
+
+
+def test_operators_on_equal_dimension_spaces_are_refused():
+    # two states each, different channels: only the space check tells them apart
+    k = annihilator(build_fock([("k", 1)], 1), ("k", 1))
+    q = annihilator(build_fock([("q", 1)], 1), ("q", 1))
+    assert k.shape == q.shape
+    for op in (operator.add, operator.sub, operator.matmul, commutator):
+        with pytest.raises(DimensionMismatch):
+            op(k, q)
+    with pytest.raises(DimensionMismatch):
+        commutator(k, k, q)
 
 
 def test_quadratic_form_validation():
@@ -512,4 +525,6 @@ def test_statistics_keep_lowering_cache_entries_apart():
     fermionic = build_fermion_fock(chans)
     assert bosonic.signs == fermionic.signs and bosonic != fermionic
     for j in (1, 2):
-        assert (_lowering(bosonic, j) - _lowering(fermionic, j)).nnz > 0
+        boson, fermion = _lowering(bosonic, j), _lowering(fermionic, j)
+        assert boson.space == bosonic and fermion.space == fermionic
+        assert np.any(boson.to_dense() != fermion.to_dense())

@@ -335,9 +335,9 @@ def reference_counter_rotating(ms, fs, target):
                 else:
                     dot = minkowski_dot(ms.frames[i].four_vector(l1), ms.frames[j].four_vector(l2))
                     w = 0.5 * dot * ms.modes[i].as_array()
-                aa = (annihilator(fs, (i, l1)) @ annihilator(fs, (j, l2))).mat
-                cc = (creator(fs, (i, l1)) @ creator(fs, (j, l2))).mat
-                pair = (aa - cc if target == "spin" else aa + cc).toarray()
+                aa = annihilator(fs, (i, l1)) @ annihilator(fs, (j, l2))
+                cc = creator(fs, (i, l1)) @ creator(fs, (j, l2))
+                pair = (aa - cc if target == "spin" else aa + cc).to_dense()
                 for comp in range(3):
                     if w[comp] != 0:
                         mats[comp] += w[comp] * pair
@@ -352,15 +352,15 @@ def reference_l_pure_s_bracket(ms, fs):
         for lam in (1, 2):
             curl_here = frame_curl(ms.modes[i], lam)
             curl_neg = -frame_curl(ms.modes[j], lam)
-            rot = (creator(fs, (i, 3)) @ annihilator(fs, (i, lam))).mat - (
+            rot = creator(fs, (i, 3)) @ annihilator(fs, (i, lam)) - (
                 annihilator(fs, (i, 3)) @ creator(fs, (i, lam))
-            ).mat
-            cross = (creator(fs, (i, 3)) @ creator(fs, (j, lam))).mat - (
+            )
+            cross = creator(fs, (i, 3)) @ creator(fs, (j, lam)) - (
                 annihilator(fs, (i, 3)) @ annihilator(fs, (j, lam))
-            ).mat
+            )
             for comp in range(3):
                 brackets[comp] += omega * (
-                    curl_here[comp] * rot.toarray() + curl_neg[comp] * cross.toarray()
+                    curl_here[comp] * rot.to_dense() + curl_neg[comp] * cross.to_dense()
                 )
     return brackets
 
@@ -382,7 +382,7 @@ def test_counter_rotating_matches_creator_pair_construction(half, n_max, cap):
         got = ops.counter_rotating_part(ms, fs, target)
         expected = reference_counter_rotating(ms, fs, target)
         for comp in range(3):
-            assert np.array_equal(got[comp].mat.toarray(), expected[comp]), (target, comp)
+            assert np.array_equal(got[comp].to_dense(), expected[comp]), (target, comp)
 
 
 @pytest.mark.parametrize("half, n_max, cap", PAIR_GRIDS)
@@ -392,8 +392,8 @@ def test_l_pure_s_terms_match_creator_pair_construction(half, n_max, cap):
     fs = build_fock(chans, n_max, max_total=cap)
     term1, term2 = ops.l_pure_s_terms(ms, fs)
     for comp, bracket in enumerate(reference_l_pure_s_bracket(ms, fs)):
-        assert np.array_equal(term1[comp].mat.toarray(), 0.5j * bracket)
-        assert np.array_equal(term2[comp].mat.toarray(), -0.5j * bracket)
+        assert np.array_equal(term1[comp].to_dense(), 0.5j * bracket)
+        assert np.array_equal(term2[comp].to_dense(), -0.5j * bracket)
 
 
 @pytest.mark.parametrize("cap", [None, 3])
@@ -409,9 +409,9 @@ def test_pair_entries_sign_on_the_scalar_channel(cap):
             rows, cols, data = ops._pair_entries(fs, c1, c2, cc_sign)
             got = np.zeros((fs.dim, fs.dim), dtype=complex)
             got[rows, cols] = data
-            aa = (annihilator(fs, c1) @ annihilator(fs, c2)).mat
-            cc = (creator(fs, c1) @ creator(fs, c2)).mat
-            assert np.array_equal(got, (aa + cc_sign * cc).toarray())
+            aa = annihilator(fs, c1) @ annihilator(fs, c2)
+            cc = creator(fs, c1) @ creator(fs, c2)
+            assert np.array_equal(got, (aa + cc_sign * cc).to_dense())
 
 
 def test_family_forms_cover_the_claims_table():
@@ -484,7 +484,7 @@ def test_shell_families_match_per_entry_reference(l_max, cap):
             assert isinstance(g, OperatorMatrix)
             assert all(
                 np.array_equal(x, y)
-                for x, y in zip(g.mat.entries(), w.mat.entries(), strict=True)
+                for x, y in zip(g.entries(), w.entries(), strict=True)
             ), name
 
 
@@ -541,7 +541,7 @@ def test_grid_families_match_per_entry_reference(lams):
             w = _per_entry_lift(fs, value)
             assert all(
                 np.array_equal(x, y)
-                for x, y in zip(g.mat.entries(), w.mat.entries(), strict=True)
+                for x, y in zip(g.entries(), w.entries(), strict=True)
             ), name
 
 

@@ -15,7 +15,7 @@ from photonam import fields as flds
 from photonam import operators as ops
 from photonam.cli import main
 from photonam.errors import DimensionCapExceeded, InvalidConfig, UnknownFormat, UnknownSuite
-from photonam.fock import _CSR
+from photonam.fock import OperatorMatrix
 from photonam.modes import SphericalShell
 from photonam.report import (
     KIND_VIOLATION,
@@ -407,15 +407,15 @@ def test_cli_dense_constraint_stack_over_dim_cap_exit_2(capsys, monkeypatch):
     # the grid kernel is read off the occupation table, so the only matrices
     # densified are one-mode constraints: the pair's and the xi pathway's, at
     # most 9 x 9
-    toarray = _CSR.toarray
+    to_dense = OperatorMatrix.to_dense
     densified = []
 
     def small_dense_only(self):
         assert self.shape[0] * self.shape[1] <= 1 << 20, "large dense array allocated"
         densified.append(self.shape)
-        return toarray(self)
+        return to_dense(self)
 
-    monkeypatch.setattr(_CSR, "toarray", small_dense_only)
+    monkeypatch.setattr(OperatorMatrix, "to_dense", small_dense_only)
     # 4 modes x 4 polarizations at --nmax 3: 969 states, a 969 x 455 kernel basis
     argv = ["--suite", "gauge-hiding", "--grid", FOUR_MODE_GRID, "--nmax", "3"]
     assert main(argv + ["--format", "json"]) == 0

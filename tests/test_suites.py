@@ -14,7 +14,6 @@ from photonam.fock import (
     DEFAULT_DIM_CAP,
     OperatorMatrix,
     QuadraticForm,
-    _CSR,
     build_fock,
     commutator,
     compress,
@@ -127,7 +126,7 @@ def test_canonical_respects_custom_shell():
 
 def test_nan_operator_triple_fails():
     fs = build_fock([("k", 1), ("q", 2)], 1)
-    nan = OperatorMatrix(fs, _CSR.from_entries([np.nan], [0], [0], (fs.dim, fs.dim)))
+    nan = OperatorMatrix.from_entries(fs, [np.nan], [0], [0])
     ident = identity_operator(fs)
     lifted = {"one": (ident,) * 3, "nan": (ident, ident, nan), "nan0": (nan, ident, ident)}
     rows = (

@@ -17,9 +17,7 @@ from .fock import (
 )
 from .modes import (
     CartesianGrid,
-    PolarizationFrame,
     SphericalShell,
-    WaveVector,
     build_cartesian_modeset,
     orbital_matrices,
     polarization_frame,
@@ -33,11 +31,9 @@ __all__ = [
     "CartesianGrid",
     "FockSpace",
     "OperatorMatrix",
-    "PolarizationFrame",
     "QuadraticForm",
     "SphericalShell",
     "SuiteConfig",
-    "WaveVector",
     "annihilator",
     "build_cartesian_modeset",
     "build_fock",

@@ -91,14 +91,14 @@ def xi0_from_charge(source: ChargeSource, ms: ModeSet) -> dict:
     weight = length ** 3 / len(rho)
     out = {}
     for i in ms.mode_labels():
-        k = ms.modes[i].as_array()
+        k = ms.ks[i]
         lattice = k * length / (2.0 * math.pi)
         if np.max(np.abs(lattice - np.round(lattice))) > 1e-9:
             raise IncommensurateGrid(
                 f"mode {tuple(k)} is off the reciprocal lattice of box {length}"
             )
         phase = np.exp(-1j * (xyz @ k))
-        out[i] = _xi_prefactor(ms.modes[i].omega) * weight * complex(np.sum(rho * phase))
+        out[i] = _xi_prefactor(float(ms.omega[i])) * weight * complex(np.sum(rho * phase))
     return out
 
 

@@ -8,7 +8,7 @@ class WorkbenchError(Exception):
 class ZeroWaveVector(WorkbenchError):
     """A wave vector or shell radius has omega = |k| zero, NaN or infinite.
 
-    omega must be positive and finite.
+    omega must be positive and finite, and a wave vector's |k|^2 a normal float.
     """
 
 

@@ -36,11 +36,9 @@ import numpy as np
 from .errors import (
     BandLimitViolation,
     ChannelMismatch,
-    DimensionMismatch,
     OffLatticeMode,
-    ZeroWaveVector,
 )
-from .modes import WaveVector, channel_sign, polarization_frame
+from .modes import channel_sign, polarization_frame, wave_vectors
 from .operators import mode_blocks
 
 _LATTICE_TOL = 1e-9
@@ -66,14 +64,10 @@ class ClassicalFieldState:
         for k, lam, alpha in self.amplitudes:
             if lam not in (0, 1, 2, 3):
                 raise ChannelMismatch(f"unknown polarization label {lam!r}")
-            comps = tuple(float(c) for c in k)
-            if len(comps) != 3:
-                raise DimensionMismatch(
-                    f"wave vector needs 3 components, got {len(comps)}"
-                )
-            entries.append((comps, int(lam), complex(alpha)))
-        wave_vectors = tuple(dict.fromkeys(e[0] for e in entries))
-        table = _lattice_table(float(self.box_length), int(self.grid_n), wave_vectors)
+            entries.append((tuple(float(c) for c in k), int(lam), complex(alpha)))
+        # the distinct wave vectors, validated by `modes.wave_vectors`
+        distinct = tuple(dict.fromkeys(e[0] for e in entries))
+        table = _lattice_table(float(self.box_length), int(self.grid_n), distinct)
         object.__setattr__(self, "amplitudes", tuple(entries))
         object.__setattr__(self, "_lattice", table)
 
@@ -101,25 +95,21 @@ class _Lattice:
     matrix exp(i x.k) and the per-mode blocks of each grid family read.  All
     read-only."""
 
-    def __init__(self, box_length: float, grid_n: int, wave_vectors: tuple) -> None:
-        ks = np.array(wave_vectors, dtype=float).reshape(-1, 3)
-        # an overflow to inf, or the NaN of inf - inf, fails the checks below
+    def __init__(self, box_length: float, grid_n: int, rows: tuple) -> None:
+        ks, omega = wave_vectors(rows)
+        # an overflow to inf fails the lattice check
         with np.errstate(over="ignore", invalid="ignore"):
-            omega = np.sqrt(np.sum(ks * ks, axis=1))
             lattice = ks * box_length / (2.0 * math.pi)
             rounded = np.round(lattice)
             off = ~np.all(np.abs(lattice - rounded) <= _LATTICE_TOL, axis=1)
-        if not np.all((omega > 0.0) & (omega < math.inf)):
-            raise ZeroWaveVector("wave vector must be nonzero and finite (omega = |k|)")
         if off.any():
-            raise OffLatticeMode(f"mode {wave_vectors[int(np.argmax(off))]} off the box lattice")
+            raise OffLatticeMode(f"mode {rows[int(np.argmax(off))]} off the box lattice")
         max_index = int(np.max(np.abs(rounded), initial=0.0))
         if grid_n < 2 * max_index + 1:
             raise BandLimitViolation(f"grid N = {grid_n} below band limit {2 * max_index + 1}")
-        frames = [polarization_frame(WaveVector(k)).eps[:, 1:] for k in wave_vectors]
-        self.ks, self.omega, self.frames = ks, omega, np.array(frames).reshape(-1, 4, 3)
-        for arr in (ks, omega, self.frames):
-            arr.setflags(write=False)
+        frames = np.array([polarization_frame(k)[:, 1:] for k in ks]).reshape(-1, 4, 3)
+        frames.setflags(write=False)
+        self.ks, self.omega, self.frames = ks, omega, frames
         self._grid = (box_length, grid_n)
         self._blocks: dict = {}
 

@@ -12,13 +12,21 @@ fixed deterministically:
 * eps(k, 0) = (1, 0, 0, 0)                      (scalar)
 * spatial eps(k, 3) = k / |k|                   (longitudinal)
 * spatial eps(k, 1) = unit(z_hat x k_hat) when |z_hat x k_hat| > 1e-8,
-  otherwise (1, 0, 0)                           (first transverse)
+  otherwise unit(x_hat - (x_hat . k_hat) k_hat), which is (1, 0, 0) on the
+  z axis itself                                 (first transverse)
 * spatial eps(k, 2) = k_hat x eps(k, 1)         (second transverse)
 
 The spatial triad (eps1, eps2, eps3) is right-handed and orthonormal, the
 four-vectors satisfy eps_mu(k, lam) eps^mu(k, lam') = g_{lam lam'} with
 g = diag(+1, -1, -1, -1), and the frame at -k is computed independently by
 the same rule (no relation between eps(k, .) and eps(-k, .) is enforced).
+
+Mode sets
+---------
+A CartesianGrid is the one grid record: per mode the wave vector, omega and
+the frame, as read-only arrays, and the index of the mode's -k.  It is the
+only place a grid is validated (`wave_vectors`) and paired, however it is
+built.  A SphericalShell is one |k| with its orbital channels (l, m).
 
 Channel sign convention: the ladder commutator on a single channel is
 [a, a_dag] = channel_sign(lam) * identity with channel_sign(0) = -1 and
@@ -54,48 +62,26 @@ def spin_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return s1, s2, s3
 
 
-@dataclass(frozen=True)
-class WaveVector:
-    """A nonzero, finite three-component wave vector; omega = |k| in natural
-    units."""
+def wave_vectors(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Validated wave vectors ks (K, 3) and omega = |k| (K,), both read-only.
 
-    components: tuple[float, float, float]
-
-    def __post_init__(self) -> None:
-        comps = tuple(float(c) for c in self.components)
-        if len(comps) != 3:
-            raise DimensionMismatch(f"wave vector needs 3 components, got {len(comps)}")
-        object.__setattr__(self, "components", comps)
-        if not 0.0 < self.omega < math.inf:
-            raise ZeroWaveVector("wave vector must be nonzero and finite (omega = |k|)")
-
-    @property
-    def omega(self) -> float:
-        return math.sqrt(sum(c * c for c in self.components))
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.components, dtype=float)
-
-    def negated(self) -> "WaveVector":
-        return WaveVector(tuple(-c for c in self.components))
-
-
-@dataclass(frozen=True, eq=False)
-class PolarizationFrame:
-    """Four polarization four-vectors, rows lam = 0..3, columns (t, x, y, z)."""
-
-    eps: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.eps, dtype=float)
+    DimensionMismatch for a row without 3 components, ZeroWaveVector for a k
+    whose |k|^2 is zero, subnormal, NaN or infinite.
+    """
+    comps = [tuple(float(c) for c in row) for row in rows]
+    for row in comps:
+        if len(row) != 3:
+            raise DimensionMismatch(f"wave vector needs 3 components, got {len(row)}")
+    ks = np.array(comps, dtype=float).reshape(-1, 3)
+    # an overflow to inf, or a NaN component, fails the check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = np.sum(ks * ks, axis=1)
+    if not np.all((squares >= np.finfo(float).tiny) & (squares < math.inf)):
+        raise ZeroWaveVector("wave vector must be nonzero and finite (omega = |k|)")
+    omega = np.sqrt(squares)
+    for arr in (ks, omega):
         arr.setflags(write=False)
-        object.__setattr__(self, "eps", arr)
-
-    def spatial(self, lam: int) -> np.ndarray:
-        return self.eps[lam, 1:]
-
-    def four_vector(self, lam: int) -> np.ndarray:
-        return self.eps[lam]
+    return ks, omega
 
 
 def _cross(a, b) -> tuple[float, float, float]:
@@ -108,21 +94,25 @@ def _cross(a, b) -> tuple[float, float, float]:
     )
 
 
-def polarization_frame(k: WaveVector) -> PolarizationFrame:
-    """Deterministic frame for k following the module-level rule."""
-    khat = k.as_array() / k.omega
+def polarization_frame(k) -> np.ndarray:
+    """Frame eps(k, lam) of a nonzero wave vector k (3 components) by the
+    module-level rule: rows lam = 0..3, columns (t, x, y, z)."""
+    k = np.asarray(k, dtype=float)
+    khat = k / math.sqrt(sum(c * c for c in k.tolist()))
     zxk = np.array(_cross((0.0, 0.0, 1.0), khat.tolist()))
     norm = np.linalg.norm(zxk)
     if norm > _AXIS_TOL:
         e1 = zxk / norm
     else:
-        e1 = np.array([1.0, 0.0, 0.0])
+        # x_hat less its k_hat part; x_hat itself on the z axis
+        e1 = np.array([1.0, 0.0, 0.0]) - khat[0] * khat
+        e1 = e1 / np.linalg.norm(e1)
     eps = np.zeros((4, 4))
     eps[0, 0] = 1.0
     eps[1, 1:] = e1
     eps[2, 1:] = _cross(khat.tolist(), e1.tolist())
     eps[3, 1:] = khat
-    return PolarizationFrame(eps)
+    return eps
 
 
 def minkowski_dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -130,24 +120,19 @@ def minkowski_dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(a[0] * b[0] - np.dot(a[1:], b[1:]))
 
 
-def frame_curl(k: WaveVector, lam: int, step: float | None = None) -> np.ndarray:
-    """Curl (in k) of the spatial frame field eps(., lam), evaluated at k.
+def frame_curl(k, lam: int) -> np.ndarray:
+    """Curl (in k) of the spatial frame field eps(., lam), evaluated at the
+    nonzero wave vector k (3 components).
 
-    Central finite differences of the deterministic frame rule; `step`
-    defaults to 1e-6 * |k|.  Meaningful only away from the z-axis branch of
-    the rule, which is where the suite evaluates it.
+    Central finite differences of the deterministic frame rule with step
+    1e-6 * |k|.  Meaningful only away from the z-axis branch of the rule,
+    which is where the suite evaluates it.
     """
-    h = step if step is not None else 1e-6 * k.omega
-    base = k.as_array()
-
-    def eps_at(vec: np.ndarray) -> np.ndarray:
-        return polarization_frame(WaveVector(tuple(vec))).spatial(lam)
-
+    base = np.asarray(k, dtype=float)
+    h = 1e-6 * math.sqrt(sum(c * c for c in base.tolist()))
     jac = np.zeros((3, 3))
-    for b in range(3):
-        dv = np.zeros(3)
-        dv[b] = h
-        jac[b] = (eps_at(base + dv) - eps_at(base - dv)) / (2.0 * h)
+    for b, dv in enumerate(h * np.eye(3)):
+        jac[b] = (polarization_frame(base + dv) - polarization_frame(base - dv))[lam, 1:] / (2.0 * h)
     # [curl eps]_a = eps_{abc} d_b eps_c
     return np.array(
         [
@@ -158,35 +143,48 @@ def frame_curl(k: WaveVector, lam: int, step: float | None = None) -> np.ndarray
     )
 
 
-@dataclass(frozen=True, eq=False)
 class CartesianGrid:
-    """Finite set of wave vectors closed under negation, with frames."""
+    """Finite set of wave vectors closed under negation, with frames.
 
-    modes: tuple[WaveVector, ...]
-    frames: tuple[PolarizationFrame, ...]
-    negation: tuple[int, ...]
+    Built from rows of 3 components, validated by `wave_vectors`.  Holds
+    read-only arrays `ks` (K, 3), `omega` (K,) and `frames` (K, 4, 4), rows
+    lam = 0..3 of `polarization_frame` per mode, and `negation`, the index of
+    each mode's -k.  The partner is the mode whose components are exactly the
+    negated ones; DuplicateMode for an empty list, a mode without a partner,
+    and two modes i, j (other than a pair) with k_i within 1e-12 * max(omega_i,
+    omega_j) of k_j or -k_j.
+    """
+
+    def __init__(self, rows) -> None:
+        ks, omega = wave_vectors(rows)
+        if not len(ks):
+            raise DuplicateMode("a grid needs at least one mode")
+        vecs = [tuple(k) for k in ks.tolist()]
+        # the first of equal vectors, so that a repeat is reported as one below
+        index = {k: i for i, k in reversed(list(enumerate(vecs)))}
+        negation = tuple(index.get(tuple(-c for c in k), -1) for k in vecs)
+        if -1 in negation:
+            lone = vecs[negation.index(-1)]
+            raise DuplicateMode(f"mode {lone} has no negation partner in the list")
+        # one row of distances at a time: the list's length is not capped
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, k in enumerate(ks):
+                near = np.minimum(
+                    np.linalg.norm(ks - k, axis=1), np.linalg.norm(ks + k, axis=1)
+                ) <= 1e-12 * np.maximum(omega, omega[i])
+                near[: i + 1] = near[negation[i]] = False
+                if near.any():
+                    j = int(np.argmax(near))
+                    raise DuplicateMode(f"modes {vecs[i]} and {vecs[j]} collide")
+        frames = np.array([polarization_frame(k) for k in ks])
+        frames.setflags(write=False)
+        self.ks, self.omega, self.frames, self.negation = ks, omega, frames, negation
 
     def __len__(self) -> int:
-        return len(self.modes)
+        return len(self.ks)
 
     def mode_labels(self) -> tuple[int, ...]:
-        return tuple(range(len(self.modes)))
-
-    def omega(self, index: int) -> float:
-        return self.modes[index].omega
-
-    def is_negation_closed(self) -> bool:
-        n = len(self.modes)
-        if len(self.negation) != n:
-            return False
-        for i, j in enumerate(self.negation):
-            if not (0 <= j < n) or self.negation[j] != i:
-                return False
-            if not np.allclose(
-                self.modes[j].as_array(), -self.modes[i].as_array(), atol=1e-12
-            ):
-                return False
-        return True
+        return tuple(range(len(self.ks)))
 
 
 @dataclass(frozen=True)
@@ -195,24 +193,20 @@ class SphericalShell:
 
     radius: float
     l_max: int
-    channels: tuple[tuple[int, int], ...] = field(default=())
+    channels: tuple[tuple[int, int], ...] = field(init=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.radius < math.inf:
             raise ZeroWaveVector("shell radius must be positive and finite")
         if self.l_max < 0:
             raise NegativeLmax("l_max must be >= 0")
-        chans = shell_channels(self.l_max)
-        object.__setattr__(self, "channels", chans)
+        object.__setattr__(self, "channels", shell_channels(self.l_max))
 
     def __len__(self) -> int:
         return len(self.channels)
 
     def mode_labels(self) -> tuple[tuple[int, int], ...]:
         return self.channels
-
-    def omega(self, label) -> float:
-        return self.radius
 
 
 ModeSet = CartesianGrid | SphericalShell
@@ -226,32 +220,14 @@ def shell_channels(l_max: int) -> tuple[tuple[int, int], ...]:
 
 
 def build_cartesian_modeset(half_list) -> CartesianGrid:
-    """Complete a half list of wave vectors into a negation-closed grid.
-
-    Each entry of `half_list` may be a WaveVector or a 3-tuple of floats.  The
-    result contains each k and -k exactly once, with frames computed for both
-    independently by the frame rule.
-    """
-    if not half_list:
-        raise DuplicateMode("half_list must be nonempty")
-    half = [k if isinstance(k, WaveVector) else WaveVector(tuple(k)) for k in half_list]
-    for i, ki in enumerate(half):
-        for j in range(i + 1, len(half)):
-            d_same = np.linalg.norm(ki.as_array() - half[j].as_array())
-            d_neg = np.linalg.norm(ki.as_array() + half[j].as_array())
-            if min(d_same, d_neg) <= 1e-12 * max(ki.omega, half[j].omega):
-                raise DuplicateMode(
-                    f"modes {ki.components} and {half[j].components} collide"
-                )
-    modes: list[WaveVector] = []
-    negation: list[int] = []
-    for k in half:
-        modes.append(k)
-        modes.append(k.negated())
-        base = len(modes) - 2
-        negation.extend([base + 1, base])
-    frames = tuple(polarization_frame(k) for k in modes)
-    return CartesianGrid(tuple(modes), frames, tuple(negation))
+    """Complete a half list of wave vectors (3 components each) into the
+    grid k_0, -k_0, k_1, -k_1, ...; the collision rule of `CartesianGrid`
+    refuses a k listed twice or with its negation."""
+    rows = []
+    for k in half_list:
+        k = [float(c) for c in k]
+        rows += [k, [-c for c in k]]
+    return CartesianGrid(rows)
 
 
 def orbital_matrices(l_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -284,17 +260,13 @@ def format_modeset(ms: ModeSet) -> str:
     """Flat text form: one `kx ky kz` line per grid mode, or `shell |k| lmax`."""
     if isinstance(ms, SphericalShell):
         return f"shell {ms.radius!r} {ms.l_max}\n"
-    lines = []
-    for k in ms.modes:
-        lines.append(" ".join(repr(c) for c in k.components))
-    return "\n".join(lines) + "\n"
+    return "".join(" ".join(repr(c) for c in k) + "\n" for k in ms.ks.tolist())
 
 
 def parse_modeset(text: str) -> ModeSet:
     """Inverse of format_modeset.
 
-    Grid input lists every mode (both k and -k); the negation pairing is
-    reconstructed and must cover the list.
+    Grid input lists every mode (both k and -k); `CartesianGrid` pairs them.
     """
     rows = [ln.split() for ln in text.strip().splitlines() if ln.split()]
     if not rows:
@@ -303,20 +275,4 @@ def parse_modeset(text: str) -> ModeSet:
         if len(rows) != 1 or len(rows[0]) != 3:
             raise DuplicateMode("shell line must be `shell |k| lmax`")
         return SphericalShell(radius=float(rows[0][1]), l_max=int(rows[0][2]))
-    modes = [WaveVector(tuple(float(x) for x in row)) for row in rows]
-    negation = [-1] * len(modes)
-    for i, ki in enumerate(modes):
-        if negation[i] >= 0:
-            continue
-        for j in range(i + 1, len(modes)):
-            if negation[j] >= 0:
-                continue
-            if np.allclose(ki.as_array(), -modes[j].as_array(), atol=1e-12):
-                negation[i], negation[j] = j, i
-                break
-        else:
-            raise DuplicateMode(
-                f"mode {ki.components} has no negation partner in the list"
-            )
-    frames = tuple(polarization_frame(k) for k in modes)
-    return CartesianGrid(tuple(modes), frames, tuple(negation))
+    return CartesianGrid(rows)

@@ -2,7 +2,8 @@
 
 Two labelings are used:
 
-* grid labeling: channels (mode_index, lam) over a CartesianGrid, with
+* grid labeling: channels (mode_index, lam) over a CartesianGrid, whose
+  arrays omega, ks and frames give the per-mode weights, with
   frame-projected spin operators (block-diagonal per mode);
 * combined labeling: channels ((l, m), lam) over a SphericalShell, with the
   orbital generators acting on (l, m) and fixed-frame polarization matrices
@@ -103,11 +104,7 @@ def _mode_arrays(ms: ModeSet):
     spatial frame rows lam = 0..3 (K, 4, 3), the layout of `fields`."""
     if isinstance(ms, SphericalShell):
         return np.full(len(ms), ms.radius), None, None
-    return (
-        np.array([k.omega for k in ms.modes]),
-        np.array([k.components for k in ms.modes]),
-        np.array([f.eps[:, 1:] for f in ms.frames]),
-    )
+    return ms.omega, ms.ks, ms.frames[:, :, 1:]
 
 
 def _mode_weight(key, comp: int, omega, ks, frames) -> np.ndarray:
@@ -211,7 +208,8 @@ def mode_blocks(name: str, omega, ks, frames) -> np.ndarray:
 
 
 def _require_closed(ms: CartesianGrid) -> None:
-    if not isinstance(ms, CartesianGrid) or not ms.is_negation_closed():
+    # every CartesianGrid pairs each mode with its -k when it is built
+    if not isinstance(ms, CartesianGrid):
         raise AsymmetricGrid("operation requires a negation-closed Cartesian grid")
 
 
@@ -271,14 +269,9 @@ def counter_rotating_part(
         for l1 in lams:
             for l2 in lams:
                 if target == "spin":
-                    w = 0.5j * np.cross(
-                        ms.frames[i].spatial(l1), ms.frames[j].spatial(l2)
-                    )
+                    w = 0.5j * np.cross(ms.frames[i, l1, 1:], ms.frames[j, l2, 1:])
                 else:
-                    dot = minkowski_dot(
-                        ms.frames[i].four_vector(l1), ms.frames[j].four_vector(l2)
-                    )
-                    w = 0.5 * dot * ms.modes[i].as_array()
+                    w = 0.5 * minkowski_dot(ms.frames[i, l1], ms.frames[j, l2]) * ms.ks[i]
                 if not np.any(w):
                     continue
                 terms.append((1.0, w, _pair_entries(fs, (i, l1), (j, l2), cc_sign)))
@@ -296,17 +289,17 @@ def _l_pure_s_bracket(ms: CartesianGrid, fs: FockSpace) -> tuple[OperatorMatrix,
     terms = []
     for i in ms.mode_labels():
         j = ms.negation[i]
-        omega = ms.modes[i].omega
+        omega = ms.omega[i]
         for lam in (1, 2):
             # two explicit products: on a space capped in total occupation,
             # a_3 creator_lam is not the adjoint of creator_3 a_lam (its
             # creator acts first and can leave the space)
             up = creator(fs, (i, 3)) @ annihilator(fs, (i, lam))
             down = annihilator(fs, (i, 3)) @ creator(fs, (i, lam))
-            terms.append((omega, frame_curl(ms.modes[i], lam), (up - down).entries()))
+            terms.append((omega, frame_curl(ms.ks[i], lam), (up - down).entries()))
             # (-curl at -k) (cc - aa) = (curl at -k) (aa - cc), bit for bit
             cross = _pair_entries(fs, (i, 3), (j, lam), -1)
-            terms.append((omega, frame_curl(ms.modes[j], lam), cross))
+            terms.append((omega, frame_curl(ms.ks[j], lam), cross))
     return _ordered_sums(fs, terms)
 
 

@@ -266,8 +266,7 @@ def suite_canonical(config: SuiteConfig) -> VerificationReport:
     fs = _capped_grid_space(ms, (0, 1, 2, 3), config)
     spin = ops.lift_family(fs, "spin_total", ms)
     (ham,) = ops.lift_family(fs, "hamiltonian", ms)
-    omegas = [ms.omega(i) for i in ms.mode_labels()]
-    if max(omegas) - min(omegas) < 1e-12:
+    if ms.omega.max() - ms.omega.min() < 1e-12:
         rep.add(
             "hamiltonian-spin-commute",
             "H-mode-form",
@@ -283,18 +282,18 @@ def suite_canonical(config: SuiteConfig) -> VerificationReport:
     rep.add(
         "hamiltonian-transverse-eigenvalue",
         "H-mode-form",
-        max_abs((ham @ transverse) - ms.omega(mode0) * transverse),
+        max_abs((ham @ transverse) - ms.omega[mode0] * transverse),
         TIGHT_TOL,
     )
     scalar = fs.basis_state({(mode0, 0): 1})
     rep.add(
         "hamiltonian-scalar-eigenvalue",
         "H-mode-form",
-        max_abs((ham @ scalar) + ms.omega(mode0) * scalar),
+        max_abs((ham @ scalar) + ms.omega[mode0] * scalar),
         TIGHT_TOL,
     )
     mom = ops.lift_family(fs, "momentum", ms)
-    kvec = ms.modes[mode0].as_array()
+    kvec = ms.ks[mode0]
     res = max_residual(
         max_abs((mom[comp] @ psi) - sign * kvec[comp] * psi)
         for comp in range(3)
@@ -931,7 +930,7 @@ def _config_echo(config: SuiteConfig) -> dict:
     grid_desc = "default"
     if config.grid is not None:
         grid_desc = ";".join(
-            ",".join(repr(c) for c in k.components) for k in config.grid.modes
+            ",".join(repr(c) for c in k) for k in config.grid.ks.tolist()
         )
     shell_desc = "default" if config.shell is None else f"{config.shell[0]},{config.shell[1]}"
     return {

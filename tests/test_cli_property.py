@@ -13,7 +13,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from photonam.cli import _CONFIG_KEYS, main
@@ -98,6 +98,10 @@ def _closed_grid_text(draw):
 
 @settings(max_examples=25, deadline=None)
 @given(grid=_closed_grid_text())
+# within 1e-8 of the z axis, where the frame rule takes its fallback branch
+@example(grid="1e-10,0.0,1.0;-1e-10,-0.0,-1.0")
+# |k|^2 subnormal: refused
+@example(grid="0.0,0.0,2.94841530061304e-158;-0.0,-0.0,-2.94841530061304e-158")
 def test_cli_every_accepted_grid_runs(grid):
     # an accepted grid runs on every grid-reading suite with every check
     # passing; a refused one exits 2 with one `error:` line

@@ -8,7 +8,6 @@ from photonam.modes import (
     CartesianGrid,
     METRIC_DIAG,
     SphericalShell,
-    WaveVector,
     build_cartesian_modeset,
     format_modeset,
     frame_curl,
@@ -18,58 +17,79 @@ from photonam.modes import (
     polarization_frame,
     shell_channels,
     spin_matrices,
+    wave_vectors,
 )
 
 
 def test_wave_vector_omega_is_euclidean_norm():
-    k = WaveVector((3.0, 0.0, 4.0))
-    assert k.omega == pytest.approx(5.0)
+    ks, omega = wave_vectors([(3.0, 0.0, 4.0)])
+    assert ks.shape == (1, 3)
+    assert omega[0] == pytest.approx(5.0)
 
 
 def test_zero_wave_vector_rejected():
+    # zero, NaN, |k|^2 overflowing to inf, and |k|^2 subnormal
+    for components in ((0.0, 0.0, 0.0), (0.0, math.nan, 1.0), (0.0, 1e300, 1e300), (0.0, 0.0, 3e-162)):
+        with pytest.raises(ZeroWaveVector, match="nonzero and finite"):
+            wave_vectors([(1.0, 0.0, 0.0), components])
+
+
+def test_smallest_normal_square_is_the_threshold():
+    # |k|^2 = 2^-1022 exactly, the smallest normal float, is accepted
+    tiny = np.finfo(float).tiny
+    _, omega = wave_vectors([(0.0, 0.0, math.sqrt(tiny))])
+    assert omega[0] ** 2 == tiny
     with pytest.raises(ZeroWaveVector):
-        WaveVector((0.0, 0.0, 0.0))
+        wave_vectors([(0.0, 0.0, math.sqrt(tiny) / 2.0)])
 
 
 @pytest.mark.parametrize("components", [(1.0, 2.0), (1.0, 2.0, 3.0, 4.0), ()])
 def test_wave_vector_needs_three_components(components):
-    with pytest.raises(DimensionMismatch):
-        WaveVector(components)
+    with pytest.raises(DimensionMismatch, match="needs 3 components"):
+        wave_vectors([(1.0, 0.0, 0.0), components])
 
 
 def test_frame_at_z_axis_matches_rule():
-    frame = polarization_frame(WaveVector((0.0, 0.0, 1.0)))
-    np.testing.assert_allclose(frame.four_vector(0), [1, 0, 0, 0])
-    np.testing.assert_allclose(frame.spatial(1), [1, 0, 0])
-    np.testing.assert_allclose(frame.spatial(2), [0, 1, 0])
-    np.testing.assert_allclose(frame.spatial(3), [0, 0, 1])
+    frame = polarization_frame(np.array([0.0, 0.0, 1.0]))
+    np.testing.assert_allclose(frame[0], [1, 0, 0, 0])
+    np.testing.assert_allclose(frame[1, 1:], [1, 0, 0])
+    np.testing.assert_allclose(frame[2, 1:], [0, 1, 0])
+    np.testing.assert_allclose(frame[3, 1:], [0, 0, 1])
 
 
 def test_frame_orthonormality_and_completeness():
     rng = np.random.default_rng(11)
     for _ in range(100):
-        k = WaveVector(tuple(rng.normal(size=3)))
-        frame = polarization_frame(k)
+        frame = polarization_frame(rng.normal(size=3))
         for lam in range(4):
             for lam2 in range(4):
-                dot = minkowski_dot(frame.four_vector(lam), frame.four_vector(lam2))
+                dot = minkowski_dot(frame[lam], frame[lam2])
                 expected = METRIC_DIAG[lam] if lam == lam2 else 0.0
                 assert abs(dot - expected) <= 1e-14
         total = np.zeros((4, 4))
         for lam in range(4):
-            eps = frame.four_vector(lam)
+            eps = frame[lam]
             eps_lower = eps * np.array(METRIC_DIAG)
             total += METRIC_DIAG[lam] * np.outer(eps_lower, eps_lower)
         assert np.max(np.abs(total - np.diag(METRIC_DIAG))) <= 1e-14
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("offset", [1e-16, 1e-14, 1e-12, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6])
+def test_frames_near_the_z_axis_are_orthonormal(offset, sign):
+    # the fallback branch of the rule (|z_hat x k_hat| <= 1e-8) and just past it
+    for k in ((offset, 0.0, sign), (offset, -offset, sign), (0.0, offset, sign), (-offset, 0.3 * offset, sign)):
+        spatial = polarization_frame(np.array(k))[1:, 1:]
+        assert np.max(np.abs(spatial @ spatial.T - np.eye(3))) <= 1e-15, k
+        np.testing.assert_allclose(np.cross(spatial[0], spatial[1]), spatial[2], atol=1e-15)
+
+
 def test_frame_right_handed_and_deterministic():
-    k = WaveVector((0.3, -1.2, 0.4))
-    f1 = polarization_frame(k)
-    f2 = polarization_frame(WaveVector((0.3, -1.2, 0.4)))
-    np.testing.assert_array_equal(f1.eps, f2.eps)
-    cross = np.cross(f1.spatial(1), f1.spatial(2))
-    np.testing.assert_allclose(cross, f1.spatial(3), atol=1e-14)
+    f1 = polarization_frame(np.array([0.3, -1.2, 0.4]))
+    f2 = polarization_frame((0.3, -1.2, 0.4))
+    np.testing.assert_array_equal(f1, f2)
+    cross = np.cross(f1[1, 1:], f1[2, 1:])
+    np.testing.assert_allclose(cross, f1[3, 1:], atol=1e-14)
 
 
 def test_spin_matrix_entries_and_eigenvalues():
@@ -126,9 +146,10 @@ def test_negative_lmax_rejected():
 def test_build_cartesian_modeset_completes_pairs():
     ms = build_cartesian_modeset([(0.0, 0.0, 1.0)])
     assert len(ms) == 2
-    assert ms.is_negation_closed()
-    assert {k.components for k in ms.modes} == {(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)}
-    assert all(abs(k.omega - 1.0) < 1e-15 for k in ms.modes)
+    assert ms.negation == (1, 0)
+    assert np.array_equal(ms.ks[list(ms.negation)], -ms.ks)
+    assert {tuple(k) for k in ms.ks.tolist()} == {(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)}
+    assert all(abs(w - 1.0) < 1e-15 for w in ms.omega)
 
 
 def test_build_cartesian_modeset_rejects_zero_and_collisions():
@@ -138,12 +159,63 @@ def test_build_cartesian_modeset_rejects_zero_and_collisions():
         build_cartesian_modeset([(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)])
     with pytest.raises(DuplicateMode):
         build_cartesian_modeset([(1.0, 0.0, 0.0), (1.0, 0.0, 0.0)])
+    with pytest.raises(DuplicateMode):
+        build_cartesian_modeset([])
+
+
+def test_grid_arrays_are_read_only_and_match_the_rules():
+    ms = build_cartesian_modeset([(0.6, 0.2, 0.75), (0.0, 0.0, 1.0), (-0.3, 1e-9, 2.0)])
+    assert ms.ks.shape == (6, 3) and ms.omega.shape == (6,) and ms.frames.shape == (6, 4, 4)
+    for arr in (ms.ks, ms.omega, ms.frames):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    for i, k in enumerate(ms.ks.tolist()):
+        assert ms.omega[i] == math.sqrt(sum(c * c for c in k))
+        expected = polarization_frame(k)
+        assert np.array_equal(ms.frames[i], expected)
+        assert np.array_equal(np.signbit(ms.frames[i]), np.signbit(expected))
+
+
+def test_grid_pairs_by_exact_negation():
+    ms = CartesianGrid([(0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (-0.0, -0.0, -1.0), (-1.0, 0.0, 0.0)])
+    assert ms.negation == (2, 3, 0, 1)
+    assert np.array_equal(ms.ks[list(ms.negation)], -ms.ks)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)],
+        # a partner off by 1e-6 relative: no exact negation
+        [(0.5, 0.25, -0.7), (-0.500001, -0.25, 0.7)],
+        # a mode and its partner listed twice
+        [(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)],
+        # a second pair within 1e-12 |k| of the first
+        [(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (1.0, 1e-13, 0.0), (-1.0, -1e-13, 0.0)],
+        [(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (-1.0, 1e-13, 0.0), (1.0, -1e-13, 0.0)],
+        [],
+    ],
+    ids=["open", "near-negation", "repeated", "near-same", "near-negated", "empty"],
+)
+def test_grid_refuses_unpaired_and_colliding_modes(rows):
+    with pytest.raises(DuplicateMode):
+        CartesianGrid(rows)
+
+
+def test_grid_keeps_modes_just_past_the_collision_distance():
+    ms = CartesianGrid([(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (1.0, 2e-12, 0.0), (-1.0, -2e-12, 0.0)])
+    assert ms.negation == (1, 0, 3, 2)
 
 
 def test_shell_channel_count():
     shell = SphericalShell(radius=2.0, l_max=3)
     assert len(shell.channels) == 16
-    assert shell.omega((2, -1)) == 2.0
+    assert shell.mode_labels() == shell.channels
+
+
+def test_shell_channels_are_not_a_constructor_argument():
+    with pytest.raises(TypeError):
+        SphericalShell(1.0, 1, channels=((9, 9),))
 
 
 def test_modeset_text_round_trip():
@@ -151,7 +223,8 @@ def test_modeset_text_round_trip():
     text = format_modeset(ms)
     back = parse_modeset(text)
     assert isinstance(back, CartesianGrid)
-    assert [k.components for k in back.modes] == [k.components for k in ms.modes]
+    assert back.ks.tolist() == ms.ks.tolist()
+    assert np.array_equal(np.signbit(back.ks), np.signbit(ms.ks))
     assert back.negation == ms.negation
 
     shell = SphericalShell(radius=1.5, l_max=2)
@@ -167,7 +240,7 @@ def test_parse_modeset_requires_negation_partners():
 
 def test_frame_curl_matches_independent_jacobian():
     # independent path: re-derive eps(k, 1) from the rule and differentiate
-    k = WaveVector((0.4, -0.3, 0.7))
+    k = np.array([0.4, -0.3, 0.7])
     got = frame_curl(k, 1)
     h = 1e-5
 
@@ -177,7 +250,7 @@ def test_frame_curl_matches_independent_jacobian():
         return v / np.linalg.norm(v)
 
     jac = np.zeros((3, 3))
-    base = k.as_array()
+    base = k
     for b in range(3):
         d = np.zeros(3)
         d[b] = h
@@ -191,10 +264,14 @@ def test_frame_curl_matches_independent_jacobian():
 
 def cross_reference_frame(k):
     """The frame rule written with np.cross."""
-    khat = k.as_array() / k.omega
+    khat = np.array(k) / math.sqrt(sum(c * c for c in k))
     zxk = np.cross(np.array([0.0, 0.0, 1.0]), khat)
     norm = np.linalg.norm(zxk)
-    e1 = zxk / norm if norm > 1e-8 else np.array([1.0, 0.0, 0.0])
+    if norm > 1e-8:
+        e1 = zxk / norm
+    else:
+        e1 = np.array([1.0, 0.0, 0.0]) - np.dot([1.0, 0.0, 0.0], khat) * khat
+        e1 = e1 / np.linalg.norm(e1)
     eps = np.zeros((4, 4))
     eps[0, 0] = 1.0
     eps[1, 1:] = e1
@@ -211,8 +288,7 @@ def test_frame_equals_cross_reference_bit_for_bit():
         v[rng.integers(3)] *= rng.choice([1.0, 0.0, -0.0])
         ks.append(tuple(v))
     for comps in ks:
-        k = WaveVector(comps)
-        got = polarization_frame(k).eps
-        expected = cross_reference_frame(k)
+        got = polarization_frame(np.array(comps))
+        expected = cross_reference_frame(comps)
         assert np.all(got == expected), comps
         assert np.array_equal(np.signbit(got), np.signbit(expected)), comps

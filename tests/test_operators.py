@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from photonam import operators as ops
-from photonam.errors import AsymmetricGrid, ChannelMismatch
+from photonam.errors import AsymmetricGrid, ChannelMismatch, DuplicateMode
 from photonam.fock import (
     OperatorMatrix,
     annihilator,
@@ -222,12 +222,13 @@ def test_counter_rotating_vanishes_on_symmetric_grids():
         assert max_abs(comp) <= 1e-13
 
 
-def test_counter_rotating_rejects_open_grid():
-    closed = build_cartesian_modeset([(1.0, 0.0, 0.0)])
-    open_grid = CartesianGrid(closed.modes, closed.frames, (0, 1))
+def test_open_grid_is_refused_at_construction():
+    # no CartesianGrid is open, so the counter-rotating parts meet none
+    with pytest.raises(DuplicateMode, match="no negation partner"):
+        CartesianGrid([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)])
     fs = build_fock([(i, lam) for i in (0, 1) for lam in (1, 2, 3)], 1)
     with pytest.raises(AsymmetricGrid):
-        ops.counter_rotating_part(open_grid, fs, "spin")
+        ops.counter_rotating_part(SphericalShell(1.0, 0), fs, "spin")
 
 
 def test_pure_gauge_spin_pieces_cancel():
@@ -312,8 +313,7 @@ def test_spin_total_respects_frames():
     spin = ops.lift_family(fs, "spin_total", ms)
     shat = spin_matrices()
     for mode in ms.mode_labels():
-        frame = ms.frames[mode]
-        block = sum(shat[lam - 1] * frame.spatial(lam)[0] for lam in (1, 2, 3))
+        block = sum(shat[lam - 1] * ms.frames[mode, lam, 1] for lam in (1, 2, 3))
         singles = [fs.basis_state({(mode, lam): 1}) for lam in (1, 2, 3)]
         got = np.array(
             [[np.vdot(a, spin[0] @ b) for b in singles] for a in singles]
@@ -331,10 +331,10 @@ def reference_counter_rotating(ms, fs, target):
         for l1 in lams:
             for l2 in lams:
                 if target == "spin":
-                    w = 0.5j * np.cross(ms.frames[i].spatial(l1), ms.frames[j].spatial(l2))
+                    w = 0.5j * np.cross(ms.frames[i, l1, 1:], ms.frames[j, l2, 1:])
                 else:
-                    dot = minkowski_dot(ms.frames[i].four_vector(l1), ms.frames[j].four_vector(l2))
-                    w = 0.5 * dot * ms.modes[i].as_array()
+                    dot = minkowski_dot(ms.frames[i, l1], ms.frames[j, l2])
+                    w = 0.5 * dot * ms.ks[i]
                 aa = annihilator(fs, (i, l1)) @ annihilator(fs, (j, l2))
                 cc = creator(fs, (i, l1)) @ creator(fs, (j, l2))
                 pair = (aa - cc if target == "spin" else aa + cc).to_dense()
@@ -348,10 +348,10 @@ def reference_l_pure_s_bracket(ms, fs):
     brackets = [np.zeros((fs.dim, fs.dim), dtype=complex) for _ in range(3)]
     for i in ms.mode_labels():
         j = ms.negation[i]
-        omega = ms.modes[i].omega
+        omega = ms.omega[i]
         for lam in (1, 2):
-            curl_here = frame_curl(ms.modes[i], lam)
-            curl_neg = -frame_curl(ms.modes[j], lam)
+            curl_here = frame_curl(ms.ks[i], lam)
+            curl_neg = -frame_curl(ms.ks[j], lam)
             rot = creator(fs, (i, 3)) @ annihilator(fs, (i, lam)) - (
                 annihilator(fs, (i, 3)) @ creator(fs, (i, lam))
             )
@@ -492,7 +492,7 @@ def _reference_grid(ms):
     """The six grid families entry by entry: per-mode weights times matrices
     over lam on the channels of one mode."""
     shat = spin_matrices()
-    eps = lambda a, lam: ms.frames[a[0]].spatial(lam)
+    eps = lambda a, lam: ms.frames[a[0], lam, 1:]
 
     def on_mode(lams, block):
         # block(a, b) on ((i, lam), (i, lam')) with lam, lam' in `lams`
@@ -505,9 +505,9 @@ def _reference_grid(ms):
         return on_mode((1, 2), lambda a, b: weight(a) * mat[a[1] - 1, b[1] - 1])
 
     return {
-        "hamiltonian": [on_mode(range(4), lambda a, b: ms.omega(a[0]) * (a == b))],
+        "hamiltonian": [on_mode(range(4), lambda a, b: ms.omega[a[0]] * (a == b))],
         "momentum": [
-            on_mode(range(4), lambda a, b, c=c: ms.modes[a[0]].components[c] * (a == b))
+            on_mode(range(4), lambda a, b, c=c: ms.ks[a[0], c] * (a == b))
             for c in range(3)
         ],
         "spin_total": [

@@ -12,7 +12,6 @@ import sys
 from pathlib import Path
 
 from .errors import InvalidConfig, WorkbenchError
-from .fock import DEFAULT_DIM_CAP
 from .modes import parse_modeset
 from .report import render_report
 from .suites import SUITES, SuiteConfig, run_suite
@@ -92,47 +91,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge(args: argparse.Namespace) -> SuiteConfig:
+def _merge(args: argparse.Namespace) -> tuple[SuiteConfig, str, str | None]:
+    """The suite configuration, report format and output path: flags over
+    config-file values, `SuiteConfig`'s defaults for the knobs set by neither."""
     file_values = _read_config_file(args.config) if args.config else {}
 
-    def pick(flag_value, key, cast, default=None):
+    def pick(flag_value, key, cast):
         if flag_value is not None:
             return flag_value
         if key in file_values:
             return cast(file_values[key])
-        return default
+        return None
 
     suite = pick(args.suite, "suite", str)
     if suite is None:
         raise WorkbenchError("no suite given (use --suite or a config file)")
     grid_spec = pick(args.grid, "grid", str)
     shell_spec = pick(args.shell, "shell", str)
-    return SuiteConfig(
-        suite=suite,
-        grid=_parse_grid(grid_spec) if grid_spec else None,
-        shell=_parse_shell(shell_spec) if shell_spec else None,
-        n_max=pick(args.nmax, "nmax", int),
-        tol=pick(args.tol, "tol", float, 1e-10),
-        seed=pick(args.seed, "seed", int, 0),
-        fmt=pick(args.format, "format", str, "text"),
-        out=pick(args.out, "out", str),
-        dim_cap=pick(args.dim_cap, "dim-cap", int, DEFAULT_DIM_CAP),
-    )
+    knobs = {
+        "grid": _parse_grid(grid_spec) if grid_spec else None,
+        "shell": _parse_shell(shell_spec) if shell_spec else None,
+        "n_max": pick(args.nmax, "nmax", int),
+        "tol": pick(args.tol, "tol", float),
+        "seed": pick(args.seed, "seed", int),
+        "dim_cap": pick(args.dim_cap, "dim-cap", int),
+    }
+    config = SuiteConfig(suite=suite, **{k: v for k, v in knobs.items() if v is not None})
+    fmt = pick(args.format, "format", str)
+    return config, "text" if fmt is None else fmt, pick(args.out, "out", str)
 
 
 def main(argv=None) -> int:
     try:
-        config = _merge(build_parser().parse_args(argv))
+        config, fmt, out = _merge(build_parser().parse_args(argv))
         report = run_suite(config)
-        payload = render_report(report, config.fmt)
-        if config.out:
-            Path(config.out).write_bytes(payload)
+        payload = render_report(report, fmt)
+        if out:
+            Path(out).write_bytes(payload)
     except (WorkbenchError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not config.out and hasattr(sys.stdout, "buffer"):
+    if not out and hasattr(sys.stdout, "buffer"):
         sys.stdout.buffer.write(payload)
-    elif not config.out:  # a redirected sys.stdout, an io.StringIO say
+    elif not out:  # a redirected sys.stdout, an io.StringIO say
         sys.stdout.write(payload.decode())
     return 0 if report.all_passed else 1
 

@@ -330,8 +330,7 @@ class OperatorMatrix:
         if np.all(keys[1:] > keys[:-1]):
             return cls._from_keys(space, keys, data, drop_zeros=False)
         keys, labels = _group(keys)
-        sums = np.zeros(keys.size, dtype=complex)
-        np.add.at(sums, labels, data)
+        sums = _fold(labels, data.real, data.imag, keys.size)
         return cls._from_keys(space, keys, sums, drop_zeros=False)
 
     @classmethod

@@ -40,11 +40,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, DuplicateMode, NegativeLmax, ZeroWaveVector
+from .errors import (
+    DimensionCapExceeded,
+    DimensionMismatch,
+    DuplicateMode,
+    NegativeLmax,
+    ZeroWaveVector,
+)
 
 METRIC_DIAG = (1.0, -1.0, -1.0, -1.0)
 
 _AXIS_TOL = 1e-8
+
+# The most modes a CartesianGrid takes, checked before its O(K^2) pairing and
+# collision scan (10,000 modes took seconds there).  `operators.family_matrices`
+# admits at most 1,024 channels, so no suite that lifts a family runs more
+# than 512 modes at any dim cap; the bound refuses no grid such a suite could
+# run, only counter-rotating (no family lift) on more than 1,024 modes.
+MAX_GRID_MODES = 1024
 
 
 def channel_sign(lam: int) -> int:
@@ -150,13 +163,16 @@ class CartesianGrid:
     read-only arrays `ks` (K, 3), `omega` (K,) and `frames` (K, 4, 4), rows
     lam = 0..3 of `polarization_frame` per mode, and `negation`, the index of
     each mode's -k.  The partner is the mode whose components are exactly the
-    negated ones; DuplicateMode for an empty list, a mode without a partner,
-    and two modes i, j (other than a pair) with k_i within 1e-12 * max(omega_i,
-    omega_j) of k_j or -k_j.
+    negated ones; DimensionCapExceeded for more than MAX_GRID_MODES modes,
+    DuplicateMode for an empty list, a mode without a partner, and two modes
+    i, j (other than a pair) with k_i within 1e-12 * max(omega_i, omega_j) of
+    k_j or -k_j.
     """
 
     def __init__(self, rows) -> None:
         ks, omega = wave_vectors(rows)
+        if len(ks) > MAX_GRID_MODES:
+            raise DimensionCapExceeded(f"{len(ks)} modes exceed the grid cap {MAX_GRID_MODES}")
         if not len(ks):
             raise DuplicateMode("a grid needs at least one mode")
         vecs = [tuple(k) for k in ks.tolist()]
@@ -166,7 +182,6 @@ class CartesianGrid:
         if -1 in negation:
             lone = vecs[negation.index(-1)]
             raise DuplicateMode(f"mode {lone} has no negation partner in the list")
-        # one row of distances at a time: the list's length is not capped
         with np.errstate(over="ignore", invalid="ignore"):
             for i, k in enumerate(ks):
                 near = np.minimum(

@@ -105,8 +105,6 @@ class SuiteConfig:
     n_max: int | None = None
     tol: float = 1e-10
     seed: int = 0
-    fmt: str = "text"
-    out: str | None = None
     dim_cap: int = DEFAULT_DIM_CAP
 
     def validate(self) -> None:
@@ -302,7 +300,7 @@ def suite_canonical(config: SuiteConfig) -> VerificationReport:
     rep.add("momentum-eigenvalues", "PM-planewave", res, TIGHT_TOL)
 
     _bcr_checks(rep, config)
-    _metric_checks(rep, config, fs)
+    _metric_checks(rep, fs)
     rep.add(
         "lift-homomorphism-random",
         "BCR1",
@@ -329,7 +327,7 @@ def _bcr_checks(rep: VerificationReport, config: SuiteConfig) -> None:
     rep.add("bcr-annihilators-commute", "BCR2", max_abs(aa), TIGHT_TOL)
 
 
-def _metric_checks(rep: VerificationReport, config: SuiteConfig, fs: FockSpace) -> None:
+def _metric_checks(rep: VerificationReport, fs: FockSpace) -> None:
     eta = metric_operator(fs)
     rep.add(
         "metric-squared-identity",
@@ -607,7 +605,7 @@ def suite_gauge_hiding(config: SuiteConfig) -> VerificationReport:
     )
 
     _xi_pathway_reports(rep, config, shell, rng)
-    _xi_fourier_checks(rep, config, rng)
+    _xi_fourier_checks(rep, rng)
     return rep.finalize()
 
 
@@ -686,7 +684,7 @@ def _xi_pathway_expectations(shell, xi, small, factors):
     return lpure, source
 
 
-def _xi_fourier_checks(rep: VerificationReport, config: SuiteConfig, rng) -> None:
+def _xi_fourier_checks(rep: VerificationReport, rng) -> None:
     ms = build_cartesian_modeset([(1.0, 0.0, 0.0), (0.0, 1.0, 1.0)])
     n = 8
     length = 2.0 * np.pi
@@ -744,15 +742,15 @@ def suite_counter_rotating(config: SuiteConfig) -> VerificationReport:
 # field-consistency
 
 
-def _random_field_state(rng, length, grid_n, lattice, transverse_only=True):
-    amps = []
-    for n_int in lattice:
-        k = tuple((2.0 * np.pi / length) * np.array(n_int))
-        lams = (1, 2) if transverse_only else (1, 2, 3, 0)
+def _random_field_state(rng, lattice: flds.FieldLattice, lams) -> np.ndarray:
+    """A (K, 4) amplitude array on `lattice`: per wave vector, one
+    rng.normal() + 1j rng.normal() per polarization in `lams`, drawn in that
+    order; the other polarizations are zero."""
+    amps = np.zeros((len(lattice.ks), 4), dtype=complex)
+    for row in amps:
         for lam in lams:
-            alpha = rng.normal() + 1j * rng.normal()
-            amps.append((k, lam, alpha))
-    return flds.ClassicalFieldState(length, grid_n, tuple(amps))
+            row[lam] = rng.normal() + 1j * rng.normal()
+    return amps
 
 
 def suite_fields(config: SuiteConfig) -> VerificationReport:
@@ -760,26 +758,26 @@ def suite_fields(config: SuiteConfig) -> VerificationReport:
     rng = SeededRng(config.seed)
     length = 2.0 * np.pi
     grid_n = 9
-    lattice = [(0, 0, 1), (1, 0, 0), (0, 1, 1), (0, 0, -1), (-1, 0, 0), (0, -1, -1)]
+    n_ints = [(0, 0, 1), (1, 0, 0), (0, 1, 1), (0, 0, -1), (-1, 0, 0), (0, -1, -1)]
+    lattice = flds.FieldLattice(length, grid_n, (2.0 * np.pi / length) * np.array(n_ints))
 
     spin_res = []
     parseval_res = []
     for _ in range(20):
-        state = _random_field_state(rng, length, grid_n, lattice)
+        amps = _random_field_state(rng, lattice, (1, 2))
         # the state is transverse, so its maps are those of its transverse part
-        maps = flds.eval_fields(state)
-        integral = flds.spatial_spin_integral(state, maps)
-        formula = flds.mode_spin_formula(state)
+        maps = flds.eval_fields(lattice, amps)
+        integral = flds.spatial_spin_integral(lattice, maps)
+        formula = flds.mode_spin_formula(lattice, amps)
         spin_res.append(max_abs(integral - formula))
         energy = 0.5 * float(
             np.sum(maps.e ** 2) + np.sum(maps.b ** 2)
-        ) * flds.cell_volume(state)
-        parseval_res.append(abs(energy - flds.transverse_energy(state)))
+        ) * flds.cell_volume(lattice)
+        parseval_res.append(abs(energy - flds.transverse_energy(lattice, amps)))
     rep.add("spin-mode-duality", "S-obs-form", max_residual(spin_res), FIELD_TOL)
     rep.add("parseval-energy", "E-planewave", max_residual(parseval_res), FIELD_TOL)
 
-    state = _random_field_state(rng, length, grid_n, lattice, transverse_only=False)
-    maps = flds.eval_fields(state)
+    maps = flds.eval_fields(lattice, _random_field_state(rng, lattice, (1, 2, 3, 0)))
     a_grid = maps.a.reshape(grid_n, grid_n, grid_n, 3)
     trans, longi = flds.transverse_split(a_grid)
     rep.add(
@@ -804,25 +802,24 @@ def suite_fields(config: SuiteConfig) -> VerificationReport:
     div = kx * hat[..., 0] + ky * hat[..., 1] + kz * hat[..., 2]
     rep.add("transverse-divergence", "A-split", float(np.max(np.abs(div))), 1e-10)
 
-    k0 = (0.0, 0.0, 2.0 * np.pi / length)
-    cancel = flds.ClassicalFieldState(
-        length, grid_n, ((k0, 3, 0.7 + 0.2j), (k0, 0, 0.7 + 0.2j))
-    )
+    # equal scalar and longitudinal amplitudes on k = (0, 0, 2 pi / L)
+    cancel = np.zeros((len(lattice.ks), 4), dtype=complex)
+    cancel[0, [0, 3]] = 0.7 + 0.2j
     rep.add(
         "longitudinal-e-cancellation",
         "E-planewave",
-        float(np.max(np.abs(flds.eval_fields(cancel).e))),
+        float(np.max(np.abs(flds.eval_fields(lattice, cancel).e))),
         TIGHT_TOL,
     )
 
-    state = _random_field_state(rng, length, grid_n, lattice)
-    maps = flds.eval_fields(flds.transverse_split(state)[0])
-    density = flds.spin_density_map(state, maps)
-    total = np.sum(density, axis=0) * flds.cell_volume(state)
+    amps = _random_field_state(rng, lattice, (1, 2))
+    maps = flds.eval_fields(lattice, amps)  # again the maps of the transverse part
+    density = flds.spin_density_map(maps)
+    total = np.sum(density, axis=0) * flds.cell_volume(lattice)
     rep.add(
         "density-map-integral",
         "S-obs-form",
-        float(np.max(np.abs(total - flds.mode_spin_formula(state)))),
+        float(np.max(np.abs(total - flds.mode_spin_formula(lattice, amps)))),
         TIGHT_TOL,
     )
     return rep.finalize()

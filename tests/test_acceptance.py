@@ -276,23 +276,23 @@ def test_criterion_8_counter_rotating_cancellation():
 def test_criterion_9_field_consistency():
     rng = np.random.default_rng(99)
     length = 2.0 * math.pi
-    lattice = [(0, 0, 1), (1, 0, 0), (0, 1, 1), (0, 0, -1), (-1, 0, 0), (0, -1, -1)]
+    n_ints = [(0, 0, 1), (1, 0, 0), (0, 1, 1), (0, 0, -1), (-1, 0, 0), (0, -1, -1)]
+    lattice = flds.FieldLattice(length, 9, (2.0 * math.pi / length) * np.array(n_ints))
     spin_worst = 0.0
     parseval_worst = 0.0
     for _ in range(20):
-        amps = []
-        for n_int in lattice:
-            k = tuple((2.0 * math.pi / length) * np.array(n_int, dtype=float))
+        # transverse amplitudes, so the maps are those of the transverse part
+        amps = np.zeros((len(n_ints), 4), dtype=complex)
+        for row in amps:
             for lam in (1, 2):
-                amps.append((k, lam, rng.normal() + 1j * rng.normal()))
-        state = flds.ClassicalFieldState(length, 9, tuple(amps))
-        integral = flds.spatial_spin_integral(state)
+                row[lam] = rng.normal() + 1j * rng.normal()
+        maps = flds.eval_fields(lattice, amps)
+        integral = flds.spatial_spin_integral(lattice, maps)
         spin_worst = max(
-            spin_worst, float(np.max(np.abs(integral - flds.mode_spin_formula(state))))
+            spin_worst, float(np.max(np.abs(integral - flds.mode_spin_formula(lattice, amps))))
         )
-        maps = flds.eval_fields(state)
-        energy = 0.5 * (np.sum(maps.e ** 2) + np.sum(maps.b ** 2)) * flds.cell_volume(state)
-        parseval_worst = max(parseval_worst, abs(energy - flds.transverse_energy(state)))
+        energy = 0.5 * (np.sum(maps.e ** 2) + np.sum(maps.b ** 2)) * flds.cell_volume(lattice)
+        parseval_worst = max(parseval_worst, abs(energy - flds.transverse_energy(lattice, amps)))
     ok = spin_worst <= 1e-9 and parseval_worst <= 1e-9
     _line(9, ok, f"spin duality {spin_worst:.3e}, Parseval {parseval_worst:.3e}")
 

@@ -182,6 +182,26 @@ def test_from_entries_sums_duplicates_and_keeps_explicit_zeros():
     assert_same(got, want)
 
 
+def test_from_entries_sums_duplicate_heavy_batches_in_input_order():
+    # magnitudes 1e-20 to 1e20 and signed zeros, where a sum in another order
+    # gives other bits; the reference adds each entry to 0j in input order
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        size = 300
+        rows, cols = rng.integers(0, 3, size), rng.integers(0, 3, size)
+        parts = rng.choice([-1.0, 1.0], (2, size)) * 10.0 ** rng.uniform(-20, 20, (2, size))
+        parts[rng.random((2, size)) < 0.1] *= 0.0
+        data = np.empty(size, dtype=complex)
+        data.real, data.imag = parts
+        sums = {}
+        for key, value in zip(zip(rows.tolist(), cols.tolist()), data.tolist()):
+            sums[key] = sums.get(key, 0j) + value
+        got_rows, got_cols, got_data = OperatorMatrix.from_entries(space(3), data, rows, cols).entries()
+        assert list(zip(got_rows.tolist(), got_cols.tolist())) == sorted(sums)
+        want = np.array([sums[key] for key in sorted(sums)])
+        assert got_data.tobytes() == want.tobytes()
+
+
 def test_compress_matches_fancy_indexing():
     rng = np.random.default_rng(11)
     a, sa = random_pair(rng, 9, 0.5)

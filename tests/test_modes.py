@@ -3,8 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from photonam.errors import DimensionMismatch, DuplicateMode, NegativeLmax, ZeroWaveVector
+from photonam.errors import (
+    DimensionCapExceeded,
+    DimensionMismatch,
+    DuplicateMode,
+    NegativeLmax,
+    ZeroWaveVector,
+)
 from photonam.modes import (
+    MAX_GRID_MODES,
     CartesianGrid,
     METRIC_DIAG,
     SphericalShell,
@@ -205,6 +212,24 @@ def test_grid_refuses_unpaired_and_colliding_modes(rows):
 def test_grid_keeps_modes_just_past_the_collision_distance():
     ms = CartesianGrid([(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (1.0, 2e-12, 0.0), (-1.0, -2e-12, 0.0)])
     assert ms.negation == (1, 0, 3, 2)
+
+
+def paired_rows(n_pairs):
+    """`n_pairs` distinct wave vectors, each followed by its negation."""
+    rows = []
+    for i in range(n_pairs):
+        k = (1.0 + i, 0.5, -0.25)
+        rows += [k, tuple(-c for c in k)]
+    return rows
+
+
+def test_grid_refuses_more_than_the_mode_cap_before_pairing():
+    assert len(CartesianGrid(paired_rows(512))) == MAX_GRID_MODES == 1024
+    # negation-closed with one mode repeated: the pairing scan would call it a
+    # collision, the cap refuses it first
+    rows = paired_rows(512) + [(1.0, 0.5, -0.25)]
+    with pytest.raises(DimensionCapExceeded, match="1025 modes exceed the grid cap 1024"):
+        CartesianGrid(rows)
 
 
 def test_shell_channel_count():

@@ -11,7 +11,6 @@ from pathlib import Path
 
 import pytest
 
-from photonam import fields as flds
 from photonam import operators as ops
 from photonam.cli import main
 from photonam.errors import DimensionCapExceeded, InvalidConfig, UnknownFormat, UnknownSuite
@@ -103,8 +102,6 @@ BYTE_STABLE_CASES = [
 
 @pytest.mark.parametrize("suite, fmt", BYTE_STABLE_CASES)
 def test_reports_byte_stable_across_runs(suite, fmt):
-    # the first run starts from an empty lattice table, the second reuses it
-    flds._lattice_table.cache_clear()
     first = render_report(run_suite(SuiteConfig(suite=suite, seed=3)), fmt)
     second = render_report(run_suite(SuiteConfig(suite=suite, seed=3)), fmt)
     assert first == second
@@ -395,6 +392,18 @@ def test_cli_dirac_honours_dim_cap(capsys):
     assert main(["--suite", "dirac", "--dim-cap", "600"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: dim 697 (total occupation <= 3) exceeds cap 600")
+
+
+def test_cli_grid_over_the_mode_cap_exit_2(capsys):
+    # 512 pairs and a repeat of the first mode: 1,025 negation-closed modes
+    pairs = [(1.0 + i, 0.5, -0.25) for i in range(512)]
+    rows = [r for k in pairs for r in (k, tuple(-c for c in k))] + [pairs[0]]
+    grid = ";".join(",".join(repr(c) for c in k) for k in rows)
+    argv = ["--suite", "counter-rotating", "--grid", grid, "--dim-cap", str(1 << 30)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 1025 modes exceed the grid cap 1024")
+    assert "Traceback" not in err
 
 
 FOUR_MODE_GRID = "0,0,1;0,0,-1;1,0,0;-1,0,0"

@@ -474,8 +474,8 @@ def test_density_map_integral_catches_a_perturbed_map(monkeypatch):
     # read the map
     density_map = flds.spin_density_map
 
-    def perturbed(state, transverse_maps=None):
-        out = density_map(state, transverse_maps)
+    def perturbed(maps):
+        out = density_map(maps)
         out[0, 0] += 1e-9
         return out
 

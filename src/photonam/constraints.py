@@ -3,23 +3,22 @@
 The per-mode constraint is a_3 - a_0 + xi0 * 1, where xi0 is the prescribed
 coupling of the scalar channel to a classical charge density.  The physical
 subspace is the kernel of the stacked constraints; zero-norm kernel vectors
-(pure gauge excitations) are first-class citizens: they are reported with
-norm 0 and excluded from expectation checks.
+(pure gauge excitations) are first-class citizens: they are counted and
+excluded from expectation checks.
 
-On a grid space capped at total occupation T <= n_max, the free kernel
-(xi0 = 0) has a closed form, `gb_physical_subspace`: the monomials in the
-transverse creators and the null creator a_3^+ - a_0^+ of each mode, read
-off the occupation table without LAPACK.  `physical_subspace` finds any
-kernel numerically, with one rank-revealing SVD of the dense stack; it
-serves the one-mode pair and is the oracle the closed form is tested
-against.
-
-Expectation-level statements about gauge-variant operators are asserted on
-quotient representatives: kernel vectors orthogonal to the zero-norm
-directions of the kernel's indefinite Gram matrix.  On states that mix in
-zero-norm excitations with nonzero relative phase, the difference
-<spin> - <spin_obs> is genuinely nonzero; those values are reported, never
-asserted.
+On a grid space the free kernel (xi0 = 0) has a closed form,
+`gb_physical_subspace`: a sparse record of each row's monomial column and
+weight, read off the occupation table, so the kernel, its certificate and
+the expectations on it cost O(dim) or O(nnz), with no dense basis and no
+LAPACK.  Its indefinite Gram matrix is diagonal: 1 on the transverse
+monomials, the quotient representatives on which expectation-level
+statements about gauge-variant operators are asserted, and 0 on the
+zero-norm directions.  On states that mix in zero-norm excitations with
+nonzero relative phase, the difference <spin> - <spin_obs> is genuinely
+nonzero; those values are reported, never asserted.  `physical_subspace`
+finds any kernel numerically, with one rank-revealing SVD of the dense
+stack; it serves the one-mode pair and is the oracle the closed form is
+tested against.
 """
 
 from __future__ import annotations
@@ -32,8 +31,6 @@ import numpy as np
 from .errors import (
     ChannelMismatch,
     DimensionCapExceeded,
-    DimensionMismatch,
-    EmptySubspace,
     IncommensurateGrid,
     NoKernel,
     ToleranceAmbiguous,
@@ -50,7 +47,6 @@ from .fock import (
     indefinite_inner,
     max_residual,
     metric_diagonal,
-    space_dim,
 )
 from .modes import CartesianGrid, ModeSet, SphericalShell, orbital_matrices
 from .sampling import SeededRng
@@ -135,25 +131,15 @@ def gb_constraints(ms: ModeSet, fs: FockSpace, xi: dict | None = None) -> list[O
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class PhysicalSubspace:
-    """Euclidean-orthonormal kernel basis."""
-
-    basis: np.ndarray  # dim x r, columns orthonormal
-
-    @property
-    def dimension(self) -> int:
-        return self.basis.shape[1]
-
-
 def physical_subspace(
     fs: FockSpace,
     constraints: list[OperatorMatrix],
     tol: float = 1e-10,
     gap_factor: float = 1e3,
     dim_cap: int = DEFAULT_DIM_CAP,
-) -> PhysicalSubspace:
-    """Numerical kernel of the stacked constraints, from one dense SVD.
+) -> np.ndarray:
+    """Numerical kernel of the stacked constraints, from one dense SVD, as a
+    (dim x r) array of Euclidean-orthonormal columns.
 
     Singular values below `tol` define the kernel; a gap of at least
     `gap_factor` between the largest kernel value and the smallest excluded
@@ -162,7 +148,7 @@ def physical_subspace(
     rows x dim elements exceed dim_cap.
     """
     if not constraints:
-        return PhysicalSubspace(np.eye(fs.dim, dtype=complex))
+        return np.eye(fs.dim, dtype=complex)
     rows = len(constraints) * fs.dim
     if rows * fs.dim > dim_cap:
         raise DimensionCapExceeded(
@@ -183,146 +169,176 @@ def physical_subspace(
         raise ToleranceAmbiguous(
             f"kernel cut ambiguous: gap {gap:.2e} below required {gap_factor:.0e}"
         )
-    return PhysicalSubspace(vh[mask].conj().T)
+    return vh[mask].conj().T
 
 
-def gb_physical_subspace(
-    ms: ModeSet, fs: FockSpace, dim_cap: int = DEFAULT_DIM_CAP
-) -> PhysicalSubspace:
-    """Closed-form kernel of the free constraints a_3 - a_0 of every mode on
-    a space capped at total occupation T = fs.max_total <= fs.n_max.
-
-    Each constraint annihilates the null creator c^+ = a_3^+ - a_0^+ of its
-    mode, so the kernel is spanned by the monomials in every c^+ and the
-    other channels' creators on the vacuum (Gupta 1950; Bleuler 1950).  A row
-    belongs to the monomial keyed by the row with n_0 + n_3 moved to n_0,
-    with weight sqrt(C(n_0 + n_3, n_3)) per mode.  Distinct monomials have
-    disjoint rows, so the normalized columns, one per key in basis order,
-    are orthonormal.  DimensionCapExceeded is raised before the dim x r
-    basis is allocated when it exceeds dim_cap.
-    """
-    p0, p3 = _gauge_positions(ms, fs)
-    top = fs.max_total
-    if top > fs.n_max:
-        raise DimensionMismatch(
-            f"closed-form kernel needs total occupation cap {top} <= n_max {fs.n_max}"
-        )
-    r = space_dim(len(fs.channels) - len(p0), fs.n_max, top, dim_cap)
-    if fs.dim * r > dim_cap:
-        raise DimensionCapExceeded(
-            f"kernel basis {fs.dim} x {r} = {fs.dim * r} elements exceeds cap {dim_cap}"
-        )
-    n3 = fs.occ[:, p3]
-    merged = fs.occ[:, p0] + n3
-    keys = fs.occ.copy()
-    keys[:, p0] = merged
-    keys[:, p3] = 0
-    key_column = np.full(fs.dim, -1)
-    key_column[np.all(n3 == 0, axis=1)] = np.arange(r)
-    column = key_column[fs.locate(keys)]
-    root = np.sqrt([[math.comb(m, j) for j in range(top + 1)] for m in range(top + 1)])
-    weight = np.prod(root[merged, n3], axis=1)
-    norm = np.sqrt(np.bincount(column, weights=weight**2, minlength=r))
-    basis = np.zeros((fs.dim, r), dtype=complex)
-    basis[np.arange(fs.dim), column] = weight / norm[column]
-    return PhysicalSubspace(basis)
-
-
-def kernel_certificate(constraints: list[OperatorMatrix], subspace: PhysicalSubspace) -> float:
-    """max_v max_C ||C v|| over the kernel basis."""
+def kernel_certificate(constraints: list[OperatorMatrix], basis: np.ndarray) -> float:
+    """max_v max_C ||C v|| over the columns of a dense kernel basis."""
     return max_residual(
-        np.max(np.linalg.norm(c @ subspace.basis, axis=0), initial=0.0)
-        for c in constraints
+        np.max(np.linalg.norm(c @ basis, axis=0), initial=0.0) for c in constraints
     )
 
 
-def quotient_representatives(
-    fs: FockSpace, subspace: PhysicalSubspace, null_tol: float = 1e-10
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split the kernel into metric-nondegenerate representatives and
-    zero-norm gauge directions.
+@dataclass(frozen=True, eq=False)
+class GBKernel:
+    """Closed-form free kernel: unit vectors v_0 .. v_{r-1} on disjoint rows.
+    Per row, `column` is the index j of the v_j it lies in and `weight` its
+    entry there (-1 and 0 for a row in none); per column, `norm` is the
+    indefinite norm <v_j, eta v_j>."""
 
-    Returns (representatives, null_directions) as column blocks; both consist
-    of kernel vectors, and every null direction has vanishing indefinite norm.
+    column: np.ndarray
+    weight: np.ndarray
+    norm: np.ndarray
+
+    @property
+    def dimension(self) -> int:
+        return self.norm.size
+
+    def split(self) -> tuple[np.ndarray, np.ndarray]:
+        """(representatives, zero-norm directions): the columns of indefinite
+        norm above 1e-10 and the rest, each in basis order."""
+        quotient = np.abs(self.norm) > 1e-10
+        return np.flatnonzero(quotient), np.flatnonzero(~quotient)
+
+    def vector(self, coeff: np.ndarray, columns=slice(None)) -> np.ndarray:
+        """The state sum_i coeff[i] v_{columns[i]} (every column by default)."""
+        full = np.zeros(self.dimension + 1, dtype=complex)
+        full[:-1][columns] = coeff
+        # a row in no column reads full[-1], which stays 0
+        return full[self.column] * self.weight
+
+
+def gb_physical_subspace(ms: ModeSet, fs: FockSpace) -> GBKernel:
+    """Closed-form kernel of the free constraints a_3 - a_0 of every mode.
+
+    Each constraint annihilates the null creator c^+ = a_3^+ - a_0^+ of its
+    mode, so the kernel is spanned by the monomials in every c^+ and the
+    other channels' creators on the vacuum (Gupta 1950; Bleuler 1950) that
+    the truncation keeps whole, with m = n_0 + n_3 <= n_max in every mode.
+    Such a row belongs to the monomial keyed by the row with n_0 + n_3 moved
+    to n_0, with weight sqrt(C(m, n_3)) per mode; any other row to none.
+    Distinct monomials have disjoint rows, so the normalized columns, one
+    per key in basis order, are orthonormal, and the indefinite norm of each
+    is 1 on the transverse monomials (no lam = 0 or 3 quanta), 0 on the rest.
     """
-    v = subspace.basis
-    if v.shape[1] == 0:
-        raise EmptySubspace("physical subspace is empty")
-    eta = metric_diagonal(fs)
-    gram = v.conj().T @ (eta[:, None] * v)
-    gram = 0.5 * (gram + gram.conj().T)
-    w, u = np.linalg.eigh(gram)
-    keep = np.abs(w) > null_tol
-    return v @ u[:, keep], v @ u[:, ~keep]
+    p0, p3 = _gauge_positions(ms, fs)
+    n3 = fs.occ[:, p3]
+    merged = np.add(fs.occ[:, p0], n3, dtype=np.intp)
+    inside = np.all(merged <= fs.n_max, axis=1)
+    keys = fs.occ[inside]
+    keys[:, p0], keys[:, p3] = merged[inside], 0
+    # a key is its own row, which has no lam = 3 quanta; rank those rows
+    col = (np.cumsum(np.all(n3 == 0, axis=1)) - 1)[fs.locate(keys)]
+    root = np.sqrt([[math.comb(m, j) for j in range(fs.n_max + 1)] for m in range(fs.n_max + 1)])
+    w = np.prod(root[merged[inside], n3[inside]], axis=1)
+    w /= np.sqrt(np.bincount(col, weights=w**2))[col]
+    column, weight = np.full(fs.dim, -1), np.zeros(fs.dim)
+    column[inside], weight[inside] = col, w
+    return GBKernel(column, weight, np.bincount(col, weights=metric_diagonal(fs)[inside] * w**2))
+
+
+def gb_kernel_certificate(constraints: list[OperatorMatrix], kernel: GBKernel) -> float:
+    """max_j max_C ||C v_j|| over the closed-form kernel's columns, from the
+    constraints' entries grouped on (row, kernel column of the entry's col)."""
+    r = kernel.dimension
+    worst = []
+    for c in constraints:
+        rows, cols, data = c.entries()
+        j = kernel.column[cols]
+        inside = j >= 0
+        keys, labels = np.unique(rows[inside] * r + j[inside], return_inverse=True)
+        terms = data[inside] * kernel.weight[cols[inside]]
+        squares = np.bincount(labels, terms.real) ** 2 + np.bincount(labels, terms.imag) ** 2
+        worst.append(np.sqrt(np.bincount(keys % r, squares, r)).max())
+    return max_residual(worst)
+
+
+def column_forms(fs: FockSpace, kernel: GBKernel, op: OperatorMatrix) -> np.ndarray:
+    """<v_j, eta op v_j> for every kernel column j, from the entries of op
+    whose row and column lie in the same kernel column."""
+    rows, cols, data = op.entries()
+    j = kernel.column[rows]
+    same = (j >= 0) & (j == kernel.column[cols])
+    rows, cols, j = rows[same], cols[same], j[same]
+    terms = data[same] * (metric_diagonal(fs)[rows] * kernel.weight[rows] * kernel.weight[cols])
+    r = kernel.dimension
+    return np.bincount(j, terms.real, r) + 1j * np.bincount(j, terms.imag, r)
+
+
+def unit(v: np.ndarray) -> np.ndarray:
+    """v over its Euclidean norm, summed as np.linalg.norm sums it."""
+    return v / np.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
 
 
 @dataclass(frozen=True)
 class GaugeHidingEntry:
-    """Per-state record produced by verify_gauge_hiding; a skipped probe
-    carries norm and spin_hiding 0."""
+    """Per-state record produced by verify_gauge_hiding; a skipped (zero-norm)
+    probe carries spin_hiding 0."""
 
     state: str
-    norm: float
     spin_hiding: float
     skipped: bool = False
 
 
 def verify_gauge_hiding(
     fs: FockSpace,
-    subspace: PhysicalSubspace,
+    kernel: GBKernel,
     spin: tuple[OperatorMatrix, ...],
     spin_obs: tuple[OperatorMatrix, ...],
     rng: SeededRng,
-    n_random: int = 6,
 ) -> list[GaugeHidingEntry]:
-    """Expectation-value gauge hiding on the physical subspace.
+    """Expectation-value gauge hiding on the closed-form kernel: per probe of
+    nonzero indefinite norm, spin_hiding = max_i |<spin_i> - <spin_obs_i>|.
 
-    For every probed state with nonzero indefinite norm, the record carries
-    spin_hiding = max_i |<spin_i> - <spin_obs_i>| of the two triples.
-
-    States are representative kernel vectors plus seeded random combinations;
-    zero-norm probes are skipped and counted.  Mixed probes (including
-    zero-norm directions) are labeled "mixed-*" so callers can report rather
-    than assert them.
+    The probes are the representatives (`GBKernel.split`), read off by
+    `column_forms`; the zero-norm directions, skipped and counted; six seeded
+    random combinations of the representatives; and six "mixed-*" ones that
+    add zero-norm directions, for callers to report rather than assert.
     """
-    if subspace.dimension == 0:
-        raise EmptySubspace("physical subspace is empty")
-    reps, nulls = quotient_representatives(fs, subspace)
+    reps, nulls = kernel.split()
+    hiding = np.zeros(reps.size)
+    for a, b in zip(spin, spin_obs):
+        diff = (column_forms(fs, kernel, a) - column_forms(fs, kernel, b))[reps] / kernel.norm[reps]
+        hiding = np.maximum(hiding, np.abs(diff))
+    entries = [GaugeHidingEntry(f"rep-{j}", float(h)) for j, h in enumerate(hiding)]
+    entries += [GaugeHidingEntry(f"null-{j}", 0.0, skipped=True) for j in range(nulls.size)]
 
-    probes: list[tuple[str, np.ndarray]] = []
-    for j in range(reps.shape[1]):
-        probes.append((f"rep-{j}", reps[:, j]))
-    for j in range(nulls.shape[1]):
-        probes.append((f"null-{j}", nulls[:, j]))
-    for j in range(n_random):
-        if reps.shape[1]:
-            coeff = rng.normal(size=reps.shape[1]) + 1j * rng.normal(size=reps.shape[1])
-            probes.append((f"rand-{j}", reps @ (coeff / np.linalg.norm(coeff))))
-    for j in range(n_random):
-        if nulls.shape[1] and reps.shape[1]:
-            c1 = rng.normal(size=reps.shape[1]) + 1j * rng.normal(size=reps.shape[1])
-            c2 = rng.normal(size=nulls.shape[1]) + 1j * rng.normal(size=nulls.shape[1])
-            vec = reps @ c1 + nulls @ c2
-            probes.append((f"mixed-{j}", vec / np.linalg.norm(vec)))
+    def draw(n: int) -> np.ndarray:
+        return rng.normal(size=n) + 1j * rng.normal(size=n)
 
-    entries = []
+    probes = [(f"rand-{j}", kernel.vector(unit(draw(reps.size)), reps)) for j in range(6)]
+    if nulls.size:
+        both = np.concatenate([reps, nulls])
+        for j in range(6):
+            coeff = np.concatenate([draw(reps.size), draw(nulls.size)])
+            probes.append((f"mixed-{j}", unit(kernel.vector(coeff, both))))
     for label, psi in probes:
-        norm = indefinite_inner(fs, psi, psi).real
-        if abs(norm) <= 1e-12 * float(np.vdot(psi, psi).real):
-            entries.append(GaugeHidingEntry(label, 0.0, 0.0, skipped=True))
+        if abs(indefinite_inner(fs, psi, psi).real) <= 1e-12 * float(np.vdot(psi, psi).real):
+            entries.append(GaugeHidingEntry(label, 0.0, skipped=True))
             continue
         diffs = [expectation(fs, a, psi) - expectation(fs, b, psi) for a, b in zip(spin, spin_obs)]
-        entries.append(GaugeHidingEntry(label, float(norm), float(np.max(np.abs(diffs)))))
+        entries.append(GaugeHidingEntry(label, float(np.max(np.abs(diffs)))))
     return entries
+
+
+def _polarization_count(fs: FockSpace, lam: int) -> np.ndarray:
+    """Per row, the occupation summed over the channels with polarization lam."""
+    lams = np.array([channel_lam for _, channel_lam in fs.channels])
+    return fs.occ[:, lams == lam].sum(axis=1, dtype=float)
 
 
 def euclidean_occupancy(fs: FockSpace, lam: int, psi: np.ndarray) -> float:
     """Euclidean expectation of the plain occupation count summed over the
     channels with polarization lam."""
-    lams = np.array([channel_lam for _, channel_lam in fs.channels])
-    count = fs.occ[:, lams == lam].sum(axis=1, dtype=float)
     weight = float(np.vdot(psi, psi).real)
-    return float(np.real(np.vdot(psi, count * psi)) / weight)
+    return float(np.real(np.vdot(psi, _polarization_count(fs, lam) * psi)) / weight)
+
+
+def column_occupancy(fs: FockSpace, kernel: GBKernel, lam: int) -> np.ndarray:
+    """`euclidean_occupancy` of every kernel column, one sum over its rows."""
+    w, labels = kernel.weight, kernel.column + 1
+    count = np.bincount(labels, w * (_polarization_count(fs, lam) * w))
+    return count[1:] / np.bincount(labels, w * w)[1:]
 
 
 def random_conjugate_symmetric_xi(

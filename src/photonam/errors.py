@@ -59,10 +59,6 @@ class ToleranceAmbiguous(WorkbenchError):
     """No clear singular-value gap separates kernel from non-kernel directions."""
 
 
-class EmptySubspace(WorkbenchError):
-    """A verification was asked to run on an empty physical subspace."""
-
-
 class BandLimitViolation(WorkbenchError):
     """The spatial grid is too coarse for exact quadrature of the given modes."""
 

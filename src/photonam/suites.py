@@ -44,6 +44,7 @@ Table-I row.  The Hamiltonian commutators stay in suite code.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -530,67 +531,52 @@ def suite_gauge_hiding(config: SuiteConfig) -> VerificationReport:
     shell = _orbital_shell(config)
     rng = SeededRng(config.seed)
 
+    ms = config.grid or _default_grid()
+    fs = _capped_grid_space(ms, (0, 1, 2, 3), config)
+    kernel = cons.gb_physical_subspace(ms, fs)
     pair = build_fock([(_ONE_LABEL, 3), (_ONE_LABEL, 0)], 1, dim_cap=config.dim_cap)
     constraint = cons.gb_constraints(_ONE_MODE, pair, None)
     sub = cons.physical_subspace(pair, constraint, tol=1e-10, dim_cap=config.dim_cap)
-    rep.add("gb-free-kernel-dimension", "Gupta1", abs(sub.dimension - 2), 0.0)
-    expected = np.zeros((pair.dim, 2), dtype=complex)
-    expected[:, 0] = pair.vacuum()
+    # the dimension and certificate checks also hold the grid kernel to its
+    # closed-form count C(3K + n, n) and to its constraints
+    monomials = math.comb(3 * len(ms.mode_labels()) + fs.max_total, fs.max_total)
+    mismatch = abs(sub.shape[1] - 2) + abs(kernel.dimension - monomials)
+    rep.add("gb-free-kernel-dimension", "Gupta1", mismatch, 0.0)
     gauge_vec = (creator(pair, (_ONE_LABEL, 3)) - creator(pair, (_ONE_LABEL, 0))) @ pair.vacuum()
-    expected[:, 1] = gauge_vec / np.linalg.norm(gauge_vec)
-    proj_found = sub.basis @ sub.basis.conj().T
-    proj_expected = expected @ expected.conj().T
-    rep.add("gb-free-kernel-contents", "Gupta1", max_abs(proj_found - proj_expected), 1e-10)
-    rep.add(
-        "gb-kernel-certificate", "Gupta1", cons.kernel_certificate(constraint, sub), 1e-10
-    )
-    rep.add(
-        "gb-gauge-pair-annihilated",
-        "Gupta1",
-        float(np.linalg.norm(constraint[0] @ gauge_vec)),
-        TIGHT_TOL,
-    )
+    expected = np.stack([pair.vacuum(), gauge_vec / np.linalg.norm(gauge_vec)], axis=1)
+    contents = max_abs(sub @ sub.conj().T - expected @ expected.conj().T)
+    rep.add("gb-free-kernel-contents", "Gupta1", contents, 1e-10)
+    certificate = max_residual([
+        cons.kernel_certificate(constraint, sub),
+        cons.gb_kernel_certificate(cons.gb_constraints(ms, fs, None), kernel),
+    ])
+    rep.add("gb-kernel-certificate", "Gupta1", certificate, 1e-10)
+    annihilated = float(np.linalg.norm(constraint[0] @ gauge_vec))
+    rep.add("gb-gauge-pair-annihilated", "Gupta1", annihilated, TIGHT_TOL)
     longi_vec = creator(pair, (_ONE_LABEL, 3)) @ pair.vacuum()
-    rep.add(
-        "gb-longitudinal-not-physical",
-        "Gupta1",
-        float(np.linalg.norm(constraint[0] @ longi_vec)),
-        0.5,
-        kind=KIND_VIOLATION,
-    )
+    longi = float(np.linalg.norm(constraint[0] @ longi_vec))
+    rep.add("gb-longitudinal-not-physical", "Gupta1", longi, 0.5, kind=KIND_VIOLATION)
 
-    ms = config.grid or _default_grid()
-    fs = _capped_grid_space(ms, (0, 1, 2, 3), config)
-    subspace = cons.gb_physical_subspace(ms, fs, config.dim_cap)
     spin, spin_obs = (ops.lift_family(fs, name, ms) for name in ("spin_total", "spin_obs"))
-    entries = cons.verify_gauge_hiding(fs, subspace, spin, spin_obs, rng=rng)
-    asserted = [
-        e for e in entries if not e.skipped and not e.state.startswith("mixed")
-    ]
-    mixed = [e for e in entries if not e.skipped and e.state.startswith("mixed")]
-    skipped = [e for e in entries if e.skipped]
-    rep.add(
-        "gauge-hiding-spin-representatives",
-        "gauge-hiding",
-        max_residual(e.spin_hiding for e in asserted),
-        config.tol,
-    )
+    entries = cons.verify_gauge_hiding(fs, kernel, spin, spin_obs, rng=rng)
+    probed = [e for e in entries if not e.skipped]
+    asserted = max_residual(e.spin_hiding for e in probed if not e.state.startswith("mixed"))
+    mixed = [e.spin_hiding for e in probed if e.state.startswith("mixed")]
+    rep.add("gauge-hiding-spin-representatives", "gauge-hiding", asserted, config.tol)
     if mixed:
         rep.note(
-            "spin hiding on zero-norm-mixed states: max "
-            f"{max_residual(e.spin_hiding for e in mixed):.3e}"
+            f"spin hiding on zero-norm-mixed states: max {max_residual(mixed):.3e}"
             " (class-dependent, reported only)"
         )
-    rep.note(f"zero-norm physical probes skipped and counted: {len(skipped)}")
+    rep.note(f"zero-norm physical probes skipped and counted: {len(entries) - len(probed)}")
 
-    probes = [subspace.basis[:, col] for col in range(subspace.basis.shape[1])]
+    # every column by one sum over its rows, then six random combinations
+    balance = [cons.column_occupancy(fs, kernel, 3) - cons.column_occupancy(fs, kernel, 0)]
     for _ in range(6):
-        coeff = rng.normal(size=subspace.dimension) + 1j * rng.normal(size=subspace.dimension)
-        probes.append(subspace.basis @ (coeff / np.linalg.norm(coeff)))
-    energy = max_residual(
-        abs(cons.euclidean_occupancy(fs, 3, psi) - cons.euclidean_occupancy(fs, 0, psi))
-        for psi in probes
-    )
+        coeff = rng.normal(size=kernel.dimension) + 1j * rng.normal(size=kernel.dimension)
+        psi = kernel.vector(cons.unit(coeff))
+        balance.append(cons.euclidean_occupancy(fs, 3, psi) - cons.euclidean_occupancy(fs, 0, psi))
+    energy = max_residual(np.abs(np.hstack(balance)))
     rep.add("free-energy-cancellation", "Gupta1", energy, config.tol)
 
     fs_sh = _shell_space(shell, (0, 1, 2, 3), config.dim_cap)

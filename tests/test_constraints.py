@@ -9,8 +9,6 @@ from photonam import operators as ops
 from photonam.errors import (
     ChannelMismatch,
     DimensionCapExceeded,
-    DimensionMismatch,
-    EmptySubspace,
     IncommensurateGrid,
     NoKernel,
     ToleranceAmbiguous,
@@ -23,6 +21,7 @@ from photonam.fock import (
     expectation,
     indefinite_inner,
     max_abs,
+    metric_diagonal,
 )
 from photonam.modes import SphericalShell, build_cartesian_modeset, parse_modeset
 from photonam.sampling import SeededRng
@@ -111,11 +110,11 @@ def test_free_kernel_matches_hand_construction():
         annihilator(fs, ("k", 3)) - annihilator(fs, ("k", 0))
     ]
     sub = cons.physical_subspace(fs, constraint, tol=1e-10)
-    assert sub.dimension == 2
+    assert sub.shape[1] == 2
     expected = np.zeros((4, 2), dtype=complex)
     expected[:, 0] = fs.vacuum()
     expected[:, 1] = (fs.basis_state({("k", 3): 1}) + fs.basis_state({("k", 0): 1})) / np.sqrt(2)
-    proj = sub.basis @ sub.basis.conj().T
+    proj = sub @ sub.conj().T
     proj_expected = expected @ expected.conj().T
     assert np.max(np.abs(proj - proj_expected)) <= 1e-12
     assert cons.kernel_certificate(constraint, sub) <= 1e-12
@@ -125,7 +124,7 @@ def test_dense_constraint_stack_over_dim_cap_raises():
     fs = build_fock([("k", 3), ("k", 0)], 1)
     constraint = [annihilator(fs, ("k", 3)) - annihilator(fs, ("k", 0))]
     # one 4 x 4 constraint: 16 dense elements
-    assert cons.physical_subspace(fs, constraint, dim_cap=16).dimension == 2
+    assert cons.physical_subspace(fs, constraint, dim_cap=16).shape[1] == 2
     with pytest.raises(DimensionCapExceeded, match="4 x 4 = 16 elements exceeds cap 15"):
         cons.physical_subspace(fs, constraint, dim_cap=15)
 
@@ -152,8 +151,8 @@ def test_sector_kernel_matches_whole_stack(grid, n_max, max_total, kernel_dim):
     constraints = cons.gb_constraints(ms, fs, None)
     sub = cons.physical_subspace(fs, constraints, tol=1e-10)
     ref = _whole_stack_kernel(constraints)
-    assert sub.dimension == ref.shape[1] == kernel_dim
-    proj = sub.basis @ sub.basis.conj().T
+    assert sub.shape[1] == ref.shape[1] == kernel_dim
+    proj = sub @ sub.conj().T
     assert np.max(np.abs(proj - ref @ ref.conj().T)) <= 1e-12
     assert cons.kernel_certificate(constraints, sub) <= 1e-12
 
@@ -169,7 +168,7 @@ def test_capped_kernel_is_full_kernel_on_the_block(max_total):
 
     def projector(fs):
         sub = cons.physical_subspace(fs, cons.gb_constraints(ms, fs, None), tol=1e-10)
-        return sub.basis @ sub.basis.conj().T
+        return sub @ sub.conj().T
 
     block = full.locate(capped.occ)
     assert full.dim == 256
@@ -183,47 +182,99 @@ FOUR_MODES = TWO_MODES + "\n1 0 0\n-1 0 0"
 SIX_MODES = FOUR_MODES + "\n0.6 0.8 0\n-0.6 -0.8 0"
 
 
-@pytest.mark.parametrize(
-    "grid, n_max",
-    [
-        *((TWO_MODES, n) for n in (1, 2, 3, 4)),
-        (FOUR_MODES, 2),
-        (FOUR_MODES, 3),
-        (SIX_MODES, 2),
-        ("0.5 0.25 -0.7\n-0.5 -0.25 0.7", 2),
-    ],
-)
-def test_closed_form_kernel_matches_svd(grid, n_max, monkeypatch):
+def _grid_space(grid, n_max, max_total):
     ms = parse_modeset(grid)
     chans = [(i, lam) for i in ms.mode_labels() for lam in (0, 1, 2, 3)]
-    fs = build_fock(chans, n_max, max_total=n_max)
+    return ms, build_fock(chans, n_max, max_total=max_total)
+
+
+def _dense(kernel):
+    """The closed-form kernel's (dim x r) basis, one unit column per monomial."""
+    return np.stack([kernel.vector(e) for e in np.eye(kernel.dimension)], axis=1)
+
+
+# capped at total occupation n_max; then uncapped (the 256-state space of
+# acceptance criterion 6) and capped above n_max, where the monomials with
+# n_0 + n_3 > n_max in some mode are cut by the truncation
+CAPPED_AT_NMAX = [
+    *((TWO_MODES, n) for n in (1, 2, 3, 4)),
+    (FOUR_MODES, 2),
+    (FOUR_MODES, 3),
+    (SIX_MODES, 2),
+    ("0.5 0.25 -0.7\n-0.5 -0.25 0.7", 2),
+]
+CAPPED_ELSEWHERE = [(TWO_MODES, 1, None), (TWO_MODES, 2, 3), (TWO_MODES, 1, 2), (TWO_MODES, 3, 4)]
+
+
+@pytest.mark.parametrize(
+    "grid, n_max, max_total",
+    [(grid, n, n) for grid, n in CAPPED_AT_NMAX] + CAPPED_ELSEWHERE,
+    ids=[f"{grid}-{n}" for grid, n in CAPPED_AT_NMAX]
+    + [f"{grid}-{n}-cap{cap}" for grid, n, cap in CAPPED_ELSEWHERE],
+)
+def test_closed_form_kernel_matches_svd(grid, n_max, max_total, monkeypatch):
+    ms, fs = _grid_space(grid, n_max, max_total)
     constraints = cons.gb_constraints(ms, fs, None)
     ref = cons.physical_subspace(fs, constraints, tol=1e-10, dim_cap=1 << 22)
-    # the closed form makes no np.linalg call
+    # the closed form and its certificate make no np.linalg call
     with monkeypatch.context() as patch:
         patch.setattr(np, "linalg", None)
         sub = cons.gb_physical_subspace(ms, fs)
-    modes = len(ms.mode_labels())
-    assert sub.dimension == ref.dimension == math.comb(3 * modes + n_max, n_max)
-    proj = sub.basis @ sub.basis.conj().T
-    assert np.max(np.abs(proj - ref.basis @ ref.basis.conj().T)) <= 1e-12
-    assert np.max(np.abs(sub.basis.conj().T @ sub.basis - np.eye(sub.dimension))) <= 1e-14
-    assert cons.kernel_certificate(constraints, sub) <= 1e-12
+        certificate = cons.gb_kernel_certificate(constraints, sub)
+    assert sub.dimension == ref.shape[1]
+    if max_total == n_max:
+        assert sub.dimension == math.comb(3 * len(ms.mode_labels()) + n_max, n_max)
+    basis = _dense(sub)
+    proj = basis @ basis.conj().T
+    assert np.max(np.abs(proj - ref @ ref.conj().T)) <= 1e-12
+    assert np.max(np.abs(basis.conj().T @ basis - np.eye(sub.dimension))) <= 1e-14
+    assert certificate <= 1e-12
+    assert cons.kernel_certificate(constraints, basis) <= 1e-12
+    # the indefinite Gram matrix is the diagonal the record carries
+    gram = basis.conj().T @ (metric_diagonal(fs)[:, None] * basis)
+    assert np.max(np.abs(gram - np.diag(sub.norm))) <= 1e-14
 
 
 def test_closed_form_kernel_refusals():
     ms = parse_modeset(TWO_MODES)
-    chans = [(i, lam) for i in ms.mode_labels() for lam in (0, 1, 2, 3)]
-    with pytest.raises(DimensionMismatch, match="total occupation cap 3 <= n_max 2"):
-        cons.gb_physical_subspace(ms, build_fock(chans, 2, max_total=3))
-    fs = build_fock(chans, 2, max_total=2)
-    # 45 states x 28 kernel monomials, counted before the basis is allocated
-    assert cons.gb_physical_subspace(ms, fs, dim_cap=45 * 28).dimension == 28
-    with pytest.raises(DimensionCapExceeded, match="kernel basis 45 x 28 = 1260 elements"):
-        cons.gb_physical_subspace(ms, fs, dim_cap=45 * 28 - 1)
     transverse = build_fock([(i, lam) for i in (0, 1) for lam in (1, 2, 3)], 2, max_total=2)
     with pytest.raises(ChannelMismatch, match="need lam = 0 and lam = 3"):
         cons.gb_physical_subspace(ms, transverse)
+
+
+def test_column_forms_match_expectation_on_unit_columns():
+    # rep-* values: one bincount per operator against fock.expectation on the
+    # dense unit column of every representative of the 4-mode grid at n_max 2
+    ms, fs = _grid_space(FOUR_MODES, 2, 2)
+    kernel = cons.gb_physical_subspace(ms, fs)
+    reps, _ = kernel.split()
+    assert reps.size == math.comb(2 * 4 + 2, 2)
+    for name in ("spin_total", "spin_obs"):
+        for op in ops.lift_family(fs, name, ms):
+            forms = cons.column_forms(fs, kernel, op)[reps] / kernel.norm[reps]
+            dense = [expectation(fs, op, kernel.vector([1.0], [j])) for j in reps]
+            assert np.array_equal(forms, dense)
+
+
+def test_grid_gauge_hiding_makes_no_linalg_call(monkeypatch):
+    # gauge-hiding's grid path: lifts, kernel, certificate, probes and the
+    # occupancy balance, on the 4-mode grid at n_max 3
+    ms, fs = _grid_space(FOUR_MODES, 3, 3)
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "linalg", None)
+        spin, spin_obs = (ops.lift_family(fs, name, ms) for name in ("spin_total", "spin_obs"))
+        kernel = cons.gb_physical_subspace(ms, fs)
+        certificate = cons.gb_kernel_certificate(cons.gb_constraints(ms, fs, None), kernel)
+        entries = cons.verify_gauge_hiding(fs, kernel, spin, spin_obs, rng=SeededRng(0))
+        balance = cons.column_occupancy(fs, kernel, 3) - cons.column_occupancy(fs, kernel, 0)
+        psi = kernel.vector(cons.unit(np.arange(kernel.dimension) + 1j))
+        combined = cons.euclidean_occupancy(fs, 3, psi) - cons.euclidean_occupancy(fs, 0, psi)
+    assert kernel.dimension == math.comb(3 * 4 + 3, 3)
+    assert certificate <= 1e-12
+    assert max(np.max(np.abs(balance)), abs(combined)) <= 1e-12
+    asserted = [e for e in entries if not e.skipped and not e.state.startswith("mixed")]
+    assert max(e.spin_hiding for e in asserted) <= 1e-12
+    assert sum(e.skipped for e in entries) == kernel.dimension - math.comb(2 * 4 + 3, 3)
 
 
 def test_non_graded_constraints_are_one_block():
@@ -234,14 +285,14 @@ def test_non_graded_constraints_are_one_block():
     constraints = [annihilator(fs, ("k", 3)) - annihilator(fs, ("k", 0)), number]
     sub = cons.physical_subspace(fs, constraints, tol=1e-10)
     ref = _whole_stack_kernel(constraints)
-    assert sub.dimension == 2
-    assert np.array_equal(sub.basis, ref)
+    assert sub.shape[1] == 2
+    assert np.array_equal(sub, ref)
 
 
 def test_empty_constraints_whole_space_physical():
     fs = build_fock([("k", 1), ("k", 2)], 1)
     sub = cons.physical_subspace(fs, [], tol=1e-10)
-    assert sub.dimension == fs.dim
+    assert sub.shape[1] == fs.dim
 
 
 def test_displaced_kernel_vanishes_in_truncation():
@@ -265,21 +316,20 @@ def test_tolerance_gap_guard():
 
 def test_quotient_representatives_split():
     fs = build_fock([("k", 3), ("k", 0)], 1)
-    constraint = [annihilator(fs, ("k", 3)) - annihilator(fs, ("k", 0))]
-    sub = cons.physical_subspace(fs, constraint, tol=1e-10)
-    reps, nulls = cons.quotient_representatives(fs, sub)
-    assert reps.shape[1] == 1 and nulls.shape[1] == 1
-    assert abs(indefinite_inner(fs, reps[:, 0], reps[:, 0])) > 0.5
-    assert abs(indefinite_inner(fs, nulls[:, 0], nulls[:, 0])) <= 1e-12
+    kernel = cons.gb_physical_subspace(_OneMode(), fs)
+    reps, nulls = ([kernel.vector([1.0], [j]) for j in part] for part in kernel.split())
+    assert len(reps) == 1 and len(nulls) == 1
+    assert abs(indefinite_inner(fs, reps[0], reps[0])) > 0.5
+    assert abs(indefinite_inner(fs, nulls[0], nulls[0])) <= 1e-12
 
 
 def test_gauge_hiding_entries_and_class_dependence():
     ms = build_cartesian_modeset([(0.0, 0.0, 1.0)])
     fs = build_fock([(i, lam) for i in (0, 1) for lam in (0, 1, 2, 3)], 1)
     constraints = cons.gb_constraints(ms, fs, None)
-    sub = cons.physical_subspace(fs, constraints, tol=1e-10)
+    sub = cons.gb_physical_subspace(ms, fs)
     spin, spin_obs = (ops.lift_family(fs, name, ms) for name in ("spin_total", "spin_obs"))
-    entries = cons.verify_gauge_hiding(fs, sub, spin, spin_obs, rng=SeededRng(1), n_random=4)
+    entries = cons.verify_gauge_hiding(fs, sub, spin, spin_obs, rng=SeededRng(1))
     asserted = [e for e in entries if not e.skipped and not e.state.startswith("mixed")]
     assert asserted
     assert max(e.spin_hiding for e in asserted) <= 1e-12
@@ -299,13 +349,6 @@ def test_gauge_hiding_entries_and_class_dependence():
     assert diff > 1e-3
 
 
-def test_verify_gauge_hiding_empty_subspace():
-    fs = build_fock([("k", 3), ("k", 0)], 1)
-    sub = cons.PhysicalSubspace(np.zeros((fs.dim, 0)))
-    with pytest.raises(EmptySubspace):
-        cons.verify_gauge_hiding(fs, sub, (), (), SeededRng(0))
-
-
 def test_euclidean_occupancy_balance_on_kernel():
     ms = build_cartesian_modeset([(0.0, 0.0, 1.0)])
     fs = build_fock([(i, lam) for i in (0, 1) for lam in (0, 3)], 2)
@@ -313,8 +356,8 @@ def test_euclidean_occupancy_balance_on_kernel():
     sub = cons.physical_subspace(fs, constraints, tol=1e-10)
     rng = np.random.default_rng(2)
     for _ in range(5):
-        coeff = rng.normal(size=sub.dimension) + 1j * rng.normal(size=sub.dimension)
-        psi = sub.basis @ coeff
+        coeff = rng.normal(size=sub.shape[1]) + 1j * rng.normal(size=sub.shape[1])
+        psi = sub @ coeff
         n3 = cons.euclidean_occupancy(fs, 3, psi)
         n0 = cons.euclidean_occupancy(fs, 0, psi)
         assert abs(n3 - n0) <= 1e-12
@@ -362,6 +405,8 @@ def test_nan_residual_propagates_through_reductions():
     nans = np.full(rows.size, np.nan + 0j)
     poisoned = OperatorMatrix.from_entries(fs, nans, rows, cols)
     assert math.isnan(cons.kernel_certificate(constraint + [poisoned], sub))
+    kernel = cons.gb_physical_subspace(_OneMode(), fs)
+    assert math.isnan(cons.gb_kernel_certificate(constraint + [poisoned], kernel))
 
     ms = build_cartesian_modeset([(0.0, 0.0, 1.0)])
     assert math.isnan(cons.xi_conjugate_residual(ms, {0: 0.1, 1: np.nan}))

@@ -425,31 +425,31 @@ def test_cli_dense_constraint_stack_over_dim_cap_exit_2(capsys, monkeypatch):
         return to_dense(self)
 
     monkeypatch.setattr(OperatorMatrix, "to_dense", small_dense_only)
-    # 4 modes x 4 polarizations at --nmax 3: 969 states, a 969 x 455 kernel basis
-    argv = ["--suite", "gauge-hiding", "--grid", FOUR_MODE_GRID, "--nmax", "3"]
-    assert main(argv + ["--format", "json"]) == 0
-    parsed = json.loads(capsys.readouterr().out)
-    assert parsed["summary"] == {"total": 10, "passed": 10, "failed": 0}
+    # 4 modes x 4 polarizations at --nmax 3: 969 states, 455 kernel monomials;
+    # 8 modes at --nmax 3: 6545 states, 2925 kernel monomials
+    for grid in (FOUR_MODE_GRID, EIGHT_MODE_GRID):
+        argv = ["--suite", "gauge-hiding", "--grid", grid, "--nmax", "3"]
+        assert main(argv + ["--format", "json"]) == 0
+        parsed = json.loads(capsys.readouterr().out)
+        assert parsed["summary"] == {"total": 10, "passed": 10, "failed": 0}
     assert densified and max(map(max, densified)) <= 9
-    # 8 modes at --nmax 3: 6545 states, so a 6545 x 2925 basis is refused
-    # before it is allocated; the whole run stays below one complex vector of
-    # dim_cap amplitudes
+    # 8 modes at --nmax 6: 2760681 states, refused before the occupation table
+    # is allocated; the whole run stays below one complex vector of dim_cap
+    # amplitudes
     tracemalloc.start()
     try:
-        code = main(["--suite", "gauge-hiding", "--grid", EIGHT_MODE_GRID, "--nmax", "3"])
+        code = main(["--suite", "gauge-hiding", "--grid", EIGHT_MODE_GRID, "--nmax", "6"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == 2
     assert peak < 16 << 20
     err = capsys.readouterr().err
-    assert err == (
-        "error: kernel basis 6545 x 2925 = 19144125 elements exceeds cap 1048576\n"
-    )
+    assert err == "error: dim 2760681 (total occupation <= 6) exceeds cap 1048576\n"
 
 
 def test_cli_gauge_hiding_four_mode_grid_passes(capsys):
-    # capped at total occupation 2: 153 states, a 153 x 91 kernel basis
+    # capped at total occupation 2: 153 states, 91 kernel monomials
     assert main(["--suite", "gauge-hiding", "--grid", FOUR_MODE_GRID, "--format", "json"]) == 0
     parsed = json.loads(capsys.readouterr().out)
     assert parsed["summary"] == {"total": 10, "passed": 10, "failed": 0}

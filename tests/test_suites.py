@@ -109,9 +109,10 @@ GAUGE_HIDING_CHECKS = [
 
 @pytest.mark.parametrize("seed", range(4))
 def test_gauge_hiding_report_shape(seed):
-    # the grid kernel basis is the closed-form monomial basis, which no LAPACK
-    # call or BLAS thread count can rotate; this pins the checks, verdicts and
-    # probe counts
+    # the grid kernel is the closed-form monomial record and its representatives
+    # are its transverse columns in basis order, so no LAPACK call or BLAS
+    # thread count can rotate or reorder them; this pins the checks, verdicts
+    # and probe counts
     rep = run_suite(SuiteConfig(suite="gauge-hiding", seed=seed))
     assert [r.check_id for r in rep.checks] == GAUGE_HIDING_CHECKS
     assert all(r.passed for r in rep.checks)

@@ -8,14 +8,17 @@ excluded from expectation checks.
 
 On a grid space the free kernel (xi0 = 0) has a closed form,
 `gb_physical_subspace`: a sparse record of each row's monomial column and
-weight, read off the occupation table, so the kernel, its certificate and
-the expectations on it cost O(dim) or O(nnz), with no dense basis and no
-LAPACK.  Its indefinite Gram matrix is diagonal: 1 on the transverse
-monomials, the quotient representatives on which expectation-level
-statements about gauge-variant operators are asserted, and 0 on the
-zero-norm directions.  On states that mix in zero-norm excitations with
-nonzero relative phase, the difference <spin> - <spin_obs> is genuinely
-nonzero; those values are reported, never asserted.  `physical_subspace`
+weight, read off the occupation table, so the kernel and its certificate
+cost O(dim) or O(nnz), with no dense basis and no LAPACK.  Its indefinite
+Gram matrix is diagonal: 1 on the transverse monomials, the quotient
+representatives on which expectation-level statements about gauge-variant
+operators are asserted, and 0 on the zero-norm directions.  Every
+expectation on the kernel is read in kernel coordinates: `kernel_entries`
+groups an operator's entries into R^dag eta O R, R the kernel's columns,
+and a kernel state is a coefficient vector over those columns, never a
+dense state.  On states that mix in zero-norm excitations with nonzero
+relative phase, the difference <spin> - <spin_obs> is genuinely nonzero;
+those values are reported, never asserted.  `physical_subspace`
 finds any kernel numerically, with one rank-revealing SVD of the dense
 stack; it serves the one-mode pair and is the oracle the closed form is
 tested against.
@@ -40,11 +43,10 @@ from .fock import (
     DEFAULT_DIM_CAP,
     FockSpace,
     OperatorMatrix,
+    _group,
     annihilator,
     creator,
-    expectation,
     identity_operator,
-    indefinite_inner,
     max_residual,
     metric_diagonal,
 )
@@ -200,13 +202,6 @@ class GBKernel:
         quotient = np.abs(self.norm) > 1e-10
         return np.flatnonzero(quotient), np.flatnonzero(~quotient)
 
-    def vector(self, coeff: np.ndarray, columns=slice(None)) -> np.ndarray:
-        """The state sum_i coeff[i] v_{columns[i]} (every column by default)."""
-        full = np.zeros(self.dimension + 1, dtype=complex)
-        full[:-1][columns] = coeff
-        # a row in no column reads full[-1], which stays 0
-        return full[self.column] * self.weight
-
 
 def gb_physical_subspace(ms: ModeSet, fs: FockSpace) -> GBKernel:
     """Closed-form kernel of the free constraints a_3 - a_0 of every mode.
@@ -246,38 +241,28 @@ def gb_kernel_certificate(constraints: list[OperatorMatrix], kernel: GBKernel) -
         rows, cols, data = c.entries()
         j = kernel.column[cols]
         inside = j >= 0
-        keys, labels = np.unique(rows[inside] * r + j[inside], return_inverse=True)
+        keys, labels = _group(rows[inside] * r + j[inside])
         terms = data[inside] * kernel.weight[cols[inside]]
         squares = np.bincount(labels, terms.real) ** 2 + np.bincount(labels, terms.imag) ** 2
         worst.append(np.sqrt(np.bincount(keys % r, squares, r)).max())
     return max_residual(worst)
 
 
-def column_forms(fs: FockSpace, kernel: GBKernel, op: OperatorMatrix) -> np.ndarray:
-    """<v_j, eta op v_j> for every kernel column j, from the entries of op
-    whose row and column lie in the same kernel column."""
+def kernel_entries(
+    fs: FockSpace, kernel: GBKernel, op: OperatorMatrix
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """COO entries (i, j, <v_i, eta op v_j>) of R^dag eta op R, R the kernel's
+    columns: the entries of op whose row lies in column i and whose col in
+    column j, weighted by eta w_row w_col and summed in input order."""
     rows, cols, data = op.entries()
-    j = kernel.column[rows]
-    same = (j >= 0) & (j == kernel.column[cols])
-    rows, cols, j = rows[same], cols[same], j[same]
-    terms = data[same] * (metric_diagonal(fs)[rows] * kernel.weight[rows] * kernel.weight[cols])
+    i, j = kernel.column[rows], kernel.column[cols]
+    inside = (i >= 0) & (j >= 0)
+    rows, cols = rows[inside], cols[inside]
+    terms = data[inside] * (metric_diagonal(fs)[rows] * kernel.weight[rows] * kernel.weight[cols])
     r = kernel.dimension
-    return np.bincount(j, terms.real, r) + 1j * np.bincount(j, terms.imag, r)
-
-
-def unit(v: np.ndarray) -> np.ndarray:
-    """v over its Euclidean norm, summed as np.linalg.norm sums it."""
-    return v / np.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
-
-
-@dataclass(frozen=True)
-class GaugeHidingEntry:
-    """Per-state record produced by verify_gauge_hiding; a skipped (zero-norm)
-    probe carries spin_hiding 0."""
-
-    state: str
-    spin_hiding: float
-    skipped: bool = False
+    keys, labels = _group(i[inside] * r + j[inside])
+    values = np.bincount(labels, terms.real) + 1j * np.bincount(labels, terms.imag)
+    return keys // r, keys % r, values
 
 
 def verify_gauge_hiding(
@@ -286,39 +271,42 @@ def verify_gauge_hiding(
     spin: tuple[OperatorMatrix, ...],
     spin_obs: tuple[OperatorMatrix, ...],
     rng: SeededRng,
-) -> list[GaugeHidingEntry]:
-    """Expectation-value gauge hiding on the closed-form kernel: per probe of
-    nonzero indefinite norm, spin_hiding = max_i |<spin_i> - <spin_obs_i>|.
+) -> tuple[float, np.ndarray, int]:
+    """Expectation-value gauge hiding in kernel coordinates: per probe,
+    max_i |<spin_i> - <spin_obs_i>|, read off M_i = `kernel_entries` of
+    spin_i - spin_obs_i.
 
-    The probes are the representatives (`GBKernel.split`), read off by
-    `column_forms`; the zero-norm directions, skipped and counted; six seeded
-    random combinations of the representatives; and six "mixed-*" ones that
-    add zero-norm directions, for callers to report rather than assert.
+    The probes are the representatives (`GBKernel.split`), read off the
+    diagonal of M_i; six seeded combinations c of them; and six "mixed" ones
+    that add the zero-norm directions, for callers to report rather than
+    assert.  A combination reads |c^dag M_i c| / sum_j |c_j|^2 norm_j, over
+    its indefinite norm, which is positive: every combination draws every
+    representative.  Returns the largest value over the representatives and
+    their six combinations, the six mixed values, and the number of
+    zero-norm directions, which are skipped and counted.
     """
     reps, nulls = kernel.split()
-    hiding = np.zeros(reps.size)
-    for a, b in zip(spin, spin_obs):
-        diff = (column_forms(fs, kernel, a) - column_forms(fs, kernel, b))[reps] / kernel.norm[reps]
-        hiding = np.maximum(hiding, np.abs(diff))
-    entries = [GaugeHidingEntry(f"rep-{j}", float(h)) for j, h in enumerate(hiding)]
-    entries += [GaugeHidingEntry(f"null-{j}", 0.0, skipped=True) for j in range(nulls.size)]
+    r = kernel.dimension
 
     def draw(n: int) -> np.ndarray:
         return rng.normal(size=n) + 1j * rng.normal(size=n)
 
-    probes = [(f"rand-{j}", kernel.vector(unit(draw(reps.size)), reps)) for j in range(6)]
-    if nulls.size:
-        both = np.concatenate([reps, nulls])
-        for j in range(6):
-            coeff = np.concatenate([draw(reps.size), draw(nulls.size)])
-            probes.append((f"mixed-{j}", unit(kernel.vector(coeff, both))))
-    for label, psi in probes:
-        if abs(indefinite_inner(fs, psi, psi).real) <= 1e-12 * float(np.vdot(psi, psi).real):
-            entries.append(GaugeHidingEntry(label, 0.0, skipped=True))
-            continue
-        diffs = [expectation(fs, a, psi) - expectation(fs, b, psi) for a, b in zip(spin, spin_obs)]
-        entries.append(GaugeHidingEntry(label, float(np.max(np.abs(diffs)))))
-    return entries
+    probes = np.zeros((12 if nulls.size else 6, r), dtype=complex)
+    for c in probes[:6]:
+        c[reps] = draw(reps.size)
+    for c in probes[6:]:
+        c[reps], c[nulls] = draw(reps.size), draw(nulls.size)
+    weights = (probes.real ** 2 + probes.imag ** 2) @ kernel.norm
+    hiding, values = np.zeros(reps.size), np.zeros(len(probes))
+    for a, b in zip(spin, spin_obs):
+        i, j, m = kernel_entries(fs, kernel, a - b)
+        on = i == j
+        diagonal = np.zeros(r, dtype=complex)
+        diagonal[i[on]] = m[on]
+        hiding = np.maximum(hiding, np.abs(diagonal[reps] / kernel.norm[reps]))
+        forms = np.array([np.vdot(c[i], m * c[j]) for c in probes])
+        values = np.maximum(values, np.abs(forms) / weights)
+    return max_residual(np.concatenate([hiding, values[:6]])), values[6:], nulls.size
 
 
 def _polarization_count(fs: FockSpace, lam: int) -> np.ndarray:
@@ -327,15 +315,9 @@ def _polarization_count(fs: FockSpace, lam: int) -> np.ndarray:
     return fs.occ[:, lams == lam].sum(axis=1, dtype=float)
 
 
-def euclidean_occupancy(fs: FockSpace, lam: int, psi: np.ndarray) -> float:
-    """Euclidean expectation of the plain occupation count summed over the
-    channels with polarization lam."""
-    weight = float(np.vdot(psi, psi).real)
-    return float(np.real(np.vdot(psi, _polarization_count(fs, lam) * psi)) / weight)
-
-
 def column_occupancy(fs: FockSpace, kernel: GBKernel, lam: int) -> np.ndarray:
-    """`euclidean_occupancy` of every kernel column, one sum over its rows."""
+    """Per kernel column, the Euclidean expectation of the occupation count
+    summed over the channels with polarization lam, one sum over its rows."""
     w, labels = kernel.weight, kernel.column + 1
     count = np.bincount(labels, w * (_polarization_count(fs, lam) * w))
     return count[1:] / np.bincount(labels, w * w)[1:]

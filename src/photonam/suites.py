@@ -117,6 +117,8 @@ class SuiteConfig:
             raise InvalidConfig("n_max must be >= 1")
         if self.seed < 0:
             raise InvalidConfig("seed must be a non-negative integer")
+        if self.dim_cap < 1:
+            raise InvalidConfig("dim_cap must be >= 1")
         if self.grid is not None and not isinstance(self.grid, CartesianGrid):
             raise InvalidConfig("a grid lists wave vectors; give a shell with --shell")
         if self.suite not in SUITES and self.suite != "all":
@@ -558,25 +560,26 @@ def suite_gauge_hiding(config: SuiteConfig) -> VerificationReport:
     rep.add("gb-longitudinal-not-physical", "Gupta1", longi, 0.5, kind=KIND_VIOLATION)
 
     spin, spin_obs = (ops.lift_family(fs, name, ms) for name in ("spin_total", "spin_obs"))
-    entries = cons.verify_gauge_hiding(fs, kernel, spin, spin_obs, rng=rng)
-    probed = [e for e in entries if not e.skipped]
-    asserted = max_residual(e.spin_hiding for e in probed if not e.state.startswith("mixed"))
-    mixed = [e.spin_hiding for e in probed if e.state.startswith("mixed")]
+    asserted, mixed, skipped = cons.verify_gauge_hiding(fs, kernel, spin, spin_obs, rng=rng)
     rep.add("gauge-hiding-spin-representatives", "gauge-hiding", asserted, config.tol)
-    if mixed:
+    if mixed.size:
         rep.note(
             f"spin hiding on zero-norm-mixed states: max {max_residual(mixed):.3e}"
             " (class-dependent, reported only)"
         )
-    rep.note(f"zero-norm physical probes skipped and counted: {len(entries) - len(probed)}")
+    rep.note(f"zero-norm physical probes skipped and counted: {skipped}")
 
-    # every column by one sum over its rows, then six random combinations
-    balance = [cons.column_occupancy(fs, kernel, 3) - cons.column_occupancy(fs, kernel, 0)]
+    # every column by one sum over its rows; columns have disjoint rows, so a
+    # combination c reads sum_j |c_j|^2 balance_j / sum_j |c_j|^2.  The six
+    # combinations keep their draws so that the later draws (xi pathway,
+    # xi-fourier) stay where they were
+    balance = cons.column_occupancy(fs, kernel, 3) - cons.column_occupancy(fs, kernel, 0)
+    combined = []
     for _ in range(6):
-        coeff = rng.normal(size=kernel.dimension) + 1j * rng.normal(size=kernel.dimension)
-        psi = kernel.vector(cons.unit(coeff))
-        balance.append(cons.euclidean_occupancy(fs, 3, psi) - cons.euclidean_occupancy(fs, 0, psi))
-    energy = max_residual(np.abs(np.hstack(balance)))
+        re, im = rng.normal(size=kernel.dimension), rng.normal(size=kernel.dimension)
+        weight = re**2 + im**2
+        combined.append(weight @ balance / weight.sum())
+    energy = max_residual(np.abs(np.concatenate([balance, combined])))
     rep.add("free-energy-cancellation", "Gupta1", energy, config.tol)
 
     fs_sh = _shell_space(shell, (0, 1, 2, 3), config.dim_cap)

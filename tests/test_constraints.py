@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from photonam import constraints as cons
+from photonam import fock
 from photonam import operators as ops
 from photonam.errors import (
     ChannelMismatch,
@@ -190,7 +191,10 @@ def _grid_space(grid, n_max, max_total):
 
 def _dense(kernel):
     """The closed-form kernel's (dim x r) basis, one unit column per monomial."""
-    return np.stack([kernel.vector(e) for e in np.eye(kernel.dimension)], axis=1)
+    basis = np.zeros((kernel.column.size, kernel.dimension), dtype=complex)
+    rows = np.flatnonzero(kernel.column >= 0)
+    basis[rows, kernel.column[rows]] = kernel.weight[rows]
+    return basis
 
 
 # capped at total occupation n_max; then uncapped (the 256-state space of
@@ -242,39 +246,78 @@ def test_closed_form_kernel_refusals():
         cons.gb_physical_subspace(ms, transverse)
 
 
-def test_column_forms_match_expectation_on_unit_columns():
-    # rep-* values: one bincount per operator against fock.expectation on the
-    # dense unit column of every representative of the 4-mode grid at n_max 2
+def _draw(rng, n):
+    return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
+def test_kernel_entries_match_dense_oracle():
+    # R^dag eta O R against the dense basis, and every gauge-hiding value
+    # against fock.expectation on the dense state, on the 4-mode grid at n_max 2
     ms, fs = _grid_space(FOUR_MODES, 2, 2)
     kernel = cons.gb_physical_subspace(ms, fs)
-    reps, _ = kernel.split()
+    basis = _dense(kernel)
+    eta = metric_diagonal(fs)[:, None]
+    reps, nulls = kernel.split()
     assert reps.size == math.comb(2 * 4 + 2, 2)
-    for name in ("spin_total", "spin_obs"):
-        for op in ops.lift_family(fs, name, ms):
-            forms = cons.column_forms(fs, kernel, op)[reps] / kernel.norm[reps]
-            dense = [expectation(fs, op, kernel.vector([1.0], [j])) for j in reps]
-            assert np.array_equal(forms, dense)
+    spin, spin_obs = (ops.lift_family(fs, name, ms) for name in ("spin_total", "spin_obs"))
+    for op in (*spin, *spin_obs, *(a - b for a, b in zip(spin, spin_obs))):
+        i, j, m = cons.kernel_entries(fs, kernel, op)
+        full = np.zeros((kernel.dimension,) * 2, dtype=complex)
+        full[i, j] = m
+        assert np.max(np.abs(full - basis.conj().T @ (eta * (op @ basis)))) <= 1e-14
+        # rep-* values: the diagonal, as fock.expectation reads each unit column
+        dense = [expectation(fs, op, basis[:, j]) for j in reps]
+        assert np.array_equal(np.diag(full)[reps] / kernel.norm[reps], dense)
+
+    def hiding(psi):
+        pairs = zip(spin, spin_obs)
+        return max(abs(expectation(fs, a, psi) - expectation(fs, b, psi)) for a, b in pairs)
+
+    def state(rng, columns):
+        return sum(basis[:, part] @ _draw(rng, part.size) for part in columns)
+
+    for seed in (0, 5):
+        asserted, mixed, skipped = cons.verify_gauge_hiding(
+            fs, kernel, spin, spin_obs, SeededRng(seed)
+        )
+        # the same draws in the same order: six random combinations of the
+        # representatives, then six that add the zero-norm directions
+        rng = SeededRng(seed)
+        rand = [hiding(state(rng, [reps])) for _ in range(6)]
+        dense = [hiding(state(rng, [reps, nulls])) for _ in range(6)]
+        assert skipped == nulls.size
+        assert abs(asserted - max([hiding(basis[:, j]) for j in reps] + rand)) <= 1e-12
+        assert mixed.shape == (6,) and np.max(np.abs(mixed - dense)) <= 1e-12
+        assert min(dense) > 1e-3
 
 
 def test_grid_gauge_hiding_makes_no_linalg_call(monkeypatch):
     # gauge-hiding's grid path: lifts, kernel, certificate, probes and the
-    # occupancy balance, on the 4-mode grid at n_max 3
+    # occupancy balance, on the 4-mode grid at n_max 3, in kernel coordinates:
+    # no np.linalg call and no dense state read by fock.expectation
     ms, fs = _grid_space(FOUR_MODES, 3, 3)
+
+    def dense_state(*args):
+        raise AssertionError("dense state read on the grid path")
+
+    assert not {"expectation", "indefinite_inner"} & set(vars(cons))
     with monkeypatch.context() as patch:
         patch.setattr(np, "linalg", None)
+        patch.setattr(fock, "expectation", dense_state)
+        patch.setattr(fock, "indefinite_inner", dense_state)
         spin, spin_obs = (ops.lift_family(fs, name, ms) for name in ("spin_total", "spin_obs"))
         kernel = cons.gb_physical_subspace(ms, fs)
         certificate = cons.gb_kernel_certificate(cons.gb_constraints(ms, fs, None), kernel)
-        entries = cons.verify_gauge_hiding(fs, kernel, spin, spin_obs, rng=SeededRng(0))
+        asserted, mixed, skipped = cons.verify_gauge_hiding(
+            fs, kernel, spin, spin_obs, rng=SeededRng(0)
+        )
         balance = cons.column_occupancy(fs, kernel, 3) - cons.column_occupancy(fs, kernel, 0)
-        psi = kernel.vector(cons.unit(np.arange(kernel.dimension) + 1j))
-        combined = cons.euclidean_occupancy(fs, 3, psi) - cons.euclidean_occupancy(fs, 0, psi)
     assert kernel.dimension == math.comb(3 * 4 + 3, 3)
     assert certificate <= 1e-12
-    assert max(np.max(np.abs(balance)), abs(combined)) <= 1e-12
-    asserted = [e for e in entries if not e.skipped and not e.state.startswith("mixed")]
-    assert max(e.spin_hiding for e in asserted) <= 1e-12
-    assert sum(e.skipped for e in entries) == kernel.dimension - math.comb(2 * 4 + 3, 3)
+    assert np.max(np.abs(balance)) <= 1e-12
+    assert asserted <= 1e-12
+    assert mixed.size == 6
+    assert skipped == kernel.dimension - math.comb(2 * 4 + 3, 3)
 
 
 def test_non_graded_constraints_are_one_block():
@@ -317,7 +360,8 @@ def test_tolerance_gap_guard():
 def test_quotient_representatives_split():
     fs = build_fock([("k", 3), ("k", 0)], 1)
     kernel = cons.gb_physical_subspace(_OneMode(), fs)
-    reps, nulls = ([kernel.vector([1.0], [j]) for j in part] for part in kernel.split())
+    basis = _dense(kernel)
+    reps, nulls = ([basis[:, j] for j in part] for part in kernel.split())
     assert len(reps) == 1 and len(nulls) == 1
     assert abs(indefinite_inner(fs, reps[0], reps[0])) > 0.5
     assert abs(indefinite_inner(fs, nulls[0], nulls[0])) <= 1e-12
@@ -329,12 +373,12 @@ def test_gauge_hiding_entries_and_class_dependence():
     constraints = cons.gb_constraints(ms, fs, None)
     sub = cons.gb_physical_subspace(ms, fs)
     spin, spin_obs = (ops.lift_family(fs, name, ms) for name in ("spin_total", "spin_obs"))
-    entries = cons.verify_gauge_hiding(fs, sub, spin, spin_obs, rng=SeededRng(1))
-    asserted = [e for e in entries if not e.skipped and not e.state.startswith("mixed")]
-    assert asserted
-    assert max(e.spin_hiding for e in asserted) <= 1e-12
-    skipped = [e for e in entries if e.skipped]
+    asserted, mixed, skipped = cons.verify_gauge_hiding(
+        fs, sub, spin, spin_obs, rng=SeededRng(1)
+    )
+    assert asserted <= 1e-12
     assert skipped  # pure gauge excitations show up and are counted
+    assert mixed.size == 6
 
     # hand-built counterexample: transverse coherence times a zero-norm
     # admixture with a relative phase makes <spin> - <spin_obs> nonzero
@@ -350,17 +394,38 @@ def test_gauge_hiding_entries_and_class_dependence():
 
 
 def test_euclidean_occupancy_balance_on_kernel():
+    # Euclidean <n_3> = <n_0> on kernel states: random combinations of the SVD
+    # kernel; the closed form's columns; and its combinations, read as the
+    # suite reads them, sum_j |c_j|^2 balance_j / sum_j |c_j|^2
     ms = build_cartesian_modeset([(0.0, 0.0, 1.0)])
     fs = build_fock([(i, lam) for i in (0, 1) for lam in (0, 3)], 2)
+    lams = np.array([lam for _, lam in fs.channels])
+
+    def occupancy(psi, lam):
+        return np.vdot(psi, fs.occ[:, lams == lam].sum(axis=1) * psi).real / np.vdot(psi, psi).real
+
     constraints = cons.gb_constraints(ms, fs, None)
     sub = cons.physical_subspace(fs, constraints, tol=1e-10)
     rng = np.random.default_rng(2)
     for _ in range(5):
         coeff = rng.normal(size=sub.shape[1]) + 1j * rng.normal(size=sub.shape[1])
         psi = sub @ coeff
-        n3 = cons.euclidean_occupancy(fs, 3, psi)
-        n0 = cons.euclidean_occupancy(fs, 0, psi)
-        assert abs(n3 - n0) <= 1e-12
+        assert abs(occupancy(psi, 3) - occupancy(psi, 0)) <= 1e-12
+
+    kernel = cons.gb_physical_subspace(ms, fs)
+    basis = _dense(kernel)
+    columns = {lam: cons.column_occupancy(fs, kernel, lam) for lam in (0, 3)}
+    for lam in (0, 3):
+        dense = [occupancy(basis[:, j], lam) for j in range(kernel.dimension)]
+        assert np.max(np.abs(columns[lam] - dense)) <= 1e-14
+    balance = columns[3] - columns[0]
+    assert np.max(np.abs(balance)) <= 1e-12
+    for _ in range(5):
+        coeff = rng.normal(size=kernel.dimension) + 1j * rng.normal(size=kernel.dimension)
+        weight = np.abs(coeff) ** 2
+        psi = basis @ coeff
+        combined = occupancy(psi, 3) - occupancy(psi, 0)
+        assert abs(weight @ balance / weight.sum() - combined) <= 1e-12
 
 
 def test_xi_bilinear_is_metric_hermitian_and_identity_holds():

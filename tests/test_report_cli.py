@@ -493,6 +493,8 @@ def test_cli_unwritable_output_exit_2(tmp_path, capsys):
         ["--suite", "dirac", "--tol", "abc"],
         ["--suite", "dirac", "--bogus"],
         ["--suite"],
+        ["--suite", "field-consistency", "--dim-cap", "0"],
+        ["--suite", "field-consistency", "--dim-cap", "-7"],
     ],
 )
 def test_cli_usage_errors_exit_2(argv, capsys):

@@ -181,6 +181,25 @@ def test_nan_form_lifted_as_a_stack_fails_its_claims():
     assert render_report(rep, "text").count(b"FAIL") >= 3
 
 
+def test_nan_spin_entry_fails_gauge_hiding_representatives(monkeypatch):
+    # one NaN entry, on the vacuum row and column of spin_total's y component,
+    # reaches the asserted gauge-hiding residual through the kernel reduction
+    lift_family = ops.lift_family
+
+    def poisoned(fs, name, modes):
+        lifted = lift_family(fs, name, modes)
+        if name != "spin_total":
+            return lifted
+        nan = OperatorMatrix.from_entries(fs, [np.nan], [0], [0])
+        return (lifted[0], lifted[1] + nan, lifted[2])
+
+    monkeypatch.setattr(ops, "lift_family", poisoned)
+    rep = run_suite(SuiteConfig(suite="gauge-hiding"))
+    (check,) = [r for r in rep.checks if r.check_id == "gauge-hiding-spin-representatives"]
+    assert math.isnan(check.residual) and not check.passed
+    assert not rep.all_passed
+
+
 CANONICAL_INVENTORY = {
     # check ID: (anchor, kind, tolerance) at the default tolerance 1e-10
     "bcr-annihilators-commute": ("BCR2", KIND_EQUALITY, 1e-12),

@@ -133,19 +133,19 @@ def gb_constraints(ms: ModeSet, fs: FockSpace, xi: dict | None = None) -> list[O
     return out
 
 
+# Singular values of the dense constraint stack below KERNEL_TOL define the
+# kernel; unless the kernel values are exact zeros, the smallest excluded
+# value must exceed the largest kernel value by at least KERNEL_GAP.
+KERNEL_TOL = 1e-10
+KERNEL_GAP = 1e3
+
+
 def physical_subspace(
-    fs: FockSpace,
-    constraints: list[OperatorMatrix],
-    tol: float = 1e-10,
-    gap_factor: float = 1e3,
-    dim_cap: int = DEFAULT_DIM_CAP,
+    fs: FockSpace, constraints: list[OperatorMatrix], dim_cap: int = DEFAULT_DIM_CAP
 ) -> np.ndarray:
     """Numerical kernel of the stacked constraints, from one dense SVD, as a
-    (dim x r) array of Euclidean-orthonormal columns.
-
-    Singular values below `tol` define the kernel; a gap of at least
-    `gap_factor` between the largest kernel value and the smallest excluded
-    value is required unless the kernel values are exact zeros.
+    (dim x r) array of Euclidean-orthonormal columns, cut at `KERNEL_TOL`
+    with a gap of `KERNEL_GAP` (NoKernel, ToleranceAmbiguous).
     DimensionCapExceeded is raised before the stack is allocated when its
     rows x dim elements exceed dim_cap.
     """
@@ -160,16 +160,16 @@ def physical_subspace(
     stack = np.vstack([c.to_dense() for c in constraints])
     # rows >= dim, so the reduced SVD still gives every right singular vector
     _, sigma, vh = np.linalg.svd(stack, full_matrices=False)
-    mask = sigma < tol
+    mask = sigma < KERNEL_TOL
     if not np.any(mask):
         raise NoKernel(
-            f"no singular value below {tol}; smallest is {sigma.min():.3e}"
+            f"no singular value below {KERNEL_TOL}; smallest is {sigma.min():.3e}"
         )
     top, bottom = float(sigma[mask].max()), float(sigma[~mask].min(initial=math.inf))
     gap = math.inf if top == 0.0 else bottom / top
-    if gap < gap_factor:
+    if gap < KERNEL_GAP:
         raise ToleranceAmbiguous(
-            f"kernel cut ambiguous: gap {gap:.2e} below required {gap_factor:.0e}"
+            f"kernel cut ambiguous: gap {gap:.2e} below required {KERNEL_GAP:.0e}"
         )
     return vh[mask].conj().T
 

@@ -19,8 +19,8 @@ Ladders are `fock.annihilator` and `fock.creator` on the fermionic space,
 and every operator is a `fock.OperatorMatrix`.  The Dirac spin and orbital
 families, Sigma/2 (x) 1 and L (x) 1_4 on ((l, m), spinor) channels, are the
 `operators.FORMS` entries "dirac_sam" and "dirac_oam", lifted like every
-photon family by `operators.lift_family`; their claims are the Table-I row
-of `operators.CLAIMS`.
+photon family by `operators.lift_family`; their claims are the Table-I
+claims of `operators.CLAIMS`.
 """
 
 from __future__ import annotations

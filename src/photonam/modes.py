@@ -271,15 +271,9 @@ def orbital_matrices(l_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return lx, ly, lz
 
 
-def format_modeset(ms: ModeSet) -> str:
-    """Flat text form: one `kx ky kz` line per grid mode, or `shell |k| lmax`."""
-    if isinstance(ms, SphericalShell):
-        return f"shell {ms.radius!r} {ms.l_max}\n"
-    return "".join(" ".join(repr(c) for c in k) + "\n" for k in ms.ks.tolist())
-
-
 def parse_modeset(text: str) -> ModeSet:
-    """Inverse of format_modeset.
+    """Mode set from flat text: one `kx ky kz` line per grid mode, or
+    `shell |k| lmax`.
 
     Grid input lists every mode (both k and -k); `CartesianGrid` pairs them.
     """

@@ -39,17 +39,16 @@ family whose factors are all diagonal, which `fields` evaluates on
 classical amplitudes.
 
 `CLAIMS` is the one statement of every algebra claim the suites check: per
-suite its rows (`ClaimsRow`), each an anchor, families with their check-ID
-tags and claimed algebras (su(2), commuting, or su(2)-violating), and the
-claimed relation of its first two families (mutually commuting,
-noncommuting, or closing into the second); the families are `FORMS` names.
-The suites lift the named families and `suites._claim_checks` emits one
-check per claim.
+suite its claims (`Claim`), each one reported check under its literal ID,
+with an anchor, a verdict and one or two `FORMS` families: a family alone
+closes su(2), commutes or violates su(2); a pair commutes, fails to commute,
+or the first closes into the second.  The suites lift the named families and
+`suites._claim_checks` emits one check per claim.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -451,121 +450,82 @@ FORMS = {
 
 
 @dataclass(frozen=True)
-class ClaimsRow:
-    """Families read together and what is claimed of them, under one anchor.
+class Claim:
+    """One reported check: what is claimed of the `FORMS` family `a`, alone
+    or with the family `b`, under its literal check ID.
 
-    `families` lists (family, tag, algebra); algebra None claims nothing of
-    the family alone.  `relation` is the claimed relation of the first family
-    A to the second B: MUTUAL_COMMUTE or MUTUAL_NONCOMMUTING over every pair
-    of components, or CLOSES_INTO, [A_i, A_j] = i B_k.  A claim's check ID is
-    `{prefix}-{tag}-{suffix}`, with the row's `name` as prefix ("-" for "_";
-    none for an unnamed row) and `relation_tag` as the relation's tag, unless
-    `ids` maps the tag to an explicit ID, or to one ID per bracket (xy, yz,
-    zx).  `structure` is c in the claimed [A_i, A_j] = i c A_k; a `tight`
-    row bounds its equalities at the suites' tight tolerance, not the run's.
+    `verdict` is ALG_SU2, ALG_COMMUTING or ALG_NONSTANDARD (su(2)-violating)
+    of `a` alone, or of `a` to `b`: MUTUAL_COMMUTE or MUTUAL_NONCOMMUTING
+    over every pair of components, or CLOSES_INTO, [A_i, A_j] = i B_k.  A
+    triple `check_id` reports one check per bracket (xy, yz, zx).
+    `structure` is c in the claimed [A_i, A_j] = i c A_k; a `tight` claim
+    bounds its equality at the suites' tight tolerance, not the run's.
     """
 
-    name: str
+    check_id: str | tuple[str, str, str]
     anchor: str
-    families: tuple[tuple[str, str, str | None], ...]
-    relation: str | None = None
-    relation_tag: str = "mutual"
-    ids: dict = field(default_factory=dict)
+    verdict: str
+    a: str
+    b: str | None = None
     structure: int = 1
     tight: bool = False
 
 
 # Every algebra claim of the suites, keyed by suite; a suite lifts the
-# `FORMS` families its rows name and one emitter turns each claim into a
-# check.  decomposition-compare's named rows are the decompositions of
-# Leader & Lorce, Phys. Rep. 541, 163 (2014); dirac's row states the paper's
-# Table I with the claims of the canonical photon row.
-CLAIMS: dict[str, tuple[ClaimsRow, ...]] = {
+# `FORMS` families its claims name and one emitter turns each claim into a
+# check.  decomposition-compare states the decompositions of Leader & Lorce,
+# Phys. Rep. 541, 163 (2014) (canonical, gauge-invariant, Jaffe-Manohar,
+# Chen, Wakamatsu, Belinfante-Ji) and the Stokes closure; dirac states the
+# paper's Table I with the claims of the canonical photon decomposition.
+CLAIMS: dict[str, tuple[Claim, ...]] = {
     "canonical-commutators": (
-        ClaimsRow(
-            "", "MCR1", (("spin_total", "spin", ALG_SU2),),
-            ids={"spin": ("spin-su2-xy", "spin-su2-yz", "spin-su2-zx")},
-        ),
-        ClaimsRow(
-            "", "MCR2",
-            (
-                ("oam_transverse", "transverse", ALG_SU2),
-                ("oam_scalar", "scalar", ALG_SU2),
-                ("oam_total", "total", ALG_SU2),
-            ),
-            ids={
-                "transverse": "oam-su2-transverse-sector",
-                "scalar": "oam-su2-scalar-sector",
-                "total": "oam-su2-all-polarizations",
-            },
-        ),
-        ClaimsRow(
-            "", "MCR3",
-            (("oam_total", "oam", None), ("spin_fixed_frame", "spin", None)),
-            MUTUAL_COMMUTE, "oam-spin",
-        ),
+        Claim(("spin-su2-xy", "spin-su2-yz", "spin-su2-zx"), "MCR1", ALG_SU2, "spin_total"),
+        Claim("oam-su2-transverse-sector", "MCR2", ALG_SU2, "oam_transverse"),
+        Claim("oam-su2-scalar-sector", "MCR2", ALG_SU2, "oam_scalar"),
+        Claim("oam-su2-all-polarizations", "MCR2", ALG_SU2, "oam_total"),
+        Claim("oam-spin-commute", "MCR3", MUTUAL_COMMUTE, "oam_total", "spin_fixed_frame"),
+        Claim("hamiltonian-oam-commute", "H-mode-form", MUTUAL_COMMUTE, "hamiltonian", "oam_total"),
     ),
     "observable-commutators": (
-        ClaimsRow("", "Table-II", (("spin_obs", "spin-obs", ALG_COMMUTING),)),
-        ClaimsRow("", "L-obs", (("oam_obs", "oam-obs", ALG_SU2),)),
-        ClaimsRow(
-            "", "Table-II",
-            (("oam_obs", "oam-obs", None), ("spin_obs_fixed_frame", "spin-obs", None)),
-            MUTUAL_COMMUTE, "spin-obs-oam-obs",
+        Claim("spin-obs-commuting", "Table-II", ALG_COMMUTING, "spin_obs"),
+        Claim("oam-obs-su2", "L-obs", ALG_SU2, "oam_obs"),
+        Claim(
+            "spin-obs-oam-obs-commute", "Table-II", MUTUAL_COMMUTE,
+            "oam_obs", "spin_obs_fixed_frame",
         ),
-        ClaimsRow(
-            "", "J-obs",
-            (("j_obs", "j-obs", ALG_NONSTANDARD), ("oam_obs", "oam-obs", None)),
-            CLOSES_INTO,
-            ids={"j-obs": "j-obs-not-su2", "mutual": "j-obs-closes-into-oam-obs"},
-        ),
+        Claim("j-obs-not-su2", "J-obs", ALG_NONSTANDARD, "j_obs"),
+        Claim("j-obs-closes-into-oam-obs", "J-obs", CLOSES_INTO, "j_obs", "oam_obs"),
     ),
     "decomposition-compare": (
-        ClaimsRow(
-            "canonical", "Table-III",
-            (("spin_fixed_frame", "spin", ALG_SU2), ("oam_total", "oam", ALG_SU2)),
-            MUTUAL_COMMUTE,
+        Claim("canonical-spin-su2", "Table-III", ALG_SU2, "spin_fixed_frame"),
+        Claim("canonical-oam-su2", "Table-III", ALG_SU2, "oam_total"),
+        Claim(
+            "canonical-mutual-commute", "Table-III", MUTUAL_COMMUTE,
+            "spin_fixed_frame", "oam_total",
         ),
-        ClaimsRow(
-            "gauge_invariant", "Table-II",
-            (
-                ("spin_obs_fixed_frame", "spin-obs", ALG_COMMUTING),
-                ("oam_obs", "oam-obs", ALG_SU2),
-            ),
+        Claim("gauge-invariant-spin-obs-commuting", "Table-II", ALG_COMMUTING, "spin_obs_fixed_frame"),
+        Claim("gauge-invariant-oam-obs-su2", "Table-II", ALG_SU2, "oam_obs"),
+        Claim("jaffe-manohar-spin-violation", "Table-III", ALG_NONSTANDARD, "spin_jm"),
+        Claim("jaffe-manohar-oam-violation", "Table-III", ALG_NONSTANDARD, "oam_jm"),
+        Claim("chen-spin-violation", "Table-III", ALG_NONSTANDARD, "spin_chen"),
+        Claim("chen-oam-su2", "Table-III", ALG_SU2, "oam_chen"),
+        Claim("chen-mutual-noncommuting", "Table-III", MUTUAL_NONCOMMUTING, "spin_chen", "oam_chen"),
+        Claim("wakamatsu-spin-violation", "Table-III", ALG_NONSTANDARD, "spin_wak"),
+        # oam_wak has no claim of its own: the bare lift is Chen's orbital
+        # form and closes su(2), and the seeded prescribed-source extra term
+        # breaks su(2) by a seed-dependent amount that can fall below the
+        # violation threshold (0.069 at seed 4, 0.491 at seed 0).  Its claim
+        # is asserted through the mutual relation.
+        Claim(
+            "wakamatsu-mutual-noncommuting", "Table-III", MUTUAL_NONCOMMUTING,
+            "spin_wak", "oam_wak",
         ),
-        ClaimsRow(
-            "jaffe_manohar", "Table-III",
-            (("spin_jm", "spin", ALG_NONSTANDARD), ("oam_jm", "oam", ALG_NONSTANDARD)),
-        ),
-        ClaimsRow(
-            "chen", "Table-III",
-            (("spin_chen", "spin", ALG_NONSTANDARD), ("oam_chen", "oam", ALG_SU2)),
-            MUTUAL_NONCOMMUTING,
-        ),
-        ClaimsRow(
-            "wakamatsu", "Table-III",
-            (
-                ("spin_wak", "spin", ALG_NONSTANDARD),
-                # No claim of its own: the bare lift is Chen's orbital form
-                # and closes su(2), and the seeded prescribed-source extra
-                # term breaks su(2) by a seed-dependent amount that can fall
-                # below the violation threshold (0.069 at seed 4, 0.491 at
-                # seed 0).  Its claim is asserted through the mutual relation.
-                ("oam_wak", "oam", None),
-            ),
-            MUTUAL_NONCOMMUTING,
-        ),
-        ClaimsRow("belinfante_ji", "JM-BJ", (("j_total", "j", ALG_NONSTANDARD),)),
-        ClaimsRow(
-            "", "Stokes", (("stokes", "stokes", ALG_SU2),),
-            ids={"stokes": "stokes-factor-2"}, structure=2, tight=True,
-        ),
+        Claim("belinfante-ji-j-violation", "JM-BJ", ALG_NONSTANDARD, "j_total"),
+        Claim("stokes-factor-2", "Stokes", ALG_SU2, "stokes", structure=2, tight=True),
     ),
     "dirac": (
-        ClaimsRow(
-            "dirac", "Table-I",
-            (("dirac_sam", "sam", ALG_SU2), ("dirac_oam", "oam", ALG_SU2)),
-            MUTUAL_COMMUTE, "sam-oam", tight=True,
-        ),
+        Claim("dirac-sam-su2", "Table-I", ALG_SU2, "dirac_sam", tight=True),
+        Claim("dirac-oam-su2", "Table-I", ALG_SU2, "dirac_oam", tight=True),
+        Claim("dirac-sam-oam-commute", "Table-I", MUTUAL_COMMUTE, "dirac_sam", "dirac_oam", tight=True),
     ),
 }

@@ -255,14 +255,15 @@ def test_dirac_check_inventory():
 
 
 def test_dirac_checks_follow_table_i(monkeypatch):
-    (row,) = ops.CLAIMS["dirac"]
-    sam, (name, tag, _) = row.families
-    flipped = dataclasses.replace(row, families=(sam, (name, tag, ops.ALG_NONSTANDARD)))
-    monkeypatch.setitem(ops.CLAIMS, "dirac", (flipped,))
+    flipped = tuple(
+        dataclasses.replace(claim, verdict=ops.ALG_NONSTANDARD)
+        if claim.check_id == "dirac-oam-su2" else claim
+        for claim in ops.CLAIMS["dirac"]
+    )
+    monkeypatch.setitem(ops.CLAIMS, "dirac", flipped)
     rep = run_suite(SuiteConfig(suite="dirac"))
     expected = dict(DIRAC_INVENTORY)
-    del expected["dirac-oam-su2"]
-    expected["dirac-oam-violation"] = ("Table-I", KIND_VIOLATION, 0.1)
+    expected["dirac-oam-su2"] = ("Table-I", KIND_VIOLATION, 0.1)
     assert _inventory(rep) == expected
     # L_D closes su(2), so the flipped claim fails
-    assert [r.check_id for r in rep.checks if not r.passed] == ["dirac-oam-violation"]
+    assert [r.check_id for r in rep.checks if not r.passed] == ["dirac-oam-su2"]

@@ -16,7 +16,6 @@ from photonam.modes import (
     METRIC_DIAG,
     SphericalShell,
     build_cartesian_modeset,
-    format_modeset,
     frame_curl,
     minkowski_dot,
     orbital_matrices,
@@ -243,17 +242,16 @@ def test_shell_channels_are_not_a_constructor_argument():
         SphericalShell(1.0, 1, channels=((9, 9),))
 
 
-def test_modeset_text_round_trip():
-    ms = build_cartesian_modeset([(0.25, -1.0, 0.5), (0.0, 2.0, 0.0)])
-    text = format_modeset(ms)
-    back = parse_modeset(text)
+def test_parse_modeset_reads_grid_and_shell_text():
+    back = parse_modeset("0.25 -1.0 0.5\n-0.25 1.0 -0.5\n\n0.0 2.0 0.0\n-0.0 -2.0 -0.0\n")
     assert isinstance(back, CartesianGrid)
-    assert back.ks.tolist() == ms.ks.tolist()
-    assert np.array_equal(np.signbit(back.ks), np.signbit(ms.ks))
-    assert back.negation == ms.negation
+    assert back.ks.tolist() == [[0.25, -1.0, 0.5], [-0.25, 1.0, -0.5], [0.0, 2.0, 0.0], [0.0, -2.0, 0.0]]
+    assert np.signbit(back.ks).tolist() == [
+        [False, True, False], [True, False, True], [False, False, False], [True, True, True]
+    ]
+    assert back.negation == (1, 0, 3, 2)
 
-    shell = SphericalShell(radius=1.5, l_max=2)
-    back = parse_modeset(format_modeset(shell))
+    back = parse_modeset("shell 1.5 2")
     assert isinstance(back, SphericalShell)
     assert back.radius == 1.5 and back.l_max == 2
 

@@ -243,17 +243,17 @@ def test_pure_gauge_spin_pieces_cancel():
         ops.l_pure_s_terms(ms, fs_no_longitudinal)
 
 
-def _decomposition_rows():
-    # the named rows of decomposition-compare; the unnamed one is Stokes
-    return [row for row in ops.CLAIMS["decomposition-compare"] if row.name]
+def _decomposition_families():
+    # the families of decomposition-compare's claims but the Stokes closure
+    claims = [c for c in ops.CLAIMS["decomposition-compare"] if c.anchor != "Stokes"]
+    return {name for c in claims for name in (c.a, c.b) if name is not None}
 
 
-def test_decomposition_rows_lift_three_components():
+def test_decomposition_families_lift_three_components():
     shell = SphericalShell(radius=1.0, l_max=1)
     fs = shell_space(shell)
-    for row in _decomposition_rows():
-        for name, _, _ in row.families:
-            assert len(ops.lift_family(fs, name, shell)) == 3
+    for name in _decomposition_families():
+        assert len(ops.lift_family(fs, name, shell)) == 3
 
 
 def test_canonical_family_su2_and_rivals_violate():
@@ -275,8 +275,8 @@ def test_canonical_family_su2_and_rivals_violate():
 
 
 def test_bare_wakamatsu_orbital_lift_closes_su2():
-    # the bare oam_wak family is Chen's orbital form, so its table row
-    # carries no claim of its own
+    # the bare oam_wak family is Chen's orbital form, so the table claims
+    # nothing of it alone
     shell = SphericalShell(radius=1.0, l_max=1)
     fs = shell_space(shell)
     idx = fs.bounded_indices(1)
@@ -286,8 +286,10 @@ def test_bare_wakamatsu_orbital_lift_closes_su2():
         for i, j, k in EPS_PAIRS
     )
     assert worst <= 1e-13
-    (wakamatsu,) = [row for row in _decomposition_rows() if row.name == "wakamatsu"]
-    assert wakamatsu.families[1] == ("oam_wak", "oam", None)
+    claims = [c for rows in ops.CLAIMS.values() for c in rows if "oam_wak" in (c.a, c.b)]
+    assert [(c.check_id, c.a, c.b) for c in claims] == [
+        ("wakamatsu-mutual-noncommuting", "spin_wak", "oam_wak")
+    ]
 
 
 def test_rival_violation_traces_to_gb_null_pair():
@@ -415,14 +417,15 @@ def test_pair_entries_sign_on_the_scalar_channel(cap):
 
 
 def test_family_forms_cover_the_claims_table():
-    names = {name for rows in ops.CLAIMS.values() for row in rows for name, _, _ in row.families}
+    names = {
+        name for claims in ops.CLAIMS.values() for c in claims for name in (c.a, c.b) if name
+    }
     # the families no claim names, read by checks of their own
-    unclaimed = {"hamiltonian", "momentum", "helicity", "l_pure"}
+    unclaimed = {"momentum", "helicity", "l_pure"}
     assert names | unclaimed == set(ops.FORMS) and not names & unclaimed
-    for row in _decomposition_rows():
-        for name, _, _ in row.families:
-            for _, lams in ops.FORMS[name]:
-                assert len(lams) == 3
+    for name in _decomposition_families():
+        for _, lams in ops.FORMS[name]:
+            assert len(lams) == 3
     assert len(ops.FORMS["j_total"]) == 2
 
 

@@ -1,6 +1,8 @@
 import dataclasses
 import functools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,20 +132,17 @@ def test_nan_operator_triple_fails():
     nan = OperatorMatrix.from_entries(fs, [np.nan], [0], [0])
     ident = identity_operator(fs)
     lifted = {"one": (ident,) * 3, "nan": (ident, ident, nan), "nan0": (nan, ident, ident)}
-    rows = (
-        ops.ClaimsRow("", "MCR2", (("nan", "su2", ops.ALG_SU2),)),
-        ops.ClaimsRow("", "Table-II", (("nan0", "comm", ops.ALG_COMMUTING),)),
-        ops.ClaimsRow("", "Table-III", (("nan0", "nonstd", ops.ALG_NONSTANDARD),)),
-        ops.ClaimsRow("", "MCR3", (("one", "a", None), ("nan", "b", None)), ops.MUTUAL_COMMUTE),
-        ops.ClaimsRow(
-            "", "Table-III", (("one", "a", None), ("nan", "b", None)),
-            ops.MUTUAL_NONCOMMUTING, "non",
-        ),
-        ops.ClaimsRow("", "J-obs", (("one", "a", None), ("nan", "b", None)), ops.CLOSES_INTO, "into"),
-        ops.ClaimsRow("", "Stokes", (("nan", "c2", ops.ALG_SU2),), structure=2, tight=True),
+    claims = (
+        ops.Claim("su2-su2", "MCR2", ops.ALG_SU2, "nan"),
+        ops.Claim("comm-commuting", "Table-II", ops.ALG_COMMUTING, "nan0"),
+        ops.Claim("nonstd-violation", "Table-III", ops.ALG_NONSTANDARD, "nan0"),
+        ops.Claim("mutual-commute", "MCR3", ops.MUTUAL_COMMUTE, "one", "nan"),
+        ops.Claim("non-noncommuting", "Table-III", ops.MUTUAL_NONCOMMUTING, "one", "nan"),
+        ops.Claim("into-closes-into", "J-obs", ops.CLOSES_INTO, "one", "nan"),
+        ops.Claim("c2-su2", "Stokes", ops.ALG_SU2, "nan", structure=2, tight=True),
     )
     rep = VerificationReport("nan", {})
-    suites._claim_checks(rep, rows, lifted, 1e-10)
+    suites._claim_checks(rep, claims, lifted, 1e-10)
     assert [r.check_id for r in rep.checks] == [
         "su2-su2",
         "comm-commuting",
@@ -166,14 +165,14 @@ def test_nan_form_lifted_as_a_stack_fails_its_claims():
     poisoned = [m.copy() for m in spin]
     poisoned[2][0, 1] = np.nan
     lifted = {"s": lift_forms(fs, spin), "nan": lift_forms(fs, poisoned)}
-    rows = (
-        ops.ClaimsRow("", "MCR2", (("s", "clean", ops.ALG_SU2),)),
-        ops.ClaimsRow("", "MCR2", (("nan", "su2", ops.ALG_SU2),)),
-        ops.ClaimsRow("", "MCR3", (("s", "a", None), ("nan", "b", None)), ops.MUTUAL_COMMUTE),
-        ops.ClaimsRow("", "J-obs", (("s", "a", None), ("nan", "b", None)), ops.CLOSES_INTO, "into"),
+    claims = (
+        ops.Claim("clean-su2", "MCR2", ops.ALG_SU2, "s"),
+        ops.Claim("su2-su2", "MCR2", ops.ALG_SU2, "nan"),
+        ops.Claim("mutual-commute", "MCR3", ops.MUTUAL_COMMUTE, "s", "nan"),
+        ops.Claim("into-closes-into", "J-obs", ops.CLOSES_INTO, "s", "nan"),
     )
     rep = VerificationReport("nan", {})
-    suites._claim_checks(rep, rows, lifted, 1e-10)
+    suites._claim_checks(rep, claims, lifted, 1e-10)
     clean, *poisoned_checks = rep.checks
     assert clean.check_id == "clean-su2" and clean.passed and clean.residual <= 1e-15
     assert [r.check_id for r in poisoned_checks] == ["su2-su2", "mutual-commute", "into-closes-into"]
@@ -279,53 +278,53 @@ def test_decomposition_check_inventory():
     assert _inventory(rep) == DECOMPOSITION_INVENTORY
 
 
-def _flipped(rows, family, algebra):
-    """The rows with the claimed algebra of `family` replaced by `algebra`."""
+def _replaced(claims, old_id, **changes):
+    """The claims with the fields of the claim `old_id` replaced."""
     return tuple(
-        dataclasses.replace(
-            row,
-            families=tuple(
-                (name, tag, algebra if name == family and claimed else claimed)
-                for name, tag, claimed in row.families
-            ),
-        )
-        for row in rows
+        dataclasses.replace(claim, **changes) if claim.check_id == old_id else claim
+        for claim in claims
     )
 
 
 def test_decomposition_checks_follow_claims_table(monkeypatch):
-    suite = "decomposition-compare"
-    monkeypatch.setitem(
-        ops.CLAIMS, suite, _flipped(ops.CLAIMS[suite], "oam_chen", ops.ALG_NONSTANDARD)
-    )
-    got = _inventory(run_suite(SuiteConfig(suite=suite)))
-    expected = dict(DECOMPOSITION_INVENTORY)
-    del expected["chen-oam-su2"]
-    expected["chen-oam-violation"] = ("Table-III", KIND_VIOLATION, 0.1)
-    assert got == expected
-
-    # an explicit check ID stays; kind and bound follow the flipped claim,
-    # which then fails: L closes su(2), J_obs does not
-    for suite, family, algebra, check_id, verdict, inventory in (
+    # the check ID stays; kind and bound follow the flipped verdict, and the
+    # claim then fails: Chen's and the all-polarization L close su(2), J_obs
+    # does not
+    for suite, check_id, verdict, expected_verdict, inventory in (
         (
-            "canonical-commutators", "oam_total", ops.ALG_NONSTANDARD,
-            "oam-su2-all-polarizations", (KIND_VIOLATION, 0.1), CANONICAL_INVENTORY,
+            "decomposition-compare", "chen-oam-su2", ops.ALG_NONSTANDARD,
+            (KIND_VIOLATION, 0.1), DECOMPOSITION_INVENTORY,
         ),
         (
-            "observable-commutators", "j_obs", ops.ALG_SU2,
-            "j-obs-not-su2", (KIND_EQUALITY, 1e-10), OBSERVABLE_INVENTORY,
+            "canonical-commutators", "oam-su2-all-polarizations", ops.ALG_NONSTANDARD,
+            (KIND_VIOLATION, 0.1), CANONICAL_INVENTORY,
+        ),
+        (
+            "observable-commutators", "j-obs-not-su2", ops.ALG_SU2,
+            (KIND_EQUALITY, 1e-10), OBSERVABLE_INVENTORY,
         ),
     ):
-        monkeypatch.setitem(ops.CLAIMS, suite, _flipped(ops.CLAIMS[suite], family, algebra))
+        flipped = _replaced(ops.CLAIMS[suite], check_id, verdict=verdict)
+        monkeypatch.setitem(ops.CLAIMS, suite, flipped)
         rep = run_suite(SuiteConfig(suite=suite))
         expected = dict(inventory)
-        expected[check_id] = (inventory[check_id][0], *verdict)
+        expected[check_id] = (inventory[check_id][0], *expected_verdict)
         assert _inventory(rep) == expected
         assert [r.check_id for r in rep.checks if not r.passed] == [check_id]
+    monkeypatch.undo()
+
+    # the report carries the table's ID
+    suite = "decomposition-compare"
+    renamed = _replaced(ops.CLAIMS[suite], "chen-oam-su2", check_id="chen-oam-renamed")
+    monkeypatch.setitem(ops.CLAIMS, suite, renamed)
+    expected = dict(DECOMPOSITION_INVENTORY)
+    expected["chen-oam-renamed"] = expected.pop("chen-oam-su2")
+    assert _inventory(run_suite(SuiteConfig(suite=suite))) == expected
 
 
 # Every check the claims table emits under `all`.
 CLAIMED_CHECKS = [
+    "canonical-commutators/hamiltonian-oam-commute",
     "canonical-commutators/oam-spin-commute",
     "canonical-commutators/oam-su2-all-polarizations",
     "canonical-commutators/oam-su2-scalar-sector",
@@ -362,16 +361,27 @@ def test_claims_table_emits_every_algebra_check(monkeypatch):
     emitted = []
     emit = suites._claim_checks
 
-    def recording(rep, rows, lifted, tol):
+    def recording(rep, claims, lifted, tol):
         before = len(rep.checks)
-        emit(rep, rows, lifted, tol)
+        emit(rep, claims, lifted, tol)
         emitted.extend(f"{rep.suite}/{r.check_id}" for r in rep.checks[before:])
 
     monkeypatch.setattr(suites, "_claim_checks", recording)
     rep = run_suite(SuiteConfig(suite="all"))
     assert rep.all_passed
-    assert len(CLAIMED_CHECKS) == 29
+    assert len(CLAIMED_CHECKS) == 30
     assert sorted(emitted) == CLAIMED_CHECKS
+
+
+def test_every_expected_check_id_is_spelled_in_src():
+    # every check ID the benchmark expects is a quoted literal in the package,
+    # so a search for the ID finds the claim or the suite code that reports it
+    root = Path(__file__).resolve().parents[1]
+    expected = json.loads((root / "perfbench" / "expected_checks.json").read_text())
+    ids = {entry.split("/", 1)[-1] for entries in expected.values() for entry in entries}
+    source = "".join(path.read_text() for path in (root / "src" / "photonam").glob("*.py"))
+    assert len(ids) == 80
+    assert sorted(i for i in ids if f'"{i}"' not in source) == []
 
 
 # Asserted-block oracle: the suites read number-conserving claims with plain
@@ -392,23 +402,15 @@ def _su2_read(triple, read):
     )
 
 
-def _claim_residuals_read(row, lifted, read):
-    """Residuals of every claim of one row, in the emitter's order."""
-    out = []
-    for name, _, algebra in row.families:
-        triple = lifted[name]
-        if algebra == ops.ALG_COMMUTING:
-            out.append(
-                max_residual(
-                    read(commutator(triple[i], triple[j])) for i, j, _ in suites.EPS_PAIRS
-                )
-            )
-        elif algebra is not None:
-            out.append(_su2_read(triple, read))
-    if row.relation is not None:
-        a, b = (lifted[name] for name, _, _ in row.families[:2])
-        out.append(max_residual(read(commutator(x, y)) for x in a for y in b))
-    return out
+def _claim_residual_read(claim, lifted, read):
+    """Residual of one claim with a single check ID."""
+    a = lifted[claim.a]
+    if claim.verdict == ops.ALG_COMMUTING:
+        return max_residual(read(commutator(a[i], a[j])) for i, j, _ in suites.EPS_PAIRS)
+    if claim.b is None:
+        return _su2_read(a, read)
+    b = lifted[claim.b]
+    return max_residual(read(commutator(x, y)) for x in a for y in b)
 
 
 def _su2(triple):
@@ -443,22 +445,22 @@ def test_decomposition_claims_block_capped_match_block_plus_one(seed):
     new = suites._shell_space(shell, (0, 1, 2, 3), 1 << 20)
     old, read = _block_plus_one(new.channels, 1)
     xi = cons.random_conjugate_symmetric_xi(shell, SeededRng(seed), scale=0.4)
-    # the named rows are the decompositions, on the shell space
-    rows = [row for row in ops.CLAIMS["decomposition-compare"] if row.name]
+    # the decompositions' claims, on the shell space; Stokes is on a grid
+    claims = [c for c in ops.CLAIMS["decomposition-compare"] if c.anchor != "Stokes"]
 
     def lifted(fs):
-        out = {name: ops.lift_family(fs, name, shell) for row in rows for name, _, _ in row.families}
+        out = suites._lift_named(claims, fs, shell, {})
         # the xi extra term moves the total occupation by one
         extra = [cons.xi_oam_bilinear(shell, fs, xi, lam) for lam in (1, 2)]
         out["oam_wak"] = tuple(a + b + c for a, b, c in zip(out["oam_wak"], *extra))
         return out
 
     new_lifted, old_lifted = lifted(new), lifted(old)
-    for row in rows:
-        rep = VerificationReport(row.name, {})
-        suites._claim_checks(rep, (row,), new_lifted, 1e-10)
-        expected = _claim_residuals_read(row, old_lifted, read)
-        assert [r.residual for r in rep.checks] == expected, row.name
+    for claim in claims:
+        rep = VerificationReport("decomposition-compare", {})
+        suites._claim_checks(rep, (claim,), new_lifted, 1e-10)
+        (check,) = rep.checks
+        assert check.residual == _claim_residual_read(claim, old_lifted, read), claim.check_id
 
 
 def _full_space_lift_homomorphism(rng, pairs):
@@ -537,9 +539,10 @@ def test_xi_pathway_per_mode_matches_product_space(seed, monkeypatch):
         ref_lpure, ref_source = _product_space_xi_pathway(shell, xi, small, factors)
         assert max(abs(a - b) for a, b in zip(lpure, ref_lpure)) <= 1e-15
         assert max(abs(a - b) for a, b in zip(source, ref_source)) <= 1e-15
-    # the probe xi gives both sides nonzero values
+    # the probe xi gives both sides values far above the 1e-15 agreement
+    # bound; |<l_pure>| is a product of small draws (3.9e-7 at seed 2)
     _, _, _, _, (lpure, source) = calls[-1]
-    assert max(abs(a) for a in lpure) > 1e-6 and max(abs(a) for a in source) > 1e-3
+    assert max(abs(a) for a in lpure) > 1e-9 and max(abs(a) for a in source) > 1e-3
 
 
 def test_xi_pathway_zero_norm_factor_raises():

@@ -16,9 +16,11 @@ operators are asserted, and 0 on the zero-norm directions.  Every
 expectation on the kernel is read in kernel coordinates: `kernel_entries`
 groups an operator's entries into R^dag eta O R, R the kernel's columns,
 and a kernel state is a coefficient vector over those columns, never a
-dense state.  On states that mix in zero-norm excitations with nonzero
-relative phase, the difference <spin> - <spin_obs> is genuinely nonzero;
-those values are reported, never asserted.  `physical_subspace`
+dense state.  Gauge hiding is one identity there: the block of
+R^dag eta (S - S_obs) R between representatives is zero, so <S> = <S_obs>
+on every quotient state.  Its entries that touch a zero-norm column are
+genuinely nonzero, read by states that mix in pure-gauge excitations with
+a relative phase; they are reported, never asserted.  `physical_subspace`
 finds any kernel numerically, with one rank-revealing SVD of the dense
 stack; it serves the one-mode pair and is the oracle the closed form is
 tested against.
@@ -196,11 +198,11 @@ class GBKernel:
     def dimension(self) -> int:
         return self.norm.size
 
-    def split(self) -> tuple[np.ndarray, np.ndarray]:
-        """(representatives, zero-norm directions): the columns of indefinite
-        norm above 1e-10 and the rest, each in basis order."""
-        quotient = np.abs(self.norm) > 1e-10
-        return np.flatnonzero(quotient), np.flatnonzero(~quotient)
+    @property
+    def quotient(self) -> np.ndarray:
+        """Per column, whether it is a quotient representative: indefinite
+        norm above 1e-10; the rest are zero-norm directions."""
+        return np.abs(self.norm) > 1e-10
 
 
 def gb_physical_subspace(ms: ModeSet, fs: FockSpace) -> GBKernel:
@@ -266,47 +268,27 @@ def kernel_entries(
 
 
 def verify_gauge_hiding(
-    fs: FockSpace,
-    kernel: GBKernel,
-    spin: tuple[OperatorMatrix, ...],
-    spin_obs: tuple[OperatorMatrix, ...],
-    rng: SeededRng,
-) -> tuple[float, np.ndarray, int]:
-    """Expectation-value gauge hiding in kernel coordinates: per probe,
-    max_i |<spin_i> - <spin_obs_i>|, read off M_i = `kernel_entries` of
-    spin_i - spin_obs_i.
+    fs: FockSpace, kernel: GBKernel, difference: tuple[OperatorMatrix, ...]
+) -> tuple[float, float, int]:
+    """Gauge hiding of the lifted components of S - S_obs in kernel
+    coordinates: per component, the entries M = `kernel_entries`.
 
-    The probes are the representatives (`GBKernel.split`), read off the
-    diagonal of M_i; six seeded combinations c of them; and six "mixed" ones
-    that add the zero-norm directions, for callers to report rather than
-    assert.  A combination reads |c^dag M_i c| / sum_j |c_j|^2 norm_j, over
-    its indefinite norm, which is positive: every combination draws every
-    representative.  Returns the largest value over the representatives and
-    their six combinations, the six mixed values, and the number of
-    zero-norm directions, which are skipped and counted.
+    M is Hermitian, and a quotient state c over the representatives reads
+    <S - S_obs> = c^dag M c, so the largest |M_ij| between representatives
+    vanishes exactly when the difference vanishes on every quotient state,
+    and is at most the largest |<S - S_obs>| there.  Returns that largest
+    entry, the largest over entries that touch a zero-norm column, which
+    states mixing in pure-gauge excitations read and callers report rather
+    than assert, and the number of zero-norm columns.
     """
-    reps, nulls = kernel.split()
-    r = kernel.dimension
-
-    def draw(n: int) -> np.ndarray:
-        return rng.normal(size=n) + 1j * rng.normal(size=n)
-
-    probes = np.zeros((12 if nulls.size else 6, r), dtype=complex)
-    for c in probes[:6]:
-        c[reps] = draw(reps.size)
-    for c in probes[6:]:
-        c[reps], c[nulls] = draw(reps.size), draw(nulls.size)
-    weights = (probes.real ** 2 + probes.imag ** 2) @ kernel.norm
-    hiding, values = np.zeros(reps.size), np.zeros(len(probes))
-    for a, b in zip(spin, spin_obs):
-        i, j, m = kernel_entries(fs, kernel, a - b)
-        on = i == j
-        diagonal = np.zeros(r, dtype=complex)
-        diagonal[i[on]] = m[on]
-        hiding = np.maximum(hiding, np.abs(diagonal[reps] / kernel.norm[reps]))
-        forms = np.array([np.vdot(c[i], m * c[j]) for c in probes])
-        values = np.maximum(values, np.abs(forms) / weights)
-    return max_residual(np.concatenate([hiding, values[:6]])), values[6:], nulls.size
+    quotient = kernel.quotient
+    hidden, mixed = [], []
+    for op in difference:
+        i, j, m = kernel_entries(fs, kernel, op)
+        both = quotient[i] & quotient[j]
+        hidden.append(np.abs(m[both]).max(initial=0.0))
+        mixed.append(np.abs(m[~both]).max(initial=0.0))
+    return max_residual(hidden), max_residual(mixed), int(np.count_nonzero(~quotient))
 
 
 def _polarization_count(fs: FockSpace, lam: int) -> np.ndarray:
@@ -324,23 +306,14 @@ def column_occupancy(fs: FockSpace, kernel: GBKernel, lam: int) -> np.ndarray:
 
 
 def random_conjugate_symmetric_xi(
-    ms: ModeSet, rng: SeededRng, scale: float = 0.1
+    ms: SphericalShell, rng: SeededRng, scale: float = 0.1
 ) -> dict:
-    """Seeded coupling table satisfying the reality condition of the source.
-
-    On a grid: xi(-k) = conj(xi(k)).  On a shell the same condition reads
-    xi(l, -m) = (-1)^(l+m) conj(xi(l, m)), making the m = 0 entries real for
-    even l and imaginary for odd l.
-    """
+    """Seeded shell coupling table satisfying the reality condition of the
+    source, xi(l, -m) = (-1)^(l+m) conj(xi(l, m)), making the m = 0 entries
+    real for even l and imaginary for odd l."""
+    if not isinstance(ms, SphericalShell):
+        raise ChannelMismatch("prescribed-source tables use the shell labeling")
     out: dict = {}
-    if isinstance(ms, CartesianGrid):
-        for i in ms.mode_labels():
-            if i in out:
-                continue
-            z = scale * (rng.normal() + 1j * rng.normal())
-            out[i] = z
-            out[ms.negation[i]] = np.conj(z)
-        return out
     for (l, m) in ms.mode_labels():
         if (l, m) in out:
             continue

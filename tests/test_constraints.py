@@ -21,6 +21,7 @@ from photonam.fock import (
     creator,
     expectation,
     indefinite_inner,
+    lift_forms,
     max_abs,
     metric_diagonal,
 )
@@ -181,6 +182,7 @@ def test_capped_kernel_is_full_kernel_on_the_block(max_total):
 TWO_MODES = "0 0 1\n0 0 -1"
 FOUR_MODES = TWO_MODES + "\n1 0 0\n-1 0 0"
 SIX_MODES = FOUR_MODES + "\n0.6 0.8 0\n-0.6 -0.8 0"
+EIGHT_MODES = SIX_MODES + "\n0.3 -0.4 1.2\n-0.3 0.4 -1.2"
 
 
 def _grid_space(grid, n_max, max_total):
@@ -250,51 +252,71 @@ def _draw(rng, n):
     return rng.normal(size=n) + 1j * rng.normal(size=n)
 
 
+def _spin_difference(fs, ms):
+    """S - S_obs lifted once, from the difference of its forms."""
+    spin, spin_obs = (ops.family_matrices(fs.channels, n, ms) for n in ("spin_total", "spin_obs"))
+    return lift_forms(fs, spin - spin_obs)
+
+
 def test_kernel_entries_match_dense_oracle():
-    # R^dag eta O R against the dense basis, and every gauge-hiding value
-    # against fock.expectation on the dense state, on the 4-mode grid at n_max 2
+    # R^dag eta O R against the dense basis, and the gauge-hiding values
+    # against the dense blocks of S - S_obs, on the 4-mode grid at n_max 2
     ms, fs = _grid_space(FOUR_MODES, 2, 2)
     kernel = cons.gb_physical_subspace(ms, fs)
     basis = _dense(kernel)
     eta = metric_diagonal(fs)[:, None]
-    reps, nulls = kernel.split()
+    reps, nulls = np.flatnonzero(kernel.quotient), np.flatnonzero(~kernel.quotient)
     assert reps.size == math.comb(2 * 4 + 2, 2)
     spin, spin_obs = (ops.lift_family(fs, name, ms) for name in ("spin_total", "spin_obs"))
-    for op in (*spin, *spin_obs, *(a - b for a, b in zip(spin, spin_obs))):
+    difference = _spin_difference(fs, ms)
+    blocks = []
+    for op in (*spin, *spin_obs, *difference):
         i, j, m = cons.kernel_entries(fs, kernel, op)
         full = np.zeros((kernel.dimension,) * 2, dtype=complex)
         full[i, j] = m
-        assert np.max(np.abs(full - basis.conj().T @ (eta * (op @ basis)))) <= 1e-14
-        # rep-* values: the diagonal, as fock.expectation reads each unit column
-        dense = [expectation(fs, op, basis[:, j]) for j in reps]
-        assert np.array_equal(np.diag(full)[reps] / kernel.norm[reps], dense)
+        dense = basis.conj().T @ (eta * (op @ basis))
+        assert np.max(np.abs(full - dense)) <= 1e-14
+        # the diagonal, as fock.expectation reads each unit representative
+        reads = [expectation(fs, op, basis[:, j]) for j in reps]
+        assert np.array_equal(np.diag(full)[reps] / kernel.norm[reps], reads)
+        blocks.append(dense)
 
-    def hiding(psi):
-        pairs = zip(spin, spin_obs)
-        return max(abs(expectation(fs, a, psi) - expectation(fs, b, psi)) for a, b in pairs)
+    hidden, mixed, skipped = cons.verify_gauge_hiding(fs, kernel, difference)
+    on_quotient = max(np.max(np.abs(b[np.ix_(reps, reps)])) for b in blocks[6:])
+    touching = max(max(np.max(np.abs(b[nulls])), np.max(np.abs(b[:, nulls]))) for b in blocks[6:])
+    assert skipped == nulls.size
+    assert hidden == on_quotient == 0.0
+    assert abs(mixed - touching) <= 1e-14 and mixed > 1e-3
+    # a dense quotient state, read by fock.expectation, sees no difference
+    psi = basis[:, reps] @ _draw(SeededRng(5), reps.size)
+    pairs = zip(spin, spin_obs)
+    assert max(abs(expectation(fs, a, psi) - expectation(fs, b, psi)) for a, b in pairs) <= 1e-12
 
-    def state(rng, columns):
-        return sum(basis[:, part] @ _draw(rng, part.size) for part in columns)
 
-    for seed in (0, 5):
-        asserted, mixed, skipped = cons.verify_gauge_hiding(
-            fs, kernel, spin, spin_obs, SeededRng(seed)
-        )
-        # the same draws in the same order: six random combinations of the
-        # representatives, then six that add the zero-norm directions
-        rng = SeededRng(seed)
-        rand = [hiding(state(rng, [reps])) for _ in range(6)]
-        dense = [hiding(state(rng, [reps, nulls])) for _ in range(6)]
-        assert skipped == nulls.size
-        assert abs(asserted - max([hiding(basis[:, j]) for j in reps] + rand)) <= 1e-12
-        assert mixed.shape == (6,) and np.max(np.abs(mixed - dense)) <= 1e-12
-        assert min(dense) > 1e-3
+@pytest.mark.parametrize(
+    "grid, n_max",
+    [
+        *((TWO_MODES, n) for n in (1, 2, 3)),
+        *((FOUR_MODES, n) for n in (2, 3)),
+        *((EIGHT_MODES, n) for n in (2, 3)),
+        ("0.5 0.25 -0.7\n-0.5 -0.25 0.7", 2),
+    ],
+)
+def test_difference_lift_is_bit_identical(grid, n_max):
+    # lifts are linear in the form: lifting S - S_obs once gives the entries
+    # of the difference of the two lifts, bit for bit
+    ms, fs = _grid_space(grid, n_max, n_max)
+    spin, spin_obs = (ops.lift_family(fs, name, ms) for name in ("spin_total", "spin_obs"))
+    for once, (a, b) in zip(_spin_difference(fs, ms), zip(spin, spin_obs)):
+        for got, want in zip(once.entries(), (a - b).entries()):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_grid_gauge_hiding_makes_no_linalg_call(monkeypatch):
-    # gauge-hiding's grid path: lifts, kernel, certificate, probes and the
-    # occupancy balance, on the 4-mode grid at n_max 3, in kernel coordinates:
-    # no np.linalg call and no dense state read by fock.expectation
+    # gauge-hiding's grid path: the difference lift, kernel, certificate,
+    # kernel entries and the occupancy balance, on the 4-mode grid at n_max 3,
+    # in kernel coordinates: no np.linalg call and no dense state read by
+    # fock.expectation
     ms, fs = _grid_space(FOUR_MODES, 3, 3)
 
     def dense_state(*args):
@@ -305,18 +327,16 @@ def test_grid_gauge_hiding_makes_no_linalg_call(monkeypatch):
         patch.setattr(np, "linalg", None)
         patch.setattr(fock, "expectation", dense_state)
         patch.setattr(fock, "indefinite_inner", dense_state)
-        spin, spin_obs = (ops.lift_family(fs, name, ms) for name in ("spin_total", "spin_obs"))
+        difference = _spin_difference(fs, ms)
         kernel = cons.gb_physical_subspace(ms, fs)
         certificate = cons.gb_kernel_certificate(cons.gb_constraints(ms, fs, None), kernel)
-        asserted, mixed, skipped = cons.verify_gauge_hiding(
-            fs, kernel, spin, spin_obs, rng=SeededRng(0)
-        )
+        hidden, mixed, skipped = cons.verify_gauge_hiding(fs, kernel, difference)
         balance = cons.column_occupancy(fs, kernel, 3) - cons.column_occupancy(fs, kernel, 0)
     assert kernel.dimension == math.comb(3 * 4 + 3, 3)
     assert certificate <= 1e-12
     assert np.max(np.abs(balance)) <= 1e-12
-    assert asserted <= 1e-12
-    assert mixed.size == 6
+    assert hidden <= 1e-12
+    assert mixed > 1e-3
     assert skipped == kernel.dimension - math.comb(2 * 4 + 3, 3)
 
 
@@ -363,7 +383,8 @@ def test_quotient_representatives_split():
     fs = build_fock([("k", 3), ("k", 0)], 1)
     kernel = cons.gb_physical_subspace(_OneMode(), fs)
     basis = _dense(kernel)
-    reps, nulls = ([basis[:, j] for j in part] for part in kernel.split())
+    masks = (kernel.quotient, ~kernel.quotient)
+    reps, nulls = ([basis[:, j] for j in np.flatnonzero(mask)] for mask in masks)
     assert len(reps) == 1 and len(nulls) == 1
     assert abs(indefinite_inner(fs, reps[0], reps[0])) > 0.5
     assert abs(indefinite_inner(fs, nulls[0], nulls[0])) <= 1e-12
@@ -375,12 +396,10 @@ def test_gauge_hiding_entries_and_class_dependence():
     constraints = cons.gb_constraints(ms, fs, None)
     sub = cons.gb_physical_subspace(ms, fs)
     spin, spin_obs = (ops.lift_family(fs, name, ms) for name in ("spin_total", "spin_obs"))
-    asserted, mixed, skipped = cons.verify_gauge_hiding(
-        fs, sub, spin, spin_obs, rng=SeededRng(1)
-    )
-    assert asserted <= 1e-12
+    hidden, mixed, skipped = cons.verify_gauge_hiding(fs, sub, _spin_difference(fs, ms))
+    assert hidden <= 1e-12
     assert skipped  # pure gauge excitations show up and are counted
-    assert mixed.size == 6
+    assert mixed > 1e-3  # entries that touch them are reported, not hidden
 
     # hand-built counterexample: transverse coherence times a zero-norm
     # admixture with a relative phase makes <spin> - <spin_obs> nonzero
@@ -459,9 +478,10 @@ def test_random_xi_tables_satisfy_reality():
     shell = SphericalShell(radius=1.0, l_max=2)
     xi = cons.random_conjugate_symmetric_xi(shell, rng)
     assert cons.xi_conjugate_residual(shell, xi) <= 1e-15
+    # the tables feed the shell's prescribed-source bilinears only
     ms = build_cartesian_modeset([(1.0, 2.0, 0.0)])
-    xi_grid = cons.random_conjugate_symmetric_xi(ms, rng)
-    assert cons.xi_conjugate_residual(ms, xi_grid) <= 1e-15
+    with pytest.raises(ChannelMismatch, match="shell labeling"):
+        cons.random_conjugate_symmetric_xi(ms, rng)
 
 
 def test_nan_residual_propagates_through_reductions():

@@ -180,23 +180,62 @@ def test_nan_form_lifted_as_a_stack_fails_its_claims():
     assert render_report(rep, "text").count(b"FAIL") >= 3
 
 
-def test_nan_spin_entry_fails_gauge_hiding_representatives(monkeypatch):
-    # one NaN entry, on the vacuum row and column of spin_total's y component,
-    # reaches the asserted gauge-hiding residual through the kernel reduction
-    lift_family = ops.lift_family
-
-    def poisoned(fs, name, modes):
-        lifted = lift_family(fs, name, modes)
-        if name != "spin_total":
-            return lifted
-        nan = OperatorMatrix.from_entries(fs, [np.nan], [0], [0])
-        return (lifted[0], lifted[1] + nan, lifted[2])
-
-    monkeypatch.setattr(ops, "lift_family", poisoned)
-    rep = run_suite(SuiteConfig(suite="gauge-hiding"))
+def _gauge_hiding_check(rep):
     (check,) = [r for r in rep.checks if r.check_id == "gauge-hiding-spin-representatives"]
+    return check
+
+
+def test_nan_spin_entry_fails_gauge_hiding_representatives(monkeypatch):
+    # one NaN form entry, on the diagonal of spin_total's y component at the
+    # first transverse channel, lifts onto the one-photon transverse monomial
+    # and reaches the asserted residual through the difference lift and the
+    # kernel reduction
+    family_matrices = ops.family_matrices
+
+    def poisoned(channels, name, modes=None):
+        forms = family_matrices(channels, name, modes)
+        if name == "spin_total":
+            a = list(channels).index((channels[0][0], 1))
+            forms[1, a, a] = np.nan
+        return forms
+
+    monkeypatch.setattr(ops, "family_matrices", poisoned)
+    rep = run_suite(SuiteConfig(suite="gauge-hiding"))
+    check = _gauge_hiding_check(rep)
     assert math.isnan(check.residual) and not check.passed
     assert not rep.all_passed
+
+
+def test_gauge_hiding_fails_on_flipped_spin_obs(monkeypatch):
+    # S + S_obs in place of S - S_obs: the transverse spins add up, and the
+    # representative block reads them
+    family_matrices = ops.family_matrices
+
+    def flipped(channels, name, modes=None):
+        forms = family_matrices(channels, name, modes)
+        return -forms if name == "spin_obs" else forms
+
+    monkeypatch.setattr(ops, "family_matrices", flipped)
+    check = _gauge_hiding_check(run_suite(SuiteConfig(suite="gauge-hiding")))
+    assert not check.passed and check.residual > 1.0
+
+
+def test_gauge_hiding_fails_on_whole_kernel(monkeypatch):
+    # every kernel column in the quotient mask, zero-norm directions included:
+    # the asserted block then holds the entries gauge hiding leaves nonzero
+    every = property(lambda kernel: np.ones(kernel.dimension, dtype=bool))
+    monkeypatch.setattr(cons.GBKernel, "quotient", every)
+    check = _gauge_hiding_check(run_suite(SuiteConfig(suite="gauge-hiding")))
+    assert not check.passed and check.residual >= 0.5
+
+
+@pytest.mark.parametrize("n_max", [1, 2])
+def test_helicity_double_skip_is_noted(n_max):
+    rep = run_suite(SuiteConfig(suite="observable-commutators", n_max=n_max))
+    checked = "helicity-circular-double" in {r.check_id for r in rep.checks}
+    note = "helicity-circular-double skipped: the two-photon state needs n_max >= 2"
+    assert checked == (n_max >= 2)
+    assert rep.notes.count(note) == (n_max < 2)
 
 
 CANONICAL_INVENTORY = {

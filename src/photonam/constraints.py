@@ -6,7 +6,7 @@ subspace is the kernel of the stacked constraints; zero-norm kernel vectors
 (pure gauge excitations) are first-class citizens: they are counted and
 excluded from expectation checks.
 
-On a grid space the free kernel (xi0 = 0) has a closed form,
+On any space the free kernel (xi0 = 0) has one closed form,
 `gb_physical_subspace`: a sparse record of each row's monomial column and
 weight, read off the occupation table, so the kernel and its certificate
 cost O(dim) or O(nnz), with no dense basis and no LAPACK.  Its indefinite
@@ -20,10 +20,7 @@ dense state.  Gauge hiding is one identity there: the block of
 R^dag eta (S - S_obs) R between representatives is zero, so <S> = <S_obs>
 on every quotient state.  Its entries that touch a zero-norm column are
 genuinely nonzero, read by states that mix in pure-gauge excitations with
-a relative phase; they are reported, never asserted.  `physical_subspace`
-finds any kernel numerically, with one rank-revealing SVD of the dense
-stack; it serves the one-mode pair and is the oracle the closed form is
-tested against.
+a relative phase; they are reported, never asserted.
 """
 
 from __future__ import annotations
@@ -33,16 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ChannelMismatch,
-    DimensionCapExceeded,
-    IncommensurateGrid,
-    NoKernel,
-    ToleranceAmbiguous,
-    UnknownChannel,
-)
+from .errors import ChannelMismatch, IncommensurateGrid, UnknownChannel
 from .fock import (
-    DEFAULT_DIM_CAP,
     FockSpace,
     OperatorMatrix,
     _group,
@@ -133,54 +122,6 @@ def gb_constraints(ms: ModeSet, fs: FockSpace, xi: dict | None = None) -> list[O
             c = c + shift * identity_operator(fs)
         out.append(c)
     return out
-
-
-# Singular values of the dense constraint stack below KERNEL_TOL define the
-# kernel; unless the kernel values are exact zeros, the smallest excluded
-# value must exceed the largest kernel value by at least KERNEL_GAP.
-KERNEL_TOL = 1e-10
-KERNEL_GAP = 1e3
-
-
-def physical_subspace(
-    fs: FockSpace, constraints: list[OperatorMatrix], dim_cap: int = DEFAULT_DIM_CAP
-) -> np.ndarray:
-    """Numerical kernel of the stacked constraints, from one dense SVD, as a
-    (dim x r) array of Euclidean-orthonormal columns, cut at `KERNEL_TOL`
-    with a gap of `KERNEL_GAP` (NoKernel, ToleranceAmbiguous).
-    DimensionCapExceeded is raised before the stack is allocated when its
-    rows x dim elements exceed dim_cap.
-    """
-    if not constraints:
-        return np.eye(fs.dim, dtype=complex)
-    rows = len(constraints) * fs.dim
-    if rows * fs.dim > dim_cap:
-        raise DimensionCapExceeded(
-            f"dense constraint stack {rows} x {fs.dim} = {rows * fs.dim}"
-            f" elements exceeds cap {dim_cap}"
-        )
-    stack = np.vstack([c.to_dense() for c in constraints])
-    # rows >= dim, so the reduced SVD still gives every right singular vector
-    _, sigma, vh = np.linalg.svd(stack, full_matrices=False)
-    mask = sigma < KERNEL_TOL
-    if not np.any(mask):
-        raise NoKernel(
-            f"no singular value below {KERNEL_TOL}; smallest is {sigma.min():.3e}"
-        )
-    top, bottom = float(sigma[mask].max()), float(sigma[~mask].min(initial=math.inf))
-    gap = math.inf if top == 0.0 else bottom / top
-    if gap < KERNEL_GAP:
-        raise ToleranceAmbiguous(
-            f"kernel cut ambiguous: gap {gap:.2e} below required {KERNEL_GAP:.0e}"
-        )
-    return vh[mask].conj().T
-
-
-def kernel_certificate(constraints: list[OperatorMatrix], basis: np.ndarray) -> float:
-    """max_v max_C ||C v|| over the columns of a dense kernel basis."""
-    return max_residual(
-        np.max(np.linalg.norm(c @ basis, axis=0), initial=0.0) for c in constraints
-    )
 
 
 @dataclass(frozen=True, eq=False)

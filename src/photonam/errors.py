@@ -51,14 +51,6 @@ class IncommensurateGrid(WorkbenchError):
     """A mode does not sit on the reciprocal lattice of the given periodic box."""
 
 
-class NoKernel(WorkbenchError):
-    """The constraint stack has an empty numerical kernel (over-truncation)."""
-
-
-class ToleranceAmbiguous(WorkbenchError):
-    """No clear singular-value gap separates kernel from non-kernel directions."""
-
-
 class BandLimitViolation(WorkbenchError):
     """The spatial grid is too coarse for exact quadrature of the given modes."""
 

@@ -61,8 +61,8 @@ the right factor of a product.  Sums and differences keep an entry only
 where the result is nonzero, as do products and commutators; negation and
 scalar multiples keep the pattern.  Every operation between operators makes
 one operand check, on the spaces (the same object, else equal), and raises
-DimensionMismatch otherwise; a vector or (dim x r) block operand of `@` is
-checked for its length.
+DimensionMismatch otherwise; a vector operand of `@` is checked for its
+length, and any other array is refused.
 
 Every entry of a product adds its terms in increasing inner index k,
 starting from 0: the row-wise order of SMMP (Bank & Douglas, Adv. Comput.
@@ -411,8 +411,8 @@ class OperatorMatrix:
     __rmul__ = __mul__
 
     def __matmul__(self, other):
-        """Product with an operator, giving an operator, or with a vector or
-        a (dim x r) array, giving an array."""
+        """Product with an operator, giving an operator, or with a vector,
+        giving a vector."""
         if not isinstance(other, OperatorMatrix):
             return self._apply(np.asarray(other))
         self._check(other)
@@ -463,16 +463,10 @@ class OperatorMatrix:
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         dim = self.space.dim
-        if x.ndim not in (1, 2) or x.shape[0] != dim:
+        if x.shape != (dim,):
             raise DimensionMismatch(f"cannot multiply {self.shape} by {x.shape}")
         x = x.astype(complex, copy=False)
-        if x.ndim == 1:
-            return _fold(self._rows, *_products(self.data, x[self._cols]), dim)
-        width = x.shape[1]
-        labels = (self._rows[:, None] * width + np.arange(width)).ravel()
-        re, im = _products(self.data[:, None], x[self._cols])
-        out = _fold(labels, re.ravel(), im.ravel(), dim * width)
-        return out.reshape(dim, width)
+        return _fold(self._rows, *_products(self.data, x[self._cols]), dim)
 
 
 def identity_operator(fs: FockSpace) -> OperatorMatrix:

@@ -7,13 +7,7 @@ import pytest
 from photonam import constraints as cons
 from photonam import fock
 from photonam import operators as ops
-from photonam.errors import (
-    ChannelMismatch,
-    DimensionCapExceeded,
-    IncommensurateGrid,
-    NoKernel,
-    ToleranceAmbiguous,
-)
+from photonam.errors import ChannelMismatch, IncommensurateGrid
 from photonam.fock import (
     OperatorMatrix,
     annihilator,
@@ -106,36 +100,46 @@ def test_gb_constraint_needs_gauge_channels():
         cons.gb_constraints(ms, fs, None)
 
 
-def test_free_kernel_matches_hand_construction():
-    fs = build_fock([("k", 3), ("k", 0)], 1)
-    constraint = [
-        annihilator(fs, ("k", 3)) - annihilator(fs, ("k", 0))
-    ]
-    sub = cons.physical_subspace(fs, constraint)
-    assert sub.shape[1] == 2
-    expected = np.zeros((4, 2), dtype=complex)
-    expected[:, 0] = fs.vacuum()
-    expected[:, 1] = (fs.basis_state({("k", 3): 1}) + fs.basis_state({("k", 0): 1})) / np.sqrt(2)
-    proj = sub @ sub.conj().T
-    proj_expected = expected @ expected.conj().T
-    assert np.max(np.abs(proj - proj_expected)) <= 1e-12
-    assert cons.kernel_certificate(constraint, sub) <= 1e-12
-
-
-def test_dense_constraint_stack_over_dim_cap_raises():
-    fs = build_fock([("k", 3), ("k", 0)], 1)
-    constraint = [annihilator(fs, ("k", 3)) - annihilator(fs, ("k", 0))]
-    # one 4 x 4 constraint: 16 dense elements
-    assert cons.physical_subspace(fs, constraint, dim_cap=16).shape[1] == 2
-    with pytest.raises(DimensionCapExceeded, match="4 x 4 = 16 elements exceeds cap 15"):
-        cons.physical_subspace(fs, constraint, dim_cap=15)
-
-
 def _whole_stack_kernel(constraints, tol=1e-10):
     """Reference: kernel of the dense stacked constraints."""
     stack = np.vstack([c.to_dense() for c in constraints])
     _, sigma, vh = np.linalg.svd(stack, full_matrices=False)
     return vh[sigma < tol].conj().T
+
+
+def _dense(kernel):
+    """The closed-form kernel's (dim x r) basis, one unit column per monomial."""
+    basis = np.zeros((kernel.column.size, kernel.dimension), dtype=complex)
+    rows = np.flatnonzero(kernel.column >= 0)
+    basis[rows, kernel.column[rows]] = kernel.weight[rows]
+    return basis
+
+
+def _dense_certificate(constraints, basis):
+    """max_v max_C ||C v|| over the columns of a dense basis, from dense matrices."""
+    return max(np.linalg.norm(c.to_dense() @ basis, axis=0).max(initial=0.0) for c in constraints)
+
+
+def _projector(basis):
+    return basis @ basis.conj().T
+
+
+def test_free_kernel_matches_hand_construction():
+    fs = build_fock([("k", 3), ("k", 0)], 1)
+    constraint = [
+        annihilator(fs, ("k", 3)) - annihilator(fs, ("k", 0))
+    ]
+    kernel = cons.gb_physical_subspace(_OneMode(), fs)
+    sub, ref = _dense(kernel), _whole_stack_kernel(constraint)
+    assert kernel.dimension == ref.shape[1] == 2
+    expected = np.zeros((4, 2), dtype=complex)
+    expected[:, 0] = fs.vacuum()
+    expected[:, 1] = (fs.basis_state({("k", 3): 1}) + fs.basis_state({("k", 0): 1})) / np.sqrt(2)
+    proj_expected = _projector(expected)
+    assert np.max(np.abs(_projector(sub) - proj_expected)) <= 1e-12
+    assert np.max(np.abs(_projector(ref) - proj_expected)) <= 1e-12
+    assert cons.gb_kernel_certificate(constraint, kernel) <= 1e-12
+    assert _dense_certificate(constraint, sub) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -151,12 +155,11 @@ def test_sector_kernel_matches_whole_stack(grid, n_max, max_total, kernel_dim):
     chans = [(i, lam) for i in ms.mode_labels() for lam in (0, 1, 2, 3)]
     fs = build_fock(chans, n_max, max_total=max_total)
     constraints = cons.gb_constraints(ms, fs, None)
-    sub = cons.physical_subspace(fs, constraints)
+    kernel = cons.gb_physical_subspace(ms, fs)
     ref = _whole_stack_kernel(constraints)
-    assert sub.shape[1] == ref.shape[1] == kernel_dim
-    proj = sub @ sub.conj().T
-    assert np.max(np.abs(proj - ref @ ref.conj().T)) <= 1e-12
-    assert cons.kernel_certificate(constraints, sub) <= 1e-12
+    assert kernel.dimension == ref.shape[1] == kernel_dim
+    assert np.max(np.abs(_projector(_dense(kernel)) - _projector(ref))) <= 1e-12
+    assert cons.gb_kernel_certificate(constraints, kernel) <= 1e-12
 
 
 @pytest.mark.parametrize("max_total", [1, 2])
@@ -169,13 +172,14 @@ def test_capped_kernel_is_full_kernel_on_the_block(max_total):
     capped = build_fock(chans, 1, max_total=max_total)
 
     def projector(fs):
-        sub = cons.physical_subspace(fs, cons.gb_constraints(ms, fs, None))
-        return sub @ sub.conj().T
+        return _projector(_dense(cons.gb_physical_subspace(ms, fs)))
 
     block = full.locate(capped.occ)
     assert full.dim == 256
     assert np.array_equal(block, full.bounded_indices(max_total))
-    restricted = projector(full)[np.ix_(block, block)]
+    reference = _projector(_whole_stack_kernel(cons.gb_constraints(ms, full, None)))
+    assert np.max(np.abs(projector(full) - reference)) <= 1e-12
+    restricted = reference[np.ix_(block, block)]
     assert np.max(np.abs(projector(capped) - restricted)) <= 1e-12
 
 
@@ -189,14 +193,6 @@ def _grid_space(grid, n_max, max_total):
     ms = parse_modeset(grid)
     chans = [(i, lam) for i in ms.mode_labels() for lam in (0, 1, 2, 3)]
     return ms, build_fock(chans, n_max, max_total=max_total)
-
-
-def _dense(kernel):
-    """The closed-form kernel's (dim x r) basis, one unit column per monomial."""
-    basis = np.zeros((kernel.column.size, kernel.dimension), dtype=complex)
-    rows = np.flatnonzero(kernel.column >= 0)
-    basis[rows, kernel.column[rows]] = kernel.weight[rows]
-    return basis
 
 
 # capped at total occupation n_max; then uncapped (the 256-state space of
@@ -221,7 +217,7 @@ CAPPED_ELSEWHERE = [(TWO_MODES, 1, None), (TWO_MODES, 2, 3), (TWO_MODES, 1, 2), 
 def test_closed_form_kernel_matches_svd(grid, n_max, max_total, monkeypatch):
     ms, fs = _grid_space(grid, n_max, max_total)
     constraints = cons.gb_constraints(ms, fs, None)
-    ref = cons.physical_subspace(fs, constraints, dim_cap=1 << 22)
+    ref = _whole_stack_kernel(constraints)
     # the closed form and its certificate make no np.linalg call
     with monkeypatch.context() as patch:
         patch.setattr(np, "linalg", None)
@@ -231,11 +227,10 @@ def test_closed_form_kernel_matches_svd(grid, n_max, max_total, monkeypatch):
     if max_total == n_max:
         assert sub.dimension == math.comb(3 * len(ms.mode_labels()) + n_max, n_max)
     basis = _dense(sub)
-    proj = basis @ basis.conj().T
-    assert np.max(np.abs(proj - ref @ ref.conj().T)) <= 1e-12
+    assert np.max(np.abs(_projector(basis) - _projector(ref))) <= 1e-12
     assert np.max(np.abs(basis.conj().T @ basis - np.eye(sub.dimension))) <= 1e-14
     assert certificate <= 1e-12
-    assert cons.kernel_certificate(constraints, basis) <= 1e-12
+    assert _dense_certificate(constraints, basis) <= 1e-12
     # the indefinite Gram matrix is the diagonal the record carries
     gram = basis.conj().T @ (metric_diagonal(fs)[:, None] * basis)
     assert np.max(np.abs(gram - np.diag(sub.norm))) <= 1e-14
@@ -274,7 +269,7 @@ def test_kernel_entries_match_dense_oracle():
         i, j, m = cons.kernel_entries(fs, kernel, op)
         full = np.zeros((kernel.dimension,) * 2, dtype=complex)
         full[i, j] = m
-        dense = basis.conj().T @ (eta * (op @ basis))
+        dense = basis.conj().T @ (eta * (op.to_dense() @ basis))
         assert np.max(np.abs(full - dense)) <= 1e-14
         # the diagonal, as fock.expectation reads each unit representative
         reads = [expectation(fs, op, basis[:, j]) for j in reps]
@@ -315,9 +310,10 @@ def test_difference_lift_is_bit_identical(grid, n_max):
 def test_grid_gauge_hiding_makes_no_linalg_call(monkeypatch):
     # gauge-hiding's grid path: the difference lift, kernel, certificate,
     # kernel entries and the occupancy balance, on the 4-mode grid at n_max 3,
-    # in kernel coordinates: no np.linalg call and no dense state read by
-    # fock.expectation
+    # in kernel coordinates, and the one-mode pair's kernel and certificate:
+    # no np.linalg call and no dense state read by fock.expectation
     ms, fs = _grid_space(FOUR_MODES, 3, 3)
+    pair = build_fock([("k", 3), ("k", 0)], 1)
 
     def dense_state(*args):
         raise AssertionError("dense state read on the grid path")
@@ -332,6 +328,12 @@ def test_grid_gauge_hiding_makes_no_linalg_call(monkeypatch):
         certificate = cons.gb_kernel_certificate(cons.gb_constraints(ms, fs, None), kernel)
         hidden, mixed, skipped = cons.verify_gauge_hiding(fs, kernel, difference)
         balance = cons.column_occupancy(fs, kernel, 3) - cons.column_occupancy(fs, kernel, 0)
+        pair_kernel = cons.gb_physical_subspace(_OneMode(), pair)
+        pair_certificate = cons.gb_kernel_certificate(
+            cons.gb_constraints(_OneMode(), pair, None), pair_kernel
+        )
+    assert pair_kernel.dimension == 2
+    assert pair_certificate <= 1e-12
     assert kernel.dimension == math.comb(3 * 4 + 3, 3)
     assert certificate <= 1e-12
     assert np.max(np.abs(balance)) <= 1e-12
@@ -340,43 +342,20 @@ def test_grid_gauge_hiding_makes_no_linalg_call(monkeypatch):
     assert skipped == kernel.dimension - math.comb(2 * 4 + 3, 3)
 
 
-def test_non_graded_constraints_are_one_block():
-    # the number operator of channel ("k", 1) keeps the occupation, so the
-    # stack is not graded and is factored whole, as the reference does
-    fs = build_fock([("k", 0), ("k", 3), ("k", 1)], 1)
-    number = creator(fs, ("k", 1)) @ annihilator(fs, ("k", 1))
-    constraints = [annihilator(fs, ("k", 3)) - annihilator(fs, ("k", 0)), number]
-    sub = cons.physical_subspace(fs, constraints)
-    ref = _whole_stack_kernel(constraints)
-    assert sub.shape[1] == 2
-    assert np.array_equal(sub, ref)
-
-
-def test_empty_constraints_whole_space_physical():
-    fs = build_fock([("k", 1), ("k", 2)], 1)
-    sub = cons.physical_subspace(fs, [])
-    assert sub.shape[1] == fs.dim
-
-
 def test_displaced_kernel_vanishes_in_truncation():
-    fs = build_fock([("k", 3), ("k", 0)], 1)
-    constraints = cons.gb_constraints(_OneMode(), fs, {"k": 0.8})
-    with pytest.raises(NoKernel):
-        cons.physical_subspace(fs, constraints)
+    # a displaced constraint a_3 - a_0 + xi has no kernel on the truncated
+    # pair: its smallest singular value stays far from zero
+    from photonam.suites import _approximate_displaced_kernel
+
+    one_mode = SphericalShell(radius=1.0, l_max=0)
+    (label,) = one_mode.mode_labels()
+    _, _, residual = _approximate_displaced_kernel(one_mode, {label: 0.8}, 1)
+    assert residual > 1e-3
 
 
 class _OneMode:
     def mode_labels(self):
         return ("k",)
-
-
-def test_tolerance_gap_guard():
-    fs = build_fock([("k", 1), ("k", 2)], 1)
-    # 1e-12 is below the kernel tolerance 1e-10, but 5e-10 is within the
-    # required gap of it
-    fake = [OperatorMatrix.diagonal(fs, np.array([1e-12, 5e-10, 1.0, 1.0]))]
-    with pytest.raises(ToleranceAmbiguous):
-        cons.physical_subspace(fs, fake)
 
 
 def test_quotient_representatives_split():
@@ -415,9 +394,10 @@ def test_gauge_hiding_entries_and_class_dependence():
 
 
 def test_euclidean_occupancy_balance_on_kernel():
-    # Euclidean <n_3> = <n_0> on kernel states: random combinations of the SVD
-    # kernel; the closed form's columns; and its combinations, read as the
-    # suite reads them, sum_j |c_j|^2 balance_j / sum_j |c_j|^2
+    # Euclidean <n_3> = <n_0> on kernel states: random combinations of the
+    # dense-SVD reference kernel; the closed form's columns; and its
+    # combinations, read as the suite reads them,
+    # sum_j |c_j|^2 balance_j / sum_j |c_j|^2
     ms = build_cartesian_modeset([(0.0, 0.0, 1.0)])
     fs = build_fock([(i, lam) for i in (0, 1) for lam in (0, 3)], 2)
     lams = np.array([lam for _, lam in fs.channels])
@@ -426,7 +406,7 @@ def test_euclidean_occupancy_balance_on_kernel():
         return np.vdot(psi, fs.occ[:, lams == lam].sum(axis=1) * psi).real / np.vdot(psi, psi).real
 
     constraints = cons.gb_constraints(ms, fs, None)
-    sub = cons.physical_subspace(fs, constraints)
+    sub = _whole_stack_kernel(constraints)
     rng = np.random.default_rng(2)
     for _ in range(5):
         coeff = rng.normal(size=sub.shape[1]) + 1j * rng.normal(size=sub.shape[1])
@@ -487,11 +467,9 @@ def test_random_xi_tables_satisfy_reality():
 def test_nan_residual_propagates_through_reductions():
     fs = build_fock([("k", 3), ("k", 0)], 1)
     constraint = [annihilator(fs, ("k", 3)) - annihilator(fs, ("k", 0))]
-    sub = cons.physical_subspace(fs, constraint)
     rows, cols = np.indices((fs.dim, fs.dim)).reshape(2, -1)
     nans = np.full(rows.size, np.nan + 0j)
     poisoned = OperatorMatrix.from_entries(fs, nans, rows, cols)
-    assert math.isnan(cons.kernel_certificate(constraint + [poisoned], sub))
     kernel = cons.gb_physical_subspace(_OneMode(), fs)
     assert math.isnan(cons.gb_kernel_certificate(constraint + [poisoned], kernel))
 

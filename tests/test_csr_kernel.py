@@ -89,12 +89,7 @@ def test_products_match_scipy(inner, density):
     a, sa = random_pair(rng, inner, density)
     b, sb = random_pair(rng, inner, density)
     assert_same(a @ b, sa @ sb)
-    for x in (
-        rng.normal(size=inner) + 1j * rng.normal(size=inner),
-        rng.normal(size=inner),
-        rng.normal(size=(inner, 3)) + 1j * rng.normal(size=(inner, 3)),
-        rng.normal(size=(inner, 3)),
-    ):
+    for x in (rng.normal(size=inner) + 1j * rng.normal(size=inner), rng.normal(size=inner)):
         got = a @ x
         assert got.shape == (sa @ x).shape
         np.testing.assert_array_equal(got, sa @ x)
@@ -241,6 +236,8 @@ def test_array_operands_are_refused():
         a @ np.ones(4)
     with pytest.raises(DimensionMismatch):
         a @ np.ones((4, 2))
+    with pytest.raises(DimensionMismatch):
+        a @ np.ones((3, 2))
     with pytest.raises(DimensionMismatch):
         a @ b
     with pytest.raises(DimensionMismatch):

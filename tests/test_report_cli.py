@@ -413,8 +413,8 @@ EIGHT_MODE_GRID = (
 
 
 def test_cli_dense_constraint_stack_over_dim_cap_exit_2(capsys, monkeypatch):
-    # the grid kernel is read off the occupation table, so the only matrices
-    # densified are one-mode constraints: the pair's and the xi pathway's, at
+    # the grid and pair kernels are read off their occupation tables, so the
+    # only matrices densified are the xi pathway's one-mode constraints, at
     # most 9 x 9
     to_dense = OperatorMatrix.to_dense
     densified = []

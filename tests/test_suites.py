@@ -114,11 +114,49 @@ def test_gauge_hiding_report_shape(seed):
     # the grid kernel is the closed-form monomial record and its representatives
     # are its transverse columns in basis order, so no LAPACK call or BLAS
     # thread count can rotate or reorder them; this pins the checks, verdicts
-    # and probe counts
+    # and the count of zero-norm columns
     rep = run_suite(SuiteConfig(suite="gauge-hiding", seed=seed))
     assert [r.check_id for r in rep.checks] == GAUGE_HIDING_CHECKS
     assert all(r.passed for r in rep.checks)
-    assert "zero-norm physical probes skipped and counted: 13" in rep.notes
+    assert "zero-norm kernel columns left out of the asserted block: 13" in rep.notes
+
+
+def _scale_last_weight(kernel):
+    """The kernel with the last row of its last column weighted 1.1 times."""
+    weight = kernel.weight.copy()
+    weight[np.flatnonzero(kernel.column == kernel.dimension - 1)[-1]] *= 1.1
+    return cons.GBKernel(kernel.column, weight, kernel.norm)
+
+
+def _drop_last_column(kernel):
+    gone = kernel.column == kernel.dimension - 1
+    column, weight = kernel.column.copy(), kernel.weight.copy()
+    column[gone], weight[gone] = -1, 0.0
+    return cons.GBKernel(column, weight, kernel.norm[:-1])
+
+
+@pytest.mark.parametrize(
+    "mutate, expected",
+    [
+        # the pair's column (1, 1.1) / sqrt(2): |1.1^2 / 2 - 1/2| and 0.1 / sqrt(2)
+        (
+            _scale_last_weight,
+            {"gb-free-kernel-contents": 0.105, "gb-kernel-certificate": 0.0707107},
+        ),
+        # the pair loses (c3+ - c0+)|0>, the grid one monomial: 1 + 1
+        (_drop_last_column, {"gb-free-kernel-contents": 0.5, "gb-free-kernel-dimension": 2.0}),
+    ],
+)
+def test_gauge_hiding_pair_checks_fail_on_a_wrong_kernel(monkeypatch, mutate, expected):
+    # every closed-form kernel the suite reads, the one-mode pair's and the
+    # grid's, is mutated; the pair checks read the damage and fail
+    closed_form = cons.gb_physical_subspace
+    monkeypatch.setattr(cons, "gb_physical_subspace", lambda ms, fs: mutate(closed_form(ms, fs)))
+    rep = run_suite(SuiteConfig(suite="gauge-hiding"))
+    checks = {r.check_id: r for r in rep.checks}
+    for check_id, residual in expected.items():
+        assert checks[check_id].residual == pytest.approx(residual, rel=1e-6)
+        assert not checks[check_id].passed
 
 
 def test_canonical_respects_custom_shell():

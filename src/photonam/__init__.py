@@ -5,12 +5,12 @@ from . import constraints, dirac, errors, fields, fock, modes, operators, report
 from .fock import (
     FockSpace,
     OperatorMatrix,
-    QuadraticForm,
     annihilator,
     build_fock,
     commutator,
     creator,
     expectation,
+    form_bracket,
     indefinite_inner,
     lift_forms,
     metric_operator,
@@ -31,7 +31,6 @@ __all__ = [
     "CartesianGrid",
     "FockSpace",
     "OperatorMatrix",
-    "QuadraticForm",
     "SphericalShell",
     "SuiteConfig",
     "annihilator",
@@ -45,6 +44,7 @@ __all__ = [
     "expectation",
     "fields",
     "fock",
+    "form_bracket",
     "indefinite_inner",
     "lift_forms",
     "metric_operator",

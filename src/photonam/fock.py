@@ -518,32 +518,12 @@ def metric_operator(fs: FockSpace) -> OperatorMatrix:
     return OperatorMatrix.diagonal(fs, metric_diagonal(fs))
 
 
-@dataclass(frozen=True, eq=False)
-class QuadraticForm:
-    """Single-particle matrix over channels plus the channel-sign diagonal."""
-
-    matrix: np.ndarray
-    signs: tuple
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatch("quadratic form matrix must be square")
-        if m.shape[0] != len(self.signs):
-            raise DimensionMismatch("form size does not match sign vector")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def g(self) -> np.ndarray:
-        return np.diag(np.array(self.signs, dtype=float))
-
-    def bracket(self, other: "QuadraticForm") -> "QuadraticForm":
-        """Form-level commutator image M G N - N G M."""
-        if self.signs != other.signs:
-            raise DimensionMismatch("forms carry different channel signs")
-        g = self.g
-        m = self.matrix @ g @ other.matrix - other.matrix @ g @ self.matrix
-        return QuadraticForm(m, self.signs)
+def form_bracket(m, n, signs) -> np.ndarray:
+    """Form-level commutator image M G N - N G M, G = diag(signs): the form
+    whose lift is [L(M), L(N)]."""
+    m, n = np.asarray(m, dtype=complex), np.asarray(n, dtype=complex)
+    g = np.diag(np.array(signs, dtype=float))
+    return m @ g @ n - n @ g @ m
 
 
 def lift_forms(fs: FockSpace, forms) -> tuple[OperatorMatrix, ...]:

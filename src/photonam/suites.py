@@ -42,6 +42,11 @@ family, observable-commutators' transverse spin, orbital and total claims,
 decomposition-compare's rival decompositions and Stokes closure, and dirac's
 Table-I claims.  `hamiltonian-spin-commute` stays in suite code: it reads
 the grid Hamiltonian and is skipped with a note off a degenerate shell.
+
+A check that a state is an eigenvector is read by one helper,
+`_eigen_residual` (the largest |O psi - v psi| over its states), on states
+from `FockSpace.basis_state` or, for a circular photon, `_circular`; the
+three expectation checks read `expectation` directly.
 """
 
 from __future__ import annotations
@@ -60,13 +65,13 @@ from .fock import (
     DEFAULT_DIM_CAP,
     FockSpace,
     OperatorMatrix,
-    QuadraticForm,
     annihilator,
     build_fock,
     commutator,
     compress,
     creator,
     expectation,
+    form_bracket,
     identity_operator,
     indefinite_inner,
     lift_forms,
@@ -182,6 +187,19 @@ def _edge_safe(op: OperatorMatrix) -> float:
     return max_abs(compress(op, fs.bounded_indices(fs.n_max - 1)))
 
 
+def _eigen_residual(op: OperatorMatrix, value, *states) -> float:
+    """Residual of the claim that each state is an eigenvector of op with
+    eigenvalue value: the largest |op psi - value psi|."""
+    return max_residual(max_abs(op @ psi - value * psi) for psi in states)
+
+
+def _circular(fs: FockSpace, label, phase=1j) -> np.ndarray:
+    """(|label, lam = 1> + phase |label, lam = 2>) / sqrt(2): one photon of
+    helicity +1 along the mode's k, or -1 at phase -1j."""
+    x, y = (fs.basis_state({(label, lam): 1}) for lam in (1, 2))
+    return (x + phase * y) / np.sqrt(2)
+
+
 # Per verdict: kind and bound (None: the run's tolerance, or TIGHT_TOL on a
 # tight claim).
 _CLAIM_VERDICTS = {
@@ -275,25 +293,16 @@ def suite_canonical(config: SuiteConfig) -> VerificationReport:
     vac = fs.vacuum()
     rep.add("hamiltonian-vacuum", "H-mode-form", abs(expectation(fs, ham, vac)), TIGHT_TOL)
     mode0 = ms.mode_labels()[0]
-    transverse = fs.basis_state({(mode0, 1): 1})
-    rep.add(
-        "hamiltonian-transverse-eigenvalue",
-        "H-mode-form",
-        max_abs((ham @ transverse) - ms.omega[mode0] * transverse),
-        TIGHT_TOL,
-    )
-    scalar = fs.basis_state({(mode0, 0): 1})
-    rep.add(
-        "hamiltonian-scalar-eigenvalue",
-        "H-mode-form",
-        max_abs((ham @ scalar) + ms.omega[mode0] * scalar),
-        TIGHT_TOL,
-    )
+    omega, kvec = ms.omega[mode0], ms.ks[mode0]
+    transverse, scalar = (fs.basis_state({(mode0, lam): 1}) for lam in (1, 0))
+    res = _eigen_residual(ham, omega, transverse)
+    rep.add("hamiltonian-transverse-eigenvalue", "H-mode-form", res, TIGHT_TOL)
+    res = _eigen_residual(ham, -omega, scalar)
+    rep.add("hamiltonian-scalar-eigenvalue", "H-mode-form", res, TIGHT_TOL)
     mom = ops.lift_family(fs, "momentum", ms)
-    kvec = ms.ks[mode0]
     res = max_residual(
-        max_abs((mom[comp] @ psi) - sign * kvec[comp] * psi)
-        for comp in range(3)
+        _eigen_residual(p, sign * k, psi)
+        for p, k in zip(mom, kvec)
         for psi, sign in ((transverse, 1), (scalar, -1))
     )
     rep.add("momentum-eigenvalues", "PM-planewave", res, TIGHT_TOL)
@@ -366,8 +375,7 @@ def _lift_homomorphism_residual(rng: SeededRng, pairs: int, dim_cap: int) -> flo
         shape = (n_ch, n_ch)
         m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         n = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        bracket = QuadraticForm(m, fs.signs).bracket(QuadraticForm(n, fs.signs))
-        lm, ln, lmn = lift_forms(fs, (m, n, bracket.matrix))
+        lm, ln, lmn = lift_forms(fs, (m, n, form_bracket(m, n, fs.signs)))
         residuals.append(max_abs(commutator(lm, ln, lmn)))
     return max_residual(residuals)
 
@@ -385,20 +393,9 @@ def _orbital_families(rep: VerificationReport, config: SuiteConfig, claims, lift
     shell1 = _orbital_shell(config)
     fs4 = _shell_space(shell1, (0, 1, 2, 3), config.dim_cap)
     oam = _lift_named(claims, fs4, shell1, lifted)["oam_total"]
-    transverse = fs4.basis_state({((1, 1), 1): 1})
-    rep.add(
-        "oam-z-transverse-eigenvalue",
-        "PWE-LM",
-        max_abs((oam[2] @ transverse) - transverse),
-        TIGHT_TOL,
-    )
-    scalar = fs4.basis_state({((1, 1), 0): 1})
-    rep.add(
-        "oam-z-scalar-eigenvalue",
-        "PWE-LM",
-        max_abs((oam[2] @ scalar) - scalar),
-        TIGHT_TOL,
-    )
+    for lam, check_id in ((1, "oam-z-transverse-eigenvalue"), (0, "oam-z-scalar-eigenvalue")):
+        res = _eigen_residual(oam[2], 1, fs4.basis_state({((1, 1), lam): 1}))
+        rep.add(check_id, "PWE-LM", res, TIGHT_TOL)
     rep.note(
         "oam scalar sector: weight -1 with the flipped scalar commutator gives"
         " L_z = +m on every one-photon sector; required by MCR2"
@@ -418,9 +415,7 @@ def suite_observable(config: SuiteConfig) -> VerificationReport:
     sobs = ops.lift_family(fs, "spin_obs", ms)
     (hel,) = ops.lift_family(fs, "helicity", ms)
     mode0 = ms.mode_labels()[0]
-    plus = (creator(fs, (mode0, 1)) @ fs.vacuum() + 1j * (creator(fs, (mode0, 2)) @ fs.vacuum())) / np.sqrt(2)
-    minus = (creator(fs, (mode0, 1)) @ fs.vacuum() - 1j * (creator(fs, (mode0, 2)) @ fs.vacuum())) / np.sqrt(2)
-    res = max_residual((max_abs((hel @ plus) - plus), max_abs((hel @ minus) + minus)))
+    res = max_residual(_eigen_residual(hel, h, _circular(fs, mode0, h * 1j)) for h in (1, -1))
     rep.add("helicity-circular-single", "helicity", res, TIGHT_TOL)
     if config.occupation_cap >= 2:
         cre = lambda lam: creator(fs, (mode0, lam))
@@ -428,21 +423,12 @@ def suite_observable(config: SuiteConfig) -> VerificationReport:
                   + 2j * (cre(2) @ (cre(1) @ fs.vacuum()))
                   - (cre(2) @ (cre(2) @ fs.vacuum())))
         double = double / np.linalg.norm(double)
-        rep.add(
-            "helicity-circular-double",
-            "helicity",
-            max_abs((hel @ double) - 2.0 * double),
-            TIGHT_TOL,
-        )
+        res = _eigen_residual(hel, 2.0, double)
+        rep.add("helicity-circular-double", "helicity", res, TIGHT_TOL)
     else:
         rep.note("helicity-circular-double skipped: the two-photon state needs n_max >= 2")
-    linear = creator(fs, (mode0, 1)) @ fs.vacuum()
-    rep.add(
-        "helicity-linear-expectation",
-        "helicity",
-        abs(expectation(fs, hel, linear)),
-        TIGHT_TOL,
-    )
+    linear = fs.basis_state({(mode0, 1): 1})
+    rep.add("helicity-linear-expectation", "helicity", abs(expectation(fs, hel, linear)), TIGHT_TOL)
     sigma = ops.lift_family(fs, "stokes", ms)
     rep.add(
         "stokes-helicity-match",
@@ -453,7 +439,7 @@ def suite_observable(config: SuiteConfig) -> VerificationReport:
 
     fs3 = _capped_grid_space(ms, (1, 2, 3), config)
     stot, sobs3 = (ops.lift_family(fs3, name, ms) for name in ("spin_total", "spin_obs"))
-    circ3 = (creator(fs3, (mode0, 1)) @ fs3.vacuum() + 1j * (creator(fs3, (mode0, 2)) @ fs3.vacuum())) / np.sqrt(2)
+    circ3 = _circular(fs3, mode0)
     agree = max_residual(
         abs(expectation(fs3, stot[c], circ3) - expectation(fs3, sobs3[c], circ3))
         for c in range(3)
@@ -465,14 +451,9 @@ def suite_observable(config: SuiteConfig) -> VerificationReport:
     claims = ops.CLAIMS[rep.suite]
     lifted = _lift_named(claims, fs4, shell1, {"spin_obs": sobs})
     _claim_checks(rep, claims, lifted, config.tol)
-    lobs = lifted["oam_obs"]
     longi = fs4.basis_state({((1, 1), 3): 1})
-    rep.add(
-        "oam-obs-longitudinal-zero",
-        "L-obs-form",
-        max_residual(max_abs(L @ longi) for L in lobs),
-        TIGHT_TOL,
-    )
+    res = max_residual(_eigen_residual(L, 0, longi) for L in lifted["oam_obs"])
+    rep.add("oam-obs-longitudinal-zero", "L-obs-form", res, TIGHT_TOL)
     return rep.finalize()
 
 
@@ -854,14 +835,9 @@ def suite_dirac(config: SuiteConfig) -> VerificationReport:
     lifted = _lift_named(claims, ffs, shell, {})
     _claim_checks(rep, claims, lifted, config.tol)
 
-    sam = lifted["dirac_sam"]
-    one = creator(ffs, ((0, 0), 0)) @ ffs.vacuum()
-    rep.add(
-        "dirac-spin-half-eigenvalue",
-        "S_D",
-        max_abs(sam[2] @ one - 0.5 * one),
-        1e-14,
-    )
+    one = ffs.basis_state({((0, 0), 0): 1})
+    res = _eigen_residual(lifted["dirac_sam"][2], 0.5, one)
+    rep.add("dirac-spin-half-eigenvalue", "S_D", res, 1e-14)
 
     photon = build_fock([("k", 1), ("k", 2)], 1, dim_cap=config.dim_cap)
     (hel,) = ops.lift_family(photon, "helicity")
@@ -875,13 +851,8 @@ def suite_dirac(config: SuiteConfig) -> VerificationReport:
         commute.append(max_abs(combined_b @ combined_f - combined_f @ combined_b))
     rep.add("photon-dirac-commute", "Table-I", max_residual(commute), 1e-14)
 
-    plus = (creator(photon, ("k", 1)) @ photon.vacuum() + 1j * (creator(photon, ("k", 2)) @ photon.vacuum())) / np.sqrt(2)
-    rep.add(
-        "helicity-unit-eigenvalue",
-        "helicity",
-        max_abs(hel @ plus - plus),
-        1e-14,
-    )
+    res = _eigen_residual(hel, 1, _circular(photon, "k"))
+    rep.add("helicity-unit-eigenvalue", "helicity", res, 1e-14)
     return rep.finalize()
 
 

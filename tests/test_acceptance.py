@@ -20,10 +20,10 @@ from photonam.fock import (
     compress,
     creator,
     expectation,
+    form_bracket,
     indefinite_inner,
     lift_forms,
     max_abs,
-    QuadraticForm,
 )
 from photonam.modes import SphericalShell, build_cartesian_modeset
 
@@ -148,8 +148,8 @@ def test_criterion_5_bilinear_lift_oracle():
         idx = fs.bounded_indices(n_max - 1)
         m = rng.normal(size=(n_ch, n_ch)) + 1j * rng.normal(size=(n_ch, n_ch))
         n = rng.normal(size=(n_ch, n_ch)) + 1j * rng.normal(size=(n_ch, n_ch))
-        mn = QuadraticForm(m, fs.signs).bracket(QuadraticForm(n, fs.signs))
-        lhs, rhs = commutator(*lift_forms(fs, [m, n])), lift_forms(fs, [mn.matrix])[0]
+        lhs = commutator(*lift_forms(fs, [m, n]))
+        rhs = lift_forms(fs, [form_bracket(m, n, fs.signs)])[0]
         worst = max(worst, max_abs(compress(lhs - rhs, idx)))
     _line(5, worst <= 1e-12, f"20 random pairs, worst residual {worst:.3e}")
 

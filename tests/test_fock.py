@@ -14,7 +14,6 @@ from photonam.errors import (
 from photonam.fock import (
     FockSpace,
     OperatorMatrix,
-    QuadraticForm,
     _jw_parity,
     _lowering,
     annihilator,
@@ -23,6 +22,7 @@ from photonam.fock import (
     compress,
     creator,
     expectation,
+    form_bracket,
     identity_operator,
     indefinite_inner,
     lift_forms,
@@ -300,14 +300,14 @@ def test_lift_commutator_homomorphism_random_pairs():
         idx = fs.bounded_indices(n_max - 1)
         m = rng.normal(size=(n_ch, n_ch)) + 1j * rng.normal(size=(n_ch, n_ch))
         n = rng.normal(size=(n_ch, n_ch)) + 1j * rng.normal(size=(n_ch, n_ch))
-        mn = QuadraticForm(m, fs.signs).bracket(QuadraticForm(n, fs.signs))
-        lhs, rhs = commutator(*lift_forms(fs, [m, n])), lift_forms(fs, [mn.matrix])[0]
+        lhs = commutator(*lift_forms(fs, [m, n]))
+        rhs = lift_forms(fs, [form_bracket(m, n, fs.signs)])[0]
         assert max_abs(compress(lhs - rhs, idx)) <= 1e-12
 
 
-def per_pair_lift(fs, form):
+def per_pair_lift(fs, m):
     """The lift as one loop over the nonzeros of M, pair by pair."""
-    m = form.matrix
+    m = np.asarray(m, dtype=complex)
     occ = fs.occ.T.astype(int)
     rows, cols, vals = [], [], []
     diag = np.zeros(fs.dim, dtype=complex)
@@ -368,8 +368,8 @@ def _lift_spaces(rng):
 def test_lift_bit_identical_to_per_pair_loop(kind):
     rng = np.random.default_rng(11)
     for fs in _lift_spaces(rng):
-        form = QuadraticForm(_random_form(rng, len(fs.channels), kind), fs.signs)
-        got = lift_forms(fs, [form.matrix])[0].entries()
+        form = _random_form(rng, len(fs.channels), kind)
+        got = lift_forms(fs, [form])[0].entries()
         want = per_pair_lift(fs, form).entries()
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
@@ -405,7 +405,7 @@ def test_stacked_lift_bit_identical_to_per_pair_loop(pattern):
             lifted = lift_forms(fs, forms)
             assert len(lifted) == len(forms)
             for op, m in zip(lifted, forms):
-                want = per_pair_lift(fs, QuadraticForm(m, fs.signs)).entries()
+                want = per_pair_lift(fs, m).entries()
                 for g, w in zip(op.entries(), want):
                     assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
@@ -462,11 +462,7 @@ def test_operators_on_equal_dimension_spaces_are_refused():
         commutator(k, k, q)
 
 
-def test_quadratic_form_validation():
-    with pytest.raises(DimensionMismatch):
-        QuadraticForm(np.zeros((2, 3)), (1, 1))
-    with pytest.raises(DimensionMismatch):
-        QuadraticForm(np.zeros((2, 2)), (1, 1, 1))
+def test_lift_forms_refuses_forms_of_another_size():
     fs = build_fock([("k", 1)], 1)
     with pytest.raises(DimensionMismatch):
         lift_forms(fs, [np.zeros((2, 2))])

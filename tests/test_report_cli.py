@@ -412,7 +412,9 @@ EIGHT_MODE_GRID = (
 )
 
 
-def test_cli_dense_constraint_stack_over_dim_cap_exit_2(capsys, monkeypatch):
+def test_cli_gauge_hiding_densifies_at_most_9x9_and_refuses_nmax_6_in_bounded_memory(
+    capsys, monkeypatch
+):
     # the grid and pair kernels are read off their occupation tables, so the
     # only matrices densified are the xi pathway's one-mode constraints, at
     # most 9 x 9

@@ -35,6 +35,89 @@ def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 
 
+def private_definitions(source: str) -> list[tuple[str, int]]:
+    """Each `_`-prefixed name a module binds at its top level (function,
+    class or assignment), and each private method of its classes, with its
+    line; dunder names are not private."""
+    tree = ast.parse(source)
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [
+                (name.id, node.lineno)
+                for target in targets
+                for name in ast.walk(target)
+                if isinstance(name, ast.Name)
+            ]
+        if isinstance(node, ast.ClassDef):
+            found += [
+                (item.name, item.lineno)
+                for item in node.body
+                if isinstance(item, ast.FunctionDef)
+            ]
+    return [(n, line) for n, line in found if n.startswith("_") and not n.endswith("__")]
+
+
+def names_read(source: str) -> set[str]:
+    """Every name a module loads, every attribute it reads and every name it
+    imports."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read |= {alias.name for alias in node.names}
+    return read
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Each private name or method of the modules that none of them reads."""
+    read = set().union(*map(names_read, sources.values()))
+    return [
+        f"{module}: {name} (line {line})"
+        for module, source in sorted(sources.items())
+        for name, line in private_definitions(source)
+        if name not in read
+    ]
+
+
+def test_no_dead_private_name():
+    # reads from the tests do not count: a helper only a test calls is dead code
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert dead_private_names(sources) == []
+
+
+def test_dead_private_name_is_caught():
+    sources = {
+        "a.py": (
+            "_CAP = 3\n"
+            "_UNUSED, _PAIR = 1, 2\n"
+            "def _helper(x):\n"
+            "    return x + _CAP\n"
+            "def _orphan():\n"
+            "    return _PAIR\n"
+            "class Box:\n"
+            "    def __init__(self):\n"
+            "        self._seen = _helper(1)\n"
+            "    def _check(self):\n"
+            "        return self._seen\n"
+            "    def _stale(self):\n"
+            "        return None\n"
+        ),
+        "b.py": "from .a import Box\ndef use(box: Box):\n    return box._check()\n",
+    }
+    assert dead_private_names(sources) == [
+        "a.py: _UNUSED (line 2)",
+        "a.py: _orphan (line 5)",
+        "a.py: _stale (line 12)",
+    ]
+
+
 def test_unused_import_is_caught():
     source = (
         "from __future__ import annotations\n"

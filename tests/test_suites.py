@@ -15,11 +15,11 @@ from photonam.errors import ZeroNormState
 from photonam.fock import (
     DEFAULT_DIM_CAP,
     OperatorMatrix,
-    QuadraticForm,
     build_fock,
     commutator,
     compress,
     expectation,
+    form_bracket,
     identity_operator,
     lift_forms,
     max_abs,
@@ -274,6 +274,147 @@ def test_helicity_double_skip_is_noted(n_max):
     note = "helicity-circular-double skipped: the two-photon state needs n_max >= 2"
     assert checked == (n_max >= 2)
     assert rep.notes.count(note) == (n_max < 2)
+
+
+# The thirteen checks that read a lifted family on a named state.
+STATE_CHECKS = {
+    "canonical-commutators": (
+        "hamiltonian-vacuum",
+        "hamiltonian-transverse-eigenvalue",
+        "hamiltonian-scalar-eigenvalue",
+        "momentum-eigenvalues",
+        "oam-z-transverse-eigenvalue",
+        "oam-z-scalar-eigenvalue",
+    ),
+    "observable-commutators": (
+        "helicity-circular-single",
+        "helicity-circular-double",
+        "helicity-linear-expectation",
+        "oam-obs-longitudinal-zero",
+        "spin-total-obs-agree-circular",
+    ),
+    "dirac": ("dirac-spin-half-eigenvalue", "helicity-unit-eigenvalue"),
+}
+
+
+def _scaled(name, factor):
+    """The terms of `ops.FORMS[name]`, every matrix times `factor`."""
+    return tuple((key, tuple(factor * m for m in mats)) for key, mats in ops.FORMS[name])
+
+
+def _reweighted(name, lam, weight):
+    """The orbital family `ops.FORMS[name]` with polarization `lam` weighted by `weight`."""
+    ((key, (w, *_)),) = ops.FORMS[name]
+    w = w.copy()
+    w[lam, lam] = weight
+    return ((key, (w,) * 3),)
+
+
+def _sigma3_helicity():
+    """sigma_3 on the (lam = 1, lam = 2) block in place of the helicity's sigma_2."""
+    ((key, _),) = ops.FORMS["helicity"]
+    return ((key, (np.diag([0.0, 1.0, -1.0, 0.0]).astype(complex),)),)
+
+
+# Per mutation of one `ops.FORMS` entry: the state checks it fails, with the
+# residuals read at the default config.  hamiltonian-vacuum is the one state
+# check left out: the lift is normal-ordered, so <0|L(M)|0> = 0 for every
+# form M, and no entry of `FORMS` can move it.
+STATE_MUTATIONS = [
+    pytest.param(
+        "helicity",
+        lambda: _scaled("helicity", -1),
+        {
+            ("observable-commutators", "helicity-circular-single"): math.sqrt(2),
+            ("observable-commutators", "helicity-circular-double"): 2 * math.sqrt(2),
+            ("dirac", "helicity-unit-eigenvalue"): math.sqrt(2),
+        },
+        id="helicity-negated",
+    ),
+    pytest.param(
+        "helicity",
+        _sigma3_helicity,
+        {("observable-commutators", "helicity-linear-expectation"): 1.0},
+        id="helicity-sigma3",
+    ),
+    pytest.param(
+        "hamiltonian",
+        lambda: _scaled("hamiltonian", 2),
+        {
+            ("canonical-commutators", "hamiltonian-transverse-eigenvalue"): 1.0,
+            ("canonical-commutators", "hamiltonian-scalar-eigenvalue"): 1.0,
+        },
+        id="hamiltonian-doubled",
+    ),
+    pytest.param(
+        "momentum",
+        lambda: _scaled("momentum", -1),
+        {("canonical-commutators", "momentum-eigenvalues"): 2.0},
+        id="momentum-negated",
+    ),
+    pytest.param(
+        "oam_total",
+        lambda: _reweighted("oam_total", 1, -1.0),
+        {("canonical-commutators", "oam-z-transverse-eigenvalue"): 2.0},
+        id="oam-total-transverse-weight-flipped",
+    ),
+    pytest.param(
+        "oam_total",
+        lambda: _reweighted("oam_total", 0, 1.0),
+        {("canonical-commutators", "oam-z-scalar-eigenvalue"): 2.0},
+        id="oam-total-scalar-weight-flipped",
+    ),
+    pytest.param(
+        "oam_obs",
+        lambda: _reweighted("oam_obs", 3, 1.0),
+        {("observable-commutators", "oam-obs-longitudinal-zero"): 1.0},
+        id="oam-obs-longitudinal-weighted",
+    ),
+    pytest.param(
+        "dirac_sam",
+        lambda: _scaled("dirac_sam", 2),
+        {("dirac", "dirac-spin-half-eigenvalue"): 0.5},
+        id="dirac-sam-doubled",
+    ),
+    pytest.param(
+        "spin_obs",
+        lambda: _scaled("spin_obs", -1),
+        {("observable-commutators", "spin-total-obs-agree-circular"): 2.0},
+        id="spin-obs-negated",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, mutated, expected", STATE_MUTATIONS)
+def test_state_check_fails_under_a_mutated_form(monkeypatch, name, mutated, expected):
+    monkeypatch.setitem(ops.FORMS, name, mutated())
+    for suite in sorted({suite for suite, _ in expected}):
+        checks = {r.check_id: r for r in run_suite(SuiteConfig(suite=suite)).checks}
+        for (where, check_id), residual in expected.items():
+            if where == suite:
+                assert checks[check_id].residual == pytest.approx(residual, rel=1e-9)
+                assert not checks[check_id].passed
+
+
+def test_state_mutations_cover_every_state_check_but_the_vacuum():
+    covered = {key for case in STATE_MUTATIONS for key in case.values[2]}
+    every = {(suite, check_id) for suite, ids in STATE_CHECKS.items() for check_id in ids}
+    assert covered == every - {("canonical-commutators", "hamiltonian-vacuum")}
+    # the reason: a normal-ordered lift annihilates the vacuum, whatever its form
+    fs = build_fock([("k", lam) for lam in range(4)], 2)
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        (lifted,) = lift_forms(fs, [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))])
+        assert expectation(fs, lifted, fs.vacuum()) == 0.0
+
+
+def test_eigen_residual_reads_a_nan_operator_as_nan():
+    fs = build_fock([("k", 1), ("k", 2)], 1)
+    nan = OperatorMatrix.from_entries(fs, [np.nan], [0], [0])
+    residual = suites._eigen_residual(nan, 1, suites._circular(fs, "k"), fs.vacuum())
+    assert math.isnan(residual)
+    rep = VerificationReport("nan", {})
+    assert not rep.add("helicity-unit-eigenvalue", "helicity", residual, 1e-14).passed
 
 
 CANONICAL_INVENTORY = {
@@ -553,10 +694,8 @@ def _full_space_lift_homomorphism(rng, pairs):
         shape = (n_ch, n_ch)
         m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         n = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        qm = QuadraticForm(m, fs.signs)
-        qn = QuadraticForm(n, fs.signs)
-        lhs = commutator(lift_forms(fs, [qm.matrix])[0], lift_forms(fs, [qn.matrix])[0])
-        rhs = lift_forms(fs, [qm.bracket(qn).matrix])[0]
+        lhs = commutator(lift_forms(fs, [m])[0], lift_forms(fs, [n])[0])
+        rhs = lift_forms(fs, [form_bracket(m, n, fs.signs)])[0]
         residuals.append(max_abs(compress(lhs - rhs, fs.bounded_indices(n_max - 1))))
     return max_residual(residuals)
 

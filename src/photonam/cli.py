@@ -46,9 +46,11 @@ def _parse_grid(spec: str):
 
 def _parse_shell(spec: str) -> tuple[float, int]:
     parts = spec.replace(",", " ").split()
-    if len(parts) != 2:
-        raise WorkbenchError("shell spec must be `|k|,lmax`")
-    return float(parts[0]), int(parts[1])
+    try:
+        radius, l_max = parts
+        return float(radius), int(l_max)
+    except ValueError:
+        raise WorkbenchError("shell spec must be `|k|,lmax`") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,9 +101,14 @@ def _merge(args: argparse.Namespace) -> tuple[SuiteConfig, str, str | None]:
     def pick(flag_value, key, cast):
         if flag_value is not None:
             return flag_value
-        if key in file_values:
+        if key not in file_values:
+            return None
+        try:
             return cast(file_values[key])
-        return None
+        except ValueError:
+            raise InvalidConfig(
+                f"config value {key} = {file_values[key]!r} is not a valid {cast.__name__}"
+            ) from None
 
     suite = pick(args.suite, "suite", str)
     if suite is None:

@@ -1,7 +1,12 @@
 """Gauge constraints, the physical subspace, and gauge-hiding verification.
 
 The per-mode constraint is a_3 - a_0 + xi0 * 1, where xi0 is the prescribed
-coupling of the scalar channel to a classical charge density.  The physical
+coupling of the scalar channel to a classical charge density, one complex
+array indexed like `ms.mode_labels()`: read off charge samples on a
+`fields.FieldLattice` (`xi0_from_charge`) or drawn on a shell.  A real
+density ties each entry to its partner's conjugate, one rule
+(`_reality_partners`).  `gb_constraints` builds the free a_3 - a_0 only; a
+caller that displaces them adds xi0 times the identity.  The physical
 subspace is the kernel of the stacked constraints; zero-norm kernel vectors
 (pure gauge excitations) are first-class citizens: they are counted and
 excluded from expectation checks.
@@ -30,14 +35,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChannelMismatch, IncommensurateGrid, UnknownChannel
+from .errors import ChannelMismatch, DimensionMismatch, UnknownChannel
+from .fields import FieldLattice, cell_volume
 from .fock import (
     FockSpace,
     OperatorMatrix,
     _group,
     annihilator,
     creator,
-    identity_operator,
     max_residual,
     metric_diagonal,
 )
@@ -45,63 +50,39 @@ from .modes import CartesianGrid, ModeSet, SphericalShell, orbital_matrices
 from .sampling import SeededRng
 
 
-@dataclass(frozen=True, eq=False)
-class ChargeSource:
-    """Classical charge density: spatial samples on a periodic box."""
-
-    box_length: float | None = None
-    samples: np.ndarray | None = None  # rows (x, y, z, rho)
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.samples, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 4:
-            raise ChannelMismatch("samples must be rows of (x, y, z, rho)")
-        if self.box_length is None or self.box_length <= 0:
-            raise ChannelMismatch("sampled sources need a positive box length")
-        object.__setattr__(self, "samples", arr)
-
-
-def _xi_prefactor(omega: float) -> float:
+def _xi_prefactor(omega):
     # 1/omega * sqrt(1 / (2 omega (2 pi)^3)) in natural units
     return 1.0 / (omega ** 1.5 * math.sqrt(2.0 * (2.0 * math.pi) ** 3))
 
 
-def xi0_from_charge(source: ChargeSource, ms: ModeSet) -> dict:
-    """Per-mode scalar coupling values from the charge source: the discrete
-    Fourier sum of its samples with the free-space normalization prefactor.
-    The mode set must be a grid whose every mode sits on the box's
-    reciprocal lattice.
-    """
-    if not isinstance(ms, CartesianGrid):
-        raise IncommensurateGrid("sampled sources require a grid mode set")
-    length = float(source.box_length)
-    xyz = source.samples[:, :3]
-    rho = source.samples[:, 3]
-    weight = length ** 3 / len(rho)
-    out = {}
-    for i in ms.mode_labels():
-        k = ms.ks[i]
-        lattice = k * length / (2.0 * math.pi)
-        if np.max(np.abs(lattice - np.round(lattice))) > 1e-9:
-            raise IncommensurateGrid(
-                f"mode {tuple(k)} is off the reciprocal lattice of box {length}"
-            )
-        phase = np.exp(-1j * (xyz @ k))
-        out[i] = _xi_prefactor(float(ms.omega[i])) * weight * complex(np.sum(rho * phase))
-    return out
+def xi0_from_charge(lattice: FieldLattice, rho) -> np.ndarray:
+    """Per-mode scalar coupling of a real charge density sampled on the
+    lattice's grid_n^3 points: the Riemann sum of rho exp(-i k.x) with the
+    free-space normalization prefactor.  The lattice has already held its
+    modes to the box's reciprocal lattice and band limit."""
+    rho = np.asarray(rho, dtype=float)
+    if rho.shape != (lattice.grid_n ** 3,):
+        raise DimensionMismatch(f"charge samples {rho.shape}, expected ({lattice.grid_n ** 3},)")
+    weight = _xi_prefactor(lattice.omega) * cell_volume(lattice)
+    return weight * (rho @ lattice.phases.conj())
 
 
-def xi_conjugate_residual(ms: ModeSet, xi: dict) -> float:
-    """Deviation from the reality condition of the underlying charge density."""
+def _reality_partners(ms: ModeSet) -> tuple[np.ndarray, np.ndarray]:
+    """Per label, the index of the label whose xi a real charge density ties
+    to its conjugate, and the phase: xi[partner] = phase * conj(xi).  On a
+    grid the partner is -k with phase 1; on a shell (l, -m) with (-1)^(l+m)."""
+    labels = ms.mode_labels()
     if isinstance(ms, CartesianGrid):
-        return max_residual(
-            abs(xi.get(ms.negation[i], 0.0) - np.conj(xi.get(i, 0.0)))
-            for i in ms.mode_labels()
-        )
-    return max_residual(
-        abs(xi.get((l, -m), 0.0) - (-1.0) ** (l + m) * np.conj(xi.get((l, m), 0.0)))
-        for (l, m) in ms.mode_labels()
-    )
+        return np.array(ms.negation), np.ones(len(labels))
+    index = {label: i for i, label in enumerate(labels)}
+    partner = [index[(l, -m)] for l, m in labels]
+    return np.array(partner), np.array([(-1.0) ** (l + m) for l, m in labels])
+
+
+def xi_conjugate_residual(ms: ModeSet, xi: np.ndarray) -> float:
+    """Deviation from the reality condition of the underlying charge density."""
+    partner, phase = _reality_partners(ms)
+    return max_residual(np.abs(xi[partner] - phase * np.conj(xi)))
 
 
 def _gauge_positions(ms: ModeSet, fs: FockSpace) -> tuple[list[int], list[int]]:
@@ -112,16 +93,12 @@ def _gauge_positions(ms: ModeSet, fs: FockSpace) -> tuple[list[int], list[int]]:
         raise ChannelMismatch(f"constraints need lam = 0 and lam = 3 channels: {exc}") from None
 
 
-def gb_constraints(ms: ModeSet, fs: FockSpace, xi: dict | None = None) -> list[OperatorMatrix]:
-    """One constraint matrix a_3 - a_0 + xi0 per mode label."""
-    out = []
-    for label, p0, p3 in zip(ms.mode_labels(), *_gauge_positions(ms, fs)):
-        c = annihilator(fs, fs.channels[p3]) - annihilator(fs, fs.channels[p0])
-        shift = complex(xi.get(label, 0.0)) if xi else 0.0
-        if shift != 0.0:
-            c = c + shift * identity_operator(fs)
-        out.append(c)
-    return out
+def gb_constraints(ms: ModeSet, fs: FockSpace) -> list[OperatorMatrix]:
+    """One free constraint matrix a_3 - a_0 per mode label."""
+    return [
+        annihilator(fs, fs.channels[p3]) - annihilator(fs, fs.channels[p0])
+        for p0, p3 in zip(*_gauge_positions(ms, fs))
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,50 +223,48 @@ def column_occupancy(fs: FockSpace, kernel: GBKernel, lam: int) -> np.ndarray:
     return count[1:] / np.bincount(labels, w * w)[1:]
 
 
-def random_conjugate_symmetric_xi(
-    ms: SphericalShell, rng: SeededRng, scale: float = 0.1
-) -> dict:
-    """Seeded shell coupling table satisfying the reality condition of the
-    source, xi(l, -m) = (-1)^(l+m) conj(xi(l, m)), making the m = 0 entries
-    real for even l and imaginary for odd l."""
+def random_conjugate_symmetric_xi(ms: SphericalShell, rng: SeededRng, scale: float) -> np.ndarray:
+    """Seeded shell coupling, indexed like the shell's labels, satisfying the
+    reality condition of the source, xi(l, -m) = (-1)^(l+m) conj(xi(l, m)),
+    making the m = 0 entries real for even l and imaginary for odd l."""
     if not isinstance(ms, SphericalShell):
         raise ChannelMismatch("prescribed-source tables use the shell labeling")
-    out: dict = {}
-    for (l, m) in ms.mode_labels():
-        if (l, m) in out:
-            continue
+    index = {label: i for i, label in enumerate(ms.mode_labels())}
+    out = np.zeros(len(index), dtype=complex)
+    for (l, m), i in index.items():
         if m == 0:
             z = scale * rng.normal()
-            out[(l, 0)] = complex(z) if l % 2 == 0 else 1j * z
-            continue
-        z = scale * (rng.normal() + 1j * rng.normal())
-        out[(l, m)] = z
-        out[(l, -m)] = (-1.0) ** (l + m) * np.conj(z)
+            out[i] = z if l % 2 == 0 else 1j * z
+        elif m < 0:
+            z = scale * (rng.normal() + 1j * rng.normal())
+            out[i] = z
+            out[index[(l, -m)]] = (-1.0) ** (l + m) * np.conj(z)
     return out
 
 
-def xi_source_coefficients(ms: SphericalShell, xi: dict) -> list[tuple[np.ndarray, np.ndarray]]:
+def xi_source_coefficients(
+    ms: SphericalShell, xi: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per component x, y, z, the coefficients (conj(xi) . L, L . xi) of the
     annihilators and creators, over the shell's labels, in the prescribed-source
     bilinear `xi_oam_bilinear`."""
     if not isinstance(ms, SphericalShell):
         raise ChannelMismatch("prescribed-source bilinears use the shell labeling")
-    vec = np.array([complex(xi.get(c, 0.0)) for c in ms.mode_labels()])
-    return [(vec.conj() @ gen, gen @ vec) for gen in orbital_matrices(ms.l_max)]
+    return [(xi.conj() @ gen, gen @ xi) for gen in orbital_matrices(ms.l_max)]
 
 
 def xi_oam_bilinear(
-    ms: SphericalShell, fs: FockSpace, xi: dict, lam: int
+    ms: SphericalShell, fs: FockSpace, xi: np.ndarray, lam: int
 ) -> tuple[OperatorMatrix, ...]:
     """Orbital coupling of a prescribed source to one polarization channel.
 
     Componentwise sum of conj(xi) . L . a_lam plus its metric adjoint, where
-    L runs over the shell's orbital generators and xi is the per-(l, m)
-    source table.  This is the building block of the prescribed-source
-    pathway: the photon part of the Chen Dirac-sector orbital operator is
-    +X(lam=3), the comparison operator for <l_pure> on displaced physical
-    states is -X(lam=3), and the transverse extra terms of the Wakamatsu
-    decomposition are X(lam=1) + X(lam=2).
+    L runs over the shell's orbital generators and xi is the source coupling
+    indexed like the shell's labels.  This is the building block of the
+    prescribed-source pathway: the photon part of the Chen Dirac-sector
+    orbital operator is +X(lam=3), the comparison operator for <l_pure> on
+    displaced physical states is -X(lam=3), and the transverse extra terms of
+    the Wakamatsu decomposition are X(lam=1) + X(lam=2).
     """
     labels = ms.mode_labels()
     none = np.empty(0, dtype=np.intp)

@@ -1,4 +1,4 @@
-"""Minimal fermionic companion: spinor matrices and Dirac-sector lifts.
+"""Minimal fermionic companion: fermion spaces and Dirac-sector channels.
 
 Fermion spaces are `fock.FockSpace`s built with `fermionic=True`: one
 quantum per channel, every sign +1, and ladders and lifts in the
@@ -20,38 +20,14 @@ and every operator is a `fock.OperatorMatrix`.  The Dirac spin and orbital
 families, Sigma/2 (x) 1 and L (x) 1_4 on ((l, m), spinor) channels, are the
 `operators.FORMS` entries "dirac_sam" and "dirac_oam", lifted like every
 photon family by `operators.lift_family`; their claims are the Table-I
-claims of `operators.CLAIMS`.
+claims of `operators.CLAIMS`.  The 4x4 Dirac matrices beta, alpha_i and
+Sigma_i are the read-only constants `operators.BETA`, `ALPHA` and `SIGMA`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from .fock import DEFAULT_DIM_CAP, FockSpace, build_fock
 from .modes import shell_channels
-from .operators import PAULI
-
-
-@dataclass(frozen=True, eq=False)
-class SpinorBasis:
-    """The 4x4 beta, alpha_i, gamma^mu and Sigma_i matrices in block form."""
-
-    beta: np.ndarray
-    alpha: tuple[np.ndarray, np.ndarray, np.ndarray]
-    gamma: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    sigma: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def spinor_matrices() -> SpinorBasis:
-    eye2 = np.eye(2, dtype=complex)
-    zero2 = np.zeros((2, 2), dtype=complex)
-    beta = np.block([[eye2, zero2], [zero2, -eye2]])
-    alpha = tuple(np.block([[zero2, PAULI[i]], [PAULI[i], zero2]]) for i in (1, 2, 3))
-    gamma = (beta,) + tuple(beta @ a for a in alpha)
-    sigma = tuple(np.block([[PAULI[i], zero2], [zero2, PAULI[i]]]) for i in (1, 2, 3))
-    return SpinorBasis(beta=beta, alpha=alpha, gamma=gamma, sigma=sigma)
 
 
 def build_fermion_fock(

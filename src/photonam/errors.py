@@ -6,7 +6,8 @@ class WorkbenchError(Exception):
 
 
 class ZeroWaveVector(WorkbenchError):
-    """A wave vector or shell radius has omega = |k| zero, NaN or infinite.
+    """A wave vector or shell radius has omega = |k| zero, NaN or infinite,
+    or a wave vector component is not a number.
 
     omega must be positive and finite, and a wave vector's |k|^2 a normal float.
     """
@@ -45,10 +46,6 @@ class ZeroNormState(WorkbenchError):
 
 class AsymmetricGrid(WorkbenchError):
     """A grid operation requiring closure under k -> -k was given an open grid."""
-
-
-class IncommensurateGrid(WorkbenchError):
-    """A mode does not sit on the reciprocal lattice of the given periodic box."""
 
 
 class BandLimitViolation(WorkbenchError):

@@ -78,13 +78,18 @@ def spin_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def wave_vectors(rows) -> tuple[np.ndarray, np.ndarray]:
     """Validated wave vectors ks (K, 3) and omega = |k| (K,), both read-only.
 
-    DimensionMismatch for a row without 3 components, ZeroWaveVector for a k
-    whose |k|^2 is zero, subnormal, NaN or infinite.
+    DimensionMismatch for a row without 3 components, ZeroWaveVector for a
+    component that is not a number and for a k whose |k|^2 is zero,
+    subnormal, NaN or infinite.
     """
-    comps = [tuple(float(c) for c in row) for row in rows]
-    for row in comps:
-        if len(row) != 3:
-            raise DimensionMismatch(f"wave vector needs 3 components, got {len(row)}")
+    comps = []
+    for row in rows:
+        try:
+            comps.append(tuple(float(c) for c in row))
+        except ValueError:
+            raise ZeroWaveVector(f"wave vector {list(row)} has a non-numeric component") from None
+        if len(comps[-1]) != 3:
+            raise DimensionMismatch(f"wave vector needs 3 components, got {len(comps[-1])}")
     ks = np.array(comps, dtype=float).reshape(-1, 3)
     # an overflow to inf, or a NaN component, fails the check below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -281,7 +286,9 @@ def parse_modeset(text: str) -> ModeSet:
     if not rows:
         raise DuplicateMode("empty mode-set text")
     if rows[0][0] == "shell":
-        if len(rows) != 1 or len(rows[0]) != 3:
-            raise DuplicateMode("shell line must be `shell |k| lmax`")
-        return SphericalShell(radius=float(rows[0][1]), l_max=int(rows[0][2]))
+        try:
+            ((_, radius, l_max),) = rows
+            return SphericalShell(radius=float(radius), l_max=int(l_max))
+        except ValueError:
+            raise DuplicateMode("shell line must be `shell |k| lmax`") from None
     return CartesianGrid(rows)

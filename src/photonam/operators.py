@@ -80,13 +80,20 @@ MUTUAL_NONCOMMUTING = "noncommuting"
 CLOSES_INTO = "closes-into"
 
 # The identity and the Pauli matrices sigma_1..3: the Stokes forms on the
-# (lam = 1, lam = 2) block, and the blocks of the Dirac Sigma_i and alpha_i.
+# (lam = 1, lam = 2) block, and the blocks of the Dirac matrices.
 PAULI = {
     0: np.eye(2, dtype=complex),
     1: np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
     2: np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     3: np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 }
+# The Dirac matrices in the Dirac representation, read-only: beta = diag(1, -1)
+# on 2x2 blocks, alpha_i = sigma_i off the diagonal and Sigma_i = sigma_i on it.
+BETA = np.kron(PAULI[3], PAULI[0])
+ALPHA = tuple(np.kron(PAULI[1], PAULI[i]) for i in (1, 2, 3))
+SIGMA = tuple(np.kron(PAULI[0], PAULI[i]) for i in (1, 2, 3))
+for _mat in (BETA, *ALPHA, *SIGMA):
+    _mat.setflags(write=False)
 
 
 # ---------------------------------------------------------------------------
@@ -340,21 +347,13 @@ def _lambda_spin_obs() -> list[np.ndarray]:
     return [zero, zero, _on(_TRANSVERSE, PAULI[2])]
 
 
-def _lambda_jm() -> list[np.ndarray]:
+def _lambda_mixing(longitudinal: float) -> list[np.ndarray]:
+    """Spin forms of the rival decompositions: the lam = 3 rotation entries
+    weigh `longitudinal` (1 for Jaffe-Manohar, 1/2 for Chen and Wakamatsu)."""
     mx = np.zeros((4, 4), dtype=complex)
-    mx[3, 2], mx[0, 2], mx[2, 3], mx[2, 0] = 1j, -0.5j, -1j, 0.5j
+    mx[3, 2], mx[0, 2], mx[2, 3], mx[2, 0] = longitudinal * 1j, -0.5j, -longitudinal * 1j, 0.5j
     my = np.zeros((4, 4), dtype=complex)
-    my[1, 3], my[1, 0], my[3, 1], my[0, 1] = 1j, -0.5j, -1j, 0.5j
-    mz = np.zeros((4, 4), dtype=complex)
-    mz[2, 1], mz[1, 2] = 1j, -1j
-    return [mx, my, mz]
-
-
-def _lambda_chen() -> list[np.ndarray]:
-    mx = np.zeros((4, 4), dtype=complex)
-    mx[3, 2], mx[0, 2], mx[2, 3], mx[2, 0] = 0.5j, -0.5j, -0.5j, 0.5j
-    my = np.zeros((4, 4), dtype=complex)
-    my[1, 3], my[1, 0], my[3, 1], my[0, 1] = 0.5j, -0.5j, -0.5j, 0.5j
+    my[1, 3], my[1, 0], my[3, 1], my[0, 1] = longitudinal * 1j, -0.5j, -longitudinal * 1j, 0.5j
     mz = np.zeros((4, 4), dtype=complex)
     mz[2, 1], mz[1, 2] = 1j, -1j
     return [mx, my, mz]
@@ -432,15 +431,15 @@ FORMS = {
     "spin_fixed_frame": _spin(_lambda_canonical()),
     "spin_obs_fixed_frame": _SPIN_OBS_FIXED,
     "j_obs": _OAM_OBS + _SPIN_OBS_FIXED,
-    "spin_jm": _spin(_lambda_jm()),
+    "spin_jm": _spin(_lambda_mixing(1.0)),
     "oam_jm": _orbital(_oam_weight_jm()),
-    "spin_chen": _spin(_lambda_chen()),
+    "spin_chen": _spin(_lambda_mixing(0.5)),
     "oam_chen": _OAM_OBS,
-    "spin_wak": _spin(_lambda_chen()),
+    "spin_wak": _spin(_lambda_mixing(0.5)),
     # the prescribed-source extra term attaches via the constraints pathway
     "oam_wak": _OAM_OBS,
     "j_total": _orbital(_diag_weight({1: 1.0, 2: 1.0}) + _bj_coupling()) + _SPIN_OBS_FIXED,
-    "dirac_sam": _spin([0.5 * np.kron(np.eye(2), PAULI[i]) for i in (1, 2, 3)]),
+    "dirac_sam": _spin([0.5 * s for s in SIGMA]),
     "dirac_oam": _orbital(np.eye(4)),
 }
 

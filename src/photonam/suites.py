@@ -26,9 +26,12 @@ invariant block in the same sense.  Ladder identities are read on the block
 below their space's edge (`_edge_safe`); whole-space residuals there go
 into the notes, never into assertions.  The xi pathway of gauge-hiding
 reads one-mode moments: its displaced state is a product of one-mode
-factors.  Product-basis spaces remain only at sizes no input sets: 27
-states in `_bcr_checks`, 16 in the gb-root pair, 4 in gauge-hiding's
-one-mode pair, 4 and 9 in its xi pathway, and dirac's 8, 4 and 16.
+factors, each the best kernel vector of the free constraint plus xi times
+the identity, and its counterterm reads the rows of
+`constraints.xi_source_coefficients`.  Product-basis spaces remain only at
+sizes no input sets: 27 states in `_bcr_checks`, 16 in the gb-root pair, 4
+in gauge-hiding's one-mode pair, 4 and 9 in its xi pathway, and dirac's 8,
+4 and 16.
 
 Every algebra claim (su(2), commuting or su(2)-violating families, mutually
 commuting or noncommuting pairs, a family closing into another) is one
@@ -42,6 +45,8 @@ family, observable-commutators' transverse spin, orbital and total claims,
 decomposition-compare's rival decompositions and Stokes closure, and dirac's
 Table-I claims.  `hamiltonian-spin-commute` stays in suite code: it reads
 the grid Hamiltonian and is skipped with a note off a degenerate shell.
+dirac's spinor checks read the Dirac matrices `operators.BETA`, `ALPHA` and
+`SIGMA`, the ones its spin family is built from.
 
 A check that a state is an eigenvector is read by one helper,
 `_eigen_residual` (the largest |O psi - v psi| over its states), on states
@@ -59,7 +64,7 @@ import numpy as np
 from . import constraints as cons
 from . import fields as flds
 from . import operators as ops
-from .dirac import build_fermion_fock, spinor_matrices, spinor_orbital_channels
+from .dirac import build_fermion_fock, spinor_orbital_channels
 from .errors import InvalidConfig, UnknownSuite
 from .fock import (
     DEFAULT_DIM_CAP,
@@ -80,12 +85,7 @@ from .fock import (
     metric_operator,
     space_dim,
 )
-from .modes import (
-    CartesianGrid,
-    SphericalShell,
-    build_cartesian_modeset,
-    orbital_matrices,
-)
+from .modes import CartesianGrid, SphericalShell, build_cartesian_modeset
 from .report import KIND_EQUALITY, KIND_VIOLATION, VerificationReport, merge_reports
 from .sampling import SeededRng
 
@@ -471,12 +471,12 @@ def suite_decomposition(config: SuiteConfig) -> VerificationReport:
     claims = ops.CLAIMS[rep.suite]
     lifted = _lift_named(claims, fs, shell, {"stokes": stokes})
 
-    xi = cons.random_conjugate_symmetric_xi(shell, rng, scale=0.4)
+    xi = cons.random_conjugate_symmetric_xi(shell, rng, 0.4)
     extra = [cons.xi_oam_bilinear(shell, fs, xi, lam) for lam in (1, 2)]
     lifted["oam_wak"] = tuple(a + b + c for a, b, c in zip(lifted["oam_wak"], *extra))
     rep.note(
         "wakamatsu orbital extra term realized through the prescribed-source"
-        f" pathway; seeded source norm {max(abs(v) for v in xi.values()):.3e}"
+        f" pathway; seeded source norm {np.max(np.abs(xi)):.3e}"
     )
 
     pair = build_fock([("k", 3), ("k", 0)], 3, dim_cap=config.dim_cap)
@@ -510,7 +510,7 @@ def suite_gauge_hiding(config: SuiteConfig) -> VerificationReport:
     fs = _capped_grid_space(ms, (0, 1, 2, 3), config)
     kernel = cons.gb_physical_subspace(ms, fs)
     pair = build_fock([(_ONE_LABEL, 3), (_ONE_LABEL, 0)], 1, dim_cap=config.dim_cap)
-    constraint = cons.gb_constraints(_ONE_MODE, pair, None)
+    constraint = cons.gb_constraints(_ONE_MODE, pair)
     pair_kernel = cons.gb_physical_subspace(_ONE_MODE, pair)
     # the dimension and certificate checks also hold the grid kernel to its
     # closed-form count C(3K + n, n) and to its constraints
@@ -526,7 +526,7 @@ def suite_gauge_hiding(config: SuiteConfig) -> VerificationReport:
     rep.add("gb-free-kernel-contents", "Gupta1", contents, 1e-10)
     certificate = max_residual([
         cons.gb_kernel_certificate(constraint, pair_kernel),
-        cons.gb_kernel_certificate(cons.gb_constraints(ms, fs, None), kernel),
+        cons.gb_kernel_certificate(cons.gb_constraints(ms, fs), kernel),
     ])
     rep.add("gb-kernel-certificate", "Gupta1", certificate, 1e-10)
     annihilated = float(np.linalg.norm(constraint[0] @ gauge_vec))
@@ -568,18 +568,16 @@ def suite_gauge_hiding(config: SuiteConfig) -> VerificationReport:
 
 
 def _xi_pathway_reports(rep: VerificationReport, config: SuiteConfig, shell, rng) -> None:
-    xi_sym = cons.random_conjugate_symmetric_xi(shell, rng, scale=0.05)
+    xi_sym = cons.random_conjugate_symmetric_xi(shell, rng, 0.05)
     rep.add(
         "xi-conjugate-symmetry", "xi", cons.xi_conjugate_residual(shell, xi_sym), 1e-13
     )
     # Algebra probe without the reality symmetry: for a conjugate-symmetric
     # xi both sides of the identity vanish, so only the probe is reported;
     # its sides are nonzero, and the closed-form counterterm xi^dag L xi enters.
-    xi_probe = {
-        c: 0.05 * (rng.normal() + 1j * rng.normal()) for c in shell.mode_labels()
-    }
-    vec = np.array([xi_probe[c] for c in shell.mode_labels()])
-    counter = np.array([-np.real(vec.conj() @ g @ vec) for g in orbital_matrices(shell.l_max)])
+    xi_probe = np.array([0.05 * (rng.normal() + 1j * rng.normal()) for _ in shell.mode_labels()])
+    coefficients = cons.xi_source_coefficients(shell, xi_probe)
+    counter = [-np.real(row @ xi_probe) for row, _ in coefficients]
     for n_max in (1, 2):
         small, factors, kernel_res = _approximate_displaced_kernel(
             shell, xi_probe, n_max, config.dim_cap
@@ -602,13 +600,15 @@ def _approximate_displaced_kernel(shell, xi, n_max, dim_cap=DEFAULT_DIM_CAP):
     vector on it per shell label, and the largest per-mode kernel residual.
 
     The displaced state is the product of these factors over the labels.
-    The per-mode constraint depends on the mode only through its xi.
+    The per-mode constraint depends on the mode only through its xi: it is
+    the free a_3 - a_0 plus xi times the identity.
     """
     small = build_fock([(_ONE_LABEL, 0), (_ONE_LABEL, 3)], n_max, dim_cap=dim_cap)
+    (free,) = cons.gb_constraints(_ONE_MODE, small)
+    free, eye = free.to_dense(), np.eye(small.dim)
     factors, residuals = [], []
-    for label in shell.mode_labels():
-        constraint = cons.gb_constraints(_ONE_MODE, small, {_ONE_LABEL: xi.get(label, 0.0)})
-        _, sigma, vh = np.linalg.svd(constraint[0].to_dense())
+    for shift in xi:
+        _, sigma, vh = np.linalg.svd(free + shift * eye)
         factors.append(vh[-1].conj())
         residuals.append(sigma[-1])
     return small, factors, max_residual(residuals)
@@ -644,14 +644,8 @@ def _xi_pathway_expectations(shell, xi, small, factors):
 
 def _xi_fourier_checks(rep: VerificationReport, rng) -> None:
     ms = build_cartesian_modeset([(1.0, 0.0, 0.0), (0.0, 1.0, 1.0)])
-    n = 8
-    length = 2.0 * np.pi
-    axis = np.arange(n) * (length / n)
-    xs, ys, zs = np.meshgrid(axis, axis, axis, indexing="ij")
-    rho = rng.normal(size=xs.size)
-    samples = np.stack([xs.ravel(), ys.ravel(), zs.ravel(), rho], axis=1)
-    source = cons.ChargeSource(box_length=length, samples=samples)
-    xi = cons.xi0_from_charge(source, ms)
+    lattice = flds.FieldLattice(2.0 * np.pi, 8, ms.ks)
+    xi = cons.xi0_from_charge(lattice, rng.normal(size=8 ** 3))
     rep.add("xi-fourier-reality", "xi", cons.xi_conjugate_residual(ms, xi), 1e-12)
 
 
@@ -801,19 +795,17 @@ DIRAC_FERMION_CAP = 3
 
 def suite_dirac(config: SuiteConfig) -> VerificationReport:
     rep = VerificationReport("dirac", _config_echo(config))
-    basis = spinor_matrices()
     eye4 = np.eye(4)
-    invariants = [max_abs(basis.beta @ basis.beta - eye4)]
+    invariants = [max_abs(ops.BETA @ ops.BETA - eye4)]
     for i in range(3):
         for j in range(3):
-            anti = basis.alpha[i] @ basis.alpha[j] + basis.alpha[j] @ basis.alpha[i]
+            anti = ops.ALPHA[i] @ ops.ALPHA[j] + ops.ALPHA[j] @ ops.ALPHA[i]
             invariants.append(max_abs(anti - 2.0 * (i == j) * eye4))
-        invariants.append(max_abs(basis.gamma[i + 1] - basis.beta @ basis.alpha[i]))
     rep.add("spinor-invariants", "Dirac-matrices", max_residual(invariants), 1e-14)
     rep.add(
         "spinor-sigma-z-eigenvalues",
         "Dirac-matrices",
-        float(np.max(np.abs(np.sort(np.linalg.eigvalsh(basis.sigma[2])) - np.array([-1, -1, 1, 1])))),
+        float(np.max(np.abs(np.sort(np.linalg.eigvalsh(ops.SIGMA[2])) - np.array([-1, -1, 1, 1])))),
         1e-14,
     )
 

@@ -158,7 +158,7 @@ def test_criterion_6_gupta_bleuler():
     one_mode = SphericalShell(radius=1.0, l_max=0)
     (k,) = one_mode.mode_labels()
     pair = build_fock([(k, 3), (k, 0)], 1)
-    constraint = cons.gb_constraints(one_mode, pair, None)
+    constraint = cons.gb_constraints(one_mode, pair)
     kernel = cons.gb_physical_subspace(one_mode, pair)
     kept = np.flatnonzero(kernel.column >= 0)
     sub = np.zeros((pair.dim, kernel.dimension))

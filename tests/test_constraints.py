@@ -7,7 +7,7 @@ import pytest
 from photonam import constraints as cons
 from photonam import fock
 from photonam import operators as ops
-from photonam.errors import ChannelMismatch, IncommensurateGrid
+from photonam.errors import ChannelMismatch, DimensionMismatch, OffLatticeMode
 from photonam.fock import (
     OperatorMatrix,
     annihilator,
@@ -19,70 +19,82 @@ from photonam.fock import (
     max_abs,
     metric_diagonal,
 )
+from photonam.fields import FieldLattice
 from photonam.modes import SphericalShell, build_cartesian_modeset, parse_modeset
 from photonam.sampling import SeededRng
 
 
-def box_samples(length, n, values):
-    axis = np.arange(n) * (length / n)
+def _lattice(half_list, length=2 * math.pi, n=8):
+    ms = build_cartesian_modeset(half_list)
+    return ms, FieldLattice(length, n, ms.ks)
+
+
+def _per_mode_fourier_loop(lattice, rho):
+    """Oracle: the per-mode Fourier sum over the centered grid points, one
+    mode at a time, with the free-space prefactor written out."""
+    length, n = lattice.box_length, lattice.grid_n
+    axis = -length / 2.0 + np.arange(n) * (length / n)
     xs, ys, zs = np.meshgrid(axis, axis, axis, indexing="ij")
-    return np.stack([xs.ravel(), ys.ravel(), zs.ravel(), values.ravel()], axis=1)
+    xyz = np.stack([xs.ravel(), ys.ravel(), zs.ravel()], axis=1)
+    out = []
+    for k, omega in zip(lattice.ks, lattice.omega):
+        prefactor = 1.0 / (omega ** 1.5 * math.sqrt(2.0 * (2.0 * math.pi) ** 3))
+        phase = np.exp(-1j * (xyz @ k))
+        out.append(prefactor * (length / n) ** 3 * complex(np.sum(rho * phase)))
+    return np.array(out)
 
 
 def test_xi_zero_charge_gives_zero():
-    ms = build_cartesian_modeset([(1.0, 0.0, 0.0)])
-    samples = box_samples(2 * math.pi, 4, np.zeros((4, 4, 4)))
-    source = cons.ChargeSource(box_length=2 * math.pi, samples=samples)
-    xi = cons.xi0_from_charge(source, ms)
-    assert all(v == 0 for v in xi.values())
+    _, lattice = _lattice([(1.0, 0.0, 0.0)], n=4)
+    xi = cons.xi0_from_charge(lattice, np.zeros(4 ** 3))
+    assert xi.shape == (2,) and np.all(xi == 0)
 
 
 def test_xi_point_charge_frozen_value():
-    # delta charge q at the origin: the Fourier sum is q for every mode, so
-    # xi = q / (sqrt(2 (2 pi)^3) omega^(3/2)); evaluated by hand for omega = 1
+    # delta charge q at the centered grid's origin: the Fourier sum is q for
+    # every mode, so xi = q / (sqrt(2 (2 pi)^3) omega^(3/2)); by hand for omega = 1
     length, n, q = 2 * math.pi, 4, 1.7
     values = np.zeros((n, n, n))
-    values[0, 0, 0] = q / (length / n) ** 3
-    ms = build_cartesian_modeset([(0.0, 0.0, 1.0)])
-    source = cons.ChargeSource(box_length=length, samples=box_samples(length, n, values))
-    xi = cons.xi0_from_charge(source, ms)
+    values[n // 2, n // 2, n // 2] = q / (length / n) ** 3
+    _, lattice = _lattice([(0.0, 0.0, 1.0)], length, n)
+    xi = cons.xi0_from_charge(lattice, values.ravel())
     expected = q / math.sqrt(2.0 * (2.0 * math.pi) ** 3)
     assert xi[0] == pytest.approx(expected, abs=1e-15)
     assert xi[1] == pytest.approx(expected, abs=1e-15)
 
 
+def test_xi_matches_the_per_mode_fourier_loop():
+    rng = np.random.default_rng(5)
+    _, lattice = _lattice([(1.0, 0.0, 0.0), (0.0, 1.0, 1.0), (2.0, -1.0, 3.0)])
+    rho = rng.normal(size=8 ** 3)
+    xi = cons.xi0_from_charge(lattice, rho)
+    assert np.max(np.abs(xi - _per_mode_fourier_loop(lattice, rho))) <= 1e-15
+
+
 def test_xi_reality_symmetry_random_density():
     rng = np.random.default_rng(8)
-    ms = build_cartesian_modeset([(1.0, 0.0, 0.0), (0.0, 1.0, 1.0)])
-    samples = box_samples(2 * math.pi, 6, rng.normal(size=(6, 6, 6)))
-    source = cons.ChargeSource(box_length=2 * math.pi, samples=samples)
-    xi = cons.xi0_from_charge(source, ms)
+    ms, lattice = _lattice([(1.0, 0.0, 0.0), (0.0, 1.0, 1.0)], n=6)
+    xi = cons.xi0_from_charge(lattice, rng.normal(size=6 ** 3))
     assert cons.xi_conjugate_residual(ms, xi) <= 1e-12
 
 
+def test_xi_charge_samples_must_fill_the_lattice():
+    _, lattice = _lattice([(1.0, 0.0, 0.0)], n=4)
+    for rho in (np.ones(4 ** 3 - 1), np.ones((4, 4, 4)), np.ones(5 ** 3)):
+        with pytest.raises(DimensionMismatch):
+            cons.xi0_from_charge(lattice, rho)
+
+
 def test_xi_off_lattice_mode_rejected():
-    ms = build_cartesian_modeset([(0.5, 0.0, 0.0)])
-    samples = box_samples(2 * math.pi, 4, np.ones((4, 4, 4)))
-    source = cons.ChargeSource(box_length=2 * math.pi, samples=samples)
-    with pytest.raises(IncommensurateGrid):
-        cons.xi0_from_charge(source, ms)
-
-
-def test_charge_source_needs_sample_rows():
-    with pytest.raises(ChannelMismatch):
-        cons.ChargeSource()
-    with pytest.raises(ChannelMismatch):
-        cons.ChargeSource(box_length=2 * math.pi, samples=np.zeros((2, 3)))
-    with pytest.raises(ChannelMismatch):
-        cons.ChargeSource(samples=np.zeros((2, 4)))
-    source = cons.ChargeSource(box_length=2 * math.pi, samples=[[0, 0, 0, 2.0], [1, 0, 0, 3.0]])
-    assert source.samples.shape == (2, 4)
+    # the lattice holds the modes to the box's reciprocal lattice
+    with pytest.raises(OffLatticeMode):
+        _lattice([(0.5, 0.0, 0.0)], n=4)
 
 
 def test_gb_constraint_actions():
     ms = build_cartesian_modeset([(0.0, 0.0, 1.0)])
     fs = build_fock([(i, lam) for i in (0, 1) for lam in (0, 3)], 1)
-    constraints = cons.gb_constraints(ms, fs, None)
+    constraints = cons.gb_constraints(ms, fs)
     assert len(constraints) == 2
     c0 = constraints[0]
     assert max_abs(c0 @ fs.vacuum()) == 0.0
@@ -97,7 +109,7 @@ def test_gb_constraint_needs_gauge_channels():
     ms = build_cartesian_modeset([(0.0, 0.0, 1.0)])
     fs = build_fock([(i, lam) for i in (0, 1) for lam in (1, 2)], 1)
     with pytest.raises(ChannelMismatch):
-        cons.gb_constraints(ms, fs, None)
+        cons.gb_constraints(ms, fs)
 
 
 def _whole_stack_kernel(constraints, tol=1e-10):
@@ -154,7 +166,7 @@ def test_sector_kernel_matches_whole_stack(grid, n_max, max_total, kernel_dim):
     ms = parse_modeset(grid)
     chans = [(i, lam) for i in ms.mode_labels() for lam in (0, 1, 2, 3)]
     fs = build_fock(chans, n_max, max_total=max_total)
-    constraints = cons.gb_constraints(ms, fs, None)
+    constraints = cons.gb_constraints(ms, fs)
     kernel = cons.gb_physical_subspace(ms, fs)
     ref = _whole_stack_kernel(constraints)
     assert kernel.dimension == ref.shape[1] == kernel_dim
@@ -177,7 +189,7 @@ def test_capped_kernel_is_full_kernel_on_the_block(max_total):
     block = full.locate(capped.occ)
     assert full.dim == 256
     assert np.array_equal(block, full.bounded_indices(max_total))
-    reference = _projector(_whole_stack_kernel(cons.gb_constraints(ms, full, None)))
+    reference = _projector(_whole_stack_kernel(cons.gb_constraints(ms, full)))
     assert np.max(np.abs(projector(full) - reference)) <= 1e-12
     restricted = reference[np.ix_(block, block)]
     assert np.max(np.abs(projector(capped) - restricted)) <= 1e-12
@@ -216,7 +228,7 @@ CAPPED_ELSEWHERE = [(TWO_MODES, 1, None), (TWO_MODES, 2, 3), (TWO_MODES, 1, 2), 
 )
 def test_closed_form_kernel_matches_svd(grid, n_max, max_total, monkeypatch):
     ms, fs = _grid_space(grid, n_max, max_total)
-    constraints = cons.gb_constraints(ms, fs, None)
+    constraints = cons.gb_constraints(ms, fs)
     ref = _whole_stack_kernel(constraints)
     # the closed form and its certificate make no np.linalg call
     with monkeypatch.context() as patch:
@@ -325,12 +337,12 @@ def test_grid_gauge_hiding_makes_no_linalg_call(monkeypatch):
         patch.setattr(fock, "indefinite_inner", dense_state)
         difference = _spin_difference(fs, ms)
         kernel = cons.gb_physical_subspace(ms, fs)
-        certificate = cons.gb_kernel_certificate(cons.gb_constraints(ms, fs, None), kernel)
+        certificate = cons.gb_kernel_certificate(cons.gb_constraints(ms, fs), kernel)
         hidden, mixed, skipped = cons.verify_gauge_hiding(fs, kernel, difference)
         balance = cons.column_occupancy(fs, kernel, 3) - cons.column_occupancy(fs, kernel, 0)
         pair_kernel = cons.gb_physical_subspace(_OneMode(), pair)
         pair_certificate = cons.gb_kernel_certificate(
-            cons.gb_constraints(_OneMode(), pair, None), pair_kernel
+            cons.gb_constraints(_OneMode(), pair), pair_kernel
         )
     assert pair_kernel.dimension == 2
     assert pair_certificate <= 1e-12
@@ -348,8 +360,7 @@ def test_displaced_kernel_vanishes_in_truncation():
     from photonam.suites import _approximate_displaced_kernel
 
     one_mode = SphericalShell(radius=1.0, l_max=0)
-    (label,) = one_mode.mode_labels()
-    _, _, residual = _approximate_displaced_kernel(one_mode, {label: 0.8}, 1)
+    _, _, residual = _approximate_displaced_kernel(one_mode, np.array([0.8]), 1)
     assert residual > 1e-3
 
 
@@ -372,7 +383,7 @@ def test_quotient_representatives_split():
 def test_gauge_hiding_entries_and_class_dependence():
     ms = build_cartesian_modeset([(0.0, 0.0, 1.0)])
     fs = build_fock([(i, lam) for i in (0, 1) for lam in (0, 1, 2, 3)], 1)
-    constraints = cons.gb_constraints(ms, fs, None)
+    constraints = cons.gb_constraints(ms, fs)
     sub = cons.gb_physical_subspace(ms, fs)
     spin, spin_obs = (ops.lift_family(fs, name, ms) for name in ("spin_total", "spin_obs"))
     hidden, mixed, skipped = cons.verify_gauge_hiding(fs, sub, _spin_difference(fs, ms))
@@ -405,7 +416,7 @@ def test_euclidean_occupancy_balance_on_kernel():
     def occupancy(psi, lam):
         return np.vdot(psi, fs.occ[:, lams == lam].sum(axis=1) * psi).real / np.vdot(psi, psi).real
 
-    constraints = cons.gb_constraints(ms, fs, None)
+    constraints = cons.gb_constraints(ms, fs)
     sub = _whole_stack_kernel(constraints)
     rng = np.random.default_rng(2)
     for _ in range(5):
@@ -432,7 +443,7 @@ def test_euclidean_occupancy_balance_on_kernel():
 def test_xi_bilinear_is_metric_hermitian_and_identity_holds():
     shell = SphericalShell(radius=1.0, l_max=1)
     rng = np.random.default_rng(9)
-    xi = {c: 0.05 * (rng.normal() + 1j * rng.normal()) for c in shell.mode_labels()}
+    xi = np.array([0.05 * (rng.normal() + 1j * rng.normal()) for _ in shell.mode_labels()])
     chans = [(c, lam) for c in shell.mode_labels() for lam in (0, 3)]
     fs = build_fock(chans, 2)
     bilinear = cons.xi_oam_bilinear(shell, fs, xi, 3)
@@ -445,23 +456,38 @@ def test_xi_bilinear_is_metric_hermitian_and_identity_holds():
     _, factors, res = _approximate_displaced_kernel(shell, xi, 2)
     psi = functools.reduce(np.kron, factors)
     lpure = ops.lift_family(fs, "l_pure", shell)
-    vec = np.array([xi[c] for c in shell.mode_labels()])
     gens = orbital_matrices(1)
     for c in range(3):
         lhs = expectation(fs, lpure[c], psi)
-        rhs = -expectation(fs, bilinear[c], psi) - float(np.real(vec.conj() @ gens[c] @ vec))
+        rhs = -expectation(fs, bilinear[c], psi) - float(np.real(xi.conj() @ gens[c] @ xi))
         assert abs(lhs - rhs) <= max(1e-10, 10 * res)
 
 
 def test_random_xi_tables_satisfy_reality():
     rng = SeededRng(4)
     shell = SphericalShell(radius=1.0, l_max=2)
-    xi = cons.random_conjugate_symmetric_xi(shell, rng)
+    xi = cons.random_conjugate_symmetric_xi(shell, rng, 0.1)
     assert cons.xi_conjugate_residual(shell, xi) <= 1e-15
     # the tables feed the shell's prescribed-source bilinears only
     ms = build_cartesian_modeset([(1.0, 2.0, 0.0)])
     with pytest.raises(ChannelMismatch, match="shell labeling"):
-        cons.random_conjugate_symmetric_xi(ms, rng)
+        cons.random_conjugate_symmetric_xi(ms, rng, 0.1)
+
+
+def test_xi_conjugate_residual_catches_broken_reality():
+    # negating the m > 0 entries of a conjugate-symmetric shell xi breaks the
+    # (l, -m) rule; on a grid, so does swapping the entries of two modes of
+    # different pairs (swapping a mode's entry with its -k partner's keeps it)
+    shell = SphericalShell(radius=1.0, l_max=2)
+    xi = cons.random_conjugate_symmetric_xi(shell, SeededRng(1), 0.1)
+    flipped = np.where([m > 0 for _, m in shell.mode_labels()], -xi, xi)
+    assert cons.xi_conjugate_residual(shell, flipped) > 1e-3
+    ms, lattice = _lattice([(1.0, 0.0, 0.0), (0.0, 1.0, 1.0)])
+    xi = cons.xi0_from_charge(lattice, np.random.default_rng(3).normal(size=8 ** 3))
+    assert cons.xi_conjugate_residual(ms, xi) <= 1e-12
+    assert cons.xi_conjugate_residual(ms, xi[[1, 0, 3, 2]]) <= 1e-12
+    swapped = xi[[2, 1, 0, 3]]
+    assert cons.xi_conjugate_residual(ms, swapped) > 1e-3
 
 
 def test_nan_residual_propagates_through_reductions():
@@ -474,8 +500,8 @@ def test_nan_residual_propagates_through_reductions():
     assert math.isnan(cons.gb_kernel_certificate(constraint + [poisoned], kernel))
 
     ms = build_cartesian_modeset([(0.0, 0.0, 1.0)])
-    assert math.isnan(cons.xi_conjugate_residual(ms, {0: 0.1, 1: np.nan}))
+    assert math.isnan(cons.xi_conjugate_residual(ms, np.array([0.1, np.nan])))
     shell = SphericalShell(radius=1.0, l_max=1)
-    xi = cons.random_conjugate_symmetric_xi(shell, SeededRng(2))
-    xi[(1, 1)] = complex(np.nan)
+    xi = cons.random_conjugate_symmetric_xi(shell, SeededRng(2), 0.1)
+    xi[shell.mode_labels().index((1, 1))] = complex(np.nan)
     assert math.isnan(cons.xi_conjugate_residual(shell, xi))

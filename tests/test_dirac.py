@@ -5,7 +5,7 @@ import pytest
 
 from photonam import operators as ops
 from photonam import suites
-from photonam.dirac import build_fermion_fock, spinor_matrices, spinor_orbital_channels
+from photonam.dirac import build_fermion_fock, spinor_orbital_channels
 from photonam.errors import ChannelMismatch, DimensionMismatch, UnknownChannel
 from photonam.fock import (
     OperatorMatrix,
@@ -37,28 +37,32 @@ def dirac_families(ffs, l_max):
 
 
 def test_spinor_matrices_block_structure():
-    basis = spinor_matrices()
     eye4 = np.eye(4)
-    np.testing.assert_array_equal(dense(basis.beta @ basis.beta), eye4)
-    np.testing.assert_array_equal(np.sort(np.linalg.eigvalsh(basis.sigma[2])), [-1, -1, 1, 1])
+    zero2 = np.zeros((2, 2))
+    np.testing.assert_array_equal(ops.BETA, np.block([[ops.PAULI[0], zero2], [zero2, -ops.PAULI[0]]]))
+    np.testing.assert_array_equal(dense(ops.BETA @ ops.BETA), eye4)
+    np.testing.assert_array_equal(np.sort(np.linalg.eigvalsh(ops.SIGMA[2])), [-1, -1, 1, 1])
     for i in range(3):
-        np.testing.assert_array_equal(basis.gamma[i + 1], basis.beta @ basis.alpha[i])
+        sig = ops.PAULI[i + 1]
+        np.testing.assert_array_equal(ops.ALPHA[i], np.block([[zero2, sig], [sig, zero2]]))
+        np.testing.assert_array_equal(ops.SIGMA[i], np.block([[sig, zero2], [zero2, sig]]))
         for j in range(3):
-            anti = basis.alpha[i] @ basis.alpha[j] + basis.alpha[j] @ basis.alpha[i]
+            anti = ops.ALPHA[i] @ ops.ALPHA[j] + ops.ALPHA[j] @ ops.ALPHA[i]
             np.testing.assert_array_equal(anti, 2.0 * (i == j) * eye4)
-    assert np.max(np.abs(basis.alpha[0] @ basis.alpha[1] + basis.alpha[1] @ basis.alpha[0])) == 0
+        # beta anticommutes with every alpha_i
+        np.testing.assert_array_equal(ops.BETA @ ops.ALPHA[i] + ops.ALPHA[i] @ ops.BETA, 0)
+    for mat in (ops.BETA, *ops.ALPHA, *ops.SIGMA):
+        assert not mat.flags.writeable
 
 
 def test_spinor_sigma_is_twice_the_table_i_sam_block():
     ((_, blocks),) = ops.FORMS["dirac_sam"]
-    sigma = spinor_matrices().sigma
     for i in range(3):
-        np.testing.assert_array_equal(sigma[i], 2.0 * blocks[i])
+        np.testing.assert_array_equal(ops.SIGMA[i], 2.0 * blocks[i])
 
 
 def test_spinor_half_generators_close_su2():
-    basis = spinor_matrices()
-    half = [s / 2.0 for s in basis.sigma]
+    half = [s / 2.0 for s in ops.SIGMA]
     for i, j, k in EPS_PAIRS:
         comm = half[i] @ half[j] - half[j] @ half[i]
         assert np.max(np.abs(comm - 1j * half[k])) <= 1e-15
@@ -179,7 +183,7 @@ def _channel_matrix(ffs, entry):
 
 def _reference_sam(ffs):
     out = []
-    for sig in spinor_matrices().sigma:
+    for sig in ops.SIGMA:
         entry = {}
         for (c, s) in ffs.channels:
             for s2 in range(4):

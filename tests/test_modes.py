@@ -49,6 +49,11 @@ def test_smallest_normal_square_is_the_threshold():
         wave_vectors([(0.0, 0.0, math.sqrt(tiny) / 2.0)])
 
 
+def test_non_numeric_wave_vector_component_is_named():
+    with pytest.raises(ZeroWaveVector, match=r"wave vector \['a', '0', '1'\] has a non-numeric"):
+        wave_vectors([("1", "0", "0"), ("a", "0", "1")])
+
+
 @pytest.mark.parametrize("components", [(1.0, 2.0), (1.0, 2.0, 3.0, 4.0), ()])
 def test_wave_vector_needs_three_components(components):
     with pytest.raises(DimensionMismatch, match="needs 3 components"):
@@ -254,6 +259,12 @@ def test_parse_modeset_reads_grid_and_shell_text():
     back = parse_modeset("shell 1.5 2")
     assert isinstance(back, SphericalShell)
     assert back.radius == 1.5 and back.l_max == 2
+
+
+@pytest.mark.parametrize("text", ["shell 1.5 x", "shell x 2", "shell 1.5", "shell 1.5 2 3"])
+def test_parse_modeset_refuses_a_malformed_shell_line(text):
+    with pytest.raises(DuplicateMode, match="shell line must be"):
+        parse_modeset(text)
 
 
 def test_parse_modeset_requires_negation_partners():

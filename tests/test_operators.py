@@ -303,7 +303,7 @@ def test_rival_violation_traces_to_gb_null_pair():
 
 
 def test_lambda_matrices_are_hermitian():
-    for mats in (ops._lambda_canonical(), ops._lambda_jm(), ops._lambda_chen(), ops._lambda_spin_obs()):
+    for mats in (ops._lambda_canonical(), ops._lambda_mixing(1.0), ops._lambda_mixing(0.5), ops._lambda_spin_obs()):
         for m in mats:
             assert np.max(np.abs(m - m.conj().T)) == 0.0
 

@@ -170,6 +170,30 @@ def test_cli_vacuous_or_non_finite_input_exit_2(argv, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--grid", "a,0,1;-a,0,-1"], "wave vector ['a', '0', '1'] has a non-numeric component"),
+        (["--shell", "1.0,x"], "shell spec must be `|k|,lmax`"),
+        (["--shell", "x,2"], "shell spec must be `|k|,lmax`"),
+        (["--grid", "shell,1.0,x"], "shell line must be `shell |k| lmax`"),
+    ],
+)
+def test_cli_non_numeric_input_exit_2(argv, message, capsys):
+    assert main(["--suite", "all", *argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("line, cast", [("nmax = x", "int"), ("tol = 1e-3e", "float")])
+def test_cli_non_numeric_config_value_exit_2(tmp_path, line, cast, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"suite = all\n{line}\n")
+    assert main(["--config", str(cfg)]) == 2
+    key, _, value = line.partition(" = ")
+    expected = f"error: config value {key} = {value!r} is not a valid {cast}\n"
+    assert capsys.readouterr().err == expected
+
+
 def test_cli_config_file_and_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("suite = dirac\nseed = 7\nformat = csv\n")

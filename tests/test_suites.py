@@ -662,7 +662,7 @@ def test_decomposition_claims_block_capped_match_block_plus_one(seed):
     shell = SphericalShell(radius=1.0, l_max=1)
     new = suites._shell_space(shell, (0, 1, 2, 3), 1 << 20)
     old, read = _block_plus_one(new.channels, 1)
-    xi = cons.random_conjugate_symmetric_xi(shell, SeededRng(seed), scale=0.4)
+    xi = cons.random_conjugate_symmetric_xi(shell, SeededRng(seed), 0.4)
     # the decompositions' claims, on the shell space; Stokes is on a grid
     claims = [c for c in ops.CLAIMS["decomposition-compare"] if c.anchor != "Stokes"]
 
@@ -763,7 +763,7 @@ def test_xi_pathway_per_mode_matches_product_space(seed, monkeypatch):
 
 def test_xi_pathway_zero_norm_factor_raises():
     shell = SphericalShell(radius=1.0, l_max=1)
-    xi = {c: 0.05 for c in shell.mode_labels()}
+    xi = np.full(len(shell), 0.05 + 0j)
     small, factors, _ = suites._approximate_displaced_kernel(shell, xi, 1)
     # vacuum plus one scalar photon: indefinite norm 1 - 1 = 0
     gauge = small.vacuum() + small.basis_state({(suites._ONE_LABEL, 0): 1})

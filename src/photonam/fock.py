@@ -77,7 +77,11 @@ scipy.sparse evaluation bit for bit.
 (the generator `__matmul__` uses) and the entries of C are grouped by one
 sort onto their union pattern, each product is folded on its own there as
 above, and A B - B A - C is taken entry by entry.  So every entry equals
-the one a scipy.sparse `A @ B - B @ A - C` stores.
+the one a scipy.sparse `A @ B - B @ A - C` stores.  `commutator_residuals`
+reads max_abs of many such commutators in the same one pass: they are the
+diagonal blocks of one block-diagonal commutator, and the term expansion
+and fold (`_terms`, `_commutator_entries`) are the ones `commutator` uses,
+so each residual equals `max_abs(commutator(a, b, c))` bit for bit.
 
 `lift_forms` lifts a stack of forms on one space in one pass.  The forms
 share the union of their off-diagonal patterns, the (pair, source state)
@@ -289,17 +293,69 @@ def _fold(labels: np.ndarray, re: np.ndarray, im: np.ndarray, n: int) -> np.ndar
 
 
 def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct keys, and for each input key the index of its own."""
+    """Sorted distinct keys, and for each input key the index of its own.
+
+    Peak memory: the keys are let go once sorted (freed if the caller holds
+    no reference), and the labels are written into the sorted copy's buffer.
+    """
     order = keys.argsort(kind="stable")
     ordered = keys[order]
-    first = np.empty(keys.size, dtype=bool)
+    del keys
+    first = np.empty(ordered.size, dtype=bool)
     first[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    distinct = ordered[first]
     rank = first.cumsum()
     rank -= 1
-    labels = np.empty(keys.size, dtype=np.intp)
+    del first
+    labels = ordered  # order is a permutation: each position written once
     labels[order] = rank
-    return ordered[first], labels
+    return distinct, labels
+
+
+def _spans(rows: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of the run of each value of `at` in the sorted `rows`."""
+    start = np.searchsorted(rows, at)
+    return start, np.searchsorted(rows, at, side="right") - start
+
+
+def _terms(left, right, spans, stride: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Keys row * stride + col and real and imaginary parts of the terms of
+    left @ right, each operand (rows, cols, data) in row-major order and
+    `spans` the start and length of right's row j for each entry (i, j) of
+    left: one term per (entry (i, j) of left, entry (j, k) of right row j),
+    in the order of left's entries, so per (i, k) increasing j."""
+    rows, _, data = left
+    start, count = spans
+    ends = count.cumsum()
+    total = int(ends[-1]) if ends.size else 0
+    picked = (start - ends + count).repeat(count)
+    picked += np.arange(total)
+    keys = (rows * stride).repeat(count) + right[1][picked]
+    re, im = _products(data.repeat(count), right[2][picked])
+    return keys, re, im
+
+
+def _commutator_entries(a, b, c, spans, stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct keys row * stride + col and values of a @ b - b @ a
+    - c (c None: 0), each operand (rows, cols, data) and `spans` those of
+    the products a @ b and b @ a (`_terms`): one grouping of the terms of
+    both products and the entries of c, each product folded on its own, the
+    differences taken entry by entry."""
+    keys_ab, *ab = _terms(a, b, spans[0], stride)
+    keys_ba, *ba = _terms(b, a, spans[1], stride)
+    parts = [keys_ab, keys_ba]
+    if c is not None:
+        parts.append(c[0] * stride + c[1])
+    keys, labels = _group(np.concatenate(parts))
+    n_ab, n_terms = keys_ab.size, keys_ab.size + keys_ba.size
+    out = _fold(labels[:n_ab], *ab, keys.size)
+    out -= _fold(labels[n_ab:n_terms], *ba, keys.size)
+    if c is not None:
+        scattered = np.zeros(keys.size, dtype=complex)
+        scattered[labels[n_terms:]] = c[2]
+        out -= scattered
+    return keys, out
 
 
 class OperatorMatrix:
@@ -416,7 +472,7 @@ class OperatorMatrix:
         if not isinstance(other, OperatorMatrix):
             return self._apply(np.asarray(other))
         self._check(other)
-        keys, re, im = self._terms(other)
+        keys, re, im = _terms(self.entries(), other.entries(), self._spans(other), self.space.dim)
         keys, labels = _group(keys)
         sums = _fold(labels, re, im, keys.size)
         return OperatorMatrix._from_keys(self.space, keys, sums)
@@ -426,40 +482,25 @@ class OperatorMatrix:
     ) -> "OperatorMatrix":
         """self @ other - other @ self - minus (minus None: 0), in one
         grouping of the terms of both products and the entries of minus;
-        each product is folded on its own."""
+        each product is folded on its own (`_commutator_entries`)."""
         self._check(other)
-        keys_ab, *ab = self._terms(other)
-        keys_ba, *ba = other._terms(self)
-        parts = [keys_ab, keys_ba]
         if minus is not None:
             self._check(minus)
-            parts.append(minus._keys())
-        keys, labels = _group(np.concatenate(parts))
-        n_ab, n_terms = keys_ab.size, keys_ab.size + keys_ba.size
-        out = _fold(labels[:n_ab], *ab, keys.size)
-        out -= _fold(labels[n_ab:n_terms], *ba, keys.size)
-        if minus is not None:
-            scattered = np.zeros(keys.size, dtype=complex)
-            scattered[labels[n_terms:]] = minus.data
-            out -= scattered
+        keys, out = _commutator_entries(
+            self.entries(),
+            other.entries(),
+            None if minus is None else minus.entries(),
+            (self._spans(other), other._spans(self)),
+            self.space.dim,
+        )
         return OperatorMatrix._from_keys(self.space, keys, out)
 
-    def _terms(self, other: "OperatorMatrix") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Keys row * dim + col and real and imaginary parts of the terms of
-        self @ other: one per (entry (i, j) of self, entry (j, k) of other
-        row j), in the order of self's entries, so per (i, k) increasing j."""
-        dim = self.space.dim
+    def _spans(self, other: "OperatorMatrix") -> tuple[np.ndarray, np.ndarray]:
+        """Start and length of other's row j for each entry (i, j) of self;
+        other's row pointers are built the first time it is a right factor."""
         if other._ptr is None:
-            ptr = np.searchsorted(other._rows, np.arange(dim + 1))
-            other._ptr = (ptr[:-1], ptr[1:] - ptr[:-1])
-        start, count = (row[self._cols] for row in other._ptr)
-        ends = count.cumsum()
-        total = int(ends[-1]) if ends.size else 0
-        right = (start - ends + count).repeat(count)
-        right += np.arange(total)
-        keys = (self._rows * dim).repeat(count) + other._cols[right]
-        re, im = _products(self.data.repeat(count), other.data[right])
-        return keys, re, im
+            other._ptr = _spans(other._rows, np.arange(other.space.dim))
+        return tuple(p[self._cols] for p in other._ptr)
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         dim = self.space.dim
@@ -560,7 +601,8 @@ def lift_forms(fs: FockSpace, forms) -> tuple[OperatorMatrix, ...]:
     for j, weight in zip(on.tolist(), (ms[:, on, on] * signs[on]).T):
         # sqrt(n) * sqrt(n), not n: the entry equals the ladder product's;
         # added only where n > 0, so a non-finite M[j, j] touches no other state
-        term = (weight[:, None] * roots[j]) * roots[j]
+        term = weight[:, None] * roots[j]
+        term *= roots[j]
         np.add(diags, term, out=diags, where=occupied[j])
     on_diag = diags.any(axis=0).nonzero()[0]
     np.fill_diagonal(union, False)
@@ -582,7 +624,8 @@ def lift_forms(fs: FockSpace, forms) -> tuple[OperatorMatrix, ...]:
     rows, cols = np.concatenate([targets, on_diag]), np.concatenate([src, on_diag])
     order = (rows * dim + cols).argsort(kind="stable")
     keeps = np.concatenate([nonzero[:, a, b][:, pair], diags[:, on_diag] != 0], axis=1)[:, order]
-    coef = ms[:, a, b] * signs[a]
+    coef = ms[:, a, b]
+    coef *= signs[a]
     parity = None
     if fs.fermionic:
         parity = _jw_parity(fs, src, np.minimum(a, b)[pair], np.maximum(a, b)[pair])
@@ -620,6 +663,46 @@ def commutator(
 ) -> OperatorMatrix:
     """[a, b] - c, or [a, b] without c, in one pass (`OperatorMatrix.commutator`)."""
     return a.commutator(b, c)
+
+
+def commutator_residuals(triples) -> np.ndarray:
+    """max_abs(commutator(a, b, c)) for each (a, b, c) triple, c possibly
+    None, bit for bit, in one pass.
+
+    Each triple lives on one space.  The commutators are the diagonal
+    blocks of one block-diagonal commutator, block t's rows and columns
+    offset by the dimensions of the blocks before it: one term expansion
+    per product, one grouping and two folds (`_commutator_entries`, as in
+    `OperatorMatrix.commutator`), and each block's largest magnitude taken
+    with `np.maximum.reduceat` (NaN if any is NaN, 0.0 for no entries).
+    """
+    triples = list(triples)
+    for a, b, c in triples:
+        a._check(b)
+        if c is not None:
+            a._check(c)
+    offsets = np.cumsum([0] + [a.space.dim for a, _, _ in triples])
+    n = int(offsets[-1])
+
+    def stacked(ops):
+        kept = [op for op in ops if op is not None]
+        if not kept:
+            return None
+        shift = np.repeat(offsets[:-1][[op is not None for op in ops]], [op.nnz for op in kept])
+        rows = np.concatenate([op._rows for op in kept]) + shift
+        cols = np.concatenate([op._cols for op in kept]) + shift
+        return rows, cols, np.concatenate([op.data for op in kept])
+
+    residuals = np.zeros(len(triples))
+    if not triples:
+        return residuals
+    a, b, c = (stacked(ops) for ops in zip(*triples))
+    keys, out = _commutator_entries(a, b, c, (_spans(b[0], a[1]), _spans(a[0], b[1])), n)
+    starts = np.searchsorted(keys, offsets * n)
+    filled = starts[:-1] < starts[1:]
+    if filled.any():
+        residuals[filled] = np.maximum.reduceat(np.abs(out), starts[:-1][filled])
+    return residuals
 
 
 def max_abs(op: OperatorMatrix | np.ndarray) -> float:

@@ -10,8 +10,9 @@ acceptance bounds are stated.
 Spaces whose checks read only number-conserving operators are capped at the
 asserted block itself (see `fock`): total occupation <= n_max on the grids
 of canonical-commutators, observable-commutators and decomposition-compare,
-<= 1 on shells, <= n_max - 1 on the random spaces of
-lift-homomorphism-random.  The capped space is an invariant block of every
+<= 1 on shells, <= 2 on the n_max 3 space of lift-homomorphism-random,
+which checks every pair of elementary forms in one `commutator_residuals`
+pass and draws no samples.  The capped space is an invariant block of every
 operator those checks multiply, so its residuals, read with plain
 `max_abs`, are those of the full product space on the block.  The
 gauge-hiding grid is capped at total occupation <= n_max too: its free
@@ -73,6 +74,7 @@ from .fock import (
     annihilator,
     build_fock,
     commutator,
+    commutator_residuals,
     compress,
     creator,
     expectation,
@@ -90,6 +92,9 @@ from .report import KIND_EQUALITY, KIND_VIOLATION, VerificationReport, merge_rep
 from .sampling import SeededRng
 
 EPS_PAIRS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+# Channels of lift-homomorphism-random: signs (-, -, +, +) hold every sign pair.
+_HOMOMORPHISM_CHANNELS = tuple((f"m{j}", lam) for j, lam in enumerate((0, 0, 1, 3)))
 
 # One-mode set for constraints on a single (lam = 0, lam = 3) pair.
 _ONE_MODE = SphericalShell(radius=1.0, l_max=0)
@@ -275,7 +280,10 @@ def _orbital_shell(config: SuiteConfig, default_lmax: int = 1) -> SphericalShell
 
 def suite_canonical(config: SuiteConfig) -> VerificationReport:
     rep = VerificationReport("canonical-commutators", _config_echo(config))
-    rng = SeededRng(config.seed)
+    # first: its stacked lifts and residual pass then sit on top of none of
+    # the grid's arrays (peak memory)
+    residual = _lift_homomorphism_residual(config.dim_cap)
+    rep.add("lift-homomorphism-random", "BCR1", residual, TIGHT_TOL)
     ms = config.grid or _default_grid()
 
     fs = _capped_grid_space(ms, (0, 1, 2, 3), config)
@@ -309,12 +317,6 @@ def suite_canonical(config: SuiteConfig) -> VerificationReport:
 
     _bcr_checks(rep, config)
     _metric_checks(rep, fs)
-    rep.add(
-        "lift-homomorphism-random",
-        "BCR1",
-        _lift_homomorphism_residual(rng, pairs=20, dim_cap=config.dim_cap),
-        TIGHT_TOL,
-    )
 
     claims = ops.CLAIMS[rep.suite]
     lifted = _orbital_families(rep, config, claims, {"spin_total": spin})
@@ -357,27 +359,37 @@ def _metric_checks(rep: VerificationReport, fs: FockSpace) -> None:
     )
 
 
-def _lift_homomorphism_residual(rng: SeededRng, pairs: int, dim_cap: int) -> float:
-    """L([M, N]_G) = [L(M), L(N)] on random forms over random channels.
+def _lift_homomorphism_residual(dim_cap: int) -> float:
+    """L([M, N]_G) = [L(M), L(N)] on every pair of elementary forms E_ab.
 
-    Each space is capped at total occupation n_max - 1, the block below the
-    product space's truncation edge.  Lifts conserve total occupation, so the
+    The lift and the G-bracket are complex bilinear, so the 16 E_ab over
+    `_HOMOMORPHISM_CHANNELS` cover every form on those channels, whose signs
+    (-, -, +, +) hold every sign pair; the pairs i < j cover the rest by
+    antisymmetry, and i = j brackets to 0.  The space is n_max 3 capped at
+    total occupation 2, the block below the product space's truncation edge,
+    with multi-occupation rows.  Lifts conserve total occupation, so the
     block is invariant and each entry on it is the product-space entry: the
-    residual is the product space's on the block, bit for bit.
+    residual is the product space's on the block, bit for bit.  The 16
+    forms and the 54 nonzero ones of the 120 brackets are lifted in one
+    stack, and the 120 residuals read in one `commutator_residuals` pass.
     """
-    residuals = []
-    for _ in range(pairs):
-        n_ch = int(rng.integers(2, 5))
-        lams = [int(rng.integers(0, 4)) for _ in range(n_ch)]
-        chans = [(f"m{j}", lams[j]) for j in range(n_ch)]
-        n_max = int(rng.integers(2, 4))
-        fs = build_fock(chans, n_max, dim_cap=dim_cap, max_total=n_max - 1)
-        shape = (n_ch, n_ch)
-        m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        n = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        lm, ln, lmn = lift_forms(fs, (m, n, form_bracket(m, n, fs.signs)))
-        residuals.append(max_abs(commutator(lm, ln, lmn)))
-    return max_residual(residuals)
+    fs = build_fock(_HOMOMORPHISM_CHANNELS, 3, dim_cap=dim_cap, max_total=2)
+    basis = np.eye(16).reshape(16, 4, 4)
+    # the pairs i < j as a mask, not np.triu_indices: its ufunc.outer and
+    # broadcast_to paths are numpy code the CLI runs nowhere else (64 KB more
+    # resident library pages)
+    first, second = (np.arange(16)[:, None] < np.arange(16)).nonzero()
+    brackets = form_bracket(basis[first], basis[second], fs.signs)
+    # a zero bracket lifts to no entries, which the residual reads as c None
+    nonzero = brackets.any(axis=(1, 2))
+    lifted = lift_forms(fs, np.concatenate([basis, brackets[nonzero]]))
+    del brackets  # not held through the residual pass: peak memory
+    rhs = iter(lifted[16:])
+    triples = [
+        (lifted[i], lifted[j], next(rhs) if bracketed else None)
+        for i, j, bracketed in zip(first.tolist(), second.tolist(), nonzero.tolist())
+    ]
+    return max_residual(commutator_residuals(triples))
 
 
 def _orbital_families(rep: VerificationReport, config: SuiteConfig, claims, lifted: dict) -> dict:

@@ -3,6 +3,8 @@
 Every operation must give the same dense result and the same stored pattern
 as scipy.sparse, bit for bit: products add their terms in the same order,
 and the one-pass commutator [A, B] - C stores what `A @ B - B @ A - C` does.
+`commutator_residuals` reads max_abs of many commutators in one pass and is
+held to `max_abs(commutator(a, b, c))` as float hex.
 The operators live on one-channel spaces of n states (`space(n)`).
 """
 
@@ -20,6 +22,7 @@ from photonam.fock import (
     OperatorMatrix,
     build_fock,
     commutator,
+    commutator_residuals,
     compress,
     identity_operator,
     max_abs,
@@ -291,3 +294,66 @@ def test_commutator_kernel_matches_scipy_on_random_entries(left, right, third):
     assert_same(a.commutator(b, c), sa @ sb - sb @ sa - sc)
     assert_same(a.commutator(b, a), sa @ sb - sb @ sa - sa)
     assert a.commutator(b, a.commutator(b)).nnz == 0
+
+
+def _hex_residuals(triples):
+    """(stacked, one-by-one) residuals of the triples as float hex."""
+    got = [float(x).hex() for x in commutator_residuals(triples)]
+    want = [max_abs(commutator(a, b, c)).hex() for a, b, c in triples]
+    return got, want
+
+
+@pytest.mark.parametrize("density", [0.0, 0.2, 0.7])
+def test_commutator_residuals_match_one_by_one(density):
+    rng = np.random.default_rng(int(density * 10) + 11)
+    triples = []
+    for n in (1, 5, 7, 9, 30, 5):
+        a, b, c = (random_pair(rng, n, density)[0] for _ in range(3))
+        triples += [(a, b, c), (a, b, None), (b, a, a.commutator(b)), (a, a, None)]
+    got, want = _hex_residuals(triples)
+    assert got == want
+    assert np.all(commutator_residuals(triples)[3::4] == 0.0)
+
+
+@settings(deadline=None, max_examples=40)
+@given(entries, entries, entries)
+def test_commutator_residuals_match_one_by_one_on_random_entries(left, right, third):
+    a, b, c = (_pair_from(items)[0] for items in (left, right, third))
+    triples = [(a, b, c), (b, c, None), (c, a, a), (a, b, a.commutator(b))]
+    got, want = _hex_residuals(triples)
+    assert got == want
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_commutator_residuals_edge_cases():
+    empty = OperatorMatrix.from_entries(space(4), [], [], [])
+    ident = identity_operator(space(4))
+    a = random_pair(np.random.default_rng(5), 4, 0.7)[0]
+    nan = OperatorMatrix.from_entries(space(4), [np.nan], [1], [2])
+    assert commutator_residuals([]).shape == (0,)
+    assert commutator_residuals(iter([])).shape == (0,)
+    (one,) = commutator_residuals([(a, a.conj_transpose(), None)])
+    assert one.hex() == max_abs(commutator(a, a.conj_transpose())).hex()
+    # empty blocks read 0.0, before, between and after filled ones
+    triples = [
+        (empty, empty, None),
+        (empty, a, empty),
+        (a, empty, None),
+        (a, ident, None),
+        (a, empty, a),
+        (empty, empty, empty),
+    ]
+    got = commutator_residuals(triples)
+    assert got[[0, 1, 2, 3, 5]].tolist() == [0.0] * 5
+    assert got[4] == max_abs(a) > 0.0
+    # a NaN entry reads NaN in its own block only, never 0
+    got = commutator_residuals([(a, empty, None), (ident, nan, None), (a, a, nan), (a, a, None)])
+    assert got[0] == 0.0 and got[3] == 0.0
+    assert math.isnan(got[1]) and math.isnan(got[2])
+    # each triple is checked on its own; triples on different spaces mix
+    b = identity_operator(space(5))
+    with pytest.raises(DimensionMismatch):
+        commutator_residuals([(a, a, None), (a, b, None)])
+    with pytest.raises(DimensionMismatch):
+        commutator_residuals([(a, a, b)])
+    assert commutator_residuals([(a, a, a), (b, b, b)]).tolist() == [max_abs(a), 1.0]

@@ -127,6 +127,18 @@ def test_cli_success_and_output_file(tmp_path, capsys):
     assert parsed["summary"]["failed"] == 0
 
 
+def test_canonical_commutators_report_is_seed_free(tmp_path):
+    # every check of the suite is seed-free; --seed is still accepted and echoed
+    reports = []
+    for seed in (0, 5):
+        out = tmp_path / f"seed{seed}.json"
+        argv = ["--suite", "canonical-commutators", "--format", "json", "--out", str(out)]
+        assert main([*argv, "--seed", str(seed)]) == 0
+        reports.append(json.loads(out.read_bytes()))
+    assert [r["config"].pop("seed") for r in reports] == ["0", "5"]
+    assert reports[0] == reports[1]
+
+
 def test_cli_unknown_suite_exit_2(capsys):
     assert main(["--suite", "nonexistent"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -681,30 +681,35 @@ def test_decomposition_claims_block_capped_match_block_plus_one(seed):
         assert check.residual == _claim_residual_read(claim, old_lifted, read), claim.check_id
 
 
-def _full_space_lift_homomorphism(rng, pairs):
-    """lift-homomorphism-random on the uncapped product spaces, read on the
-    block below the truncation edge."""
+def _full_space_lift_homomorphism():
+    """lift-homomorphism-random's 120 basis pairs on the uncapped n_max 3
+    product space, each form lifted on its own, read on the block of total
+    occupation <= 2."""
+    fs = build_fock(suites._HOMOMORPHISM_CHANNELS, 3)
+    block = fs.bounded_indices(2)
+    basis = np.eye(16).reshape(16, 4, 4)
     residuals = []
-    for _ in range(pairs):
-        n_ch = int(rng.integers(2, 5))
-        lams = [int(rng.integers(0, 4)) for _ in range(n_ch)]
-        chans = [(f"m{j}", lams[j]) for j in range(n_ch)]
-        n_max = int(rng.integers(2, 4))
-        fs = build_fock(chans, n_max)
-        shape = (n_ch, n_ch)
-        m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        n = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        lhs = commutator(lift_forms(fs, [m])[0], lift_forms(fs, [n])[0])
-        rhs = lift_forms(fs, [form_bracket(m, n, fs.signs)])[0]
-        residuals.append(max_abs(compress(lhs - rhs, fs.bounded_indices(n_max - 1))))
+    for i in range(16):
+        for j in range(i + 1, 16):
+            lhs = commutator(lift_forms(fs, [basis[i]])[0], lift_forms(fs, [basis[j]])[0])
+            rhs = lift_forms(fs, [form_bracket(basis[i], basis[j], fs.signs)])[0]
+            residuals.append(max_abs(compress(lhs - rhs, block)))
+    assert len(residuals) == 120
     return max_residual(residuals)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_lift_homomorphism_capped_matches_full_space(seed):
-    capped = suites._lift_homomorphism_residual(SeededRng(seed), pairs=20, dim_cap=DEFAULT_DIM_CAP)
-    full = _full_space_lift_homomorphism(SeededRng(seed), pairs=20)
-    assert 0.0 < capped == full
+def test_lift_homomorphism_capped_matches_full_space():
+    capped = suites._lift_homomorphism_residual(DEFAULT_DIM_CAP)
+    assert 0.0 < capped == _full_space_lift_homomorphism()
+
+
+def test_lift_homomorphism_fails_without_the_metric(monkeypatch):
+    # the bracket M N - N M leaves G out, so the scalar channels' signs go
+    monkeypatch.setattr(suites, "form_bracket", lambda m, n, signs: m @ n - n @ m)
+    checks = {r.check_id: r for r in run_suite(SuiteConfig(suite="canonical-commutators")).checks}
+    check = checks["lift-homomorphism-random"]
+    assert check.residual >= 1.0
+    assert not check.passed
 
 
 def test_density_map_integral_catches_a_perturbed_map(monkeypatch):

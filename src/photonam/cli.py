@@ -8,6 +8,7 @@ command-line flags override file values.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -60,6 +61,8 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidConfig(message)
 
 
+# one parser per process: it holds no per-call state, and `main` may run often
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="photonam",

@@ -41,7 +41,7 @@ from .errors import (
     DuplicateMode,
     OffLatticeMode,
 )
-from .modes import channel_sign, polarization_frame, wave_vectors
+from .modes import channel_sign, cross, polarization_frame, wave_vectors
 from .operators import mode_blocks
 
 _LATTICE_TOL = 1e-9
@@ -190,7 +190,7 @@ def transverse_split(field) -> tuple[np.ndarray, np.ndarray]:
 def spin_density_map(maps: FieldMaps) -> np.ndarray:
     """Pointwise E x A on the grid, shape (N^3, 3); on the maps of a state's
     transverse part, the density E_T x A_T."""
-    return np.cross(maps.e, maps.a)
+    return np.stack(cross(maps.e.T, maps.a.T), axis=1)
 
 
 def spatial_spin_integral(lattice: FieldLattice, maps: FieldMaps) -> np.ndarray:

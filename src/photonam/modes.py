@@ -102,9 +102,9 @@ def wave_vectors(rows) -> tuple[np.ndarray, np.ndarray]:
     return ks, omega
 
 
-def _cross(a, b) -> tuple[float, float, float]:
-    """a x b by np.cross's own formulas (same bits, signed zeros included),
-    without its per-call axis handling."""
+def cross(a, b) -> tuple[float, float, float]:
+    """a x b over the first index of each by np.cross's own formulas (same
+    bits, signed zeros included), without its per-call axis handling."""
     return (
         a[1] * b[2] - a[2] * b[1],
         a[2] * b[0] - a[0] * b[2],
@@ -117,7 +117,7 @@ def polarization_frame(k) -> np.ndarray:
     module-level rule: rows lam = 0..3, columns (t, x, y, z)."""
     k = np.asarray(k, dtype=float)
     khat = k / math.sqrt(sum(c * c for c in k.tolist()))
-    zxk = np.array(_cross((0.0, 0.0, 1.0), khat.tolist()))
+    zxk = np.array(cross((0.0, 0.0, 1.0), khat.tolist()))
     norm = np.linalg.norm(zxk)
     if norm > _AXIS_TOL:
         e1 = zxk / norm
@@ -128,7 +128,7 @@ def polarization_frame(k) -> np.ndarray:
     eps = np.zeros((4, 4))
     eps[0, 0] = 1.0
     eps[1, 1:] = e1
-    eps[2, 1:] = _cross(khat.tolist(), e1.tolist())
+    eps[2, 1:] = cross(khat.tolist(), e1.tolist())
     eps[3, 1:] = khat
     return eps
 

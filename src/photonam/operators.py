@@ -66,6 +66,7 @@ from .modes import (
     CartesianGrid,
     ModeSet,
     SphericalShell,
+    cross,
     frame_curl,
     minkowski_dot,
     orbital_matrices,
@@ -275,7 +276,7 @@ def counter_rotating_part(
         for l1 in lams:
             for l2 in lams:
                 if target == "spin":
-                    w = 0.5j * np.cross(ms.frames[i, l1, 1:], ms.frames[j, l2, 1:])
+                    w = 0.5j * np.array(cross(*ms.frames[[i, j], [l1, l2], 1:].tolist()))
                 else:
                     w = 0.5 * minkowski_dot(ms.frames[i, l1], ms.frames[j, l2]) * ms.ks[i]
                 if not np.any(w):

@@ -26,13 +26,12 @@ spinor x orbital space is capped at fermion number `DIRAC_FERMION_CAP`, an
 invariant block in the same sense.  Ladder identities are read on the block
 below their space's edge (`_edge_safe`); whole-space residuals there go
 into the notes, never into assertions.  The xi pathway of gauge-hiding
-reads one-mode moments: its displaced state is a product of one-mode
-factors, each the best kernel vector of the free constraint plus xi times
-the identity, and its counterterm reads the rows of
-`constraints.xi_source_coefficients`.  Product-basis spaces remain only at
-sizes no input sets: 27 states in `_bcr_checks`, 16 in the gb-root pair, 4
-in gauge-hiding's one-mode pair, 4 and 9 in its xi pathway, and dirac's 8,
-4 and 16.
+builds no space: coherent states solve its displaced constraint
+a_3 - a_0 + xi exactly and their moments factorize, so both sides of its
+identity are Hermitian forms in xi, read as matrices off `operators.FORMS`
+and `constraints.xi_source_coefficients`.  Product-basis spaces remain only
+at sizes no input sets: 27 states in `_bcr_checks`, 16 in the gb-root pair,
+4 in gauge-hiding's one-mode pair, and dirac's 8, 4 and 16.
 
 Every algebra claim (su(2), commuting or su(2)-violating families, mutually
 commuting or noncommuting pairs, a family closing into another) is one
@@ -516,7 +515,6 @@ def suite_decomposition(config: SuiteConfig) -> VerificationReport:
 def suite_gauge_hiding(config: SuiteConfig) -> VerificationReport:
     rep = VerificationReport("gauge-hiding", _config_echo(config))
     shell = _orbital_shell(config)
-    rng = SeededRng(config.seed)
 
     ms = config.grid or _default_grid()
     fs = _capped_grid_space(ms, (0, 1, 2, 3), config)
@@ -574,91 +572,57 @@ def suite_gauge_hiding(config: SuiteConfig) -> VerificationReport:
         1e-14,
     )
 
-    _xi_pathway_reports(rep, config, shell, rng)
-    _xi_fourier_checks(rep, rng)
+    xi_sym = cons.random_conjugate_symmetric_xi(shell, SeededRng(config.seed), 0.05)
+    rep.add("xi-conjugate-symmetry", "xi", cons.xi_conjugate_residual(shell, xi_sym), 1e-13)
+    rep.note(_xi_pathway_note(shell))
+    rep.add("xi-fourier-reality", "xi", _xi_fourier_residual(), 1e-12)
     return rep.finalize()
 
 
-def _xi_pathway_reports(rep: VerificationReport, config: SuiteConfig, shell, rng) -> None:
-    xi_sym = cons.random_conjugate_symmetric_xi(shell, rng, 0.05)
-    rep.add(
-        "xi-conjugate-symmetry", "xi", cons.xi_conjugate_residual(shell, xi_sym), 1e-13
+def _xi_pathway_note(shell) -> str:
+    # coherent states with <a_3> = -t xi and <a_0> = (1 - t) xi solve the
+    # displaced constraint a_3 - a_0 + xi exactly; xi = 1 over the labels
+    # reads the identity on every xi at once
+    xi = np.eye(len(shell))
+    sides = [_xi_pathway_sides(shell, xi, -t * xi) for t in (0.0, 1.0, 0.3 + 0.7j)]
+    worst = max_residual(max_abs(lhs - source - counter) for lhs, source, counter in sides)
+    magnitude = max_residual(max_abs(lhs) for lhs, _, _ in sides)
+    return (
+        "xi pathway on the coherent states <a_3> = -t xi, t = 0, 1, 0.3+0.7i, every xi:"
+        f" |<l_pure> - <source> - counterterm| = {worst:.3e},"
+        f" |<l_pure>| up to {magnitude:.3e} (reported only)"
     )
-    # Algebra probe without the reality symmetry: for a conjugate-symmetric
-    # xi both sides of the identity vanish, so only the probe is reported;
-    # its sides are nonzero, and the closed-form counterterm xi^dag L xi enters.
-    xi_probe = np.array([0.05 * (rng.normal() + 1j * rng.normal()) for _ in shell.mode_labels()])
-    coefficients = cons.xi_source_coefficients(shell, xi_probe)
-    counter = [-np.real(row @ xi_probe) for row, _ in coefficients]
-    for n_max in (1, 2):
-        small, factors, kernel_res = _approximate_displaced_kernel(
-            shell, xi_probe, n_max, config.dim_cap
-        )
-        lhs, source = _xi_pathway_expectations(shell, xi_probe, small, factors)
-        rhs = [source[c] + counter[c] for c in range(3)]
-        worst = max_residual(abs(l - r) for l, r in zip(lhs, rhs))
-        magnitude = max_residual(abs(l) for l in lhs)
-        rep.note(
-            f"xi pathway (probe, n_max={n_max}):"
-            f" |<l_pure> - <source> - counterterm| = {worst:.3e},"
-            f" |<l_pure>| up to {magnitude:.3e},"
-            f" kernel residual {kernel_res:.3e}"
-            " (truncation-limited, reported only)"
-        )
 
 
-def _approximate_displaced_kernel(shell, xi, n_max, dim_cap=DEFAULT_DIM_CAP):
-    """The one-mode (lam = 0, lam = 3) space, the best approximate kernel
-    vector on it per shell label, and the largest per-mode kernel residual.
-
-    The displaced state is the product of these factors over the labels.
-    The per-mode constraint depends on the mode only through its xi: it is
-    the free a_3 - a_0 plus xi times the identity.
-    """
-    small = build_fock([(_ONE_LABEL, 0), (_ONE_LABEL, 3)], n_max, dim_cap=dim_cap)
-    (free,) = cons.gb_constraints(_ONE_MODE, small)
-    free, eye = free.to_dense(), np.eye(small.dim)
-    factors, residuals = [], []
-    for shift in xi:
-        _, sigma, vh = np.linalg.svd(free + shift * eye)
-        factors.append(vh[-1].conj())
-        residuals.append(sigma[-1])
-    return small, factors, max_residual(residuals)
-
-
-def _xi_pathway_expectations(shell, xi, small, factors):
-    """<l_pure> and <source> = -<xi_oam_bilinear(lam = 3)> per component on
-    the product of one-mode factors, without building the product space.
-
-    Both operators are at most bilinear in the ladders and eta factorizes
-    per mode, so <creator_a a_b> is <creator_a><a_b> across two modes and a
-    one-mode moment within one; <lift(M)> is then sum_ab M_ab <creator_a a_b>
-    over the label-major (label, lam = 0, 3) channels.  Each factor's
-    moments go through `expectation`, so a zero-norm factor raises
-    ZeroNormState.
-    """
-    lower = [annihilator(small, (_ONE_LABEL, lam)) for lam in (0, 3)]
-    upper = [creator(small, (_ONE_LABEL, lam)) for lam in (0, 3)]
-    first = np.array([[expectation(small, a, v) for a in lower] for v in factors])
-    first_up = np.array([[expectation(small, c, v) for c in upper] for v in factors])
-    moments = np.outer(first_up, first)
-    pairs = [[c @ a for a in lower] for c in upper]
-    for k, v in enumerate(factors):
-        moments[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = [
-            [expectation(small, p, v) for p in row] for row in pairs
-        ]
+def _xi_pathway_sides(shell, xi, beta3):
+    """<l_pure>, <source> = -<xi_oam_bilinear(lam = 3)> and the counterterm
+    -xi^dag L xi per component on the coherent states of a_3 - a_0 + xi with
+    <a_3> = beta3, <a_0> = beta3 + xi; xi and beta3 diagonal over the labels
+    give the matrices of these Hermitian forms in the label coordinates.
+    Every eta-moment factorizes, <c_a a_b> = conj(beta_a) beta_b (Glauber
+    1963), so <lift(M)> = beta^dag M beta on the (label, lam = 0, 3) channels."""
+    beta = np.empty((2 * len(xi), xi.shape[1]), dtype=complex)
+    beta[0::2], beta[1::2] = beta3 + xi, beta3
     chans = [(c, lam) for c in shell.mode_labels() for lam in (0, 3)]
-    lpure = [np.sum(m * moments) for m in ops.family_matrices(chans, "l_pure", shell)]
+    lhs = beta.conj().T @ ops.family_matrices(chans, "l_pure", shell) @ beta
     coefficients = cons.xi_source_coefficients(shell, xi)
-    source = [-(row @ first[:, 1] + col @ first_up[:, 1]) for row, col in coefficients]
-    return lpure, source
+    source = np.array([-(row @ beta3 + beta3.conj().T @ col) for row, col in coefficients])
+    return lhs, source, np.array([-row @ xi for row, _ in coefficients])
 
 
-def _xi_fourier_checks(rep: VerificationReport, rng) -> None:
+def _xi_fourier_residual() -> float:
+    """`xi0_from_charge` of rho = cos(k0.x) + sin(k1.x) on the centered grid
+    against its closed form P(omega) L^3 (1/2 at +-k0, -+i/2 at +-k1), with
+    P = 1 / (omega^1.5 sqrt(2 (2 pi)^3)), and its -k reality residual."""
     ms = build_cartesian_modeset([(1.0, 0.0, 0.0), (0.0, 1.0, 1.0)])
-    lattice = flds.FieldLattice(2.0 * np.pi, 8, ms.ks)
-    xi = cons.xi0_from_charge(lattice, rng.normal(size=8 ** 3))
-    rep.add("xi-fourier-reality", "xi", cons.xi_conjugate_residual(ms, xi), 1e-12)
+    length, n = 2.0 * np.pi, 8
+    axis = -length / 2.0 + np.arange(n) * (length / n)
+    x = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    rho = np.cos(x @ ms.ks[0]) + np.sin(x @ ms.ks[2])
+    xi = cons.xi0_from_charge(flds.FieldLattice(length, n, ms.ks), rho)
+    prefactor = 1.0 / (ms.omega ** 1.5 * math.sqrt(2.0 * (2.0 * math.pi) ** 3))
+    expected = np.array([0.5, 0.5, -0.5j, 0.5j]) * prefactor * length ** 3
+    return max_residual([max_abs(xi - expected), cons.xi_conjugate_residual(ms, xi)])
 
 
 # ---------------------------------------------------------------------------

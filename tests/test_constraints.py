@@ -354,14 +354,65 @@ def test_grid_gauge_hiding_makes_no_linalg_call(monkeypatch):
     assert skipped == kernel.dimension - math.comb(2 * 4 + 3, 3)
 
 
+def _approximate_displaced_kernel(xi, n_max):
+    """Oracle: the one-mode (lam = 0, lam = 3) space at n_max, per entry of
+    xi the best approximate kernel vector of the displaced constraint
+    a_3 - a_0 + xi (the smallest right singular vector of the dense matrix),
+    and the largest of their singular values, the kernel residual."""
+    small = build_fock([("k", 0), ("k", 3)], n_max)
+    (free,) = cons.gb_constraints(_OneMode(), small)
+    free, eye = free.to_dense(), np.eye(small.dim)
+    factors, residuals = [], []
+    for shift in xi:
+        _, sigma, vh = np.linalg.svd(free + shift * eye)
+        factors.append(vh[-1].conj())
+        residuals.append(sigma[-1])
+    return small, factors, max(residuals)
+
+
+def _product_space_xi_pathway(shell, xi, small, factors):
+    """The xi pathway on the full product space: <l_pure> and <source> per
+    component on the Kronecker product of the one-mode factors."""
+    psi = functools.reduce(np.kron, factors)
+    chans = [(c, lam) for c in shell.mode_labels() for lam in (0, 3)]
+    fs = build_fock(chans, small.n_max)
+    lpure = ops.lift_family(fs, "l_pure", shell)
+    source = tuple(-1.0 * x for x in cons.xi_oam_bilinear(shell, fs, xi, 3))
+    return (
+        np.array([expectation(fs, lpure[c], psi) for c in range(3)]),
+        np.array([expectation(fs, source[c], psi) for c in range(3)]),
+    )
+
+
 def test_displaced_kernel_vanishes_in_truncation():
     # a displaced constraint a_3 - a_0 + xi has no kernel on the truncated
     # pair: its smallest singular value stays far from zero
-    from photonam.suites import _approximate_displaced_kernel
-
-    one_mode = SphericalShell(radius=1.0, l_max=0)
-    _, _, residual = _approximate_displaced_kernel(one_mode, np.array([0.8]), 1)
+    _, _, residual = _approximate_displaced_kernel(np.array([0.8]), 1)
     assert residual > 1e-3
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_xi_pathway_closed_form_matches_truncated_product_state(seed):
+    # the best kernel vectors of the truncated displaced constraint at n_max 2
+    # are near-coherent; read at their own <a_3> (a different t per label),
+    # the suite's closed-form sides agree with the product state's
+    # expectations within its kernel residual
+    from photonam.suites import _xi_pathway_sides
+
+    shell = SphericalShell(radius=1.0, l_max=1)
+    rng = np.random.default_rng(seed)
+    xi = 0.05 * (rng.normal(size=len(shell)) + 1j * rng.normal(size=len(shell)))
+    small, factors, residual = _approximate_displaced_kernel(xi, 2)
+    beta3 = [expectation(small, annihilator(small, ("k", 3)), v) for v in factors]
+    sides = _xi_pathway_sides(shell, np.diag(xi), np.diag(beta3))
+    # with xi and beta3 diagonal, a form's value at xi is the sum of its entries
+    lpure, source, counter = (side.sum(axis=(1, 2)) for side in sides)
+    ref_lpure, ref_source = _product_space_xi_pathway(shell, xi, small, factors)
+    assert np.max(np.abs(lpure - ref_lpure)) <= residual
+    assert np.max(np.abs(source - ref_source)) <= 1e-15
+    assert np.max(np.abs(lpure - source - counter)) <= 1e-15
+    # the sides are far above both bounds
+    assert np.max(np.abs(lpure)) > 10 * residual and np.max(np.abs(source)) > 1e-3
 
 
 class _OneMode:
@@ -450,10 +501,9 @@ def test_xi_bilinear_is_metric_hermitian_and_identity_holds():
     for comp in bilinear:
         assert max_abs(comp - comp.metric_adjoint()) <= 1e-14
 
-    from photonam.suites import _approximate_displaced_kernel
     from photonam.modes import orbital_matrices
 
-    _, factors, res = _approximate_displaced_kernel(shell, xi, 2)
+    _, factors, res = _approximate_displaced_kernel(xi, 2)
     psi = functools.reduce(np.kron, factors)
     lpure = ops.lift_family(fs, "l_pure", shell)
     gens = orbital_matrices(1)

@@ -177,6 +177,16 @@ def test_density_map_uniform_for_single_circular_wave():
     np.testing.assert_allclose(total, flds.spatial_spin_integral(lat, maps), atol=1e-13)
 
 
+@pytest.mark.parametrize("seed", range(2))
+def test_density_map_is_np_cross_bit_for_bit(seed):
+    # `modes.cross` column by column, signed zeros included
+    lat = flds.FieldLattice(LENGTH, 7, EIGHT_CLOSED)
+    maps = flds.eval_fields(lat, random_amps(np.random.default_rng(seed), 8, range(4)))
+    maps.e[0] = -0.0
+    density = flds.spin_density_map(maps)
+    assert density.tobytes() == np.cross(maps.e, maps.a).tobytes()
+
+
 def test_density_map_counterpropagating_varies_but_integrates():
     k2 = (0.0, 0.0, -1.0)
     lat, amps = state([(0, 1, 1.0), (0, 2, 1.0j), (1, 1, 0.5), (1, 2, -0.5j)], ks=(K1, k2))

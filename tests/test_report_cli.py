@@ -40,6 +40,16 @@ def test_records_sorted_and_counts():
     assert rep.all_passed
 
 
+def test_parser_built_once_and_stateless(capsys):
+    from photonam.cli import build_parser
+
+    assert build_parser() is build_parser()
+    # a flag of one call does not carry over to the next
+    for argv, seed in ((["--seed", "3"], "3"), ([], "0")):
+        assert main(["--suite", "dirac", "--format", "json", *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["seed"] == seed
+
+
 def test_violation_semantics():
     rec = CheckRecord("v", "Table-III", 0.05, 0.1, kind=KIND_VIOLATION)
     assert not rec.passed
@@ -324,24 +334,24 @@ def test_cli_gauge_hiding_reads_shell(capsys, monkeypatch):
 
     built = []
     lift = ops.lift_family
-    per_mode = suites._xi_pathway_expectations
+    sides = suites._xi_pathway_sides
 
     def recording_oam(fs, name, ms=None):
         if name == "oam_total":
             built.append(("oam-identity", ms.l_max, fs.dim))
         return lift(fs, name, ms)
 
-    def recording_xi(shell, xi, small, factors):
-        built.append(("xi", shell.l_max, len(factors)))
-        return per_mode(shell, xi, small, factors)
+    def recording_xi(shell, xi, beta3):
+        built.append(("xi", shell.l_max, xi.shape))
+        return sides(shell, xi, beta3)
 
     monkeypatch.setattr(ops, "lift_family", recording_oam)
-    monkeypatch.setattr(suites, "_xi_pathway_expectations", recording_xi)
+    monkeypatch.setattr(suites, "_xi_pathway_sides", recording_xi)
     assert main(["--suite", "gauge-hiding", "--shell", "1.0,2", "--format", "json"]) == 0
     parsed = json.loads(capsys.readouterr().out)
     assert parsed["summary"] == {"total": 10, "passed": 10, "failed": 0}
-    # l_max 2: 36 channels capped at one photon, 37 states; 9 xi factors
-    assert set(built) == {("oam-identity", 2, 37), ("xi", 2, 9)}
+    # l_max 2: 36 channels capped at one photon, 37 states; xi over the 9 labels
+    assert set(built) == {("oam-identity", 2, 37), ("xi", 2, (9, 9))}
 
 
 @pytest.mark.parametrize(
@@ -451,9 +461,9 @@ EIGHT_MODE_GRID = (
 def test_cli_gauge_hiding_densifies_at_most_9x9_and_refuses_nmax_6_in_bounded_memory(
     capsys, monkeypatch
 ):
-    # the grid and pair kernels are read off their occupation tables, so the
-    # only matrices densified are the xi pathway's one-mode constraints, at
-    # most 9 x 9
+    # the grid and pair kernels are read off their occupation tables and the
+    # xi pathway is read off its coherent states in closed form, so no
+    # operator is densified
     to_dense = OperatorMatrix.to_dense
     densified = []
 
@@ -470,7 +480,7 @@ def test_cli_gauge_hiding_densifies_at_most_9x9_and_refuses_nmax_6_in_bounded_me
         assert main(argv + ["--format", "json"]) == 0
         parsed = json.loads(capsys.readouterr().out)
         assert parsed["summary"] == {"total": 10, "passed": 10, "failed": 0}
-    assert densified and max(map(max, densified)) <= 9
+    assert densified == []
     # 8 modes at --nmax 6: 2760681 states, refused before the occupation table
     # is allocated; the whole run stays below one complex vector of dim_cap
     # amplitudes

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,6 @@ from photonam import constraints as cons
 from photonam import fields as flds
 from photonam import operators as ops
 from photonam import suites
-from photonam.errors import ZeroNormState
 from photonam.fock import (
     DEFAULT_DIM_CAP,
     OperatorMatrix,
@@ -734,50 +734,52 @@ def test_density_map_integral_catches_a_perturbed_map(monkeypatch):
     assert "density-map-integral" in [r.check_id for r in rep.checks if not r.passed]
 
 
-def _product_space_xi_pathway(shell, xi, small, factors):
-    """The xi pathway on the full product space: <l_pure> and <source> per
-    component on the Kronecker product of the one-mode factors."""
-    psi = functools.reduce(np.kron, factors)
-    chans = [(c, lam) for c in shell.mode_labels() for lam in (0, 3)]
-    fs = build_fock(chans, small.n_max)
-    lpure = ops.lift_family(fs, "l_pure", shell)
-    source = tuple(-1.0 * x for x in cons.xi_oam_bilinear(shell, fs, xi, 3))
-    return (
-        [expectation(fs, lpure[c], psi) for c in range(3)],
-        [expectation(fs, source[c], psi) for c in range(3)],
-    )
+def _xi_pathway_value(rep):
+    (note,) = [n for n in rep.notes if n.startswith("xi pathway")]
+    return float(re.search(r"counterterm\| = (\S+),", note).group(1))
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_xi_pathway_per_mode_matches_product_space(seed, monkeypatch):
-    calls = []
-    per_mode = suites._xi_pathway_expectations
-
-    def recording(shell, xi, small, factors):
-        out = per_mode(shell, xi, small, factors)
-        calls.append((shell, xi, small, factors, out))
-        return out
-
-    monkeypatch.setattr(suites, "_xi_pathway_expectations", recording)
-    rep = run_suite(SuiteConfig(suite="gauge-hiding", seed=seed))
-    assert rep.all_passed
-    # the probe xi at n_max 1 and 2; a conjugate-symmetric xi is not reported
-    assert [small.n_max for _, _, small, _, _ in calls] == [1, 2]
-    for shell, xi, small, factors, (lpure, source) in calls:
-        ref_lpure, ref_source = _product_space_xi_pathway(shell, xi, small, factors)
-        assert max(abs(a - b) for a, b in zip(lpure, ref_lpure)) <= 1e-15
-        assert max(abs(a - b) for a, b in zip(source, ref_source)) <= 1e-15
-    # the probe xi gives both sides values far above the 1e-15 agreement
-    # bound; |<l_pure>| is a product of small draws (3.9e-7 at seed 2)
-    _, _, _, _, (lpure, source) = calls[-1]
-    assert max(abs(a) for a in lpure) > 1e-9 and max(abs(a) for a in source) > 1e-3
+@pytest.mark.parametrize("shell, bound", [(None, 1e-15), ((1.0, 8), 1e-14)])
+def test_xi_pathway_note_is_seed_free_and_reads_rounding(shell, bound):
+    values = {
+        _xi_pathway_value(run_suite(SuiteConfig(suite="gauge-hiding", seed=seed, shell=shell)))
+        for seed in range(4)
+    }
+    assert len(values) == 1 and values.pop() <= bound
 
 
-def test_xi_pathway_zero_norm_factor_raises():
-    shell = SphericalShell(radius=1.0, l_max=1)
-    xi = np.full(len(shell), 0.05 + 0j)
-    small, factors, _ = suites._approximate_displaced_kernel(shell, xi, 1)
-    # vacuum plus one scalar photon: indefinite norm 1 - 1 = 0
-    gauge = small.vacuum() + small.basis_state({(suites._ONE_LABEL, 0): 1})
-    with pytest.raises(ZeroNormState):
-        suites._xi_pathway_expectations(shell, xi, small, factors[:-1] + [gauge])
+@pytest.mark.parametrize(
+    "mutate, value",
+    [
+        # the counterterm -xi^dag L xi left out
+        (lambda lhs, source, counter: (lhs, source, 0 * counter), 1.0),
+        # the source with its sign flipped; it vanishes at t = 0, not at t = 1
+        (lambda lhs, source, counter: (lhs, -source, counter), 4.0),
+    ],
+)
+def test_xi_pathway_note_catches_a_wrong_side(mutate, value, monkeypatch):
+    sides = suites._xi_pathway_sides
+    monkeypatch.setattr(suites, "_xi_pathway_sides", lambda *args: mutate(*sides(*args)))
+    assert _xi_pathway_value(run_suite(SuiteConfig(suite="gauge-hiding"))) == value
+
+
+def _flipped_exponent(lattice, rho):
+    weight = cons._xi_prefactor(lattice.omega) * flds.cell_volume(lattice)
+    return weight * (np.asarray(rho, dtype=float) @ lattice.phases)
+
+
+@pytest.mark.parametrize(
+    "target, mutant, floor",
+    [
+        ("xi0_from_charge", _flipped_exponent, 6.0),
+        ("_xi_prefactor", lambda omega: 1.0 / (omega * math.sqrt(2.0 * (2.0 * math.pi) ** 3)), 0.6),
+    ],
+)
+def test_xi_fourier_reality_catches_a_wrong_fourier_pathway(target, mutant, floor, monkeypatch):
+    rep = run_suite(SuiteConfig(suite="gauge-hiding"))
+    (record,) = [r for r in rep.checks if r.check_id == "xi-fourier-reality"]
+    assert record.passed and record.residual <= 1e-15
+    monkeypatch.setattr(cons, target, mutant)
+    rep = run_suite(SuiteConfig(suite="gauge-hiding"))
+    (record,) = [r for r in rep.checks if r.check_id == "xi-fourier-reality"]
+    assert not record.passed and record.residual > floor

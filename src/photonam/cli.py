@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--tol", type=float, help="tolerance for the standard equality checks"
     )
-    parser.add_argument("--seed", type=int, help="random seed for sampled checks")
+    parser.add_argument("--seed", type=int, help="echoed; no check reads it")
     parser.add_argument(
         "--format", choices=("text", "json", "csv"), help="report output format"
     )

@@ -3,10 +3,10 @@
 The per-mode constraint is a_3 - a_0 + xi0 * 1, where xi0 is the prescribed
 coupling of the scalar channel to a classical charge density, one complex
 array indexed like `ms.mode_labels()`: read off charge samples on a
-`fields.FieldLattice` (`xi0_from_charge`) or drawn on a shell.  A real
-density ties each entry to its partner's conjugate, one rule
-(`_reality_partners`).  `gb_constraints` builds the free a_3 - a_0 only; a
-caller that displaces them adds xi0 times the identity.  The physical
+`fields.FieldLattice` (`xi0_from_charge`) or stated on a shell by the
+caller.  A real density ties each entry to its partner's conjugate, one
+rule (`_reality_partners`).  `gb_constraints` builds the free a_3 - a_0
+only; a caller that displaces them adds xi0 times the identity.  The physical
 subspace is the kernel of the stacked constraints; zero-norm kernel vectors
 (pure gauge excitations) are first-class citizens: they are counted and
 excluded from expectation checks.
@@ -47,7 +47,6 @@ from .fock import (
     metric_diagonal,
 )
 from .modes import CartesianGrid, ModeSet, SphericalShell, orbital_matrices
-from .sampling import SeededRng
 
 
 def _xi_prefactor(omega):
@@ -221,25 +220,6 @@ def column_occupancy(fs: FockSpace, kernel: GBKernel, lam: int) -> np.ndarray:
     w, labels = kernel.weight, kernel.column + 1
     count = np.bincount(labels, w * (_polarization_count(fs, lam) * w))
     return count[1:] / np.bincount(labels, w * w)[1:]
-
-
-def random_conjugate_symmetric_xi(ms: SphericalShell, rng: SeededRng, scale: float) -> np.ndarray:
-    """Seeded shell coupling, indexed like the shell's labels, satisfying the
-    reality condition of the source, xi(l, -m) = (-1)^(l+m) conj(xi(l, m)),
-    making the m = 0 entries real for even l and imaginary for odd l."""
-    if not isinstance(ms, SphericalShell):
-        raise ChannelMismatch("prescribed-source tables use the shell labeling")
-    index = {label: i for i, label in enumerate(ms.mode_labels())}
-    out = np.zeros(len(index), dtype=complex)
-    for (l, m), i in index.items():
-        if m == 0:
-            z = scale * rng.normal()
-            out[i] = z if l % 2 == 0 else 1j * z
-        elif m < 0:
-            z = scale * (rng.normal() + 1j * rng.normal())
-            out[i] = z
-            out[index[(l, -m)]] = (-1.0) ** (l + m) * np.conj(z)
-    return out
 
 
 def xi_source_coefficients(

@@ -512,10 +512,10 @@ CLAIMS: dict[str, tuple[Claim, ...]] = {
         Claim("chen-mutual-noncommuting", "Table-III", MUTUAL_NONCOMMUTING, "spin_chen", "oam_chen"),
         Claim("wakamatsu-spin-violation", "Table-III", ALG_NONSTANDARD, "spin_wak"),
         # oam_wak has no claim of its own: the bare lift is Chen's orbital
-        # form and closes su(2), and the seeded prescribed-source extra term
-        # breaks su(2) by a seed-dependent amount that can fall below the
-        # violation threshold (0.069 at seed 4, 0.491 at seed 0).  Its claim
-        # is asserted through the mutual relation.
+        # form and closes su(2), and the extra term of the stated
+        # prescribed source (`suites.stated_source`) breaks su(2) by 0.226
+        # at every l_max 1-8, a value set by that source, not by the
+        # decomposition.  Its claim is asserted through the mutual relation.
         Claim(
             "wakamatsu-mutual-noncommuting", "Table-III", MUTUAL_NONCOMMUTING,
             "spin_wak", "oam_wak",

@@ -1,7 +1,7 @@
 """Structured verification reports and deterministic renderers.
 
-A report is byte-stable for a fixed (config, seed): records are sorted by
-check id and floats are rendered with fixed formats.  Per-check wall times
+A report is byte-stable for a fixed config: records are sorted by check
+id and floats are rendered with fixed formats.  Per-check wall times
 are kept on the records for interactive use but excluded from every rendered
 format to preserve byte stability.
 """

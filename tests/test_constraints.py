@@ -21,7 +21,7 @@ from photonam.fock import (
 )
 from photonam.fields import FieldLattice
 from photonam.modes import SphericalShell, build_cartesian_modeset, parse_modeset
-from photonam.sampling import SeededRng
+from photonam.suites import stated_source
 
 
 def _lattice(half_list, length=2 * math.pi, n=8):
@@ -295,7 +295,7 @@ def test_kernel_entries_match_dense_oracle():
     assert hidden == on_quotient == 0.0
     assert abs(mixed - touching) <= 1e-14 and mixed > 1e-3
     # a dense quotient state, read by fock.expectation, sees no difference
-    psi = basis[:, reps] @ _draw(SeededRng(5), reps.size)
+    psi = basis[:, reps] @ _draw(np.random.default_rng(5), reps.size)
     pairs = zip(spin, spin_obs)
     assert max(abs(expectation(fs, a, psi) - expectation(fs, b, psi)) for a, b in pairs) <= 1e-12
 
@@ -513,23 +513,23 @@ def test_xi_bilinear_is_metric_hermitian_and_identity_holds():
         assert abs(lhs - rhs) <= max(1e-10, 10 * res)
 
 
-def test_random_xi_tables_satisfy_reality():
-    rng = SeededRng(4)
+def test_random_xi_tables_satisfy_reality(xi_basis, seeded_xi):
     shell = SphericalShell(radius=1.0, l_max=2)
-    xi = cons.random_conjugate_symmetric_xi(shell, rng, 0.1)
-    assert cons.xi_conjugate_residual(shell, xi) <= 1e-15
-    # the tables feed the shell's prescribed-source bilinears only
-    ms = build_cartesian_modeset([(1.0, 2.0, 0.0)])
-    with pytest.raises(ChannelMismatch, match="shell labeling"):
-        cons.random_conjugate_symmetric_xi(ms, rng, 0.1)
+    basis = xi_basis(shell)
+    # as many real directions as labels, and linearly independent over R
+    assert len(basis) == len(shell)
+    assert np.linalg.matrix_rank(np.hstack([basis.real, basis.imag])) == len(shell)
+    xi = seeded_xi(shell, np.random.default_rng(4), 0.1)
+    for source in (*basis, xi, stated_source(shell)):
+        assert cons.xi_conjugate_residual(shell, source) <= 1e-15
 
 
-def test_xi_conjugate_residual_catches_broken_reality():
+def test_xi_conjugate_residual_catches_broken_reality(seeded_xi):
     # negating the m > 0 entries of a conjugate-symmetric shell xi breaks the
     # (l, -m) rule; on a grid, so does swapping the entries of two modes of
     # different pairs (swapping a mode's entry with its -k partner's keeps it)
     shell = SphericalShell(radius=1.0, l_max=2)
-    xi = cons.random_conjugate_symmetric_xi(shell, SeededRng(1), 0.1)
+    xi = seeded_xi(shell, np.random.default_rng(1), 0.1)
     flipped = np.where([m > 0 for _, m in shell.mode_labels()], -xi, xi)
     assert cons.xi_conjugate_residual(shell, flipped) > 1e-3
     ms, lattice = _lattice([(1.0, 0.0, 0.0), (0.0, 1.0, 1.0)])
@@ -552,6 +552,6 @@ def test_nan_residual_propagates_through_reductions():
     ms = build_cartesian_modeset([(0.0, 0.0, 1.0)])
     assert math.isnan(cons.xi_conjugate_residual(ms, np.array([0.1, np.nan])))
     shell = SphericalShell(radius=1.0, l_max=1)
-    xi = cons.random_conjugate_symmetric_xi(shell, SeededRng(2), 0.1)
+    xi = stated_source(shell)
     xi[shell.mode_labels().index((1, 1))] = complex(np.nan)
     assert math.isnan(cons.xi_conjugate_residual(shell, xi))

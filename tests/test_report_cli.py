@@ -149,6 +149,18 @@ def test_canonical_commutators_report_is_seed_free(tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_all_reports_differ_only_in_the_echoed_seed():
+    # no check reads the seed: rendered at seeds 0 and 3, every line but the
+    # echo is the same in each format, and csv carries no config
+    echo = {"text": ["config seed = {}"], "json": ['"seed": "{}",'], "csv": []}
+    reports = [run_suite(SuiteConfig(seed=seed)) for seed in (0, 3)]
+    for fmt, lines in echo.items():
+        first, second = (render_report(r, fmt).decode().splitlines() for r in reports)
+        assert len(first) == len(second)
+        moved = [(a.strip(), b.strip()) for a, b in zip(first, second) if a != b]
+        assert moved == [(line.format(0), line.format(3)) for line in lines], fmt
+
+
 def test_cli_unknown_suite_exit_2(capsys):
     assert main(["--suite", "nonexistent"]) == 2
     assert "error:" in capsys.readouterr().err

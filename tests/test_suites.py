@@ -27,8 +27,7 @@ from photonam.fock import (
 )
 from photonam.modes import SphericalShell, build_cartesian_modeset, spin_matrices
 from photonam.report import KIND_EQUALITY, KIND_VIOLATION, VerificationReport, render_report
-from photonam.sampling import SeededRng
-from photonam.suites import SUITES, SuiteConfig, run_suite
+from photonam.suites import SUITES, SuiteConfig, run_suite, stated_source
 
 KNOWN_ANCHORS = {
     "MCR1",
@@ -658,11 +657,14 @@ def test_oam_sector_block_capped_matches_block_plus_one(lam):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_decomposition_claims_block_capped_match_block_plus_one(seed):
+def test_decomposition_claims_block_capped_match_block_plus_one(seed, seeded_xi):
+    # seed 0 reads the stated source of the suite, the others seeded
+    # conjugate-symmetric sources of the same scale
     shell = SphericalShell(radius=1.0, l_max=1)
     new = suites._shell_space(shell, (0, 1, 2, 3), 1 << 20)
     old, read = _block_plus_one(new.channels, 1)
-    xi = cons.random_conjugate_symmetric_xi(shell, SeededRng(seed), 0.4)
+    rng = np.random.default_rng(seed)
+    xi = stated_source(shell) if seed == 0 else seeded_xi(shell, rng, 0.4)
     # the decompositions' claims, on the shell space; Stokes is on a grid
     claims = [c for c in ops.CLAIMS["decomposition-compare"] if c.anchor != "Stokes"]
 
@@ -732,6 +734,71 @@ def test_density_map_integral_catches_a_perturbed_map(monkeypatch):
     monkeypatch.setattr(flds, "spin_density_map", perturbed)
     rep = run_suite(SuiteConfig(suite="field-consistency"))
     assert "density-map-integral" in [r.check_id for r in rep.checks if not r.passed]
+
+
+def _check(rep, check_id):
+    (record,) = [r for r in rep.checks if r.check_id == check_id]
+    return record
+
+
+def _mutated_blocks(monkeypatch, name, factor):
+    """`fields.mode_blocks` with the blocks of the form `name` scaled."""
+    blocks = flds.mode_blocks
+    monkeypatch.setattr(
+        flds, "mode_blocks", lambda n, *args: blocks(n, *args) * (factor if n == name else 1.0)
+    )
+
+
+def test_field_identities_catch_a_negated_spin_form(monkeypatch):
+    # the 24 x 24 matrices of the spin identity, and the stated state's
+    # transverse spin, nonzero in every component
+    rep = run_suite(SuiteConfig(suite="field-consistency"))
+    assert _check(rep, "spin-mode-duality").passed and _check(rep, "density-map-integral").passed
+    _mutated_blocks(monkeypatch, "spin_obs", -1.0)
+    rep = run_suite(SuiteConfig(suite="field-consistency"))
+    for check_id, value in (("spin-mode-duality", 2.0), ("density-map-integral", 6.39)):
+        record = _check(rep, check_id)
+        assert not record.passed and record.residual == pytest.approx(value, abs=5e-3)
+
+
+def test_parseval_energy_catches_a_doubled_hamiltonian(monkeypatch):
+    # the largest omega of the field lattice is |(0, 1, 1)| = sqrt(2)
+    _mutated_blocks(monkeypatch, "hamiltonian", 2.0)
+    record = _check(run_suite(SuiteConfig(suite="field-consistency")), "parseval-energy")
+    assert not record.passed and record.residual == pytest.approx(math.sqrt(2.0))
+
+
+def test_xi_conjugate_symmetry_catches_a_wrong_shell_phase(monkeypatch):
+    # phase (-1)^m in place of (-1)^(l+m): xi(1, 0) = 0.4i then differs from
+    # its own conjugate rule by 0.8
+    partners = cons._reality_partners
+
+    def wrong_phase(ms):
+        partner, phase = partners(ms)
+        if isinstance(ms, SphericalShell):
+            phase = np.array([(-1.0) ** m for _, m in ms.mode_labels()])
+        return partner, phase
+
+    monkeypatch.setattr(cons, "_reality_partners", wrong_phase)
+    record = _check(run_suite(SuiteConfig(suite="gauge-hiding")), "xi-conjugate-symmetry")
+    assert not record.passed and record.residual == pytest.approx(0.8)
+
+
+def test_sigma_z_eigenvalues_catch_a_wrong_spinor_block(monkeypatch):
+    # kron(sigma_3, 1) has Sigma_z's spectrum but not its eigenvectors
+    sigma_z = np.kron(np.diag([1.0, -1.0]), np.eye(2))
+    monkeypatch.setattr(ops, "SIGMA", (*ops.SIGMA[:2], sigma_z))
+    record = _check(run_suite(SuiteConfig(suite="dirac")), "spinor-sigma-z-eigenvalues")
+    assert not record.passed and record.residual == 2.0
+
+
+@pytest.mark.parametrize("basis", range(4))
+def test_wakamatsu_claim_holds_for_each_basis_source(basis, xi_basis, monkeypatch):
+    # every real direction of the conjugate-symmetric sources at l_max 1
+    source = 0.4 * xi_basis(SphericalShell(radius=1.0, l_max=1))[basis]
+    monkeypatch.setattr(suites, "stated_source", lambda shell: source)
+    rep = run_suite(SuiteConfig(suite="decomposition-compare"))
+    assert _check(rep, "wakamatsu-mutual-noncommuting").passed
 
 
 def _xi_pathway_value(rep):

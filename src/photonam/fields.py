@@ -15,15 +15,16 @@ Field maps are batched over modes: each is a sum over the wave vectors of
 exp(i k.x) times a per-mode coefficient, so one (N^3 x K) phase matrix times
 one coefficient matrix gives them all.
 
-The mode side of a quadrature check is not a formula of its own:
-`form_value` evaluates a grid family of `operators.FORMS` on the
-amplitudes, sum_k alpha_k^dag G B_k alpha_k, the expectation of the lift
-that the suites check in the coherent state with these amplitudes.
+The mode side of a quadrature check is not a formula of its own: a grid
+family of `operators.FORMS` is a real quadratic form in the amplitudes,
+sum_k alpha_k^dag G B_k alpha_k, the expectation of the lift that the suites
+check in the coherent state with these amplitudes.  `form_gram` gives its
+matrix over a stack of states, from the per-mode blocks B_k of
+`operators.mode_blocks`, built on each call.
 
 Everything but the amplitudes belongs to the lattice, which the caller
 builds once and passes to every evaluation: the validation, omega, the
-frames, the phase matrix and the per-mode blocks B_k.  Nothing caches a
-lattice between callers.
+frames and the phase matrix.  Nothing caches a lattice between callers.
 """
 
 from __future__ import annotations
@@ -53,9 +54,8 @@ class FieldLattice:
     """The state-independent part of a field evaluation: the box length and
     grid size, the validated wave vectors ks (K, 3), their omega (K,) and
     spatial frame rows lam = 0..3 (K, 4, 3), and, built on first use, the
-    (N^3 x K) phase matrix exp(i x.k) and the per-mode blocks of each grid
-    family read.  All read-only.  DuplicateMode for a wave vector listed
-    twice (-0.0 and 0.0 compare equal)."""
+    (N^3 x K) phase matrix exp(i x.k).  All read-only.  DuplicateMode for a
+    wave vector listed twice (-0.0 and 0.0 compare equal)."""
 
     def __init__(self, box_length: float, grid_n: int, ks) -> None:
         # `not 0 < L < inf` also turns away NaN
@@ -65,7 +65,7 @@ class FieldLattice:
             raise ChannelMismatch("grid resolution must be an integer >= 1")
         ks, omega = wave_vectors(ks)
         # the fields would add the amplitudes of repeated rows, the quadratic
-        # mode sums of `form_value` would not
+        # mode sums of `form_gram` would not
         if len(set(map(tuple, ks.tolist()))) < len(ks):
             raise DuplicateMode("a field lattice lists each wave vector once")
         # an overflow to inf fails the lattice check
@@ -83,20 +83,6 @@ class FieldLattice:
         frames.setflags(write=False)
         self.box_length, self.grid_n = float(box_length), int(grid_n)
         self.ks, self.omega, self.frames = ks, omega, frames
-        self._blocks: dict = {}
-
-    def blocks(self, name: str, lams: tuple) -> np.ndarray:
-        """G B_k per component of the `operators.FORMS` grid family `name`,
-        zero outside the polarizations `lams`, each component flattened
-        over (k, lam, lam'): shape (components, 16 K)."""
-        key = (name, lams)
-        if key not in self._blocks:
-            keep = np.isin(np.arange(4), lams)
-            blocks = mode_blocks(name, self.omega, self.ks, self.frames)
-            blocks = ((_SIGNS * keep)[:, None] * keep * blocks).reshape(len(blocks), -1)
-            blocks.setflags(write=False)
-            self._blocks[key] = blocks
-        return self._blocks[key]
 
     @cached_property
     def phases(self) -> np.ndarray:
@@ -108,13 +94,15 @@ class FieldLattice:
         return phases
 
 
-def _amplitudes(lattice: FieldLattice, amps) -> np.ndarray:
-    """`amps` as a complex array; DimensionMismatch unless it is (K, 4)."""
+def _amplitudes(lattice: FieldLattice, amps, stacked: bool = False) -> np.ndarray:
+    """`amps` as a complex array; DimensionMismatch unless it is (K, 4), or
+    a stack (n, K, 4) of such states if `stacked`."""
     amps = np.asarray(amps, dtype=complex)
-    if amps.shape != (len(lattice.ks), 4):
+    modes = len(lattice.ks)
+    if amps.shape[int(stacked):] != (modes, 4):
         raise DimensionMismatch(
-            f"amplitudes of shape {amps.shape} on a lattice of {len(lattice.ks)} modes,"
-            f" expected ({len(lattice.ks)}, 4)"
+            f"amplitudes of shape {amps.shape} on a lattice of {modes} modes,"
+            f" expected {'a stack of ' if stacked else ''}({modes}, 4)"
         )
     return amps
 
@@ -200,23 +188,17 @@ def spatial_spin_integral(lattice: FieldLattice, maps: FieldMaps) -> np.ndarray:
     return np.sum(spin_density_map(maps), axis=0) * cell_volume(lattice)
 
 
-def form_value(lattice: FieldLattice, amps, name: str, lams: tuple = (0, 1, 2, 3)) -> np.ndarray:
-    """The `operators.FORMS` grid family `name` evaluated on the amplitudes
-    `amps` (K, 4) of the polarizations `lams`, per component:
-    sum_k alpha_k^dag G B_k alpha_k with B_k its per-mode block, the
-    expectation of its lift in the coherent state with these amplitudes."""
-    amps = _amplitudes(lattice, amps)
-    pairs = (amps.conj()[:, :, None] * amps[:, None, :]).ravel()
-    return np.real(lattice.blocks(name, lams) @ pairs)
-
-
-def mode_spin_formula(lattice: FieldLattice, amps) -> np.ndarray:
-    """Per-mode transverse spin: the `spin_obs` form on the amplitudes,
-    sum_k i (conj(a2) a1 - conj(a1) a2) eps3."""
-    return form_value(lattice, amps, "spin_obs")
-
-
-def transverse_energy(lattice: FieldLattice, amps) -> float:
-    """Mode-sum energy of the transverse amplitudes, sum omega |alpha|^2: the
-    `hamiltonian` form on them."""
-    return float(form_value(lattice, amps, "hamiltonian", (1, 2))[0])
+def form_gram(lattice: FieldLattice, states, name: str) -> np.ndarray:
+    """Per component of the `operators.FORMS` grid family `name`, the real
+    symmetric matrix Re(psi_i^dag G B psi_j) over `states` (n, K, 4), G B the
+    block-diagonal matrix of the per-mode blocks G B_k; on one state, the
+    expectation of the family's lift in the coherent state with its
+    amplitudes.  Shape (components, n, n)."""
+    states = _amplitudes(lattice, states, stacked=True)
+    modes = len(lattice.ks)
+    blocks = _SIGNS[:, None] * mode_blocks(name, lattice.omega, lattice.ks, lattice.frames)
+    full = np.zeros((len(blocks), modes, 4, modes, 4), dtype=complex)
+    for k in range(modes):
+        full[:, k, :, k] = blocks[:, k]
+    flat = states.reshape(len(states), 4 * modes)
+    return np.real(flat.conj() @ full.reshape(len(blocks), 4 * modes, 4 * modes) @ flat.T)

@@ -477,24 +477,6 @@ class OperatorMatrix:
         sums = _fold(labels, re, im, keys.size)
         return OperatorMatrix._from_keys(self.space, keys, sums)
 
-    def commutator(
-        self, other: "OperatorMatrix", minus: "OperatorMatrix | None" = None
-    ) -> "OperatorMatrix":
-        """self @ other - other @ self - minus (minus None: 0), in one
-        grouping of the terms of both products and the entries of minus;
-        each product is folded on its own (`_commutator_entries`)."""
-        self._check(other)
-        if minus is not None:
-            self._check(minus)
-        keys, out = _commutator_entries(
-            self.entries(),
-            other.entries(),
-            None if minus is None else minus.entries(),
-            (self._spans(other), other._spans(self)),
-            self.space.dim,
-        )
-        return OperatorMatrix._from_keys(self.space, keys, out)
-
     def _spans(self, other: "OperatorMatrix") -> tuple[np.ndarray, np.ndarray]:
         """Start and length of other's row j for each entry (i, j) of self;
         other's row pointers are built the first time it is a right factor."""
@@ -661,8 +643,20 @@ def expectation(fs: FockSpace, op: OperatorMatrix, psi: np.ndarray) -> complex:
 def commutator(
     a: OperatorMatrix, b: OperatorMatrix, c: OperatorMatrix | None = None
 ) -> OperatorMatrix:
-    """[a, b] - c, or [a, b] without c, in one pass (`OperatorMatrix.commutator`)."""
-    return a.commutator(b, c)
+    """a @ b - b @ a - c (c None: 0), in one grouping of the terms of both
+    products and the entries of c; each product is folded on its own
+    (`_commutator_entries`)."""
+    a._check(b)
+    if c is not None:
+        a._check(c)
+    keys, out = _commutator_entries(
+        a.entries(),
+        b.entries(),
+        None if c is None else c.entries(),
+        (a._spans(b), b._spans(a)),
+        a.space.dim,
+    )
+    return OperatorMatrix._from_keys(a.space, keys, out)
 
 
 def commutator_residuals(triples) -> np.ndarray:
@@ -673,8 +667,8 @@ def commutator_residuals(triples) -> np.ndarray:
     blocks of one block-diagonal commutator, block t's rows and columns
     offset by the dimensions of the blocks before it: one term expansion
     per product, one grouping and two folds (`_commutator_entries`, as in
-    `OperatorMatrix.commutator`), and each block's largest magnitude taken
-    with `np.maximum.reduceat` (NaN if any is NaN, 0.0 for no entries).
+    `commutator`), and each block's largest magnitude taken with
+    `np.maximum.reduceat` (NaN if any is NaN, 0.0 for no entries).
     """
     triples = list(triples)
     for a, b, c in triples:

@@ -35,8 +35,8 @@ by name; it refuses a factor the mode set cannot supply (an orbital
 generator on a grid, a wave vector or a frame on a shell) and a channel the
 space lacks with ChannelMismatch.  `lift_family(fs, name, ms)` is the one
 way to lift a family, and `mode_blocks` gives the per-mode blocks of a
-family whose factors are all diagonal, which `fields` evaluates on
-classical amplitudes.
+family whose factors are all diagonal, from which `fields.form_gram` builds
+the family's Gram over classical amplitudes.
 
 `CLAIMS` is the one statement of every algebra claim the suites check: per
 suite its claims (`Claim`), each one reported check under its literal ID,

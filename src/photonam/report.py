@@ -1,9 +1,9 @@
 """Structured verification reports and deterministic renderers.
 
 A report is byte-stable for a fixed config: records are sorted by check
-id and floats are rendered with fixed formats.  Per-check wall times
-are kept on the records for interactive use but excluded from every rendered
-format to preserve byte stability.
+id and floats are rendered with fixed formats.  Per-check wall times are
+kept on the records but excluded from every rendered format to preserve
+byte stability; they are 0.0 unless a caller sets them, and no suite does.
 """
 
 from __future__ import annotations

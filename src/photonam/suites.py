@@ -691,17 +691,10 @@ def _coordinate_states(modes: int) -> np.ndarray:
     return states.reshape(-1, modes, 4)
 
 
-def _form_gram(lattice: flds.FieldLattice, states: np.ndarray, name: str) -> np.ndarray:
-    """Per component, Re(psi_i^dag G B psi_j) over `states` (n, K, 4), G B the
-    block-diagonal matrix of the transverse per-mode blocks of the grid family
-    `name`: the real symmetric matrix of `fields.form_value` on their span."""
-    modes = len(lattice.ks)
-    blocks = lattice.blocks(name, (1, 2)).reshape(-1, modes, 4, 4)
-    full = np.zeros((len(blocks), modes, 4, modes, 4), dtype=complex)
-    for k in range(modes):
-        full[:, k, :, k] = blocks[:, k]
-    flat = states.reshape(len(states), -1)
-    return np.real(flat.conj() @ full.reshape(len(blocks), 4 * modes, -1) @ flat.T)
+def _coordinates(amps: np.ndarray) -> np.ndarray:
+    """The real coordinates of the transverse amplitudes of `amps` (K, 4) in
+    `_coordinate_states` order: Re and Im of alpha on (k, lam = 1, 2)."""
+    return np.stack([amps[:, 1:3].real, amps[:, 1:3].imag], axis=-1).ravel()
 
 
 def suite_fields(config: SuiteConfig) -> VerificationReport:
@@ -725,12 +718,12 @@ def suite_fields(config: SuiteConfig) -> VerificationReport:
     for i, j, k in EPS_PAIRS:
         spin[k] = products[i, j] - products[j, i]
     spin = 0.5 * volume * (spin + spin.transpose(0, 2, 1))
-    spin_modes = _form_gram(lattice, states, "spin_obs")
+    spin_modes = flds.form_gram(lattice, states, "spin_obs")
     rep.add("spin-mode-duality", "S-obs-form", max_abs(spin - spin_modes), FIELD_TOL)
     # per state, E and B over the grid as one vector
     stacked = np.concatenate([e, b]).transpose(1, 0, 2).reshape(len(states), -1)
     energy = 0.5 * volume * (stacked @ stacked.T)
-    (energy_modes,) = _form_gram(lattice, states, "hamiltonian")
+    (energy_modes,) = flds.form_gram(lattice, states, "hamiltonian")
     rep.add("parseval-energy", "E-planewave", max_abs(energy - energy_modes), FIELD_TOL)
 
     # a stated state of unit modulus, phase k lam on slot (k, lam): every slot
@@ -773,7 +766,9 @@ def suite_fields(config: SuiteConfig) -> VerificationReport:
 
     amps = stated * np.isin(np.arange(4), (1, 2))  # the transverse part
     total = flds.spatial_spin_integral(lattice, flds.eval_fields(lattice, amps))
-    residual = max_abs(total - flds.mode_spin_formula(lattice, amps))
+    # its mode side is the spin Gram read on its coordinates
+    coords = _coordinates(amps)
+    residual = max_abs(total - (spin_modes * (coords[:, None] * coords)).sum(axis=(1, 2)))
     rep.add("density-map-integral", "S-obs-form", residual, TIGHT_TOL)
     return rep.finalize()
 

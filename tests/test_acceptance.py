@@ -280,11 +280,13 @@ def test_criterion_9_field_consistency():
                 row[lam] = rng.normal() + 1j * rng.normal()
         maps = flds.eval_fields(lattice, amps)
         integral = flds.spatial_spin_integral(lattice, maps)
-        spin_worst = max(
-            spin_worst, float(np.max(np.abs(integral - flds.mode_spin_formula(lattice, amps))))
+        # the mode side: each grid family's Gram on the one state
+        spin, (energy_modes,) = (
+            flds.form_gram(lattice, amps[None], name)[:, 0, 0] for name in ("spin_obs", "hamiltonian")
         )
+        spin_worst = max(spin_worst, float(np.max(np.abs(integral - spin))))
         energy = 0.5 * (np.sum(maps.e ** 2) + np.sum(maps.b ** 2)) * flds.cell_volume(lattice)
-        parseval_worst = max(parseval_worst, abs(energy - flds.transverse_energy(lattice, amps)))
+        parseval_worst = max(parseval_worst, abs(energy - energy_modes))
     ok = spin_worst <= 1e-9 and parseval_worst <= 1e-9
     _line(9, ok, f"spin duality {spin_worst:.3e}, Parseval {parseval_worst:.3e}")
 

@@ -105,12 +105,12 @@ def test_commutator_kernel_matches_scipy(n, density):
     a, sa = random_pair(rng, n, density)
     b, sb = random_pair(rng, n, density)
     c, sc = random_pair(rng, n, density)
-    assert_same(a.commutator(b), sa @ sb - sb @ sa)
-    assert_same(a.commutator(b, c), sa @ sb - sb @ sa - sc)
-    assert_same(b.commutator(a, b), sb @ sa - sa @ sb - sb)
+    assert_same(commutator(a, b), sa @ sb - sb @ sa)
+    assert_same(commutator(a, b, c), sa @ sb - sb @ sa - sc)
+    assert_same(commutator(b, a, b), sb @ sa - sa @ sb - sb)
     # exact cancellation: [A, A] and [A, B] - [A, B] store nothing
-    assert a.commutator(a).nnz == (sa @ sa - sa @ sa).nnz == 0
-    assert a.commutator(b, a.commutator(b)).nnz == 0
+    assert commutator(a, a).nnz == (sa @ sa - sa @ sa).nnz == 0
+    assert commutator(a, b, commutator(a, b)).nnz == 0
 
 
 def test_commutator_folds_long_rows_in_scipy_order():
@@ -120,8 +120,8 @@ def test_commutator_folds_long_rows_in_scipy_order():
     b = OperatorMatrix.diagonal(space(40), scale) @ random_pair(rng, 40, 1.0)[0]
     sb = sparse.csr_matrix(b.to_dense())
     c, sc = random_pair(rng, 40, 0.5)
-    assert_same(a.commutator(b), sa @ sb - sb @ sa)
-    assert_same(a.commutator(b, c), sa @ sb - sb @ sa - sc)
+    assert_same(commutator(a, b), sa @ sb - sb @ sa)
+    assert_same(commutator(a, b, c), sa @ sb - sb @ sa - sc)
 
 
 def test_long_rows_fold_in_scipy_order():
@@ -154,11 +154,11 @@ def test_empty_and_zero_rows():
         assert_same(x + a, sx + sa)
         assert_same(x.conj_transpose(), sx.conj().T)
         np.testing.assert_array_equal(x @ np.ones(4), sx @ np.ones(4))
-        assert_same(x.commutator(a), sx @ sa - sa @ sx)
-        assert_same(a.commutator(x, x), sa @ sx - sx @ sa - sx)
-        assert_same(x.commutator(x, a), sx @ sx - sx @ sx - sa)
+        assert_same(commutator(x, a), sx @ sa - sa @ sx)
+        assert_same(commutator(a, x, x), sa @ sx - sx @ sa - sx)
+        assert_same(commutator(x, x, a), sx @ sx - sx @ sx - sa)
     assert empty.nnz == 0 and max_abs(empty) == 0.0
-    assert empty.commutator(empty, empty).nnz == 0
+    assert commutator(empty, empty, empty).nnz == 0
 
 
 def test_exact_cancellation_drops_entries_like_scipy():
@@ -244,9 +244,9 @@ def test_array_operands_are_refused():
     with pytest.raises(DimensionMismatch):
         a @ b
     with pytest.raises(DimensionMismatch):
-        a.commutator(b)
+        commutator(a, b)
     with pytest.raises(DimensionMismatch):
-        a.commutator(a, b)
+        commutator(a, a, b)
 
 
 entries = st.lists(
@@ -290,10 +290,10 @@ def test_commutator_kernel_matches_scipy_on_random_entries(left, right, third):
     a, sa = _pair_from(left)
     b, sb = _pair_from(right)
     c, sc = _pair_from(third)
-    assert_same(a.commutator(b), sa @ sb - sb @ sa)
-    assert_same(a.commutator(b, c), sa @ sb - sb @ sa - sc)
-    assert_same(a.commutator(b, a), sa @ sb - sb @ sa - sa)
-    assert a.commutator(b, a.commutator(b)).nnz == 0
+    assert_same(commutator(a, b), sa @ sb - sb @ sa)
+    assert_same(commutator(a, b, c), sa @ sb - sb @ sa - sc)
+    assert_same(commutator(a, b, a), sa @ sb - sb @ sa - sa)
+    assert commutator(a, b, commutator(a, b)).nnz == 0
 
 
 def _hex_residuals(triples):
@@ -309,7 +309,7 @@ def test_commutator_residuals_match_one_by_one(density):
     triples = []
     for n in (1, 5, 7, 9, 30, 5):
         a, b, c = (random_pair(rng, n, density)[0] for _ in range(3))
-        triples += [(a, b, c), (a, b, None), (b, a, a.commutator(b)), (a, a, None)]
+        triples += [(a, b, c), (a, b, None), (b, a, commutator(a, b)), (a, a, None)]
     got, want = _hex_residuals(triples)
     assert got == want
     assert np.all(commutator_residuals(triples)[3::4] == 0.0)
@@ -319,7 +319,7 @@ def test_commutator_residuals_match_one_by_one(density):
 @given(entries, entries, entries)
 def test_commutator_residuals_match_one_by_one_on_random_entries(left, right, third):
     a, b, c = (_pair_from(items)[0] for items in (left, right, third))
-    triples = [(a, b, c), (b, c, None), (c, a, a), (a, b, a.commutator(b))]
+    triples = [(a, b, c), (b, c, None), (c, a, a), (a, b, commutator(a, b))]
     got, want = _hex_residuals(triples)
     assert got == want
 

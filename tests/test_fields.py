@@ -12,7 +12,8 @@ from photonam.errors import (
     OffLatticeMode,
     ZeroWaveVector,
 )
-from photonam.modes import polarization_frame
+from photonam.modes import channel_sign, polarization_frame
+from photonam.operators import mode_blocks
 
 LENGTH = 2.0 * math.pi
 K1 = (0.0, 0.0, 1.0)
@@ -35,6 +36,12 @@ def state(rows, ks=(K1,), grid_n=9, length=LENGTH):
 def transverse_part_fields(lat, amps):
     """The maps of the transverse part of `amps`: lam = 0, 3 zeroed."""
     return flds.eval_fields(lat, amps * [0, 1, 1, 0])
+
+
+def form_on(lat, amps, name):
+    """The grid family `name` on the one state `amps` (K, 4), per component:
+    the single entry of its `form_gram`."""
+    return flds.form_gram(lat, np.asarray(amps)[None], name)[:, 0, 0]
 
 
 def random_amps(rng, n_modes, lams):
@@ -62,11 +69,11 @@ def test_state_validation():
 def test_amplitudes_not_k_by_4_are_refused(shape):
     lat = lattice([K1])
     amps = np.zeros(shape, dtype=complex)
-    for evaluate in (flds.eval_fields, flds.mode_spin_formula, flds.transverse_energy):
-        with pytest.raises(DimensionMismatch, match=r"expected \(1, 4\)"):
-            evaluate(lat, amps)
-    with pytest.raises(DimensionMismatch):
-        flds.form_value(lat, amps, "spin_total")
+    with pytest.raises(DimensionMismatch, match=r"expected \(1, 4\)"):
+        flds.eval_fields(lat, amps)
+    for name in ("spin_obs", "hamiltonian", "spin_total"):
+        with pytest.raises(DimensionMismatch, match=r"expected a stack of \(1, 4\)"):
+            form_on(lat, amps, name)
 
 
 def test_zero_state_gives_zero_fields():
@@ -138,7 +145,7 @@ def test_spin_integral_circular_pair_closed_form():
     for sign, expected in ((1.0, 2.0), (-1.0, -2.0)):
         lat, amps = state([(0, 1, 1.0), (0, 2, sign * 1.0j)])
         integral = flds.spatial_spin_integral(lat, transverse_part_fields(lat, amps))
-        formula = flds.mode_spin_formula(lat, amps)
+        formula = form_on(lat, amps, "spin_obs")
         np.testing.assert_allclose(integral, formula, atol=1e-12)
         np.testing.assert_allclose(integral, [0.0, 0.0, expected], atol=1e-12)
 
@@ -154,7 +161,7 @@ def test_spin_duality_random_states():
     for _ in range(20):
         amps = random_amps(rng, 6, (1, 2))
         integral = flds.spatial_spin_integral(lat, transverse_part_fields(lat, amps))
-        formula = flds.mode_spin_formula(lat, amps)
+        formula = form_on(lat, amps, "spin_obs")
         assert np.max(np.abs(integral - formula)) <= 1e-9
 
 
@@ -164,7 +171,7 @@ def test_parseval_energy_transverse():
     amps = random_amps(rng, 2, (1, 2))
     maps = flds.eval_fields(lat, amps)
     grid_energy = 0.5 * (np.sum(maps.e ** 2) + np.sum(maps.b ** 2)) * flds.cell_volume(lat)
-    assert abs(grid_energy - flds.transverse_energy(lat, amps)) <= 1e-9
+    assert abs(grid_energy - form_on(lat, amps * [0, 1, 1, 0], "hamiltonian")[0]) <= 1e-9
 
 
 def test_density_map_uniform_for_single_circular_wave():
@@ -194,7 +201,7 @@ def test_density_map_counterpropagating_varies_but_integrates():
     spread = np.max(np.abs(density - density.mean(axis=0)))
     assert spread > 1e-3
     total = np.sum(density, axis=0) * flds.cell_volume(lat)
-    np.testing.assert_allclose(total, flds.mode_spin_formula(lat, amps), atol=1e-12)
+    np.testing.assert_allclose(total, form_on(lat, amps, "spin_obs"), atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -284,8 +291,8 @@ def test_eval_fields_of_empty_state():
                        (maps.pi, (m, 3)), (maps.a0, (m,)), (maps.pi0, (m,))):
         assert arr.shape == shape
         assert not np.any(arr)
-    assert flds.mode_spin_formula(lat, amps).tolist() == [0.0, 0.0, 0.0]
-    assert flds.transverse_energy(lat, amps) == 0.0
+    assert form_on(lat, amps, "spin_obs").tolist() == [0.0, 0.0, 0.0]
+    assert form_on(lat, amps * [0, 1, 1, 0], "hamiltonian").tolist() == [0.0]
 
 
 # The paper's S_M = (1/c) int pi x A over all four polarizations, against the
@@ -305,13 +312,40 @@ def test_canonical_spin_integral_is_the_spin_form(lattice, seed):
     lat = flds.FieldLattice(LENGTH, 7, lattice)
     amps = random_amps(rng, len(lattice), range(4))
     maps = flds.eval_fields(lat, amps)
-    form = flds.form_value(lat, amps, "spin_total")
+    form = form_on(lat, amps, "spin_total")
     # on the closed lattice the alpha(k) alpha(-k) terms of the integral cancel
     integral = np.sum(np.cross(maps.pi, maps.a), axis=0) * flds.cell_volume(lat)
     assert np.max(np.abs(integral - form)) <= 1e-12
     # E carries alpha_3 - alpha_0 where pi carries alpha_3
     with_e = np.sum(np.cross(maps.e, maps.a), axis=0) * flds.cell_volume(lat)
     assert np.max(np.abs(with_e - form)) > 0.1
+
+
+@pytest.mark.parametrize("name", ["spin_total", "spin_obs", "hamiltonian"])
+@pytest.mark.parametrize("lattice", [FOUR_MODES, EIGHT_CLOSED], ids=["4-modes", "8-closed"])
+def test_form_gram_is_the_per_mode_sum(lattice, name):
+    # Re(psi_i^dag G B_k psi_j) summed mode by mode, on states over all four
+    # polarizations
+    lat = flds.FieldLattice(LENGTH, 7, lattice)
+    rng = np.random.default_rng(7)
+    states = np.array([random_amps(rng, len(lattice), range(4)) for _ in range(3)])
+    signs = np.array([channel_sign(lam) for lam in range(4)])
+    blocks = signs[:, None] * mode_blocks(name, lat.omega, lat.ks, lat.frames)
+    want = np.zeros((len(blocks), 3, 3))
+    for c, i, j in np.ndindex(*want.shape):
+        for k in range(len(lattice)):
+            want[c, i, j] += np.real(states[i, k].conj() @ blocks[c, k] @ states[j, k])
+    gram = flds.form_gram(lat, states, name)
+    assert gram.shape == want.shape
+    assert np.max(np.abs(gram - want)) <= 1e-13
+    assert np.max(np.abs(gram - gram.transpose(0, 2, 1))) <= 1e-13
+
+
+@pytest.mark.parametrize("shape", [(2, 4), (3, 2, 3), (1, 2, 4, 1)])
+def test_form_gram_refuses_states_not_n_by_k_by_4(shape):
+    lat = lattice(on_box([(0, 0, 1), (1, 0, 0)]))
+    with pytest.raises(DimensionMismatch, match=r"expected a stack of \(2, 4\)"):
+        flds.form_gram(lat, np.zeros(shape, dtype=complex), "spin_obs")
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,47 @@ def test_dead_private_name_is_caught():
     ]
 
 
+def unread_public_names(sources: dict[str, str]) -> list[str]:
+    """Each public top-level function or class of the modules that none of
+    them reads."""
+    read = set().union(*map(names_read, sources.values()))
+    return [
+        f"{module}: {node.name} (line {node.lineno})"
+        for module, source in sorted(sources.items())
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in read
+    ]
+
+
+def test_no_unread_public_name():
+    # as for private names, a function only a test calls is dead code
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unread_public_names(sources) == []
+
+
+def test_unread_public_name_is_caught():
+    sources = {
+        "a.py": (
+            "LIMIT = 3\n"
+            "def used(x):\n"
+            "    return x + LIMIT\n"
+            "def dead():\n"
+            "    return used(1)\n"
+            "class Box:\n"
+            "    def method(self):\n"
+            "        return None\n"
+            "class Stale:\n"
+            "    pass\n"
+            "def _private():\n"
+            "    return None\n"
+        ),
+        "b.py": "from .a import Box\n",
+    }
+    assert unread_public_names(sources) == ["a.py: dead (line 4)", "a.py: Stale (line 9)"]
+
+
 def test_unused_import_is_caught():
     source = (
         "from __future__ import annotations\n"

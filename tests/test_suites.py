@@ -384,6 +384,29 @@ STATE_MUTATIONS = [
 ]
 
 
+# Per mutation of `suites._coordinates`, the map from the transverse
+# amplitudes t = amps[:, 1:3] to the real coordinates of the coordinate
+# states: the density-map-integral residual it reads at the default config.
+COORDINATE_MUTATIONS = [
+    pytest.param(lambda t: np.stack([t.imag, t.real], axis=-1).ravel(), 6.393, id="re-im-swapped"),
+    pytest.param(
+        lambda t: np.stack([t[:, ::-1].real, t[:, ::-1].imag], axis=-1).ravel(),
+        6.393,
+        id="lam-swapped",
+    ),
+    pytest.param(lambda t: np.stack([t.real, t.imag]).ravel(), 5.363, id="slot-major"),
+]
+
+
+@pytest.mark.parametrize("coordinates, residual", COORDINATE_MUTATIONS)
+def test_density_map_integral_fails_under_a_mutated_coordinate_map(
+    monkeypatch, coordinates, residual
+):
+    monkeypatch.setattr(suites, "_coordinates", lambda amps: coordinates(amps[:, 1:3]))
+    record = _check(run_suite(SuiteConfig(suite="field-consistency")), "density-map-integral")
+    assert not record.passed and record.residual == pytest.approx(residual, abs=5e-4)
+
+
 @pytest.mark.parametrize("name, mutated, expected", STATE_MUTATIONS)
 def test_state_check_fails_under_a_mutated_form(monkeypatch, name, mutated, expected):
     monkeypatch.setitem(ops.FORMS, name, mutated())
@@ -722,8 +745,8 @@ def test_lift_homomorphism_fails_without_the_metric(monkeypatch):
 
 
 def test_density_map_integral_catches_a_perturbed_map(monkeypatch):
-    # the map's sum is checked against the per-mode formula, which does not
-    # read the map
+    # the map's sum is checked against the spin Gram on the state's
+    # coordinates, which does not read the map
     density_map = flds.spin_density_map
 
     def perturbed(maps):

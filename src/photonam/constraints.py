@@ -62,7 +62,7 @@ def xi0_from_charge(lattice: FieldLattice, rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=float)
     if rho.shape != (lattice.grid_n ** 3,):
         raise DimensionMismatch(f"charge samples {rho.shape}, expected ({lattice.grid_n ** 3},)")
-    weight = _xi_prefactor(lattice.omega) * cell_volume(lattice)
+    weight = _xi_prefactor(lattice.grid.omega) * cell_volume(lattice)
     return weight * (rho @ lattice.phases.conj())
 
 

@@ -1,9 +1,10 @@
 """Classical-amplitude field evaluation on periodic boxes.
 
 A FieldLattice is a cubic box of side L, a sampling grid of N points per
-axis and K distinct wave vectors; wave vectors must sit on the reciprocal
-lattice 2 pi n / L and the grid must satisfy N >= 2 max|n| + 1 so that
-Riemann sums of quadratic field products are exact trigonometric quadratures.
+axis and a `modes.CartesianGrid` of K wave vectors, closed under negation;
+wave vectors must sit on the reciprocal lattice 2 pi n / L and the grid must
+satisfy N >= 2 max|n| + 1 so that Riemann sums of quadratic field products
+are exact trigonometric quadratures.
 A classical state on it is a (K, 4) complex array: row i holds the
 amplitudes alpha(k_i, lam), lam = 0..3.
 
@@ -19,12 +20,13 @@ The mode side of a quadrature check is not a formula of its own: a grid
 family of `operators.FORMS` is a real quadratic form in the amplitudes,
 sum_k alpha_k^dag G B_k alpha_k, the expectation of the lift that the suites
 check in the coherent state with these amplitudes.  `form_gram` gives its
-matrix over a stack of states, from the per-mode blocks B_k of
-`operators.mode_blocks`, built on each call.
+matrix over a stack of states from the family's channel matrices,
+`operators.family_matrices` on the lattice's grid: the very matrices that
+`operators.lift_family` lifts.
 
 Everything but the amplitudes belongs to the lattice, which the caller
-builds once and passes to every evaluation: the validation, omega, the
-frames and the phase matrix.  Nothing caches a lattice between callers.
+builds once and passes to every evaluation: the validation, the grid and
+the phase matrix.  Nothing caches a lattice between callers.
 """
 
 from __future__ import annotations
@@ -35,27 +37,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    BandLimitViolation,
-    ChannelMismatch,
-    DimensionMismatch,
-    DuplicateMode,
-    OffLatticeMode,
-)
-from .modes import channel_sign, cross, polarization_frame, wave_vectors
-from .operators import mode_blocks
+from .errors import BandLimitViolation, ChannelMismatch, DimensionMismatch, OffLatticeMode
+from .modes import CartesianGrid, channel_sign, cross
+from .operators import family_matrices
 
 _LATTICE_TOL = 1e-9
-# G, the channel signs of lam = 0..3
-_SIGNS = np.array([float(channel_sign(lam)) for lam in range(4)])
 
 
 class FieldLattice:
     """The state-independent part of a field evaluation: the box length and
-    grid size, the validated wave vectors ks (K, 3), their omega (K,) and
-    spatial frame rows lam = 0..3 (K, 4, 3), and, built on first use, the
-    (N^3 x K) phase matrix exp(i x.k).  All read-only.  DuplicateMode for a
-    wave vector listed twice (-0.0 and 0.0 compare equal)."""
+    grid size, the `CartesianGrid` of the wave vectors (`grid`, which refuses
+    a list not closed under negation or with a repeat), and, built on first
+    use, the (N^3 x K) phase matrix exp(i x.k).  All read-only."""
 
     def __init__(self, box_length: float, grid_n: int, ks) -> None:
         # `not 0 < L < inf` also turns away NaN
@@ -63,33 +56,26 @@ class FieldLattice:
             raise ChannelMismatch("box length must be positive and finite")
         if not isinstance(grid_n, (int, np.integer)) or grid_n < 1:
             raise ChannelMismatch("grid resolution must be an integer >= 1")
-        ks, omega = wave_vectors(ks)
-        # the fields would add the amplitudes of repeated rows, the quadratic
-        # mode sums of `form_gram` would not
-        if len(set(map(tuple, ks.tolist()))) < len(ks):
-            raise DuplicateMode("a field lattice lists each wave vector once")
+        grid = CartesianGrid(ks)
         # an overflow to inf fails the lattice check
         with np.errstate(over="ignore", invalid="ignore"):
-            lattice = ks * box_length / (2.0 * math.pi)
+            lattice = grid.ks * box_length / (2.0 * math.pi)
             rounded = np.round(lattice)
             off = ~np.all(np.abs(lattice - rounded) <= _LATTICE_TOL, axis=1)
         if off.any():
-            mode = tuple(ks[int(np.argmax(off))].tolist())
+            mode = tuple(grid.ks[int(np.argmax(off))].tolist())
             raise OffLatticeMode(f"mode {mode} off the box lattice")
-        max_index = int(np.max(np.abs(rounded), initial=0.0))
+        max_index = int(np.max(np.abs(rounded)))
         if grid_n < 2 * max_index + 1:
             raise BandLimitViolation(f"grid N = {grid_n} below band limit {2 * max_index + 1}")
-        frames = np.array([polarization_frame(k)[:, 1:] for k in ks]).reshape(-1, 4, 3)
-        frames.setflags(write=False)
-        self.box_length, self.grid_n = float(box_length), int(grid_n)
-        self.ks, self.omega, self.frames = ks, omega, frames
+        self.box_length, self.grid_n, self.grid = float(box_length), int(grid_n), grid
 
     @cached_property
     def phases(self) -> np.ndarray:
         axis = -self.box_length / 2.0 + np.arange(self.grid_n) * (self.box_length / self.grid_n)
         xs, ys, zs = np.meshgrid(axis, axis, axis, indexing="ij")
         positions = np.stack([xs.ravel(), ys.ravel(), zs.ravel()], axis=1)
-        phases = np.exp(1j * (positions @ self.ks.T))
+        phases = np.exp(1j * (positions @ self.grid.ks.T))
         phases.setflags(write=False)
         return phases
 
@@ -98,7 +84,7 @@ def _amplitudes(lattice: FieldLattice, amps, stacked: bool = False) -> np.ndarra
     """`amps` as a complex array; DimensionMismatch unless it is (K, 4), or
     a stack (n, K, 4) of such states if `stacked`."""
     amps = np.asarray(amps, dtype=complex)
-    modes = len(lattice.ks)
+    modes = len(lattice.grid)
     if amps.shape[int(stacked):] != (modes, 4):
         raise DimensionMismatch(
             f"amplitudes of shape {amps.shape} on a lattice of {modes} modes,"
@@ -128,7 +114,7 @@ def eval_fields(lattice: FieldLattice, amps) -> FieldMaps:
     `amps` (K, 4) on the grid, each as 2 Re or -2 Im of columns of the
     lattice's phase matrix times the state's coefficients."""
     amps = _amplitudes(lattice, amps)
-    omega, frames = lattice.omega, lattice.frames
+    omega, frames = lattice.grid.omega, lattice.grid.frames[:, :, 1:]
     volume = lattice.box_length ** 3
     low = 1.0 / np.sqrt(2.0 * omega[:, None] * volume)
     high = np.sqrt(omega[:, None] / (2.0 * volume))
@@ -190,15 +176,14 @@ def spatial_spin_integral(lattice: FieldLattice, maps: FieldMaps) -> np.ndarray:
 
 def form_gram(lattice: FieldLattice, states, name: str) -> np.ndarray:
     """Per component of the `operators.FORMS` grid family `name`, the real
-    symmetric matrix Re(psi_i^dag G B psi_j) over `states` (n, K, 4), G B the
-    block-diagonal matrix of the per-mode blocks G B_k; on one state, the
+    symmetric matrix Re(psi_i^dag G F psi_j) over `states` (n, K, 4), F the
+    family's matrix from `family_matrices` on the channels (k, lam = 0..3)
+    of the lattice's grid and G their channel signs; on one state, the
     expectation of the family's lift in the coherent state with its
     amplitudes.  Shape (components, n, n)."""
     states = _amplitudes(lattice, states, stacked=True)
-    modes = len(lattice.ks)
-    blocks = _SIGNS[:, None] * mode_blocks(name, lattice.omega, lattice.ks, lattice.frames)
-    full = np.zeros((len(blocks), modes, 4, modes, 4), dtype=complex)
-    for k in range(modes):
-        full[:, k, :, k] = blocks[:, k]
-    flat = states.reshape(len(states), 4 * modes)
-    return np.real(flat.conj() @ full.reshape(len(blocks), 4 * modes, 4 * modes) @ flat.T)
+    channels = [(k, lam) for k in lattice.grid.mode_labels() for lam in range(4)]
+    signs = np.array([float(channel_sign(lam)) for _, lam in channels])
+    matrices = signs[:, None] * family_matrices(channels, name, lattice.grid)
+    flat = states.reshape(len(states), len(channels))
+    return np.real(flat.conj() @ matrices @ flat.T)

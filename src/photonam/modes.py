@@ -44,6 +44,7 @@ from .errors import (
     DimensionCapExceeded,
     DimensionMismatch,
     DuplicateMode,
+    InvalidConfig,
     NegativeLmax,
     ZeroWaveVector,
 )
@@ -276,19 +277,13 @@ def orbital_matrices(l_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return lx, ly, lz
 
 
-def parse_modeset(text: str) -> ModeSet:
-    """Mode set from flat text: one `kx ky kz` line per grid mode, or
-    `shell |k| lmax`.
-
-    Grid input lists every mode (both k and -k); `CartesianGrid` pairs them.
-    """
+def parse_modeset(text: str) -> CartesianGrid:
+    """Grid from flat text: one `kx ky kz` line per mode, listing every mode
+    (both k and -k); `CartesianGrid` pairs them.  InvalidConfig for text
+    led by `shell`: a shell is not given as a grid."""
     rows = [ln.split() for ln in text.strip().splitlines() if ln.split()]
     if not rows:
         raise DuplicateMode("empty mode-set text")
     if rows[0][0] == "shell":
-        try:
-            ((_, radius, l_max),) = rows
-            return SphericalShell(radius=float(radius), l_max=int(l_max))
-        except ValueError:
-            raise DuplicateMode("shell line must be `shell |k| lmax`") from None
+        raise InvalidConfig("a grid lists wave vectors; give a shell with --shell")
     return CartesianGrid(rows)

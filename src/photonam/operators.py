@@ -32,11 +32,11 @@ component eps_lam[c].  The table holds the grid families, the shell
 families (orbital, fixed-frame spin and the rival decompositions) and the
 Dirac families of Table I.  One builder, `family_matrices`, reads a family
 by name; it refuses a factor the mode set cannot supply (an orbital
-generator on a grid, a wave vector or a frame on a shell) and a channel the
-space lacks with ChannelMismatch.  `lift_family(fs, name, ms)` is the one
-way to lift a family, and `mode_blocks` gives the per-mode blocks of a
-family whose factors are all diagonal, from which `fields.form_gram` builds
-the family's Gram over classical amplitudes.
+generator on a grid, a wave vector or a frame on a shell, any per-mode
+weight without a mode set) and a channel the space lacks with
+ChannelMismatch.  `lift_family(fs, name, ms)` is the one
+way to lift a family, and `fields.form_gram` contracts the same matrices
+with classical amplitudes.
 
 `CLAIMS` is the one statement of every algebra claim the suites check: per
 suite its claims (`Claim`), each one reported check under its literal ID,
@@ -106,25 +106,6 @@ for _mat in (BETA, *ALPHA, *SIGMA):
 _GEN, _ONE, _OMEGA, _K, _EPS = "generator", "identity", "omega", "k", "eps"
 
 
-def _mode_arrays(ms: ModeSet):
-    """Per mode label: omega (K,), and on a grid the wave vectors (K, 3) and
-    spatial frame rows lam = 0..3 (K, 4, 3), the layout of `fields`."""
-    if isinstance(ms, SphericalShell):
-        return np.full(len(ms), ms.radius), None, None
-    return ms.omega, ms.ks, ms.frames[:, :, 1:]
-
-
-def _mode_weight(key, comp: int, omega, ks, frames) -> np.ndarray:
-    """Per-mode weight of a diagonal label factor, from `_mode_arrays`."""
-    if key == _ONE:
-        return np.ones_like(omega)
-    if key == _OMEGA:
-        return omega
-    if ks is None:
-        raise ChannelMismatch(f"{key} weights need a Cartesian grid mode set")
-    return ks[:, comp] if key == _K else frames[:, key[1], comp]
-
-
 def _label_factors(key, ms: ModeSet | None, n_labels: int, n_comp: int):
     """The label factor of a term per component, as (labels x labels) matrices."""
     if key == _ONE:
@@ -133,8 +114,18 @@ def _label_factors(key, ms: ModeSet | None, n_labels: int, n_comp: int):
         if not isinstance(ms, SphericalShell):
             raise ChannelMismatch("orbital operators need a spherical shell mode set")
         return orbital_matrices(ms.l_max)
-    arrays = _mode_arrays(ms)
-    return tuple(np.diag(_mode_weight(key, comp, *arrays)) for comp in range(n_comp))
+    if ms is None:
+        raise ChannelMismatch(f"{key} weights need a mode set")
+    if isinstance(ms, SphericalShell):
+        if key != _OMEGA:
+            raise ChannelMismatch(f"{key} weights need a Cartesian grid mode set")
+        # every label of a shell has omega = |k|, its radius
+        return (np.diag(np.full(n_labels, ms.radius)),) * n_comp
+    if key == _OMEGA:
+        return (np.diag(ms.omega),) * n_comp
+    if key == _K:
+        return tuple(np.diag(ms.ks[:, c]) for c in range(n_comp))
+    return tuple(np.diag(ms.frames[:, key[1], 1 + c]) for c in range(n_comp))
 
 
 def family_matrices(channels, name: str, ms: ModeSet | None = None) -> np.ndarray:
@@ -148,9 +139,10 @@ def family_matrices(channels, name: str, ms: ModeSet | None = None) -> np.ndarra
     distinct), every product formed as `fock._products` does.  The labels
     are the mode set's, or without one those of the channels, where only
     identity factors occur.  ChannelMismatch if a factor needs a mode set of
-    another kind or a needed channel is absent (the first one in term,
-    component and row-major entry order), and DimensionCapExceeded before
-    allocating one of over DEFAULT_DIM_CAP entries.
+    another kind, or one where none is given, or a needed channel is absent
+    (the first one in term, component and row-major entry order), and
+    DimensionCapExceeded before allocating one of over DEFAULT_DIM_CAP
+    entries.
     """
     terms = FORMS[name]
     n_ch = len(channels)
@@ -193,21 +185,6 @@ def lift_family(fs: FockSpace, name: str, ms: ModeSet | None = None) -> tuple[Op
     raises ChannelMismatch; one the family does not touch lifts as zero.
     The components are lifted as one stack (`fock.lift_forms`)."""
     return lift_forms(fs, family_matrices(fs.channels, name, ms))
-
-
-def mode_blocks(name: str, omega, ks, frames) -> np.ndarray:
-    """Per-mode blocks (components, K, 4, 4) of the family `FORMS[name]`,
-    whose label factors are all diagonal: B_k is the sum over terms of the
-    term's weight at mode
-    k times its matrix over lam = 0..3, so the family's channel matrix is
-    block-diagonal with blocks B_k on the (k, lam) channels.  `omega`, `ks`
-    and `frames` are per-mode arrays laid out as `_mode_arrays` gives them."""
-    terms = FORMS[name]
-    return np.array([
-        sum(_mode_weight(key, comp, omega, ks, frames)[:, None, None] * lams[comp]
-            for key, lams in terms)
-        for comp in range(len(terms[0][1]))
-    ])
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ def _per_mode_fourier_loop(lattice, rho):
     xs, ys, zs = np.meshgrid(axis, axis, axis, indexing="ij")
     xyz = np.stack([xs.ravel(), ys.ravel(), zs.ravel()], axis=1)
     out = []
-    for k, omega in zip(lattice.ks, lattice.omega):
+    for k, omega in zip(lattice.grid.ks, lattice.grid.omega):
         prefactor = 1.0 / (omega ** 1.5 * math.sqrt(2.0 * (2.0 * math.pi) ** 3))
         phase = np.exp(-1j * (xyz @ k))
         out.append(prefactor * (length / n) ** 3 * complex(np.sum(rho * phase)))

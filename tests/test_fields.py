@@ -12,22 +12,36 @@ from photonam.errors import (
     OffLatticeMode,
     ZeroWaveVector,
 )
-from photonam.modes import channel_sign, polarization_frame
-from photonam.operators import mode_blocks
+from photonam.modes import CartesianGrid, channel_sign, polarization_frame
+from photonam.operators import FORMS
 
 LENGTH = 2.0 * math.pi
 K1 = (0.0, 0.0, 1.0)
 
 
+def closed(ks):
+    """`ks` followed by the negations it lacks: a list closed under negation."""
+    ks = [tuple(k) for k in ks]
+    return ks + [neg for neg in (tuple(-c for c in k) for k in ks) if neg not in ks]
+
+
+def padded(amps, modes):
+    """`amps` (K, 4) with zero rows appended up to `modes` rows: the partners
+    that `closed` appends carry no amplitude."""
+    return np.vstack([amps, np.zeros((modes - len(amps), 4), dtype=complex)])
+
+
 def lattice(ks, grid_n=9, length=LENGTH):
-    return flds.FieldLattice(length, grid_n, ks)
+    """The field lattice on `closed(ks)`."""
+    return flds.FieldLattice(length, grid_n, closed(ks))
 
 
 def state(rows, ks=(K1,), grid_n=9, length=LENGTH):
-    """A lattice on `ks` and the (K, 4) array of the (mode index, lam, alpha)
-    rows; the other amplitudes are zero."""
+    """A lattice on `closed(ks)` and the (K, 4) array of the (mode index,
+    lam, alpha) rows; the other amplitudes, the partners' among them, are
+    zero."""
     lat = lattice(ks, grid_n, length)
-    amps = np.zeros((len(ks), 4), dtype=complex)
+    amps = np.zeros((len(lat.grid), 4), dtype=complex)
     for i, lam, alpha in rows:
         amps[i, lam] = alpha
     return lat, amps
@@ -65,14 +79,14 @@ def test_state_validation():
         lattice([(0.0, 0.0, 3.0)], grid_n=5)
 
 
-@pytest.mark.parametrize("shape", [(1, 3), (2, 4), (4,), (1, 4, 1)])
+@pytest.mark.parametrize("shape", [(2, 3), (1, 4), (4,), (2, 4, 1)])
 def test_amplitudes_not_k_by_4_are_refused(shape):
-    lat = lattice([K1])
+    lat = lattice([K1])  # K1 and -K1
     amps = np.zeros(shape, dtype=complex)
-    with pytest.raises(DimensionMismatch, match=r"expected \(1, 4\)"):
+    with pytest.raises(DimensionMismatch, match=r"expected \(2, 4\)"):
         flds.eval_fields(lat, amps)
     for name in ("spin_obs", "hamiltonian", "spin_total"):
-        with pytest.raises(DimensionMismatch, match=r"expected a stack of \(1, 4\)"):
+        with pytest.raises(DimensionMismatch, match=r"expected a stack of \(2, 4\)"):
             form_on(lat, amps, name)
 
 
@@ -120,7 +134,7 @@ def test_transverse_split_state_level():
 def test_transverse_split_grid_level():
     rng = np.random.default_rng(12)
     lat = lattice(on_box([(0, 0, 1), (1, 0, 0), (0, 1, 1)]))
-    amps = random_amps(rng, 3, (1, 2, 3))
+    amps = padded(random_amps(rng, 3, (1, 2, 3)), len(lat.grid))
     n = lat.grid_n
     field = flds.eval_fields(lat, amps).a.reshape(n, n, n, 3)
     trans, longi = flds.transverse_split(field)
@@ -168,7 +182,7 @@ def test_spin_duality_random_states():
 def test_parseval_energy_transverse():
     rng = np.random.default_rng(22)
     lat = lattice(on_box([(0, 0, 1), (1, 1, 0)]))
-    amps = random_amps(rng, 2, (1, 2))
+    amps = padded(random_amps(rng, 2, (1, 2)), len(lat.grid))
     maps = flds.eval_fields(lat, amps)
     grid_energy = 0.5 * (np.sum(maps.e ** 2) + np.sum(maps.b ** 2)) * flds.cell_volume(lat)
     assert abs(grid_energy - form_on(lat, amps * [0, 1, 1, 0], "hamiltonian")[0]) <= 1e-9
@@ -225,10 +239,28 @@ def test_state_rejects_bad_wave_vectors():
     # k L / 2 pi overflows to inf: off the lattice, not an OverflowError
     with pytest.raises(OffLatticeMode):
         lattice([(0.0, 0.0, 1e10)], length=1e300)
-    # a repeat, also one that differs only in the sign of a zero
-    for ks in ([K1, (0.0, 1.0, 0.0), K1], [(0.0, 1.0, 0.0), (-0.0, 1.0, 0.0)]):
-        with pytest.raises(DuplicateMode, match="each wave vector once"):
-            lattice(ks)
+
+
+@pytest.mark.parametrize(
+    "ks, message",
+    [
+        ([K1, (0.0, 1.0, 0.0), (0.0, -1.0, 0.0)], r"mode \(0.0, 0.0, 1.0\) has no negation partner"),
+        ([K1, (0.0, 0.0, -1.0)] * 2, r"modes \(0.0, 0.0, 1.0\) and \(0.0, 0.0, 1.0\) collide"),
+        # a repeat that differs only in the sign of a zero
+        (
+            [(0.0, 1.0, 0.0), (-0.0, 1.0, 0.0), (-0.0, -1.0, -0.0), (0.0, -1.0, -0.0)],
+            r"modes \(0.0, 1.0, 0.0\) and \(-0.0, 1.0, 0.0\) collide",
+        ),
+        ([], "a grid needs at least one mode"),
+    ],
+    ids=["open", "repeat", "signed-zero-repeat", "empty"],
+)
+def test_lattice_refuses_an_open_or_repeated_list(ks, message):
+    # the lattice's grid is a CartesianGrid, with its refusals and messages
+    with pytest.raises(DuplicateMode, match=message):
+        flds.FieldLattice(LENGTH, 9, ks)
+    with pytest.raises(DuplicateMode, match=message):
+        CartesianGrid(ks)
 
 
 def sample_positions(lat):
@@ -247,7 +279,7 @@ def reference_eval_fields(lat, state_amps):
     m = pos.shape[0]
     e, b, a, pi = (np.zeros((m, 3)) for _ in range(4))
     a0, pi0 = np.zeros(m), np.zeros(m)
-    for k, amps in zip(lat.ks.tolist(), state_amps):
+    for k, amps in zip(lat.grid.ks.tolist(), state_amps):
         omega = math.sqrt(sum(c * c for c in k))
         eps = polarization_frame(k)[:, 1:]
         phase = np.exp(1j * (pos @ np.array(k)))
@@ -266,7 +298,10 @@ def reference_eval_fields(lat, state_amps):
 
 
 def random_state(rng, n_ints, grid_n=7):
-    return lattice(on_box(n_ints), grid_n), random_amps(rng, len(n_ints), (0, 1, 2, 3))
+    """The lattice on `closed(n_ints)`, amplitudes on every polarization of
+    the listed modes and none on the partners that close the list."""
+    lat = lattice(on_box(n_ints), grid_n)
+    return lat, padded(random_amps(rng, len(n_ints), (0, 1, 2, 3)), len(lat.grid))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -284,7 +319,7 @@ def test_eval_fields_matches_per_mode_reference(seed):
 
 
 def test_eval_fields_of_empty_state():
-    lat, amps = state([], ks=())
+    lat, amps = state([])
     m = lat.grid_n ** 3
     maps = flds.eval_fields(lat, amps)
     for arr, shape in ((maps.e, (m, 3)), (maps.b, (m, 3)), (maps.a, (m, 3)),
@@ -297,7 +332,8 @@ def test_eval_fields_of_empty_state():
 
 # The paper's S_M = (1/c) int pi x A over all four polarizations, against the
 # grid spin form that the suites lift; (1, -2, 0) and (3, 1, -2) are generic,
-# (0, 0, 1) sits on the frame rule's z-axis branch.
+# (0, 0, 1) sits on the frame rule's z-axis branch.  FOUR_MODES carry
+# amplitudes, the partners that close the list none.
 FOUR_MODES = [(0, 0, 1), (1, -2, 0), (3, 1, -2), (-1, 1, 1)]
 EIGHT_CLOSED = [
     k for half in [(0, 0, 1), (1, -2, 0), (0, 1, 1), (2, 1, -1)]
@@ -309,8 +345,8 @@ EIGHT_CLOSED = [
 @pytest.mark.parametrize("lattice", [FOUR_MODES, EIGHT_CLOSED], ids=["4-modes", "8-closed"])
 def test_canonical_spin_integral_is_the_spin_form(lattice, seed):
     rng = np.random.default_rng(seed)
-    lat = flds.FieldLattice(LENGTH, 7, lattice)
-    amps = random_amps(rng, len(lattice), range(4))
+    lat = flds.FieldLattice(LENGTH, 7, closed(lattice))
+    amps = padded(random_amps(rng, len(lattice), range(4)), len(lat.grid))
     maps = flds.eval_fields(lat, amps)
     form = form_on(lat, amps, "spin_total")
     # on the closed lattice the alpha(k) alpha(-k) terms of the integral cancel
@@ -321,19 +357,37 @@ def test_canonical_spin_integral_is_the_spin_form(lattice, seed):
     assert np.max(np.abs(with_e - form)) > 0.1
 
 
+def per_mode_blocks(grid, name):
+    """Blocks B_k (components, K, 4, 4) of the grid family `FORMS[name]`: per
+    mode the sum over its terms of the term's weight at k (omega, k_c or
+    eps_lam[c]) times its matrix over lam = 0..3."""
+    def weight(key, comp):
+        if key == "omega":
+            return grid.omega
+        return grid.ks[:, comp] if key == "k" else grid.frames[:, key[1], 1 + comp]
+
+    terms = FORMS[name]
+    return np.array([
+        sum(weight(key, comp)[:, None, None] * lams[comp] for key, lams in terms)
+        for comp in range(len(terms[0][1]))
+    ])
+
+
 @pytest.mark.parametrize("name", ["spin_total", "spin_obs", "hamiltonian"])
 @pytest.mark.parametrize("lattice", [FOUR_MODES, EIGHT_CLOSED], ids=["4-modes", "8-closed"])
 def test_form_gram_is_the_per_mode_sum(lattice, name):
     # Re(psi_i^dag G B_k psi_j) summed mode by mode, on states over all four
     # polarizations
-    lat = flds.FieldLattice(LENGTH, 7, lattice)
+    lat = flds.FieldLattice(LENGTH, 7, closed(lattice))
     rng = np.random.default_rng(7)
-    states = np.array([random_amps(rng, len(lattice), range(4)) for _ in range(3)])
+    states = np.array(
+        [padded(random_amps(rng, len(lattice), range(4)), len(lat.grid)) for _ in range(3)]
+    )
     signs = np.array([channel_sign(lam) for lam in range(4)])
-    blocks = signs[:, None] * mode_blocks(name, lat.omega, lat.ks, lat.frames)
+    blocks = signs[:, None] * per_mode_blocks(lat.grid, name)
     want = np.zeros((len(blocks), 3, 3))
     for c, i, j in np.ndindex(*want.shape):
-        for k in range(len(lattice)):
+        for k in range(len(lat.grid)):
             want[c, i, j] += np.real(states[i, k].conj() @ blocks[c, k] @ states[j, k])
     gram = flds.form_gram(lat, states, name)
     assert gram.shape == want.shape
@@ -343,7 +397,7 @@ def test_form_gram_is_the_per_mode_sum(lattice, name):
 
 @pytest.mark.parametrize("shape", [(2, 4), (3, 2, 3), (1, 2, 4, 1)])
 def test_form_gram_refuses_states_not_n_by_k_by_4(shape):
-    lat = lattice(on_box([(0, 0, 1), (1, 0, 0)]))
+    lat = lattice(on_box([(0, 0, 1), (0, 0, -1)]))
     with pytest.raises(DimensionMismatch, match=r"expected a stack of \(2, 4\)"):
         flds.form_gram(lat, np.zeros(shape, dtype=complex), "spin_obs")
 
@@ -357,7 +411,7 @@ CACHE_LATTICE = [(0, 0, 1), (1, -2, 0), (0, 0, -1), (-1, 1, 1)]
 def test_lattice_table_arrays_are_read_only():
     lat, amps = random_state(np.random.default_rng(0), CACHE_LATTICE)
     flds.eval_fields(lat, amps)
-    for arr in (lat.ks, lat.omega, lat.frames, lat.phases):
+    for arr in (lat.grid.ks, lat.grid.omega, lat.grid.frames, lat.phases):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
@@ -375,3 +429,12 @@ def test_bad_lattice_raises_on_every_construction(ks, grid_n, error, message):
     for _ in range(2):
         with pytest.raises(error, match=message):
             lattice(ks, grid_n=grid_n)
+
+
+@pytest.mark.parametrize("rows", [EIGHT_CLOSED, [(1e-10, 0, 1), (-1e-10, 0, -1)]], ids=["8-closed", "z-axis"])
+def test_lattice_grid_is_the_cartesian_grid(rows):
+    grid = flds.FieldLattice(LENGTH, 7, rows).grid
+    want = CartesianGrid(rows)
+    for name in ("ks", "omega", "frames"):
+        assert getattr(grid, name).tobytes() == getattr(want, name).tobytes(), name
+    assert grid.negation == want.negation

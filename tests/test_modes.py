@@ -7,6 +7,7 @@ from photonam.errors import (
     DimensionCapExceeded,
     DimensionMismatch,
     DuplicateMode,
+    InvalidConfig,
     NegativeLmax,
     ZeroWaveVector,
 )
@@ -248,6 +249,7 @@ def test_shell_channels_are_not_a_constructor_argument():
 
 
 def test_parse_modeset_reads_grid_and_shell_text():
+    # grid text is read; shell text is refused, a shell is given with --shell
     back = parse_modeset("0.25 -1.0 0.5\n-0.25 1.0 -0.5\n\n0.0 2.0 0.0\n-0.0 -2.0 -0.0\n")
     assert isinstance(back, CartesianGrid)
     assert back.ks.tolist() == [[0.25, -1.0, 0.5], [-0.25, 1.0, -0.5], [0.0, 2.0, 0.0], [0.0, -2.0, 0.0]]
@@ -256,14 +258,13 @@ def test_parse_modeset_reads_grid_and_shell_text():
     ]
     assert back.negation == (1, 0, 3, 2)
 
-    back = parse_modeset("shell 1.5 2")
-    assert isinstance(back, SphericalShell)
-    assert back.radius == 1.5 and back.l_max == 2
+    with pytest.raises(InvalidConfig, match="a grid lists wave vectors; give a shell with --shell"):
+        parse_modeset("shell 1.5 2")
 
 
 @pytest.mark.parametrize("text", ["shell 1.5 x", "shell x 2", "shell 1.5", "shell 1.5 2 3"])
 def test_parse_modeset_refuses_a_malformed_shell_line(text):
-    with pytest.raises(DuplicateMode, match="shell line must be"):
+    with pytest.raises(InvalidConfig, match="a grid lists wave vectors; give a shell with --shell"):
         parse_modeset(text)
 
 

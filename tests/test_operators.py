@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -557,6 +559,17 @@ def test_grid_families_reject_a_shell():
     # omega is a per-mode weight on a shell too
     one = fs.basis_state({((1, 0), 2): 1})
     assert max_abs(ops.lift_family(fs, "hamiltonian", shell)[0] @ one - 1.5 * one) == 0.0
+
+
+@pytest.mark.parametrize(
+    "name, key",
+    [("hamiltonian", "omega"), ("momentum", "k"), ("spin_total", "('eps', 1)"), ("spin_obs", "('eps', 3)")],
+)
+def test_weighted_families_need_a_mode_set(name, key):
+    # a per-mode weight has no values without a mode set
+    fs = full_space(grid_z(), n_max=1)
+    with pytest.raises(ChannelMismatch, match=re.escape(f"{key} weights need a mode set")):
+        ops.lift_family(fs, name)
 
 
 def test_shell_families_reject_a_grid():

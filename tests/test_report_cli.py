@@ -210,12 +210,25 @@ def test_cli_vacuous_or_non_finite_input_exit_2(argv, capsys):
         (["--grid", "a,0,1;-a,0,-1"], "wave vector ['a', '0', '1'] has a non-numeric component"),
         (["--shell", "1.0,x"], "shell spec must be `|k|,lmax`"),
         (["--shell", "x,2"], "shell spec must be `|k|,lmax`"),
-        (["--grid", "shell,1.0,x"], "shell line must be `shell |k| lmax`"),
+        (["--grid", "shell,1.0,x"], "a grid lists wave vectors; give a shell with --shell"),
     ],
 )
 def test_cli_non_numeric_input_exit_2(argv, message, capsys):
     assert main(["--suite", "all", *argv]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("spec", ["shell,1,2", "shell,1.0,4"])
+def test_cli_well_formed_shell_as_grid_exit_2(spec, capsys):
+    # a shell is given with --shell; a grid only lists wave vectors
+    assert main(["--suite", "canonical-commutators", "--grid", spec]) == 2
+    assert capsys.readouterr().err == "error: a grid lists wave vectors; give a shell with --shell\n"
+
+
+def test_suite_config_refuses_a_shell_as_grid():
+    config = SuiteConfig(suite="canonical-commutators", grid=SphericalShell(radius=1.0, l_max=2))
+    with pytest.raises(InvalidConfig, match="a grid lists wave vectors; give a shell with --shell"):
+        run_suite(config)
 
 
 @pytest.mark.parametrize("line, cast", [("nmax = x", "int"), ("tol = 1e-3e", "float")])

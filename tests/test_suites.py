@@ -764,11 +764,13 @@ def _check(rep, check_id):
     return record
 
 
-def _mutated_blocks(monkeypatch, name, factor):
-    """`fields.mode_blocks` with the blocks of the form `name` scaled."""
-    blocks = flds.mode_blocks
+def _mutated_family(monkeypatch, name, factor):
+    """`fields.family_matrices` with the matrices of the family `name` scaled."""
+    matrices = flds.family_matrices
     monkeypatch.setattr(
-        flds, "mode_blocks", lambda n, *args: blocks(n, *args) * (factor if n == name else 1.0)
+        flds,
+        "family_matrices",
+        lambda chans, n, *args: matrices(chans, n, *args) * (factor if n == name else 1.0),
     )
 
 
@@ -777,7 +779,7 @@ def test_field_identities_catch_a_negated_spin_form(monkeypatch):
     # transverse spin, nonzero in every component
     rep = run_suite(SuiteConfig(suite="field-consistency"))
     assert _check(rep, "spin-mode-duality").passed and _check(rep, "density-map-integral").passed
-    _mutated_blocks(monkeypatch, "spin_obs", -1.0)
+    _mutated_family(monkeypatch, "spin_obs", -1.0)
     rep = run_suite(SuiteConfig(suite="field-consistency"))
     for check_id, value in (("spin-mode-duality", 2.0), ("density-map-integral", 6.39)):
         record = _check(rep, check_id)
@@ -786,7 +788,7 @@ def test_field_identities_catch_a_negated_spin_form(monkeypatch):
 
 def test_parseval_energy_catches_a_doubled_hamiltonian(monkeypatch):
     # the largest omega of the field lattice is |(0, 1, 1)| = sqrt(2)
-    _mutated_blocks(monkeypatch, "hamiltonian", 2.0)
+    _mutated_family(monkeypatch, "hamiltonian", 2.0)
     record = _check(run_suite(SuiteConfig(suite="field-consistency")), "parseval-energy")
     assert not record.passed and record.residual == pytest.approx(math.sqrt(2.0))
 
@@ -854,7 +856,7 @@ def test_xi_pathway_note_catches_a_wrong_side(mutate, value, monkeypatch):
 
 
 def _flipped_exponent(lattice, rho):
-    weight = cons._xi_prefactor(lattice.omega) * flds.cell_volume(lattice)
+    weight = cons._xi_prefactor(lattice.grid.omega) * flds.cell_volume(lattice)
     return weight * (np.asarray(rho, dtype=float) @ lattice.phases)
 
 

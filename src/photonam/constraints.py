@@ -6,7 +6,8 @@ array indexed like `ms.mode_labels()`: read off charge samples on a
 `fields.FieldLattice` (`xi0_from_charge`) or stated on a shell by the
 caller.  A real density ties each entry to its partner's conjugate, one
 rule (`_reality_partners`).  `gb_constraints` builds the free a_3 - a_0
-only; a caller that displaces them adds xi0 times the identity.  The physical
+only, and no caller displaces them: gauge-hiding reads the displaced
+constraint on coherent states, which solve it exactly.  The physical
 subspace is the kernel of the stacked constraints; zero-norm kernel vectors
 (pure gauge excitations) are first-class citizens: they are counted and
 excluded from expectation checks.
@@ -240,11 +241,9 @@ def xi_oam_bilinear(
 
     Componentwise sum of conj(xi) . L . a_lam plus its metric adjoint, where
     L runs over the shell's orbital generators and xi is the source coupling
-    indexed like the shell's labels.  This is the building block of the
-    prescribed-source pathway: the photon part of the Chen Dirac-sector
-    orbital operator is +X(lam=3), the comparison operator for <l_pure> on
-    displaced physical states is -X(lam=3), and the transverse extra terms of
-    the Wakamatsu decomposition are X(lam=1) + X(lam=2).
+    indexed like the shell's labels.  Its one use is decomposition-compare's
+    transverse extra term of the Wakamatsu orbital operator, X(lam=1) +
+    X(lam=2).
     """
     labels = ms.mode_labels()
     none = np.empty(0, dtype=np.intp)

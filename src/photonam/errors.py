@@ -44,10 +44,6 @@ class ZeroNormState(WorkbenchError):
     """
 
 
-class AsymmetricGrid(WorkbenchError):
-    """A grid operation requiring closure under k -> -k was given an open grid."""
-
-
 class BandLimitViolation(WorkbenchError):
     """The spatial grid is too coarse for exact quadrature of the given modes."""
 

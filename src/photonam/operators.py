@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AsymmetricGrid, ChannelMismatch, DimensionCapExceeded
+from .errors import ChannelMismatch, DimensionCapExceeded
 from .fock import (
     DEFAULT_DIM_CAP,
     FockSpace,
@@ -191,12 +191,6 @@ def lift_family(fs: FockSpace, name: str, ms: ModeSet | None = None) -> tuple[Op
 # Counter-rotating parts and the pure-gauge spin cancellation
 
 
-def _require_closed(ms: CartesianGrid) -> None:
-    # every CartesianGrid pairs each mode with its -k when it is built
-    if not isinstance(ms, CartesianGrid):
-        raise AsymmetricGrid("operation requires a negation-closed Cartesian grid")
-
-
 def _pair_entries(fs: FockSpace, c1, c2, cc_sign: int):
     """COO entries (rows, cols, data) of a_c1 a_c2 + cc_sign * creator_c1 creator_c2.
 
@@ -242,7 +236,6 @@ def counter_rotating_part(
     members, and the momentum weights k * (four-vector inner product) flip
     sign with k while the inner product is symmetric.
     """
-    _require_closed(ms)
     if target not in ("spin", "momentum"):
         raise ChannelMismatch(f"unknown counter-rotating target {target!r}")
     lams = (1, 2, 3) if target == "spin" else (0, 1, 2, 3)
@@ -293,7 +286,6 @@ def l_pure_s_terms(ms: CartesianGrid, fs: FockSpace):
     Both collapse to the same mode-space bracket with opposite signs; each is
     generically nonzero while their sum vanishes identically.
     """
-    _require_closed(ms)
     for i in ms.mode_labels():
         for lam in (1, 2, 3):
             if (i, lam) not in fs.channels:

@@ -1,16 +1,14 @@
 """Structured verification reports and deterministic renderers.
 
 A report is byte-stable for a fixed config: records are sorted by check
-id and floats are rendered with fixed formats.  Per-check wall times are
-kept on the records but excluded from every rendered format to preserve
-byte stability; they are 0.0 unless a caller sets them, and no suite does.
+id and floats are rendered with fixed formats.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import UnknownFormat
 
@@ -32,7 +30,6 @@ class CheckRecord:
     residual: float
     tolerance: float
     kind: str = KIND_EQUALITY
-    wall_time_s: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -53,9 +50,8 @@ class VerificationReport:
     notes: list[str] = field(default_factory=list)
 
     def add(self, check_id: str, anchor: str, residual: float, tolerance: float,
-            kind: str = KIND_EQUALITY, wall_time_s: float = 0.0) -> CheckRecord:
-        rec = CheckRecord(check_id, anchor, float(residual), float(tolerance),
-                          kind, wall_time_s)
+            kind: str = KIND_EQUALITY) -> CheckRecord:
+        rec = CheckRecord(check_id, anchor, float(residual), float(tolerance), kind)
         self.checks.append(rec)
         return rec
 
@@ -150,16 +146,7 @@ def merge_reports(name: str, config: dict, parts: list[VerificationReport]) -> V
     merged = VerificationReport(suite=name, config=config)
     for part in parts:
         for rec in part.checks:
-            merged.checks.append(
-                CheckRecord(
-                    f"{part.suite}/{rec.check_id}",
-                    rec.anchor,
-                    rec.residual,
-                    rec.tolerance,
-                    rec.kind,
-                    rec.wall_time_s,
-                )
-            )
+            merged.checks.append(replace(rec, check_id=f"{part.suite}/{rec.check_id}"))
         for note in part.notes:
             merged.notes.append(f"{part.suite}: {note}")
     return merged.finalize()

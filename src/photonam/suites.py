@@ -44,7 +44,7 @@ su(2), their commutation and the Hamiltonian's commutation with the orbital
 family, observable-commutators' transverse spin, orbital and total claims,
 decomposition-compare's rival decompositions and Stokes closure, and dirac's
 Table-I claims.  `hamiltonian-spin-commute` stays in suite code: it reads
-the grid Hamiltonian and is skipped with a note off a degenerate shell.
+the grid Hamiltonian, on every grid; the claims read the shell's.
 dirac's spinor checks read the Dirac matrices `operators.BETA`, `ALPHA` and
 `SIGMA`, the ones its spin family is built from.
 
@@ -133,8 +133,6 @@ class SuiteConfig:
             raise InvalidConfig("seed must be a non-negative integer")
         if self.dim_cap < 1:
             raise InvalidConfig("dim_cap must be >= 1")
-        if self.grid is not None and not isinstance(self.grid, CartesianGrid):
-            raise InvalidConfig("a grid lists wave vectors; give a shell with --shell")
         if self.suite not in SUITES and self.suite != "all":
             raise UnknownSuite(f"no suite named {self.suite!r}")
         unread = self.unread_flags(self.suite)
@@ -291,15 +289,8 @@ def suite_canonical(config: SuiteConfig) -> VerificationReport:
     fs = _capped_grid_space(ms, (0, 1, 2, 3), config)
     spin = ops.lift_family(fs, "spin_total", ms)
     (ham,) = ops.lift_family(fs, "hamiltonian", ms)
-    if ms.omega.max() - ms.omega.min() < 1e-12:
-        rep.add(
-            "hamiltonian-spin-commute",
-            "H-mode-form",
-            max_residual(max_abs(commutator(ham, s)) for s in spin),
-            config.tol,
-        )
-    else:
-        rep.note("hamiltonian-spin-commute skipped: grid is not a degenerate shell")
+    res = max_residual(max_abs(commutator(ham, s)) for s in spin)
+    rep.add("hamiltonian-spin-commute", "H-mode-form", res, config.tol)
     vac = fs.vacuum()
     rep.add("hamiltonian-vacuum", "H-mode-form", abs(expectation(fs, ham, vac)), TIGHT_TOL)
     mode0 = ms.mode_labels()[0]
@@ -512,10 +503,6 @@ def suite_decomposition(config: SuiteConfig) -> VerificationReport:
     )
 
     _claim_checks(rep, claims, lifted, config.tol)
-    rep.note(
-        "claimed algebras checked against shipped table: ['belinfante_ji', 'canonical',"
-        " 'chen', 'gauge_invariant', 'jaffe_manohar', 'wakamatsu']"
-    )
     return rep.finalize()
 
 

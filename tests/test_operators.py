@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from photonam import operators as ops
-from photonam.errors import AsymmetricGrid, ChannelMismatch, DuplicateMode
+from photonam.errors import ChannelMismatch, DuplicateMode
 from photonam.fock import (
     OperatorMatrix,
     annihilator,
@@ -228,9 +228,6 @@ def test_open_grid_is_refused_at_construction():
     # no CartesianGrid is open, so the counter-rotating parts meet none
     with pytest.raises(DuplicateMode, match="no negation partner"):
         CartesianGrid([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)])
-    fs = build_fock([(i, lam) for i in (0, 1) for lam in (1, 2, 3)], 1)
-    with pytest.raises(AsymmetricGrid):
-        ops.counter_rotating_part(SphericalShell(1.0, 0), fs, "spin")
 
 
 def test_pure_gauge_spin_pieces_cancel():

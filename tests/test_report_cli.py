@@ -92,16 +92,6 @@ def test_unknown_format():
         render_report(small_report(), "yaml")
 
 
-def test_wall_time_excluded_from_bytes():
-    rep1 = small_report()
-    rep2 = VerificationReport("demo", {"seed": 0, "tol": 1e-10})
-    rep2.add("b-check", "MCR1", 1e-14, 1e-10, wall_time_s=123.0)
-    rep2.add("a-check", "Table-II", 0.5, 0.1, kind=KIND_VIOLATION, wall_time_s=9.0)
-    rep2.note("informational only")
-    for fmt in ("text", "json", "csv"):
-        assert render_report(rep1, fmt) == render_report(rep2, fmt)
-
-
 # counter-rotating keeps its original bare-format ids
 BYTE_STABLE_CASES = [
     pytest.param(suite, fmt, id=fmt if suite == "counter-rotating" else f"{suite}-{fmt}")
@@ -223,12 +213,6 @@ def test_cli_well_formed_shell_as_grid_exit_2(spec, capsys):
     # a shell is given with --shell; a grid only lists wave vectors
     assert main(["--suite", "canonical-commutators", "--grid", spec]) == 2
     assert capsys.readouterr().err == "error: a grid lists wave vectors; give a shell with --shell\n"
-
-
-def test_suite_config_refuses_a_shell_as_grid():
-    config = SuiteConfig(suite="canonical-commutators", grid=SphericalShell(radius=1.0, l_max=2))
-    with pytest.raises(InvalidConfig, match="a grid lists wave vectors; give a shell with --shell"):
-        run_suite(config)
 
 
 @pytest.mark.parametrize("line, cast", [("nmax = x", "int"), ("tol = 1e-3e", "float")])

@@ -164,6 +164,39 @@ def test_canonical_respects_custom_shell():
     assert rep.config["shell"] == "2.0,2"
 
 
+def _spin_total_with_a_scalar_entry():
+    """`spin_total` plus the Hermitian lam = 0 <-> 1 entry 1/2 on every mode."""
+    ((one, _),) = ops.FORMS["helicity"]
+    mix = np.zeros((4, 4), dtype=complex)
+    mix[0, 1] = mix[1, 0] = 0.5
+    return ops.FORMS["spin_total"] + ((one, (mix,) * 3),)
+
+
+# Grids whose |k| differ, as half lists, with their largest |k|: the 8-mode
+# grid of the CLI tests (|k| = 1 and 1.3) and a 6-mode grid (|k| = 1 and 2).
+UNEQUAL_OMEGA_GRIDS = [
+    pytest.param([(0, 0, 1), (1, 0, 0), (0.6, 0.8, 0), (0.3, -0.4, 1.2)], 1.3, id="grid8"),
+    pytest.param([(0, 0, 1), (1, 0, 0), (0, 2, 0)], 2.0, id="grid6"),
+]
+
+
+@pytest.mark.parametrize("n_max", [1, 2])
+@pytest.mark.parametrize("half, omega_max", UNEQUAL_OMEGA_GRIDS)
+def test_hamiltonian_spin_commute_holds_on_grids_of_unequal_omega(
+    monkeypatch, half, omega_max, n_max
+):
+    # S_M is block-diagonal per mode on lam = 1..3 and H is diagonal, so they
+    # commute on every grid; a lam = 0 <-> 1 entry meets H's -omega and +omega
+    config = SuiteConfig(
+        suite="canonical-commutators", grid=build_cartesian_modeset(half), n_max=n_max
+    )
+    assert _check(run_suite(config), "hamiltonian-spin-commute").passed
+    monkeypatch.setitem(ops.FORMS, "spin_total", _spin_total_with_a_scalar_entry())
+    record = _check(run_suite(config), "hamiltonian-spin-commute")
+    assert not record.passed
+    assert record.residual == pytest.approx(omega_max * math.sqrt(n_max), rel=1e-9)
+
+
 def test_nan_operator_triple_fails():
     fs = build_fock([("k", 1), ("q", 2)], 1)
     nan = OperatorMatrix.from_entries(fs, [np.nan], [0], [0])

@@ -53,15 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChannelMismatch, DimensionCapExceeded
-from .fock import (
-    DEFAULT_DIM_CAP,
-    FockSpace,
-    OperatorMatrix,
-    _products,
-    annihilator,
-    creator,
-    lift_forms,
-)
+from .fock import DEFAULT_DIM_CAP, FockSpace, OperatorMatrix, _products, lift_forms
 from .modes import (
     CartesianGrid,
     ModeSet,
@@ -188,110 +180,55 @@ def lift_family(fs: FockSpace, name: str, ms: ModeSet | None = None) -> tuple[Op
 
 
 # ---------------------------------------------------------------------------
-# Counter-rotating parts and the pure-gauge spin cancellation
+# Counter-rotating weights and the pure-gauge spin cancellation
 
 
-def _pair_entries(fs: FockSpace, c1, c2, cc_sign: int):
-    """COO entries (rows, cols, data) of a_c1 a_c2 + cc_sign * creator_c1 creator_c2.
+def counter_rotating_part(ms: CartesianGrid, target: str) -> np.ndarray:
+    """Weights of the a.a and creator.creator terms of the target's mode
+    expansion, shape (K, L, L, 3): per mode k and polarization pair (l1, l2),
+    over lam = 1, 2, 3 for the spin and 0..3 for the momentum, the weight of
+    a_(k,l1) a_(-k,l2) plus that of a_(-k,l2) a_(k,l1).
 
-    The creator pair is s_c1 s_c2 (a_c1 a_c2)^H (lowering matrices commute,
-    on capped spaces too), entry for entry: each entry is one product of two
-    sqrt(n) factors.  The terms move the total occupation by -2 and +2, so
-    their patterns are disjoint.
-    """
-    rows, cols, data = (annihilator(fs, c1) @ annihilator(fs, c2)).entries()
-    sign = cc_sign * fs.signs[fs.index_of(c1)] * fs.signs[fs.index_of(c2)]
-    return (
-        np.concatenate([rows, cols]),
-        np.concatenate([cols, rows]),
-        np.concatenate([data, sign * data.conj()]),
-    )
-
-
-def _ordered_sums(fs: FockSpace, terms) -> tuple[OperatorMatrix, ...]:
-    """sum_t scale_t * (w_t[comp] * M_t) for comp = 0, 1, 2, from `terms` of
-    (scale, w, COO entries of M_t with each position at most once).
-
-    `OperatorMatrix.from_entries` adds the entries at one position in input
-    order, starting from 0: every entry is the same fold as a chain of
-    sparse scalings and additions, without a sparse matrix per step.
-    """
-    rows = np.concatenate([rows for _, _, (rows, _, _) in terms])
-    cols = np.concatenate([cols for _, _, (_, cols, _) in terms])
-
-    def component(comp: int) -> OperatorMatrix:
-        data = np.concatenate([scale * (w[comp] * data) for scale, w, (_, _, data) in terms])
-        return OperatorMatrix.from_entries(fs, data, rows, cols)
-
-    return tuple(component(comp) for comp in range(3))
-
-
-def counter_rotating_part(
-    ms: CartesianGrid, fs: FockSpace, target: str
-) -> tuple[OperatorMatrix, ...]:
-    """Only the a.a and creator.creator terms of the target's mode expansion.
-
-    On a negation-closed grid the returned triple is the zero matrix: the
-    spin weights eps(k) x eps(-k) are antisymmetric under exchanging the pair
+    On a space of one quantum per channel and total occupation <= 2 every
+    ladder factor is 1: that sum is the operator's one entry between the
+    vacuum and the pair's two-photon state, and the creator pair gives the
+    transposed entry up to sign, so the largest weight is the largest entry.
+    On a negation-closed grid every weight is zero: the spin weights
+    0.5i eps(k) x eps(-k) are antisymmetric under exchanging the pair
     members, and the momentum weights k * (four-vector inner product) flip
     sign with k while the inner product is symmetric.
     """
     if target not in ("spin", "momentum"):
         raise ChannelMismatch(f"unknown counter-rotating target {target!r}")
-    lams = (1, 2, 3) if target == "spin" else (0, 1, 2, 3)
-    cc_sign = -1 if target == "spin" else 1
-    terms = []
-    for i in ms.mode_labels():
-        j = ms.negation[i]
-        for l1 in lams:
-            for l2 in lams:
-                if target == "spin":
-                    w = 0.5j * np.array(cross(*ms.frames[[i, j], [l1, l2], 1:].tolist()))
-                else:
-                    w = 0.5 * minkowski_dot(ms.frames[i, l1], ms.frames[j, l2]) * ms.ks[i]
-                if not np.any(w):
-                    continue
-                terms.append((1.0, w, _pair_entries(fs, (i, l1), (j, l2), cc_sign)))
-    return _ordered_sums(fs, terms)
+    neg = list(ms.negation)
+    if target == "spin":
+        # (component, mode, lam) triads of the pair members, lam = 1, 2, 3
+        here = np.moveaxis(ms.frames[:, 1:, 1:], -1, 0)
+        there = here[:, neg]
+        w = 0.5j * np.stack(cross(here[:, :, :, None], there[:, :, None, :]), axis=-1)
+    else:
+        pairs = zip(ms.frames, ms.frames[neg])
+        dots = [[[minkowski_dot(a, b) for b in there] for a in here] for here, there in pairs]
+        w = 0.5 * np.array(dots)[..., None] * ms.ks[:, None, None, :]
+    return w + w[neg].swapaxes(1, 2)
 
 
-def _l_pure_s_bracket(ms: CartesianGrid, fs: FockSpace) -> tuple[OperatorMatrix, ...]:
-    """Shared mode-space bracket of the two pure-gauge spin pieces.
+def l_pure_s_terms(ms: CartesianGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The divergence piece and the advection piece of the pure-gauge spin,
+    as weights of shape (K, 2, 2, 3): +-0.5i times one mode-space bracket.
 
-    Per mode k: |k| curl(eps)(k, lam) weighting creator_3 a_lam - a_3
-    creator_lam, plus the +-k cross terms creator_3 creator_lam(-k) -
-    a_3 a_lam(-k) weighted by the curl of the frame field evaluated through
-    -k, which is minus the curl at -k.
-    """
-    terms = []
-    for i in ms.mode_labels():
-        j = ms.negation[i]
-        omega = ms.omega[i]
-        for lam in (1, 2):
-            # two explicit products: on a space capped in total occupation,
-            # a_3 creator_lam is not the adjoint of creator_3 a_lam (its
-            # creator acts first and can leave the space)
-            up = creator(fs, (i, 3)) @ annihilator(fs, (i, lam))
-            down = annihilator(fs, (i, 3)) @ creator(fs, (i, lam))
-            terms.append((omega, frame_curl(ms.ks[i], lam), (up - down).entries()))
-            # (-curl at -k) (cc - aa) = (curl at -k) (aa - cc), bit for bit
-            cross = _pair_entries(fs, (i, 3), (j, lam), -1)
-            terms.append((omega, frame_curl(ms.ks[j], lam), cross))
-    return _ordered_sums(fs, terms)
-
-
-def l_pure_s_terms(ms: CartesianGrid, fs: FockSpace):
-    """The divergence piece and the advection piece of the pure-gauge spin.
-
-    Both collapse to the same mode-space bracket with opposite signs; each is
+    Per mode k and lam = 1, 2 the bracket weighs creator_3 a_lam -
+    a_3 creator_lam by |k| curl eps(k, lam) (at [k, 0, lam - 1]) and the
+    +-k cross pair a_3 a_lam(-k) - creator_3 creator_lam(-k) by
+    |k| curl eps(-k, lam) (at [k, 1, lam - 1]): the curl of the frame field
+    evaluated through -k is minus the curl at -k, and it weighs
+    creator_3 creator_lam(-k) - a_3 a_lam(-k).  Each term owns its entries,
+    so the largest weight is the bracket's largest entry.  Each piece is
     generically nonzero while their sum vanishes identically.
     """
-    for i in ms.mode_labels():
-        for lam in (1, 2, 3):
-            if (i, lam) not in fs.channels:
-                raise ChannelMismatch("pure-gauge spin needs lam = 1, 2, 3 channels")
-    brackets = _l_pure_s_bracket(ms, fs)
-    return tuple(0.5j * b for b in brackets), tuple(-0.5j * b for b in brackets)
+    curl = np.array([[frame_curl(k, lam) for lam in (1, 2)] for k in ms.ks])
+    bracket = ms.omega[:, None, None, None] * np.stack([curl, curl[list(ms.negation)]], axis=1)
+    return 0.5j * bracket, -0.5j * bracket
 
 
 # ---------------------------------------------------------------------------

@@ -216,12 +216,11 @@ def test_one_photon_block_equals_sign_weighted_form():
 
 def test_counter_rotating_vanishes_on_symmetric_grids():
     ms = build_cartesian_modeset([(0.5, 0.25, -0.7)])
-    fs = full_space(ms, n_max=1, lams=(1, 2, 3))
-    for comp in ops.counter_rotating_part(ms, fs, "spin"):
-        assert max_abs(comp) <= 1e-13
-    fs4 = full_space(ms, n_max=1)
-    for comp in ops.counter_rotating_part(ms, fs4, "momentum"):
-        assert max_abs(comp) <= 1e-13
+    spin = ops.counter_rotating_part(ms, "spin")
+    momentum = ops.counter_rotating_part(ms, "momentum")
+    assert spin.shape == (2, 3, 3, 3) and momentum.shape == (2, 4, 4, 3)
+    assert max_abs(spin) <= 1e-13
+    assert max_abs(momentum) <= 1e-13
 
 
 def test_open_grid_is_refused_at_construction():
@@ -232,14 +231,11 @@ def test_open_grid_is_refused_at_construction():
 
 def test_pure_gauge_spin_pieces_cancel():
     ms = build_cartesian_modeset([(0.6, 0.2, 0.75)])
-    fs = full_space(ms, n_max=1, lams=(1, 2, 3))
-    term1, term2 = ops.l_pure_s_terms(ms, fs)
-    assert max(max_abs(a + b) for a, b in zip(term1, term2)) <= 1e-13
-    assert max(max_abs(t) for t in term1) > 1e-3
-    assert max(max_abs(t) for t in term2) > 1e-3
-    fs_no_longitudinal = full_space(ms, n_max=1, lams=(1, 2))
-    with pytest.raises(ChannelMismatch):
-        ops.l_pure_s_terms(ms, fs_no_longitudinal)
+    term1, term2 = ops.l_pure_s_terms(ms)
+    assert term1.shape == term2.shape == (2, 2, 2, 3)
+    assert max_abs(term1 + term2) <= 1e-13
+    assert max_abs(term1) > 1e-3
+    assert max_abs(term2) > 1e-3
 
 
 def _decomposition_families():
@@ -366,53 +362,78 @@ def reference_l_pure_s_bracket(ms, fs):
     return brackets
 
 
-PAIR_GRIDS = [
-    # the suites' default grid, full spaces
-    (((0.6, 0.2, 0.75),), 1, None),
-    # two pairs, one on the z axis; n_max 2 capped at total occupation 3
-    (((0.6, 0.2, 0.75), (0.0, 0.0, 1.0)), 2, 3),
-]
+# The suite's default grid, CI's 8-mode grid and a pair within 1e-8 of the z
+# axis, where the frame rule takes its fallback branch
+ORACLE_GRIDS = {
+    "default": ((0.6, 0.2, 0.75),),
+    "grid8": ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.6, 0.8, 0.0), (0.3, -0.4, 1.2)),
+    "near-z": ((1e-10, 0.0, 1.0),),
+}
 
 
-@pytest.mark.parametrize("half, n_max, cap", PAIR_GRIDS)
-def test_counter_rotating_matches_creator_pair_construction(half, n_max, cap):
+def suite_space(ms, lams):
+    """The n_max 1 space capped at total occupation 2 that the suite read
+    its operators on."""
+    return build_fock([(i, lam) for i in ms.mode_labels() for lam in lams], 1, max_total=2)
+
+
+def state(fs, *channels) -> int:
+    """Basis index of one quantum in each of the channels."""
+    return int(np.flatnonzero(fs.basis_state({c: 1 for c in channels}))[0])
+
+
+def assert_entries_are_the_weights(reference, weights, at):
+    """Each weight is the reference operators' entry at `at(*index)`, every
+    other nonzero entry is a weight up to sign, and the largest entries and
+    weights agree as float hex."""
+    for comp, mat in enumerate(reference):
+        w = weights[..., comp]
+        for index in np.ndindex(w.shape):
+            assert mat[at(*index)] == w[index], (comp, index)
+        nonzero = w[w != 0]
+        assert np.isin(mat[mat != 0], np.concatenate([nonzero, -nonzero])).all(), comp
+    assert max(max_abs(m) for m in reference).hex() == max_abs(weights).hex()
+
+
+@pytest.mark.parametrize("nudge", [False, True], ids=["grid", "nudged"])
+@pytest.mark.parametrize("half", ORACLE_GRIDS.values(), ids=ORACLE_GRIDS.keys())
+def test_counter_rotating_weights_are_the_operator_entries(half, nudge):
     ms = build_cartesian_modeset(list(half))
+    if nudge:
+        # mode 1 off the exact negation of mode 0, which a grid refuses: the
+        # momentum weights no longer cancel
+        ks = ms.ks.copy()
+        ks[1] *= 1.001
+        ms.ks = ks
     for target, lams in (("spin", (1, 2, 3)), ("momentum", (0, 1, 2, 3))):
-        chans = [(i, lam) for i in ms.mode_labels() for lam in lams]
-        fs = build_fock(chans, n_max, max_total=cap)
-        got = ops.counter_rotating_part(ms, fs, target)
-        expected = reference_counter_rotating(ms, fs, target)
-        for comp in range(3):
-            assert np.array_equal(got[comp].to_dense(), expected[comp]), (target, comp)
+        fs = suite_space(ms, lams)
+        weights = ops.counter_rotating_part(ms, target)
+
+        def at(k, a, b):
+            # a_(k,l1) a_(-k,l2): from the pair's two-photon state to the vacuum
+            return 0, state(fs, (k, lams[a]), (ms.negation[k], lams[b]))
+
+        assert_entries_are_the_weights(reference_counter_rotating(ms, fs, target), weights, at)
+    if nudge:
+        assert max_abs(weights) > 1e-4
 
 
-@pytest.mark.parametrize("half, n_max, cap", PAIR_GRIDS)
-def test_l_pure_s_terms_match_creator_pair_construction(half, n_max, cap):
+@pytest.mark.parametrize("half", ORACLE_GRIDS.values(), ids=ORACLE_GRIDS.keys())
+def test_l_pure_s_weights_are_the_bracket_entries(half):
     ms = build_cartesian_modeset(list(half))
-    chans = [(i, lam) for i in ms.mode_labels() for lam in (1, 2, 3)]
-    fs = build_fock(chans, n_max, max_total=cap)
-    term1, term2 = ops.l_pure_s_terms(ms, fs)
-    for comp, bracket in enumerate(reference_l_pure_s_bracket(ms, fs)):
-        assert np.array_equal(term1[comp].to_dense(), 0.5j * bracket)
-        assert np.array_equal(term2[comp].to_dense(), -0.5j * bracket)
+    fs = suite_space(ms, (1, 2, 3))
+    bracket = reference_l_pure_s_bracket(ms, fs)
+    term1, term2 = ops.l_pure_s_terms(ms)
 
+    def at(k, term, lam):
+        if term == 0:
+            # creator_3 a_lam on one photon in (k, lam)
+            return state(fs, (k, 3)), state(fs, (k, lam + 1))
+        # a_3 a_lam(-k) on the pair's two-photon state
+        return 0, state(fs, (k, 3), (ms.negation[k], lam + 1))
 
-@pytest.mark.parametrize("cap", [None, 3])
-def test_pair_entries_sign_on_the_scalar_channel(cap):
-    # counter_rotating_part never weights a (0, lam >= 1) pair (eps(k, 0) is
-    # orthogonal to every spatial polarization), so the sign s_c1 s_c2 is
-    # checked here directly
-    ms = build_cartesian_modeset([(0.6, 0.2, 0.75)])
-    chans = [(i, lam) for i in ms.mode_labels() for lam in (0, 1, 3)]
-    fs = build_fock(chans, 2, max_total=cap)
-    for c1, c2 in (((0, 0), (1, 1)), ((0, 3), (1, 0)), ((0, 0), (1, 0)), ((1, 0), (1, 0))):
-        for cc_sign in (1, -1):
-            rows, cols, data = ops._pair_entries(fs, c1, c2, cc_sign)
-            got = np.zeros((fs.dim, fs.dim), dtype=complex)
-            got[rows, cols] = data
-            aa = annihilator(fs, c1) @ annihilator(fs, c2)
-            cc = creator(fs, c1) @ creator(fs, c2)
-            assert np.array_equal(got, (aa + cc_sign * cc).to_dense())
+    assert_entries_are_the_weights([0.5j * b for b in bracket], term1, at)
+    assert_entries_are_the_weights([-0.5j * b for b in bracket], term2, at)
 
 
 def test_family_forms_cover_the_claims_table():

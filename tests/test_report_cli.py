@@ -461,6 +461,19 @@ def test_cli_grid_over_the_mode_cap_exit_2(capsys):
     assert "Traceback" not in err
 
 
+def test_cli_counter_rotating_reads_weights_under_any_dim_cap(capsys):
+    # counter-rotating reads weight arrays and builds no Fock space, so
+    # --dim-cap refuses neither a 400-mode grid (whose n_max 1 space capped
+    # at total occupation 2 would need a 720601 x 1200 occupation table) nor
+    # a cap below that space's 22 states on the default grid
+    pairs = [(1.0 + i, 0.5, -0.25) for i in range(200)]
+    grid = ";".join(",".join(repr(c) for c in r) for k in pairs for r in (k, [-c for c in k]))
+    for argv in (["--grid", grid], ["--dim-cap", "1"]):
+        assert main(["--suite", "counter-rotating", "--format", "json", *argv]) == 0
+        parsed = json.loads(capsys.readouterr().out)
+        assert parsed["summary"] == {"total": 4, "passed": 4, "failed": 0}
+
+
 FOUR_MODE_GRID = "0,0,1;0,0,-1;1,0,0;-1,0,0"
 EIGHT_MODE_GRID = (
     "0,0,1;0,0,-1;1,0,0;-1,0,0;0.6,0.8,0;-0.6,-0.8,0;0.3,-0.4,1.2;-0.3,0.4,-1.2"

@@ -140,26 +140,30 @@ def minkowski_dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def frame_curl(k, lam: int) -> np.ndarray:
-    """Curl (in k) of the spatial frame field eps(., lam), evaluated at the
-    nonzero wave vector k (3 components).
+    """Curl (in k) of the spatial frame field eps(., lam), lam = 1 or 2,
+    evaluated at the nonzero wave vector k (3 components), in closed form on
+    the branch of the frame rule that k takes.
 
-    Central finite differences of the deterministic frame rule with step
-    1e-6 * |k|.  Meaningful only away from the z-axis branch of the rule,
-    which is where the suite evaluates it.
+    About an axis n, with cos t = n . k_hat, phi = n x k_hat / sin t and
+    theta = (cos t k_hat - n) / sin t, curl phi = (cot t k_hat - theta) / |k|
+    and curl theta = phi / |k|.  Off the z axis the rule is eps_1 = phi and
+    eps_2 = -theta about n = z; within its band, eps_1 = (x - k_x k_hat) / |.|
+    = -theta and eps_2 = -phi about n = x.
     """
-    base = np.asarray(k, dtype=float)
-    h = 1e-6 * math.sqrt(sum(c * c for c in base.tolist()))
-    jac = np.zeros((3, 3))
-    for b, dv in enumerate(h * np.eye(3)):
-        jac[b] = (polarization_frame(base + dv) - polarization_frame(base - dv))[lam, 1:] / (2.0 * h)
-    # [curl eps]_a = eps_{abc} d_b eps_c
-    return np.array(
-        [
-            jac[1, 2] - jac[2, 1],
-            jac[2, 0] - jac[0, 2],
-            jac[0, 1] - jac[1, 0],
-        ]
-    )
+    k = np.asarray(k, dtype=float)
+    size = math.sqrt(sum(c * c for c in k.tolist()))
+    khat = k / size
+    off_axis = np.linalg.norm(cross((0.0, 0.0, 1.0), khat.tolist())) > _AXIS_TOL
+    n = np.array([0.0, 0.0, 1.0] if off_axis else [1.0, 0.0, 0.0])
+    phi = np.array(cross(n, khat))
+    sin = np.linalg.norm(phi)
+    phi /= sin
+    cos = float(n @ khat)
+    theta = (cos * khat - n) / sin
+    curl_phi = (cos / sin * khat - theta) / size
+    curl_theta = phi / size
+    curls = (curl_phi, -curl_theta) if off_axis else (-curl_theta, -curl_phi)
+    return curls[lam - 1]
 
 
 class CartesianGrid:

@@ -42,8 +42,9 @@ with classical amplitudes.
 suite its claims (`Claim`), each one reported check under its literal ID,
 with an anchor, a verdict and one or two `FORMS` families: a family alone
 closes su(2), commutes or violates su(2); a pair commutes, fails to commute,
-or the first closes into the second.  The suites lift the named families and
-`suites._claim_checks` emits one check per claim.
+or the first closes into the second.  The suites lift the named families on
+one-quantum spaces, where a lift is its form, and `suites._claim_checks`
+emits one check per claim.
 """
 
 from __future__ import annotations
@@ -391,6 +392,7 @@ CLAIMS: dict[str, tuple[Claim, ...]] = {
         Claim("oam-su2-all-polarizations", "MCR2", ALG_SU2, "oam_total"),
         Claim("oam-spin-commute", "MCR3", MUTUAL_COMMUTE, "oam_total", "spin_fixed_frame"),
         Claim("hamiltonian-oam-commute", "H-mode-form", MUTUAL_COMMUTE, "hamiltonian", "oam_total"),
+        Claim("hamiltonian-spin-commute", "H-mode-form", MUTUAL_COMMUTE, "hamiltonian", "spin_total"),
     ),
     "observable-commutators": (
         Claim("spin-obs-commuting", "Table-II", ALG_COMMUTING, "spin_obs"),

@@ -37,15 +37,16 @@ at sizes no input sets: 27 states in `_bcr_checks`, 16 in the gb-root pair,
 Every algebra claim (su(2), commuting or su(2)-violating families, mutually
 commuting or noncommuting pairs, a family closing into another) is one
 `operators.Claim` of `operators.CLAIMS`, keyed by suite, under the literal ID
-of the check it reports.  A suite lifts the `operators.FORMS` families its
-claims name, each by name with `operators.lift_family` (`_lift_named` for the
-families on one space), and hands them to the one emitter, `_claim_checks`,
-which adds one check per claim: canonical-commutators' spin and orbital
-su(2), their commutation and the Hamiltonian's commutation with the orbital
-family, observable-commutators' transverse spin, orbital and total claims,
-decomposition-compare's rival decompositions and Stokes closure, and dirac's
-Table-I claims.  `hamiltonian-spin-commute` stays in suite code: it reads
-the grid Hamiltonian, on every grid; the claims read the shell's.
+of the check it reports.  A suite lifts the families its claims name
+(`_lift_named`) on the one-quantum space of its space's channels
+(`_one_quantum`), where a lift is the family's sparse form G M, and hands
+them, grouped by the space the claims are asserted on, to the one emitter,
+`_claim_checks`.  Each claim's brackets are taken there.  On a one-quantum
+space (every shell, a grid at n_max 1) they are the residuals; on a larger
+one (the grid claims, and dirac's fermion space) their residual forms are
+lifted in one stack, by the lift homomorphism (BCR1) the commutators of the
+lifts.  Wakamatsu's orbital operator adds its prescribed-source term, linear
+in the ladders, to its lift on the one-quantum shell.
 dirac's spinor checks read the Dirac matrices `operators.BETA`, `ALPHA` and
 `SIGMA`, the ones its spin family is built from.
 
@@ -214,48 +215,91 @@ _CLAIM_VERDICTS = {
 }
 
 
-def _claim_residuals(verdict: str, a, b, structure: int = 1) -> list[float]:
-    """Residuals of one claim of triple `a` (with `b` for a relation; `a`
-    itself for a family algebra): max_abs([a_i, a_j]) per bracket for a
-    commuting claim, max_abs([a_x, b_y]) per pair for a mutual one, and
-    max_abs([a_i, a_j] - i c b_k) per bracket, c = `structure`, otherwise."""
+def _one_quantum(fs: FockSpace) -> FockSpace:
+    """The space of at most one quantum over the channels of `fs`.  There
+    the lift of a form M is G M (G = diag(channel signs)) on the states of
+    one quantum, so a family lifted there is its sparse form."""
+    return build_fock(fs.channels, 1, max_total=1, fermionic=fs.fermionic)
+
+
+def _lift_named(fs: FockSpace, ms, names) -> dict:
+    """Each `operators.FORMS` family of `names`, lifted on `fs` over the mode
+    set `ms` (`operators.lift_family`)."""
+    return {name: ops.lift_family(fs, name, ms) for name in dict.fromkeys(names)}
+
+
+def _claim_brackets(verdict: str, a, b, structure: int = 1) -> list[OperatorMatrix]:
+    """Residual operators of one claim of triple `a` (with `b` for a
+    relation; `a` itself for a family algebra): [a_i, a_j] per bracket for a
+    commuting claim, [a_x, b_y] per pair for a mutual one, and
+    [a_i, a_j] - i c b_k per bracket, c = `structure`, otherwise."""
     if verdict == ops.ALG_COMMUTING:
-        return [max_abs(commutator(a[i], a[j])) for i, j, _ in EPS_PAIRS]
+        return [commutator(a[i], a[j]) for i, j, _ in EPS_PAIRS]
     if verdict in (ops.MUTUAL_COMMUTE, ops.MUTUAL_NONCOMMUTING):
-        return [max_abs(commutator(x, y)) for x in a for y in b]
-    return [max_abs(commutator(a[i], a[j], structure * 1j * b[k])) for i, j, k in EPS_PAIRS]
+        return [commutator(x, y) for x in a for y in b]
+    return [commutator(a[i], a[j], structure * 1j * b[k]) for i, j, k in EPS_PAIRS]
 
 
-def _claim_checks(rep: VerificationReport, claims, lifted: dict, tol: float) -> None:
+def _residual_forms(brackets, signs) -> np.ndarray:
+    """The form R = G B of each bracket B on a one-quantum space (`_one_quantum`),
+    G = diag(signs): R[a, b] is sign_a times B's entry between the states of
+    one quantum in channels a and b.  A bracket of lifts has no vacuum entry."""
+    channel = brackets[0].space.occ.argmax(axis=1)
+    g = np.array(signs, dtype=float)
+    forms = np.zeros((len(brackets), len(signs), len(signs)), dtype=complex)
+    for form, op in zip(forms, brackets):
+        rows, cols, data = op.entries()
+        form[channel[rows], channel[cols]] = g[channel[rows]] * data
+    return forms
+
+
+def _claim_checks(rep: VerificationReport, claims, groups, tol: float) -> None:
     """Add one check per claim (`operators.CLAIMS`) under its ID, or one per
     bracket under a triple of IDs.
 
-    `lifted` maps each family the claims name to its lifted components, read
-    on an invariant block; `tol` bounds the su(2), mutual-commute and
-    closes-into equalities of a claim that is not tight.
+    `groups` holds (space, families) pairs: `families` maps each family the
+    claims name to its components lifted on the one-quantum space of
+    `space`'s channels (`_one_quantum`), where a lift is its form G M.  A
+    claim is decided on the first group holding every family it names, in
+    two steps.  Its brackets (`_claim_brackets`) are taken on the one-quantum
+    space, each the G-bracket G R of a residual form R.  If `space` is that
+    space, they are the residuals.  Otherwise every bracket of the group with
+    an entry is read back as its form R (`_residual_forms`) and all are lifted
+    on `space` in one `lift_forms` stack: by the lift homomorphism (BCR1)
+    each lift is the claim's commutator of lifts on `space`, and a bracket
+    with no entry lifts to none.  That holds where no channel meets its own
+    truncation edge, as on the suites' spaces: the grids are capped at total
+    occupation n_max, and a fermion channel has no edge.  `tol` bounds the
+    su(2), mutual-commute and closes-into equalities of a claim that is not
+    tight.
     """
+    residuals = {}
+    for space, families in groups:
+        decided = [
+            c for c in claims
+            if c not in residuals and families.keys() >= {c.a, c.b or c.a}
+        ]
+        brackets = [
+            _claim_brackets(c.verdict, families[c.a], families[c.b or c.a], c.structure)
+            for c in decided
+        ]
+        flat = [op for per_claim in brackets for op in per_claim]
+        filled = [op for op in flat if op.nnz]
+        if filled and filled[0].space != space:
+            lifted = iter(lift_forms(space, _residual_forms(filled, space.signs)))
+            flat = [next(lifted) if op.nnz else op for op in flat]
+        values = iter(flat)
+        for claim, per_claim in zip(decided, brackets):
+            residuals[claim] = [max_abs(next(values)) for _ in per_claim]
     for claim in claims:
         kind, bound = _CLAIM_VERDICTS[claim.verdict]
         if bound is None:
             bound = TIGHT_TOL if claim.tight else tol
-        a = lifted[claim.a]
-        b = a if claim.b is None else lifted[claim.b]
-        residuals = _claim_residuals(claim.verdict, a, b, claim.structure)
         if isinstance(claim.check_id, str):
-            rep.add(claim.check_id, claim.anchor, max_residual(residuals), bound, kind=kind)
+            rep.add(claim.check_id, claim.anchor, max_residual(residuals[claim]), bound, kind=kind)
         else:
-            for one, res in zip(claim.check_id, residuals):
+            for one, res in zip(claim.check_id, residuals[claim]):
                 rep.add(one, claim.anchor, res, bound, kind=kind)
-
-
-def _lift_named(claims, fs: FockSpace, ms, lifted: dict) -> dict:
-    """`lifted` completed by every family the claims name, each lifted on
-    `fs` over the mode set `ms` (`operators.lift_family`)."""
-    for claim in claims:
-        for name in (claim.a, claim.b):
-            if name is not None and name not in lifted:
-                lifted[name] = ops.lift_family(fs, name, ms)
-    return lifted
 
 
 def _orbital_shell(config: SuiteConfig, default_lmax: int = 1) -> SphericalShell:
@@ -284,10 +328,7 @@ def suite_canonical(config: SuiteConfig) -> VerificationReport:
     ms = config.grid or _default_grid()
 
     fs = _capped_grid_space(ms, (0, 1, 2, 3), config)
-    spin = ops.lift_family(fs, "spin_total", ms)
     (ham,) = ops.lift_family(fs, "hamiltonian", ms)
-    res = max_residual(max_abs(commutator(ham, s)) for s in spin)
-    rep.add("hamiltonian-spin-commute", "H-mode-form", res, config.tol)
     vac = fs.vacuum()
     rep.add("hamiltonian-vacuum", "H-mode-form", abs(expectation(fs, ham, vac)), TIGHT_TOL)
     mode0 = ms.mode_labels()[0]
@@ -308,9 +349,10 @@ def suite_canonical(config: SuiteConfig) -> VerificationReport:
     _bcr_checks(rep, config)
     _metric_checks(rep, fs)
 
-    claims = ops.CLAIMS[rep.suite]
-    lifted = _orbital_families(rep, config, claims, {"spin_total": spin})
-    _claim_checks(rep, claims, lifted, config.tol)
+    grid = (fs, _lift_named(_one_quantum(fs), ms, ("spin_total", "hamiltonian")))
+    del ham, mom  # not held through the claims' lift on fs: peak memory
+    groups = [grid, *_orbital_families(rep, config)]
+    _claim_checks(rep, ops.CLAIMS[rep.suite], groups, config.tol)
     return rep.finalize()
 
 
@@ -382,19 +424,24 @@ def _lift_homomorphism_residual(dim_cap: int) -> float:
     return max_residual(commutator_residuals(triples))
 
 
-def _orbital_families(rep: VerificationReport, config: SuiteConfig, claims, lifted: dict) -> dict:
-    """`lifted` completed by the shell families of canonical-commutators'
-    `claims`: the orbital families per polarization sector on the `--shell`
-    l_max (default 2), and with all four polarizations, next to the
-    fixed-frame spin and the Hamiltonian, on the `--shell` l_max (default 1).
-    Adds the orbital checks that are not claims."""
+def _orbital_families(rep: VerificationReport, config: SuiteConfig) -> list:
+    """The shell groups of canonical-commutators' claims (`_claim_checks`),
+    each on its one-quantum shell space: the orbital family of each
+    polarization sector on the `--shell` l_max (default 2), and with all four
+    polarizations, next to the fixed-frame spin and the Hamiltonian, on the
+    `--shell` l_max (default 1).  Adds the orbital checks that are not
+    claims."""
     shell2 = _orbital_shell(config, default_lmax=2)
+    groups = []
     for lam, name in ((1, "oam_transverse"), (0, "oam_scalar")):
-        lifted[name] = ops.lift_family(_shell_space(shell2, (lam,), config.dim_cap), name, shell2)
+        sector = _shell_space(shell2, (lam,), config.dim_cap)
+        groups.append((sector, _lift_named(sector, shell2, (name,))))
 
     shell1 = _orbital_shell(config)
     fs4 = _shell_space(shell1, (0, 1, 2, 3), config.dim_cap)
-    oam = _lift_named(claims, fs4, shell1, lifted)["oam_total"]
+    families = _lift_named(fs4, shell1, ("oam_total", "spin_fixed_frame", "hamiltonian"))
+    groups.append((fs4, families))
+    oam = families["oam_total"]
     for lam, check_id in ((1, "oam-z-transverse-eigenvalue"), (0, "oam-z-scalar-eigenvalue")):
         res = _eigen_residual(oam[2], 1, fs4.basis_state({((1, 1), lam): 1}))
         rep.add(check_id, "PWE-LM", res, TIGHT_TOL)
@@ -402,7 +449,7 @@ def _orbital_families(rep: VerificationReport, config: SuiteConfig, claims, lift
         "oam scalar sector: weight -1 with the flipped scalar commutator gives"
         " L_z = +m on every one-photon sector; required by MCR2"
     )
-    return lifted
+    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +461,6 @@ def suite_observable(config: SuiteConfig) -> VerificationReport:
     ms = config.grid or build_cartesian_modeset([(0.0, 0.0, 1.0), (1.0, 0.0, 0.0)])
 
     fs = _capped_grid_space(ms, (1, 2), config)
-    sobs = ops.lift_family(fs, "spin_obs", ms)
     (hel,) = ops.lift_family(fs, "helicity", ms)
     mode0 = ms.mode_labels()[0]
     res = max_residual(_eigen_residual(hel, h, _circular(fs, mode0, h * 1j)) for h in (1, -1))
@@ -450,11 +496,11 @@ def suite_observable(config: SuiteConfig) -> VerificationReport:
 
     shell1 = _orbital_shell(config)
     fs4 = _shell_space(shell1, (0, 1, 2, 3), config.dim_cap)
-    claims = ops.CLAIMS[rep.suite]
-    lifted = _lift_named(claims, fs4, shell1, {"spin_obs": sobs})
-    _claim_checks(rep, claims, lifted, config.tol)
+    families = _lift_named(fs4, shell1, ("oam_obs", "spin_obs_fixed_frame", "j_obs"))
+    groups = [(fs, _lift_named(_one_quantum(fs), ms, ("spin_obs",))), (fs4, families)]
+    _claim_checks(rep, ops.CLAIMS[rep.suite], groups, config.tol)
     longi = fs4.basis_state({((1, 1), 3): 1})
-    res = max_residual(_eigen_residual(L, 0, longi) for L in lifted["oam_obs"])
+    res = max_residual(_eigen_residual(L, 0, longi) for L in families["oam_obs"])
     rep.add("oam-obs-longitudinal-zero", "L-obs-form", res, TIGHT_TOL)
     return rep.finalize()
 
@@ -477,13 +523,17 @@ def suite_decomposition(config: SuiteConfig) -> VerificationReport:
     shell = _orbital_shell(config)
     fs = _shell_space(shell, (0, 1, 2, 3), config.dim_cap)
     gms = config.grid or _default_grid()
-    stokes = ops.lift_family(_capped_grid_space(gms, (1, 2), config), "stokes", gms)
+    grid = _capped_grid_space(gms, (1, 2), config)
     claims = ops.CLAIMS[rep.suite]
-    lifted = _lift_named(claims, fs, shell, {"stokes": stokes})
+    # the Stokes closure on the grid, the decompositions on the shell
+    names = (n for c in claims for n in (c.a, c.b) if n not in (None, "stokes"))
+    families = _lift_named(fs, shell, names)
 
+    # its space holds one quantum, so the extra term, linear in the ladders,
+    # is bracketed there with the lift
     xi = stated_source(shell)
     extra = [cons.xi_oam_bilinear(shell, fs, xi, lam) for lam in (1, 2)]
-    lifted["oam_wak"] = tuple(a + b + c for a, b, c in zip(lifted["oam_wak"], *extra))
+    families["oam_wak"] = tuple(a + b + c for a, b, c in zip(families["oam_wak"], *extra))
     rep.note(
         "wakamatsu orbital extra term realized through the prescribed-source"
         " pathway; stated source xi(0,0) = xi(1,+-1) = 0.4, xi(1,0) = 0.4i"
@@ -499,7 +549,8 @@ def suite_decomposition(config: SuiteConfig) -> VerificationReport:
         " (truncation edge, reported only)"
     )
 
-    _claim_checks(rep, claims, lifted, config.tol)
+    groups = [(grid, _lift_named(_one_quantum(grid), gms, ("stokes",))), (fs, families)]
+    _claim_checks(rep, claims, groups, config.tol)
     return rep.finalize()
 
 
@@ -747,14 +798,17 @@ def suite_fields(config: SuiteConfig) -> VerificationReport:
 
 
 # Fermion-number cap of the dirac suite's spinor x orbital space: 697 states
-# instead of 2^16.  Every operator its Table-I checks multiply conserves
-# fermion number, and the spin-half check applies one creator to the vacuum,
-# so the capped space is an invariant block without a truncation edge and
-# each operator on it is the full-space one restricted to the kept states.
-# N >= 2 exercises the Jordan-Wigner parity string (one fermion hopping over
-# another) and N = 3 adds a spectator.  3 is also the smallest cap at which
-# every rounding-level residual equals its full-space value; at 2 the
-# largest entry of dirac-oam-su2 falls outside the block.
+# instead of 2^16.  Every lift conserves fermion number, and the spin-half
+# check applies one creator to the vacuum, so the capped space is an
+# invariant block without a truncation edge: each lift on it, the lifted
+# residual forms of the Table-I claims included, is the full-space one
+# restricted to the kept states.  The claims hold exactly at any cap, so the
+# cap decides no verdict.  N >= 2 lets a lifted off-diagonal entry carry the
+# Jordan-Wigner parity string (one fermion hopping over another) and N = 3
+# adds a spectator, which is why the cap is 3.  It also sets how many of a
+# residual form's diagonal rounding terms add on one state: dirac-oam-su2's
+# form carries +-2.2e-16i on eight channels, four of each sign, so the check
+# reads 3 x 2.2e-16 here and 4 x 2.2e-16 at N >= 4 and on the full space.
 DIRAC_FERMION_CAP = 3
 
 
@@ -785,12 +839,11 @@ def suite_dirac(config: SuiteConfig) -> VerificationReport:
     ffs = build_fermion_fock(
         spinor_orbital_channels(shell.l_max), config.dim_cap, max_total=DIRAC_FERMION_CAP
     )
-    claims = ops.CLAIMS[rep.suite]
-    lifted = _lift_named(claims, ffs, shell, {})
-    _claim_checks(rep, claims, lifted, config.tol)
+    families = _lift_named(_one_quantum(ffs), shell, ("dirac_sam", "dirac_oam"))
+    _claim_checks(rep, ops.CLAIMS[rep.suite], [(ffs, families)], config.tol)
 
     one = ffs.basis_state({((0, 0), 0): 1})
-    res = _eigen_residual(lifted["dirac_sam"][2], 0.5, one)
+    res = _eigen_residual(ops.lift_family(ffs, "dirac_sam", shell)[2], 0.5, one)
     rep.add("dirac-spin-half-eigenvalue", "S_D", res, 1e-14)
 
     photon = build_fock([("k", 1), ("k", 2)], 1, dim_cap=config.dim_cap)

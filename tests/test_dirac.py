@@ -11,6 +11,7 @@ from photonam.fock import (
     OperatorMatrix,
     annihilator,
     build_fock,
+    compress,
     creator,
     lift_forms,
     max_abs,
@@ -159,17 +160,34 @@ def test_helicity_integer_eigenvalues_alongside_dirac_halves():
 
 
 def test_dirac_suite_cap_keeps_full_space_residuals():
+    # each claim's residual form is lifted on the capped space, and that lift
+    # is the full space's on the cap's states, entry for entry.  Its largest
+    # entry may read lower than the full space's: a diagonal entry sums the
+    # form's rounding-level diagonal over at most DIRAC_FERMION_CAP fermions
     chans = spinor_orbital_channels(1)
+    capped, full = (build_fermion_fock(chans, max_total=cap) for cap in (DIRAC_FERMION_CAP, None))
+    assert capped.dim == 697
+    one = suites._one_quantum(capped)
+    families = dict(zip(("dirac_sam", "dirac_oam"), dirac_families(one, 1)))
+    claims = ops.CLAIMS["dirac"]
+    brackets = [
+        op
+        for c in claims
+        for op in suites._claim_brackets(c.verdict, families[c.a], families[c.b or c.a], c.structure)
+    ]
+    forms = suites._residual_forms(brackets, one.signs)
+    kept = full.locate(capped.occ)
+    for small, big in zip(lift_forms(capped, forms), lift_forms(full, forms), strict=True):
+        np.testing.assert_array_equal(small.to_dense(), compress(big, kept))
 
     def residuals(ffs):
         rep = VerificationReport("dirac", {})
-        families = dict(zip(("dirac_sam", "dirac_oam"), dirac_families(ffs, 1)))
-        suites._claim_checks(rep, ops.CLAIMS["dirac"], families, TIGHT_TOL)
+        suites._claim_checks(rep, claims, [(ffs, families)], TIGHT_TOL)
         return {r.check_id: r.residual for r in rep.checks}
 
-    capped = build_fermion_fock(chans, max_total=DIRAC_FERMION_CAP)
-    assert capped.dim == 697
-    assert residuals(capped) == residuals(build_fermion_fock(chans))
+    at_cap, on_full = residuals(capped), residuals(full)
+    assert at_cap.keys() == on_full.keys()
+    assert all(at_cap[key] <= on_full[key] <= 1e-15 for key in at_cap)
 
 
 # Reference construction of the Dirac lifts: per-entry channel matrices.

@@ -273,28 +273,60 @@ def test_parse_modeset_requires_negation_partners():
         parse_modeset("1.0 0.0 0.0\n0.0 1.0 0.0\n-1.0 0.0 0.0\n")
 
 
-def test_frame_curl_matches_independent_jacobian():
-    # independent path: re-derive eps(k, 1) from the rule and differentiate
-    k = np.array([0.4, -0.3, 0.7])
-    got = frame_curl(k, 1)
-    h = 1e-5
-
-    def eps1(vec):
-        z = np.array([0.0, 0.0, 1.0])
-        v = np.cross(z, vec / np.linalg.norm(vec))
-        return v / np.linalg.norm(v)
-
+def _curl_by_jacobian(field, k, h):
+    """Curl of `field` at k by central differences of step h."""
     jac = np.zeros((3, 3))
-    base = k
     for b in range(3):
         d = np.zeros(3)
         d[b] = h
-        jac[b] = (eps1(base + d) - eps1(base - d)) / (2 * h)
-    expected = np.array(
-        [jac[1, 2] - jac[2, 1], jac[2, 0] - jac[0, 2], jac[0, 1] - jac[1, 0]]
-    )
-    np.testing.assert_allclose(got, expected, atol=1e-6)
-    assert np.linalg.norm(got) > 1e-3
+        jac[b] = (field(k + d) - field(k - d)) / (2 * h)
+    return np.array([jac[1, 2] - jac[2, 1], jac[2, 0] - jac[0, 2], jac[0, 1] - jac[1, 0]])
+
+
+def test_frame_curl_matches_independent_jacobian():
+    # independent path: re-derive eps(k, 1) and eps(k, 2) from the rule off
+    # the z axis and differentiate
+
+    def eps1(vec):
+        v = np.cross([0.0, 0.0, 1.0], vec / np.linalg.norm(vec))
+        return v / np.linalg.norm(v)
+
+    def eps2(vec):
+        return np.cross(vec / np.linalg.norm(vec), eps1(vec))
+
+    for k in ((0.4, -0.3, 0.7), (-1.1, 0.2, -0.05), (0.3, 0.5, -1.2)):
+        k = np.array(k)
+        for lam, field in ((1, eps1), (2, eps2)):
+            got = frame_curl(k, lam)
+            expected = _curl_by_jacobian(field, k, 1e-5)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
+            assert np.linalg.norm(got) > 1e-3
+
+
+@pytest.mark.parametrize(
+    "k", [(0.0, 0.0, 1.0), (0.0, 0.0, -2.5), (1e-10, 0.0, 1.0), (-3e-9, 2e-9, -0.4)]
+)
+def test_frame_curl_on_the_axis_band_is_the_band_fields_curl(k):
+    # within 1e-8 of the z axis the rule takes eps_1 = (x - k_x k_hat) / |.|;
+    # its curl is sign(k_z) y / |k| there and eps_2's is -x / |k|
+    k = np.array(k)
+    size = np.linalg.norm(k)
+
+    def eps1(vec):
+        khat = vec / np.linalg.norm(vec)
+        v = np.array([1.0, 0.0, 0.0]) - khat[0] * khat
+        return v / np.linalg.norm(v)
+
+    def eps2(vec):
+        return np.cross(vec / np.linalg.norm(vec), eps1(vec))
+
+    expected = {1: np.sign(k[2]) * np.array([0.0, 1.0, 0.0]), 2: np.array([-1.0, 0.0, 0.0])}
+    for lam, field in ((1, eps1), (2, eps2)):
+        got = size * frame_curl(k, lam)
+        np.testing.assert_allclose(got, expected[lam], rtol=0, atol=1e-8)
+        # the band field differentiated with steps inside the band
+        by_jacobian = size * _curl_by_jacobian(field, k, 1e-10 * size)
+        np.testing.assert_allclose(got, by_jacobian, rtol=0, atol=1e-5)
 
 
 def cross_reference_frame(k):

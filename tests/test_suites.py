@@ -20,7 +20,6 @@ from photonam.fock import (
     compress,
     expectation,
     form_bracket,
-    identity_operator,
     lift_forms,
     max_abs,
     max_residual,
@@ -197,11 +196,27 @@ def test_hamiltonian_spin_commute_holds_on_grids_of_unequal_omega(
     assert record.residual == pytest.approx(omega_max * math.sqrt(n_max), rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "half", [(0.0, 0.0, 1.0), (1e-10, 0.0, 1.0), (0.0, 0.0, 3e-150)], ids=["z", "near-z", "tiny-z"]
+)
+def test_lpure_s_terms_on_the_z_axis_read_the_band_curl(half):
+    # on the axis band |k| curl eps_1 = sign(k_z) y and |k| curl eps_2 = -x,
+    # so each pure-gauge piece weighs 0.5 whatever |k|
+    rep = run_suite(SuiteConfig(suite="counter-rotating", grid=build_cartesian_modeset([half])))
+    assert _check(rep, "lpure-s-terms-nonzero").residual == pytest.approx(0.5, abs=1e-12)
+    assert _check(rep, "lpure-s-sum-vanishes").residual == 0.0
+
+
 def test_nan_operator_triple_fails():
-    fs = build_fock([("k", 1), ("q", 2)], 1)
-    nan = OperatorMatrix.from_entries(fs, [np.nan], [0], [0])
-    ident = identity_operator(fs)
-    lifted = {"one": (ident,) * 3, "nan": (ident, ident, nan), "nan0": (nan, ident, ident)}
+    # families on a one-quantum space, where each claim reads its brackets
+    fs = build_fock([("k", 1), ("q", 2)], 1, max_total=1)
+    ident = np.eye(2)
+    nan = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    lifted = {
+        "one": lift_forms(fs, [ident] * 3),
+        "nan": lift_forms(fs, [ident, ident, nan]),
+        "nan0": lift_forms(fs, [nan, ident, ident]),
+    }
     claims = (
         ops.Claim("su2-su2", "MCR2", ops.ALG_SU2, "nan"),
         ops.Claim("comm-commuting", "Table-II", ops.ALG_COMMUTING, "nan0"),
@@ -212,7 +227,7 @@ def test_nan_operator_triple_fails():
         ops.Claim("c2-su2", "Stokes", ops.ALG_SU2, "nan", structure=2, tight=True),
     )
     rep = VerificationReport("nan", {})
-    suites._claim_checks(rep, claims, lifted, 1e-10)
+    suites._claim_checks(rep, claims, [(fs, lifted)], 1e-10)
     assert [r.check_id for r in rep.checks] == [
         "su2-su2",
         "comm-commuting",
@@ -229,12 +244,14 @@ def test_nan_operator_triple_fails():
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_nan_form_lifted_as_a_stack_fails_its_claims():
     # a NaN in one form of a lifted stack reaches every claim that reads it,
-    # through the stacked lift and the one-pass commutator
+    # through the one-quantum stacked lift, the one-pass commutator and the
+    # stacked lift of the residual forms on the two-quantum space
     fs = build_fock([("a", 1), ("b", 2), ("c", 3)], 2, max_total=2)
+    one = suites._one_quantum(fs)
     spin = spin_matrices()
     poisoned = [m.copy() for m in spin]
     poisoned[2][0, 1] = np.nan
-    lifted = {"s": lift_forms(fs, spin), "nan": lift_forms(fs, poisoned)}
+    lifted = {"s": lift_forms(one, spin), "nan": lift_forms(one, poisoned)}
     claims = (
         ops.Claim("clean-su2", "MCR2", ops.ALG_SU2, "s"),
         ops.Claim("su2-su2", "MCR2", ops.ALG_SU2, "nan"),
@@ -242,7 +259,7 @@ def test_nan_form_lifted_as_a_stack_fails_its_claims():
         ops.Claim("into-closes-into", "J-obs", ops.CLOSES_INTO, "s", "nan"),
     )
     rep = VerificationReport("nan", {})
-    suites._claim_checks(rep, claims, lifted, 1e-10)
+    suites._claim_checks(rep, claims, [(fs, lifted)], 1e-10)
     clean, *poisoned_checks = rep.checks
     assert clean.check_id == "clean-su2" and clean.passed and clean.residual <= 1e-15
     assert [r.check_id for r in poisoned_checks] == ["su2-su2", "mutual-commute", "into-closes-into"]
@@ -598,6 +615,7 @@ def test_decomposition_checks_follow_claims_table(monkeypatch):
 # Every check the claims table emits under `all`.
 CLAIMED_CHECKS = [
     "canonical-commutators/hamiltonian-oam-commute",
+    "canonical-commutators/hamiltonian-spin-commute",
     "canonical-commutators/oam-spin-commute",
     "canonical-commutators/oam-su2-all-polarizations",
     "canonical-commutators/oam-su2-scalar-sector",
@@ -642,7 +660,7 @@ def test_claims_table_emits_every_algebra_check(monkeypatch):
     monkeypatch.setattr(suites, "_claim_checks", recording)
     rep = run_suite(SuiteConfig(suite="all"))
     assert rep.all_passed
-    assert len(CLAIMED_CHECKS) == 30
+    assert len(CLAIMED_CHECKS) == 31
     assert sorted(emitted) == CLAIMED_CHECKS
 
 
@@ -687,7 +705,7 @@ def _claim_residual_read(claim, lifted, read):
 
 
 def _su2(triple):
-    return max_residual(suites._claim_residuals(ops.ALG_SU2, triple, triple))
+    return max_residual(map(max_abs, suites._claim_brackets(ops.ALG_SU2, triple, triple)))
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 3, 4])
@@ -725,7 +743,7 @@ def test_decomposition_claims_block_capped_match_block_plus_one(seed, seeded_xi)
     claims = [c for c in ops.CLAIMS["decomposition-compare"] if c.anchor != "Stokes"]
 
     def lifted(fs):
-        out = suites._lift_named(claims, fs, shell, {})
+        out = suites._lift_named(fs, shell, (n for c in claims for n in (c.a, c.b) if n))
         # the xi extra term moves the total occupation by one
         extra = [cons.xi_oam_bilinear(shell, fs, xi, lam) for lam in (1, 2)]
         out["oam_wak"] = tuple(a + b + c for a, b, c in zip(out["oam_wak"], *extra))
@@ -734,7 +752,7 @@ def test_decomposition_claims_block_capped_match_block_plus_one(seed, seeded_xi)
     new_lifted, old_lifted = lifted(new), lifted(old)
     for claim in claims:
         rep = VerificationReport("decomposition-compare", {})
-        suites._claim_checks(rep, (claim,), new_lifted, 1e-10)
+        suites._claim_checks(rep, (claim,), [(new, new_lifted)], 1e-10)
         (check,) = rep.checks
         assert check.residual == _claim_residual_read(claim, old_lifted, read), claim.check_id
 
